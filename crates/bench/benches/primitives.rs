@@ -3,6 +3,8 @@
 //! these benches track simulator throughput so performance regressions in
 //! the engine or the routing queues are caught.
 
+use std::hint::black_box;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncc_bench::SEED;
 use ncc_butterfly::aggregation::aggregate;
@@ -10,6 +12,7 @@ use ncc_butterfly::{
     aggregate_and_broadcast, multicast, multicast_setup, self_joins, AggregationSpec, GroupId,
     MinU64, SumU64,
 };
+use ncc_hashing::shared::labels;
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Engine, NetConfig};
 
@@ -100,9 +103,53 @@ fn bench_min_aggregate(c: &mut Criterion) {
     });
 }
 
+/// The hashing bill of routing one packet over its `d = log₂ n` hops
+/// (§2.2): the target `h(group)` and the rank `ρ(group)` are
+/// `2⌈log₂ n⌉`-coefficient polynomials. `per_hop` re-evaluates both at
+/// every hop, as the routing programs did before packets carried their
+/// route; `carried` evaluates them once and reads the pair `d` times.
+fn bench_route_hashes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("route_hashes");
+    for &n in &[1024usize, 65536] {
+        let d = n.ilog2();
+        let k = SharedRandomness::k_for(n);
+        let shared = SharedRandomness::new(SEED);
+        let target = shared.poly(labels::AGG_TARGET, 0, k);
+        let rank = shared.poly(labels::AGG_RANK, 0, k);
+        let route = |g: u64| (target.to_range(g, n as u64), rank.to_range(g, 1 << 32));
+        let groups: Vec<u64> = (0..256u32).map(|t| GroupId::new(t, 7).raw()).collect();
+        group.bench_with_input(BenchmarkId::new("per_hop", n), &groups, |b, groups| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                for &g in groups {
+                    for _hop in 0..d {
+                        let (t, r) = route(black_box(g));
+                        acc = acc.wrapping_add(t ^ r);
+                    }
+                }
+                acc
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("carried", n), &groups, |b, groups| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                for &g in groups {
+                    let carried = route(black_box(g));
+                    for _hop in 0..d {
+                        let (t, r) = black_box(carried);
+                        acc = acc.wrapping_add(t ^ r);
+                    }
+                }
+                acc
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_aggregate_and_broadcast, bench_aggregation, bench_multicast_roundtrip, bench_min_aggregate
+    targets = bench_aggregate_and_broadcast, bench_aggregation, bench_multicast_roundtrip, bench_min_aggregate, bench_route_hashes
 }
 criterion_main!(benches);

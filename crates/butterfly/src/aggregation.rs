@@ -82,22 +82,72 @@ impl RouteHashes {
         self
     }
 
-    /// Intermediate target `h(group)`: a uniform level-`d` column.
-    #[inline]
-    pub(crate) fn target_column(&self, g: u64) -> u32 {
-        self.target_fn.to_range(g, self.columns) as u32
-    }
-
-    /// Routing rank `ρ(group)` (ties broken by group id, as in App. B.2).
-    #[inline]
-    pub(crate) fn rank(&self, g: u64) -> u64 {
-        if self.random_ranks {
-            self.rank_fn.to_range(g, 1 << 32)
-        } else {
-            0
+    /// Evaluates group `g`'s [`Route`]: two degree-`Θ(log n)` polynomials.
+    /// Called once per packet, where it enters the butterfly (level-0
+    /// insert, scatter, source injection); every later hop reads the pair
+    /// the packet carries.
+    pub(crate) fn route(&self, g: u64) -> Route {
+        Route {
+            target: self.target_fn.to_range(g, self.columns) as u32,
+            rank: if self.random_ranks {
+                self.rank_fn.to_range(g, 1 << 32) as u32 // < 2³²: lossless
+            } else {
+                0
+            },
         }
     }
 }
+
+/// Where a group's packets go and who yields to whom: a pure function of
+/// the group id under the agreed hash functions.
+///
+/// It travels with the packet — in its [`QueueKey`] while it waits in a
+/// routing queue, and in [`LevelMsg`] and the tree-setup `Route` message
+/// while it crosses an edge — as simulator-side metadata that `bit_size`
+/// does **not** charge: every node holds the shared hash functions and
+/// could recompute the pair from the group id for free (local computation
+/// costs nothing in the model), so carrying it saves the simulator
+/// `Θ(log n)` field multiplications per hop and changes no bit, drop,
+/// round or record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Route {
+    /// Intermediate target `h(group)`: a uniform level-`d` column.
+    pub target: u32,
+    /// Routing rank `ρ(group)` (ties broken by group id, as in App. B.2);
+    /// 0 under [`RouteHashes::with_fifo`].
+    pub rank: u32,
+}
+
+/// Key of a routing queue: ordered by `(rank, group)`, so `pop_first` is
+/// the contention rule and same-group inserts meet. The target column
+/// rides along outside the order — it is a function of the group, so
+/// keys that compare equal agree on it — which keeps a queue entry the
+/// size it had when the key was the bare `(rank, group)` pair.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct QueueKey {
+    pub route: Route,
+    pub group: u64,
+}
+
+impl Ord for QueueKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (self.route.rank, self.group).cmp(&(other.route.rank, other.group))
+    }
+}
+
+impl PartialOrd for QueueKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for QueueKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for QueueKey {}
 
 // ---------------------------------------------------------------------------
 // Phase 1: preprocessing (random injection in batches of ⌈log n⌉)
@@ -173,6 +223,8 @@ pub(crate) struct LevelMsg<V> {
     /// Level of the butterfly node this packet is arriving at.
     pub level: u8,
     pub group: u64,
+    /// `group`'s route, carried uncharged (see [`Route`]).
+    pub route: Route,
     pub value: V,
 }
 
@@ -184,9 +236,9 @@ impl<V: Payload> Payload for LevelMsg<V> {
 
 pub(crate) struct CombineState<V> {
     /// `queues[i][dir]`: packets waiting at `(i, α)` to traverse the edge to
-    /// level `i+1` — `dir` 0 = straight, 1 = cross. Keyed by `(rank, group)`
-    /// so `pop_first` is the contention rule and same-group inserts combine.
-    pub queues: Vec<[BTreeMap<(u64, u64), V>; 2]>,
+    /// level `i+1` — `dir` 0 = straight, 1 = cross. `pop_first` is the
+    /// contention rule and same-group inserts combine (see [`QueueKey`]).
+    pub queues: Vec<[BTreeMap<QueueKey, V>; 2]>,
     /// Finished aggregates at level `d` (this column is `h(group)`).
     pub arrived: BTreeMap<u64, V>,
 }
@@ -218,12 +270,12 @@ pub(crate) struct CombineProgram<'a, V, A> {
 #[allow(clippy::too_many_arguments)] // mirrors the packet coordinates
 pub(crate) fn combine_insert<V: Payload, A: Aggregate<V>>(
     bf: &Butterfly,
-    hashes: &RouteHashes,
     agg: &A,
     st: &mut CombineState<V>,
     alpha: u32,
     level: u32,
     group: u64,
+    route: Route,
     value: V,
 ) {
     let d = bf.d();
@@ -239,10 +291,8 @@ pub(crate) fn combine_insert<V: Payload, A: Aggregate<V>>(
         }
         return;
     }
-    let target = hashes.target_column(group);
-    let dir = bf.route_is_cross(alpha, level, target) as usize;
-    let key = (hashes.rank(group), group);
-    match st.queues[level as usize][dir].entry(key) {
+    let dir = bf.route_is_cross(alpha, level, route.target) as usize;
+    match st.queues[level as usize][dir].entry(QueueKey { route, group }) {
         std::collections::btree_map::Entry::Vacant(e) => {
             e.insert(value);
         }
@@ -259,7 +309,6 @@ pub(crate) fn combine_insert<V: Payload, A: Aggregate<V>>(
 /// goes through `emit`.
 pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
     bf: &Butterfly,
-    hashes: &RouteHashes,
     agg: &A,
     st: &mut CombineState<V>,
     alpha: u32,
@@ -273,7 +322,7 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
                 return;
             }
             let popped = st.queues[level as usize][dir].pop_first();
-            if let Some(((_rank, group), value)) = popped {
+            if let Some((QueueKey { route, group }, value)) = popped {
                 let next_col = if dir == 0 {
                     alpha
                 } else {
@@ -281,7 +330,7 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
                 };
                 if next_col == alpha {
                     // straight edge: stays on this node
-                    combine_insert(bf, hashes, agg, st, alpha, level + 1, group, value);
+                    combine_insert(bf, agg, st, alpha, level + 1, group, route, value);
                 } else {
                     *budget -= 1;
                     emit(
@@ -289,6 +338,7 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
                         LevelMsg {
                             level: (level + 1) as u8,
                             group,
+                            route,
                             value,
                         },
                     );
@@ -299,25 +349,11 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
 }
 
 impl<V: Payload, A: Aggregate<V>> CombineProgram<'_, V, A> {
-    /// Inserts a packet at `(level, α)` (see [`combine_insert`]).
-    pub(crate) fn insert(
-        &self,
-        st: &mut CombineState<V>,
-        alpha: u32,
-        level: u32,
-        group: u64,
-        value: V,
-    ) {
-        combine_insert(
-            &self.bf,
-            &self.hashes,
-            self.agg,
-            st,
-            alpha,
-            level,
-            group,
-            value,
-        );
+    /// A packet enters the butterfly at `(0, α)`: evaluates its route,
+    /// then [`combine_insert`].
+    pub(crate) fn inject(&self, st: &mut CombineState<V>, alpha: u32, group: u64, value: V) {
+        let route = self.hashes.route(group);
+        combine_insert(&self.bf, self.agg, st, alpha, 0, group, route, value);
     }
 
     /// One routing step (see [`combine_step`]); stays awake while busy.
@@ -325,7 +361,6 @@ impl<V: Payload, A: Aggregate<V>> CombineProgram<'_, V, A> {
         let mut unpaced = usize::MAX;
         combine_step(
             &self.bf,
-            &self.hashes,
             self.agg,
             st,
             alpha,
@@ -356,12 +391,16 @@ impl<V: Payload, A: Aggregate<V>> NodeProgram for CombineProgram<'_, V, A> {
     ) {
         let alpha = self.bf.column_of(ctx.id);
         for env in inbox {
-            self.insert(
+            let m = &env.payload;
+            combine_insert(
+                &self.bf,
+                self.agg,
                 st,
                 alpha,
-                env.payload.level as u32,
-                env.payload.group,
-                env.payload.value.clone(),
+                m.level as u32,
+                m.group,
+                m.route,
+                m.value.clone(),
             );
         }
         self.step(st, alpha, ctx);
@@ -513,7 +552,7 @@ pub fn aggregate_opt<V: Payload, A: Aggregate<V>>(
     let mut comb_states: Vec<CombineState<V>> = (0..n).map(|_| CombineState::new(bf.d())).collect();
     for (col, inj) in inj_states.into_iter().enumerate() {
         for (group, value) in inj.landed {
-            combine.insert(&mut comb_states[col], col as u32, 0, group, value);
+            combine.inject(&mut comb_states[col], col as u32, group, value);
         }
     }
     let (comb_states, s) = run_single(engine, combine, comb_states)?;
@@ -543,7 +582,7 @@ pub fn aggregate_opt<V: Payload, A: Aggregate<V>>(
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // tests index several parallel per-node arrays
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::combine::{MinU64, SumU64, XorU64};
     use ncc_model::NetConfig;
@@ -701,6 +740,94 @@ mod tests {
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
     }
+
+    /// What a node would compute locally for `group` — the pair a packet
+    /// must be carrying wherever it is.
+    pub(crate) fn fresh_route(
+        shared: &SharedRandomness,
+        bf: &Butterfly,
+        n: usize,
+        fifo: bool,
+        group: u64,
+    ) -> Route {
+        let k = SharedRandomness::k_for(n);
+        let target = shared.poly(labels::AGG_TARGET, 0, k);
+        let rank = shared.poly(labels::AGG_RANK, 0, k);
+        Route {
+            target: target.to_range(group, bf.columns() as u64) as u32,
+            rank: if fifo {
+                0
+            } else {
+                u32::try_from(rank.to_range(group, 1 << 32)).expect("ranks fit 32 bits")
+            },
+        }
+    }
+
+    /// The keys waiting at one level of a routing-queue table, both
+    /// directions.
+    pub(crate) fn queued_keys<V>(level: &[BTreeMap<QueueKey, V>; 2]) -> Vec<QueueKey> {
+        level.iter().flat_map(|q| q.keys().copied()).collect()
+    }
+
+    proptest::proptest! {
+        /// Carried route ≡ recomputed route on the combining path: a packet
+        /// injected at any level-0 column shows the freshly hashed
+        /// `(target, rank)` in its queue key at every level and in every
+        /// cross-edge message, and ends at level `d` of column `h(group)`
+        /// after exactly `d` steps — with and without random ranks.
+        #[test]
+        fn carried_route_matches_fresh_hash_on_every_combining_hop(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..700,
+            node in proptest::prelude::any::<u32>(),
+            sub in proptest::prelude::any::<u32>(),
+            start in proptest::prelude::any::<u32>(),
+            fifo in proptest::prelude::any::<bool>(),
+        ) {
+            let shared = SharedRandomness::new(seed);
+            let bf = Butterfly::for_n(n);
+            let group = GroupId::new(node % n as u32, sub).raw();
+            let fresh = fresh_route(&shared, &bf, n, fifo, group);
+            let hashes = RouteHashes::new(&shared, &bf, n);
+            let prog = CombineProgram {
+                bf,
+                hashes: if fifo { hashes.with_fifo() } else { hashes },
+                agg: &SumU64,
+                _pd: std::marker::PhantomData::<u64>,
+            };
+            let mut states: Vec<CombineState<u64>> =
+                (0..bf.columns()).map(|_| CombineState::new(bf.d())).collect();
+            let mut col = start % bf.columns() as u32;
+            prog.inject(&mut states[col as usize], col, group, 1);
+            for level in 0..bf.d() {
+                let st = &mut states[col as usize];
+                let queued = queued_keys(&st.queues[level as usize]);
+                proptest::prop_assert_eq!(queued.len(), 1, "one packet, at level {}", level);
+                proptest::prop_assert_eq!(queued[0].route, fresh, "queued at level {}", level);
+                let (mut crossed, mut unpaced) = (None, usize::MAX);
+                combine_step(&bf, &SumU64, st, col, &mut unpaced, &mut |dst, msg| {
+                    crossed = Some((dst, msg));
+                });
+                if let Some((dst, m)) = crossed {
+                    proptest::prop_assert_eq!(m.route, fresh, "sent from level {}", level);
+                    proptest::prop_assert_eq!((m.level as u32, m.group), (level + 1, group));
+                    col = bf.column_of(dst);
+                    combine_insert(
+                        &bf,
+                        &SumU64,
+                        &mut states[col as usize],
+                        col,
+                        m.level as u32,
+                        m.group,
+                        m.route,
+                        m.value,
+                    );
+                }
+            }
+            proptest::prop_assert_eq!(col, fresh.target);
+            proptest::prop_assert_eq!(states[col as usize].arrived.get(&group), Some(&1));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -800,7 +927,7 @@ where
     let mut comb_states: Vec<CombineState<W>> = (0..n).map(|_| CombineState::new(bf.d())).collect();
     for (col, inj) in inj_states.into_iter().enumerate() {
         for (group, value) in inj.landed {
-            combine.insert(&mut comb_states[col], col as u32, 0, group, value);
+            combine.inject(&mut comb_states[col], col as u32, group, value);
         }
     }
     let (comb_states, s) = run_single(engine, combine, comb_states)?;
@@ -865,6 +992,7 @@ impl<V: Payload, A: Aggregate<V>> ScatterCombineProgram<'_, V, A> {
                 LevelMsg {
                     level: 0,
                     group,
+                    route: self.hashes.route(group),
                     value,
                 },
             );
@@ -892,22 +1020,22 @@ impl<V: Payload, A: Aggregate<V>> NodeProgram for ScatterCombineProgram<'_, V, A
         if self.bf.emulates(ctx.id) {
             let alpha = self.bf.column_of(ctx.id);
             for env in inbox {
+                let m = &env.payload;
                 combine_insert(
                     &self.bf,
-                    &self.hashes,
                     self.agg,
                     &mut st.comb,
                     alpha,
-                    env.payload.level as u32,
-                    env.payload.group,
-                    env.payload.value.clone(),
+                    m.level as u32,
+                    m.group,
+                    m.route,
+                    m.value.clone(),
                 );
             }
             self.scatter(st, ctx);
             let mut unpaced = usize::MAX;
             combine_step(
                 &self.bf,
-                &self.hashes,
                 self.agg,
                 &mut st.comb,
                 alpha,
@@ -1115,6 +1243,7 @@ where
                 MaMsg::Agg(LevelMsg {
                     level: 0,
                     group,
+                    route: self.hashes.route(group),
                     value,
                 }),
             );
@@ -1134,12 +1263,13 @@ where
 
     fn init(&self, st: &mut MaPipelineState<V, W>, ctx: &mut Ctx<'_, MaMsg<V, W>>) {
         if let Some((group, value)) = st.spread.source_packet.take() {
-            let root = self.hashes.target_column(group);
+            let route = self.hashes.route(group);
             ctx.send(
-                self.bf.emulator(root),
+                self.bf.emulator(route.target),
                 MaMsg::Spread(LevelMsg {
                     level: self.bf.d() as u8,
                     group,
+                    route,
                     value,
                 }),
             );
@@ -1159,20 +1289,20 @@ where
         for env in inbox {
             match &env.payload {
                 MaMsg::Spread(m) => crate::multicast::spread_arrive(
-                    &self.hashes,
                     &mut st.spread,
                     m.level as u32,
                     m.group,
+                    m.route,
                     m.value.clone(),
                 ),
                 MaMsg::Agg(m) => combine_insert(
                     &self.bf,
-                    &self.hashes,
                     self.agg,
                     &mut st.comb,
                     alpha,
                     m.level as u32,
                     m.group,
+                    m.route,
                     m.value.clone(),
                 ),
             }
@@ -1181,7 +1311,6 @@ where
         let mut budget = self.send_budget;
         crate::multicast::spread_step(
             &self.bf,
-            &self.hashes,
             &mut st.spread,
             alpha,
             &mut budget,
@@ -1196,7 +1325,6 @@ where
         self.scatter(st, &mut budget, ctx);
         combine_step(
             &self.bf,
-            &self.hashes,
             self.agg,
             &mut st.comb,
             alpha,

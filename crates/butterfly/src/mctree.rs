@@ -19,7 +19,7 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgra
 use rand::Rng;
 
 use crate::aggregation::sync_barrier;
-use crate::aggregation::{InjectProgram, InjectState, LevelMsg, RouteHashes};
+use crate::aggregation::{InjectProgram, InjectState, LevelMsg, QueueKey, Route, RouteHashes};
 use crate::compose::run_single;
 use crate::topology::{Butterfly, GroupId};
 
@@ -74,7 +74,7 @@ impl MulticastTrees {
 pub(crate) struct RecordState {
     /// Routing queues as in the combining phase, value = unit (join packets
     /// carry no data; combining just merges paths).
-    queues: Vec<[BTreeMap<(u64, u64), ()>; 2]>,
+    queues: Vec<[BTreeMap<QueueKey, ()>; 2]>,
     leaves: FxHashMap<u64, Vec<NodeId>>,
     in_edges: Vec<FxHashMap<u64, (bool, bool)>>,
 }
@@ -101,9 +101,23 @@ pub(crate) struct RecordProgram {
 }
 
 impl RecordProgram {
+    /// A registration lands on `(0, α)`: the join packet enters the
+    /// butterfly here, so this is where its route is evaluated.
+    fn inject(&self, st: &mut RecordState, alpha: u32, group: u64) {
+        self.insert(st, alpha, 0, group, self.hashes.route(group), false);
+    }
+
     /// Inserts a join packet at `(level, α)`, recording the in-edge
     /// (`via_cross`) it used; `level == d` records the root.
-    fn insert(&self, st: &mut RecordState, alpha: u32, level: u32, group: u64, via_cross: bool) {
+    fn insert(
+        &self,
+        st: &mut RecordState,
+        alpha: u32,
+        level: u32,
+        group: u64,
+        route: Route,
+        via_cross: bool,
+    ) {
         let d = self.bf.d();
         if level > 0 {
             let e = st.in_edges[level as usize - 1]
@@ -119,30 +133,32 @@ impl RecordProgram {
                 return;
             }
         }
-        let target = self.hashes.target_column(group);
-        let dir = self.bf.route_is_cross(alpha, level, target) as usize;
-        let key = (self.hashes.rank(group), group);
-        st.queues[level as usize][dir].insert(key, ());
+        let dir = self.bf.route_is_cross(alpha, level, route.target) as usize;
+        st.queues[level as usize][dir].insert(QueueKey { route, group }, ());
     }
-}
 
-impl RecordProgram {
     /// One recording-routing step at column `alpha`; cross-edge traffic
-    /// goes through `emit` as `(next level, group)`.
-    fn step(&self, st: &mut RecordState, alpha: u32, emit: &mut impl FnMut(NodeId, u8, u64)) {
+    /// goes through `emit` as `(next level, group, route)`.
+    fn step(
+        &self,
+        st: &mut RecordState,
+        alpha: u32,
+        emit: &mut impl FnMut(NodeId, u8, u64, Route),
+    ) {
         let d = self.bf.d();
         for level in (0..d).rev() {
             for dir in 0..2usize {
-                if let Some(((_rank, group), ())) = st.queues[level as usize][dir].pop_first() {
+                let popped = st.queues[level as usize][dir].pop_first();
+                if let Some((QueueKey { route, group }, ())) = popped {
                     let next_col = if dir == 0 {
                         alpha
                     } else {
                         alpha ^ (1 << level)
                     };
                     if next_col == alpha {
-                        self.insert(st, alpha, level + 1, group, false);
+                        self.insert(st, alpha, level + 1, group, route, false);
                     } else {
-                        emit(self.bf.emulator(next_col), (level + 1) as u8, group);
+                        emit(self.bf.emulator(next_col), (level + 1) as u8, group, route);
                     }
                 }
             }
@@ -168,14 +184,16 @@ impl NodeProgram for RecordProgram {
     ) {
         let alpha = self.bf.column_of(ctx.id);
         for env in inbox {
-            self.insert(st, alpha, env.payload.level as u32, env.payload.group, true);
+            let m = &env.payload;
+            self.insert(st, alpha, m.level as u32, m.group, m.route, true);
         }
-        self.step(st, alpha, &mut |dst, level, group| {
+        self.step(st, alpha, &mut |dst, level, group, route| {
             ctx.send(
                 dst,
                 LevelMsg {
                     level,
                     group,
+                    route,
                     value: 0,
                 },
             )
@@ -235,7 +253,7 @@ pub fn multicast_setup(
                 .entry(group)
                 .or_default()
                 .push(member as NodeId);
-            record.insert(&mut rec_states[col], col as u32, 0, group, false);
+            record.inject(&mut rec_states[col], col as u32, group);
         }
     }
     let (rec_states, s) = run_single(engine, record, rec_states)?;
@@ -280,8 +298,9 @@ fn trees_from_states(n: usize, d: u32, rec_states: Vec<RecordState>) -> Multicas
 pub(crate) enum SetupMsg {
     /// A registration landing on a random level-0 column.
     Join { group: u64, member: u64 },
-    /// A join packet climbing the butterfly (recorded as a tree edge).
-    Route { level: u8, group: u64 },
+    /// A join packet climbing the butterfly (recorded as a tree edge);
+    /// `route` is `group`'s, carried uncharged (see [`Route`]).
+    Route { level: u8, group: u64, route: Route },
 }
 
 impl ncc_model::Payload for SetupMsg {
@@ -348,18 +367,29 @@ impl NodeProgram for RecordScatterProgram {
                             .entry(group)
                             .or_default()
                             .push(member as NodeId);
-                        self.record.insert(&mut st.rec, alpha, 0, group, false);
+                        self.record.inject(&mut st.rec, alpha, group);
                     }
-                    SetupMsg::Route { level, group } => {
+                    SetupMsg::Route {
+                        level,
+                        group,
+                        route,
+                    } => {
                         self.record
-                            .insert(&mut st.rec, alpha, level as u32, group, true);
+                            .insert(&mut st.rec, alpha, level as u32, group, route, true);
                     }
                 }
             }
             self.scatter(st, ctx);
             self.record
-                .step(&mut st.rec, alpha, &mut |dst, level, group| {
-                    ctx.send(dst, SetupMsg::Route { level, group })
+                .step(&mut st.rec, alpha, &mut |dst, level, group, route| {
+                    ctx.send(
+                        dst,
+                        SetupMsg::Route {
+                            level,
+                            group,
+                            route,
+                        },
+                    )
                 });
             if st.rec.busy() {
                 ctx.stay_awake();
@@ -475,7 +505,7 @@ mod tests {
     /// Walk down from the root of `group` and collect the members reachable
     /// through recorded edges — must equal the joining set.
     fn reachable_members(trees: &MulticastTrees, hashes: &RouteHashes, group: u64) -> Vec<NodeId> {
-        let root = hashes.target_column(group);
+        let root = hashes.route(group).target;
         let d = trees.d;
         let mut stack = vec![(d, root)];
         let mut members = Vec::new();
@@ -567,6 +597,83 @@ mod tests {
             let mut expect = vec![2 as NodeId, s + 5];
             expect.sort_unstable();
             assert_eq!(got, expect);
+        }
+    }
+
+    proptest::proptest! {
+        /// Carried route ≡ recomputed route on the tree paths: one join
+        /// packet climbs from a level-0 leaf to its root, and the
+        /// multicast packet then descends the recorded tree; every queue
+        /// key and every cross-edge message on the way up and on the way
+        /// down shows the freshly hashed `(target, rank)`.
+        #[test]
+        fn carried_route_matches_fresh_hash_up_and_down_the_tree(
+            seed in proptest::prelude::any::<u64>(),
+            n in 2usize..700,
+            node in proptest::prelude::any::<u32>(),
+            sub in proptest::prelude::any::<u32>(),
+            leaf in proptest::prelude::any::<u32>(),
+        ) {
+            use crate::aggregation::tests::{fresh_route, queued_keys};
+            use crate::multicast::{spread_arrive, spread_states, spread_step};
+
+            let shared = SharedRandomness::new(seed);
+            let bf = Butterfly::for_n(n);
+            let d = bf.d();
+            let member = node % n as u32;
+            let gid = GroupId::new(member, sub);
+            let group = gid.raw();
+            let fresh = fresh_route(&shared, &bf, n, false, group);
+            let record = RecordProgram {
+                bf,
+                hashes: RouteHashes::new(&shared, &bf, n),
+            };
+
+            // up: the join packet records the path leaf → root
+            let mut rec: Vec<RecordState> = (0..n).map(|_| RecordState::new(d)).collect();
+            let leaf = leaf % bf.columns() as u32;
+            let mut col = leaf;
+            rec[col as usize].leaves.entry(group).or_default().push(member);
+            record.inject(&mut rec[col as usize], col, group);
+            for level in 0..d {
+                let st = &mut rec[col as usize];
+                let queued = queued_keys(&st.queues[level as usize]);
+                proptest::prop_assert_eq!(queued.len(), 1, "one packet, at level {}", level);
+                proptest::prop_assert_eq!(queued[0].route, fresh, "queued at level {}", level);
+                let mut crossed = None;
+                record.step(st, col, &mut |dst, lvl, g, route| crossed = Some((dst, lvl, g, route)));
+                if let Some((dst, lvl, g, route)) = crossed {
+                    proptest::prop_assert_eq!(route, fresh, "sent from level {}", level);
+                    proptest::prop_assert_eq!((lvl as u32, g), (level + 1, group));
+                    col = bf.column_of(dst);
+                    record.insert(&mut rec[col as usize], col, lvl as u32, g, route, true);
+                }
+            }
+            proptest::prop_assert_eq!(col, fresh.target);
+
+            // down: the source's packet retraces it root → leaf
+            let trees = trees_from_states(n, d, rec);
+            let mut messages = vec![None; n];
+            messages[member as usize] = Some((gid, 7u64));
+            let mut spread = spread_states(&trees, messages, d);
+            spread_arrive(&mut spread[col as usize], d, group, record.hashes.route(group), 7);
+            for level in (1..=d).rev() {
+                let st = &mut spread[col as usize];
+                let queued = queued_keys(&st.queues[level as usize - 1]);
+                proptest::prop_assert_eq!(queued.len(), 1, "one packet, at level {}", level);
+                proptest::prop_assert_eq!(queued[0].route, fresh, "queued at level {}", level);
+                let (mut crossed, mut unpaced) = (None, usize::MAX);
+                spread_step(&bf, st, col, &mut unpaced, &mut |dst, msg| {
+                    crossed = Some((dst, msg));
+                });
+                if let Some((dst, m)) = crossed {
+                    proptest::prop_assert_eq!(m.route, fresh, "sent from level {}", level);
+                    col = bf.column_of(dst);
+                    spread_arrive(&mut spread[col as usize], m.level as u32, m.group, m.route, m.value);
+                }
+            }
+            proptest::prop_assert_eq!(col, leaf);
+            proptest::prop_assert_eq!(&spread[col as usize].at_leaves, &vec![(group, member, 7u64)]);
         }
     }
 

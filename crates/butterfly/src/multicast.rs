@@ -20,7 +20,7 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgra
 use rand::Rng;
 
 use crate::aggregation::sync_barrier;
-use crate::aggregation::{LevelMsg, RouteHashes};
+use crate::aggregation::{LevelMsg, QueueKey, Route, RouteHashes};
 use crate::compose::run_single;
 use crate::mctree::MulticastTrees;
 use crate::topology::{Butterfly, GroupId};
@@ -35,7 +35,7 @@ pub(crate) struct SpreadState<V> {
     /// `queues[i][dir]` (index `i` = level of the holding node − 1, i.e.
     /// levels `1..=d`): packets waiting to traverse the down-edge to the
     /// straight (`dir` 0) or cross (`dir` 1) child.
-    pub queues: Vec<[BTreeMap<(u64, u64), V>; 2]>,
+    pub queues: Vec<[BTreeMap<QueueKey, V>; 2]>,
     /// This column's recorded in-edges (index `level − 1`, group → edges).
     pub in_edges: Vec<ncc_hashing::FxHashMap<u64, (bool, bool)>>,
     /// This column's leaf registrations (group → members).
@@ -57,10 +57,10 @@ impl<V> SpreadState<V> {
 /// A packet arrives at `(level, α)`: copy it onto every recorded child
 /// edge, or register leaf arrivals at level 0 (pushed to `at_leaves`).
 pub(crate) fn spread_arrive<V: Payload>(
-    hashes: &RouteHashes,
     st: &mut SpreadState<V>,
     level: u32,
     group: u64,
+    route: Route,
     value: V,
 ) {
     if level == 0 {
@@ -74,7 +74,7 @@ pub(crate) fn spread_arrive<V: Payload>(
     let Some(&(straight, cross)) = st.in_edges[level as usize - 1].get(&group) else {
         return; // no members below this tree node
     };
-    let key = (hashes.rank(group), group);
+    let key = QueueKey { route, group };
     if straight {
         st.queues[level as usize - 1][0].insert(key, value.clone());
     }
@@ -91,7 +91,6 @@ pub(crate) fn spread_arrive<V: Payload>(
 /// solo-instance behaviour).
 pub(crate) fn spread_step<V: Payload>(
     bf: &Butterfly,
-    hashes: &RouteHashes,
     st: &mut SpreadState<V>,
     alpha: u32,
     budget: &mut usize,
@@ -103,14 +102,15 @@ pub(crate) fn spread_step<V: Payload>(
             if *budget == 0 {
                 return;
             }
-            if let Some(((_r, group), value)) = st.queues[level as usize - 1][dir].pop_first() {
+            let popped = st.queues[level as usize - 1][dir].pop_first();
+            if let Some((QueueKey { route, group }, value)) = popped {
                 let child = if dir == 0 {
                     alpha
                 } else {
                     alpha ^ (1 << (level - 1))
                 };
                 if child == alpha {
-                    spread_arrive(hashes, st, level - 1, group, value);
+                    spread_arrive(st, level - 1, group, route, value);
                 } else {
                     *budget -= 1;
                     emit(
@@ -118,6 +118,7 @@ pub(crate) fn spread_step<V: Payload>(
                         LevelMsg {
                             level: (level - 1) as u8,
                             group,
+                            route,
                             value,
                         },
                     );
@@ -139,12 +140,13 @@ impl<V: Payload> NodeProgram for SpreadProgram<V> {
 
     fn init(&self, st: &mut SpreadState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
         if let Some((group, value)) = st.source_packet.take() {
-            let root = self.hashes.target_column(group);
+            let route = self.hashes.route(group);
             ctx.send(
-                self.bf.emulator(root),
+                self.bf.emulator(route.target),
                 LevelMsg {
                     level: self.bf.d() as u8,
                     group,
+                    route,
                     value,
                 },
             );
@@ -159,23 +161,13 @@ impl<V: Payload> NodeProgram for SpreadProgram<V> {
     ) {
         let alpha = self.bf.column_of(ctx.id);
         for env in inbox {
-            spread_arrive(
-                &self.hashes,
-                st,
-                env.payload.level as u32,
-                env.payload.group,
-                env.payload.value.clone(),
-            );
+            let m = &env.payload;
+            spread_arrive(st, m.level as u32, m.group, m.route, m.value.clone());
         }
         let mut unpaced = usize::MAX;
-        spread_step(
-            &self.bf,
-            &self.hashes,
-            st,
-            alpha,
-            &mut unpaced,
-            &mut |dst, msg| ctx.send(dst, msg),
-        );
+        spread_step(&self.bf, st, alpha, &mut unpaced, &mut |dst, msg| {
+            ctx.send(dst, msg)
+        });
         if st.busy() {
             ctx.stay_awake();
         }
@@ -323,12 +315,13 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
 
     fn init(&self, st: &mut SpreadDeliverState<V>, ctx: &mut Ctx<'_, McMsg<V>>) {
         if let Some((group, value)) = st.spread.source_packet.take() {
-            let root = self.hashes.target_column(group);
+            let route = self.hashes.route(group);
             ctx.send(
-                self.bf.emulator(root),
+                self.bf.emulator(route.target),
                 McMsg::Route(LevelMsg {
                     level: self.bf.d() as u8,
                     group,
+                    route,
                     value,
                 }),
             );
@@ -347,10 +340,10 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
                 McMsg::Route(m) => {
                     debug_assert!(self.bf.emulates(ctx.id), "routing reaches emulators only");
                     spread_arrive(
-                        &self.hashes,
                         &mut st.spread,
                         m.level as u32,
                         m.group,
+                        m.route,
                         m.value.clone(),
                     );
                 }
@@ -363,7 +356,6 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
         let mut unpaced = usize::MAX;
         spread_step(
             &self.bf,
-            &self.hashes,
             &mut st.spread,
             alpha,
             &mut unpaced,

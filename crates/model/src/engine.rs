@@ -61,7 +61,7 @@ use crate::capacity::Capacity;
 use crate::error::ModelError;
 use crate::network::{Lane, Ncc, NetworkModel};
 use crate::payload::{Envelope, Payload};
-use crate::program::{Ctx, NodeProgram};
+use crate::program::{Ctx, NodeProgram, ProgScratch};
 use crate::rng::node_rng;
 use crate::router::{Router, RouterScratch, SendPtr};
 use crate::stats::{ExecStats, MemoryFootprint, RoundStats};
@@ -229,15 +229,20 @@ trait RecycledBufs: Send {
 
 /// Every payload-typed buffer one execution needs: the flat send buffer,
 /// the router's inbox arena, and the step phase's per-worker out/send
-/// vectors. Retained across executions (and [`Engine::reset`]) so a
-/// steady-state replay performs no heap allocation at all once each
-/// buffer has grown to its high-water capacity.
+/// vectors and program-scratch slots. Retained across executions (and
+/// [`Engine::reset`]) so a steady-state replay performs no heap
+/// allocation at all once each buffer has grown to its high-water
+/// capacity.
 struct PayloadBufs<P: Payload> {
     sends: Vec<Envelope<P>>,
     arena: Vec<Envelope<P>>,
     /// Per-worker `Ctx::out` buffers (index 0 doubles as the sequential
     /// path's buffer).
     outs: Vec<Vec<(NodeId, P)>>,
+    /// Per-worker `Ctx::scratch` slots, parallel to `outs`. Opaque to the
+    /// engine (the stepping program owns the contents), hence absent from
+    /// [`Engine::resident_bytes`].
+    scratches: Vec<ProgScratch>,
     /// Per-worker send-buffer shards for the parallel step phase.
     locals: Vec<Vec<Envelope<P>>>,
 }
@@ -248,6 +253,7 @@ impl<P: Payload> Default for PayloadBufs<P> {
             sends: Vec::new(),
             arena: Vec::new(),
             outs: Vec::new(),
+            scratches: Vec::new(),
             locals: Vec::new(),
         }
     }
@@ -386,6 +392,7 @@ impl Engine {
             mut sends,
             arena,
             mut outs,
+            mut scratches,
             mut locals,
         } = scratch.take_bufs::<Prog::Payload>();
         let mut router: Router<Prog::Payload> = Router::with_recycled(
@@ -433,6 +440,7 @@ impl Engine {
                         local_round,
                         &mut sends,
                         &mut outs,
+                        &mut scratches,
                         &mut locals,
                         cfg,
                         node_rngs,
@@ -449,6 +457,7 @@ impl Engine {
                         local_round,
                         &mut sends,
                         &mut outs,
+                        &mut scratches,
                         cfg,
                         node_rngs,
                         send_cap,
@@ -591,6 +600,7 @@ impl Engine {
             sends,
             arena,
             outs,
+            scratches,
             locals,
         });
         result
@@ -629,6 +639,7 @@ fn step_sequential<Prog: NodeProgram>(
     local_round: u64,
     sends: &mut Vec<Envelope<Prog::Payload>>,
     outs: &mut Vec<Vec<(NodeId, Prog::Payload)>>,
+    scratches: &mut Vec<ProgScratch>,
     cfg: &NetConfig,
     node_rngs: &mut [SmallRng],
     send_cap: usize,
@@ -637,8 +648,9 @@ fn step_sequential<Prog: NodeProgram>(
     let mut v = Violation::default();
     if outs.is_empty() {
         outs.push(Vec::new());
+        scratches.push(None);
     }
-    let out = &mut outs[0];
+    let (out, scratch) = (&mut outs[0], &mut scratches[0]);
     for &node in active {
         let i = node as usize;
         out.clear();
@@ -653,6 +665,7 @@ fn step_sequential<Prog: NodeProgram>(
                 rng: &mut node_rngs[i],
                 out,
                 awake: &mut stay,
+                scratch,
             };
             if local_round == 0 {
                 prog.init(&mut states[i], &mut ctx);
@@ -679,6 +692,7 @@ fn step_parallel<Prog: NodeProgram>(
     local_round: u64,
     sends: &mut Vec<Envelope<Prog::Payload>>,
     outs: &mut Vec<Vec<(NodeId, Prog::Payload)>>,
+    scratches: &mut Vec<ProgScratch>,
     locals: &mut Vec<Vec<Envelope<Prog::Payload>>>,
     cfg: &NetConfig,
     node_rngs: &mut [SmallRng],
@@ -691,6 +705,7 @@ fn step_parallel<Prog: NodeProgram>(
     let n = cfg.n;
     while outs.len() < nchunks {
         outs.push(Vec::new());
+        scratches.push(None);
     }
     while locals.len() < nchunks {
         locals.push(Vec::new());
@@ -710,9 +725,10 @@ fn step_parallel<Prog: NodeProgram>(
         let mut handles = Vec::with_capacity(nchunks);
         let worker_bufs = outs[..nchunks]
             .iter_mut()
+            .zip(scratches[..nchunks].iter_mut())
             .zip(locals[..nchunks].iter_mut())
             .zip(awake_locals[..nchunks].iter_mut());
-        for (slice, ((out, local), awl)) in active.chunks(chunk).zip(worker_bufs) {
+        for (slice, (((out, scratch), local), awl)) in active.chunks(chunk).zip(worker_bufs) {
             let cfg = cfg.clone();
             let (states_ptr, rngs_ptr) = (states_ptr, rngs_ptr);
             handles.push(scope.spawn(move || {
@@ -735,6 +751,7 @@ fn step_parallel<Prog: NodeProgram>(
                             rng,
                             out,
                             awake: &mut stay,
+                            scratch,
                         };
                         if local_round == 0 {
                             prog.init(state, &mut ctx);

@@ -33,6 +33,23 @@
 //! the execution ends when every lane of every node is quiet, which is the
 //! synchronisation point the paper's phase barriers provide.
 //!
+//! ## Buffer ownership: a node-round allocates nothing
+//!
+//! The mux owns no per-round buffers. Everything a node-round needs —
+//! each lane's typed inbox, its typed out-buffer, its type-erased
+//! out-buffer and the inner program's own scratch slot — lives in a
+//! `MuxScratch` parked in the stepping worker's `Ctx::scratch` slot,
+//! which the engine keeps beside that worker's `out` buffer and recycles
+//! across executions. A node-round takes the scratch out of the slot,
+//! delivers the combined inbox straight into the lanes' typed inboxes (one
+//! pass, no erased intermediate), steps the active lanes, interleaves
+//! their sends by cursor, clears every buffer it filled — cleared, never
+//! dropped, so capacity is retained — and puts the scratch back. The
+//! contract, pinned by `tests/alloc_mux.rs` on a resident `threads = 1`
+//! replay: a node-round that neither receives nor sends performs **zero**
+//! heap allocations, and a message costs at most one — the `Arc` of
+//! [`DynPayload::new`] that erases its type for the shared wire format.
+//!
 //! ## Determinism
 //!
 //! Lanes are stepped in lane order within a node, the interleave is
@@ -47,7 +64,7 @@ use std::any::Any;
 use rand::rngs::SmallRng;
 
 use crate::payload::{Envelope, Payload};
-use crate::program::{Ctx, NodeProgram};
+use crate::program::{Ctx, NodeProgram, ProgScratch};
 use crate::rng::node_rng;
 use crate::NodeId;
 
@@ -153,19 +170,80 @@ pub struct LaneStats {
     pub sent: u64,
 }
 
+/// One lane's reusable buffers inside a [`MuxScratch`]. Between
+/// node-rounds every buffer is empty; only capacity survives.
+struct LaneScratch {
+    /// The lane's typed buffers, a [`LaneBufs`] of its payload type behind
+    /// `Any` (lanes of one mux differ in payload type). A unit placeholder
+    /// — or the buffers of whichever lane of an earlier mux held this
+    /// index — until this lane first touches it.
+    typed: Box<dyn Any + Send>,
+    /// Messages delivered into the typed inbox this node-round.
+    mail: usize,
+    /// This node-round's sends, type-erased for the interleave, which
+    /// takes each one out of its slot (so nothing is cloned) before the
+    /// buffer is cleared.
+    out: Vec<Option<(NodeId, DynPayload)>>,
+}
+
+impl Default for LaneScratch {
+    fn default() -> Self {
+        LaneScratch {
+            typed: Box::new(()), // zero-sized: no allocation
+            mail: 0,
+            out: Vec::new(),
+        }
+    }
+}
+
+/// The typed half of a [`LaneScratch`]: what the inner program's `Ctx`
+/// and inbox slice borrow for one step.
+struct LaneBufs<P: Payload> {
+    inbox: Vec<Envelope<P>>,
+    out: Vec<(NodeId, P)>,
+    /// The inner program's own scratch slot (a lane may itself be a mux).
+    scratch: ProgScratch,
+}
+
+/// `typed` as this lane's [`LaneBufs`], replacing whatever else is there.
+fn lane_bufs<P: Payload>(typed: &mut Box<dyn Any + Send>) -> &mut LaneBufs<P> {
+    if !typed.is::<LaneBufs<P>>() {
+        *typed = Box::new(LaneBufs::<P> {
+            inbox: Vec::new(),
+            out: Vec::new(),
+            scratch: None,
+        });
+    }
+    typed
+        .downcast_mut()
+        .expect("just checked or installed this type")
+}
+
+/// The per-worker scratch of every [`Mux`] execution (see the module docs,
+/// "Buffer ownership"): one [`LaneScratch`] per lane index, grown to the
+/// widest mux this worker has stepped and never shrunk.
+#[derive(Default)]
+struct MuxScratch {
+    lanes: Vec<LaneScratch>,
+}
+
 /// Object-safe driver interface for one lane's inner program.
 trait ErasedLane<'a>: Sync {
+    /// Appends one delivered message to the lane's typed inbox.
+    fn deliver(&self, sc: &mut LaneScratch, src: NodeId, dst: NodeId, payload: &DynPayload);
+
+    /// Steps the inner program on the inbox `deliver` filled (empty on
+    /// init), leaving its sends in `sc.out` and the inbox cleared.
     #[allow(clippy::too_many_arguments)] // internal: mirrors the Ctx fields
     fn step(
         &self,
         slot: &mut LaneSlot,
-        inbox: &[Envelope<DynPayload>],
+        sc: &mut LaneScratch,
         is_init: bool,
         id: NodeId,
         n: usize,
         round: u64,
         engine_rng: &mut SmallRng,
-        out: &mut Vec<(NodeId, DynPayload)>,
     );
     /// Boxes `states` back out (used by [`take_lane_states`]).
     fn type_name(&self) -> &'static str;
@@ -180,36 +258,32 @@ where
     Prog: NodeProgram + 'a,
     Prog::State: 'static,
 {
+    fn deliver(&self, sc: &mut LaneScratch, src: NodeId, dst: NodeId, payload: &DynPayload) {
+        let inner = payload
+            .downcast_ref::<Prog::Payload>()
+            .expect("lane payload type mismatch")
+            .clone();
+        lane_bufs::<Prog::Payload>(&mut sc.typed)
+            .inbox
+            .push(Envelope::new(src, dst, inner));
+        sc.mail += 1;
+    }
+
     fn step(
         &self,
         slot: &mut LaneSlot,
-        inbox: &[Envelope<DynPayload>],
+        sc: &mut LaneScratch,
         is_init: bool,
         id: NodeId,
         n: usize,
         round: u64,
         engine_rng: &mut SmallRng,
-        out: &mut Vec<(NodeId, DynPayload)>,
     ) {
         let state = slot
             .state
             .downcast_mut::<Prog::State>()
             .expect("lane state type mismatch");
-        // Rebuild the typed inbox for the inner program.
-        let typed: Vec<Envelope<Prog::Payload>> = inbox
-            .iter()
-            .map(|e| {
-                Envelope::new(
-                    e.src,
-                    e.dst,
-                    e.payload
-                        .downcast_ref::<Prog::Payload>()
-                        .expect("lane payload type mismatch")
-                        .clone(),
-                )
-            })
-            .collect();
-        let mut typed_out: Vec<(NodeId, Prog::Payload)> = Vec::new();
+        let bufs = lane_bufs::<Prog::Payload>(&mut sc.typed);
         let mut awake = false;
         {
             let rng = match slot.rng.as_mut() {
@@ -221,22 +295,25 @@ where
                 n,
                 round,
                 rng,
-                out: &mut typed_out,
+                out: &mut bufs.out,
                 awake: &mut awake,
+                scratch: &mut bufs.scratch,
             };
             if is_init {
                 self.prog.init(state, &mut ctx);
             } else {
-                self.prog.round(state, &typed, &mut ctx);
+                self.prog.round(state, &bufs.inbox, &mut ctx);
             }
         }
+        bufs.inbox.clear();
+        sc.mail = 0;
         slot.awake = awake;
         slot.active_rounds += 1;
-        slot.sent += typed_out.len() as u64;
-        out.extend(
-            typed_out
-                .into_iter()
-                .map(|(dst, p)| (dst, DynPayload::new(p))),
+        slot.sent += bufs.out.len() as u64;
+        sc.out.extend(
+            bufs.out
+                .drain(..)
+                .map(|(dst, p)| Some((dst, DynPayload::new(p)))),
         );
     }
 
@@ -424,63 +501,80 @@ impl Mux<'_> {
         self.lanes.len()
     }
 
-    fn run_lanes(
+    /// One node-round: delivers `inbox` to the lanes, steps the active
+    /// ones in lane order and interleaves their sends into `ctx`.
+    fn node_round(
         &self,
         st: &mut MuxState,
-        per_lane_inbox: &[Vec<Envelope<DynPayload>>],
+        inbox: &[Envelope<Tagged<DynPayload>>],
         is_init: bool,
         ctx: &mut Ctx<'_, Tagged<DynPayload>>,
     ) {
         debug_assert_eq!(st.lanes.len(), self.lanes.len());
-        let mut outs: Vec<Vec<(NodeId, DynPayload)>> = Vec::with_capacity(self.lanes.len());
+        // Take the worker's scratch out of its slot for the node-round (a
+        // pointer move), so the buffers and `ctx` can be borrowed side by
+        // side; the first mux node-round on a worker builds it.
+        let mut scratch: Box<MuxScratch> = ctx
+            .scratch
+            .take()
+            .and_then(|b| b.downcast().ok())
+            .unwrap_or_default();
+        if scratch.lanes.len() < self.lanes.len() {
+            scratch
+                .lanes
+                .resize_with(self.lanes.len(), LaneScratch::default);
+        }
+        let bufs = &mut scratch.lanes[..self.lanes.len()];
+
+        // Partition the combined inbox by lane, preserving arrival order.
+        for env in inbox {
+            let lane = env.payload.lane as usize;
+            let sc = bufs.get_mut(lane).expect("message for unknown lane");
+            self.lanes[lane].deliver(sc, env.src, env.dst, &env.payload.inner);
+        }
+
         let mut any_awake = false;
-        for (i, lane) in self.lanes.iter().enumerate() {
-            let slot = &mut st.lanes[i];
-            let inbox = per_lane_inbox.get(i).map_or(&[][..], |v| &v[..]);
+        let mut longest = 0;
+        for ((lane, slot), sc) in self.lanes.iter().zip(&mut st.lanes).zip(bufs.iter_mut()) {
             // Engine activity rule, per lane: step on init, on mail, or when
             // the lane asked to stay awake last round.
-            let active = is_init || !inbox.is_empty() || slot.awake;
-            let mut out = Vec::new();
-            if active {
+            if is_init || sc.mail > 0 || slot.awake {
                 slot.awake = false;
-                lane.step(
-                    slot, inbox, is_init, ctx.id, ctx.n, ctx.round, ctx.rng, &mut out,
-                );
+                lane.step(slot, sc, is_init, ctx.id, ctx.n, ctx.round, ctx.rng);
+                longest = longest.max(sc.out.len());
             }
             any_awake |= slot.awake;
-            outs.push(out);
         }
+
         // Lane-round-robin interleave: position j of every lane before
         // position j+1 of any lane, so all lanes share the send budget (and
-        // permissive truncation) fairly and deterministically. Draining
-        // iterators move the payloads out without placeholder allocations.
-        let mut drains: Vec<_> = outs
-            .into_iter()
-            .enumerate()
-            .map(|(i, out)| (i as u32, out.into_iter()))
-            .collect();
-        loop {
-            let mut any = false;
-            for (lane, drain) in drains.iter_mut() {
-                if let Some((dst, payload)) = drain.next() {
-                    any = true;
+        // permissive truncation) fairly and deterministically. A cursor
+        // walks the lanes' out-buffers in place; the buffers are cleared
+        // afterwards and keep their capacity.
+        for j in 0..longest {
+            for (lane, sc) in bufs.iter_mut().enumerate() {
+                if let Some(slot) = sc.out.get_mut(j) {
+                    let (dst, inner) = slot.take().expect("each send is interleaved once");
                     ctx.send(
                         dst,
                         Tagged {
-                            lane: *lane,
+                            lane: lane as u32,
                             lane_bits: self.lane_bits,
-                            inner: payload,
+                            inner,
                         },
                     );
                 }
             }
-            if !any {
-                break;
+        }
+        if longest > 0 {
+            for sc in bufs.iter_mut() {
+                sc.out.clear();
             }
         }
         if any_awake {
             ctx.stay_awake();
         }
+        *ctx.scratch = Some(scratch);
     }
 }
 
@@ -489,7 +583,7 @@ impl<'a> NodeProgram for Mux<'a> {
     type Payload = Tagged<DynPayload>;
 
     fn init(&self, st: &mut MuxState, ctx: &mut Ctx<'_, Tagged<DynPayload>>) {
-        self.run_lanes(st, &[], true, ctx);
+        self.node_round(st, &[], true, ctx);
     }
 
     fn round(
@@ -498,15 +592,7 @@ impl<'a> NodeProgram for Mux<'a> {
         inbox: &[Envelope<Tagged<DynPayload>>],
         ctx: &mut Ctx<'_, Tagged<DynPayload>>,
     ) {
-        // Partition the combined inbox by lane, preserving arrival order.
-        let mut per_lane: Vec<Vec<Envelope<DynPayload>>> = Vec::new();
-        per_lane.resize_with(self.lanes.len(), Vec::new);
-        for env in inbox {
-            let lane = env.payload.lane as usize;
-            debug_assert!(lane < self.lanes.len(), "message for unknown lane");
-            per_lane[lane].push(Envelope::new(env.src, env.dst, env.payload.inner.clone()));
-        }
-        self.run_lanes(st, &per_lane, false, ctx);
+        self.node_round(st, inbox, false, ctx);
     }
 }
 
@@ -774,6 +860,38 @@ mod tests {
             vec![RelayState::default(); n],
             2,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "message for unknown lane")]
+    fn message_for_unknown_lane_is_a_named_panic() {
+        use rand::SeedableRng;
+        let n = 2;
+        let mut b = MuxBuilder::new(n);
+        b.lane(
+            RingRelay { hops: 1, base: 0 },
+            vec![RelayState::default(); n],
+        );
+        let (mux, mut states) = b.build();
+        let stray = Envelope::new(
+            1,
+            0,
+            Tagged {
+                lane: 3,
+                lane_bits: 0,
+                inner: DynPayload::new(9u64),
+            },
+        );
+        let mut ctx = Ctx {
+            id: 0,
+            n,
+            round: 1,
+            rng: &mut SmallRng::seed_from_u64(1),
+            out: &mut Vec::new(),
+            awake: &mut false,
+            scratch: &mut None,
+        };
+        mux.round(&mut states[0], &[stray], &mut ctx);
     }
 
     #[test]

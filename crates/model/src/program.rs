@@ -10,10 +10,21 @@
 //! This mirrors how the paper specifies algorithms: nodes react to incoming
 //! messages, synchronous rounds, local computation free.
 
+use std::any::Any;
+
 use rand::rngs::SmallRng;
 
 use crate::payload::{Envelope, Payload};
 use crate::NodeId;
+
+/// A step worker's program-scratch slot: reusable buffers a program may
+/// park between node-rounds instead of rebuilding them (the [`crate::Mux`]
+/// keeps its per-lane inboxes and out-buffers here). The engine owns one
+/// slot per step worker next to that worker's `out` buffer and recycles it
+/// across executions; a program finds whatever the previous node-round on
+/// this worker left, so the contents must be pure scratch — empty of
+/// messages between node-rounds and never an input to a result.
+pub(crate) type ProgScratch = Option<Box<dyn Any + Send>>;
 
 /// Per-node, per-round interface to the network.
 pub struct Ctx<'a, P: Payload> {
@@ -27,6 +38,7 @@ pub struct Ctx<'a, P: Payload> {
     pub rng: &'a mut SmallRng,
     pub(crate) out: &'a mut Vec<(NodeId, P)>,
     pub(crate) awake: &'a mut bool,
+    pub(crate) scratch: &'a mut ProgScratch,
 }
 
 impl<P: Payload> Ctx<'_, P> {
@@ -101,6 +113,7 @@ mod tests {
             rng: &mut rng,
             out: &mut out,
             awake: &mut awake,
+            scratch: &mut None,
         };
         assert_eq!(ctx.queued(), 0);
         ctx.send(1, 42);
@@ -122,6 +135,7 @@ mod tests {
             rng: &mut rng,
             out: &mut out,
             awake: &mut awake,
+            scratch: &mut None,
         };
         ctx.stay_awake();
         assert!(awake);

@@ -12,35 +12,12 @@
 //! configuration — because the parallel step/route paths allocate scoped
 //! thread handles each round by design.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use ncc_model::{Ctx, Engine, Envelope, NetConfig, NodeProgram};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(p, l, new_size) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-}
+mod common;
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 
 /// A replay workload that exercises every steady-state path: round 0
 /// floods node 0 (setting the arena and sample-permutation high-water
@@ -104,7 +81,7 @@ fn resident_replay_allocates_nothing_in_steady_state() {
     assert!(footprint.total() > 0, "warm engine holds resident state");
 
     // Steady state: five more replays, zero allocations allowed.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = common::allocs();
     for _ in 0..5 {
         eng.reset();
         states.fill(0);
@@ -112,7 +89,7 @@ fn resident_replay_allocates_nothing_in_steady_state() {
         assert_eq!(stats.rounds, baseline.rounds);
         assert_eq!(stats.dropped, baseline.dropped);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = common::allocs();
     assert_eq!(
         after - before,
         0,

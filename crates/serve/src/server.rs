@@ -419,8 +419,13 @@ fn worker_loop(coordinator: &Coordinator, rx: &Arc<Mutex<Receiver<Job>>>) {
         };
         let Some(job) = job else { continue };
         if let Some(resp) = coordinator.handle_line(&job.line, &mut slots) {
+            // Line and terminator leave in one write: on a raw `TcpStream`
+            // a separate write of the `\n` is a second segment, which the
+            // kernel holds back until the client acknowledges the first.
+            let mut line = resp.to_line();
+            line.push('\n');
             let mut out = job.out.lock().expect("response sink lock");
-            let _ = writeln!(out, "{}", resp.to_line());
+            let _ = out.write_all(line.as_bytes());
             let _ = out.flush();
         }
     }
@@ -486,6 +491,9 @@ fn accept_loop(listener: &TcpListener, coordinator: &Arc<Coordinator>, tx: &Sync
         }
         match listener.accept() {
             Ok((stream, _)) => {
+                // responses are whole lines written at once; never wait
+                // to coalesce them with a later one
+                let _ = stream.set_nodelay(true);
                 let tx = tx.clone();
                 std::thread::spawn(move || connection_reader(stream, &tx));
             }

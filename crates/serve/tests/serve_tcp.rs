@@ -3,14 +3,17 @@
 //! requests are in flight at once against an 8-worker pool), every request
 //! gets its typed response, records for the same `(algorithm, spec)` are
 //! byte-identical across clients regardless of which worker served them,
-//! and the coordinator's counters add up.
+//! and the coordinator's counters add up. A second test pins the wire
+//! discipline of a response: one newline-terminated write per response.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
 use ncc_runner::{FamilySpec, ScenarioSpec, Verdict};
-use ncc_serve::{Request, Response, ServeConfig, Server};
+use ncc_serve::{
+    Coordinator, Job, Request, Response, ResponseSink, ServeConfig, Server, WorkerPool,
+};
 
 fn send_line(stream: &mut TcpStream, line: &str) {
     writeln!(stream, "{line}").unwrap();
@@ -141,4 +144,58 @@ fn eight_concurrent_clients_get_identical_verified_records() {
         Response::Shutdown { id: 51 }
     ));
     server.shutdown_and_join();
+}
+
+/// A response sink that records every `write` call it receives.
+struct CountingSink(Arc<Mutex<Vec<Vec<u8>>>>);
+
+impl Write for CountingSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().push(buf.to_vec());
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// On a raw `TcpStream` every `write` is a segment, and a response split
+/// into "line" + "\n" stalls on the client's delayed ACK. Timing-free
+/// form of that bug: the worker hands each response to its sink — the
+/// record of a run and the error of a malformed line alike — as exactly
+/// one newline-terminated write.
+#[test]
+fn a_response_reaches_its_sink_in_one_write() {
+    let coordinator = Arc::new(Coordinator::new(ServeConfig::default().with_workers(1)));
+    let pool = WorkerPool::spawn(Arc::clone(&coordinator));
+    let writes = Arc::new(Mutex::new(Vec::new()));
+    let out: ResponseSink = Arc::new(Mutex::new(Box::new(CountingSink(Arc::clone(&writes)))));
+    let spec = ScenarioSpec::new(FamilySpec::Tree, 24, 3);
+    for line in [run_line(1, "bfs", &spec), "definitely not json".into()] {
+        assert!(pool.submit(Job {
+            line,
+            out: Arc::clone(&out),
+        }));
+    }
+    pool.join(); // drains the queue: both responses are written
+
+    let writes = writes.lock().unwrap();
+    let responses: Vec<Response> = writes
+        .iter()
+        .map(|w| {
+            let text = std::str::from_utf8(w).expect("utf-8 response");
+            let line = text.strip_suffix('\n').expect("newline-terminated");
+            Response::from_line(line).expect("a whole response, and only it, per write")
+        })
+        .collect();
+    assert!(
+        matches!(
+            responses[..],
+            [
+                Response::Record { id: 1, .. },
+                Response::Error { id: None, .. }
+            ]
+        ),
+        "one write per response, in queue order: {responses:?}"
+    );
 }

@@ -56,3 +56,46 @@ fn mst_deterministic_across_runs() {
     };
     assert_eq!(run(), run());
 }
+
+/// The committed suite snapshot is the golden: every DAG-declared
+/// algorithm, re-run on its `Gnp` n = 128 cell (large enough that four
+/// threads engage the parallel step phase), must serialize to exactly the
+/// committed record — at one thread and at four. Packets carry simulator
+/// metadata that `bit_size` does not charge (their route); were any of it
+/// to leak into `bits`, a drop or a round, this is the comparison that
+/// moves.
+#[test]
+fn dag_records_match_the_suite_golden_at_any_thread_count() {
+    use ncc::runner::{find_algorithm, run_record_threads, FamilySpec, SuiteOutput};
+
+    let suite: SuiteOutput =
+        serde_json::from_str(include_str!("../BENCH_suite.json")).expect("BENCH_suite.json parses");
+    for name in [
+        "bfs",
+        "mst",
+        "mis",
+        "matching",
+        "coloring",
+        "orientation",
+        "apsp",
+    ] {
+        let algo = find_algorithm(name).expect("registered algorithm");
+        let golden = suite
+            .records
+            .iter()
+            .find(|r| {
+                r.algorithm == name
+                    && r.scenario.n == 128
+                    && matches!(r.scenario.family, FamilySpec::Gnp { .. })
+            })
+            .unwrap_or_else(|| panic!("no gnp n=128 suite record for {name}"));
+        for threads in [1, 4] {
+            let fresh = run_record_threads(algo, &golden.scenario, threads).expect("run succeeds");
+            assert_eq!(
+                fresh.to_json(),
+                golden.to_json(),
+                "{name} at threads={threads} drifted from BENCH_suite.json"
+            );
+        }
+    }
+}
