@@ -30,9 +30,13 @@ fn bench_aggregate_and_broadcast(c: &mut Criterion) {
     group.finish();
 }
 
+/// Times the streamed scatter+combine pipeline. The id says so: histories
+/// recorded under `aggregation_l1_8` timed the phase-separated programs
+/// (one more barrier; E3's ℓ₁ = 8 row went 100 → 76 rounds) and are not
+/// comparable.
 #[allow(clippy::needless_range_loop)]
 fn bench_aggregation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aggregation_l1_8");
+    let mut group = c.benchmark_group("aggregation_pipeline_l1_8");
     for &n in &[256usize, 1024] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let shared = SharedRandomness::new(SEED);
@@ -66,8 +70,10 @@ fn bench_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Times the streamed setup and spread+deliver pipelines; renamed from
+/// `multicast_setup_plus_send` for the same reason as above.
 fn bench_multicast_roundtrip(c: &mut Criterion) {
-    let mut group = c.benchmark_group("multicast_setup_plus_send");
+    let mut group = c.benchmark_group("multicast_pipeline_setup_plus_send");
     for &n in &[256usize, 1024] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let shared = SharedRandomness::new(SEED);

@@ -46,6 +46,8 @@ fn main() {
             .collect();
         let (out, stats) = multicast(&mut eng, &shared, &trees, messages, ell).expect("multicast");
         let delivered: usize = out.iter().map(Vec::len).sum();
+        assert_eq!(delivered, groups * members, "one packet per membership");
+        assert!(stats.clean());
         let bound = c as f64 + ell as f64 / lg(n) + lg(n);
         t.row(vec![
             groups.to_string(),

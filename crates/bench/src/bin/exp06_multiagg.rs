@@ -34,6 +34,7 @@ fn run(name: &str, g: &Graph, frac: usize, t: &mut Table) {
         &MinU64,
     )
     .expect("multi-agg");
+    assert!(stats.clean());
     let degree_sum: usize = sources.iter().map(|&u| g.degree(u as u32)).sum();
     let reached = out.iter().filter(|o| o.is_some()).count();
     let bound = degree_sum as f64 / n as f64 + lg(n);

@@ -6,7 +6,7 @@
 //! a growing gap in combining-phase rounds as group contention rises.
 
 use ncc_bench::{engine, f2, Table, SEED};
-use ncc_butterfly::{aggregate_opt, AggregationSpec, GroupId, SumU64};
+use ncc_butterfly::{aggregation_sub, lane_seed, run_composed, AggregationSpec, GroupId, SumU64};
 use ncc_hashing::SharedRandomness;
 
 fn run(n: usize, l1: usize, random_ranks: bool) -> u64 {
@@ -24,17 +24,19 @@ fn run(n: usize, l1: usize, random_ranks: bool) -> u64 {
         })
         .collect();
     let mut eng = engine(n, SEED + l1 as u64 + random_ranks as u64);
-    let (_, stats) = aggregate_opt(
-        &mut eng,
-        &shared,
-        AggregationSpec {
-            memberships,
-            ell2_hat: n * l1 / 16 + 16,
-        },
-        &SumU64,
-        random_ranks,
-    )
-    .expect("aggregation");
+    let spec = AggregationSpec {
+        memberships,
+        ell2_hat: n * l1 / 16 + 16,
+    };
+    let seed = lane_seed(&eng, 17, 0);
+    let mut sub = aggregation_sub(n, &shared, spec, &SumU64, seed);
+    if !random_ranks {
+        sub = sub.static_priority();
+    }
+    let (stats, _) = run_composed(&mut eng, &mut [&mut sub]).expect("aggregation");
+    let delivered: u64 = sub.into_deliveries().iter().flatten().map(|(_, v)| v).sum();
+    assert_eq!(delivered, (n * l1) as u64, "no packet may be lost");
+    assert!(stats.clean());
     stats.rounds
 }
 

@@ -5,30 +5,38 @@
 //! global load (total memberships), `ℓ₁` the maximum memberships per node
 //! and `ℓ̂₂` a known bound on targets per node.
 //!
-//! Three phases, separated by [`sync_barrier`] (App. B.1 synchronisation):
+//! One pipeline — the [`AggregationSub`] lane, two stages with a
+//! [`sync_barrier`] (App. B.1 synchronisation) after each:
 //!
-//! 1. **Preprocessing** — every node sends its packets `(group, value)` in
-//!    batches of `⌈log n⌉` per round to uniformly random level-0 columns.
-//! 2. **Combining** — the random-rank routing protocol of Aleliunas/Upfal
-//!    \[1, 57\] moves packets level by level toward `h(group)` on the bottom
-//!    level (bit-fixing paths). Packets of the same group that collide on a
-//!    butterfly node **combine** via the distributive aggregate; when
-//!    packets of different groups contend for one butterfly edge, the
-//!    smallest rank `ρ(group)` wins and the rest wait (Theorem B.2 bounds
-//!    the total delay). One packet crosses each butterfly edge per round.
-//! 3. **Postprocessing** — each level-`d` node delivers every finished
+//! 1. **Scatter + combine** — every node sends its packets
+//!    `(group, value)` in batches of `⌈log n⌉` per round to uniformly
+//!    random level-0 columns, and in the same rounds the random-rank
+//!    routing protocol of Aleliunas/Upfal \[1, 57\] moves the packets that
+//!    already landed level by level toward `h(group)` on the bottom level
+//!    (bit-fixing paths; the routing analysis covers continuous injection).
+//!    Packets of the same group that collide on a butterfly node
+//!    **combine** via the distributive aggregate; when packets of different
+//!    groups contend for one butterfly edge, the smallest rank `ρ(group)`
+//!    wins and the rest wait (Theorem B.2 bounds the total delay). One
+//!    packet crosses each butterfly edge per round.
+//! 2. **Postprocessing** — each level-`d` node delivers every finished
 //!    group aggregate to its target in a round chosen uniformly from
 //!    `{1..⌈ℓ̂₂/log n⌉}`, smoothing the receive load.
+//!
+//! [`aggregate`] builds that lane and drives it alone under
+//! [`run_composed`]; algorithms put the same lane
+//! next to others in a [`Dag`](crate::compose::Dag). There is no second
+//! implementation. [`multi_aggregate`] / [`MultiAggSub`] (Theorem 2.6)
+//! follow the same shape, with the tree spreading of
+//! [`multicast`](mod@crate::multicast) feeding the scatter.
 //!
 //! Group targets are encoded in the group identifier ([`GroupId`]), mirroring
 //! the paper's content-addressed group names (`A_{id(w)∘i}`).
 //!
 //! This module also hosts **Aggregate-and-Broadcast** (Theorem 2.2) — the
 //! `O(log n)` whole-network aggregate whose execution doubles as the
-//! [`sync_barrier`] between phases — so every aggregation-style entry
-//! point lives behind one path (the historic `agg_bcast`, `aggregate`
-//! and `multi_agg` module paths went through one release of
-//! `#[deprecated]` re-export shims and are gone).
+//! [`sync_barrier`] between stages — so every aggregation-style entry
+//! point lives behind one path.
 
 use std::collections::BTreeMap;
 
@@ -38,7 +46,7 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Paylo
 use rand::Rng;
 
 use crate::combine::Aggregate;
-use crate::compose::run_single;
+use crate::compose::{lane_seed, run_composed, run_single};
 use crate::topology::{Butterfly, GroupId};
 
 /// Per-node delivery lists: for each node, the `(group, value)` pairs it
@@ -150,7 +158,7 @@ impl PartialEq for QueueKey {
 impl Eq for QueueKey {}
 
 // ---------------------------------------------------------------------------
-// Phase 1: preprocessing (random injection in batches of ⌈log n⌉)
+// Wire formats
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -164,59 +172,6 @@ impl<V: Payload> Payload for PacketMsg<V> {
         2 + ncc_model::payload::min_bits(self.group) + self.value.bit_size()
     }
 }
-
-#[derive(Debug, Clone, Default)]
-pub(crate) struct InjectState<V> {
-    /// Outgoing packets (members' inputs), consumed in batches.
-    pub to_send: Vec<(u64, V)>,
-    /// Packets that landed on this column's level-0 butterfly node.
-    pub landed: Vec<(u64, V)>,
-}
-
-pub(crate) struct InjectProgram<V> {
-    pub batch: usize,
-    pub columns: u32,
-    pub _pd: std::marker::PhantomData<V>,
-}
-
-impl<V: Payload> InjectProgram<V> {
-    fn send_batch(&self, st: &mut InjectState<V>, ctx: &mut Ctx<'_, PacketMsg<V>>) {
-        let take = st.to_send.len().min(self.batch);
-        for (group, value) in st.to_send.drain(..take) {
-            let col = ctx.rng.gen_range(0..self.columns);
-            ctx.send(col, PacketMsg { group, value });
-        }
-        if !st.to_send.is_empty() {
-            ctx.stay_awake();
-        }
-    }
-}
-
-impl<V: Payload> NodeProgram for InjectProgram<V> {
-    type State = InjectState<V>;
-    type Payload = PacketMsg<V>;
-
-    fn init(&self, st: &mut InjectState<V>, ctx: &mut Ctx<'_, PacketMsg<V>>) {
-        self.send_batch(st, ctx);
-    }
-
-    fn round(
-        &self,
-        st: &mut InjectState<V>,
-        inbox: &[Envelope<PacketMsg<V>>],
-        ctx: &mut Ctx<'_, PacketMsg<V>>,
-    ) {
-        for env in inbox {
-            st.landed
-                .push((env.payload.group, env.payload.value.clone()));
-        }
-        self.send_batch(st, ctx);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Phase 2: combining (random-rank routing with in-network combining)
-// ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
 pub(crate) struct LevelMsg<V> {
@@ -233,6 +188,10 @@ impl<V: Payload> Payload for LevelMsg<V> {
         6 + ncc_model::payload::min_bits(self.group) + self.value.bit_size()
     }
 }
+
+// ---------------------------------------------------------------------------
+// Stage 1: scatter + combine (random-rank routing with in-network combining)
+// ---------------------------------------------------------------------------
 
 pub(crate) struct CombineState<V> {
     /// `queues[i][dir]`: packets waiting at `(i, α)` to traverse the edge to
@@ -258,11 +217,22 @@ impl<V> CombineState<V> {
     }
 }
 
-pub(crate) struct CombineProgram<'a, V, A> {
-    pub bf: Butterfly,
-    pub hashes: RouteHashes,
-    pub agg: &'a A,
-    pub _pd: std::marker::PhantomData<V>,
+/// Inserts `value` under `key`, combining with the entry already there.
+fn merge_into<K: Ord, V: Payload, A: Aggregate<V>>(
+    map: &mut BTreeMap<K, V>,
+    key: K,
+    value: V,
+    agg: &A,
+) {
+    match map.entry(key) {
+        std::collections::btree_map::Entry::Vacant(e) => {
+            e.insert(value);
+        }
+        std::collections::btree_map::Entry::Occupied(mut e) => {
+            let merged = agg.combine(e.get(), &value);
+            e.insert(merged);
+        }
+    }
 }
 
 /// Inserts a packet at `(level, α)`, combining with a same-group packet
@@ -278,29 +248,13 @@ pub(crate) fn combine_insert<V: Payload, A: Aggregate<V>>(
     route: Route,
     value: V,
 ) {
-    let d = bf.d();
-    if level == d {
-        match st.arrived.entry(group) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(value);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let merged = agg.combine(e.get(), &value);
-                e.insert(merged);
-            }
-        }
+    if level == bf.d() {
+        merge_into(&mut st.arrived, group, value, agg);
         return;
     }
     let dir = bf.route_is_cross(alpha, level, route.target) as usize;
-    match st.queues[level as usize][dir].entry(QueueKey { route, group }) {
-        std::collections::btree_map::Entry::Vacant(e) => {
-            e.insert(value);
-        }
-        std::collections::btree_map::Entry::Occupied(mut e) => {
-            let merged = agg.combine(e.get(), &value);
-            e.insert(merged);
-        }
-    }
+    let key = QueueKey { route, group };
+    merge_into(&mut st.queues[level as usize][dir], key, value, agg);
 }
 
 /// One routing step at column `alpha`: every queue forwards its
@@ -348,67 +302,97 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
     }
 }
 
-impl<V: Payload, A: Aggregate<V>> CombineProgram<'_, V, A> {
-    /// A packet enters the butterfly at `(0, α)`: evaluates its route,
-    /// then [`combine_insert`].
-    pub(crate) fn inject(&self, st: &mut CombineState<V>, alpha: u32, group: u64, value: V) {
-        let route = self.hashes.route(group);
-        combine_insert(&self.bf, self.agg, st, alpha, 0, group, route, value);
-    }
+/// Stage 1 of the Aggregation pipeline: injection and combining in the
+/// same rounds. Nodes scatter their packets in batches of `⌈log n⌉` as
+/// level-0 arrivals while the random-rank routing already moves earlier
+/// packets toward `h(group)` — the streamed form of Thm 2.3's first two
+/// phases (the routing analysis \[1, 57\] covers continuous injection).
+pub(crate) struct ScatterCombine<'a, V, A> {
+    pub bf: Butterfly,
+    pub hashes: RouteHashes,
+    pub agg: &'a A,
+    pub batch: usize,
+    pub columns: u32,
+    pub _pd: std::marker::PhantomData<V>,
+}
 
-    /// One routing step (see [`combine_step`]); stays awake while busy.
-    fn step(&self, st: &mut CombineState<V>, alpha: u32, ctx: &mut Ctx<'_, LevelMsg<V>>) {
-        let mut unpaced = usize::MAX;
-        combine_step(
-            &self.bf,
-            self.agg,
-            st,
-            alpha,
-            &mut unpaced,
-            &mut |dst, msg| ctx.send(dst, msg),
-        );
-        if st.busy() {
+pub(crate) struct ScatterCombineState<V> {
+    pub to_send: Vec<(u64, V)>,
+    pub comb: CombineState<V>,
+}
+
+impl<V: Payload, A: Aggregate<V>> ScatterCombine<'_, V, A> {
+    fn scatter(&self, st: &mut ScatterCombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
+        let take = st.to_send.len().min(self.batch);
+        for (group, value) in st.to_send.drain(..take) {
+            let col = ctx.rng.gen_range(0..self.columns);
+            ctx.send(
+                self.bf.emulator(col),
+                LevelMsg {
+                    level: 0,
+                    group,
+                    route: self.hashes.route(group),
+                    value,
+                },
+            );
+        }
+        if !st.to_send.is_empty() {
             ctx.stay_awake();
         }
     }
 }
 
-impl<V: Payload, A: Aggregate<V>> NodeProgram for CombineProgram<'_, V, A> {
-    type State = CombineState<V>;
+impl<V: Payload, A: Aggregate<V>> NodeProgram for ScatterCombine<'_, V, A> {
+    type State = ScatterCombineState<V>;
     type Payload = LevelMsg<V>;
 
-    fn init(&self, st: &mut CombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
-        if self.bf.emulates(ctx.id) && st.busy() {
-            ctx.stay_awake();
-        }
+    fn init(&self, st: &mut ScatterCombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
+        self.scatter(st, ctx);
     }
 
     fn round(
         &self,
-        st: &mut CombineState<V>,
+        st: &mut ScatterCombineState<V>,
         inbox: &[Envelope<LevelMsg<V>>],
         ctx: &mut Ctx<'_, LevelMsg<V>>,
     ) {
-        let alpha = self.bf.column_of(ctx.id);
-        for env in inbox {
-            let m = &env.payload;
-            combine_insert(
+        if self.bf.emulates(ctx.id) {
+            let alpha = self.bf.column_of(ctx.id);
+            for env in inbox {
+                let m = &env.payload;
+                combine_insert(
+                    &self.bf,
+                    self.agg,
+                    &mut st.comb,
+                    alpha,
+                    m.level as u32,
+                    m.group,
+                    m.route,
+                    m.value.clone(),
+                );
+            }
+            self.scatter(st, ctx);
+            let mut unpaced = usize::MAX;
+            combine_step(
                 &self.bf,
                 self.agg,
-                st,
+                &mut st.comb,
                 alpha,
-                m.level as u32,
-                m.group,
-                m.route,
-                m.value.clone(),
+                &mut unpaced,
+                &mut |dst, msg| ctx.send(dst, msg),
             );
+            if st.comb.busy() {
+                ctx.stay_awake();
+            }
+        } else {
+            // non-emulating nodes only scatter; routing stays on columns
+            self.scatter(st, ctx);
         }
-        self.step(st, alpha, ctx);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Phase 3: postprocessing (randomized delivery rounds)
+// Stage 2: postprocessing (randomized delivery rounds)
 // ---------------------------------------------------------------------------
 
 pub(crate) struct DeliverState<V> {
@@ -467,13 +451,164 @@ impl<V: Payload> NodeProgram for DeliverProgram<V> {
 }
 
 // ---------------------------------------------------------------------------
-// Driver
+// The sub-protocol and its blocking entry point
 // ---------------------------------------------------------------------------
+
+/// The Aggregation Algorithm as a composable lane: stage 1 is the
+/// scatter+combine pipeline, stage 2 the randomized delivery. Build with
+/// [`aggregation_sub`], run under [`crate::compose::run_composed`], read
+/// with [`AggregationSub::into_deliveries`].
+pub struct AggregationSub<'a, V: Payload, A: Aggregate<V>> {
+    stage: usize,
+    lane_seed: u64,
+    logn: usize,
+    ell2_hat: usize,
+    sc: crate::compose::Stage<ScatterCombine<'a, V, A>, ScatterCombineState<V>>,
+    del: crate::compose::Stage<DeliverProgram<V>, DeliverState<V>>,
+    out: Option<GroupedDeliveries<V>>,
+}
+
+/// Builds the aggregation sub-protocol. Arguments mirror [`aggregate`];
+/// `lane_seed` keys the lane's private randomness (scatter columns,
+/// delivery rounds).
+pub fn aggregation_sub<'a, V: Payload, A: Aggregate<V>>(
+    n: usize,
+    shared: &SharedRandomness,
+    spec: AggregationSpec<V>,
+    agg: &'a A,
+    lane_seed: u64,
+) -> AggregationSub<'a, V, A> {
+    assert_eq!(spec.memberships.len(), n);
+    if n == 1 {
+        // trivial network: the one node combines locally, no stage to run
+        let mut by_group = BTreeMap::new();
+        for (g, v) in spec.memberships.into_iter().flatten() {
+            merge_into(&mut by_group, g.raw(), v, agg);
+        }
+        let out = vec![by_group.into_iter().map(|(g, v)| (GroupId(g), v)).collect()];
+        return AggregationSub {
+            stage: 0,
+            lane_seed,
+            logn: 1,
+            ell2_hat: spec.ell2_hat,
+            sc: None,
+            del: None,
+            out: Some(out),
+        };
+    }
+    let bf = Butterfly::for_n(n);
+    let hashes = RouteHashes::new(shared, &bf, n);
+    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
+    let states: Vec<ScatterCombineState<V>> = spec
+        .memberships
+        .into_iter()
+        .map(|ms| ScatterCombineState {
+            to_send: ms.into_iter().map(|(g, v)| (g.raw(), v)).collect(),
+            comb: CombineState::new(bf.d()),
+        })
+        .collect();
+    AggregationSub {
+        stage: 0,
+        lane_seed,
+        logn,
+        ell2_hat: spec.ell2_hat,
+        sc: Some((
+            ScatterCombine {
+                bf,
+                hashes,
+                agg,
+                batch: logn,
+                columns: bf.columns() as u32,
+                _pd: std::marker::PhantomData,
+            },
+            states,
+        )),
+        del: None,
+        out: None,
+    }
+}
+
+impl<V: Payload, A: Aggregate<V>> AggregationSub<'_, V, A> {
+    /// Replaces the random-rank contention rule with a static priority
+    /// (rank ≡ 0, ties by group id) — ablation E17: the outputs are
+    /// rank-independent, but Theorem B.2's delay bound only holds for
+    /// random ranks. Call before the lane is installed.
+    pub fn static_priority(mut self) -> Self {
+        self.sc = self.sc.map(|(mut prog, states)| {
+            prog.hashes = prog.hashes.with_fifo();
+            (prog, states)
+        });
+        self
+    }
+
+    /// The per-node `(group, aggregate)` deliveries. Panics before the
+    /// composition ran to completion.
+    pub fn into_deliveries(self) -> GroupedDeliveries<V> {
+        self.out.expect("aggregation sub-protocol not finished")
+    }
+}
+
+impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AggregationSub<'a, V, A> {
+    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
+        match self.stage {
+            0 => {
+                let (prog, states) = self.sc.take()?;
+                Some(b.lane_seeded(
+                    prog,
+                    states,
+                    ncc_model::rng::derive_seed(&[self.lane_seed, 0]),
+                ))
+            }
+            1 => {
+                let (prog, states) = self.del.take()?;
+                Some(b.lane_seeded(
+                    prog,
+                    states,
+                    ncc_model::rng::derive_seed(&[self.lane_seed, 1]),
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
+        match self.stage {
+            0 => {
+                let sc: Vec<ScatterCombineState<V>> = ncc_model::take_lane_states(states, lane);
+                let spread = (self.ell2_hat.div_ceil(self.logn)).max(1) as u64;
+                let del_states: Vec<DeliverState<V>> = sc
+                    .into_iter()
+                    .map(|s| DeliverState {
+                        scheduled: s.comb.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
+                        received: Vec::new(),
+                    })
+                    .collect();
+                self.del = Some((
+                    DeliverProgram {
+                        spread,
+                        _pd: std::marker::PhantomData,
+                    },
+                    del_states,
+                ));
+            }
+            _ => {
+                let del: Vec<DeliverState<V>> = ncc_model::take_lane_states(states, lane);
+                self.out = Some(del.into_iter().map(|s| s.received).collect());
+            }
+        }
+        self.stage += 1;
+    }
+
+    fn is_done(&self) -> bool {
+        self.out.is_some()
+    }
+}
 
 /// Runs the full Aggregation Algorithm. Every group's inputs are combined
 /// with `agg` and delivered to the group's target; the per-node output lists
 /// the `(group, aggregate)` pairs that node received as a target.
 ///
+/// Blocking wrapper: one [`AggregationSub`] alone under [`run_composed`].
 /// Round complexity (Theorem 2.3): `O(L/n + (ℓ₁ + ℓ̂₂)/log n + log n)` w.h.p.
 pub fn aggregate<V: Payload, A: Aggregate<V>>(
     engine: &mut Engine,
@@ -481,103 +616,10 @@ pub fn aggregate<V: Payload, A: Aggregate<V>>(
     spec: AggregationSpec<V>,
     agg: &A,
 ) -> Result<(GroupedDeliveries<V>, ExecStats), ModelError> {
-    aggregate_opt(engine, shared, spec, agg, true)
-}
-
-/// [`aggregate`] with the contention rule exposed: `random_ranks = false`
-/// replaces the random-rank routing with a static priority (ablation E17 —
-/// Theorem B.2's guarantee only holds for random ranks).
-pub fn aggregate_opt<V: Payload, A: Aggregate<V>>(
-    engine: &mut Engine,
-    shared: &SharedRandomness,
-    spec: AggregationSpec<V>,
-    agg: &A,
-    random_ranks: bool,
-) -> Result<(GroupedDeliveries<V>, ExecStats), ModelError> {
-    let n = engine.n();
-    assert_eq!(spec.memberships.len(), n);
-    let mut total = ExecStats::default();
-
-    if n == 1 {
-        // trivial network: combine locally
-        let mut by_group: BTreeMap<u64, V> = BTreeMap::new();
-        for (g, v) in spec.memberships.into_iter().flatten() {
-            match by_group.entry(g.raw()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let m = agg.combine(e.get(), &v);
-                    e.insert(m);
-                }
-            }
-        }
-        let out = vec![by_group.into_iter().map(|(g, v)| (GroupId(g), v)).collect()];
-        return Ok((out, total));
-    }
-
-    let bf = Butterfly::for_n(n);
-    let hashes = if random_ranks {
-        RouteHashes::new(shared, &bf, n)
-    } else {
-        RouteHashes::new(shared, &bf, n).with_fifo()
-    };
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-
-    // --- phase 1: inject ---------------------------------------------------
-    let inject = InjectProgram {
-        batch: logn,
-        columns: bf.columns() as u32,
-        _pd: std::marker::PhantomData,
-    };
-    let inj_states: Vec<InjectState<V>> = spec
-        .memberships
-        .into_iter()
-        .map(|ms| InjectState {
-            to_send: ms.into_iter().map(|(g, v)| (g.raw(), v)).collect(),
-            landed: Vec::new(),
-        })
-        .collect();
-    let (inj_states, s) = run_single(engine, inject, inj_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    // --- phase 2: combine --------------------------------------------------
-    let combine = CombineProgram {
-        bf,
-        hashes: hashes.clone(),
-        agg,
-        _pd: std::marker::PhantomData,
-    };
-    let mut comb_states: Vec<CombineState<V>> = (0..n).map(|_| CombineState::new(bf.d())).collect();
-    for (col, inj) in inj_states.into_iter().enumerate() {
-        for (group, value) in inj.landed {
-            combine.inject(&mut comb_states[col], col as u32, group, value);
-        }
-    }
-    let (comb_states, s) = run_single(engine, combine, comb_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    // --- phase 3: deliver --------------------------------------------------
-    let spread = (spec.ell2_hat.div_ceil(logn)).max(1) as u64;
-    let deliver = DeliverProgram {
-        spread,
-        _pd: std::marker::PhantomData,
-    };
-    let del_states: Vec<DeliverState<V>> = comb_states
-        .into_iter()
-        .map(|cs| DeliverState {
-            scheduled: cs.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
-            received: Vec::new(),
-        })
-        .collect();
-    let (del_states, s) = run_single(engine, deliver, del_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    let out = del_states.into_iter().map(|s| s.received).collect();
-    Ok((out, total))
+    let seed = lane_seed(engine, 0x6167_6772 /* "aggr" */, 0);
+    let mut sub = aggregation_sub(engine.n(), shared, spec, agg, seed);
+    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
+    Ok((sub.into_deliveries(), stats))
 }
 
 #[cfg(test)]
@@ -700,8 +742,16 @@ pub(crate) mod tests {
         let n = 16;
         let (out, stats) = run_sum(n, vec![Vec::new(); n], 1);
         assert!(out.iter().all(Vec::is_empty));
-        // three sync barriers still run: O(log n) each
+        // the two stage barriers still run: O(log n) each
         assert!(stats.rounds < 40, "rounds {}", stats.rounds);
+    }
+
+    #[test]
+    fn single_node_combines_locally() {
+        let (a, b) = (GroupId::new(0, 1), GroupId::new(0, 2));
+        let (out, stats) = run_sum(1, vec![vec![(b, 5), (a, 1), (b, 7)]], 2);
+        assert_eq!(out, vec![vec![(a, 1), (b, 12)]]);
+        assert_eq!(stats, ExecStats::default(), "no network, no rounds");
     }
 
     #[test]
@@ -789,16 +839,12 @@ pub(crate) mod tests {
             let group = GroupId::new(node % n as u32, sub).raw();
             let fresh = fresh_route(&shared, &bf, n, fifo, group);
             let hashes = RouteHashes::new(&shared, &bf, n);
-            let prog = CombineProgram {
-                bf,
-                hashes: if fifo { hashes.with_fifo() } else { hashes },
-                agg: &SumU64,
-                _pd: std::marker::PhantomData::<u64>,
-            };
+            let hashes = if fifo { hashes.with_fifo() } else { hashes };
             let mut states: Vec<CombineState<u64>> =
                 (0..bf.columns()).map(|_| CombineState::new(bf.d())).collect();
             let mut col = start % bf.columns() as u32;
-            prog.inject(&mut states[col as usize], col, group, 1);
+            // the packet enters the butterfly at (0, col): its route is evaluated here
+            combine_insert(&bf, &SumU64, &mut states[col as usize], col, 0, group, hashes.route(group), 1);
             for level in 0..bf.d() {
                 let st = &mut states[col as usize];
                 let queued = queued_keys(&st.queues[level as usize]);
@@ -837,347 +883,7 @@ pub(crate) mod tests {
 /// Sub-identifier namespace for the re-keyed member groups.
 const MA_SUB: u32 = 0x4D41;
 
-/// Runs Multi-Aggregation (Theorem 2.6): every source `s_i` multicasts
-/// `p_i` down its tree; each leaf `l(i, u)` re-keys its packet to
-/// `(id(u), map(p_i))` — optionally transforming it with leaf-local
-/// randomness, which is how the matching algorithm of §5.3 annotates
-/// packets with uniform ranks — then the re-keyed packets are scattered,
-/// aggregated toward `h(id(u))` exactly as in the Aggregation Algorithm,
-/// and delivered to `u`. Runs in `O(C + log n)` rounds over trees of
-/// congestion `C`.
-///
-/// `messages[u] = Some((group, payload))` iff `u` sources `group`; `agg`
-/// combines the mapped packets per destination. Returns per node `u` the
-/// aggregate `f({map(p_i) | u ∈ A_i})`, or `None` if no group reaches `u`.
-pub fn multi_aggregate<V, W, A, F>(
-    engine: &mut Engine,
-    shared: &SharedRandomness,
-    trees: &crate::mctree::MulticastTrees,
-    messages: Vec<Option<(GroupId, V)>>,
-    leaf_map: F,
-    agg: &A,
-) -> Result<(Vec<Option<W>>, ExecStats), ModelError>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    use crate::multicast::{spread_states, SpreadProgram};
-
-    let n = engine.n();
-    assert_eq!(messages.len(), n);
-    let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let mut total = ExecStats::default();
-
-    // --- spread down the multicast trees to the leaves ---------------------
-    let spread_prog = SpreadProgram::<V> {
-        bf,
-        hashes: hashes.clone(),
-        _pd: std::marker::PhantomData,
-    };
-    let sstates = spread_states(trees, messages, bf.d());
-    let (mut sstates, s) = run_single(engine, spread_prog, sstates)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    // --- leaf re-keying + random scatter ------------------------------------
-    // Each leaf l(i, u) maps p_i to (id(u), map(p_i)). The mapping uses the
-    // leaf column's private RNG stream, mirroring the paper's leaf-chosen
-    // annotations (§5.3). The scatter is the standard batched injection.
-    let inject = InjectProgram::<W> {
-        batch: logn,
-        columns: bf.columns() as u32,
-        _pd: std::marker::PhantomData,
-    };
-    let inj_states: Vec<InjectState<W>> = sstates
-        .iter_mut()
-        .enumerate()
-        .map(|(col, s)| {
-            let mut rng = ncc_model::rng::node_rng(
-                engine.config().seed ^ 0x6d61_7070, // "mapp": leaf-map stream
-                col as u32,
-            );
-            InjectState {
-                to_send: s
-                    .at_leaves
-                    .drain(..)
-                    .map(|(g, member, v)| {
-                        let mapped = leaf_map(&mut rng, GroupId(g), member, &v);
-                        (GroupId::new(member, MA_SUB).raw(), mapped)
-                    })
-                    .collect(),
-                landed: Vec::new(),
-            }
-        })
-        .collect();
-    let (inj_states, s) = run_single(engine, inject, inj_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    // --- aggregate toward h(id(u)) ------------------------------------------
-    let combine = CombineProgram {
-        bf,
-        hashes: hashes.clone(),
-        agg,
-        _pd: std::marker::PhantomData,
-    };
-    let mut comb_states: Vec<CombineState<W>> = (0..n).map(|_| CombineState::new(bf.d())).collect();
-    for (col, inj) in inj_states.into_iter().enumerate() {
-        for (group, value) in inj.landed {
-            combine.inject(&mut comb_states[col], col as u32, group, value);
-        }
-    }
-    let (comb_states, s) = run_single(engine, combine, comb_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    // --- deliver to the member nodes ----------------------------------------
-    let deliver = DeliverProgram::<W> {
-        spread: 1, // each node is target of at most one re-keyed group
-        _pd: std::marker::PhantomData,
-    };
-    let del_states: Vec<DeliverState<W>> = comb_states
-        .into_iter()
-        .map(|cs| DeliverState {
-            scheduled: cs.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
-            received: Vec::new(),
-        })
-        .collect();
-    let (del_states, s) = run_single(engine, deliver, del_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    let out = del_states
-        .into_iter()
-        .map(|s| s.received.into_iter().next().map(|(_, v)| v))
-        .collect();
-    Ok((out, total))
-}
-
-// ---------------------------------------------------------------------------
-// Fused pipelines + lane-composable sub-protocols
-// ---------------------------------------------------------------------------
-
-/// The fused Aggregation pipeline, stage 1: injection and combining in the
-/// same rounds. Nodes scatter their packets in batches of `⌈log n⌉` as
-/// level-0 arrivals while the random-rank routing already moves earlier
-/// packets toward `h(group)` — the streamed form of Thm 2.3's first two
-/// phases (the routing analysis \[1, 57\] covers continuous injection).
-/// Used by the composed (lane) path; the blocking [`aggregate`] keeps the
-/// classic phase structure.
-pub(crate) struct ScatterCombineProgram<'a, V, A> {
-    pub bf: Butterfly,
-    pub hashes: RouteHashes,
-    pub agg: &'a A,
-    pub batch: usize,
-    pub columns: u32,
-    pub _pd: std::marker::PhantomData<V>,
-}
-
-pub(crate) struct ScatterCombineState<V> {
-    pub to_send: Vec<(u64, V)>,
-    pub comb: CombineState<V>,
-}
-
-impl<V: Payload, A: Aggregate<V>> ScatterCombineProgram<'_, V, A> {
-    fn scatter(&self, st: &mut ScatterCombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
-        let take = st.to_send.len().min(self.batch);
-        for (group, value) in st.to_send.drain(..take) {
-            let col = ctx.rng.gen_range(0..self.columns);
-            ctx.send(
-                self.bf.emulator(col),
-                LevelMsg {
-                    level: 0,
-                    group,
-                    route: self.hashes.route(group),
-                    value,
-                },
-            );
-        }
-        if !st.to_send.is_empty() {
-            ctx.stay_awake();
-        }
-    }
-}
-
-impl<V: Payload, A: Aggregate<V>> NodeProgram for ScatterCombineProgram<'_, V, A> {
-    type State = ScatterCombineState<V>;
-    type Payload = LevelMsg<V>;
-
-    fn init(&self, st: &mut ScatterCombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
-        self.scatter(st, ctx);
-    }
-
-    fn round(
-        &self,
-        st: &mut ScatterCombineState<V>,
-        inbox: &[Envelope<LevelMsg<V>>],
-        ctx: &mut Ctx<'_, LevelMsg<V>>,
-    ) {
-        if self.bf.emulates(ctx.id) {
-            let alpha = self.bf.column_of(ctx.id);
-            for env in inbox {
-                let m = &env.payload;
-                combine_insert(
-                    &self.bf,
-                    self.agg,
-                    &mut st.comb,
-                    alpha,
-                    m.level as u32,
-                    m.group,
-                    m.route,
-                    m.value.clone(),
-                );
-            }
-            self.scatter(st, ctx);
-            let mut unpaced = usize::MAX;
-            combine_step(
-                &self.bf,
-                self.agg,
-                &mut st.comb,
-                alpha,
-                &mut unpaced,
-                &mut |dst, msg| ctx.send(dst, msg),
-            );
-            if st.comb.busy() {
-                ctx.stay_awake();
-            }
-        } else {
-            // non-emulating nodes only scatter; routing stays on columns
-            self.scatter(st, ctx);
-        }
-    }
-}
-
-/// The Aggregation Algorithm as a composable lane: stage 1 is the fused
-/// scatter+combine pipeline, stage 2 the randomized delivery. Build with
-/// [`aggregation_sub`], run under [`crate::compose::run_composed`], read
-/// with [`AggregationSub::into_deliveries`].
-pub struct AggregationSub<'a, V: Payload, A: Aggregate<V>> {
-    stage: usize,
-    lane_seed: u64,
-    logn: usize,
-    ell2_hat: usize,
-    sc: crate::compose::Stage<ScatterCombineProgram<'a, V, A>, ScatterCombineState<V>>,
-    del: crate::compose::Stage<DeliverProgram<V>, DeliverState<V>>,
-    out: Option<GroupedDeliveries<V>>,
-}
-
-/// Builds the aggregation sub-protocol. Arguments mirror [`aggregate`];
-/// `lane_seed` keys the lane's private randomness (scatter columns,
-/// delivery rounds).
-pub fn aggregation_sub<'a, V: Payload, A: Aggregate<V>>(
-    n: usize,
-    shared: &SharedRandomness,
-    spec: AggregationSpec<V>,
-    agg: &'a A,
-    lane_seed: u64,
-) -> AggregationSub<'a, V, A> {
-    assert_eq!(spec.memberships.len(), n);
-    let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let states: Vec<ScatterCombineState<V>> = spec
-        .memberships
-        .into_iter()
-        .map(|ms| ScatterCombineState {
-            to_send: ms.into_iter().map(|(g, v)| (g.raw(), v)).collect(),
-            comb: CombineState::new(bf.d()),
-        })
-        .collect();
-    AggregationSub {
-        stage: 0,
-        lane_seed,
-        logn,
-        ell2_hat: spec.ell2_hat,
-        sc: Some((
-            ScatterCombineProgram {
-                bf,
-                hashes,
-                agg,
-                batch: logn,
-                columns: bf.columns() as u32,
-                _pd: std::marker::PhantomData,
-            },
-            states,
-        )),
-        del: None,
-        out: None,
-    }
-}
-
-impl<V: Payload, A: Aggregate<V>> AggregationSub<'_, V, A> {
-    /// The per-node `(group, aggregate)` deliveries. Panics before the
-    /// composition ran to completion.
-    pub fn into_deliveries(self) -> GroupedDeliveries<V> {
-        self.out.expect("aggregation sub-protocol not finished")
-    }
-}
-
-impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AggregationSub<'a, V, A> {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        match self.stage {
-            0 => {
-                let (prog, states) = self.sc.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 0]),
-                ))
-            }
-            1 => {
-                let (prog, states) = self.del.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 1]),
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        match self.stage {
-            0 => {
-                let sc: Vec<ScatterCombineState<V>> = ncc_model::take_lane_states(states, lane);
-                let spread = (self.ell2_hat.div_ceil(self.logn)).max(1) as u64;
-                let del_states: Vec<DeliverState<V>> = sc
-                    .into_iter()
-                    .map(|s| DeliverState {
-                        scheduled: s.comb.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
-                        received: Vec::new(),
-                    })
-                    .collect();
-                self.del = Some((
-                    DeliverProgram {
-                        spread,
-                        _pd: std::marker::PhantomData,
-                    },
-                    del_states,
-                ));
-            }
-            _ => {
-                let del: Vec<DeliverState<V>> = ncc_model::take_lane_states(states, lane);
-                self.out = Some(del.into_iter().map(|s| s.received).collect());
-            }
-        }
-        self.stage += 1;
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused Multi-Aggregation pipeline
-// ---------------------------------------------------------------------------
-
-/// Wire format of the fused Multi-Aggregation pipeline: tree spreading
+/// Wire format of the Multi-Aggregation pipeline: tree spreading
 /// (payload `V`) and re-keyed aggregation routing (payload `W`) share the
 /// rounds.
 #[derive(Debug, Clone)]
@@ -1201,7 +907,7 @@ pub(crate) struct MaPipelineState<V, W> {
     pub comb: CombineState<W>,
 }
 
-/// The fused Multi-Aggregation pipeline (Theorem 2.6, streamed): packets
+/// The Multi-Aggregation pipeline (Theorem 2.6, streamed): packets
 /// spread down the trees, each leaf arrival is re-keyed through `leaf_map`
 /// (with the lane's private randomness — the §5.3 annotation hook) and
 /// immediately scattered as a level-0 arrival of the combining network,
@@ -1494,6 +1200,40 @@ where
     }
 }
 
+/// Runs Multi-Aggregation (Theorem 2.6): every source `s_i` multicasts
+/// `p_i` down its tree; each leaf `l(i, u)` re-keys its packet to
+/// `(id(u), map(p_i))` — optionally transforming it with leaf-local
+/// randomness, which is how the matching algorithm of §5.3 annotates
+/// packets with uniform ranks — then the re-keyed packets are scattered,
+/// aggregated toward `h(id(u))` exactly as in the Aggregation Algorithm,
+/// and delivered to `u`. Runs in `O(C + log n)` rounds over trees of
+/// congestion `C`.
+///
+/// `messages[u] = Some((group, payload))` iff `u` sources `group`; `agg`
+/// combines the mapped packets per destination. Returns per node `u` the
+/// aggregate `f({map(p_i) | u ∈ A_i})`, or `None` if no group reaches `u`.
+///
+/// Blocking wrapper: one [`MultiAggSub`] alone under [`run_composed`].
+pub fn multi_aggregate<V, W, A, F>(
+    engine: &mut Engine,
+    shared: &SharedRandomness,
+    trees: &crate::mctree::MulticastTrees,
+    messages: Vec<Option<(GroupId, V)>>,
+    leaf_map: F,
+    agg: &A,
+) -> Result<(Vec<Option<W>>, ExecStats), ModelError>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
+{
+    let seed = lane_seed(engine, 0x6d61_6767 /* "magg" */, 0);
+    let mut sub = multi_aggregate_sub(engine.n(), shared, trees, messages, leaf_map, agg, seed);
+    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
+    Ok((sub.into_results(), stats))
+}
+
 // ---------------------------------------------------------------------------
 // Aggregate-and-Broadcast (Theorem 2.2, Appendix B.1)
 // ---------------------------------------------------------------------------
@@ -1684,7 +1424,7 @@ pub struct AbSub<'a, V: Payload, A: Aggregate<V>> {
 }
 
 /// Builds the Aggregate-and-Broadcast sub-protocol. Arguments mirror
-/// [`aggregate_and_broadcast`] (which stays the blocking adapter).
+/// [`aggregate_and_broadcast`] (the same program run alone).
 pub fn ab_sub<'a, V: Payload, A: Aggregate<V>>(
     n: usize,
     inputs: Vec<Option<V>>,
@@ -1740,7 +1480,7 @@ impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AbSub<'a, 
     fn self_synchronizing(&self) -> bool {
         // A&B ends with everyone knowing the result — it IS the barrier
         // primitive (App. B.1), so a stage made only of A&B lanes needs no
-        // trailing `sync_barrier` (matching the blocking adapter's cost).
+        // trailing `sync_barrier` (matching [`aggregate_and_broadcast`]'s cost).
         true
     }
 }

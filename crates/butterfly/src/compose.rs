@@ -16,10 +16,13 @@
 //! * sub-protocols with fewer stages simply contribute nothing to the later
 //!   executions; outputs are collected from the final states.
 //!
-//! The blocking single-primitive entry points (`aggregate`, `multicast`, …)
-//! are one-lane adapters over the same machinery ([`run_single`]); a
-//! one-lane mux is bit-identical to direct execution, so the classic paths
-//! keep their exact round/bit/drop numbers.
+//! Each primitive has exactly one implementation, its [`LaneSub`]. The
+//! blocking entry points (`aggregate`, `multicast_setup`, `multicast`,
+//! `multi_aggregate`) build that sub and hand it, alone, to
+//! [`run_composed`] — the same stages, barriers and round count a one-node
+//! [`Dag`] holding the sub gets. [`run_single`] runs one bare program as a
+//! one-lane mux (bit-identical to direct execution); Aggregate-and-Broadcast,
+//! which is a single program and its own barrier, uses it.
 
 use ncc_model::{Engine, ExecStats, LaneId, ModelError, MuxBuilder, MuxState, NodeProgram};
 
@@ -53,8 +56,8 @@ pub trait LaneSub<'a> {
     /// knowing that the stage finished — i.e. the protocol is its own phase
     /// barrier. A scheduler may skip the trailing [`sync_barrier`] for a
     /// stage whose lanes are all self-synchronizing, matching the cost of
-    /// the blocking adapters (an Aggregate-and-Broadcast *is* the barrier
-    /// primitive of App. B.1).
+    /// `aggregate_and_broadcast` (an Aggregate-and-Broadcast *is* the
+    /// barrier primitive of App. B.1).
     fn self_synchronizing(&self) -> bool {
         false
     }
@@ -118,8 +121,9 @@ pub fn run_composed<'a>(
     Ok((total, report))
 }
 
-/// Executes one program as a one-lane mux (no barrier): the transparent
-/// adapter the blocking primitives use. Bit-identical to
+/// Executes one program as a one-lane mux (no barrier) — how
+/// [`aggregate_and_broadcast`](crate::aggregation::aggregate_and_broadcast)
+/// runs. Bit-identical to
 /// `engine.execute(&prog, &mut states)` — the lane header is zero bits and
 /// the lane draws from the node's own RNG stream.
 pub fn run_single<Prog>(

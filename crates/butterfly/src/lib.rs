@@ -18,26 +18,27 @@
 //! round because a column touches `O(log n)` butterfly edges and each node
 //! may send/receive `O(log n)` messages (§2.2).
 //!
-//! ## Phase synchronisation
+//! ## One pipeline per primitive
+//!
+//! Each primitive is implemented once, as a *composable sub-protocol*
+//! ([`ab_sub`], [`aggregation_sub`], [`multicast_setup_sub`],
+//! [`multicast_sub`], [`multi_aggregate_sub`]): a short sequence of
+//! streamed pipeline stages (scatter while combining, spread while
+//! delivering) that run as lanes of one [`ncc_model::Mux`], so concurrent
+//! primitive instances **share rounds, capacity and one barrier per
+//! stage** instead of queuing — the §2 "run many instances in parallel"
+//! argument, executable (see [`compose`] and the [`Dag`] scheduler in
+//! [`schedule`]). The blocking functions in the table above are wrappers:
+//! they build the sub and run it alone under [`run_composed`].
+//!
+//! ## Stage synchronisation
 //!
 //! The paper interleaves a token-passing variant of Aggregate-and-Broadcast
-//! to synchronise phase boundaries (App. B.1). Here each primitive is a
-//! sequence of phase programs; the engine's quiescence detection plays the
-//! token protocol's role, and an **explicit in-model A&B run is charged at
-//! every phase boundary** so round totals include the synchronisation cost,
-//! exactly as the paper's bounds do.
-//!
-//! ## Concurrent composition
-//!
-//! Every primitive also exists as a *composable sub-protocol*
-//! ([`ab_sub`], [`aggregation_sub`], [`multicast_setup_sub`],
-//! [`multicast_sub`], [`multi_aggregate_sub`]): fused pipeline stages that
-//! run as lanes of one [`ncc_model::Mux`] under [`run_composed`], so
-//! concurrent primitive instances **share rounds, capacity and one
-//! barrier per stage** instead of queuing — the §2 "run many instances in
-//! parallel" argument, executable (see [`compose`]). The blocking
-//! functions above stay byte-stable: they are one-lane adapters with the
-//! classic phase structure.
+//! to synchronise phase boundaries (App. B.1). Here the engine's quiescence
+//! detection plays the token protocol's role, and an **explicit in-model
+//! A&B run ([`sync_barrier`]) is charged after every stage** so round
+//! totals include the synchronisation cost, exactly as the paper's bounds
+//! do.
 //!
 //! # Example: global minimum in `O(log n)` rounds
 //!
@@ -63,7 +64,7 @@ pub mod seed;
 pub mod topology;
 
 pub use aggregation::{
-    ab_sub, aggregate, aggregate_and_broadcast, aggregate_opt, aggregation_sub, multi_aggregate,
+    ab_sub, aggregate, aggregate_and_broadcast, aggregation_sub, multi_aggregate,
     multi_aggregate_sub, sync_barrier, AbSub, AggregationSpec, AggregationSub, GroupedDeliveries,
     MultiAggSub,
 };

@@ -7,6 +7,11 @@
 //! members' join-packets take during an aggregation run — every butterfly
 //! node records, per group, along which in-edges packets arrived.
 //!
+//! One program does both halves in the same rounds — the [`McSetupSub`]
+//! lane, one stage and one [`sync_barrier`](crate::aggregation::sync_barrier);
+//! [`multicast_setup`] drives that lane alone, algorithms pack it next to
+//! others in a [`Dag`](crate::compose::Dag).
+//!
 //! Setup time `O(L/n + ℓ/log n + log n)`; the resulting trees have
 //! congestion `O(L/n + log n)` w.h.p. (number of trees sharing a butterfly
 //! node), which is measured by [`MulticastTrees::congestion`] and validated
@@ -18,9 +23,8 @@ use ncc_hashing::{FxHashMap, SharedRandomness};
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram};
 use rand::Rng;
 
-use crate::aggregation::sync_barrier;
-use crate::aggregation::{InjectProgram, InjectState, LevelMsg, QueueKey, Route, RouteHashes};
-use crate::compose::run_single;
+use crate::aggregation::{QueueKey, Route, RouteHashes};
+use crate::compose::{lane_seed, run_composed};
 use crate::topology::{Butterfly, GroupId};
 
 /// The recorded forest of multicast trees, indexed by column.
@@ -166,103 +170,6 @@ impl RecordProgram {
     }
 }
 
-impl NodeProgram for RecordProgram {
-    type State = RecordState;
-    type Payload = LevelMsg<u64>;
-
-    fn init(&self, st: &mut RecordState, ctx: &mut Ctx<'_, LevelMsg<u64>>) {
-        if self.bf.emulates(ctx.id) && st.busy() {
-            ctx.stay_awake();
-        }
-    }
-
-    fn round(
-        &self,
-        st: &mut RecordState,
-        inbox: &[Envelope<LevelMsg<u64>>],
-        ctx: &mut Ctx<'_, LevelMsg<u64>>,
-    ) {
-        let alpha = self.bf.column_of(ctx.id);
-        for env in inbox {
-            let m = &env.payload;
-            self.insert(st, alpha, m.level as u32, m.group, m.route, true);
-        }
-        self.step(st, alpha, &mut |dst, level, group, route| {
-            ctx.send(
-                dst,
-                LevelMsg {
-                    level,
-                    group,
-                    route,
-                    value: 0,
-                },
-            )
-        });
-        if st.busy() {
-            ctx.stay_awake();
-        }
-    }
-}
-
-/// Sets up multicast trees from explicit *registrations*: node `u`'s list
-/// `joins[u]` contains `(group, member)` pairs — usually `member == u`
-/// ("u joins group g", see [`self_joins`]), but a node may also register
-/// *another* node into a group, which is how the broadcast-tree
-/// construction of §5 lets each node inject packets for its out-neighbors
-/// (Lemma 5.1) instead of forcing high-degree nodes to inject `Θ(Δ)`
-/// packets themselves.
-pub fn multicast_setup(
-    engine: &mut Engine,
-    shared: &SharedRandomness,
-    joins: Vec<Vec<(GroupId, NodeId)>>,
-) -> Result<(MulticastTrees, ExecStats), ModelError> {
-    let n = engine.n();
-    assert_eq!(joins.len(), n);
-    assert!(n >= 2, "multicast trees need n ≥ 2");
-    let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let mut total = ExecStats::default();
-
-    // phase 1: registrations are injected as join packets (value = member
-    // id) at random level-0 columns — the landing columns become the
-    // leaves l(i, u).
-    let inject = InjectProgram::<u64> {
-        batch: logn,
-        columns: bf.columns() as u32,
-        _pd: std::marker::PhantomData,
-    };
-    let inj_states: Vec<InjectState<u64>> = joins
-        .into_iter()
-        .map(|gs| InjectState {
-            to_send: gs.into_iter().map(|(g, m)| (g.raw(), m as u64)).collect(),
-            landed: Vec::new(),
-        })
-        .collect();
-    let (inj_states, s) = run_single(engine, inject, inj_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    // phase 2: route join packets to the roots, recording tree edges.
-    let record = RecordProgram { bf, hashes };
-    let mut rec_states: Vec<RecordState> = (0..n).map(|_| RecordState::new(bf.d())).collect();
-    for (col, inj) in inj_states.into_iter().enumerate() {
-        for (group, member) in inj.landed {
-            rec_states[col]
-                .leaves
-                .entry(group)
-                .or_default()
-                .push(member as NodeId);
-            record.inject(&mut rec_states[col], col as u32, group);
-        }
-    }
-    let (rec_states, s) = run_single(engine, record, rec_states)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    Ok((trees_from_states(n, bf.d(), rec_states), total))
-}
-
 /// Assembles the recorded forest from the per-column recording states.
 fn trees_from_states(n: usize, d: u32, rec_states: Vec<RecordState>) -> MulticastTrees {
     let mut trees = MulticastTrees {
@@ -289,11 +196,11 @@ fn trees_from_states(n: usize, d: u32, rec_states: Vec<RecordState>) -> Multicas
 }
 
 // ---------------------------------------------------------------------------
-// Fused setup pipeline + lane-composable sub-protocol
+// The setup pipeline and its lane-composable sub-protocol
 // ---------------------------------------------------------------------------
 
-/// Wire format of the fused tree setup: join-packet scattering and
-/// recording routing share the rounds.
+/// Wire format of the tree setup: join-packet scattering and recording
+/// routing share the rounds.
 #[derive(Debug, Clone)]
 pub(crate) enum SetupMsg {
     /// A registration landing on a random level-0 column.
@@ -319,11 +226,10 @@ pub(crate) struct RecordScatterState {
     pub rec: RecordState,
 }
 
-/// The fused Multicast Tree Setup (Theorem 2.4, streamed): registrations
-/// scatter to random level-0 columns in batches of `⌈log n⌉` while earlier
-/// join packets already route toward their roots, recording in-edges.
-/// Used by the composed (lane) path; the blocking [`multicast_setup`]
-/// keeps the classic phase structure.
+/// Multicast Tree Setup (Theorem 2.4, streamed): registrations scatter to
+/// random level-0 columns in batches of `⌈log n⌉` — the landing columns
+/// become the leaves `l(i, u)` — while earlier join packets already route
+/// toward their roots, recording in-edges.
 pub(crate) struct RecordScatterProgram {
     pub record: RecordProgram,
     pub batch: usize,
@@ -401,7 +307,7 @@ impl NodeProgram for RecordScatterProgram {
     }
 }
 
-/// Multicast Tree Setup as a composable lane: one fused stage
+/// Multicast Tree Setup as a composable lane: one stage
 /// (scatter + recording routing). Build with [`multicast_setup_sub`], run
 /// under [`crate::compose::run_composed`], read with
 /// [`McSetupSub::into_trees`].
@@ -475,6 +381,26 @@ impl<'a> crate::compose::LaneSub<'a> for McSetupSub {
     fn is_done(&self) -> bool {
         self.out.is_some()
     }
+}
+
+/// Sets up multicast trees from explicit *registrations*: node `u`'s list
+/// `joins[u]` contains `(group, member)` pairs — usually `member == u`
+/// ("u joins group g", see [`self_joins`]), but a node may also register
+/// *another* node into a group, which is how the broadcast-tree
+/// construction of §5 lets each node inject packets for its out-neighbors
+/// (Lemma 5.1) instead of forcing high-degree nodes to inject `Θ(Δ)`
+/// packets themselves.
+///
+/// Blocking wrapper: one [`McSetupSub`] alone under [`run_composed`].
+pub fn multicast_setup(
+    engine: &mut Engine,
+    shared: &SharedRandomness,
+    joins: Vec<Vec<(GroupId, NodeId)>>,
+) -> Result<(MulticastTrees, ExecStats), ModelError> {
+    let seed = lane_seed(engine, 0x6d63_7375 /* "mcsu" */, 0);
+    let mut sub = multicast_setup_sub(engine.n(), shared, joins, seed);
+    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
+    Ok((sub.into_trees(), stats))
 }
 
 /// Convenience: turns per-node group lists into self-registrations

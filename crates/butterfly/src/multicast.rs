@@ -11,7 +11,13 @@
 //!    smallest rank first (the reverse of the combining-phase routing);
 //!    a packet is *copied* onto every recorded child edge;
 //! 3. leaves `l(i, u)` deliver `p_i` to their members `u` in rounds chosen
-//!    uniformly from `{1..⌈ℓ̂/log n⌉}`.
+//!    uniformly from the `⌈ℓ̂/log n⌉` rounds after the packet reached them.
+//!
+//! All three run in the same rounds of one program — the [`MulticastSub`]
+//! lane, one stage and one [`sync_barrier`](crate::aggregation::sync_barrier).
+//! [`multicast`] drives that lane alone; algorithms pack it next to others
+//! in a [`Dag`](crate::compose::Dag). The spreading half
+//! (`spread_arrive`/`spread_step`) is shared with Multi-Aggregation.
 
 use std::collections::BTreeMap;
 
@@ -19,9 +25,8 @@ use ncc_hashing::SharedRandomness;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
 use rand::Rng;
 
-use crate::aggregation::sync_barrier;
 use crate::aggregation::{LevelMsg, QueueKey, Route, RouteHashes};
-use crate::compose::run_single;
+use crate::compose::{lane_seed, run_composed};
 use crate::mctree::MulticastTrees;
 use crate::topology::{Butterfly, GroupId};
 
@@ -128,52 +133,6 @@ pub(crate) fn spread_step<V: Payload>(
     }
 }
 
-pub(crate) struct SpreadProgram<V> {
-    pub bf: Butterfly,
-    pub hashes: RouteHashes,
-    pub _pd: std::marker::PhantomData<V>,
-}
-
-impl<V: Payload> NodeProgram for SpreadProgram<V> {
-    type State = SpreadState<V>;
-    type Payload = LevelMsg<V>;
-
-    fn init(&self, st: &mut SpreadState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
-        if let Some((group, value)) = st.source_packet.take() {
-            let route = self.hashes.route(group);
-            ctx.send(
-                self.bf.emulator(route.target),
-                LevelMsg {
-                    level: self.bf.d() as u8,
-                    group,
-                    route,
-                    value,
-                },
-            );
-        }
-    }
-
-    fn round(
-        &self,
-        st: &mut SpreadState<V>,
-        inbox: &[Envelope<LevelMsg<V>>],
-        ctx: &mut Ctx<'_, LevelMsg<V>>,
-    ) {
-        let alpha = self.bf.column_of(ctx.id);
-        for env in inbox {
-            let m = &env.payload;
-            spread_arrive(st, m.level as u32, m.group, m.route, m.value.clone());
-        }
-        let mut unpaced = usize::MAX;
-        spread_step(&self.bf, st, alpha, &mut unpaced, &mut |dst, msg| {
-            ctx.send(dst, msg)
-        });
-        if st.busy() {
-            ctx.stay_awake();
-        }
-    }
-}
-
 /// Builds per-node spreading states from the recorded forest and the
 /// sources' packets.
 pub(crate) fn spread_states<V: Payload>(
@@ -204,75 +163,11 @@ pub(crate) fn spread_states<V: Payload>(
 }
 
 // ---------------------------------------------------------------------------
-// Leaf delivery phase
+// The pipeline and its lane-composable sub-protocol
 // ---------------------------------------------------------------------------
 
-pub(crate) struct McDeliverState<V> {
-    /// `(round, member, group, value)`, sorted by round after init.
-    pub scheduled: Vec<(u64, NodeId, u64, V)>,
-    pub received: Vec<(GroupId, V)>,
-}
-
-pub(crate) struct McDeliverProgram<V> {
-    pub spread: u64,
-    pub _pd: std::marker::PhantomData<V>,
-}
-
-impl<V: Payload> McDeliverProgram<V> {
-    fn flush(
-        &self,
-        st: &mut McDeliverState<V>,
-        ctx: &mut Ctx<'_, crate::aggregation::PacketMsg<V>>,
-    ) {
-        let now = ctx.round + 1;
-        let due = st.scheduled.partition_point(|(r, _, _, _)| *r <= now);
-        for (_, member, group, value) in st.scheduled.drain(..due) {
-            ctx.send(member, crate::aggregation::PacketMsg { group, value });
-        }
-        if !st.scheduled.is_empty() {
-            ctx.stay_awake();
-        }
-    }
-}
-
-impl<V: Payload> NodeProgram for McDeliverProgram<V> {
-    type State = McDeliverState<V>;
-    type Payload = crate::aggregation::PacketMsg<V>;
-
-    fn init(
-        &self,
-        st: &mut McDeliverState<V>,
-        ctx: &mut Ctx<'_, crate::aggregation::PacketMsg<V>>,
-    ) {
-        let mut scheduled = std::mem::take(&mut st.scheduled);
-        for slot in scheduled.iter_mut() {
-            slot.0 = ctx.rng.gen_range(1..=self.spread);
-        }
-        scheduled.sort_by_key(|(r, m, g, _)| (*r, *m, *g));
-        st.scheduled = scheduled;
-        self.flush(st, ctx);
-    }
-
-    fn round(
-        &self,
-        st: &mut McDeliverState<V>,
-        inbox: &[Envelope<crate::aggregation::PacketMsg<V>>],
-        ctx: &mut Ctx<'_, crate::aggregation::PacketMsg<V>>,
-    ) {
-        for env in inbox {
-            st.received
-                .push((GroupId(env.payload.group), env.payload.value.clone()));
-        }
-        self.flush(st, ctx);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused pipeline + lane-composable sub-protocol
-// ---------------------------------------------------------------------------
-
-/// Wire format of the fused multicast pipeline: tree routing + leaf
-/// delivery in one program.
+/// Wire format of the multicast pipeline: tree routing + leaf delivery
+/// in one program.
 #[derive(Debug, Clone)]
 pub(crate) enum McMsg<V> {
     Route(LevelMsg<V>),
@@ -295,13 +190,11 @@ pub(crate) struct SpreadDeliverState<V> {
     pub received: Vec<(GroupId, V)>,
 }
 
-/// The fused Multicast pipeline (Theorem 2.5, streamed): packets spread
-/// down the recorded trees and every leaf arrival is *immediately*
-/// scheduled for delivery in a uniformly random round of the next
-/// `window = ⌈ℓ̂/log n⌉` rounds — the same load-smoothing rule as the
-/// phase-separated variant, without the intermediate barrier. Used by the
-/// composed (lane) path; the blocking [`multicast`] keeps the classic
-/// phase structure.
+/// The Multicast pipeline (Theorem 2.5, streamed): packets spread down
+/// the recorded trees and every leaf arrival is *immediately* scheduled
+/// for delivery in a uniformly random round of the next
+/// `window = ⌈ℓ̂/log n⌉` rounds — the paper's load-smoothing rule, with no
+/// barrier between spreading and delivery.
 pub(crate) struct SpreadDeliverProgram<V> {
     pub bf: Butterfly,
     pub hashes: RouteHashes,
@@ -391,7 +284,7 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
     }
 }
 
-/// Multicast as a composable lane: one fused stage (spread + smoothed leaf
+/// Multicast as a composable lane: one stage (spread + smoothed leaf
 /// delivery). Build with [`multicast_sub`], run under
 /// [`crate::compose::run_composed`], read with
 /// [`MulticastSub::into_deliveries`].
@@ -464,15 +357,13 @@ impl<'a, V: Payload> crate::compose::LaneSub<'a> for MulticastSub<V> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------------
-
 /// Runs the Multicast Algorithm over previously set-up trees.
 ///
 /// `messages[u]` is `Some((group, payload))` iff node `u` is the source of
 /// `group`. `ell_hat` is the known bound on group memberships per node.
 /// Returns, per node, the multicast packets it received as a member.
+///
+/// Blocking wrapper: one [`MulticastSub`] alone under [`run_composed`].
 pub fn multicast<V: Payload>(
     engine: &mut Engine,
     shared: &SharedRandomness,
@@ -480,46 +371,10 @@ pub fn multicast<V: Payload>(
     messages: Vec<Option<(GroupId, V)>>,
     ell_hat: usize,
 ) -> Result<(crate::aggregation::GroupedDeliveries<V>, ExecStats), ModelError> {
-    let n = engine.n();
-    assert_eq!(messages.len(), n);
-    let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let mut total = ExecStats::default();
-
-    // phases 1–2: inject at roots, spread down the trees
-    let spread_prog = SpreadProgram::<V> {
-        bf,
-        hashes,
-        _pd: std::marker::PhantomData,
-    };
-    let sstates = spread_states(trees, messages, bf.d());
-    let (sstates, s) = run_single(engine, spread_prog, sstates)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    // phase 3: leaf delivery
-    let spread = (ell_hat.div_ceil(logn)).max(1) as u64;
-    let deliver = McDeliverProgram::<V> {
-        spread,
-        _pd: std::marker::PhantomData,
-    };
-    let dstates: Vec<McDeliverState<V>> = sstates
-        .into_iter()
-        .map(|s| McDeliverState {
-            scheduled: s
-                .at_leaves
-                .into_iter()
-                .map(|(g, m, v)| (0, m, g, v))
-                .collect(),
-            received: Vec::new(),
-        })
-        .collect();
-    let (dstates, s) = run_single(engine, deliver, dstates)?;
-    total.merge(&s);
-    total.merge(&sync_barrier(engine)?);
-
-    Ok((dstates.into_iter().map(|s| s.received).collect(), total))
+    let seed = lane_seed(engine, 0x6d63_7374 /* "mcst" */, 0);
+    let mut sub = multicast_sub(engine.n(), shared, trees, messages, ell_hat, seed);
+    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
+    Ok((sub.into_deliveries(), stats))
 }
 
 #[cfg(test)]

@@ -26,8 +26,8 @@
 //!   stages whose lanes are all
 //!   [self-synchronizing](crate::compose::LaneSub::self_synchronizing)
 //!   (Aggregate-and-Broadcast *is* the barrier primitive, so a stage of
-//!   A&B lanes ends synchronised for free, matching the blocking
-//!   adapters' cost);
+//!   A&B lanes ends synchronised for free, matching the cost of
+//!   `aggregate_and_broadcast` run alone);
 //! * multi-stage primitives (Aggregation's combine→deliver, …) keep
 //!   contributing lanes stage after stage until done, so their internal
 //!   phases also share barriers with whatever else is in flight.
@@ -283,7 +283,7 @@ impl<'a> Dag<'a> {
                 });
             }
             // ...and one shared barrier, unless the lanes synchronised
-            // themselves (all-A&B stages, matching the blocking adapters).
+            // themselves (all-A&B stages, matching `aggregate_and_broadcast`).
             if !all_sync {
                 total.merge(&sync_barrier(engine)?);
             }

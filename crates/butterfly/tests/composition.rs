@@ -1,11 +1,12 @@
-//! Composed (fused, lane-multiplexed) primitives against their blocking
-//! classic counterparts: same outputs, fewer rounds.
+//! The primitives' one pipeline, run as a lane under `run_composed` and
+//! through the blocking wrappers, against closed-form expectations — and
+//! heterogeneous lanes sharing rounds.
 
 use ncc_butterfly::aggregation::aggregate;
 use ncc_butterfly::{
-    ab_sub, aggregation_sub, multi_aggregate, multi_aggregate_sub, multicast, multicast_setup,
-    multicast_setup_sub, multicast_sub, run_composed, AggregationSpec, GroupId, LaneSub, MaxU64,
-    MinU64, SumU64,
+    ab_sub, aggregation_sub, lane_seed, multi_aggregate, multi_aggregate_sub, multicast,
+    multicast_setup, multicast_setup_sub, multicast_sub, run_composed, AggregationSpec, Dag,
+    GroupId, LaneSub, MaxU64, MinU64, SumU64,
 };
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Engine, NetConfig};
@@ -23,7 +24,7 @@ fn sorted<V: Ord + Clone>(mut v: Vec<V>) -> Vec<V> {
 fn fused_aggregation_matches_blocking_outputs() {
     let n = 64;
     let shared = SharedRandomness::new(7);
-    // group t collects from members {t, t+1, t+2 mod n}
+    // group t collects 10, 11, 12 from members {t, t+1, t+2 mod n}
     let mut memberships: Vec<Vec<(GroupId, u64)>> = vec![Vec::new(); n];
     for t in 0..n as u32 {
         for off in 0..3u32 {
@@ -44,21 +45,49 @@ fn fused_aggregation_matches_blocking_outputs() {
     let (stats, rep) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
     let fused = sub.into_deliveries();
 
-    assert_eq!(rep.stages, 2, "fused aggregation is two stages");
+    assert_eq!(rep.stages, 2, "aggregation is two stages");
     for t in 0..n {
-        assert_eq!(
-            sorted(fused[t].clone()),
-            sorted(blocking[t].clone()),
-            "node {t}"
-        );
+        // every target receives exactly its own group's sum
+        let want = vec![(GroupId::new(t as u32, 1), 10 + 11 + 12)];
+        assert_eq!(fused[t], want, "lane, node {t}");
+        assert_eq!(blocking[t], want, "wrapper, node {t}");
     }
-    assert!(stats.clean());
-    assert!(
-        stats.rounds < blocking_stats.rounds,
-        "fused {} !< blocking {}",
-        stats.rounds,
-        blocking_stats.rounds
+    assert!(stats.clean() && blocking_stats.clean());
+}
+
+#[test]
+fn blocking_aggregate_equals_one_node_dag() {
+    // the wrapper is the sub alone: a one-node DAG holding the same sub
+    // with the same lane seed costs the same and delivers the same
+    let n = 48;
+    let shared = SharedRandomness::new(29);
+    let spec = AggregationSpec {
+        memberships: (0..n as u32)
+            .map(|u| {
+                (0..4u32)
+                    .map(|j| (GroupId::new((u * 5 + j) % n as u32, j), (u + j) as u64))
+                    .collect()
+            })
+            .collect(),
+        ell2_hat: 8,
+    };
+
+    let mut eng = engine(n, 23);
+    let (blocking, blocking_stats) = aggregate(&mut eng, &shared, spec.clone(), &SumU64).unwrap();
+
+    let mut eng = engine(n, 23);
+    let seed = lane_seed(&eng, 0x6167_6772, 0); // "aggr", the label `aggregate` keys its lane with
+    let mut dag = Dag::new();
+    let node = dag.proto(
+        "agg",
+        &[],
+        |_| aggregation_sub(n, &shared, spec, &SumU64, seed),
+        |sub| sub.into_deliveries(),
     );
+    let mut run = dag.run(&mut eng).unwrap();
+
+    assert_eq!(run.stats, blocking_stats);
+    assert_eq!(run.outputs.take(node), blocking);
 }
 
 #[test]
@@ -87,23 +116,26 @@ fn fused_setup_and_multicast_match_blocking_deliveries() {
     let (mc_stats, rep) = run_composed(&mut eng, &mut [&mut mc]).unwrap();
     let fused = mc.into_deliveries();
 
-    assert_eq!(rep.stages, 1, "fused multicast is one stage");
+    assert_eq!(rep.stages, 1, "multicast is one stage");
     for u in 0..n {
-        assert_eq!(
-            sorted(fused[u].clone()),
-            sorted(blocking[u].clone()),
-            "node {u}"
+        // each member gets the packet of both ring neighbours, once
+        let want = sorted(
+            [(u + n - 1) % n, (u + 1) % n]
+                .map(|s| (GroupId::new(s as u32, 4), 1000 + s as u64))
+                .to_vec(),
         );
+        assert_eq!(sorted(fused[u].clone()), want, "lane, node {u}");
+        assert_eq!(sorted(blocking[u].clone()), want, "wrapper, node {u}");
     }
     assert!(setup_stats.clean() && mc_stats.clean());
 }
 
 #[test]
 fn fused_multi_aggregation_matches_blocking_semantics() {
-    // neighborhood min on a cycle, identity leaf map: fused and blocking
-    // must deliver identical per-node aggregates (deterministic inputs).
+    // neighborhood min on a cycle, identity leaf map
     let n = 32;
     let shared = SharedRandomness::new(61);
+    let value = |u: u32| 100 + ((u as u64 * 37) % 50);
     let mut joins = vec![Vec::new(); n];
     for u in 0..n as u32 {
         let l = (u + n as u32 - 1) % n as u32;
@@ -112,7 +144,11 @@ fn fused_multi_aggregation_matches_blocking_semantics() {
         joins[r as usize].push(GroupId::new(u, 0));
     }
     let messages: Vec<Option<(GroupId, u64)>> = (0..n as u32)
-        .map(|u| Some((GroupId::new(u, 0), 100 + ((u as u64 * 37) % 50))))
+        .map(|u| Some((GroupId::new(u, 0), value(u))))
+        .collect();
+    // node u hears from both neighbours and keeps the smaller value
+    let want: Vec<Option<u64>> = (0..n as u32)
+        .map(|u| Some(value((u + n as u32 - 1) % n as u32).min(value((u + 1) % n as u32))))
         .collect();
 
     let mut eng = engine(n, 5);
@@ -127,30 +163,13 @@ fn fused_multi_aggregation_matches_blocking_semantics() {
     )
     .unwrap();
 
-    let mut eng2 = engine(n, 5);
-    let (trees2, _) = {
-        let mut joins2 = vec![Vec::new(); n];
-        for u in 0..n as u32 {
-            let l = (u + n as u32 - 1) % n as u32;
-            let r = (u + 1) % n as u32;
-            joins2[l as usize].push(GroupId::new(u, 0));
-            joins2[r as usize].push(GroupId::new(u, 0));
-        }
-        multicast_setup(&mut eng2, &shared, ncc_butterfly::self_joins(joins2)).unwrap()
-    };
-    let mut sub = multi_aggregate_sub(n, &shared, &trees2, messages, |_, _, _, v| *v, &MinU64, 8);
-    let (stats, rep) = run_composed(&mut eng2, &mut [&mut sub]).unwrap();
-    let fused = sub.into_results();
+    let mut sub = multi_aggregate_sub(n, &shared, &trees, messages, |_, _, _, v| *v, &MinU64, 8);
+    let (stats, rep) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
 
-    assert_eq!(rep.stages, 2, "fused multi-aggregation is two stages");
-    assert_eq!(fused, blocking);
-    assert!(stats.clean());
-    assert!(
-        stats.rounds < blocking_stats.rounds,
-        "fused {} !< blocking {}",
-        stats.rounds,
-        blocking_stats.rounds
-    );
+    assert_eq!(rep.stages, 2, "multi-aggregation is two stages");
+    assert_eq!(sub.into_results(), want, "lane");
+    assert_eq!(blocking, want, "wrapper");
+    assert!(stats.clean() && blocking_stats.clean());
 }
 
 #[test]

@@ -1,13 +1,16 @@
 //! Small supporting protocols used inside the §4/§5 algorithms.
 //!
-//! * [`gather_and_broadcast`] — the "high-degree identifiers" pattern of §4
+//! Each is a [`LaneSub`](ncc_butterfly::LaneSub), declared as a node of
+//! the algorithm's protocol [`Dag`](ncc_butterfly::Dag):
+//!
+//! * [`gather_broadcast_sub`] — the "high-degree identifiers" pattern of §4
 //!   Stage 2: a sparse set of nodes sends their identifiers to node 0 over
 //!   the butterfly's binomial tree (queued, smallest-first) and node 0
 //!   broadcasts them back pipelined. `O(k + log n)` rounds for `k` values.
-//! * [`scheduled_exchange`] — point-to-point sends at node-chosen rounds
+//! * [`schedule_sub`] — point-to-point sends at node-chosen rounds
 //!   (the "pick a uniform round in {1..T}" load-smoothing idiom used by §4
 //!   Stage 2's `R_u` responses and several §5 steps).
-//! * [`rendezvous`] — §4 Stage 3: both endpoints of an edge hash to a
+//! * [`rendezvous_sub`] — §4 Stage 3: both endpoints of an edge hash to a
 //!   common `(node, round)`; the rendezvous node answers both senders when
 //!   two identical edge identifiers collide.
 
@@ -15,7 +18,7 @@ use std::collections::BTreeSet;
 
 use ncc_butterfly::Butterfly;
 use ncc_hashing::FxHashMap;
-use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram};
+use ncc_model::{Ctx, Envelope, NodeId, NodeProgram};
 
 // ---------------------------------------------------------------------------
 // Gather-and-broadcast of a sparse identifier set
@@ -216,61 +219,6 @@ impl NodeProgram for BcastProgram {
     }
 }
 
-/// Gathers the `Some` values to node 0 (queued, smallest-first, over the
-/// butterfly's binomial tree) and broadcasts the collected sorted list back
-/// to every node. Returns the list (identical at every node, asserted).
-/// Rounds: `O(k + log n)` for `k` values.
-pub fn gather_and_broadcast(
-    engine: &mut Engine,
-    values: Vec<Option<u64>>,
-) -> Result<(Vec<u64>, ExecStats), ModelError> {
-    let n = engine.n();
-    assert_eq!(values.len(), n);
-    if n == 1 {
-        let v: Vec<u64> = values.into_iter().flatten().collect();
-        return Ok((v, ExecStats::default()));
-    }
-    let bf = Butterfly::for_n(n);
-    let mut total = ExecStats::default();
-
-    // gather
-    let gprog = GatherProgram { bf, n };
-    let mut gstates: Vec<GatherState> = values
-        .into_iter()
-        .map(|v| GatherState {
-            queue: v.into_iter().collect(),
-            collected: Vec::new(),
-        })
-        .collect();
-    total.merge(&engine.execute(&gprog, &mut gstates)?);
-    total.merge(&ncc_butterfly::sync_barrier(engine)?);
-
-    let mut collected = std::mem::take(&mut gstates[0].collected);
-    // node 0's own value never left its queue in the gather program
-    collected.extend(gstates[0].queue.iter().copied());
-    collected.sort_unstable();
-    collected.dedup();
-
-    // broadcast
-    let bprog = BcastProgram { bf, n };
-    let mut bstates: Vec<BcastState> = (0..n).map(|_| BcastState::default()).collect();
-    bstates[0].to_send = collected;
-    total.merge(&engine.execute(&bprog, &mut bstates)?);
-    total.merge(&ncc_butterfly::sync_barrier(engine)?);
-
-    let reference = {
-        let mut r = bstates[0].received.clone();
-        r.sort_unstable();
-        r
-    };
-    for (v, st) in bstates.iter().enumerate() {
-        let mut got = st.received.clone();
-        got.sort_unstable();
-        debug_assert_eq!(got, reference, "node {v} missed broadcast values");
-    }
-    Ok((reference, total))
-}
-
 // ---------------------------------------------------------------------------
 // Scheduled point-to-point exchange
 // ---------------------------------------------------------------------------
@@ -313,28 +261,6 @@ impl NodeProgram for ScheduleProgram {
         }
         self.flush(st, ctx);
     }
-}
-
-/// Runs a scheduled point-to-point exchange: node `u` sends `value` to
-/// `dst` in its chosen `round`. Returns per node the `(src, value)` pairs
-/// received. The caller is responsible for schedules that respect the
-/// capacity bound w.h.p. (uniform rounds over a window ≥ load/log n).
-pub fn scheduled_exchange(
-    engine: &mut Engine,
-    schedules: Vec<Vec<(u64, NodeId, u64)>>,
-) -> Result<(ReceivedPerNode, ExecStats), ModelError> {
-    let n = engine.n();
-    assert_eq!(schedules.len(), n);
-    let mut states: Vec<ScheduleState> = schedules
-        .into_iter()
-        .map(|to_send| ScheduleState {
-            to_send,
-            received: Vec::new(),
-        })
-        .collect();
-    let mut total = engine.execute(&ScheduleProgram, &mut states)?;
-    total.merge(&ncc_butterfly::sync_barrier(engine)?);
-    Ok((states.into_iter().map(|s| s.received).collect(), total))
 }
 
 // ---------------------------------------------------------------------------
@@ -419,47 +345,26 @@ impl NodeProgram for RdvProgram {
     }
 }
 
-/// Runs the §4 Stage 3 rendezvous: each participating node probes
-/// `(round, node)` pairs derived from shared hashes of its candidate edge
-/// ids; when both endpoints of an edge probe the same node in the same
-/// round, both get a `Match`. Returns per node the matched edge ids.
-pub fn rendezvous(
-    engine: &mut Engine,
-    probes: Vec<Vec<(u64, NodeId, u64)>>,
-    id_bits: u32,
-) -> Result<(Vec<Vec<u64>>, ExecStats), ModelError> {
-    let n = engine.n();
-    assert_eq!(probes.len(), n);
-    let mut states: Vec<RdvState> = probes
-        .into_iter()
-        .map(|p| RdvState {
-            probes: p,
-            matched: Vec::new(),
-        })
-        .collect();
-    let prog = RdvProgram { id_bits };
-    let mut total = engine.execute(&prog, &mut states)?;
-    total.merge(&ncc_butterfly::sync_barrier(engine)?);
-    Ok((states.into_iter().map(|s| s.matched).collect(), total))
-}
-
 /// Per-node received `(source, value)` pairs from a scheduled exchange.
 pub type ReceivedPerNode = Vec<Vec<(NodeId, u64)>>;
 
 // ---------------------------------------------------------------------------
-// Composable lane adapters (for protocol DAGs)
+// The lanes (nodes of the algorithms' protocol DAGs)
 // ---------------------------------------------------------------------------
 
-/// [`scheduled_exchange`] as a composable lane: one stage on the engine's
-/// own randomness stream (the program draws none). Read with
+/// A scheduled point-to-point exchange as a composable lane: one stage on
+/// the engine's own randomness stream (the program draws none). Read with
 /// [`ScheduleSub::into_results`].
 pub struct ScheduleSub {
     stage: Option<Vec<ScheduleState>>,
     out: Option<ReceivedPerNode>,
 }
 
-/// Builds the scheduled-exchange sub-protocol. Arguments mirror
-/// [`scheduled_exchange`].
+/// Builds the scheduled-exchange sub-protocol: node `u` sends `value` to
+/// `dst` in its chosen `round` for every `(round, dst, value)` in
+/// `schedules[u]`; the result lists per node the `(src, value)` pairs
+/// received. The caller is responsible for schedules that respect the
+/// capacity bound w.h.p. (uniform rounds over a window ≥ load/log n).
 pub fn schedule_sub(n: usize, schedules: Vec<Vec<(u64, NodeId, u64)>>) -> ScheduleSub {
     assert_eq!(schedules.len(), n);
     let states = schedules
@@ -499,14 +404,18 @@ impl<'a> ncc_butterfly::LaneSub<'a> for ScheduleSub {
     }
 }
 
-/// [`rendezvous`] as a composable lane: one stage. Read with
+/// The §4 Stage 3 rendezvous as a composable lane: one stage. Read with
 /// [`RdvSub::into_results`].
 pub struct RdvSub {
     stage: Option<(RdvProgram, Vec<RdvState>)>,
     out: Option<Vec<Vec<u64>>>,
 }
 
-/// Builds the rendezvous sub-protocol. Arguments mirror [`rendezvous`].
+/// Builds the rendezvous sub-protocol: each participating node probes
+/// `(round, node)` pairs derived from shared hashes of its candidate edge
+/// ids; when both endpoints of an edge probe the same node in the same
+/// round, both get a `Match`. The result lists per node the matched edge
+/// ids.
 pub fn rendezvous_sub(n: usize, probes: Vec<Vec<(u64, NodeId, u64)>>, id_bits: u32) -> RdvSub {
     assert_eq!(probes.len(), n);
     let states = probes
@@ -545,10 +454,10 @@ impl<'a> ncc_butterfly::LaneSub<'a> for RdvSub {
     }
 }
 
-/// [`gather_and_broadcast`] as a composable lane: two stages (gather toward
+/// Gather-and-broadcast as a composable lane: two stages (gather toward
 /// node 0, pipelined broadcast back), with the collect step between them
-/// performing node 0's sort/dedup locally — exactly the blocking function's
-/// structure. Read with [`GatherBcastSub::into_results`].
+/// performing node 0's sort/dedup locally. Read with
+/// [`GatherBcastSub::into_results`].
 pub struct GatherBcastSub {
     n: usize,
     bf: Option<Butterfly>,
@@ -559,8 +468,11 @@ pub struct GatherBcastSub {
     out: Option<Vec<u64>>,
 }
 
-/// Builds the gather-and-broadcast sub-protocol. Arguments mirror
-/// [`gather_and_broadcast`].
+/// Builds the gather-and-broadcast sub-protocol: the `Some` values are
+/// gathered to node 0 (queued, smallest-first, over the butterfly's
+/// binomial tree) and the collected sorted list is broadcast back to every
+/// node (identical at every node, asserted). Rounds: `O(k + log n)` for
+/// `k` values.
 pub fn gather_broadcast_sub(n: usize, values: Vec<Option<u64>>) -> GatherBcastSub {
     assert_eq!(values.len(), n);
     if n == 1 {
@@ -666,7 +578,19 @@ pub fn node_id_bits(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncc_model::NetConfig;
+    use ncc_butterfly::{run_composed, LaneSub};
+    use ncc_model::{Engine, ExecStats, NetConfig};
+
+    /// Runs one sub alone to completion (stage barriers included).
+    fn run_alone<'a>(eng: &mut Engine, sub: &mut (dyn LaneSub<'a> + 'a)) -> ExecStats {
+        run_composed(eng, &mut [sub]).unwrap().0
+    }
+
+    fn gather(eng: &mut Engine, values: Vec<Option<u64>>) -> (Vec<u64>, ExecStats) {
+        let mut sub = gather_broadcast_sub(eng.n(), values);
+        let stats = run_alone(eng, &mut sub);
+        (sub.into_results(), stats)
+    }
 
     #[test]
     fn gather_broadcast_collects_sparse_set() {
@@ -676,7 +600,7 @@ mod tests {
             values[1] = Some(100);
             values[n - 1] = Some(7);
             values[n / 2] = Some(55);
-            let (list, stats) = gather_and_broadcast(&mut eng, values).unwrap();
+            let (list, stats) = gather(&mut eng, values);
             assert_eq!(list, vec![7, 55, 100], "n={n}");
             assert!(stats.clean());
         }
@@ -688,7 +612,7 @@ mod tests {
         let mut eng = Engine::new(NetConfig::new(n, 3));
         let mut values = vec![None; n];
         values[0] = Some(42);
-        let (list, _) = gather_and_broadcast(&mut eng, values).unwrap();
+        let (list, _) = gather(&mut eng, values);
         assert_eq!(list, vec![42]);
     }
 
@@ -696,7 +620,7 @@ mod tests {
     fn gather_broadcast_empty() {
         let n = 16;
         let mut eng = Engine::new(NetConfig::new(n, 3));
-        let (list, _) = gather_and_broadcast(&mut eng, vec![None; n]).unwrap();
+        let (list, _) = gather(&mut eng, vec![None; n]);
         assert!(list.is_empty());
     }
 
@@ -709,19 +633,21 @@ mod tests {
         for i in 0..k {
             values[i * 4] = Some(i as u64);
         }
-        let (list, stats) = gather_and_broadcast(&mut eng, values).unwrap();
+        let (list, stats) = gather(&mut eng, values);
         assert_eq!(list.len(), k);
         assert!(stats.rounds <= (k as u64) + 60, "rounds {}", stats.rounds);
     }
 
     #[test]
-    fn scheduled_exchange_delivers() {
+    fn schedule_sub_delivers() {
         let n = 16;
         let mut eng = Engine::new(NetConfig::new(n, 9));
         let mut schedules = vec![Vec::new(); n];
         schedules[3] = vec![(1, 7, 33), (2, 8, 34)];
         schedules[5] = vec![(1, 7, 55)];
-        let (recv, stats) = scheduled_exchange(&mut eng, schedules).unwrap();
+        let mut sub = schedule_sub(n, schedules);
+        let stats = run_alone(&mut eng, &mut sub);
+        let recv = sub.into_results();
         let mut at7 = recv[7].clone();
         at7.sort_unstable();
         assert_eq!(at7, vec![(3, 33), (5, 55)]);
@@ -746,7 +672,9 @@ mod tests {
         let e56 = edge_id(5, 6, idb);
         probes[5].push((1, 22, e56));
         probes[6].push((2, 22, e56));
-        let (matched, _) = rendezvous(&mut eng, probes, idb).unwrap();
+        let mut sub = rendezvous_sub(n, probes, idb);
+        run_alone(&mut eng, &mut sub);
+        let matched = sub.into_results();
         assert_eq!(matched[2], vec![e29]);
         assert_eq!(matched[9], vec![e29]);
         assert!(matched[4].is_empty());

@@ -15,7 +15,7 @@ use ncc_graph::{analysis, check};
 use ncc_hashing::SharedRandomness;
 use ncc_model::{ilog2_ceil, Engine, ModelError};
 
-use crate::{RunRecord, Scenario, Verdict};
+use crate::{RunRecord, RunnerError, Scenario, Verdict};
 
 /// An algorithm runnable on any [`Scenario`] through the registry.
 ///
@@ -28,7 +28,16 @@ pub trait Algorithm: Sync {
     /// One-line description, shown in `ncc-cli help` and the README.
     fn description(&self) -> &'static str;
 
-    /// Runs the full pipeline on `eng` and reports what happened.
+    /// Smallest network the algorithm is defined on. The graph algorithms
+    /// (§3–§5) orient, peel and build trees over a butterfly, which takes
+    /// two nodes; [`run_checked`] turns a smaller spec into a typed error
+    /// before any of them can assert.
+    fn min_n(&self) -> usize {
+        2
+    }
+
+    /// Runs the full pipeline on `eng` and reports what happened. Callers
+    /// holding a spec they did not write go through [`run_checked`].
     ///
     /// The engine is expected to be freshly built from the scenario (see
     /// [`crate::run_record`]); all randomness beyond the engine's own is
@@ -42,6 +51,31 @@ pub trait Algorithm: Sync {
     fn plan(&self, _eng: &mut Engine, _scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
         Ok(None)
     }
+}
+
+/// Rejects a scenario below the algorithm's node bound, naming the bound.
+fn admit(algo: &dyn Algorithm, scn: &Scenario) -> Result<(), RunnerError> {
+    if scn.spec.n < algo.min_n() {
+        return Err(RunnerError::Scenario(format!(
+            "`{}` needs n ≥ {}, the spec has n = {}",
+            algo.name(),
+            algo.min_n(),
+            scn.spec.n
+        )));
+    }
+    Ok(())
+}
+
+/// [`Algorithm::run`] behind the admission check — the one entry every
+/// front end (`run_record*`, `ncc-cli`, `ncc-serve`) shares, so a spec the
+/// algorithm is not defined on costs an error value, not a panic.
+pub fn run_checked(
+    algo: &dyn Algorithm,
+    eng: &mut Engine,
+    scn: &Scenario,
+) -> Result<RunRecord, RunnerError> {
+    admit(algo, scn)?;
+    Ok(algo.run(eng, scn)?)
 }
 
 /// Echoes the scheduler's packing plan into a record's metrics, so sweeps
@@ -61,8 +95,9 @@ pub fn explain_text(
     algo: &dyn Algorithm,
     eng: &mut Engine,
     scn: &Scenario,
-) -> Result<Option<String>, ModelError> {
+) -> Result<Option<String>, RunnerError> {
     use std::fmt::Write;
+    admit(algo, scn)?;
     let Some(plan) = algo.plan(eng, scn)? else {
         return Ok(None);
     };
@@ -470,6 +505,9 @@ impl Algorithm for Gossip {
     fn name(&self) -> &'static str {
         "gossip"
     }
+    fn min_n(&self) -> usize {
+        1
+    }
     fn description(&self) -> &'static str {
         "all-to-all token gossip baseline (§1, Θ(n/log n) rounds)"
     }
@@ -494,6 +532,9 @@ struct Broadcast;
 impl Algorithm for Broadcast {
     fn name(&self) -> &'static str {
         "broadcast"
+    }
+    fn min_n(&self) -> usize {
+        1
     }
     fn description(&self) -> &'static str {
         "single-source flooding broadcast baseline (§1, Θ(log n/log log n))"
@@ -522,6 +563,9 @@ struct ButterflyAggregation;
 impl Algorithm for ButterflyAggregation {
     fn name(&self) -> &'static str {
         "butterfly-aggregation"
+    }
+    fn min_n(&self) -> usize {
+        1
     }
     fn description(&self) -> &'static str {
         "global min via butterfly aggregate-and-broadcast (Thm 2.2, O(log n))"

@@ -48,7 +48,8 @@ pub mod scenario;
 pub mod suite;
 
 pub use algorithms::{
-    algorithm_names, algorithms, explain_text, find_algorithm, suggest_algorithm, Algorithm,
+    algorithm_names, algorithms, explain_text, find_algorithm, run_checked, suggest_algorithm,
+    Algorithm,
 };
 pub use hash::{canonical_spec_json, spec_hash, SpecHash};
 pub use ncc_model::ModelSpec;

@@ -129,7 +129,7 @@ pub fn run_record_threads(
 ) -> Result<RunRecord, RunnerError> {
     let scn = spec.build()?;
     let mut eng = scn.engine_with_threads(threads);
-    algo.run(&mut eng, &scn).map_err(RunnerError::Model)
+    crate::run_checked(algo, &mut eng, &scn)
 }
 
 /// Runs one algorithm on one spec with the spec's own thread count.

@@ -10,7 +10,7 @@
 use ncc_model::{Capacity, Engine, ModelSpec};
 use ncc_runner::{
     algorithms, find_algorithm, run_named, run_named_threads, standard_grid, FamilySpec,
-    ScenarioSpec, Verdict,
+    RunnerError, ScenarioSpec, Verdict,
 };
 use proptest::prelude::*;
 
@@ -214,6 +214,30 @@ fn registry_smoke_every_algorithm_runs_verified() {
                 "{} should be checkable",
                 algo.name()
             );
+        }
+    }
+}
+
+/// A one-node spec is outside every graph algorithm's domain: the runner
+/// says so with a typed error naming the bound instead of letting the
+/// algorithm assert; the three primitives that are defined there still run.
+#[test]
+fn one_node_spec_is_a_typed_error_for_graph_algorithms() {
+    let spec = ScenarioSpec::new(FamilySpec::Path, 1, 5);
+    for algo in algorithms() {
+        let name = algo.name();
+        match run_named_threads(name, &spec, 1) {
+            Ok(rec) => {
+                assert!(
+                    matches!(name, "gossip" | "broadcast" | "butterfly-aggregation"),
+                    "{name} is not defined at n = 1"
+                );
+                assert!(rec.verdict.ok(), "{name}: {}", rec.summary);
+            }
+            Err(RunnerError::Scenario(msg)) => {
+                assert!(msg.contains(&format!("`{name}` needs n ≥ 2")), "{msg}");
+            }
+            Err(e) => panic!("{name}: expected a scenario error, got {e}"),
         }
     }
 }

@@ -28,7 +28,8 @@ use std::time::Duration;
 
 use ncc_model::Engine;
 use ncc_runner::{
-    canonical_spec_json, find_algorithm, spec_hash, suggest_algorithm, Scenario, ScenarioSpec,
+    canonical_spec_json, find_algorithm, run_checked, spec_hash, suggest_algorithm, Scenario,
+    ScenarioSpec,
 };
 
 use crate::cache::BuildCache;
@@ -300,7 +301,7 @@ impl Coordinator {
             }
             None => scenario.engine_with_threads(self.cfg.engine_threads),
         };
-        let result = algo.run(&mut engine, &scenario);
+        let result = run_checked(algo, &mut engine, &scenario);
         slots.put(hash.0, canonical, engine);
         match result {
             Ok(record) => Response::Record {

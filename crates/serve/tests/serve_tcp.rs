@@ -119,6 +119,33 @@ fn eight_concurrent_clients_get_identical_verified_records() {
         other => panic!("expected error, got {other:?}"),
     }
 
+    // A spec the algorithm is not defined on (every graph algorithm needs
+    // n ≥ 2) costs one typed error carrying the request id — the worker
+    // lives on and serves the next request on the same connection.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let lone = ScenarioSpec::new(FamilySpec::Path, 1, 3);
+    send_line(&mut stream, &run_line(60, "bfs", &lone));
+    send_line(&mut stream, &run_line(61, "bfs", &shared));
+    for want in [60, 61] {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("a reply, not a dead worker");
+        match (want, Response::from_line(&line).unwrap()) {
+            (60, Response::Error { id, error }) => {
+                assert_eq!(id, Some(60));
+                assert!(error.contains("`bfs` needs n ≥ 2"), "{error}");
+            }
+            (61, Response::Record { id, record, .. }) => {
+                assert_eq!(id, 61);
+                assert_eq!(record.verdict, Verdict::Verified);
+            }
+            (_, other) => panic!("request {want}: unexpected {other:?}"),
+        }
+    }
+
     // Stats and shutdown over the wire.
     send_line(
         &mut stream,

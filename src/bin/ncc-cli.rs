@@ -30,8 +30,9 @@ use std::collections::HashMap;
 use ncc::graph::{analysis, io};
 use ncc::model::{Capacity, ModelSpec, NetConfig};
 use ncc::runner::{
-    algorithms, explain_text, filter_grid, find_algorithm, run_suite_filtered, standard_grid,
-    standard_grid_for_model, suggest_algorithm, FamilySpec, RunRecord, Scenario, ScenarioSpec,
+    algorithms, explain_text, filter_grid, find_algorithm, run_checked, run_suite_filtered,
+    standard_grid, standard_grid_for_model, suggest_algorithm, FamilySpec, RunRecord, RunnerError,
+    Scenario, ScenarioSpec,
 };
 use ncc::serve::{serve_stdio, ServeConfig, Server};
 
@@ -331,9 +332,7 @@ fn cmd_run(positional: &[String], flags: &HashMap<String, String>) {
     );
 
     let mut eng = scn.engine();
-    let record = algo
-        .run(&mut eng, &scn)
-        .unwrap_or_else(|e| panic!("{algo_name} failed: {e}"));
+    let record = run_checked(algo, &mut eng, &scn).unwrap_or_else(|e| fail(algo_name, e));
     print_record(&record, eng.config().capacity.send);
 
     if let Some(path) = flags.get("json") {
@@ -532,7 +531,16 @@ fn activity_note(algo: &'static dyn ncc::runner::Algorithm, scn: &Scenario, gen_
 /// The `explain` body, separated from process concerns so tests can call it.
 fn explain_plan(algo: &'static dyn ncc::runner::Algorithm, scn: &Scenario) -> Option<String> {
     let mut eng = scn.engine();
-    explain_text(algo, &mut eng, scn).unwrap_or_else(|e| panic!("{} failed: {e}", algo.name()))
+    explain_text(algo, &mut eng, scn).unwrap_or_else(|e| fail(algo.name(), e))
+}
+
+/// A spec the algorithm is not defined on is the user's error (usage, like
+/// any other bad scenario); an engine rejection mid-run is ours.
+fn fail(algo_name: &str, e: RunnerError) -> ! {
+    match e {
+        RunnerError::Model(e) => panic!("{algo_name} failed: {e}"),
+        e => usage_and_exit(Some(&e.to_string())),
+    }
 }
 
 /// `serve` — run the resident scenario coordinator (see `docs/serving.md`).
