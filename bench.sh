@@ -18,7 +18,8 @@
 #   BENCH_scale.json  the huge-graph sweep (exp22_scale): RMAT +
 #                     hyperbolic at n ∈ {10⁴,10⁵,10⁶}, the n=10⁷ RMAT
 #                     broadcast row (generate + run, end-to-end), and
-#                     the sparse-tail dense-vs-dirty-set speedup; each
+#                     the sparse-tail cell (sum_active over a one-node
+#                     tail, the O(active) certificate); each
 #                     cell records gen_wall_ms and the warm engine's
 #                     resident_bytes_per_node. Also `wall_clock: true`
 #                     (reported, not diffed); the refresh runs the full

@@ -1,18 +1,18 @@
 //! bench_router — delivery-phase throughput of the batched counting-sort
-//! router versus the seed engine's per-envelope grouping, at
-//! n ∈ {1e3, 1e4, 1e5}.
+//! router.
 //!
-//! Both variants route the same seeded, skewed send batch (8 messages per
-//! node, one in four aimed at a hot 1% of destinations so the receive-cap
-//! sampling path is exercised). `legacy` reproduces the pre-refactor
-//! delivery loop with its per-round allocations; `batched` reuses one
-//! [`Router`] across iterations, i.e. the steady state of an execution.
-//! The acceptance bar for the refactor is ≥ 2× at n = 1e5.
+//! `batched` / `batched_t4` route a seeded, skewed dense batch at
+//! n ∈ {1e3, 1e4, 1e5} (8 messages per node, one in four aimed at a hot
+//! 1% of destinations so the receive-cap sampling path is exercised) on 1
+//! and 4 threads. `sparse_t1` / `sparse_t4` route 2¹⁶ sends on 2²⁰ nodes —
+//! enough volume for the partitioned route, but a sparse round
+//! (`sends × 8 < n`), which must cost the same on a threaded router as on
+//! a sequential one. Every arm reuses one [`Router`] across iterations,
+//! i.e. the steady state of an execution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncc_bench::SEED;
 use ncc_model::rng::network_rng;
-use ncc_model::router::reference_route;
 use ncc_model::{Capacity, Envelope, Router};
 use rand::Rng;
 
@@ -39,39 +39,31 @@ fn make_sends(n: usize) -> Vec<Envelope<u64>> {
 fn bench_router(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_delivery");
     group.sample_size(10);
+    // routes `template` once per iteration on one long-lived router
+    let mut arm = |name: &str, n: usize, threads: usize, template: &[Envelope<u64>]| {
+        let recv = Capacity::default_for(n).recv;
+        group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+            let mut router: Router<u64> = Router::new(n, SEED, threads);
+            let mut batch: Vec<Envelope<u64>> = Vec::with_capacity(template.len());
+            b.iter(|| {
+                batch.clear();
+                batch.extend_from_slice(template);
+                router.route(&mut batch, 1, recv)
+            });
+        });
+    };
     for &n in &[1_000usize, 10_000, 100_000] {
         let template = make_sends(n);
-        let recv = Capacity::default_for(n).recv;
-
-        // `reference_route` is the seed engine's delivery loop verbatim
-        // (exported by ncc-model as the shared semantic oracle), allocation
-        // behaviour included: fresh grouping state every call, per-envelope
-        // pushes into per-destination `Vec`s that start empty each round,
-        // exactly like the `mem::take`n inboxes of the old engine.
-        group.bench_with_input(BenchmarkId::new("legacy", n), &n, |b, &n| {
-            b.iter(|| reference_route(&template, n, recv, SEED, 1));
-        });
-
-        group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
-            let mut router: Router<u64> = Router::new(n, SEED, 1);
-            let mut batch: Vec<Envelope<u64>> = Vec::with_capacity(template.len());
-            b.iter(|| {
-                batch.clear();
-                batch.extend_from_slice(&template);
-                router.route(&mut batch, 1, recv)
-            });
-        });
-
-        group.bench_with_input(BenchmarkId::new("batched_t4", n), &n, |b, _| {
-            let mut router: Router<u64> = Router::new(n, SEED, 4);
-            let mut batch: Vec<Envelope<u64>> = Vec::with_capacity(template.len());
-            b.iter(|| {
-                batch.clear();
-                batch.extend_from_slice(&template);
-                router.route(&mut batch, 1, recv)
-            });
-        });
+        arm("batched", n, 1, &template);
+        arm("batched_t4", n, 4, &template);
     }
+    let n = 1 << 20;
+    let mut rng = network_rng(SEED, 1, 0);
+    let sparse: Vec<Envelope<u64>> = (0..1u32 << 16)
+        .map(|i| Envelope::new(i, rng.gen_range(0..n as u32), i as u64))
+        .collect();
+    arm("sparse_t1", n, 1, &sparse);
+    arm("sparse_t4", n, 4, &sparse);
     group.finish();
 }
 

@@ -20,11 +20,10 @@
 //!    byte-identical, so the CI job guards the parallel generators,
 //!    not just the BFS cells.
 //! 3. **Sparse tail** — one node stays awake for thousands of rounds on
-//!    an n = 10⁵ network while everyone else sleeps. The same program is
-//!    timed under the seed engine's scan-everything baseline
-//!    (`dense_activity_scan`) and the dirty-set scheduler; results are
-//!    asserted identical and the wall-clock speedup is recorded. This is
-//!    the direct measurement of "a round costs O(active), not O(n)".
+//!    an n = 10⁵ network while everyone else sleeps. `sum_active` — the
+//!    node-rounds the engine stepped, n for round 0 plus one or two per
+//!    tail round — is the deterministic certificate that a round costs
+//!    O(active), not O(n); `sparse_ms` is what that costs in wall-clock.
 //!
 //! Wall-clock numbers are machine-dependent, so the snapshot sets
 //! `"wall_clock": true` and `bench_compare` reports it without gating —
@@ -63,16 +62,14 @@ struct ScaleCell {
     record: RunRecord,
 }
 
-/// The sparse-tail measurement: same program, same results, two
-/// schedulers. `speedup` is the acceptance quantity (dense / sparse).
+/// The sparse-tail measurement. `sum_active` against `tail_rounds × n` is
+/// the acceptance quantity.
 #[derive(Serialize)]
 struct SparseTail {
     n: usize,
     tail_rounds: u64,
     sum_active: u64,
-    dense_ms: f64,
     sparse_ms: f64,
-    speedup: f64,
 }
 
 /// The `BENCH_scale.json` schema. `wall_clock: true` keys
@@ -92,9 +89,8 @@ struct ScaleBench {
 }
 
 /// Sparse-tail workload: node 0 counts down via `stay_awake`, pinging a
-/// far node every few ticks; all other nodes idle after round 0. Under a
-/// dirty-set scheduler each tail round is O(1); under a full scan it is
-/// O(n) — the ratio is the whole point of the measurement.
+/// far node every few ticks; all other nodes idle after round 0, so each
+/// tail round steps one or two nodes.
 struct LoneWalker {
     ticks: u32,
 }
@@ -121,37 +117,27 @@ impl NodeProgram for LoneWalker {
     }
 }
 
-fn run_tail(n: usize, ticks: u32, dense: bool) -> (ExecStats, Vec<u32>, f64) {
-    let cfg = NetConfig::new(n, SEED).with_dense_activity_scan(dense);
-    let mut eng = Engine::new(cfg);
+fn run_tail(n: usize, ticks: u32) -> (ExecStats, f64) {
+    let mut eng = Engine::new(NetConfig::new(n, SEED));
     let mut states = vec![0u32; n];
     let start = Instant::now();
     let stats = eng
         .execute(&LoneWalker { ticks }, &mut states)
         .expect("sparse tail executes");
-    (stats, states, start.elapsed().as_secs_f64() * 1000.0)
+    (stats, start.elapsed().as_secs_f64() * 1000.0)
 }
 
 fn sparse_tail_bench(smoke: bool) -> SparseTail {
     let n = 100_000;
     let ticks: u32 = if smoke { 1_000 } else { 4_000 };
-    // Untimed warmup so allocator behavior doesn't pollute the first
-    // timed run.
-    let _ = run_tail(n, ticks.min(100), false);
-    let (sparse_stats, sparse_states, sparse_ms) = run_tail(n, ticks, false);
-    let (dense_stats, dense_states, dense_ms) = run_tail(n, ticks, true);
-    assert_eq!(
-        (sparse_stats, sparse_states),
-        (dense_stats, dense_states),
-        "schedulers must produce identical results"
-    );
+    // Untimed warmup so allocator behavior doesn't pollute the timed run.
+    let _ = run_tail(n, ticks.min(100));
+    let (stats, sparse_ms) = run_tail(n, ticks);
     SparseTail {
         n,
-        tail_rounds: dense_stats.rounds - 1,
-        sum_active: dense_stats.node_rounds,
-        dense_ms,
+        tail_rounds: stats.rounds - 1,
+        sum_active: stats.node_rounds,
         sparse_ms,
-        speedup: dense_ms / sparse_ms.max(1e-9),
     }
 }
 
@@ -296,12 +282,7 @@ fn main() {
         "\nsparse tail (n={}, {} quiescent-tail rounds, sum_active={}):",
         tail.n, tail.tail_rounds, tail.sum_active
     );
-    println!(
-        "  scan-everything {} ms · dirty-set {} ms · speedup {}x",
-        f2(tail.dense_ms),
-        f2(tail.sparse_ms),
-        f2(tail.speedup)
-    );
+    println!("  {} ms", f2(tail.sparse_ms));
 
     if let Some(path) = cli_json(&args) {
         let bench = ScaleBench {

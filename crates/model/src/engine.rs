@@ -26,13 +26,12 @@
 //! next active set is the merge of the nodes that kept themselves awake
 //! (a subset of the current active set, walked in order) with the
 //! router's ascending occupied-destination list — the router already
-//! knows exactly who got mail. Both inputs are sorted, so the merge
-//! reproduces the seed engine's sorted, deduplicated full scan
-//! byte-for-byte in O(active + occupied) time. Trace/cost-accounting
-//! inbox walks likewise visit only occupied buckets, and the router's
-//! sparse path keeps the count/prefix tables O(sends) when sends ≪ n.
-//! [`NetConfig::dense_activity_scan`] pins the original O(n) scans as a
-//! baseline; property tests assert both modes are bit-identical.
+//! knows exactly who got mail. Both inputs are sorted and duplicate-free,
+//! so the merge is the sorted, deduplicated active set in
+//! O(active + occupied) time; that merge is the scheduler. Trace and
+//! cost-accounting inbox walks likewise visit only occupied buckets, and a
+//! round whose sends are far below `n` is routed over its touched
+//! destinations only (see [`crate::router`]).
 //!
 //! The engine persists across program executions (its global round counter
 //! and cumulative statistics keep running), so a high-level algorithm that
@@ -63,10 +62,15 @@ use crate::network::{Lane, Ncc, NetworkModel};
 use crate::payload::{Envelope, Payload};
 use crate::program::{Ctx, NodeProgram, ProgScratch};
 use crate::rng::node_rng;
-use crate::router::{Router, RouterScratch, SendPtr};
+use crate::router::{Router, RouterScratch};
 use crate::stats::{ExecStats, MemoryFootprint, RoundStats};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::NodeId;
+
+/// Active-set size below which the step phase stays sequential even with
+/// worker threads configured: thread-scope overhead beats stepping a small
+/// set in parallel. Results are identical either way.
+const PAR_MIN_ACTIVE: usize = 128;
 
 /// Static parameters of a simulated network.
 #[derive(Debug, Clone)]
@@ -84,17 +88,6 @@ pub struct NetConfig {
     pub threads: usize,
     /// Abort if a single program execution exceeds this many rounds.
     pub max_rounds: u64,
-    /// Active-set size below which the step phase stays sequential even
-    /// with worker threads configured (thread-scope overhead beats
-    /// stepping a small set in parallel). Results are identical either
-    /// way; mirrors the router's `with_min_parallel_sends` crossover.
-    pub min_parallel_active: usize,
-    /// Compat mode: rebuild the next-active set with the seed engine's
-    /// full O(n) scan and route through the dense table path, instead of
-    /// the O(active + messages) dirty-set scheduling. Byte-identical
-    /// results — this is the honest cost baseline the sparse-activity
-    /// property tests and benchmarks compare against.
-    pub dense_activity_scan: bool,
 }
 
 impl NetConfig {
@@ -107,8 +100,6 @@ impl NetConfig {
             strict: true,
             threads: 1,
             max_rounds: 2_000_000,
-            min_parallel_active: 128,
-            dense_activity_scan: false,
         }
     }
 
@@ -119,22 +110,6 @@ impl NetConfig {
 
     pub fn with_threads(mut self, t: usize) -> Self {
         self.threads = t.max(1);
-        self
-    }
-
-    /// Overrides the sequential→parallel step-phase crossover (default:
-    /// 128 active nodes). Mainly for tests that need to pin one path on
-    /// small scenarios; results are identical on both sides.
-    pub fn with_min_parallel_active(mut self, m: usize) -> Self {
-        self.min_parallel_active = m.max(1);
-        self
-    }
-
-    /// Pins the seed engine's O(n)-per-round activity scans (see
-    /// [`NetConfig::dense_activity_scan`]). Runtime-only, like `threads`:
-    /// never part of a scenario's identity.
-    pub fn with_dense_activity_scan(mut self, on: bool) -> Self {
-        self.dense_activity_scan = on;
         self
     }
 
@@ -395,14 +370,18 @@ impl Engine {
             mut scratches,
             mut locals,
         } = scratch.take_bufs::<Prog::Payload>();
+        if outs.is_empty() {
+            // worker 0's buffers: the sequential step phase uses them too
+            outs.push(Vec::new());
+            scratches.push(None);
+        }
         let mut router: Router<Prog::Payload> = Router::with_recycled(
             n,
             cfg.seed,
             cfg.threads,
             std::mem::take(&mut scratch.router),
             arena,
-        )
-        .with_dense_scan(cfg.dense_activity_scan);
+        );
         let EngineScratch {
             active,
             next_active,
@@ -429,39 +408,31 @@ impl Engine {
                 sends.clear();
 
                 // ---- step phase ---------------------------------------------
-                let violation = if cfg.threads > 1 && active.len() >= cfg.min_parallel_active {
+                let step = Step {
+                    prog,
+                    router: &router,
+                    cfg,
+                    local_round,
+                    send_cap,
+                    model: &**model,
+                };
+                let violation = if cfg.threads > 1 && active.len() >= PAR_MIN_ACTIVE {
                     step_parallel(
-                        prog,
+                        &step,
+                        active,
                         states,
-                        &router,
+                        node_rngs,
                         awake,
                         awake_locals,
-                        active,
-                        local_round,
                         &mut sends,
                         &mut outs,
                         &mut scratches,
                         &mut locals,
-                        cfg,
-                        node_rngs,
-                        send_cap,
-                        &**model,
                     )
                 } else {
-                    step_sequential(
-                        prog,
-                        states,
-                        &router,
-                        awake,
-                        active,
-                        local_round,
-                        &mut sends,
-                        &mut outs,
-                        &mut scratches,
-                        cfg,
-                        node_rngs,
-                        send_cap,
-                        &**model,
+                    let (out, scratch) = (&mut outs[0], &mut scratches[0]);
+                    step_chunk(
+                        &step, active, 0, states, node_rngs, out, scratch, awake, &mut sends,
                     )
                 };
 
@@ -536,38 +507,20 @@ impl Engine {
                 // The awake list is ascending and duplicate-free (each
                 // stepped node pushes at most once, `active` is ascending,
                 // and parallel chunks concatenate in order), as is the
-                // router's occupied list, so both schedulers below are
-                // plain ordered merges.
+                // router's occupied list, so a two-pointer merge-dedup of
+                // the two is the sorted next active set, in
+                // O(active + occupied).
                 next_active.clear();
-                if cfg.dense_activity_scan {
-                    // Seed-engine baseline: scan every id in order (sorted,
-                    // deduplicated by construction).
-                    let mut ai = 0;
-                    for i in 0..n as NodeId {
-                        let is_awake = ai < awake.len() && awake[ai] == i;
-                        if is_awake {
-                            ai += 1;
-                        }
-                        if is_awake || router.has_mail(i) {
-                            next_active.push(i);
-                        }
-                    }
-                } else {
-                    // Dirty set: two-pointer merge-dedup of the awake list
-                    // with the occupied list. Same sorted, deduplicated set
-                    // as the full scan, in O(active + occupied) instead of
-                    // O(n).
-                    let occ = router.occupied();
-                    let (mut ai, mut oi) = (0, 0);
-                    while ai < awake.len() && oi < occ.len() {
-                        let (a, o) = (awake[ai], occ[oi]);
-                        next_active.push(a.min(o));
-                        ai += (a <= o) as usize;
-                        oi += (o <= a) as usize;
-                    }
-                    next_active.extend_from_slice(&awake[ai..]);
-                    next_active.extend_from_slice(&occ[oi..]);
+                let occ = router.occupied();
+                let (mut ai, mut oi) = (0, 0);
+                while ai < awake.len() && oi < occ.len() {
+                    let (a, o) = (awake[ai], occ[oi]);
+                    next_active.push(a.min(o));
+                    ai += (a <= o) as usize;
+                    oi += (o <= a) as usize;
                 }
+                next_active.extend_from_slice(&awake[ai..]);
+                next_active.extend_from_slice(&occ[oi..]);
                 awake.clear();
 
                 stats.absorb_round(&round_stats);
@@ -629,49 +582,64 @@ impl Engine {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn step_sequential<Prog: NodeProgram>(
-    prog: &Prog,
-    states: &mut [Prog::State],
-    router: &Router<Prog::Payload>,
-    awake: &mut Vec<NodeId>,
-    active: &[NodeId],
+/// What every node step of one round reads.
+struct Step<'a, Prog: NodeProgram> {
+    prog: &'a Prog,
+    router: &'a Router<Prog::Payload>,
+    cfg: &'a NetConfig,
     local_round: u64,
-    sends: &mut Vec<Envelope<Prog::Payload>>,
-    outs: &mut Vec<Vec<(NodeId, Prog::Payload)>>,
-    scratches: &mut Vec<ProgScratch>,
-    cfg: &NetConfig,
-    node_rngs: &mut [SmallRng],
     send_cap: usize,
-    model: &dyn NetworkModel,
+    model: &'a dyn NetworkModel,
+}
+
+/// Steps the nodes of `chunk` in order — `init` at round 0, `round` on the
+/// node's inbox after — collecting stay-awake requests into `awake` and
+/// what the nodes sent, less what the send-side budgets cut, into `sends`.
+/// The one place a node is stepped: the sequential step phase is one call
+/// over the whole active list, the parallel one a call per worker.
+///
+/// `states` and `rngs` hold the entries of nodes `base..base + len`, which
+/// must cover the chunk's ids.
+#[allow(clippy::too_many_arguments)]
+fn step_chunk<Prog: NodeProgram>(
+    step: &Step<'_, Prog>,
+    chunk: &[NodeId],
+    base: usize,
+    states: &mut [Prog::State],
+    rngs: &mut [SmallRng],
+    out: &mut Vec<(NodeId, Prog::Payload)>,
+    scratch: &mut ProgScratch,
+    awake: &mut Vec<NodeId>,
+    sends: &mut Vec<Envelope<Prog::Payload>>,
 ) -> Violation {
+    let &Step {
+        prog,
+        router,
+        cfg,
+        local_round,
+        send_cap,
+        model,
+    } = step;
     let mut v = Violation::default();
-    if outs.is_empty() {
-        outs.push(Vec::new());
-        scratches.push(None);
-    }
-    let (out, scratch) = (&mut outs[0], &mut scratches[0]);
-    for &node in active {
-        let i = node as usize;
+    for &node in chunk {
+        let i = node as usize - base;
         out.clear();
         // The stay-awake flag is a stack local, not an O(n) column:
         // nodes that set it are collected into the ascending awake list.
         let mut stay = false;
-        {
-            let mut ctx = Ctx {
-                id: node,
-                n: cfg.n,
-                round: local_round,
-                rng: &mut node_rngs[i],
-                out,
-                awake: &mut stay,
-                scratch,
-            };
-            if local_round == 0 {
-                prog.init(&mut states[i], &mut ctx);
-            } else {
-                prog.round(&mut states[i], router.inbox(node), &mut ctx);
-            }
+        let mut ctx = Ctx {
+            id: node,
+            n: cfg.n,
+            round: local_round,
+            rng: &mut rngs[i],
+            out,
+            awake: &mut stay,
+            scratch,
+        };
+        if local_round == 0 {
+            prog.init(&mut states[i], &mut ctx);
+        } else {
+            prog.round(&mut states[i], router.inbox(node), &mut ctx);
         }
         if stay {
             awake.push(node);
@@ -681,28 +649,30 @@ fn step_sequential<Prog: NodeProgram>(
     v
 }
 
+/// Detaches entries `lo..hi` from the front of `rest`, whose first entry
+/// has index `base`; `rest` keeps what lies from `hi` on.
+fn carve<'a, T>(rest: &mut &'a mut [T], base: usize, lo: usize, hi: usize) -> &'a mut [T] {
+    let (front, tail) = std::mem::take(rest).split_at_mut(hi - base);
+    *rest = tail;
+    &mut front[lo - base..]
+}
+
 #[allow(clippy::too_many_arguments)]
 fn step_parallel<Prog: NodeProgram>(
-    prog: &Prog,
+    step: &Step<'_, Prog>,
+    active: &[NodeId],
     states: &mut [Prog::State],
-    router: &Router<Prog::Payload>,
+    node_rngs: &mut [SmallRng],
     awake: &mut Vec<NodeId>,
     awake_locals: &mut Vec<Vec<NodeId>>,
-    active: &[NodeId],
-    local_round: u64,
     sends: &mut Vec<Envelope<Prog::Payload>>,
     outs: &mut Vec<Vec<(NodeId, Prog::Payload)>>,
     scratches: &mut Vec<ProgScratch>,
     locals: &mut Vec<Vec<Envelope<Prog::Payload>>>,
-    cfg: &NetConfig,
-    node_rngs: &mut [SmallRng],
-    send_cap: usize,
-    model: &dyn NetworkModel,
 ) -> Violation {
-    let threads = cfg.threads.min(active.len());
+    let threads = step.cfg.threads.min(active.len());
     let chunk = active.len().div_ceil(threads);
     let nchunks = active.len().div_ceil(chunk);
-    let n = cfg.n;
     while outs.len() < nchunks {
         outs.push(Vec::new());
         scratches.push(None);
@@ -714,13 +684,6 @@ fn step_parallel<Prog: NodeProgram>(
         awake_locals.push(Vec::new());
     }
 
-    // SAFETY: the active list contains unique node ids (engine invariant:
-    // built by an ascending id scan), and chunks partition it, so every
-    // thread touches a disjoint set of indices in `states` and
-    // `node_rngs`. The router is only read (shared inbox slices).
-    let states_ptr = SendPtr(states.as_mut_ptr());
-    let rngs_ptr = SendPtr(node_rngs.as_mut_ptr());
-
     let violations: Vec<Violation> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nchunks);
         let worker_bufs = outs[..nchunks]
@@ -728,43 +691,20 @@ fn step_parallel<Prog: NodeProgram>(
             .zip(scratches[..nchunks].iter_mut())
             .zip(locals[..nchunks].iter_mut())
             .zip(awake_locals[..nchunks].iter_mut());
+        // The active list is ascending and duplicate-free (engine
+        // invariant), so successive chunks cover disjoint, ascending id
+        // ranges and each worker can own its range of `states` and
+        // `node_rngs` outright.
+        let (mut rest_states, mut rest_rngs, mut base) = (states, node_rngs, 0);
         for (slice, (((out, scratch), local), awl)) in active.chunks(chunk).zip(worker_bufs) {
-            let cfg = cfg.clone();
-            let (states_ptr, rngs_ptr) = (states_ptr, rngs_ptr);
+            let (lo, hi) = (slice[0] as usize, slice[slice.len() - 1] as usize + 1);
+            let states = carve(&mut rest_states, base, lo, hi);
+            let rngs = carve(&mut rest_rngs, base, lo, hi);
+            base = hi;
             handles.push(scope.spawn(move || {
-                let mut v = Violation::default();
                 local.clear();
                 awl.clear();
-                for &node in slice {
-                    let i = node as usize;
-                    debug_assert!(i < n);
-                    // SAFETY: disjoint indices per the invariant above.
-                    let (state, rng) =
-                        unsafe { (&mut *states_ptr.get().add(i), &mut *rngs_ptr.get().add(i)) };
-                    out.clear();
-                    let mut stay = false;
-                    {
-                        let mut ctx = Ctx {
-                            id: node,
-                            n,
-                            round: local_round,
-                            rng,
-                            out,
-                            awake: &mut stay,
-                            scratch,
-                        };
-                        if local_round == 0 {
-                            prog.init(state, &mut ctx);
-                        } else {
-                            prog.round(state, router.inbox(node), &mut ctx);
-                        }
-                    }
-                    if stay {
-                        awl.push(node);
-                    }
-                    v.account(node, out, &cfg, send_cap, model, local);
-                }
-                v
+                step_chunk(step, slice, lo, states, rngs, out, scratch, awl, local)
             }));
         }
         handles
@@ -1158,49 +1098,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dense_and_dirty_activity_scans_are_bit_identical() {
-        for threads in [1usize, 4] {
-            let run = |dense: bool| {
-                let mut eng = Engine::new(
-                    NetConfig::new(600, 99)
-                        .with_threads(threads)
-                        .with_dense_activity_scan(dense),
-                );
-                let mut states = vec![RelayState::default(); 600];
-                let stats = eng.execute(&RingRelay { hops: 9 }, &mut states).unwrap();
-                let mut walkers = vec![0u32; 600];
-                let ws = eng
-                    .execute(&LoneWalker { ticks: 40 }, &mut walkers)
-                    .unwrap();
-                (
-                    stats,
-                    ws,
-                    states.iter().map(|s| s.received).collect::<Vec<_>>(),
-                    walkers,
-                )
-            };
-            assert_eq!(run(false), run(true), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn min_parallel_active_threshold_is_bit_identical() {
-        // n=600 nodes are active every round; a threshold of 1 forces the
-        // parallel step path, usize::MAX forces the sequential one.
-        let run = |min_par: usize| {
-            let mut eng = Engine::new(
-                NetConfig::new(600, 5)
-                    .with_threads(4)
-                    .with_min_parallel_active(min_par),
-            );
-            let mut states = vec![RelayState::default(); 600];
-            let stats = eng.execute(&RingRelay { hops: 6 }, &mut states).unwrap();
-            (stats, states.iter().map(|s| s.received).collect::<Vec<_>>())
-        };
-        assert_eq!(run(1), run(usize::MAX));
     }
 
     #[test]

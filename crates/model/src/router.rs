@@ -1,9 +1,7 @@
 //! Batched message routing: the delivery phase of the round engine.
 //!
-//! The seed engine grouped messages into `Vec<Vec<Envelope>>` inboxes with
-//! per-envelope pushes and re-allocated the grouping state every round. The
-//! [`Router`] replaces that with a *batched* formulation — delivery is one
-//! counting sort over the round's flat send buffer:
+//! Delivery is one counting sort over the round's flat send buffer, and
+//! every round of every model runs the same four steps:
 //!
 //! 1. **count** — one pass over the sends builds the per-destination
 //!    in-degree table (this is also the `max_in` measurement);
@@ -13,59 +11,59 @@
 //!    slot; within a bucket, arrival order is exactly global send order,
 //!    i.e. `(sender, send order)`, preserving the documented ordering
 //!    contract;
-//! 4. **sample** — the active [`NetworkModel`]'s [`RecvPolicy`] decides
-//!    which messages of an over-full bucket survive:
-//!    [`RecvPolicy::NodeCap`] keeps a seeded-random subset (partial
-//!    Fisher–Yates keyed by `(seed, round, destination)` — identical
-//!    choice sequence to the seed engine), [`RecvPolicy::EdgeCap`] keeps
+//! 4. **settle** — the active [`NetworkModel`]'s [`RecvPolicy`] decides
+//!    which messages of each bucket survive: [`RecvPolicy::NodeCap`] keeps
+//!    a seeded-random subset of an over-full bucket (partial Fisher–Yates
+//!    keyed by `(seed, round, destination)`), [`RecvPolicy::EdgeCap`] keeps
 //!    the first `edge_cap` arrivals per sender (Congested-Clique edge
 //!    bandwidth), [`RecvPolicy::Hybrid`] budgets local-edge arrivals per
 //!    sender and samples the global remainder under the node cap, and
 //!    [`RecvPolicy::Unlimited`] delivers everything. Buckets are compacted
-//!    in place, keeping survivor arrival order.
+//!    in place, keeping survivor arrival order. One routine applies the
+//!    policy to one bucket; nothing else in the router knows the variants.
 //!
-//! Every model runs through this same pipeline — pairwise budgets slot into
-//! the sample phase as a per-bucket scan with stamped per-sender counters,
-//! not a fallback slow path.
+//! ## One dispatch, decided from the round itself
 //!
-//! ## Sparse rounds cost O(sends), not O(n)
+//! The steps walk a **destination sequence**, and the round's send volume
+//! alone picks it:
+//!
+//! * `sends × 8 < n` — a *sparse* round walks only its distinct
+//!   destinations (collected on first touch, then sorted), so it costs
+//!   O(sends · log sends) and never scans a full table;
+//! * otherwise the round walks `0..n`, the classic dense counting sort;
+//! * a dense round of at least 2¹⁶ sends on a router with `threads > 1`
+//!   runs the same steps partitioned across the workers (below).
 //!
 //! The router maintains an **occupied-destination list** (ascending ids of
 //! the buckets that kept at least one message) and two cross-round
 //! invariants: the count table is all zeros between rounds, and a bucket
 //! length is non-zero only for occupied destinations. Clearing a round is
-//! therefore O(occupied) — an empty round is O(1) — and when a round's
-//! sends are far below `n` the **sparse path** counts, prefixes, samples,
-//! and re-zeroes only the round's distinct destinations (collected on
-//! first touch, then sorted), never scanning the full tables. Consumers
-//! ([`Router::occupied`]) get the same list to drive the engine's
-//! dirty-set activity scheduling. Results are bit-identical between the
-//! sparse and dense paths; [`Router::with_dense_scan`] pins the old dense
-//! behavior as a cost baseline.
+//! therefore O(occupied) — an empty round is O(1). Consumers
+//! ([`Router::occupied`]) get the same list to drive the engine's activity
+//! scheduling.
 //!
 //! ## Steady-state zero allocation
 //!
 //! All buffers — the inbox arena, the offset/length/count tables, the
-//! sample-phase scratch (Fisher–Yates permutations, per-sender stamp
-//! counters, survivor index lists), and the per-thread histograms — are
-//! owned by the `Router` and reused across rounds. After the high-water
-//! round of an execution, routing performs **no heap allocation at all**;
-//! `route` only clears and refills what it owns. (The arena grows to the
-//! largest round's send volume and stays there.) The payload-independent
-//! tables live in a detachable [`RouterScratch`], so a long-lived owner
-//! (the engine) can recycle them across whole executions too.
+//! settle scratch (Fisher–Yates permutations, per-sender stamp counters,
+//! survivor index lists), and the per-worker histograms — are owned by the
+//! `Router` and reused across rounds. After the high-water round of an
+//! execution, routing performs **no heap allocation at all**; `route` only
+//! clears and refills what it owns. (The arena grows to the largest
+//! round's send volume and stays there.) The payload-independent tables
+//! live in a detachable [`RouterScratch`], so a long-lived owner (the
+//! engine) can recycle them across whole executions too.
 //!
 //! ## Deterministic parallelism
 //!
-//! With `threads > 1` and a large enough round, every phase runs
-//! partitioned: per-thread histograms (count), a sequential combine that
-//! also computes per-`(thread, destination)` scatter cursors (prefix), a
-//! disjoint-slot parallel scatter, and a parallel per-destination-range
-//! sample/compact. Each phase produces bit-identical arena layout and drop
-//! choices to the sequential path for every policy — survivor choices
-//! depend only on `(seed, round, destination)` and bucket content, never on
-//! thread count — so results do not depend on the number of workers. The
-//! property tests assert this for 1, 2, 4 and 8 threads.
+//! The partitioned route keeps per-worker histograms (count), combines
+//! them sequentially into bucket offsets and per-`(worker, destination)`
+//! scatter cursors (prefix), scatters into disjoint slots, and settles
+//! contiguous destination ranges in parallel. The arena layout is the
+//! sequential one, and survivor choices depend only on
+//! `(seed, round, destination)` and bucket content — never on the worker
+//! count. A test-side reference implementation checks every policy against
+//! the sparse, dense and partitioned (2, 4 and 8 workers) routes.
 
 use rand::Rng;
 
@@ -74,17 +72,16 @@ use crate::payload::{Envelope, Payload};
 use crate::rng::network_rng;
 use crate::NodeId;
 
-/// Minimum sends in a round before the parallel route path is worth the
-/// thread-scope and histogram-zeroing overhead. Routing is a memory-bound
-/// counting sort (~tens of ns per message sequentially), so the crossover
-/// sits far higher than for the compute-bound step phase.
+/// Minimum sends in a dense round before the partitioned route is worth
+/// the thread-scope and histogram-zeroing overhead. Routing is a
+/// memory-bound counting sort (~tens of ns per message sequentially), so
+/// the crossover sits far higher than for the compute-bound step phase.
 const PAR_MIN_SENDS: usize = 1 << 16;
 
-/// A round is routed through the sparse (touched-destination) path when
-/// `sends × SPARSE_FACTOR < n`: below that, collecting and sorting the
-/// ≤ `sends` distinct destinations costs far less than the three O(n)
-/// table passes the dense path performs. At or above it, the dense
-/// counting sort's straight-line scans win.
+/// A round is sparse — it walks its touched destinations, not `0..n` —
+/// when `sends × SPARSE_FACTOR < n`: below that, collecting and sorting the
+/// ≤ `sends` distinct destinations costs far less than three O(n) table
+/// passes. At or above it, the straight-line scans win.
 const SPARSE_FACTOR: usize = 8;
 
 /// What the network did with one round's sends.
@@ -104,8 +101,19 @@ pub struct RouteReport {
     pub max_edge_load: u64,
 }
 
-/// Per-worker sample-phase scratch: everything one thread needs to apply a
-/// receive policy to its destination range. Reused across rounds.
+impl RouteReport {
+    /// Folds in the report of a disjoint destination range.
+    fn absorb(&mut self, part: RouteReport) {
+        self.delivered += part.delivered;
+        self.dropped += part.dropped;
+        self.max_in = self.max_in.max(part.max_in);
+        self.over_cap_dsts += part.over_cap_dsts;
+        self.max_edge_load = self.max_edge_load.max(part.max_edge_load);
+    }
+}
+
+/// Settle scratch: everything one worker needs to apply a receive policy
+/// to a bucket. Reused across rounds.
 #[derive(Default)]
 struct SampleScratch {
     /// Fisher–Yates permutation buffer (node-cap sampling).
@@ -114,8 +122,6 @@ struct SampleScratch {
     keep: Vec<u32>,
     /// Global-lane bucket indices (hybrid policy).
     globals: Vec<u32>,
-    /// `(destination, dropped)` pairs produced by this worker, ascending.
-    drops: Vec<(NodeId, u32)>,
     /// Stamped per-sender arrival counters (pairwise policies); lazily
     /// sized to `n` the first time a pairwise policy routes.
     edge_stamp: Vec<u64>,
@@ -129,11 +135,6 @@ impl SampleScratch {
             self.edge_stamp.resize(n, 0);
             self.edge_cnt.resize(n, 0);
         }
-    }
-
-    #[inline]
-    fn begin_bucket(&mut self) {
-        self.stamp += 1;
     }
 
     /// Counts one more arrival from `src` in the current bucket and returns
@@ -152,28 +153,43 @@ impl SampleScratch {
     }
 }
 
-/// Outcome of applying a pairwise receive policy to one bucket.
-struct BucketOutcome {
-    kept: usize,
-    dropped: usize,
-    max_edge: u64,
+/// One route worker's tables. Worker 0 serves the sequential route; the
+/// others exist only once a round has been routed partitioned.
+#[derive(Default)]
+struct Worker {
+    /// Histogram of the worker's send chunk, then its scatter cursors.
+    cursor: Vec<u32>,
+    sample: SampleScratch,
+    /// The worker's share of a partitioned round's drop and occupied
+    /// lists, ascending; concatenated in worker order after the settle.
+    drops: Vec<(NodeId, u32)>,
+    occupied: Vec<NodeId>,
+}
+
+impl Worker {
+    fn new(n: usize) -> Self {
+        Worker {
+            cursor: vec![0; n],
+            ..Worker::default()
+        }
+    }
 }
 
 /// Every payload-independent routing table a [`Router`] owns: the
-/// per-destination offset/length/count tables, the per-thread histogram
-/// and sample scratch, the drop list, and the occupied-destination list.
+/// per-destination offset/length/count tables, the per-worker histogram
+/// and settle scratch, the drop list, and the occupied-destination list.
 ///
 /// [`Router<P>`] is generic over the payload (its inbox arena holds
 /// `Envelope<P>`), but these tables — the O(n) part of a router's memory —
 /// are not. Splitting them out lets a non-generic owner (the `Engine`)
 /// keep them alive across `execute` calls of *different* programs:
-/// [`Router::with_scratch`] adopts them, [`Router::into_scratch`] hands
+/// [`Router::with_recycled`] adopts them, [`Router::into_recycled`] hands
 /// them back, and steady-state replays (`ncc-serve` resident engines)
 /// stop paying an O(n) allocation per execution.
 ///
-/// Between rounds the tables hold two invariants the sparse route path
-/// relies on: `counts` is all zeros, and `len[d] != 0` only for
-/// `d ∈ occupied`. Every route path restores both before returning.
+/// Between rounds the tables hold two invariants the sparse walk relies
+/// on: `counts` is all zeros, and `len[d] != 0` only for `d ∈ occupied`.
+/// Every route restores both before returning.
 #[derive(Default)]
 pub struct RouterScratch {
     /// Pre-drop bucket offsets into the arena (exclusive prefix of
@@ -183,19 +199,14 @@ pub struct RouterScratch {
     len: Vec<u32>,
     /// Pre-drop per-destination in-degrees; all zeros between rounds.
     counts: Vec<u32>,
-    /// Per-thread histogram / scatter-cursor tables (index 0 doubles as
-    /// the sequential path's cursor table).
-    cursors: Vec<Vec<u32>>,
-    /// Per-thread sample-phase scratch (index 0 doubles as the sequential
-    /// path's scratch).
-    scratch: Vec<SampleScratch>,
+    workers: Vec<Worker>,
     /// `(destination, dropped)` for every lossy destination this round,
     /// ascending by destination.
     drops: Vec<(NodeId, u32)>,
     /// Destinations with a non-empty inbox after the last routed round,
-    /// ascending — the delivery half of the engine's dirty set.
+    /// ascending — the delivery half of the engine's next active set.
     occupied: Vec<NodeId>,
-    /// Sparse-path scratch: the round's distinct destinations.
+    /// A sparse round's distinct destinations.
     touched: Vec<NodeId>,
     /// Radix histogram for the touched-destination sort (257 slots: one
     /// per high-byte bucket plus the classic +1 prefix offset).
@@ -215,16 +226,13 @@ impl RouterScratch {
             self.len.resize(n, 0);
             self.counts.resize(n, 0);
         }
-        for c in &mut self.cursors {
-            if c.len() < n {
-                c.resize(n, 0);
+        if self.workers.is_empty() {
+            self.workers.push(Worker::new(n));
+        }
+        for w in &mut self.workers {
+            if w.cursor.len() < n {
+                w.cursor.resize(n, 0);
             }
-        }
-        if self.cursors.is_empty() {
-            self.cursors.push(vec![0; n]);
-        }
-        if self.scratch.is_empty() {
-            self.scratch.push(SampleScratch::default());
         }
         // A completed execution ends quiescent (nothing delivered in its
         // final round), but an aborted one may leave buckets filled.
@@ -247,24 +255,21 @@ impl RouterScratch {
             + self.touched.capacity() * size_of::<NodeId>()
             + self.radix_counts.capacity() * size_of::<u32>()
             + self.radix_buf.capacity() * size_of::<NodeId>();
-        let cursors: usize = self
-            .cursors
+        let workers: usize = self
+            .workers
             .iter()
-            .map(|c| c.capacity() * size_of::<u32>())
-            .sum();
-        let samples: usize = self
-            .scratch
-            .iter()
-            .map(|s| {
-                s.perm.capacity() * size_of::<u32>()
-                    + s.keep.capacity() * size_of::<u32>()
-                    + s.globals.capacity() * size_of::<u32>()
-                    + s.drops.capacity() * size_of::<(NodeId, u32)>()
-                    + s.edge_stamp.capacity() * size_of::<u64>()
-                    + s.edge_cnt.capacity() * size_of::<u32>()
+            .map(|w| {
+                w.cursor.capacity() * size_of::<u32>()
+                    + w.sample.perm.capacity() * size_of::<u32>()
+                    + w.sample.keep.capacity() * size_of::<u32>()
+                    + w.sample.globals.capacity() * size_of::<u32>()
+                    + w.sample.edge_stamp.capacity() * size_of::<u64>()
+                    + w.sample.edge_cnt.capacity() * size_of::<u32>()
+                    + w.drops.capacity() * size_of::<(NodeId, u32)>()
+                    + w.occupied.capacity() * size_of::<NodeId>()
             })
             .sum();
-        vecs + cursors + samples
+        vecs + workers
     }
 }
 
@@ -319,11 +324,8 @@ pub struct Router<P> {
     n: usize,
     seed: u64,
     threads: usize,
-    /// Sends-per-round crossover below which routing stays sequential.
+    /// Sends-per-round crossover below which a dense round stays sequential.
     min_par_sends: usize,
-    /// Compat mode: route every round through the dense O(n) table scans
-    /// of the seed engine, never the sparse touched-destination path.
-    dense_scan: bool,
     /// Flat inbox arena; bucket `d` occupies `start[d] .. start[d] + len[d]`.
     arena: Vec<Envelope<P>>,
     /// All payload-independent tables (see [`RouterScratch`]).
@@ -332,20 +334,16 @@ pub struct Router<P> {
 
 impl<P: Payload> Router<P> {
     pub fn new(n: usize, seed: u64, threads: usize) -> Self {
-        Self::with_scratch(n, seed, threads, RouterScratch::default())
+        Self::with_recycled(n, seed, threads, RouterScratch::default(), Vec::new())
     }
 
-    /// Builds a router around previously used tables, so a long-lived owner
-    /// (the engine) pays no O(n) table allocation on repeat executions.
-    /// The scratch is grown to `n` and its bucket state cleared; recover it
-    /// with [`Router::into_scratch`] when the execution finishes.
-    pub fn with_scratch(n: usize, seed: u64, threads: usize, sc: RouterScratch) -> Self {
-        Self::with_recycled(n, seed, threads, sc, Vec::new())
-    }
-
-    /// [`Router::with_scratch`] plus a recycled inbox arena of the same
-    /// payload type, so steady-state replays also skip the O(messages)
-    /// arena allocation. The arena is cleared but keeps its capacity.
+    /// Builds a router around previously used tables and a previously used
+    /// inbox arena of the same payload type, so a long-lived owner (the
+    /// engine) pays neither the O(n) table allocation nor the O(messages)
+    /// arena allocation on repeat executions. The tables are grown to `n`
+    /// and their bucket state cleared; the arena is cleared but keeps its
+    /// capacity. Recover both with [`Router::into_recycled`] when the
+    /// execution finishes.
     pub fn with_recycled(
         n: usize,
         seed: u64,
@@ -360,38 +358,23 @@ impl<P: Payload> Router<P> {
             seed,
             threads: threads.max(1),
             min_par_sends: PAR_MIN_SENDS,
-            dense_scan: false,
             arena,
             sc,
         }
     }
 
-    /// Releases the payload-independent tables for reuse by a later router
-    /// (possibly of a different payload type).
-    pub fn into_scratch(self) -> RouterScratch {
-        self.sc
-    }
-
-    /// Releases both the tables and the typed inbox arena, the full
-    /// recycling counterpart of [`Router::with_recycled`].
+    /// Releases the tables (reusable by a router of any payload type) and
+    /// the typed inbox arena, the counterpart of [`Router::with_recycled`].
     pub fn into_recycled(self) -> (RouterScratch, Vec<Envelope<P>>) {
         (self.sc, self.arena)
     }
 
-    /// Overrides the sequential→parallel crossover (default: 2¹⁶ sends per
-    /// round). Mainly for tests and benches that need to force the parallel
-    /// path on small batches; results are identical either way.
+    /// Overrides the sequential→partitioned crossover (default: 2¹⁶ sends
+    /// per dense round) so property tests can reach the partitioned route
+    /// without 2¹⁶ messages per case; results are identical either way.
+    #[doc(hidden)]
     pub fn with_min_parallel_sends(mut self, min: usize) -> Self {
         self.min_par_sends = min.max(1);
-        self
-    }
-
-    /// Forces the seed engine's dense O(n) per-round table scans, disabling
-    /// the sparse touched-destination path and the O(occupied) clears.
-    /// Results are bit-identical either way; this exists as the honest
-    /// cost baseline for the sparse-activity benchmarks and property tests.
-    pub fn with_dense_scan(mut self, on: bool) -> Self {
-        self.dense_scan = on;
         self
     }
 
@@ -423,10 +406,9 @@ impl<P: Payload> Router<P> {
     }
 
     /// Destinations that received at least one message in the last routed
-    /// round, ascending. This is the delivery half of the engine's dirty
-    /// set: these buckets hold *all* of the round's mail, so consumers
-    /// (next-active construction, tracing, cost accounting) can skip the
-    /// other `n - occupied().len()` nodes without looking at them.
+    /// round, ascending. These buckets hold *all* of the round's mail, so
+    /// consumers (next-active construction, tracing, cost accounting) can
+    /// skip the other `n - occupied().len()` nodes without looking at them.
     #[inline]
     pub fn occupied(&self) -> &[NodeId] {
         &self.sc.occupied
@@ -462,15 +444,9 @@ impl<P: Payload> Router<P> {
         );
         // Clear the previous round's buckets. The occupied list names every
         // destination with a non-zero length, so this is O(occupied) — an
-        // empty round costs O(1), not O(n). Dense-scan compat mode keeps
-        // the seed engine's full-table clears as an honest cost baseline.
-        if self.dense_scan {
-            self.sc.len.fill(0);
-            self.sc.counts.fill(0);
-        } else {
-            for &d in &self.sc.occupied {
-                self.sc.len[d as usize] = 0;
-            }
+        // empty round costs O(1), not O(n).
+        for &d in &self.sc.occupied {
+            self.sc.len[d as usize] = 0;
         }
         self.sc.occupied.clear();
         self.sc.drops.clear();
@@ -478,223 +454,155 @@ impl<P: Payload> Router<P> {
             self.arena.clear();
             return RouteReport::default();
         }
-        if self.threads > 1 && total >= self.min_par_sends {
-            self.route_parallel(sends, round, policy, model)
-        } else if !self.dense_scan && total.saturating_mul(SPARSE_FACTOR) < self.n {
-            self.route_sparse(sends, round, policy, model)
-        } else {
-            self.route_dense(sends, round, policy, model)
-        }
-    }
-
-    /// Sequential dense path: the classic counting sort with O(n) prefix
-    /// and sample scans. `counts` is all zeros on entry (router invariant),
-    /// so the count pass needs no preparatory fill.
-    fn route_dense(
-        &mut self,
-        sends: &mut Vec<Envelope<P>>,
-        round: u64,
-        policy: RecvPolicy,
-        model: &dyn NetworkModel,
-    ) -> RouteReport {
-        let n = self.n;
-        let total = sends.len();
-        let seed = self.seed;
-        let Router { arena, sc, .. } = self;
-        let RouterScratch {
-            start,
-            len,
-            counts,
-            cursors,
-            scratch,
-            drops,
-            occupied,
-            ..
-        } = sc;
-
-        // count
-        for e in sends.iter() {
-            counts[e.dst as usize] += 1;
-        }
-
-        // prefix
-        let cursor = &mut cursors[0];
-        let mut run = 0u32;
-        for d in 0..n {
-            start[d] = run;
-            cursor[d] = run;
-            run += counts[d];
-        }
-
-        // scatter
-        scatter_sequential(arena, cursor, sends);
-
-        // sample + compact (policy-dispatched)
-        let sc0 = &mut scratch[0];
-        if matches!(
-            policy,
-            RecvPolicy::EdgeCap { .. } | RecvPolicy::Hybrid { .. }
-        ) {
-            sc0.ensure_edges(n);
-        }
-        debug_assert_eq!(run as usize, total);
-        sample_phase(
-            0..n,
-            arena,
-            start,
-            len,
-            counts,
-            sc0,
-            drops,
-            occupied,
-            seed,
-            round,
+        let rule = Rule {
             policy,
             model,
-        )
+            n: self.n,
+            seed: self.seed,
+            round,
+        };
+        // Sparse or dense is asked first: only a dense round, whose work
+        // dwarfs the O(n · workers) histograms, is offered to the threads.
+        let sparse = total.saturating_mul(SPARSE_FACTOR) < self.n;
+        if !sparse && self.threads > 1 && total >= self.min_par_sends {
+            self.route_partitioned(sends, rule)
+        } else {
+            self.route_sequential(sends, rule, sparse)
+        }
     }
 
-    /// Sequential sparse path for rounds where sends ≪ n: only the round's
-    /// distinct destinations are counted, prefixed, sampled, and re-zeroed,
-    /// so the whole route costs O(sends · log sends) with no O(n) scan.
-    /// Bucket contents, drop choices, and reports are bit-identical to the
-    /// dense path — the sorted touched list visits the same non-empty
-    /// destinations in the same ascending order.
-    fn route_sparse(
+    /// The sequential route: count, then prefix, scatter and settle over
+    /// the round's destination sequence. A sparse round walks only its
+    /// distinct destinations, sorted — O(sends · log sends), no O(n) scan;
+    /// a dense round walks `0..n`. The sorted touched list visits the same
+    /// non-empty destinations in the same ascending order as the full
+    /// walk, so bucket layout, drop choices, the occupied list and the
+    /// report do not depend on which sequence was walked.
+    fn route_sequential(
         &mut self,
         sends: &mut Vec<Envelope<P>>,
-        round: u64,
-        policy: RecvPolicy,
-        model: &dyn NetworkModel,
+        rule: Rule<'_>,
+        sparse: bool,
     ) -> RouteReport {
-        let n = self.n;
-        let seed = self.seed;
-        let Router { arena, sc, .. } = self;
-        let RouterScratch {
-            start,
-            len,
-            counts,
-            cursors,
-            scratch,
-            drops,
-            occupied,
-            touched,
-            radix_counts,
-            radix_buf,
-        } = sc;
-
-        // count, recording each destination on first touch (`counts` is all
-        // zeros on entry, so first touch ⟺ count still zero)
+        let sc = &mut self.sc;
+        // `counts` is all zeros on entry (router invariant)
+        if !sparse {
+            for e in sends.iter() {
+                sc.counts[e.dst as usize] += 1;
+            }
+            return self.place(0..self.n, sends, rule);
+        }
+        // detached so that the walk can borrow it beside the router
+        let mut touched = std::mem::take(&mut sc.touched);
         touched.clear();
         for e in sends.iter() {
             let d = e.dst as usize;
-            if counts[d] == 0 {
+            // first touch ⟺ count still zero
+            if sc.counts[d] == 0 {
                 touched.push(e.dst);
             }
-            counts[d] += 1;
+            sc.counts[d] += 1;
         }
-        // ascending destinations: bucket layout, drops, and the occupied
-        // list come out exactly as the dense 0..n scan would produce them
-        sort_touched(touched, n, radix_counts, radix_buf);
-
-        // prefix over the touched destinations only
-        let cursor = &mut cursors[0];
-        let mut run = 0u32;
-        for &d in touched.iter() {
-            let d = d as usize;
-            start[d] = run;
-            cursor[d] = run;
-            run += counts[d];
-        }
-
-        // scatter (every send's destination is in `touched`, so every
-        // cursor it reads was initialised by the sparse prefix above)
-        scatter_sequential(arena, cursor, sends);
-
-        // sample + compact over the touched destinations only
-        let sc0 = &mut scratch[0];
-        if matches!(
-            policy,
-            RecvPolicy::EdgeCap { .. } | RecvPolicy::Hybrid { .. }
-        ) {
-            sc0.ensure_edges(n);
-        }
-        sample_phase(
-            touched.iter().map(|&d| d as usize),
-            arena,
-            start,
-            len,
-            counts,
-            sc0,
-            drops,
-            occupied,
-            seed,
-            round,
-            policy,
-            model,
-        )
+        sort_touched(
+            &mut touched,
+            self.n,
+            &mut sc.radix_counts,
+            &mut sc.radix_buf,
+        );
+        let report = self.place(touched.iter().map(|&d| d as usize), sends, rule);
+        self.sc.touched = touched;
+        report
     }
 
-    fn route_parallel(
+    /// Prefix, scatter and settle over `dsts`: ascending, and covering
+    /// every destination with a non-zero count. Generic so that each
+    /// sequence gets its own straight-line loops.
+    fn place(
         &mut self,
+        dsts: impl Iterator<Item = usize> + Clone,
         sends: &mut Vec<Envelope<P>>,
-        round: u64,
-        policy: RecvPolicy,
-        model: &dyn NetworkModel,
+        rule: Rule<'_>,
     ) -> RouteReport {
+        let Router { arena, sc, .. } = self;
+        let Worker { cursor, sample, .. } = &mut sc.workers[0];
+
+        // prefix
+        let mut run = 0u32;
+        for d in dsts.clone() {
+            sc.start[d] = run;
+            cursor[d] = run;
+            run += sc.counts[d];
+        }
+        debug_assert_eq!(run as usize, sends.len());
+
+        // scatter (every send's destination is in the sequence, so every
+        // cursor it reads was initialised by the prefix above)
+        scatter_sequential(arena, cursor, sends);
+
+        let tables = Span {
+            base: 0,
+            start: &sc.start,
+            len: &mut sc.len,
+            counts: &mut sc.counts,
+            arena,
+            arena_off: 0,
+        };
+        settle_range(dsts, tables, rule, sample, &mut sc.drops, &mut sc.occupied)
+    }
+
+    /// The partitioned route of a large dense round: same arena layout and
+    /// drop choices as [`Router::route_sequential`], for any worker count.
+    fn route_partitioned(&mut self, sends: &mut Vec<Envelope<P>>, rule: Rule<'_>) -> RouteReport {
         let n = self.n;
         let total = sends.len();
         let chunk = total.div_ceil(self.threads);
         let t = total.div_ceil(chunk); // number of non-empty send chunks
-        while self.sc.cursors.len() < t {
-            self.sc.cursors.push(vec![0; n]);
+        let Router { arena, sc, .. } = self;
+        while sc.workers.len() < t {
+            sc.workers.push(Worker::new(n));
         }
-        while self.sc.scratch.len() < t {
-            self.sc.scratch.push(SampleScratch::default());
-        }
+        let workers = &mut sc.workers[..t];
 
         // count: per-chunk histograms
         std::thread::scope(|scope| {
-            for (hist, part) in self.sc.cursors[..t].iter_mut().zip(sends.chunks(chunk)) {
+            for (w, part) in workers.iter_mut().zip(sends.chunks(chunk)) {
                 scope.spawn(move || {
-                    hist.fill(0);
+                    w.cursor[..n].fill(0);
                     for e in part {
-                        hist[e.dst as usize] += 1;
+                        w.cursor[e.dst as usize] += 1;
                     }
                 });
             }
         });
 
         // prefix: combine histograms into bucket offsets; in the same pass,
-        // turn each per-thread histogram entry into that thread's absolute
+        // turn each per-worker histogram entry into that worker's absolute
         // scatter cursor for the destination (exclusive prefix across
-        // threads, chunk order = global send order).
-        let mut report = RouteReport::default();
+        // workers, chunk order = global send order).
         let mut run = 0u32;
         for d in 0..n {
-            self.sc.start[d] = run;
+            sc.start[d] = run;
             let mut c = 0u32;
-            for hist in self.sc.cursors[..t].iter_mut() {
-                let h = hist[d];
-                hist[d] = run + c;
+            for w in workers.iter_mut() {
+                let h = w.cursor[d];
+                w.cursor[d] = run + c;
                 c += h;
             }
-            self.sc.counts[d] = c;
-            report.max_in = report.max_in.max(c as u64);
+            sc.counts[d] = c;
             run += c;
         }
 
-        // scatter: each thread moves its chunk into disjoint arena slots.
-        self.arena.clear();
-        self.arena.reserve(total);
-        let base = SendPtr(self.arena.as_mut_ptr());
+        // scatter: each worker moves its chunk into disjoint arena slots.
+        arena.clear();
+        arena.reserve(total);
+        let base = SendPtr(arena.as_mut_ptr());
         std::thread::scope(|scope| {
-            for (hist, part) in self.sc.cursors[..t].iter_mut().zip(sends.chunks(chunk)) {
+            for (w, part) in workers.iter_mut().zip(sends.chunks(chunk)) {
                 scope.spawn(move || {
                     for e in part {
-                        let pos = hist[e.dst as usize];
-                        hist[e.dst as usize] = pos + 1;
-                        // SAFETY: the prefix pass gives every (thread, dst)
+                        let pos = w.cursor[e.dst as usize];
+                        w.cursor[e.dst as usize] = pos + 1;
+                        // SAFETY: the prefix pass gives every (worker, dst)
                         // cursor a disjoint slot range, so each arena slot is
                         // written exactly once; `ptr::read` duplicates the
                         // envelope, and ownership is relinquished by the
@@ -708,107 +616,48 @@ impl<P: Payload> Router<P> {
         // once; truncating without dropping hands ownership to the arena.
         unsafe {
             sends.set_len(0);
-            self.arena.set_len(total);
+            arena.set_len(total);
         }
 
-        // sample + compact: destinations are partitioned across threads;
-        // buckets are disjoint arena ranges, and every survivor choice
-        // depends only on (seed, round, destination) and bucket content.
+        // settle: contiguous destination ranges, one per worker. Buckets
+        // lie in the arena in destination order, so a range's buckets are
+        // one contiguous arena slice and the split below is a safe one.
         let dst_chunk = n.div_ceil(t);
-        let seed = self.seed;
-        let counts = &self.sc.counts;
-        let start = &self.sc.start;
-        let arena_base = SendPtr(self.arena.as_mut_ptr());
-        let pairwise = matches!(
-            policy,
-            RecvPolicy::EdgeCap { .. } | RecvPolicy::Hybrid { .. }
-        );
-        // A round may use fewer destination chunks than `t`; pre-clear all
-        // drop buffers so the merge below never picks up a previous round's
-        // drops.
-        for sc in &mut self.sc.scratch[..t] {
-            sc.drops.clear();
-            if pairwise {
-                sc.ensure_edges(n);
-            }
-        }
-        let len_chunks = self.sc.len.chunks_mut(dst_chunk);
-        let partials: Vec<RouteReport> = std::thread::scope(|scope| {
+        let bounds = &sc.start[..n];
+        let tables = bounds
+            .chunks(dst_chunk)
+            .zip(sc.len[..n].chunks_mut(dst_chunk))
+            .zip(sc.counts[..n].chunks_mut(dst_chunk));
+        let parts: Vec<RouteReport> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(t);
-            for (ti, (sc, len_chunk)) in self.sc.scratch[..t].iter_mut().zip(len_chunks).enumerate()
-            {
-                let lo = ti * dst_chunk;
+            let mut rest = &mut arena[..];
+            let mut arena_off = 0usize;
+            for (i, (w, ((start, len), counts))) in workers.iter_mut().zip(tables).enumerate() {
+                let base = i * dst_chunk;
+                let end = bounds.get(base + dst_chunk).map_or(total, |&s| s as usize);
+                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(end - arena_off);
+                rest = tail;
+                let span = Span {
+                    base,
+                    start,
+                    len,
+                    counts,
+                    arena: mine,
+                    arena_off,
+                };
+                arena_off = end;
                 handles.push(scope.spawn(move || {
-                    let mut part = RouteReport::default();
-                    for (off, len_slot) in len_chunk.iter_mut().enumerate() {
-                        let d = lo + off;
-                        let c = counts[d] as usize;
-                        match policy {
-                            RecvPolicy::NodeCap { recv } => {
-                                if c > recv {
-                                    let s = start[d] as usize;
-                                    // SAFETY: bucket ranges are disjoint
-                                    // across destinations and this thread
-                                    // owns dsts `lo..lo + len_chunk.len()`
-                                    // exclusively.
-                                    let bucket = unsafe {
-                                        std::slice::from_raw_parts_mut(arena_base.get().add(s), c)
-                                    };
-                                    sample_survivors(
-                                        &mut sc.perm,
-                                        c,
-                                        recv,
-                                        seed,
-                                        round,
-                                        d as NodeId,
-                                    );
-                                    compact_bucket(bucket, &sc.perm[..recv]);
-                                    *len_slot = recv as u32;
-                                    sc.drops.push((d as NodeId, (c - recv) as u32));
-                                    part.over_cap_dsts += 1;
-                                    part.delivered += recv as u64;
-                                    part.dropped += (c - recv) as u64;
-                                } else {
-                                    *len_slot = c as u32;
-                                    part.delivered += c as u64;
-                                }
-                            }
-                            RecvPolicy::Unlimited => {
-                                *len_slot = c as u32;
-                                part.delivered += c as u64;
-                            }
-                            RecvPolicy::EdgeCap { .. } | RecvPolicy::Hybrid { .. } => {
-                                if c == 0 {
-                                    *len_slot = 0;
-                                    continue;
-                                }
-                                let s = start[d] as usize;
-                                // SAFETY: as above — disjoint buckets,
-                                // exclusive destination ownership.
-                                let bucket = unsafe {
-                                    std::slice::from_raw_parts_mut(arena_base.get().add(s), c)
-                                };
-                                let out = pair_budget_bucket(
-                                    bucket,
-                                    d as NodeId,
-                                    policy,
-                                    model,
-                                    seed,
-                                    round,
-                                    sc,
-                                );
-                                *len_slot = out.kept as u32;
-                                part.delivered += out.kept as u64;
-                                part.max_edge_load = part.max_edge_load.max(out.max_edge);
-                                if out.dropped > 0 {
-                                    part.dropped += out.dropped as u64;
-                                    part.over_cap_dsts += 1;
-                                    sc.drops.push((d as NodeId, out.dropped as u32));
-                                }
-                            }
-                        }
-                    }
-                    part
+                    w.drops.clear();
+                    w.occupied.clear();
+                    let dsts = base..base + span.len.len();
+                    settle_range(
+                        dsts,
+                        span,
+                        rule,
+                        &mut w.sample,
+                        &mut w.drops,
+                        &mut w.occupied,
+                    )
                 }));
             }
             handles
@@ -816,23 +665,13 @@ impl<P: Payload> Router<P> {
                 .map(|h| h.join().expect("router worker panicked"))
                 .collect()
         });
-        for part in partials {
-            report.delivered += part.delivered;
-            report.dropped += part.dropped;
-            report.over_cap_dsts += part.over_cap_dsts;
-            report.max_edge_load = report.max_edge_load.max(part.max_edge_load);
-        }
-        for sc in &self.sc.scratch[..t] {
-            self.sc.drops.extend_from_slice(&sc.drops);
-        }
-        // Restore the router invariants (counts all zero) and rebuild the
-        // occupied list. One dense pass is fine here: the parallel path
-        // only runs for rounds whose send volume dwarfs n-proportional work.
-        for d in 0..n {
-            self.sc.counts[d] = 0;
-            if self.sc.len[d] > 0 {
-                self.sc.occupied.push(d as NodeId);
-            }
+        // A round may use fewer ranges than workers; zipping with the
+        // reports reads the lists of exactly the workers that settled one.
+        let mut report = RouteReport::default();
+        for (part, w) in parts.into_iter().zip(workers.iter()) {
+            report.absorb(part);
+            sc.drops.extend_from_slice(&w.drops);
+            sc.occupied.extend_from_slice(&w.occupied);
         }
         report
     }
@@ -862,163 +701,171 @@ fn scatter_sequential<P: Payload>(
     unsafe { arena.set_len(total) };
 }
 
-/// The policy-dispatched sample/compact pass shared by the sequential
-/// dense and sparse paths. `dsts` must be ascending and cover every
-/// destination with a non-zero count; visited counts are re-zeroed
-/// (restoring the router's counts-all-zero invariant) and destinations
-/// that keep at least one message are appended to `occupied` — so the
-/// occupied list comes out ascending for either caller.
-#[allow(clippy::too_many_arguments)]
-fn sample_phase<P: Payload>(
+/// A contiguous destination range's view of the tables and of the arena
+/// slice holding its buckets. The sequential route settles through one
+/// span over everything; the partitioned route hands each worker its own.
+struct Span<'a, P> {
+    /// Destination id of `start[0]`, `len[0]` and `counts[0]`.
+    base: usize,
+    start: &'a [u32],
+    len: &'a mut [u32],
+    counts: &'a mut [u32],
+    arena: &'a mut [Envelope<P>],
+    /// Arena offset of `arena[0]`.
+    arena_off: usize,
+}
+
+/// Settles the buckets of `dsts`: applies the rule to each, records the
+/// post-drop length, and re-zeroes the visited counts (restoring the
+/// router's counts-all-zero invariant). `dsts` must be ascending, lie in
+/// the span, and cover every destination of it with a non-zero count;
+/// `drops` and `occupied` therefore come out ascending.
+fn settle_range<P>(
     dsts: impl Iterator<Item = usize>,
-    arena: &mut [Envelope<P>],
-    start: &[u32],
-    len: &mut [u32],
-    counts: &mut [u32],
-    sc: &mut SampleScratch,
+    span: Span<'_, P>,
+    rule: Rule<'_>,
+    sample: &mut SampleScratch,
     drops: &mut Vec<(NodeId, u32)>,
     occupied: &mut Vec<NodeId>,
-    seed: u64,
-    round: u64,
-    policy: RecvPolicy,
-    model: &dyn NetworkModel,
 ) -> RouteReport {
     let mut report = RouteReport::default();
-    match policy {
-        RecvPolicy::NodeCap { recv } => {
-            for d in dsts {
-                let c = counts[d] as usize;
-                counts[d] = 0;
-                if c == 0 {
-                    continue;
-                }
-                report.max_in = report.max_in.max(c as u64);
-                if c > recv {
-                    let s = start[d] as usize;
-                    sample_survivors(&mut sc.perm, c, recv, seed, round, d as NodeId);
-                    compact_bucket(&mut arena[s..s + c], &sc.perm[..recv]);
-                    len[d] = recv as u32;
-                    drops.push((d as NodeId, (c - recv) as u32));
-                    report.over_cap_dsts += 1;
-                    report.delivered += recv as u64;
-                    report.dropped += (c - recv) as u64;
-                    if recv > 0 {
-                        occupied.push(d as NodeId);
-                    }
-                } else {
-                    len[d] = c as u32;
-                    report.delivered += c as u64;
-                    occupied.push(d as NodeId);
-                }
-            }
+    for d in dsts {
+        let i = d - span.base;
+        let c = span.counts[i] as usize;
+        span.counts[i] = 0;
+        if c == 0 {
+            continue;
         }
-        RecvPolicy::Unlimited => {
-            for d in dsts {
-                let c = counts[d];
-                counts[d] = 0;
-                if c == 0 {
-                    continue;
-                }
-                report.max_in = report.max_in.max(c as u64);
-                len[d] = c;
-                report.delivered += c as u64;
-                occupied.push(d as NodeId);
-            }
+        // a bucket the policy keeps whole is never located, let alone read
+        let out = rule.settle_bucket(c, d as NodeId, sample, || {
+            let s = span.start[i] as usize - span.arena_off;
+            &mut span.arena[s..s + c]
+        });
+        span.len[i] = out.kept as u32;
+        report.max_in = report.max_in.max(c as u64);
+        report.delivered += out.kept as u64;
+        report.max_edge_load = report.max_edge_load.max(out.max_edge);
+        if out.kept > 0 {
+            occupied.push(d as NodeId);
         }
-        RecvPolicy::EdgeCap { .. } | RecvPolicy::Hybrid { .. } => {
-            for d in dsts {
-                let c = counts[d] as usize;
-                counts[d] = 0;
-                if c == 0 {
-                    continue;
-                }
-                report.max_in = report.max_in.max(c as u64);
-                let s = start[d] as usize;
-                let out = pair_budget_bucket(
-                    &mut arena[s..s + c],
-                    d as NodeId,
-                    policy,
-                    model,
-                    seed,
-                    round,
-                    sc,
-                );
-                len[d] = out.kept as u32;
-                report.delivered += out.kept as u64;
-                report.max_edge_load = report.max_edge_load.max(out.max_edge);
-                if out.kept > 0 {
-                    occupied.push(d as NodeId);
-                }
-                if out.dropped > 0 {
-                    report.dropped += out.dropped as u64;
-                    report.over_cap_dsts += 1;
-                    drops.push((d as NodeId, out.dropped as u32));
-                }
-            }
+        if out.kept < c {
+            report.dropped += (c - out.kept) as u64;
+            report.over_cap_dsts += 1;
+            drops.push((d as NodeId, (c - out.kept) as u32));
         }
     }
     report
 }
 
-/// Applies a pairwise receive policy ([`RecvPolicy::EdgeCap`] or
-/// [`RecvPolicy::Hybrid`]) to one destination bucket, in place.
-///
-/// Edge-budgeted arrivals keep the **first** `edge_cap` messages per sender
-/// (a deterministic choice — edge bandwidth is a FIFO pipe, not a lottery);
-/// hybrid global arrivals are sampled with the same seeded partial
-/// Fisher–Yates as the NCC node cap, applied to the global sub-sequence of
-/// the bucket. Survivors stay in arrival order.
-fn pair_budget_bucket<P>(
-    bucket: &mut [Envelope<P>],
-    dst: NodeId,
+/// The network's receive rule for one round: the policy with everything
+/// its survivor choices are keyed by.
+#[derive(Clone, Copy)]
+struct Rule<'a> {
     policy: RecvPolicy,
-    model: &dyn NetworkModel,
+    /// Consulted by [`RecvPolicy::Hybrid`] only, to classify lanes.
+    model: &'a dyn NetworkModel,
+    n: usize,
     seed: u64,
     round: u64,
-    sc: &mut SampleScratch,
-) -> BucketOutcome {
-    let (edge_cap, recv, split_lanes) = match policy {
-        RecvPolicy::EdgeCap { edge_cap } => (edge_cap, usize::MAX, false),
-        RecvPolicy::Hybrid {
-            recv,
-            local_edge_cap,
-        } => (local_edge_cap, recv, true),
-        _ => unreachable!("pair_budget_bucket handles pairwise policies only"),
-    };
-    sc.keep.clear();
-    sc.globals.clear();
-    sc.begin_bucket();
-    let mut max_edge = 0u64;
-    for (i, e) in bucket.iter().enumerate() {
-        let local = !split_lanes || model.lane(e.src, dst) == Lane::Local;
-        if local {
-            let cnt = sc.bump(e.src);
-            max_edge = max_edge.max(cnt as u64);
-            if (cnt as usize) <= edge_cap {
-                sc.keep.push(i as u32);
+}
+
+/// What the rule left of one bucket.
+struct Settled {
+    /// Survivors, now at the front of the bucket in arrival order.
+    kept: usize,
+    /// Largest per-sender arrival count (pairwise policies; else 0).
+    max_edge: u64,
+}
+
+impl Rule<'_> {
+    /// Applies the receive policy to one destination bucket, in place —
+    /// the one place a policy variant is told apart. Survivors end at the
+    /// front of the bucket, in arrival order.
+    ///
+    /// `c` is the bucket's length; `bucket` fetches it, and is only called
+    /// when the policy has to look inside. Inlined into the settle loop:
+    /// most buckets of most rounds are kept whole, and for those this is a
+    /// comparison.
+    #[inline]
+    fn settle_bucket<'b, P: 'b>(
+        &self,
+        c: usize,
+        dst: NodeId,
+        sc: &mut SampleScratch,
+        bucket: impl FnOnce() -> &'b mut [Envelope<P>],
+    ) -> Settled {
+        let whole = Settled {
+            kept: c,
+            max_edge: 0,
+        };
+        match self.policy {
+            RecvPolicy::Unlimited => whole,
+            RecvPolicy::NodeCap { recv } if c <= recv => whole,
+            RecvPolicy::NodeCap { recv } => {
+                sample_survivors(&mut sc.perm, c, recv, self.seed, self.round, dst);
+                compact_bucket(bucket(), &sc.perm[..recv]);
+                Settled {
+                    kept: recv,
+                    max_edge: 0,
+                }
+            }
+            RecvPolicy::EdgeCap { edge_cap } => {
+                self.budget_edges(bucket(), dst, sc, edge_cap, usize::MAX, false)
+            }
+            RecvPolicy::Hybrid {
+                recv,
+                local_edge_cap,
+            } => self.budget_edges(bucket(), dst, sc, local_edge_cap, recv, true),
+        }
+    }
+
+    /// The pairwise policies. Edge-budgeted arrivals — all of them, or with
+    /// `split_lanes` the [`Lane::Local`] ones — keep the **first**
+    /// `edge_cap` messages per sender (a deterministic choice: edge
+    /// bandwidth is a FIFO pipe, not a lottery); the global arrivals are
+    /// sampled under `recv` with the same seeded partial Fisher–Yates as
+    /// the node cap, applied to the global sub-sequence of the bucket.
+    fn budget_edges<P>(
+        &self,
+        bucket: &mut [Envelope<P>],
+        dst: NodeId,
+        sc: &mut SampleScratch,
+        edge_cap: usize,
+        recv: usize,
+        split_lanes: bool,
+    ) -> Settled {
+        sc.ensure_edges(self.n);
+        sc.keep.clear();
+        sc.globals.clear();
+        sc.stamp += 1;
+        let mut max_edge = 0u64;
+        for (i, e) in bucket.iter().enumerate() {
+            let local = !split_lanes || self.model.lane(e.src, dst) == Lane::Local;
+            if local {
+                let cnt = sc.bump(e.src);
+                max_edge = max_edge.max(cnt as u64);
+                if (cnt as usize) <= edge_cap {
+                    sc.keep.push(i as u32);
+                }
+            } else {
+                sc.globals.push(i as u32);
+            }
+        }
+        let g = sc.globals.len();
+        if g > recv {
+            sample_survivors(&mut sc.perm, g, recv, self.seed, self.round, dst);
+            for &gi in &sc.perm[..recv] {
+                sc.keep.push(sc.globals[gi as usize]);
             }
         } else {
-            sc.globals.push(i as u32);
+            sc.keep.extend_from_slice(&sc.globals);
         }
-    }
-    let g = sc.globals.len();
-    if g > recv {
-        sample_survivors(&mut sc.perm, g, recv, seed, round, dst);
-        for &gi in &sc.perm[..recv] {
-            sc.keep.push(sc.globals[gi as usize]);
+        sc.keep.sort_unstable();
+        let kept = sc.keep.len();
+        if kept < bucket.len() {
+            compact_bucket(bucket, &sc.keep);
         }
-    } else {
-        sc.keep.extend_from_slice(&sc.globals);
-    }
-    sc.keep.sort_unstable();
-    let kept = sc.keep.len();
-    if kept < bucket.len() {
-        compact_bucket(bucket, &sc.keep);
-    }
-    BucketOutcome {
-        kept,
-        dropped: bucket.len() - kept,
-        max_edge,
+        Settled { kept, max_edge }
     }
 }
 
@@ -1057,67 +904,15 @@ fn compact_bucket<P>(bucket: &mut [Envelope<P>], survivors: &[u32]) {
     }
 }
 
-/// The seed engine's delivery phase, kept verbatim: per-envelope grouping
-/// into fresh per-destination `Vec`s with the partial Fisher–Yates drop
-/// selection keyed by `(seed, round, destination)`. This is the semantic
-/// oracle the [`Router`] must match bit for bit under the default NCC
-/// policy — used by the equivalence property tests and as the measured
-/// baseline in `bench_router`. Not part of the public API.
-#[doc(hidden)]
-#[allow(clippy::needless_range_loop)]
-pub fn reference_route<P: Payload>(
-    sends: &[Envelope<P>],
-    n: usize,
-    recv: usize,
-    seed: u64,
-    round: u64,
-) -> (Vec<Vec<Envelope<P>>>, u64) {
-    let mut counts: Vec<u32> = vec![0; n];
-    for e in sends {
-        counts[e.dst as usize] += 1;
-    }
-    let mut keep_flags: Vec<Vec<bool>> = vec![Vec::new(); n];
-    for dst in 0..n {
-        let c = counts[dst] as usize;
-        if c > recv {
-            let mut flags = vec![false; c];
-            let mut idx: Vec<u32> = (0..c as u32).collect();
-            let mut rng = network_rng(seed, round, dst as NodeId);
-            for i in 0..recv {
-                let j = rng.gen_range(i..c);
-                idx.swap(i, j);
-            }
-            for &i in idx.iter().take(recv) {
-                flags[i as usize] = true;
-            }
-            keep_flags[dst] = flags;
-        }
-    }
-    let mut inboxes: Vec<Vec<Envelope<P>>> = (0..n).map(|_| Vec::new()).collect();
-    let mut seen: Vec<u32> = vec![0; n];
-    let mut dropped = 0u64;
-    for e in sends {
-        let dst = e.dst as usize;
-        let k = seen[dst] as usize;
-        seen[dst] += 1;
-        if keep_flags[dst].is_empty() || keep_flags[dst][k] {
-            inboxes[dst].push(e.clone());
-        } else {
-            dropped += 1;
-        }
-    }
-    (inboxes, dropped)
-}
-
 /// Raw-pointer wrapper so disjoint per-slot mutable access can cross the
 /// thread-scope boundary. See the safety comments at the use sites.
-pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+struct SendPtr<T>(*mut T);
 impl<T> SendPtr<T> {
     /// Accessor (rather than direct field use) so that edition-2021 closures
     /// capture the whole `SendPtr` — which is `Send` — instead of performing
     /// a disjoint capture of the raw-pointer field, which is not.
     #[inline]
-    pub(crate) fn get(self) -> *mut T {
+    fn get(self) -> *mut T {
         self.0
     }
 }
@@ -1331,32 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_paths_are_bit_identical() {
-        // n ≫ sends forces the sparse path; with_dense_scan pins the dense
-        // one. Everything observable must match, including occupied().
-        let n = 4096;
-        let mk_sends = || -> Vec<Envelope<u64>> {
-            // a handful of hot destinations, some over the recv cap
-            (0..96u32)
-                .map(|i| env(i % 7, [5, 9, 9, 2000, 9, 4095][i as usize % 6], i as u64))
-                .collect()
-        };
-        let run = |dense: bool| {
-            let mut r: Router<u64> = Router::new(n, 42, 1).with_dense_scan(dense);
-            let mut out = Vec::new();
-            for round in 0..4 {
-                let mut sends = mk_sends();
-                let rep = r.route(&mut sends, round, 8);
-                let inboxes: Vec<Vec<Envelope<u64>>> =
-                    r.occupied().iter().map(|&d| r.inbox(d).to_vec()).collect();
-                out.push((rep, r.drops().to_vec(), r.occupied().to_vec(), inboxes));
-            }
-            out
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn radix_touched_sort_matches_sort_unstable() {
         // adversarial distinct-id distributions at and around the radix
         // gate: clustered in one bucket, spread across all buckets,
@@ -1383,32 +1152,6 @@ mod tests {
             sort_touched(&mut ids, n, &mut counts, &mut buf);
             assert_eq!(ids, expect);
         }
-    }
-
-    #[test]
-    fn sparse_path_with_radix_gate_crossed_matches_dense() {
-        // enough distinct destinations to push the touched list over
-        // RADIX_MIN, so the sparse path exercises the radix sort and must
-        // still match the dense 0..n scan byte for byte.
-        let n = 1 << 14;
-        let mk_sends = || -> Vec<Envelope<u64>> {
-            (0..700u32)
-                .map(|i| env(i % 11, (i.wrapping_mul(2654435761)) % n as u32, i as u64))
-                .collect()
-        };
-        let run = |dense: bool| {
-            let mut r: Router<u64> = Router::new(n, 42, 1).with_dense_scan(dense);
-            let mut out = Vec::new();
-            for round in 0..3 {
-                let mut sends = mk_sends();
-                let rep = r.route(&mut sends, round, 4);
-                let inboxes: Vec<Vec<Envelope<u64>>> =
-                    r.occupied().iter().map(|&d| r.inbox(d).to_vec()).collect();
-                out.push((rep, r.drops().to_vec(), r.occupied().to_vec(), inboxes));
-            }
-            out
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -1443,7 +1186,12 @@ mod tests {
         let n = 64;
         for threads in [1, 4] {
             let mut r: Router<u64> = Router::new(n, 7, threads).with_min_parallel_sends(1);
-            let mut sends = vec![env(0, 50, 1), env(1, 3, 2), env(2, 50, 3), env(3, 17, 4)];
+            // 8 sends on 64 nodes: a dense round, so 4 threads partition it
+            let mut sends: Vec<_> = [50, 3, 50, 17, 3, 17, 50, 3]
+                .iter()
+                .enumerate()
+                .map(|(i, &dst)| env(i as u32, dst, i as u64))
+                .collect();
             r.route(&mut sends, 0, 8);
             assert_eq!(r.occupied(), &[3, 17, 50], "threads={threads}");
             for d in 0..n as u32 {
@@ -1474,10 +1222,10 @@ mod tests {
         let mut sends = vec![env(0, 1, 5), env(2, 1, 6)];
         r.route(&mut sends, 0, 8);
         assert_eq!(r.inbox(1).len(), 2);
-        let sc = r.into_scratch();
+        let (sc, _) = r.into_recycled();
         // adopt the tables for a different payload type; previous bucket
         // state must not leak through
-        let mut r2: Router<(u32, u32)> = Router::with_scratch(8, 1, 1, sc);
+        let mut r2: Router<(u32, u32)> = Router::with_recycled(8, 1, 1, sc, Vec::new());
         assert!(!r2.has_mail(1));
         assert!(r2.occupied().is_empty());
         let mut sends2 = vec![Envelope::new(3, 2, (7u32, 9u32))];
@@ -1485,10 +1233,29 @@ mod tests {
         assert_eq!(r2.inbox(2), &[Envelope::new(3, 2, (7u32, 9u32))]);
         assert_eq!(r2.occupied(), &[2]);
         // and a smaller-n adoption still clears correctly
-        let sc = r2.into_scratch();
-        let r3: Router<u64> = Router::with_scratch(4, 1, 1, sc);
+        let (sc, _) = r2.into_recycled();
+        let r3: Router<u64> = Router::with_recycled(4, 1, 1, sc, Vec::new());
         assert!(!r3.has_mail(2));
         assert!(r3.occupied().is_empty());
+    }
+
+    #[test]
+    fn sparse_round_is_never_offered_to_the_threads() {
+        // 2¹⁶ sends reach the partitioned route's volume bar, but on 2²⁰
+        // nodes the round is sparse (sends × 8 < n) and must stay on the
+        // touched-destination walk: a threaded router ends it holding the
+        // same tables as a sequential one — no O(n) histogram per thread.
+        let n = 1 << 20;
+        let tables_after_round = |threads: usize| {
+            let mut r: Router<u64> = Router::new(n, 7, threads);
+            let mut sends: Vec<_> = (0..1u32 << 16)
+                .map(|i| env(i, i.wrapping_mul(2654435761) % n as u32, i as u64))
+                .collect();
+            let rep = r.route(&mut sends, 0, 8);
+            assert_eq!(rep.delivered + rep.dropped, 1 << 16);
+            r.into_recycled().0.resident_bytes()
+        };
+        assert_eq!(tables_after_round(4), tables_after_round(1));
     }
 
     #[test]

@@ -114,81 +114,6 @@ proptest! {
     }
 }
 
-/// Runs one algorithm on a spec with the engine's activity scheduling
-/// pinned to either the dirty-set default (`dense = false`) or the seed
-/// engine's scan-everything baseline (`dense = true`).
-fn run_with_scan_mode(
-    name: &str,
-    spec: &ScenarioSpec,
-    threads: usize,
-    dense: bool,
-) -> Result<ncc_runner::RunRecord, ncc_model::ModelError> {
-    let scn = spec.build().expect("buildable spec");
-    let algo = find_algorithm(name).expect("registered algorithm");
-    let mut eng = Engine::with_model(
-        scn.spec
-            .net_config()
-            .with_threads(threads)
-            .with_dense_activity_scan(dense),
-        scn.build_model(),
-    );
-    algo.run(&mut eng, &scn)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        failure_persistence: None,
-        ..ProptestConfig::default()
-    })]
-
-    /// The dirty-set scheduler is a pure cost optimisation: across graph
-    /// families × threads {1, 4} × capacities {tight Θ(log n), unbounded},
-    /// the full RunRecord JSON is byte-identical to the seed engine's
-    /// scan-everything behavior (`dense_activity_scan`).
-    #[test]
-    fn dirty_set_records_byte_identical_to_dense_scan(
-        family in prop_oneof![
-            Just(FamilySpec::Star),
-            Just(FamilySpec::Tree),
-            (0.02f64..0.3).prop_map(|p| FamilySpec::Gnp { p }),
-            (1usize..6).prop_map(|m| FamilySpec::Ba { m }),
-            (2usize..12).prop_map(|edge_factor| FamilySpec::Rmat { edge_factor }),
-            (0.6f64..1.2).prop_map(|alpha| FamilySpec::Hyperbolic { alpha, c: 0.0 }),
-        ],
-        n in 16usize..160,
-        seed in 0u64..1000,
-        unbounded in any::<bool>(),
-        name in prop_oneof![Just("bfs"), Just("gossip"), Just("broadcast")],
-    ) {
-        let mut spec = ScenarioSpec::new(family, n, seed);
-        if unbounded {
-            spec = spec.with_capacity(Capacity::unbounded());
-        }
-        for threads in [1usize, 4] {
-            let dirty = run_with_scan_mode(name, &spec, threads, false);
-            let dense = run_with_scan_mode(name, &spec, threads, true);
-            match (dirty, dense) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(
-                    a.to_json(),
-                    b.to_json(),
-                    "{} on {} threads={} diverged",
-                    name,
-                    spec.label(),
-                    threads
-                ),
-                (a, b) => prop_assert_eq!(
-                    a.err(),
-                    b.err(),
-                    "error divergence on {} threads={}",
-                    spec.label(),
-                    threads
-                ),
-            }
-        }
-    }
-}
-
 /// Every registered algorithm completes on a small `G(n,p)` scenario and
 /// no correctness checker rejects its output.
 #[test]
