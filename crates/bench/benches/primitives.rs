@@ -8,6 +8,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncc_bench::SEED;
 use ncc_butterfly::aggregation::aggregate;
+use ncc_butterfly::queue::{LevelOrder, Route, RouteQueue};
 use ncc_butterfly::{
     aggregate_and_broadcast, multicast, multicast_setup, self_joins, AggregationSpec, GroupId,
     MinU64, SumU64,
@@ -153,9 +154,46 @@ fn bench_route_hashes(c: &mut Criterion) {
     group.finish();
 }
 
+/// One column's routing state at `d = 10`: fill it to `occupancy` packets
+/// spread over its `2d` queues, then run routing steps (every occupied
+/// queue pops its winner) until it is empty. Occupancy 1–4 is what a
+/// `bfs` column holds; 32 is a congested aggregation.
+fn bench_route_queue(c: &mut Criterion) {
+    const D: u32 = 10;
+    let mut group = c.benchmark_group("route_queue");
+    for &occupancy in &[1u64, 4, 32] {
+        group.bench_with_input(
+            BenchmarkId::new("insert_pop", occupancy),
+            &occupancy,
+            |b, &occupancy| {
+                let mut queue = RouteQueue::default();
+                b.iter(|| {
+                    for g in 0..occupancy {
+                        let mixed = g.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let route = Route {
+                            target: (mixed >> 40) as u32,
+                            rank: (mixed >> 8) as u32,
+                        };
+                        let (level, dir) = ((mixed % D as u64) as u32, (mixed >> 63) as usize);
+                        queue.insert(level, dir, black_box(route), g, g, |w, n| *w += n);
+                    }
+                    let mut acc = 0u64;
+                    while !queue.is_empty() {
+                        for (level, dir) in queue.waiting(LevelOrder::Descending) {
+                            acc += queue.pop_min(level, dir).map_or(0, |(_, _, v)| v);
+                        }
+                    }
+                    acc
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_aggregate_and_broadcast, bench_aggregation, bench_multicast_roundtrip, bench_min_aggregate, bench_route_hashes
+    targets = bench_aggregate_and_broadcast, bench_aggregation, bench_multicast_roundtrip, bench_min_aggregate, bench_route_hashes, bench_route_queue
 }
 criterion_main!(benches);

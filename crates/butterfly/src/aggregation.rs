@@ -15,10 +15,9 @@
 //!    already landed level by level toward `h(group)` on the bottom level
 //!    (bit-fixing paths; the routing analysis covers continuous injection).
 //!    Packets of the same group that collide on a butterfly node
-//!    **combine** via the distributive aggregate; when packets of different
-//!    groups contend for one butterfly edge, the smallest rank `ρ(group)`
-//!    wins and the rest wait (Theorem B.2 bounds the total delay). One
-//!    packet crosses each butterfly edge per round.
+//!    **combine** via the distributive aggregate; packets of different
+//!    groups contending for one butterfly edge wait in the column's
+//!    [`RouteQueue`], which holds the contention rule.
 //! 2. **Postprocessing** — each level-`d` node delivers every finished
 //!    group aggregate to its target in a round chosen uniformly from
 //!    `{1..⌈ℓ̂₂/log n⌉}`, smoothing the receive load.
@@ -47,6 +46,7 @@ use rand::Rng;
 
 use crate::combine::Aggregate;
 use crate::compose::{lane_seed, run_composed, run_single};
+use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::topology::{Butterfly, GroupId};
 
 /// Per-node delivery lists: for each node, the `(group, value)` pairs it
@@ -106,57 +106,6 @@ impl RouteHashes {
     }
 }
 
-/// Where a group's packets go and who yields to whom: a pure function of
-/// the group id under the agreed hash functions.
-///
-/// It travels with the packet — in its [`QueueKey`] while it waits in a
-/// routing queue, and in [`LevelMsg`] and the tree-setup `Route` message
-/// while it crosses an edge — as simulator-side metadata that `bit_size`
-/// does **not** charge: every node holds the shared hash functions and
-/// could recompute the pair from the group id for free (local computation
-/// costs nothing in the model), so carrying it saves the simulator
-/// `Θ(log n)` field multiplications per hop and changes no bit, drop,
-/// round or record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Route {
-    /// Intermediate target `h(group)`: a uniform level-`d` column.
-    pub target: u32,
-    /// Routing rank `ρ(group)` (ties broken by group id, as in App. B.2);
-    /// 0 under [`RouteHashes::with_fifo`].
-    pub rank: u32,
-}
-
-/// Key of a routing queue: ordered by `(rank, group)`, so `pop_first` is
-/// the contention rule and same-group inserts meet. The target column
-/// rides along outside the order — it is a function of the group, so
-/// keys that compare equal agree on it — which keeps a queue entry the
-/// size it had when the key was the bare `(rank, group)` pair.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct QueueKey {
-    pub route: Route,
-    pub group: u64,
-}
-
-impl Ord for QueueKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.route.rank, self.group).cmp(&(other.route.rank, other.group))
-    }
-}
-
-impl PartialOrd for QueueKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for QueueKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for QueueKey {}
-
 // ---------------------------------------------------------------------------
 // Wire formats
 // ---------------------------------------------------------------------------
@@ -194,45 +143,32 @@ impl<V: Payload> Payload for LevelMsg<V> {
 // ---------------------------------------------------------------------------
 
 pub(crate) struct CombineState<V> {
-    /// `queues[i][dir]`: packets waiting at `(i, α)` to traverse the edge to
-    /// level `i+1` — `dir` 0 = straight, 1 = cross. `pop_first` is the
-    /// contention rule and same-group inserts combine (see [`QueueKey`]).
-    pub queues: Vec<[BTreeMap<QueueKey, V>; 2]>,
+    /// Packets waiting at `(i, α)` to traverse the edge to level `i+1`;
+    /// same-group packets that meet combine.
+    pub queue: RouteQueue<V>,
     /// Finished aggregates at level `d` (this column is `h(group)`).
     pub arrived: BTreeMap<u64, V>,
 }
 
-impl<V> CombineState<V> {
-    pub fn new(d: u32) -> Self {
+impl<V> Default for CombineState<V> {
+    fn default() -> Self {
         CombineState {
-            queues: (0..d).map(|_| [BTreeMap::new(), BTreeMap::new()]).collect(),
+            queue: RouteQueue::default(),
             arrived: BTreeMap::new(),
         }
-    }
-
-    fn busy(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| !q[0].is_empty() || !q[1].is_empty())
     }
 }
 
 /// Inserts `value` under `key`, combining with the entry already there.
-fn merge_into<K: Ord, V: Payload, A: Aggregate<V>>(
-    map: &mut BTreeMap<K, V>,
-    key: K,
+fn merge_into<V: Payload, A: Aggregate<V>>(
+    map: &mut BTreeMap<u64, V>,
+    key: u64,
     value: V,
     agg: &A,
 ) {
-    match map.entry(key) {
-        std::collections::btree_map::Entry::Vacant(e) => {
-            e.insert(value);
-        }
-        std::collections::btree_map::Entry::Occupied(mut e) => {
-            let merged = agg.combine(e.get(), &value);
-            e.insert(merged);
-        }
-    }
+    map.entry(key)
+        .and_modify(|there| *there = agg.combine(there, &value))
+        .or_insert(value);
 }
 
 /// Inserts a packet at `(level, α)`, combining with a same-group packet
@@ -253,14 +189,15 @@ pub(crate) fn combine_insert<V: Payload, A: Aggregate<V>>(
         return;
     }
     let dir = bf.route_is_cross(alpha, level, route.target) as usize;
-    let key = QueueKey { route, group };
-    merge_into(&mut st.queues[level as usize][dir], key, value, agg);
+    st.queue
+        .insert(level, dir, route, group, value, |waiting, new| {
+            *waiting = agg.combine(waiting, &new)
+        });
 }
 
 /// One routing step at column `alpha`: every queue forwards its
-/// minimum-rank packet. Levels are processed top-down so a locally
-/// forwarded packet cannot advance twice in one round; cross-edge traffic
-/// goes through `emit`.
+/// minimum-rank packet (levels top-down, see [`LevelOrder`]); cross-edge
+/// traffic goes through `emit`.
 pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
     bf: &Butterfly,
     agg: &A,
@@ -269,35 +206,25 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
     budget: &mut usize,
     emit: &mut impl FnMut(ncc_model::NodeId, LevelMsg<V>),
 ) {
-    let d = bf.d();
-    for level in (0..d).rev() {
-        for dir in 0..2usize {
-            if *budget == 0 {
-                return;
-            }
-            let popped = st.queues[level as usize][dir].pop_first();
-            if let Some((QueueKey { route, group }, value)) = popped {
-                let next_col = if dir == 0 {
-                    alpha
-                } else {
-                    alpha ^ (1 << level)
-                };
-                if next_col == alpha {
-                    // straight edge: stays on this node
-                    combine_insert(bf, agg, st, alpha, level + 1, group, route, value);
-                } else {
-                    *budget -= 1;
-                    emit(
-                        bf.emulator(next_col),
-                        LevelMsg {
-                            level: (level + 1) as u8,
-                            group,
-                            route,
-                            value,
-                        },
-                    );
-                }
-            }
+    for (level, dir) in st.queue.waiting(LevelOrder::Descending) {
+        if *budget == 0 {
+            return;
+        }
+        let (route, group, value) = st.queue.pop_min(level, dir).expect("a waiting queue pops");
+        if dir == 0 {
+            // straight edge: stays on this node
+            combine_insert(bf, agg, st, alpha, level + 1, group, route, value);
+        } else {
+            *budget -= 1;
+            emit(
+                bf.emulator(alpha ^ (1 << level)),
+                LevelMsg {
+                    level: (level + 1) as u8,
+                    group,
+                    route,
+                    value,
+                },
+            );
         }
     }
 }
@@ -381,7 +308,7 @@ impl<V: Payload, A: Aggregate<V>> NodeProgram for ScatterCombine<'_, V, A> {
                 &mut unpaced,
                 &mut |dst, msg| ctx.send(dst, msg),
             );
-            if st.comb.busy() {
+            if !st.comb.queue.is_empty() {
                 ctx.stay_awake();
             }
         } else {
@@ -504,7 +431,7 @@ pub fn aggregation_sub<'a, V: Payload, A: Aggregate<V>>(
         .into_iter()
         .map(|ms| ScatterCombineState {
             to_send: ms.into_iter().map(|(g, v)| (g.raw(), v)).collect(),
-            comb: CombineState::new(bf.d()),
+            comb: CombineState::default(),
         })
         .collect();
     AggregationSub {
@@ -813,12 +740,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The keys waiting at one level of a routing-queue table, both
-    /// directions.
-    pub(crate) fn queued_keys<V>(level: &[BTreeMap<QueueKey, V>; 2]) -> Vec<QueueKey> {
-        level.iter().flat_map(|q| q.keys().copied()).collect()
-    }
-
     proptest::proptest! {
         /// Carried route ≡ recomputed route on the combining path: a packet
         /// injected at any level-0 column shows the freshly hashed
@@ -841,15 +762,15 @@ pub(crate) mod tests {
             let hashes = RouteHashes::new(&shared, &bf, n);
             let hashes = if fifo { hashes.with_fifo() } else { hashes };
             let mut states: Vec<CombineState<u64>> =
-                (0..bf.columns()).map(|_| CombineState::new(bf.d())).collect();
+                (0..bf.columns()).map(|_| CombineState::default()).collect();
             let mut col = start % bf.columns() as u32;
             // the packet enters the butterfly at (0, col): its route is evaluated here
             combine_insert(&bf, &SumU64, &mut states[col as usize], col, 0, group, hashes.route(group), 1);
             for level in 0..bf.d() {
                 let st = &mut states[col as usize];
-                let queued = queued_keys(&st.queues[level as usize]);
+                let queued = st.queue.keys_at(level);
                 proptest::prop_assert_eq!(queued.len(), 1, "one packet, at level {}", level);
-                proptest::prop_assert_eq!(queued[0].route, fresh, "queued at level {}", level);
+                proptest::prop_assert_eq!(queued[0], (fresh, group), "queued at level {}", level);
                 let (mut crossed, mut unpaced) = (None, usize::MAX);
                 combine_step(&bf, &SumU64, st, col, &mut unpaced, &mut |dst, msg| {
                     crossed = Some((dst, msg));
@@ -915,6 +836,7 @@ pub(crate) struct MaPipelineState<V, W> {
 pub(crate) struct MaPipelineProgram<'a, V, W, A, F> {
     pub bf: Butterfly,
     pub hashes: RouteHashes,
+    pub trees: &'a crate::mctree::MulticastTrees,
     pub agg: &'a A,
     pub leaf_map: F,
     pub batch: usize,
@@ -995,7 +917,9 @@ where
         for env in inbox {
             match &env.payload {
                 MaMsg::Spread(m) => crate::multicast::spread_arrive(
+                    self.trees,
                     &mut st.spread,
+                    alpha,
                     m.level as u32,
                     m.group,
                     m.route,
@@ -1017,6 +941,7 @@ where
         let mut budget = self.send_budget;
         crate::multicast::spread_step(
             &self.bf,
+            self.trees,
             &mut st.spread,
             alpha,
             &mut budget,
@@ -1037,7 +962,7 @@ where
             &mut budget,
             &mut |dst, msg| ctx.send(dst, MaMsg::Agg(msg)),
         );
-        if st.spread.busy() || !st.to_send.is_empty() || st.comb.busy() {
+        if !(st.spread.queue.is_empty() && st.to_send.is_empty() && st.comb.queue.is_empty()) {
             ctx.stay_awake();
         }
     }
@@ -1068,7 +993,7 @@ where
 pub fn multi_aggregate_sub<'a, V, W, A, F>(
     n: usize,
     shared: &SharedRandomness,
-    trees: &crate::mctree::MulticastTrees,
+    trees: &'a crate::mctree::MulticastTrees,
     messages: Vec<Option<(GroupId, V)>>,
     leaf_map: F,
     agg: &'a A,
@@ -1084,15 +1009,14 @@ where
     let bf = Butterfly::for_n(n);
     let hashes = RouteHashes::new(shared, &bf, n);
     let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let states: Vec<MaPipelineState<V, W>> =
-        crate::multicast::spread_states(trees, messages, bf.d())
-            .into_iter()
-            .map(|spread| MaPipelineState {
-                spread,
-                to_send: Vec::new(),
-                comb: CombineState::new(bf.d()),
-            })
-            .collect();
+    let states: Vec<MaPipelineState<V, W>> = crate::multicast::spread_states(messages)
+        .into_iter()
+        .map(|spread| MaPipelineState {
+            spread,
+            to_send: Vec::new(),
+            comb: CombineState::default(),
+        })
+        .collect();
     MultiAggSub {
         stage: 0,
         lane_seed,
@@ -1100,6 +1024,7 @@ where
             MaPipelineProgram {
                 bf,
                 hashes,
+                trees,
                 agg,
                 leaf_map,
                 batch: logn,

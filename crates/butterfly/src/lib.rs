@@ -59,6 +59,9 @@ pub mod combine;
 pub mod compose;
 pub mod mctree;
 pub mod multicast;
+// Reachable for the criterion bench and the differential test; not API.
+#[doc(hidden)]
+pub mod queue;
 pub mod schedule;
 pub mod seed;
 pub mod topology;

@@ -4,8 +4,9 @@
 //! builds a multicast tree `T_i` per group inside the butterfly: the root is
 //! the uniform level-`d` column `h(i)`, and each member `u ∈ A_i` owns a
 //! random level-0 leaf `l(i, u)`. The trees are the union of the paths the
-//! members' join-packets take during an aggregation run — every butterfly
-//! node records, per group, along which in-edges packets arrived.
+//! members' join-packets take during an aggregation run (same routing, same
+//! [`RouteQueue`] contention rule, unit payload) — every butterfly node
+//! records, per group, along which in-edges packets arrived.
 //!
 //! One program does both halves in the same rounds — the [`McSetupSub`]
 //! lane, one stage and one [`sync_barrier`](crate::aggregation::sync_barrier);
@@ -17,14 +18,13 @@
 //! node), which is measured by [`MulticastTrees::congestion`] and validated
 //! in experiment E4.
 
-use std::collections::BTreeMap;
-
 use ncc_hashing::{FxHashMap, SharedRandomness};
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram};
 use rand::Rng;
 
-use crate::aggregation::{QueueKey, Route, RouteHashes};
+use crate::aggregation::RouteHashes;
 use crate::compose::{lane_seed, run_composed};
+use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::topology::{Butterfly, GroupId};
 
 /// The recorded forest of multicast trees, indexed by column.
@@ -76,9 +76,9 @@ impl MulticastTrees {
 
 /// Per-node recording state for the tree-building routing run.
 pub(crate) struct RecordState {
-    /// Routing queues as in the combining phase, value = unit (join packets
+    /// Routing queue as in the combining phase, value = unit (join packets
     /// carry no data; combining just merges paths).
-    queues: Vec<[BTreeMap<QueueKey, ()>; 2]>,
+    queue: RouteQueue<()>,
     leaves: FxHashMap<u64, Vec<NodeId>>,
     in_edges: Vec<FxHashMap<u64, (bool, bool)>>,
 }
@@ -86,16 +86,10 @@ pub(crate) struct RecordState {
 impl RecordState {
     fn new(d: u32) -> Self {
         RecordState {
-            queues: (0..d).map(|_| [BTreeMap::new(), BTreeMap::new()]).collect(),
+            queue: RouteQueue::default(),
             leaves: FxHashMap::default(),
             in_edges: (0..d).map(|_| FxHashMap::default()).collect(),
         }
-    }
-
-    fn busy(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| !q[0].is_empty() || !q[1].is_empty())
     }
 }
 
@@ -138,7 +132,7 @@ impl RecordProgram {
             }
         }
         let dir = self.bf.route_is_cross(alpha, level, route.target) as usize;
-        st.queues[level as usize][dir].insert(QueueKey { route, group }, ());
+        st.queue.insert(level, dir, route, group, (), |(), ()| {});
     }
 
     /// One recording-routing step at column `alpha`; cross-edge traffic
@@ -149,22 +143,13 @@ impl RecordProgram {
         alpha: u32,
         emit: &mut impl FnMut(NodeId, u8, u64, Route),
     ) {
-        let d = self.bf.d();
-        for level in (0..d).rev() {
-            for dir in 0..2usize {
-                let popped = st.queues[level as usize][dir].pop_first();
-                if let Some((QueueKey { route, group }, ())) = popped {
-                    let next_col = if dir == 0 {
-                        alpha
-                    } else {
-                        alpha ^ (1 << level)
-                    };
-                    if next_col == alpha {
-                        self.insert(st, alpha, level + 1, group, route, false);
-                    } else {
-                        emit(self.bf.emulator(next_col), (level + 1) as u8, group, route);
-                    }
-                }
+        for (level, dir) in st.queue.waiting(LevelOrder::Descending) {
+            let (route, group, ()) = st.queue.pop_min(level, dir).expect("a waiting queue pops");
+            if dir == 0 {
+                self.insert(st, alpha, level + 1, group, route, false);
+            } else {
+                let next_col = alpha ^ (1 << level);
+                emit(self.bf.emulator(next_col), (level + 1) as u8, group, route);
             }
         }
     }
@@ -297,7 +282,7 @@ impl NodeProgram for RecordScatterProgram {
                         },
                     )
                 });
-            if st.rec.busy() {
+            if !st.rec.queue.is_empty() {
                 ctx.stay_awake();
             }
         } else {
@@ -540,7 +525,7 @@ mod tests {
             sub in proptest::prelude::any::<u32>(),
             leaf in proptest::prelude::any::<u32>(),
         ) {
-            use crate::aggregation::tests::{fresh_route, queued_keys};
+            use crate::aggregation::tests::fresh_route;
             use crate::multicast::{spread_arrive, spread_states, spread_step};
 
             let shared = SharedRandomness::new(seed);
@@ -563,9 +548,9 @@ mod tests {
             record.inject(&mut rec[col as usize], col, group);
             for level in 0..d {
                 let st = &mut rec[col as usize];
-                let queued = queued_keys(&st.queues[level as usize]);
+                let queued = st.queue.keys_at(level);
                 proptest::prop_assert_eq!(queued.len(), 1, "one packet, at level {}", level);
-                proptest::prop_assert_eq!(queued[0].route, fresh, "queued at level {}", level);
+                proptest::prop_assert_eq!(queued[0], (fresh, group), "queued at level {}", level);
                 let mut crossed = None;
                 record.step(st, col, &mut |dst, lvl, g, route| crossed = Some((dst, lvl, g, route)));
                 if let Some((dst, lvl, g, route)) = crossed {
@@ -581,21 +566,21 @@ mod tests {
             let trees = trees_from_states(n, d, rec);
             let mut messages = vec![None; n];
             messages[member as usize] = Some((gid, 7u64));
-            let mut spread = spread_states(&trees, messages, d);
-            spread_arrive(&mut spread[col as usize], d, group, record.hashes.route(group), 7);
+            let mut spread = spread_states(messages);
+            spread_arrive(&trees, &mut spread[col as usize], col, d, group, record.hashes.route(group), 7);
             for level in (1..=d).rev() {
                 let st = &mut spread[col as usize];
-                let queued = queued_keys(&st.queues[level as usize - 1]);
+                let queued = st.queue.keys_at(level - 1);
                 proptest::prop_assert_eq!(queued.len(), 1, "one packet, at level {}", level);
-                proptest::prop_assert_eq!(queued[0].route, fresh, "queued at level {}", level);
+                proptest::prop_assert_eq!(queued[0], (fresh, group), "queued at level {}", level);
                 let (mut crossed, mut unpaced) = (None, usize::MAX);
-                spread_step(&bf, st, col, &mut unpaced, &mut |dst, msg| {
+                spread_step(&bf, &trees, st, col, &mut unpaced, &mut |dst, msg| {
                     crossed = Some((dst, msg));
                 });
                 if let Some((dst, m)) = crossed {
                     proptest::prop_assert_eq!(m.route, fresh, "sent from level {}", level);
                     col = bf.column_of(dst);
-                    spread_arrive(&mut spread[col as usize], m.level as u32, m.group, m.route, m.value);
+                    spread_arrive(&trees, &mut spread[col as usize], col, m.level as u32, m.group, m.route, m.value);
                 }
             }
             proptest::prop_assert_eq!(col, leaf);

@@ -7,9 +7,9 @@
 //!
 //! 1. each source sends `p_i` directly to the root `h(i)` (one NCC message);
 //! 2. **spreading** — packets travel down the recorded tree edges from
-//!    level `d` to level 0, one packet per butterfly edge per round,
-//!    smallest rank first (the reverse of the combining-phase routing);
-//!    a packet is *copied* onto every recorded child edge;
+//!    level `d` to level 0 (the reverse of the combining-phase routing,
+//!    under the same contention rule: see [`RouteQueue`]); a packet is
+//!    *copied* onto every recorded child edge;
 //! 3. leaves `l(i, u)` deliver `p_i` to their members `u` in rounds chosen
 //!    uniformly from the `⌈ℓ̂/log n⌉` rounds after the packet reached them.
 //!
@@ -17,149 +17,118 @@
 //! lane, one stage and one [`sync_barrier`](crate::aggregation::sync_barrier).
 //! [`multicast`] drives that lane alone; algorithms pack it next to others
 //! in a [`Dag`](crate::compose::Dag). The spreading half
-//! (`spread_arrive`/`spread_step`) is shared with Multi-Aggregation.
-
-use std::collections::BTreeMap;
+//! (`spread_arrive`/`spread_step`) is shared with Multi-Aggregation; both
+//! programs borrow the [`MulticastTrees`] and read a column's recorded
+//! edges and leaves there, so starting a multicast copies none of it.
 
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
 use rand::Rng;
 
-use crate::aggregation::{LevelMsg, QueueKey, Route, RouteHashes};
+use crate::aggregation::{LevelMsg, RouteHashes};
 use crate::compose::{lane_seed, run_composed};
 use crate::mctree::MulticastTrees;
+use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::topology::{Butterfly, GroupId};
 
 // ---------------------------------------------------------------------------
 // Spreading phase (shared with multi-aggregation)
 // ---------------------------------------------------------------------------
 
-/// Per-node state for the downward spreading phase. The tree slices
-/// (`in_edges`, `leaves`) are this column's share of the recorded forest.
+/// Per-node state for the downward spreading phase. The column's share of
+/// the recorded forest is not copied here: the spreading programs hold the
+/// [`MulticastTrees`] and [`spread_arrive`] reads column `α`'s maps there.
 pub(crate) struct SpreadState<V> {
-    /// `queues[i][dir]` (index `i` = level of the holding node − 1, i.e.
-    /// levels `1..=d`): packets waiting to traverse the down-edge to the
-    /// straight (`dir` 0) or cross (`dir` 1) child.
-    pub queues: Vec<[BTreeMap<QueueKey, V>; 2]>,
-    /// This column's recorded in-edges (index `level − 1`, group → edges).
-    pub in_edges: Vec<ncc_hashing::FxHashMap<u64, (bool, bool)>>,
-    /// This column's leaf registrations (group → members).
-    pub leaves: ncc_hashing::FxHashMap<u64, Vec<NodeId>>,
+    /// Packets waiting at level `i + 1` (queue level `i`, so levels
+    /// `1..=d`) to traverse the down-edge to the straight (`dir` 0) or
+    /// cross (`dir` 1) child.
+    pub queue: RouteQueue<V>,
     /// `(group, member, value)` reaching level-0 leaves here.
     pub at_leaves: Vec<(u64, NodeId, V)>,
     /// If this node is a source: packet to fire at the root in round 0.
     pub source_packet: Option<(u64, V)>,
 }
 
-impl<V> SpreadState<V> {
-    pub(crate) fn busy(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| !q[0].is_empty() || !q[1].is_empty())
-    }
-}
-
 /// A packet arrives at `(level, α)`: copy it onto every recorded child
 /// edge, or register leaf arrivals at level 0 (pushed to `at_leaves`).
 pub(crate) fn spread_arrive<V: Payload>(
+    trees: &MulticastTrees,
     st: &mut SpreadState<V>,
+    alpha: u32,
     level: u32,
     group: u64,
     route: Route,
     value: V,
 ) {
     if level == 0 {
-        if let Some(members) = st.leaves.get(&group) {
+        if let Some(members) = trees.leaves[alpha as usize].get(&group) {
             for &m in members {
                 st.at_leaves.push((group, m, value.clone()));
             }
         }
         return;
     }
-    let Some(&(straight, cross)) = st.in_edges[level as usize - 1].get(&group) else {
+    let Some(&(straight, cross)) = trees.in_edges[alpha as usize][level as usize - 1].get(&group)
+    else {
         return; // no members below this tree node
     };
-    let key = QueueKey { route, group };
+    let newer = |waiting: &mut V, new: V| *waiting = new;
     if straight {
-        st.queues[level as usize - 1][0].insert(key, value.clone());
+        st.queue
+            .insert(level - 1, 0, route, group, value.clone(), newer);
     }
     if cross {
-        st.queues[level as usize - 1][1].insert(key, value);
+        st.queue.insert(level - 1, 1, route, group, value, newer);
     }
 }
 
 /// One spreading step at column `alpha`: forward one packet per down-edge
-/// (ascending level order, so a locally advanced packet is not advanced
-/// twice in one round); cross-edge traffic goes through `emit`. Each
-/// emitted message debits `budget`; once it hits zero the remaining
-/// queues wait for the next round (pass `usize::MAX` for the unpaced
-/// solo-instance behaviour).
+/// (levels bottom-up, see [`LevelOrder`]); cross-edge traffic goes through
+/// `emit`. Each emitted message debits `budget`; once it hits zero the
+/// remaining queues wait for the next round (pass `usize::MAX` for the
+/// unpaced solo-instance behaviour).
 pub(crate) fn spread_step<V: Payload>(
     bf: &Butterfly,
+    trees: &MulticastTrees,
     st: &mut SpreadState<V>,
     alpha: u32,
     budget: &mut usize,
     emit: &mut impl FnMut(NodeId, LevelMsg<V>),
 ) {
-    let d = bf.d();
-    for level in 1..=d {
-        for dir in 0..2usize {
-            if *budget == 0 {
-                return;
-            }
-            let popped = st.queues[level as usize - 1][dir].pop_first();
-            if let Some((QueueKey { route, group }, value)) = popped {
-                let child = if dir == 0 {
-                    alpha
-                } else {
-                    alpha ^ (1 << (level - 1))
-                };
-                if child == alpha {
-                    spread_arrive(st, level - 1, group, route, value);
-                } else {
-                    *budget -= 1;
-                    emit(
-                        bf.emulator(child),
-                        LevelMsg {
-                            level: (level - 1) as u8,
-                            group,
-                            route,
-                            value,
-                        },
-                    );
-                }
-            }
+    for (below, dir) in st.queue.waiting(LevelOrder::Ascending) {
+        if *budget == 0 {
+            return;
+        }
+        let (route, group, value) = st.queue.pop_min(below, dir).expect("a waiting queue pops");
+        if dir == 0 {
+            spread_arrive(trees, st, alpha, below, group, route, value);
+        } else {
+            *budget -= 1;
+            emit(
+                bf.emulator(alpha ^ (1 << below)),
+                LevelMsg {
+                    level: below as u8,
+                    group,
+                    route,
+                    value,
+                },
+            );
         }
     }
 }
 
-/// Builds per-node spreading states from the recorded forest and the
-/// sources' packets.
+/// Per-node spreading states: empty queues, and the sources' packets.
 pub(crate) fn spread_states<V: Payload>(
-    trees: &MulticastTrees,
     messages: Vec<Option<(GroupId, V)>>,
-    d: u32,
 ) -> Vec<SpreadState<V>> {
-    let n = trees.n;
-    let mut states: Vec<SpreadState<V>> = (0..n)
-        .map(|col| SpreadState {
-            queues: (0..d).map(|_| [BTreeMap::new(), BTreeMap::new()]).collect(),
-            in_edges: trees
-                .in_edges
-                .get(col)
-                .cloned()
-                .unwrap_or_else(|| (0..d).map(|_| ncc_hashing::FxHashMap::default()).collect()),
-            leaves: trees.leaves.get(col).cloned().unwrap_or_default(),
+    messages
+        .into_iter()
+        .map(|msg| SpreadState {
+            queue: RouteQueue::default(),
             at_leaves: Vec::new(),
-            source_packet: None,
+            source_packet: msg.map(|(g, v)| (g.raw(), v)),
         })
-        .collect();
-    for (u, msg) in messages.into_iter().enumerate() {
-        if let Some((g, v)) = msg {
-            states[u].source_packet = Some((g.raw(), v));
-        }
-    }
-    states
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -195,14 +164,15 @@ pub(crate) struct SpreadDeliverState<V> {
 /// for delivery in a uniformly random round of the next
 /// `window = ⌈ℓ̂/log n⌉` rounds — the paper's load-smoothing rule, with no
 /// barrier between spreading and delivery.
-pub(crate) struct SpreadDeliverProgram<V> {
+pub(crate) struct SpreadDeliverProgram<'a, V> {
     pub bf: Butterfly,
     pub hashes: RouteHashes,
+    pub trees: &'a MulticastTrees,
     pub window: u64,
     pub _pd: std::marker::PhantomData<V>,
 }
 
-impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
+impl<V: Payload> NodeProgram for SpreadDeliverProgram<'_, V> {
     type State = SpreadDeliverState<V>;
     type Payload = McMsg<V>;
 
@@ -233,7 +203,9 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
                 McMsg::Route(m) => {
                     debug_assert!(self.bf.emulates(ctx.id), "routing reaches emulators only");
                     spread_arrive(
+                        self.trees,
                         &mut st.spread,
+                        self.bf.column_of(ctx.id),
                         m.level as u32,
                         m.group,
                         m.route,
@@ -249,6 +221,7 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
         let mut unpaced = usize::MAX;
         spread_step(
             &self.bf,
+            self.trees,
             &mut st.spread,
             alpha,
             &mut unpaced,
@@ -278,7 +251,7 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
                 }
             })
             .collect();
-        if st.spread.busy() || !st.scheduled.is_empty() {
+        if !st.spread.queue.is_empty() || !st.scheduled.is_empty() {
             ctx.stay_awake();
         }
     }
@@ -288,8 +261,8 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<V> {
 /// delivery). Build with [`multicast_sub`], run under
 /// [`crate::compose::run_composed`], read with
 /// [`MulticastSub::into_deliveries`].
-pub struct MulticastSub<V: Payload> {
-    stage: Option<(SpreadDeliverProgram<V>, Vec<SpreadDeliverState<V>>)>,
+pub struct MulticastSub<'a, V: Payload> {
+    stage: Option<(SpreadDeliverProgram<'a, V>, Vec<SpreadDeliverState<V>>)>,
     lane_seed: u64,
     out: Option<crate::aggregation::GroupedDeliveries<V>>,
 }
@@ -297,20 +270,20 @@ pub struct MulticastSub<V: Payload> {
 /// Builds the multicast sub-protocol over previously set-up trees.
 /// Arguments mirror [`multicast`]; `lane_seed` keys the lane's private
 /// randomness stream (delivery-round draws).
-pub fn multicast_sub<V: Payload>(
+pub fn multicast_sub<'a, V: Payload>(
     n: usize,
     shared: &SharedRandomness,
-    trees: &MulticastTrees,
+    trees: &'a MulticastTrees,
     messages: Vec<Option<(GroupId, V)>>,
     ell_hat: usize,
     lane_seed: u64,
-) -> MulticastSub<V> {
+) -> MulticastSub<'a, V> {
     assert_eq!(messages.len(), n);
     let bf = Butterfly::for_n(n);
     let hashes = RouteHashes::new(shared, &bf, n);
     let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
     let window = (ell_hat.div_ceil(logn)).max(1) as u64;
-    let states: Vec<SpreadDeliverState<V>> = spread_states(trees, messages, bf.d())
+    let states: Vec<SpreadDeliverState<V>> = spread_states(messages)
         .into_iter()
         .map(|spread| SpreadDeliverState {
             spread,
@@ -323,6 +296,7 @@ pub fn multicast_sub<V: Payload>(
             SpreadDeliverProgram {
                 bf,
                 hashes,
+                trees,
                 window,
                 _pd: std::marker::PhantomData,
             },
@@ -333,7 +307,7 @@ pub fn multicast_sub<V: Payload>(
     }
 }
 
-impl<V: Payload> MulticastSub<V> {
+impl<V: Payload> MulticastSub<'_, V> {
     /// The per-node `(group, payload)` deliveries. Panics before the
     /// composition ran to completion.
     pub fn into_deliveries(self) -> crate::aggregation::GroupedDeliveries<V> {
@@ -341,7 +315,7 @@ impl<V: Payload> MulticastSub<V> {
     }
 }
 
-impl<'a, V: Payload> crate::compose::LaneSub<'a> for MulticastSub<V> {
+impl<'a, V: Payload> crate::compose::LaneSub<'a> for MulticastSub<'a, V> {
     fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
         let (prog, states) = self.stage.take()?;
         Some(b.lane_seeded(prog, states, self.lane_seed))

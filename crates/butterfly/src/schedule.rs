@@ -132,17 +132,6 @@ impl SchedReport {
     pub fn barriers(&self) -> usize {
         self.stages.iter().filter(|s| s.barrier).count()
     }
-
-    /// Rounds (barriers excluded) of every stage that installed at least
-    /// one lane whose label satisfies `pred` — the per-subsystem round
-    /// breakdown (e.g. "how much of MST is FindMin").
-    pub fn rounds_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.stages
-            .iter()
-            .filter(|s| s.lanes.iter().any(|l| pred(&l.label)))
-            .map(|s| s.stats.rounds)
-            .sum()
-    }
 }
 
 /// Result of one [`Dag::run`]: typed outputs, total engine statistics

@@ -49,18 +49,20 @@ struct SeedProgram {
 }
 
 impl SeedProgram {
-    /// Children of column α in the binomial broadcast tree: α | 2^b for
-    /// every bit position b below α's lowest set bit (all of 0..d for the
-    /// root), plus the attached non-emulating node.
-    fn relay<F: FnMut(u32)>(&self, alpha: u32, mut f: F) {
-        let d = self.bf.d();
+    /// Sends `chunk` to the children of column α in the binomial broadcast
+    /// tree — α | 2^b for every bit position b below α's lowest set bit
+    /// (all of 0..d for the root) — and to the attached non-emulating node.
+    fn relay(&self, alpha: u32, chunk: &SeedChunk, ctx: &mut Ctx<'_, SeedChunk>) {
         let limit = if alpha == 0 {
-            d
+            self.bf.d()
         } else {
             alpha.trailing_zeros()
         };
         for b in 0..limit {
-            f(alpha | (1 << b));
+            ctx.send(self.bf.emulator(alpha | (1 << b)), chunk.clone());
+        }
+        if let Some(attached) = self.bf.attached_node(alpha) {
+            ctx.send(attached, chunk.clone());
         }
     }
 
@@ -98,32 +100,21 @@ impl NodeProgram for SeedProgram {
             return;
         }
         let alpha = self.bf.column_of(ctx.id);
-        // relay newly received chunks to all tree children + attached node
-        let mut to_relay: Vec<SeedChunk> = Vec::new();
         if ctx.id == 0 {
             // the root injects one chunk per round, pipelined
-            let idx = (ctx.round - 1) as u32;
-            if idx < self.chunks {
-                to_relay.push(SeedChunk {
-                    index: idx,
-                    word: self.word_for(idx),
-                });
-                if (idx + 1) < self.chunks {
+            let index = (ctx.round - 1) as u32;
+            if index < self.chunks {
+                let word = self.word_for(index);
+                self.relay(alpha, &SeedChunk { index, word }, ctx);
+                if index + 1 < self.chunks {
                     ctx.stay_awake();
                 }
             }
         }
+        // relay newly received chunks, in arrival order
         for env in inbox {
             st.words.push((env.payload.index, env.payload.word));
-            to_relay.push(env.payload.clone());
-        }
-        for chunk in to_relay {
-            self.relay(alpha, |child| {
-                ctx.send(self.bf.emulator(child), chunk.clone());
-            });
-            if let Some(attached) = self.bf.attached_node(alpha) {
-                ctx.send(attached, chunk.clone());
-            }
+            self.relay(alpha, &env.payload, ctx);
         }
     }
 }
@@ -148,12 +139,15 @@ pub fn broadcast_seed(
     let prog = SeedProgram { bf, master, chunks };
     let mut states = vec![SeedState::default(); n];
     let stats = engine.execute(&prog, &mut states)?;
-    // verify agreement: every node's chunk-0 word is the master seed
-    for (v, st) in states.iter().enumerate() {
-        let got = st.words.iter().find(|(i, _)| *i == 0).map(|(_, w)| *w);
-        debug_assert_eq!(got, Some(master), "node {v} missed the seed");
-        let received: std::collections::BTreeSet<u32> = st.words.iter().map(|(i, _)| *i).collect();
-        debug_assert_eq!(received.len() as u32, chunks, "node {v} missed chunks");
+    if cfg!(debug_assertions) {
+        // verify agreement: every node's chunk-0 word is the master seed
+        for (v, st) in states.iter().enumerate() {
+            let got = st.words.iter().find(|(i, _)| *i == 0).map(|(_, w)| *w);
+            assert_eq!(got, Some(master), "node {v} missed the seed");
+            let received: std::collections::BTreeSet<u32> =
+                st.words.iter().map(|(i, _)| *i).collect();
+            assert_eq!(received.len() as u32, chunks, "node {v} missed chunks");
+        }
     }
     Ok((SharedRandomness::new(master), stats))
 }

@@ -107,11 +107,6 @@ impl Butterfly {
         (alpha, alpha ^ (1 << i))
     }
 
-    /// Length of the unique level-0 → level-d path (always `d`).
-    pub fn path_len(&self) -> u32 {
-        self.d
-    }
-
     /// Walks the unique path from `(0, src)` to `(d, target)`, returning the
     /// sequence of columns visited (length `d + 1`).
     pub fn path_columns(&self, src: u32, target: u32) -> Vec<u32> {

@@ -308,14 +308,14 @@ pub fn coloring(
 
 /// Multicast lane over the `N_in` trees: thin wrapper fixing the `ℓ̂`
 /// bound (members per node ≤ outdegree ≤ â).
-fn in_multicast_sub(
+fn in_multicast_sub<'a>(
     n: usize,
     shared: &SharedRandomness,
-    in_trees: &MulticastTrees,
+    in_trees: &'a MulticastTrees,
     messages: Vec<Option<(GroupId, u64)>>,
     a_hat: usize,
     seed: u64,
-) -> MulticastSub<u64> {
+) -> MulticastSub<'a, u64> {
     multicast_sub(n, shared, in_trees, messages, a_hat.max(1), seed)
 }
 

@@ -33,8 +33,11 @@
 //! FindMin bucket lanes (plus the step-0 coin multicast) are an antichain
 //! the scheduler packs into one mux, the range multicast feeds the bucket
 //! memberships through a compute node, and the link/adopt chains thread
-//! typed outputs (multicast trees, exchange inboxes) into downstream build
-//! closures.
+//! typed outputs (exchange inboxes) into downstream build closures; the
+//! link trees, which the multicast after them borrows, go through a cell
+//! that outlives the DAG.
+
+use std::cell::OnceCell;
 
 use ncc_butterfly::{
     ab_sub, aggregate_and_broadcast, aggregation_sub, lane_seed, multicast_setup_sub,
@@ -490,19 +493,24 @@ pub fn mst(
                 ))
             })
             .collect();
+        // The freshly recorded trees outlive the DAG in this cell, so the
+        // coin/leader multicast reads them in place (a node's output lives
+        // only as long as a build closure's `Deps` borrow).
+        let recorded = OnceCell::new();
         let mut dag = Dag::new();
         let link_trees = dag.proto(
             format!("p{phase}:link-trees"),
             &[],
             move |_| multicast_setup_sub(n, shared, joins, link_trees_seed),
-            |s| s.into_trees(),
+            |s| recorded.set(s.into_trees()).expect("recorded once"),
         );
-        // the freshly recorded trees thread straight into the coin/leader
-        // multicast's build closure
         let link_mc = dag.proto(
             format!("p{phase}:link-mc"),
             &[link_trees.into()],
-            move |d| multicast_sub(n, shared, d.get(link_trees), messages, 1, link_mc_seed),
+            |_| {
+                let trees = recorded.get().expect("link-trees finished first");
+                multicast_sub(n, shared, trees, messages, 1, link_mc_seed)
+            },
             |s| s.into_deliveries(),
         );
         let mut run = dag.run(engine)?;

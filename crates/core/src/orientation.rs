@@ -44,6 +44,8 @@
 //! off a compute node so it runs as a barrier-free solo stage — the same
 //! rounds as the old blocking calls, declared instead of hand-sequenced.
 
+use std::cell::OnceCell;
+
 use ncc_butterfly::{
     ab_sub, aggregation_sub, lane_seed, multicast_setup_sub, multicast_sub, AggregationSpec, Dag,
     GroupId, MaxU64, SchedReport, SumPair, SumU64, XorSum,
@@ -304,11 +306,12 @@ pub fn orient(
             s1,
             k,
         );
-        let trials_of = |a: u64, fns: &[PolyHash], q: usize| -> Vec<u32> {
-            let mut t: Vec<u32> = fns.iter().map(|f| f.to_range(a, q as u64) as u32).collect();
-            t.sort_unstable();
-            t.dedup();
-            t
+        // arc `a`'s trials under `fns`, ascending and distinct, into `out`
+        let trials_of = |a: u64, fns: &[PolyHash], q: usize, out: &mut Vec<u32>| {
+            out.clear();
+            out.extend(fns.iter().map(|f| f.to_range(a, q as u64) as u32));
+            out.sort_unstable();
+            out.dedup();
         };
 
         let memberships: Vec<Vec<(GroupId, (u64, u64))>> = nodes
@@ -318,12 +321,11 @@ pub fn orient(
                 if !st.inactive {
                     return Vec::new();
                 }
-                let mut ms = Vec::new();
+                let (mut ms, mut trials) = (Vec::new(), Vec::new());
                 for &w in &st.pl {
                     let a = arc_id(w, v as NodeId, idb);
-                    for t in trials_of(a, &trial_fns, q1) {
-                        ms.push((GroupId::new(w, t), (a, 1u64)));
-                    }
+                    trials_of(a, &trial_fns, q1, &mut trials);
+                    ms.extend(trials.iter().map(|&t| (GroupId::new(w, t), (a, 1u64))));
                 }
                 ms
             })
@@ -377,7 +379,7 @@ pub fn orient(
                     .collect();
                 let blues: FxHashMap<u32, (u64, u64)> =
                     sketches[u].iter().map(|(gid, v)| (gid.sub(), *v)).collect();
-                let found = peel(&arcs, &blues, |a| trials_of(a, &peel_fns, q1));
+                let found = peel(&arcs, &blues, |a, out| trials_of(a, &peel_fns, q1, out));
                 for v in found {
                     red[u].insert(v);
                 }
@@ -523,19 +525,24 @@ pub fn orient(
                 .collect();
             let ell_hat = d_star_global.max(1);
 
+            // The freshly built trees outlive the DAG in this cell, so the
+            // announcement reads them in place (a node's output lives only
+            // as long as a build closure's `Deps` borrow).
+            let recorded = OnceCell::new();
             let mut dag = Dag::new();
             let trees = dag.proto(
                 format!("p{phase}:ulow-trees"),
                 &[],
                 move |_| multicast_setup_sub(n, shared, joins, trees_seed),
-                |s| s.into_trees(),
+                |s| recorded.set(s.into_trees()).expect("recorded once"),
             );
-            // the announcement threads the freshly built trees straight from
-            // the upstream node's typed output
             let flagged = dag.proto(
                 format!("p{phase}:ulow-mc"),
                 &[trees.into()],
-                move |d| multicast_sub(n, shared, d.get(trees), messages, ell_hat, mc_seed),
+                |_| {
+                    let trees = recorded.get().expect("ulow-trees finished first");
+                    multicast_sub(n, shared, trees, messages, ell_hat, mc_seed)
+                },
                 |s| s.into_deliveries(),
             );
             let mut run = dag.run(engine)?;
@@ -563,16 +570,15 @@ pub fn orient(
                         if !nodes[v].inactive {
                             return Vec::new();
                         }
-                        let mut ms = Vec::new();
+                        let (mut ms, mut trials) = (Vec::new(), Vec::new());
                         for &w in &narrowed[v] {
                             // only play for still-unsuccessful learners
                             if !unsuccessful[w as usize] {
                                 continue;
                             }
                             let a = arc_id(w, v as NodeId, idb);
-                            for t in trials_of(a, &fns, q2) {
-                                ms.push((GroupId::new(w, t), (a, 1u64)));
-                            }
+                            trials_of(a, &fns, q2, &mut trials);
+                            ms.extend(trials.iter().map(|&t| (GroupId::new(w, t), (a, 1u64))));
                         }
                         ms
                     })
@@ -619,7 +625,7 @@ pub fn orient(
                                 .collect();
                             let blues: FxHashMap<u32, (u64, u64)> =
                                 sketches[u].iter().map(|(gid, v)| (gid.sub(), *v)).collect();
-                            let found = peel(&arcs, &blues, |a| trials_of(a, &fns, q2));
+                            let found = peel(&arcs, &blues, |a, out| trials_of(a, &fns, q2, out));
                             for v in found {
                                 red[u].insert(v);
                             }
@@ -777,7 +783,10 @@ pub fn orient(
 /// the received `(X'(t), x'(t))` blue sketches, and the trial map, identify
 /// red arcs by repeatedly extracting trials whose red-count is exactly one.
 /// Returns the identified red neighbors.
-fn peel<F: Fn(u64) -> Vec<u32>>(
+///
+/// `trials_of(a, out)` overwrites `out` with arc `a`'s distinct trials; it
+/// is called once per arc (each call evaluates the trial hash functions).
+fn peel<F: Fn(u64, &mut Vec<u32>)>(
     arcs: &[(u64, NodeId)],
     blues: &FxHashMap<u32, (u64, u64)>,
     trials_of: F,
@@ -786,13 +795,18 @@ fn peel<F: Fn(u64) -> Vec<u32>>(
     // participating in trial t.
     let mut d: FxHashMap<u32, u64> = FxHashMap::default();
     let mut c: FxHashMap<u32, i64> = FxHashMap::default();
-    let mut arc_nbr: FxHashMap<u64, NodeId> = FxHashMap::default();
-    for &(a, v) in arcs {
-        arc_nbr.insert(a, v);
-        for t in trials_of(a) {
+    // arc → (neighbor, index k); arc k's trials are `trials[starts[k]..starts[k + 1]]`
+    let mut arc_nbr: FxHashMap<u64, (NodeId, usize)> = FxHashMap::default();
+    let (mut trials, mut starts, mut one) = (Vec::new(), vec![0], Vec::new());
+    for (k, &(a, v)) in arcs.iter().enumerate() {
+        arc_nbr.insert(a, (v, k));
+        trials_of(a, &mut one);
+        for &t in &one {
             *d.entry(t).or_insert(0) ^= a;
             *c.entry(t).or_insert(0) += 1;
         }
+        trials.extend_from_slice(&one);
+        starts.push(trials.len());
     }
     for (&t, &(x, cnt)) in blues {
         *d.entry(t).or_insert(0) ^= x;
@@ -809,14 +823,13 @@ fn peel<F: Fn(u64) -> Vec<u32>>(
             continue;
         }
         let a = d[&t];
-        let Some(&nbr) = arc_nbr.get(&a) else {
-            // sketch noise (possible only on hash failure) — stop peeling
-            // this trial; other trials may still resolve.
+        // a miss is sketch noise (possible only on hash failure) — stop
+        // peeling this trial; other trials may still resolve.
+        let Some((nbr, k)) = arc_nbr.remove(&a) else {
             continue;
         };
-        arc_nbr.remove(&a);
         found.push(nbr);
-        for t2 in trials_of(a) {
+        for &t2 in &trials[starts[k]..starts[k + 1]] {
             *d.get_mut(&t2).unwrap() ^= a;
             let slot = c.get_mut(&t2).unwrap();
             *slot -= 1;
@@ -961,11 +974,10 @@ mod tests {
                 e.1 += 1;
             }
         }
-        let dedup_trials = |a: u64| {
-            let mut ts = trials_of(a);
-            ts.sort_unstable();
-            ts.dedup();
-            ts
+        let dedup_trials = |a: u64, out: &mut Vec<u32>| {
+            *out = trials_of(a);
+            out.sort_unstable();
+            out.dedup();
         };
         let mut found = peel(&arcs, &blues, dedup_trials);
         found.sort_unstable();
