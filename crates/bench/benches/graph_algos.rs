@@ -29,7 +29,7 @@ fn bench_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let mut eng = Engine::new(NetConfig::new(n, SEED));
-                ncc_bench::prepare(&mut eng, &g, SEED)
+                ncc_core::prepare(&mut eng, SEED, Some(&g)).unwrap()
             });
         });
     }
@@ -42,8 +42,8 @@ fn bench_mis_phase(c: &mut Criterion) {
     c.bench_function("mis_full_256", |b| {
         b.iter(|| {
             let mut eng = Engine::new(NetConfig::new(n, SEED));
-            let (shared, bt, _) = ncc_bench::prepare(&mut eng, &g, SEED);
-            ncc_core::mis(&mut eng, &shared, &bt, &g).unwrap()
+            let prep = ncc_core::prepare(&mut eng, SEED, Some(&g)).unwrap();
+            ncc_core::mis(&mut eng, prep.shared(), prep.trees(), &g).unwrap()
         });
     });
 }
@@ -54,8 +54,8 @@ fn bench_bfs(c: &mut Criterion) {
     c.bench_function("bfs_grid_144", |b| {
         b.iter(|| {
             let mut eng = Engine::new(NetConfig::new(n, SEED));
-            let (shared, bt, _) = ncc_bench::prepare(&mut eng, &g, SEED);
-            ncc_core::bfs(&mut eng, &shared, &bt, &g, 0).unwrap()
+            let prep = ncc_core::prepare(&mut eng, SEED, Some(&g)).unwrap();
+            ncc_core::bfs(&mut eng, prep.shared(), prep.trees(), &g, 0).unwrap()
         });
     });
 }

@@ -15,10 +15,9 @@
 //! in the table is identical for any thread count.
 
 use ncc_bench::{
-    arboricity_workload, cli_json, cli_threads, describe, engine_threaded, f2, lg, prepare, Table,
-    SEED,
+    arboricity_workload, cli_json, cli_threads, describe, engine_threaded, f2, lg, Table, SEED,
 };
-use ncc_core::AlgoReport;
+use ncc_core::prepare;
 use ncc_graph::{analysis, check, gen};
 use ncc_model::ExecStats;
 
@@ -92,24 +91,25 @@ fn main() {
         {
             let wg = gen::with_random_weights(&g, (n * n) as u64, SEED + 1);
             let mut eng = engine_threaded(n, SEED + 2, threads);
-            let mut report = AlgoReport::default();
-            let shared = ncc_bench::agree_randomness(&mut eng, &mut report, SEED + 3);
-            let r = ncc_core::mst(&mut eng, &shared, &wg).expect("mst");
-            report.push("mst", r.report.total);
+            let prep = prepare(&mut eng, SEED + 3, None).expect("seed agreement");
+            let r = ncc_core::mst(&mut eng, prep.shared(), &wg).expect("mst");
             let ok = check::check_mst(&wg, &r.edges).is_ok();
+            let mut total = prep.report.total;
+            total.merge(&r.report.total);
             let bound = lg(n).powi(4);
-            emit("MST", n, a, &report.total, bound, ok);
+            emit("MST", n, a, &total, bound, ok);
         }
 
         // ---- shared §5 pipeline --------------------------------------------
         let mut eng = engine_threaded(n, SEED + 4, threads);
-        let (shared, bt, prep) = prepare(&mut eng, &g, SEED + 5);
+        let prep = prepare(&mut eng, SEED + 5, Some(&g)).expect("prepare");
+        let (shared, bt) = (prep.shared(), prep.trees());
 
         // ---- BFS (Thm 5.2: O((a + D + log n) log n)) -----------------------
         {
-            let r = ncc_core::bfs(&mut eng, &shared, &bt, &g, 0).expect("bfs");
+            let r = ncc_core::bfs(&mut eng, shared, bt, &g, 0).expect("bfs");
             let ok = check::check_bfs(&g, 0, &r.dist, &r.parent).is_ok();
-            let mut total = prep.total;
+            let mut total = prep.report.total;
             total.merge(&r.report.total);
             let bound = (a_real + d + lg(n)) * lg(n);
             emit("BFS Tree", n, a, &total, bound, ok);
@@ -117,9 +117,9 @@ fn main() {
 
         // ---- MIS (Thm 5.3: O((a + log n) log n)) ---------------------------
         {
-            let r = ncc_core::mis(&mut eng, &shared, &bt, &g).expect("mis");
+            let r = ncc_core::mis(&mut eng, shared, bt, &g).expect("mis");
             let ok = check::check_mis(&g, &r.in_mis).is_ok();
-            let mut total = prep.total;
+            let mut total = prep.report.total;
             total.merge(&r.report.total);
             let bound = (a_real + lg(n)) * lg(n);
             emit("MIS", n, a, &total, bound, ok);
@@ -127,9 +127,9 @@ fn main() {
 
         // ---- Maximal Matching (Thm 5.4: O((a + log n) log n)) ---------------
         {
-            let r = ncc_core::maximal_matching(&mut eng, &shared, &bt, &g).expect("mm");
+            let r = ncc_core::maximal_matching(&mut eng, shared, bt, &g).expect("mm");
             let ok = check::check_matching(&g, &r.mate).is_ok();
-            let mut total = prep.total;
+            let mut total = prep.report.total;
             total.merge(&r.report.total);
             let bound = (a_real + lg(n)) * lg(n);
             emit("Matching", n, a, &total, bound, ok);
@@ -137,9 +137,9 @@ fn main() {
 
         // ---- O(a)-Coloring (Thm 5.5: O((a + log n) log^{3/2} n)) ------------
         {
-            let r = ncc_core::coloring(&mut eng, &shared, &bt.orientation, &g).expect("coloring");
+            let r = ncc_core::coloring(&mut eng, shared, &bt.orientation, &g).expect("coloring");
             let ok = check::check_coloring(&g, &r.colors, r.palette).is_ok();
-            let mut total = prep.total;
+            let mut total = prep.report.total;
             total.merge(&r.report.total);
             let bound = (a_real + lg(n)) * lg(n).powf(1.5);
             emit("Coloring", n, a, &total, bound, ok);

@@ -6,15 +6,16 @@
 //! (star, cycle, G(n,p), union of forests) with everyone as source, and
 //! with small source subsets, validating the Corollary-1 form.
 
-use ncc_bench::{engine, f2, lg, prepare, Table, SEED};
+use ncc_bench::{engine, f2, lg, Table, SEED};
 use ncc_butterfly::{multi_aggregate, MinU64};
 use ncc_core::broadcast_trees::neighborhood_group;
+use ncc_core::prepare;
 use ncc_graph::{gen, Graph};
 
 fn run(name: &str, g: &Graph, frac: usize, t: &mut Table) {
     let n = g.n();
     let mut eng = engine(n, SEED + 77);
-    let (shared, bt, _) = prepare(&mut eng, g, SEED + 78);
+    let prep = prepare(&mut eng, SEED + 78, Some(g)).expect("prepare");
     let sources: Vec<usize> = (0..n).filter(|u| u % frac == 0).collect();
     let messages: Vec<Option<(ncc_butterfly::GroupId, u64)>> = (0..n)
         .map(|u| {
@@ -27,8 +28,8 @@ fn run(name: &str, g: &Graph, frac: usize, t: &mut Table) {
         .collect();
     let (out, stats) = multi_aggregate(
         &mut eng,
-        &shared,
-        &bt.trees,
+        prep.shared(),
+        &prep.trees().trees,
         messages,
         |_, _, _, v| *v,
         &MinU64,

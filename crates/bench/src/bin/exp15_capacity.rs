@@ -5,8 +5,8 @@
 //! Prints peak per-node per-round load, the configured cap, and the ratio
 //! `peak / log₂ n` — the hidden constant of the `O(log n)` claim.
 
-use ncc_bench::{arboricity_workload, engine, f2, lg, prepare, Table, SEED};
-use ncc_core::AlgoReport;
+use ncc_bench::{arboricity_workload, engine, f2, lg, Table, SEED};
+use ncc_core::prepare;
 use ncc_graph::gen;
 
 fn main() {
@@ -27,25 +27,26 @@ fn main() {
     {
         let wg = gen::with_random_weights(&g, (n * n) as u64, SEED);
         let mut eng = engine(n, SEED);
-        let mut report = AlgoReport::default();
-        let shared = ncc_bench::agree_randomness(&mut eng, &mut report, SEED);
-        let r = ncc_core::mst(&mut eng, &shared, &wg).expect("mst");
-        report.push("mst", r.report.total);
+        let prep = prepare(&mut eng, SEED, None).expect("seed agreement");
+        let r = ncc_core::mst(&mut eng, prep.shared(), &wg).expect("mst");
+        let mut total = prep.report.total;
+        total.merge(&r.report.total);
         t.row(vec![
             "MST".into(),
             n.to_string(),
-            report.total.peak_load().to_string(),
+            total.peak_load().to_string(),
             eng.config().capacity.send.to_string(),
-            f2(report.total.peak_load() as f64 / lg(n)),
-            report.total.dropped.to_string(),
-            report.total.send_cap_violations.to_string(),
+            f2(total.peak_load() as f64 / lg(n)),
+            total.dropped.to_string(),
+            total.send_cap_violations.to_string(),
         ]);
     }
 
     // §5 pipeline + each algorithm
     let mut eng = engine(n, SEED + 1);
     let cap = eng.config().capacity.send;
-    let (shared, bt, prep) = prepare(&mut eng, &g, SEED + 2);
+    let prep = prepare(&mut eng, SEED + 2, Some(&g)).expect("prepare");
+    let (shared, bt) = (prep.shared(), prep.trees());
     fn add(t: &mut Table, name: &str, n: usize, cap: usize, total: ncc_model::ExecStats) {
         t.row(vec![
             name.into(),
@@ -57,14 +58,14 @@ fn main() {
             total.send_cap_violations.to_string(),
         ]);
     }
-    add(&mut t, "orientation+trees", n, cap, prep.total);
-    let r = ncc_core::bfs(&mut eng, &shared, &bt, &g, 0).expect("bfs");
+    add(&mut t, "orientation+trees", n, cap, prep.report.total);
+    let r = ncc_core::bfs(&mut eng, shared, bt, &g, 0).expect("bfs");
     add(&mut t, "BFS", n, cap, r.report.total);
-    let r = ncc_core::mis(&mut eng, &shared, &bt, &g).expect("mis");
+    let r = ncc_core::mis(&mut eng, shared, bt, &g).expect("mis");
     add(&mut t, "MIS", n, cap, r.report.total);
-    let r = ncc_core::maximal_matching(&mut eng, &shared, &bt, &g).expect("mm");
+    let r = ncc_core::maximal_matching(&mut eng, shared, bt, &g).expect("mm");
     add(&mut t, "Matching", n, cap, r.report.total);
-    let r = ncc_core::coloring(&mut eng, &shared, &bt.orientation, &g).expect("col");
+    let r = ncc_core::coloring(&mut eng, shared, &bt.orientation, &g).expect("col");
     add(&mut t, "Coloring", n, cap, r.report.total);
 
     t.print();

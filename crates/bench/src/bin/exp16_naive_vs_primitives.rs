@@ -6,7 +6,8 @@
 //! variants are *correct* (the naive one is TDMA-scheduled, so nothing is
 //! dropped) — the difference is purely rounds, and it widens linearly in n.
 
-use ncc_bench::{engine, f2, prepare, Table, SEED};
+use ncc_bench::{engine, f2, Table, SEED};
+use ncc_core::prepare;
 use ncc_graph::{check, gen};
 
 fn main() {
@@ -27,16 +28,16 @@ fn main() {
         check::check_bfs(&g, 0, &naive.dist, &naive.parent).expect("naive bfs valid");
 
         let mut eng = engine(n, SEED + 1);
-        let (shared, bt, prep) = prepare(&mut eng, &g, SEED + 2);
-        let r = ncc_core::bfs(&mut eng, &shared, &bt, &g, 0).expect("bfs");
+        let prep = prepare(&mut eng, SEED + 2, Some(&g)).expect("prepare");
+        let r = ncc_core::bfs(&mut eng, prep.shared(), prep.trees(), &g, 0).expect("bfs");
         check::check_bfs(&g, 0, &r.dist, &r.parent).expect("stack bfs valid");
-        let stack_total = prep.total.rounds + r.report.total.rounds;
+        let stack_total = prep.report.total.rounds + r.report.total.rounds;
 
         t.row(vec![
             n.to_string(),
             naive.stats.rounds.to_string(),
             stack_total.to_string(),
-            prep.total.rounds.to_string(),
+            prep.report.total.rounds.to_string(),
             r.report.total.rounds.to_string(),
             f2(naive.stats.rounds as f64 / stack_total as f64),
         ]);

@@ -10,7 +10,8 @@
 //! add slowly-growing tails. Reported: median and max distinct contacts,
 //! and their ratio to `log₂ n`.
 
-use ncc_bench::{arboricity_workload, engine, f2, lg, prepare, Table, SEED};
+use ncc_bench::{arboricity_workload, engine, f2, lg, Table, SEED};
+use ncc_core::prepare;
 use ncc_model::{NodeId, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex};
 
@@ -36,19 +37,20 @@ fn main() {
         let sets = Arc::new(Mutex::new(vec![std::collections::BTreeSet::new(); n]));
         let mut eng = engine(n, SEED + which as u64);
         eng.set_sink(Box::new(ContactSink(sets.clone())));
-        let (shared, bt, _) = prepare(&mut eng, &g, SEED + 9);
+        let prep = prepare(&mut eng, SEED + 9, Some(&g)).unwrap();
+        let (shared, bt) = (prep.shared(), prep.trees());
         match which {
             0 => {
-                let _ = ncc_core::bfs(&mut eng, &shared, &bt, &g, 0).unwrap();
+                let _ = ncc_core::bfs(&mut eng, shared, bt, &g, 0).unwrap();
             }
             1 => {
-                let _ = ncc_core::mis(&mut eng, &shared, &bt, &g).unwrap();
+                let _ = ncc_core::mis(&mut eng, shared, bt, &g).unwrap();
             }
             2 => {
-                let _ = ncc_core::maximal_matching(&mut eng, &shared, &bt, &g).unwrap();
+                let _ = ncc_core::maximal_matching(&mut eng, shared, bt, &g).unwrap();
             }
             _ => {
-                let _ = ncc_core::coloring(&mut eng, &shared, &bt.orientation, &g).unwrap();
+                let _ = ncc_core::coloring(&mut eng, shared, &bt.orientation, &g).unwrap();
             }
         }
         let mut sizes: Vec<usize> = sets.lock().unwrap().iter().map(|s| s.len()).collect();

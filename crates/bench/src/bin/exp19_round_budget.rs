@@ -3,12 +3,12 @@
 //!
 //! Folds the per-stage reports by stage kind (FindMin multicasts vs
 //! aggregations vs tree rebuilds vs termination checks …). This is the
-//! ablation view behind the hidden constants discussed in EXPERIMENTS.md:
+//! ablation view behind the hidden constants of `exp01_table1`'s ratios:
 //! synchronisation barriers and the Identification Algorithm's delivery
 //! spread dominate, exactly as the per-primitive analyses predict.
 
-use ncc_bench::{arboricity_workload, engine, prepare, SEED};
-use ncc_core::AlgoReport;
+use ncc_bench::{arboricity_workload, engine, SEED};
+use ncc_core::prepare;
 use ncc_graph::gen;
 
 fn main() {
@@ -20,9 +20,8 @@ fn main() {
         let g = gen::gnp(n, 24.0 / n as f64, SEED);
         let wg = gen::with_random_weights(&g, (n * n) as u64, SEED + 1);
         let mut eng = engine(n, SEED + 2);
-        let mut report = AlgoReport::default();
-        let shared = ncc_bench::agree_randomness(&mut eng, &mut report, SEED + 3);
-        let r = ncc_core::mst(&mut eng, &shared, &wg).expect("mst");
+        let prep = prepare(&mut eng, SEED + 3, None).expect("seed agreement");
+        let r = ncc_core::mst(&mut eng, prep.shared(), &wg).expect("mst");
         println!("{}", r.report.breakdown_table());
     }
 
@@ -39,9 +38,9 @@ fn main() {
         println!("## MIS (forests, a = 3, including setup)");
         let g = arboricity_workload(n, 3, SEED);
         let mut eng = engine(n, SEED + 5);
-        let (shared, bt, prep) = prepare(&mut eng, &g, SEED + 6);
-        let r = ncc_core::mis(&mut eng, &shared, &bt, &g).expect("mis");
-        println!("### setup\n{}", prep.breakdown_table());
+        let prep = prepare(&mut eng, SEED + 6, Some(&g)).expect("prepare");
+        let r = ncc_core::mis(&mut eng, prep.shared(), prep.trees(), &g).expect("mis");
+        println!("### setup\n{}", prep.report.breakdown_table());
         println!("### mis\n{}", r.report.breakdown_table());
     }
 }

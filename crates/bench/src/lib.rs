@@ -1,21 +1,19 @@
 //! # ncc-bench — the experiment harness
 //!
-//! One binary per experiment (see DESIGN.md §3 for the index); each prints
-//! a table in the shape of the paper's results (round counts next to the
+//! One binary per experiment under `src/bin/` (its module header names the
+//! paper claim it tests); each prints a table in the shape of the paper's results (round counts next to the
 //! theorem bound, plus the bound *ratio*, which should stay flat across the
 //! sweep if the asymptotic shape holds). Criterion benches in `benches/`
 //! cover wall-clock performance of the simulator itself.
 //!
 //! Everything is seeded; rerunning a binary reproduces its table exactly.
 
-use ncc_core::broadcast_trees::BroadcastTrees;
-use ncc_core::AlgoReport;
 use ncc_graph::Graph;
-use ncc_hashing::SharedRandomness;
 use ncc_model::{Engine, NetConfig};
 
-/// Standard experiment seed (documented in EXPERIMENTS.md).
-pub const SEED: u64 = 20190622; // SPAA'19 conference date
+/// Standard experiment seed, the SPAA'19 conference date; the suite's
+/// `ncc_runner::SUITE_SEED` is the same value.
+pub const SEED: u64 = 20190622;
 
 /// log₂-style helper used in bound formulas.
 pub fn lg(n: usize) -> f64 {
@@ -107,34 +105,6 @@ fn cli_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         })
 }
 
-/// Agrees on shared randomness in-model (charged) and returns it with the
-/// setup statistics folded into the report.
-pub fn agree_randomness(eng: &mut Engine, report: &mut AlgoReport, seed: u64) -> SharedRandomness {
-    let n = eng.n();
-    let k = SharedRandomness::k_for(n);
-    // enough bits for the hash-function budget of the largest consumer
-    // (MST: O(log n) functions of Θ(log n) coefficients, §3)
-    let bits = SharedRandomness::bits_required(n, 2 * ncc_model::ilog2_ceil(n).max(1) as usize, k);
-    let (shared, stats) =
-        ncc_butterfly::broadcast_seed(eng, seed ^ 0x5eed, bits).expect("seed broadcast");
-    report.push("seed-agreement", stats);
-    shared
-}
-
-/// Full §5 preparation pipeline: seed agreement + orientation + broadcast
-/// trees, with all costs in the report.
-pub fn prepare(
-    eng: &mut Engine,
-    g: &Graph,
-    seed: u64,
-) -> (SharedRandomness, BroadcastTrees, AlgoReport) {
-    let mut report = AlgoReport::default();
-    let shared = agree_randomness(eng, &mut report, seed);
-    let (bt, rep) = ncc_core::build_broadcast_trees(eng, &shared, g).expect("broadcast trees");
-    report.push("orientation+trees", rep.total);
-    (shared, bt, report)
-}
-
 /// The bounded-arboricity workload family used across Table-1 experiments.
 pub fn arboricity_workload(n: usize, a: usize, seed: u64) -> Graph {
     ncc_graph::gen::forest_union(n, a, seed)
@@ -182,16 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_pipeline_runs() {
-        let g = arboricity_workload(32, 2, 1);
-        let mut eng = engine(32, 2);
-        let (_, bt, report) = prepare(&mut eng, &g, 3);
-        assert!(report.total.rounds > 0);
-        assert!(bt.a_hat >= 1);
-        assert!(report.total.clean());
-    }
-
-    #[test]
     fn lg_monotone() {
         assert!(lg(1024) > lg(256));
         assert!((lg(1024) - 10.0).abs() < 1e-9);
@@ -226,16 +186,5 @@ mod tests {
         let g = spec_graph(&spec);
         assert_eq!(g.n(), 32);
         assert_eq!(g.m(), spec.build().unwrap().graph.m());
-    }
-
-    #[test]
-    fn threaded_engine_matches_sequential() {
-        let g = arboricity_workload(32, 2, 1);
-        let run = |threads| {
-            let mut eng = engine_threaded(32, 2, threads);
-            let (_, _, report) = prepare(&mut eng, &g, 3);
-            report.total
-        };
-        assert_eq!(run(1), run(4));
     }
 }

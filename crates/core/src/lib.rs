@@ -21,7 +21,9 @@
 //!
 //! Each driver returns its output *and* an [`report::AlgoReport`] with
 //! per-stage round/message statistics, which the benchmark harness compares
-//! against the theorem bounds.
+//! against the theorem bounds. The preamble they share — seed agreement,
+//! then orientation and broadcast trees for §5 — is [`prepare()`],
+//! whose [`Prepared`] value every caller starts from.
 //!
 //! # Example: MST under node capacities
 //!
@@ -49,6 +51,7 @@ pub mod matching;
 pub mod mis;
 pub mod mst;
 pub mod orientation;
+pub mod prepare;
 pub mod report;
 pub mod support;
 
@@ -60,4 +63,5 @@ pub use matching::{maximal_matching, MatchingResult};
 pub use mis::{mis, MisResult};
 pub use mst::{mst, MstResult};
 pub use orientation::{orient, LevelClass, OrientationResult};
+pub use prepare::{prepare, Prepared};
 pub use report::AlgoReport;

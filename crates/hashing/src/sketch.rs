@@ -12,8 +12,7 @@
 //! computes. One mask is `t = Θ(log n)` bits — within the model's message
 //! budget — so an entire equality test costs a single aggregation instead of
 //! `Θ(log n)` sequential ones. This preserves both the failure probability
-//! (`2^{−t}` per test) and Lemma 3.1's iteration bound; see DESIGN.md
-//! ("substitutions") for the accounting argument.
+//! (`2^{−t}` per test) and Lemma 3.1's iteration bound.
 
 use crate::poly::PolyHash;
 use crate::shared::SharedRandomness;

@@ -33,7 +33,8 @@ impl Capacity {
     /// The defaults used across the repository are `κ = 8`, `β = 16`; the
     /// butterfly emulation needs `κ ≥ 5` (each emulated column touches at
     /// most `4(d+1) + O(1)` butterfly edges) and the measured loads stay
-    /// well inside this budget (see EXPERIMENTS.md, E15).
+    /// well inside this budget (`exp15_capacity` prints the peak per-node
+    /// load of every algorithm against it).
     pub fn log_scaled(n: usize, kappa: usize, beta: u32) -> Self {
         let logn = ilog2_ceil(n).max(1) as usize;
         // Saturating: callers may probe with `usize::MAX`-ish constants

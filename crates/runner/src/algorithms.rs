@@ -3,19 +3,60 @@
 //!
 //! Callers (the CLI, experiment sweeps, the suite) never match on
 //! algorithm names to pick an entrypoint signature; they look the name up
-//! with [`find_algorithm`] and call [`Algorithm::run`], which owns the full
-//! in-model pipeline for that algorithm — seed agreement, any §5 setup
-//! (orientation + broadcast trees), the algorithm itself, and the
-//! centralised correctness check — and returns a typed [`RunRecord`].
+//! with [`find_algorithm`] and call [`Algorithm::run`]. Every algorithm
+//! runs down the same path, and the runner owns both ends of it: it builds
+//! the preamble the algorithm declares ([`Algorithm::preparation`], one
+//! [`ncc_core::prepare()`] call), hands the [`Prepared`] value to
+//! [`Algorithm::run_main`], and assembles the typed [`RunRecord`] from the
+//! preparation and the returned [`Outcome`]. An implementation owns only
+//! its main stage: the in-model run, the centralised correctness check,
+//! its summary and its own metrics.
 
 use ncc_baselines::{broadcast_all, gossip_all};
-use ncc_butterfly::{aggregate_and_broadcast, broadcast_seed, MinU64, SchedReport};
-use ncc_core::{AlgoReport, BroadcastTrees};
+use ncc_butterfly::{aggregate_and_broadcast, MinU64, SchedReport};
+use ncc_core::Prepared;
 use ncc_graph::{analysis, check};
-use ncc_hashing::SharedRandomness;
-use ncc_model::{ilog2_ceil, Engine, ModelError};
+use ncc_model::{Engine, ExecStats, ModelError};
 
 use crate::{RunRecord, RunnerError, Scenario, Verdict};
+
+/// The engine's error unless another is named, as in `std::io::Result`.
+type Result<T, E = ModelError> = std::result::Result<T, E>;
+
+/// The preamble an algorithm starts from, built by the runner before its
+/// main stage and charged into its record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Preparation {
+    /// None: the baselines and the butterfly primitive run on the bare
+    /// engine.
+    None,
+    /// Shared randomness by seed broadcast (§2.2): MST and the orientation.
+    Seed,
+    /// The seed, then the `O(a)`-orientation (§4) and the broadcast trees of
+    /// Lemma 5.1: every §5 algorithm. Their records split `rounds_prep`
+    /// from `rounds_main`.
+    SeedAndTrees,
+}
+
+/// What an algorithm's main stage produced: everything in its
+/// [`RunRecord`] that the preparation does not decide.
+#[derive(Debug)]
+pub struct Outcome {
+    /// Label of the main stage's row: the algorithm's name, or the
+    /// primitive it runs (`aggregate-and-broadcast`).
+    pub stage: &'static str,
+    pub stats: ExecStats,
+    pub verdict: Verdict,
+    /// Algorithm phases (Boruvka / peeling / frontier), where meaningful.
+    pub phases: Option<u32>,
+    /// One-line human description of the output.
+    pub summary: String,
+    /// The algorithm's own named outputs, in record order.
+    pub metrics: Vec<(&'static str, u64)>,
+    /// The scheduler's packing plan — how the declared protocol DAG was
+    /// packed into mux lanes. `None` when the algorithm is not DAG-declared.
+    pub plan: Option<SchedReport>,
+}
 
 /// An algorithm runnable on any [`Scenario`] through the registry.
 ///
@@ -36,21 +77,72 @@ pub trait Algorithm: Sync {
         2
     }
 
-    /// Runs the full pipeline on `eng` and reports what happened. Callers
-    /// holding a spec they did not write go through [`run_checked`].
+    /// The preamble the main stage needs.
+    fn preparation(&self) -> Preparation;
+
+    /// Runs the main stage on an engine the runner has already taken
+    /// through [`Algorithm::preparation`], and checks its output.
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome>;
+
+    /// Runs the preparation and the main stage and reports what happened.
+    /// Callers holding a spec they did not write go through
+    /// [`run_checked`].
     ///
     /// The engine is expected to be freshly built from the scenario (see
     /// [`crate::run_record`]); all randomness beyond the engine's own is
     /// agreed *in model* from `scn.spec.seed`, so the record is a pure
     /// function of `(algorithm, spec)`.
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError>;
-
-    /// The scheduler's packing plan for this algorithm on `scn` — how the
-    /// declared protocol DAG was packed into mux lanes. `None` for
-    /// algorithms that are not DAG-declared (the baselines).
-    fn plan(&self, _eng: &mut Engine, _scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        Ok(None)
+    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
+        run_planned(self, eng, scn).map(|(rec, _)| rec)
     }
+}
+
+/// The one run path: prepares, runs the main stage and assembles the
+/// record, returning the packing plan beside it.
+///
+/// Record order, which every snapshot pins: the preparation's stage rows,
+/// then the main stage's; `peak_active` and `sum_active`, then the
+/// algorithm's own metrics, then `rounds_prep`/`rounds_main` for the §5
+/// algorithms, then the `dag_*` echo of the plan.
+fn run_planned<A: Algorithm + ?Sized>(
+    algo: &A,
+    eng: &mut Engine,
+    scn: &Scenario,
+) -> Result<(RunRecord, Option<SchedReport>)> {
+    let seed = scn.spec.seed;
+    let prep = match algo.preparation() {
+        Preparation::None => Prepared::default(),
+        Preparation::Seed => ncc_core::prepare(eng, seed, None)?,
+        Preparation::SeedAndTrees => ncc_core::prepare(eng, seed, Some(&scn.graph))?,
+    };
+    let out = algo.run_main(eng, scn, &prep)?;
+    let mut metrics = out.metrics;
+    if algo.preparation() == Preparation::SeedAndTrees {
+        metrics.push(("rounds_prep", prep.report.total.rounds));
+        metrics.push(("rounds_main", out.stats.rounds));
+    }
+    if let Some(plan) = &out.plan {
+        metrics.extend([
+            ("dag_stages", plan.stages.len() as u64),
+            ("dag_lane_stages", plan.lane_stages() as u64),
+            ("dag_max_lanes", plan.max_lanes() as u64),
+            ("dag_budget", plan.budget as u64),
+            ("dag_splits", plan.splits() as u64),
+        ]);
+    }
+    let mut report = prep.report;
+    report.push(out.stage, out.stats);
+    let mut rec = RunRecord::new(
+        algo.name(),
+        &scn.spec,
+        report,
+        out.verdict,
+        out.phases,
+        out.summary,
+    );
+    rec.metrics
+        .extend(metrics.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Ok((rec, out.plan))
 }
 
 /// Rejects a scenario below the algorithm's node bound, naming the bound.
@@ -78,28 +170,21 @@ pub fn run_checked(
     Ok(algo.run(eng, scn)?)
 }
 
-/// Echoes the scheduler's packing plan into a record's metrics, so sweeps
-/// can see budget usage without re-running the algorithm.
-fn with_plan_metrics(rec: RunRecord, plan: &SchedReport) -> RunRecord {
-    rec.with_metric("dag_stages", plan.stages.len() as u64)
-        .with_metric("dag_lane_stages", plan.lane_stages() as u64)
-        .with_metric("dag_max_lanes", plan.max_lanes() as u64)
-        .with_metric("dag_budget", plan.budget as u64)
-        .with_metric("dag_splits", plan.splits() as u64)
-}
-
-/// Renders a packing plan for human eyes (`ncc-cli explain`): one line per
-/// packed stage — lanes vs budget, barrier, rounds, lane labels — plus a
-/// totals line. `None` when the algorithm is not DAG-declared.
+/// [`run_checked`] that also renders the run's packing plan for human eyes
+/// (`ncc-cli explain`): one line per packed stage — lanes vs budget,
+/// barrier, rounds, lane labels — plus a totals line. The text is `None`
+/// when the algorithm is not DAG-declared; the record is the one
+/// [`run_checked`] returns.
 pub fn explain_text(
     algo: &dyn Algorithm,
     eng: &mut Engine,
     scn: &Scenario,
-) -> Result<Option<String>, RunnerError> {
+) -> Result<(Option<String>, RunRecord), RunnerError> {
     use std::fmt::Write;
     admit(algo, scn)?;
-    let Some(plan) = algo.plan(eng, scn)? else {
-        return Ok(None);
+    let (rec, plan) = run_planned(algo, eng, scn)?;
+    let Some(plan) = plan else {
+        return Ok((None, rec));
     };
     let mut out = String::new();
     let _ = writeln!(
@@ -137,41 +222,7 @@ pub fn explain_text(
         plan.barriers(),
         plan.splits()
     );
-    Ok(Some(out))
-}
-
-/// Agrees on shared randomness in model (charged rounds) and records the
-/// cost. Mirrors the §2.2 seed-broadcast budget used across the harness.
-fn agree(
-    eng: &mut Engine,
-    report: &mut AlgoReport,
-    seed: u64,
-) -> Result<SharedRandomness, ModelError> {
-    let n = eng.n();
-    let k = SharedRandomness::k_for(n);
-    let bits = SharedRandomness::bits_required(n, 2 * ilog2_ceil(n).max(1) as usize, k);
-    let (shared, stats) = broadcast_seed(eng, seed ^ 0x5eed, bits)?;
-    report.push("seed-agreement", stats);
-    Ok(shared)
-}
-
-/// Rounds spent before the algorithm proper (seed agreement + §5 prep) —
-/// echoed into `RunRecord.metrics` so sweeps can split prep from main.
-fn prep_rounds(report: &AlgoReport) -> u64 {
-    report.stage_total("seed-agreement").rounds + report.stage_total("orientation+trees").rounds
-}
-
-/// The shared §5 preparation pipeline: seed agreement + orientation +
-/// broadcast trees, all charged into the report.
-fn prepare(
-    eng: &mut Engine,
-    scn: &Scenario,
-    report: &mut AlgoReport,
-) -> Result<(SharedRandomness, BroadcastTrees), ModelError> {
-    let shared = agree(eng, report, scn.spec.seed)?;
-    let (bt, rep) = ncc_core::build_broadcast_trees(eng, &shared, &scn.graph)?;
-    report.push("orientation+trees", rep.total);
-    Ok((shared, bt))
+    Ok((Some(out), rec))
 }
 
 // ---------------------------------------------------------------------------
@@ -186,10 +237,11 @@ impl Algorithm for Mst {
     fn description(&self) -> &'static str {
         "minimum spanning forest, Boruvka + sketch FindMin (§3, O(log⁴ n))"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let shared = agree(eng, &mut report, scn.spec.seed)?;
-        let r = ncc_core::mst(eng, &shared, scn.weighted())?;
+    fn preparation(&self) -> Preparation {
+        Preparation::Seed
+    }
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
+        let r = ncc_core::mst(eng, prep.shared(), scn.weighted())?;
         // per-phase accounting: where the lane-composed rounds went
         let rounds_findmin: u64 = r
             .report
@@ -198,33 +250,26 @@ impl Algorithm for Mst {
             .filter(|(l, _)| l.contains(":find"))
             .map(|(_, s)| s.rounds)
             .sum();
-        report.push("mst", r.report.total);
-        let verdict = Verdict::from_check(check::check_mst(scn.weighted(), &r.edges));
         let weight = scn.weighted().total_weight(&r.edges);
-        let summary = format!(
-            "{} edges, weight {weight}, {} Boruvka phases",
-            r.edges.len(),
-            r.phases
-        );
-        let rec = RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            verdict,
-            Some(r.phases),
-            summary,
-        )
-        .with_metric("edges", r.edges.len() as u64)
-        .with_metric("weight", weight)
-        .with_metric("findmin_steps", r.findmin_steps as u64)
-        .with_metric("rounds_findmin", rounds_findmin)
-        .with_metric("lane_stages", r.lane_stages as u64);
-        Ok(with_plan_metrics(rec, &r.plan))
-    }
-    fn plan(&self, eng: &mut Engine, scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        let mut report = AlgoReport::default();
-        let shared = agree(eng, &mut report, scn.spec.seed)?;
-        Ok(Some(ncc_core::mst(eng, &shared, scn.weighted())?.plan))
+        Ok(Outcome {
+            stage: "mst",
+            stats: r.report.total,
+            verdict: Verdict::from_check(check::check_mst(scn.weighted(), &r.edges)),
+            phases: Some(r.phases),
+            summary: format!(
+                "{} edges, weight {weight}, {} Boruvka phases",
+                r.edges.len(),
+                r.phases
+            ),
+            metrics: vec![
+                ("edges", r.edges.len() as u64),
+                ("weight", weight),
+                ("findmin_steps", r.findmin_steps as u64),
+                ("rounds_findmin", rounds_findmin),
+                ("lane_stages", r.lane_stages as u64),
+            ],
+            plan: Some(r.plan),
+        })
     }
 }
 
@@ -240,46 +285,41 @@ impl Algorithm for Orientation {
     fn description(&self) -> &'static str {
         "O(a)-orientation by iterated peeling (§4, O((a+log n)·log n))"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let shared = agree(eng, &mut report, scn.spec.seed)?;
-        let r = ncc_core::orient(eng, &shared, &scn.graph)?;
-        report.push("orientation", r.report.total);
-        let (_, ahi) = analysis::arboricity_bounds(&scn.graph);
-        let verdict = Verdict::from_check(check::check_orientation(
-            &scn.graph,
-            &r.directed_edges(),
-            4 * ahi.max(1),
-        ));
-        let summary = format!(
-            "max outdegree {} (d* = {}), {} phases",
-            r.max_outdegree(),
-            r.d_star,
-            r.phases
-        );
-        let rec = RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            verdict,
-            Some(r.phases),
-            summary,
-        )
-        .with_metric("max_outdegree", r.max_outdegree() as u64)
-        .with_metric("d_star", r.d_star as u64)
-        .with_metric("delta", r.max_degree as u64)
-        .with_metric("lane_stages", r.lane_stages as u64);
-        Ok(with_plan_metrics(rec, &r.plan))
+    fn preparation(&self) -> Preparation {
+        Preparation::Seed
     }
-    fn plan(&self, eng: &mut Engine, scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        let mut report = AlgoReport::default();
-        let shared = agree(eng, &mut report, scn.spec.seed)?;
-        Ok(Some(ncc_core::orient(eng, &shared, &scn.graph)?.plan))
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
+        let r = ncc_core::orient(eng, prep.shared(), &scn.graph)?;
+        let (_, ahi) = analysis::arboricity_bounds(&scn.graph);
+        let directed = r.directed_edges();
+        Ok(Outcome {
+            stage: "orientation",
+            stats: r.report.total,
+            verdict: Verdict::from_check(check::check_orientation(
+                &scn.graph,
+                &directed,
+                4 * ahi.max(1),
+            )),
+            phases: Some(r.phases),
+            summary: format!(
+                "max outdegree {} (d* = {}), {} phases",
+                r.max_outdegree(),
+                r.d_star,
+                r.phases
+            ),
+            metrics: vec![
+                ("max_outdegree", r.max_outdegree() as u64),
+                ("d_star", r.d_star as u64),
+                ("delta", r.max_degree as u64),
+                ("lane_stages", r.lane_stages as u64),
+            ],
+            plan: Some(r.plan),
+        })
     }
 }
 
 // ---------------------------------------------------------------------------
-// §5 — BFS / MIS / Matching / Coloring (share the preparation pipeline)
+// §5 — BFS / MIS / Matching / Coloring / APSP (start from the broadcast trees)
 
 struct Bfs;
 
@@ -290,40 +330,26 @@ impl Algorithm for Bfs {
     fn description(&self) -> &'static str {
         "BFS tree by layered multicast (§5.1, O((a+D+log n)·log n))"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        let src = scn.source();
-        let r = ncc_core::bfs(eng, &shared, &bt, &scn.graph, src)?;
-        report.push("bfs", r.report.total);
-        let prep = prep_rounds(&report);
-        let main = report.stage_total("bfs").rounds;
-        let verdict = Verdict::from_check(check::check_bfs(&scn.graph, src, &r.dist, &r.parent));
-        let reached = r.dist.iter().filter(|&&d| d != u32::MAX).count();
-        let summary = format!(
-            "source {src}: {reached}/{} reached, {} frontier phases",
-            scn.graph.n(),
-            r.phases
-        );
-        let rec = RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            verdict,
-            Some(r.phases),
-            summary,
-        )
-        .with_metric("reached", reached as u64)
-        .with_metric("rounds_prep", prep)
-        .with_metric("rounds_main", main);
-        Ok(with_plan_metrics(rec, &r.plan))
+    fn preparation(&self) -> Preparation {
+        Preparation::SeedAndTrees
     }
-    fn plan(&self, eng: &mut Engine, scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        Ok(Some(
-            ncc_core::bfs(eng, &shared, &bt, &scn.graph, scn.source())?.plan,
-        ))
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
+        let src = scn.source();
+        let r = ncc_core::bfs(eng, prep.shared(), prep.trees(), &scn.graph, src)?;
+        let reached = r.dist.iter().filter(|&&d| d != u32::MAX).count();
+        Ok(Outcome {
+            stage: "bfs",
+            stats: r.report.total,
+            verdict: Verdict::from_check(check::check_bfs(&scn.graph, src, &r.dist, &r.parent)),
+            phases: Some(r.phases),
+            summary: format!(
+                "source {src}: {reached}/{} reached, {} frontier phases",
+                scn.graph.n(),
+                r.phases
+            ),
+            metrics: vec![("reached", reached as u64)],
+            plan: Some(r.plan),
+        })
     }
 }
 
@@ -336,33 +362,21 @@ impl Algorithm for Mis {
     fn description(&self) -> &'static str {
         "maximal independent set, Luby over broadcast trees (§5.2)"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        let r = ncc_core::mis(eng, &shared, &bt, &scn.graph)?;
-        report.push("mis", r.report.total);
-        let prep = prep_rounds(&report);
-        let main = report.stage_total("mis").rounds;
-        let verdict = Verdict::from_check(check::check_mis(&scn.graph, &r.in_mis));
-        let size = r.in_mis.iter().filter(|&&b| b).count();
-        let summary = format!("{size} nodes in the set, {} phases", r.phases);
-        let rec = RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            verdict,
-            Some(r.phases),
-            summary,
-        )
-        .with_metric("mis_size", size as u64)
-        .with_metric("rounds_prep", prep)
-        .with_metric("rounds_main", main);
-        Ok(with_plan_metrics(rec, &r.plan))
+    fn preparation(&self) -> Preparation {
+        Preparation::SeedAndTrees
     }
-    fn plan(&self, eng: &mut Engine, scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        Ok(Some(ncc_core::mis(eng, &shared, &bt, &scn.graph)?.plan))
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
+        let r = ncc_core::mis(eng, prep.shared(), prep.trees(), &scn.graph)?;
+        let size = r.in_mis.iter().filter(|&&b| b).count();
+        Ok(Outcome {
+            stage: "mis",
+            stats: r.report.total,
+            verdict: Verdict::from_check(check::check_mis(&scn.graph, &r.in_mis)),
+            phases: Some(r.phases),
+            summary: format!("{size} nodes in the set, {} phases", r.phases),
+            metrics: vec![("mis_size", size as u64)],
+            plan: Some(r.plan),
+        })
     }
 }
 
@@ -375,35 +389,21 @@ impl Algorithm for Matching {
     fn description(&self) -> &'static str {
         "maximal matching by random proposals (§5.3)"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        let r = ncc_core::maximal_matching(eng, &shared, &bt, &scn.graph)?;
-        report.push("matching", r.report.total);
-        let prep = prep_rounds(&report);
-        let main = report.stage_total("matching").rounds;
-        let verdict = Verdict::from_check(check::check_matching(&scn.graph, &r.mate));
-        let pairs = r.mate.iter().filter(|m| m.is_some()).count() / 2;
-        let summary = format!("{pairs} pairs, {} phases", r.phases);
-        let rec = RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            verdict,
-            Some(r.phases),
-            summary,
-        )
-        .with_metric("pairs", pairs as u64)
-        .with_metric("rounds_prep", prep)
-        .with_metric("rounds_main", main);
-        Ok(with_plan_metrics(rec, &r.plan))
+    fn preparation(&self) -> Preparation {
+        Preparation::SeedAndTrees
     }
-    fn plan(&self, eng: &mut Engine, scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        Ok(Some(
-            ncc_core::maximal_matching(eng, &shared, &bt, &scn.graph)?.plan,
-        ))
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
+        let r = ncc_core::maximal_matching(eng, prep.shared(), prep.trees(), &scn.graph)?;
+        let pairs = r.mate.iter().filter(|m| m.is_some()).count() / 2;
+        Ok(Outcome {
+            stage: "matching",
+            stats: r.report.total,
+            verdict: Verdict::from_check(check::check_matching(&scn.graph, &r.mate)),
+            phases: Some(r.phases),
+            summary: format!("{pairs} pairs, {} phases", r.phases),
+            metrics: vec![("pairs", pairs as u64)],
+            plan: Some(r.plan),
+        })
     }
 }
 
@@ -416,29 +416,22 @@ impl Algorithm for Coloring {
     fn description(&self) -> &'static str {
         "O(a)-coloring via orientation classes (§5.4)"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        let r = ncc_core::coloring(eng, &shared, &bt.orientation, &scn.graph)?;
-        report.push("coloring", r.report.total);
-        let prep = prep_rounds(&report);
-        let main = report.stage_total("coloring").rounds;
-        let verdict = Verdict::from_check(check::check_coloring(&scn.graph, &r.colors, r.palette));
-        let used = r.colors.iter().max().map_or(0, |c| c + 1);
-        let summary = format!("{used} colors used (palette {})", r.palette);
-        let rec = RunRecord::new(self.name(), &scn.spec, report, verdict, None, summary)
-            .with_metric("colors_used", used as u64)
-            .with_metric("palette", r.palette as u64)
-            .with_metric("rounds_prep", prep)
-            .with_metric("rounds_main", main);
-        Ok(with_plan_metrics(rec, &r.plan))
+    fn preparation(&self) -> Preparation {
+        Preparation::SeedAndTrees
     }
-    fn plan(&self, eng: &mut Engine, scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        Ok(Some(
-            ncc_core::coloring(eng, &shared, &bt.orientation, &scn.graph)?.plan,
-        ))
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
+        let orientation = &prep.trees().orientation;
+        let r = ncc_core::coloring(eng, prep.shared(), orientation, &scn.graph)?;
+        let used = r.colors.iter().max().map_or(0, |c| c + 1);
+        Ok(Outcome {
+            stage: "coloring",
+            stats: r.report.total,
+            verdict: Verdict::from_check(check::check_coloring(&scn.graph, &r.colors, r.palette)),
+            phases: None,
+            summary: format!("{used} colors used (palette {})", r.palette),
+            metrics: vec![("colors_used", used as u64), ("palette", r.palette as u64)],
+            plan: Some(r.plan),
+        })
     }
 }
 
@@ -451,53 +444,52 @@ impl Algorithm for Apsp {
     fn description(&self) -> &'static str {
         "landmark distance sketches: Θ(log n) parallel BFS instances (§5.1 × §2)"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        let r = ncc_core::landmark_apsp(eng, &shared, &bt, &scn.graph, None)?;
-        report.push("apsp", r.report.total);
-        let prep = prep_rounds(&report);
-        let main = report.stage_total("apsp").rounds;
+    fn preparation(&self) -> Preparation {
+        Preparation::SeedAndTrees
+    }
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
+        let r = ncc_core::landmark_apsp(eng, prep.shared(), prep.trees(), &scn.graph, None)?;
         // every sketch must equal the centralised BFS oracle exactly
         let exact = r
             .landmarks
             .iter()
             .enumerate()
             .all(|(l, &lm)| analysis::bfs_distances(&scn.graph, lm) == r.dist[l]);
-        let verdict = if exact {
-            Verdict::Verified
-        } else {
-            Verdict::Failed
-        };
-        let summary = format!(
-            "{} landmark sketches, {} frontier phases",
-            r.landmarks.len(),
-            r.phases
-        );
-        let rec = RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            verdict,
-            Some(r.phases),
-            summary,
-        )
-        .with_metric("landmarks", r.landmarks.len() as u64)
-        .with_metric("rounds_prep", prep)
-        .with_metric("rounds_main", main);
-        Ok(with_plan_metrics(rec, &r.plan))
-    }
-    fn plan(&self, eng: &mut Engine, scn: &Scenario) -> Result<Option<SchedReport>, ModelError> {
-        let mut report = AlgoReport::default();
-        let (shared, bt) = prepare(eng, scn, &mut report)?;
-        Ok(Some(
-            ncc_core::landmark_apsp(eng, &shared, &bt, &scn.graph, None)?.plan,
-        ))
+        Ok(Outcome {
+            stage: "apsp",
+            stats: r.report.total,
+            verdict: if exact {
+                Verdict::Verified
+            } else {
+                Verdict::Failed
+            },
+            phases: Some(r.phases),
+            summary: format!(
+                "{} landmark sketches, {} frontier phases",
+                r.landmarks.len(),
+                r.phases
+            ),
+            metrics: vec![("landmarks", r.landmarks.len() as u64)],
+            plan: Some(r.plan),
+        })
     }
 }
 
 // ---------------------------------------------------------------------------
 // §1 baselines — gossip and broadcast (capacity-bound demonstrations)
+
+/// The outcome of an unchecked baseline whose summary is its own cost.
+fn baseline(stage: &'static str, stats: ExecStats) -> Outcome {
+    Outcome {
+        stage,
+        stats,
+        verdict: Verdict::Unchecked,
+        phases: None,
+        summary: format!("{} rounds, {} messages", stats.rounds, stats.sent),
+        metrics: Vec::new(),
+        plan: None,
+    }
+}
 
 struct Gossip;
 
@@ -511,19 +503,11 @@ impl Algorithm for Gossip {
     fn description(&self) -> &'static str {
         "all-to-all token gossip baseline (§1, Θ(n/log n) rounds)"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let stats = gossip_all(eng)?;
-        report.push("gossip", stats);
-        let summary = format!("{} rounds, {} messages", stats.rounds, stats.sent);
-        Ok(RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            Verdict::Unchecked,
-            None,
-            summary,
-        ))
+    fn preparation(&self) -> Preparation {
+        Preparation::None
+    }
+    fn run_main(&self, eng: &mut Engine, _: &Scenario, _: &Prepared) -> Result<Outcome> {
+        Ok(baseline("gossip", gossip_all(eng)?))
     }
 }
 
@@ -539,18 +523,13 @@ impl Algorithm for Broadcast {
     fn description(&self) -> &'static str {
         "single-source flooding broadcast baseline (§1, Θ(log n/log log n))"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
-        let stats = broadcast_all(eng, scn.spec.seed ^ 42)?;
-        report.push("broadcast", stats);
-        let summary = format!("{} rounds, {} messages", stats.rounds, stats.sent);
-        Ok(RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            Verdict::Unchecked,
-            None,
-            summary,
+    fn preparation(&self) -> Preparation {
+        Preparation::None
+    }
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, _: &Prepared) -> Result<Outcome> {
+        Ok(baseline(
+            "broadcast",
+            broadcast_all(eng, scn.spec.seed ^ 42)?,
         ))
     }
 }
@@ -570,8 +549,10 @@ impl Algorithm for ButterflyAggregation {
     fn description(&self) -> &'static str {
         "global min via butterfly aggregate-and-broadcast (Thm 2.2, O(log n))"
     }
-    fn run(&self, eng: &mut Engine, scn: &Scenario) -> Result<RunRecord, ModelError> {
-        let mut report = AlgoReport::default();
+    fn preparation(&self) -> Preparation {
+        Preparation::None
+    }
+    fn run_main(&self, eng: &mut Engine, scn: &Scenario, _: &Prepared) -> Result<Outcome> {
         // One seeded value per node; the oracle minimum is computable
         // locally, which gives this primitive a real correctness check.
         let inputs: Vec<Option<u64>> = (0..scn.spec.n as u64)
@@ -579,21 +560,19 @@ impl Algorithm for ButterflyAggregation {
             .collect();
         let oracle = inputs.iter().flatten().copied().min();
         let (results, stats) = aggregate_and_broadcast(eng, inputs, &MinU64)?;
-        report.push("aggregate-and-broadcast", stats);
-        let verdict = if results.iter().all(|r| *r == oracle) {
-            Verdict::Verified
-        } else {
-            Verdict::Failed
-        };
-        let summary = format!("global min {:?} agreed by all {} nodes", oracle, scn.spec.n);
-        Ok(RunRecord::new(
-            self.name(),
-            &scn.spec,
-            report,
-            verdict,
-            None,
-            summary,
-        ))
+        Ok(Outcome {
+            stage: "aggregate-and-broadcast",
+            stats,
+            verdict: if results.iter().all(|r| *r == oracle) {
+                Verdict::Verified
+            } else {
+                Verdict::Failed
+            },
+            phases: None,
+            summary: format!("global min {:?} agreed by all {} nodes", oracle, scn.spec.n),
+            metrics: Vec::new(),
+            plan: None,
+        })
     }
 }
 
@@ -763,25 +742,24 @@ mod tests {
         ] {
             let algo = find_algorithm(name).unwrap();
             let mut eng = scn.engine();
-            let plan = algo.plan(&mut eng, &scn).unwrap();
-            let plan = plan.unwrap_or_else(|| panic!("{name} should expose a packing plan"));
-            assert!(!plan.stages.is_empty(), "{name} plan has no stages");
-            assert!(
-                plan.max_lanes() <= plan.budget,
-                "{name} exceeds lane budget"
-            );
-            let mut eng = scn.engine();
-            let text = explain_text(algo, &mut eng, &scn).unwrap().unwrap();
+            let (text, rec) = explain_text(algo, &mut eng, &scn).unwrap();
+            let text = text.unwrap_or_else(|| panic!("{name} should expose a packing plan"));
             assert!(text.contains("packing plan"), "{name} render misses header");
             assert!(text.contains("total:"), "{name} render misses totals");
+            // the same run's plan is echoed into the record
+            let metric = |k: &str| rec.metric(k).unwrap_or_else(|| panic!("{name} lacks {k}"));
+            assert!(metric("dag_stages") > 0, "{name} plan has no stages");
+            assert!(
+                metric("dag_max_lanes") <= metric("dag_budget"),
+                "{name} exceeds lane budget"
+            );
         }
         for name in ["gossip", "broadcast", "butterfly-aggregation"] {
             let algo = find_algorithm(name).unwrap();
             let mut eng = scn.engine();
-            assert!(
-                algo.plan(&mut eng, &scn).unwrap().is_none(),
-                "{name} is not DAG-declared"
-            );
+            let (text, rec) = explain_text(algo, &mut eng, &scn).unwrap();
+            assert!(text.is_none(), "{name} is not DAG-declared");
+            assert_eq!(rec.metric("dag_stages"), None, "{name} has no plan echo");
         }
     }
 

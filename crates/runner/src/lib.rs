@@ -12,9 +12,12 @@
 //!   [`Scenario`] (graph + weights) and a configured engine under that
 //!   model;
 //! * [`Algorithm`] — an object-safe trait implemented by every paper
-//!   algorithm (mst, orientation, bfs, mis, matching, coloring, gossip,
-//!   broadcast, butterfly-aggregation), each owning its full in-model
-//!   pipeline including the centralised correctness check;
+//!   algorithm (mst, orientation, bfs, mis, matching, coloring, apsp,
+//!   gossip, broadcast, butterfly-aggregation). An algorithm declares the
+//!   [`Preparation`] it starts from and owns only its main stage and the
+//!   centralised correctness check; the runner builds the preparation
+//!   (one [`ncc_core::prepare()`] call) and assembles every record, so all
+//!   ten share one run path;
 //! * [`algorithms()`] / [`find_algorithm`] — the static registry, so callers
 //!   dispatch by name instead of matching on per-algorithm signatures;
 //! * [`RunRecord`] — the typed, JSON-serializable result: scenario echo,
@@ -49,7 +52,7 @@ pub mod suite;
 
 pub use algorithms::{
     algorithm_names, algorithms, explain_text, find_algorithm, run_checked, suggest_algorithm,
-    Algorithm,
+    Algorithm, Outcome, Preparation,
 };
 pub use hash::{canonical_spec_json, spec_hash, SpecHash};
 pub use ncc_model::ModelSpec;

@@ -76,7 +76,9 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
-    /// Assembles a record from the pieces every algorithm driver has.
+    /// Assembles a record, headline fields mirrored from `report.total`.
+    /// The registry's one run path is the caller; it appends each
+    /// algorithm's metrics after the two universal ones.
     pub fn new(
         algorithm: &str,
         spec: &ScenarioSpec,
@@ -108,12 +110,6 @@ impl RunRecord {
             ],
             report,
         }
-    }
-
-    /// Attaches a named algorithm-specific output.
-    pub fn with_metric(mut self, name: &str, value: u64) -> Self {
-        self.metrics.push((name.to_string(), value));
-        self
     }
 
     /// Looks a named output up.
@@ -165,15 +161,16 @@ mod tests {
             },
         );
         let spec = ScenarioSpec::new(FamilySpec::Gnp { p: 0.25 }, 32, 3);
-        RunRecord::new(
+        let mut rec = RunRecord::new(
             "demo",
             &spec,
             report,
             Verdict::Verified,
             Some(2),
             "demo output".into(),
-        )
-        .with_metric("size", 17)
+        );
+        rec.metrics.push(("size".to_string(), 17));
+        rec
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use ncc_model::{Capacity, Engine, ModelSpec};
 use ncc_runner::{
-    algorithms, find_algorithm, run_named, run_named_threads, standard_grid, FamilySpec,
-    RunnerError, ScenarioSpec, Verdict,
+    algorithms, explain_text, find_algorithm, run_named, run_named_threads, run_record,
+    standard_grid, FamilySpec, Preparation, RunnerError, ScenarioSpec, Verdict,
 };
 use proptest::prelude::*;
 
@@ -140,6 +140,62 @@ fn registry_smoke_every_algorithm_runs_verified() {
                 algo.name()
             );
         }
+    }
+}
+
+/// Every algorithm runs down one path, and the record shape that path
+/// assembles is pinned: `explain` reports the very record the batch path
+/// gives; the stage rows open with exactly the declared preparation; the
+/// metrics end with the §5 prep/main split (only for algorithms that build
+/// the trees), then the plan echo; and the split adds up to the total.
+#[test]
+fn one_run_path_assembles_every_record() {
+    let spec = ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, 32, 3);
+    let scn = spec.build().unwrap();
+    for algo in algorithms() {
+        let name = algo.name();
+        let rec = run_record(*algo, &spec).unwrap();
+        let mut eng = scn.engine();
+        let (_, explained) = explain_text(*algo, &mut eng, &scn).unwrap();
+        assert_eq!(
+            explained.to_json(),
+            rec.to_json(),
+            "{name}: explain ran differently"
+        );
+
+        let prep: &[&str] = match algo.preparation() {
+            Preparation::None => &[],
+            Preparation::Seed => &["seed-agreement"],
+            Preparation::SeedAndTrees => &["seed-agreement", "orientation+trees"],
+        };
+        let labels: Vec<&str> = rec.report.stages.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels.len(), prep.len() + 1, "{name}: {labels:?}");
+        assert_eq!(&labels[..prep.len()], prep, "{name}: stage rows");
+
+        let keys: Vec<&str> = rec.metrics.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys[..2], ["peak_active", "sum_active"], "{name}");
+        let mut tail = Vec::new();
+        let split = algo.preparation() == Preparation::SeedAndTrees;
+        if split {
+            tail.extend(["rounds_prep", "rounds_main"]);
+            let (p, m) = (rec.metric("rounds_prep"), rec.metric("rounds_main"));
+            assert_eq!(p.unwrap() + m.unwrap(), rec.rounds, "{name}: split");
+        }
+        if rec.metric("dag_stages").is_some() {
+            tail.extend([
+                "dag_stages",
+                "dag_lane_stages",
+                "dag_max_lanes",
+                "dag_budget",
+                "dag_splits",
+            ]);
+        }
+        assert!(keys.ends_with(&tail), "{name}: metric order {keys:?}");
+        assert_eq!(
+            keys.contains(&"rounds_prep"),
+            split,
+            "{name}: rounds_prep is the §5 split only"
+        );
     }
 }
 

@@ -32,8 +32,7 @@
 //!                                        └────────────────┘
 //! ```
 //!
-//! Entry points: the `ncc-serve` binary (or `ncc-cli serve`) for the
-//! daemon, [`Server::spawn`] for in-process embedding (the
+//! Entry points: `ncc-cli serve` for the daemon, [`Server::spawn`] for in-process embedding (the
 //! `exp21_serve_load` load generator and the integration tests), and
 //! [`Coordinator::handle_line`] for direct single-threaded use.
 

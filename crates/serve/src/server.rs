@@ -432,8 +432,8 @@ fn worker_loop(coordinator: &Coordinator, rx: &Arc<Mutex<Receiver<Job>>>) {
     }
 }
 
-/// A running in-process server: TCP front + worker pool, used by the
-/// `ncc-serve` binary, the load generator, and the integration tests.
+/// A running in-process server: TCP front + worker pool, used by
+/// `ncc-cli serve --listen`, the load generator, and the integration tests.
 pub struct Server {
     coordinator: Arc<Coordinator>,
     addr: SocketAddr,

@@ -9,6 +9,8 @@
 //! ncc-cli suite [--out <file>] [--threads <t>] [--model <m>]
 //!               [--filter <algo-substring>] [--family <scenario-substring>]
 //! ncc-cli explain <algo> [--family <f> --n <N> --param <x> --seed <s>]
+//! ncc-cli serve [--stdio | --listen <addr>] [--workers <N>]
+//!               [--engine-threads <t>] [--cache <N>]
 //! ncc-cli list
 //! ncc-cli info --n <N>
 //! ```
@@ -23,7 +25,9 @@
 //! `suite --model <m>` re-runs the full family × n sweep under one model
 //! instead. `explain` prints the scheduler's packing plan for a
 //! DAG-declared algorithm — which primitive lanes share which mux stage,
-//! and how that sits against the per-node lane budget.
+//! and how that sits against the per-node lane budget. `serve` runs the
+//! resident daemon of `docs/serving.md`. A flag value that does not parse
+//! is a usage error (exit 2) naming the flag, never a panic.
 
 use std::collections::HashMap;
 
@@ -103,8 +107,8 @@ USAGE:
   ncc-cli suite [--out <file>] [--threads <t>] [--model <m>]
                 [--filter <algo-substring>] [--family <scenario-substring>]
   ncc-cli explain <algo> [--family <f> --n <N> --param <x> --seed <s>]
-  ncc-cli serve [--listen <addr>] [--workers <N>] [--engine-threads <t>]
-                [--cache <N>]
+  ncc-cli serve [--stdio | --listen <addr>] [--workers <N>]
+                [--engine-threads <t>] [--cache <N>]
   ncc-cli list
   ncc-cli info --n <N>
 
@@ -130,32 +134,35 @@ EXAMPLES
     std::process::exit(if err.is_some() { 2 } else { 0 });
 }
 
-fn get_usize(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    flags
-        .get(key)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --{key}")))
-        .unwrap_or(default)
+/// A flag error or a bad scenario as a usage error (exit 2).
+fn or_usage<T>(r: Result<T, String>) -> T {
+    r.unwrap_or_else(|e| usage_and_exit(Some(&e)))
 }
 
-fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> u64 {
+/// `--key` parsed as a `T`; `None` when the flag is absent. A value that
+/// does not parse is an error naming the flag and the value.
+fn flag<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    key: &str,
+) -> Result<Option<T>, String> {
     flags
         .get(key)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --{key}")))
-        .unwrap_or(default)
-}
-
-fn get_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
-    flags
-        .get(key)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("bad --{key}")))
-        .unwrap_or(default)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("--{key} needs a {}, got '{v}'", std::any::type_name::<T>()))
+        })
+        .transpose()
 }
 
 /// Maps the CLI family vocabulary onto a [`FamilySpec`].
-fn family_spec(family: &str, n: usize, flags: &HashMap<String, String>) -> (FamilySpec, usize) {
-    let p = get_f64(flags, "param", f64::NAN);
+fn family_spec(
+    family: &str,
+    n: usize,
+    flags: &HashMap<String, String>,
+) -> Result<(FamilySpec, usize), String> {
+    let p = flag(flags, "param")?.unwrap_or(f64::NAN);
     let param_usize = if p.is_nan() { 0 } else { p as usize };
-    match family {
+    Ok(match family {
         "path" => (FamilySpec::Path, n),
         "cycle" => (FamilySpec::Cycle, n),
         "star" => (FamilySpec::Star, n),
@@ -221,55 +228,67 @@ fn family_spec(family: &str, n: usize, flags: &HashMap<String, String>) -> (Fami
             },
             n,
         ),
-        other => {
-            usage_and_exit(Some(&format!("unknown family '{other}'")));
-        }
-    }
+        other => return Err(format!("unknown family '{other}'")),
+    })
 }
 
 /// Maps the `--model` vocabulary (plus its parameter flags) onto a
 /// [`ModelSpec`]. `None` when no `--model` flag was given (NCC default).
-fn model_from_flags(n: usize, flags: &HashMap<String, String>) -> Option<ModelSpec> {
-    let name = flags.get("model")?;
-    Some(match name.as_str() {
+fn model_from_flags(
+    n: usize,
+    flags: &HashMap<String, String>,
+) -> Result<Option<ModelSpec>, String> {
+    let Some(name) = flags.get("model") else {
+        return Ok(None);
+    };
+    Ok(Some(match name.as_str() {
         "" | "ncc" => ModelSpec::Ncc,
         "cc" | "clique" | "congested-clique" => ModelSpec::CongestedClique {
-            edge_cap: get_usize(flags, "edge-cap", Capacity::default_for(n).send),
+            edge_cap: flag(flags, "edge-cap")?.unwrap_or(Capacity::default_for(n).send),
         },
         "kmachine" | "k-machine" => ModelSpec::KMachine {
-            k: get_usize(flags, "machines", 8).max(1),
-            link_capacity: get_u64(flags, "link-cap", 1).max(1),
+            k: flag(flags, "machines")?.unwrap_or(8usize).max(1),
+            link_capacity: flag(flags, "link-cap")?.unwrap_or(1u64).max(1),
         },
         "hybrid" => ModelSpec::HybridLocal {
-            local_edge_cap: get_usize(flags, "local-cap", 8).max(1),
+            local_edge_cap: flag(flags, "local-cap")?.unwrap_or(8usize).max(1),
         },
-        other => usage_and_exit(Some(&format!("unknown model '{other}'"))),
-    })
+        other => return Err(format!("unknown model '{other}'")),
+    }))
 }
 
-/// Builds the scenario spec described by the `run` flags (graph family
-/// path; `--graph` files go through [`Scenario::from_graph`] instead).
-fn spec_from_flags(family: &str, flags: &HashMap<String, String>) -> ScenarioSpec {
-    let n = get_usize(flags, "n", 64);
-    let seed = get_u64(flags, "seed", 1);
-    let (fam, n) = family_spec(family, n, flags);
-    let mut spec = ScenarioSpec::new(fam, n, seed)
-        .with_source(get_usize(flags, "src", 0) as u32)
-        .with_threads(get_usize(flags, "threads", 1));
-    if let Some(w) = flags.get("weights") {
-        spec = spec.with_weight_max(w.parse().unwrap_or_else(|_| panic!("bad --weights")));
+/// Builds the scenario spec described by the `run` flags for a generated
+/// family.
+fn spec_from_flags(family: &str, flags: &HashMap<String, String>) -> Result<ScenarioSpec, String> {
+    let (fam, n) = family_spec(family, flag(flags, "n")?.unwrap_or(64), flags)?;
+    spec_over(fam, n, flags)
+}
+
+/// The spec over `family` at `n` nodes with the flags every scenario takes
+/// — seed, source, threads, weights, model — whether the graph is generated
+/// or read from a `--graph` file.
+fn spec_over(
+    family: FamilySpec,
+    n: usize,
+    flags: &HashMap<String, String>,
+) -> Result<ScenarioSpec, String> {
+    let mut spec = ScenarioSpec::new(family, n, flag(flags, "seed")?.unwrap_or(1))
+        .with_source(flag(flags, "src")?.unwrap_or(0))
+        .with_threads(flag(flags, "threads")?.unwrap_or(1));
+    if let Some(w) = flag(flags, "weights")? {
+        spec = spec.with_weight_max(w);
     }
-    if let Some(model) = model_from_flags(n, flags) {
+    if let Some(model) = model_from_flags(n, flags)? {
         spec = spec.with_model(model);
     }
-    spec
+    Ok(spec)
 }
 
 fn cmd_gen(positional: &[String], flags: &HashMap<String, String>) {
     let family = positional.first().map(String::as_str).unwrap_or_else(|| {
         usage_and_exit(Some("gen needs a family"));
     });
-    let spec = spec_from_flags(family, flags);
+    let spec = or_usage(spec_from_flags(family, flags));
     let g = spec.build_graph().unwrap_or_else(|e| {
         usage_and_exit(Some(&e.to_string()));
     });
@@ -303,22 +322,13 @@ fn cmd_run(positional: &[String], flags: &HashMap<String, String>) {
     // Scenario: either an on-disk graph (echoed as family `provided`) or a
     // generated family.
     let scn = if let Some(path) = flags.get("graph") {
-        let text = std::fs::read_to_string(path).expect("read graph file");
-        let g = io::read_graph(&text).expect("parse graph file");
-        let mut spec = ScenarioSpec::new(FamilySpec::Provided, g.n(), get_u64(flags, "seed", 1))
-            .with_source(get_usize(flags, "src", 0) as u32)
-            .with_threads(get_usize(flags, "threads", 1));
-        if let Some(w) = flags.get("weights") {
-            spec = spec.with_weight_max(w.parse().unwrap_or_else(|_| panic!("bad --weights")));
-        }
-        if let Some(model) = model_from_flags(g.n(), flags) {
-            spec = spec.with_model(model);
-        }
-        Scenario::from_graph(spec, g)
+        let g = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| io::read_graph(&text).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| usage_and_exit(Some(&format!("--graph '{path}': {e}"))));
+        Scenario::from_graph(or_usage(spec_over(FamilySpec::Provided, g.n(), flags)), g)
     } else if let Some(f) = flags.get("family") {
-        spec_from_flags(f, flags).build().unwrap_or_else(|e| {
-            usage_and_exit(Some(&e.to_string()));
-        })
+        or_usage(spec_from_flags(f, flags).and_then(|s| s.build().map_err(|e| e.to_string())))
     } else {
         usage_and_exit(Some("run needs --graph <file> or --family <name>"));
     };
@@ -394,7 +404,7 @@ fn print_record(r: &RunRecord, send_cap: usize) {
 }
 
 fn cmd_suite(flags: &HashMap<String, String>) {
-    let threads = get_usize(flags, "threads", 1);
+    let threads = or_usage(flag(flags, "threads")).unwrap_or(1);
     let partial = flags.get("filter").is_some_and(|f| !f.is_empty())
         || flags.get("family").is_some_and(|f| !f.is_empty());
     let out_path = match flags.get("out") {
@@ -412,7 +422,7 @@ fn cmd_suite(flags: &HashMap<String, String>) {
         standard_grid_for_model(ModelSpec::Ncc)
             .into_iter()
             .map(|s| {
-                let model = model_from_flags(s.n, flags).expect("--model present");
+                let model = or_usage(model_from_flags(s.n, flags)).expect("--model present");
                 s.with_model(model)
             })
             .collect()
@@ -474,8 +484,9 @@ fn cmd_suite(flags: &HashMap<String, String>) {
     }
 }
 
-/// `explain <algo>` — re-run the algorithm's declared DAG through the
-/// scheduler and print the packing plan instead of the results.
+/// `explain <algo>` — run the algorithm once and print the scheduler's
+/// packing plan of its declared DAG instead of the results, then that
+/// run's activity and resources.
 fn cmd_explain(positional: &[String], flags: &HashMap<String, String>) {
     let algo_name = positional.first().map(String::as_str).unwrap_or_else(|| {
         usage_and_exit(Some("explain needs an algorithm"));
@@ -485,53 +496,44 @@ fn cmd_explain(positional: &[String], flags: &HashMap<String, String>) {
     };
     let family = flags.get("family").map(String::as_str).unwrap_or("gnp");
     let gen_start = std::time::Instant::now();
-    let scn = spec_from_flags(family, flags).build().unwrap_or_else(|e| {
-        usage_and_exit(Some(&e.to_string()));
-    });
+    let scn =
+        or_usage(spec_from_flags(family, flags).and_then(|s| s.build().map_err(|e| e.to_string())));
     let gen_ms = gen_start.elapsed().as_secs_f64() * 1000.0;
-    match explain_plan(algo, &scn) {
-        Some(text) => print!("{text}"),
-        None => {
-            println!("{algo_name} is not declared as a protocol DAG — no packing plan to show");
-        }
-    }
-    print!("{}", activity_note(algo, &scn, gen_ms));
+    print!("{}", explain(algo, &scn, gen_ms));
 }
 
-/// One-line activity-sparsity summary for `explain`: how wide the widest
-/// round was and what fraction of the naive `rounds × n` node-rounds the
-/// run actually stepped (the engine's per-round cost is O(active), so
-/// this ratio is the real step-phase work).
-fn activity_note(algo: &'static dyn ncc::runner::Algorithm, scn: &Scenario, gen_ms: f64) -> String {
+/// The `explain` body, separated from process concerns so tests can call
+/// it: the packing plan (or a note that there is none), then a one-line
+/// activity-sparsity summary — how wide the widest round was and what
+/// fraction of the naive `rounds × n` node-rounds the run actually stepped
+/// (the engine's per-round cost is O(active), so this ratio is the real
+/// step-phase work) — and the engine's resident footprint after the run.
+fn explain(algo: &'static dyn ncc::runner::Algorithm, scn: &Scenario, gen_ms: f64) -> String {
     let mut eng = scn.engine();
-    match algo.run(&mut eng, scn) {
-        Ok(rec) => {
-            let (peak, sum) = (
-                rec.metric("peak_active").unwrap_or(0),
-                rec.metric("sum_active").unwrap_or(0),
-            );
-            let naive = rec.rounds.saturating_mul(scn.spec.n as u64).max(1);
-            let footprint = eng.resident_bytes();
-            format!(
-                "activity: peak_active {} / n {} · sum_active {} ({:.1}% of rounds × n)\n\
-                 resources: gen {:.2} ms · resident {:.1} B/node ({} B engine state)\n",
-                peak,
-                scn.spec.n,
-                sum,
-                100.0 * sum as f64 / naive as f64,
-                gen_ms,
-                footprint.per_node(scn.spec.n),
-                footprint.total()
-            )
-        }
-        Err(e) => format!("activity: run failed ({e})\n"),
-    }
-}
-
-/// The `explain` body, separated from process concerns so tests can call it.
-fn explain_plan(algo: &'static dyn ncc::runner::Algorithm, scn: &Scenario) -> Option<String> {
-    let mut eng = scn.engine();
-    explain_text(algo, &mut eng, scn).unwrap_or_else(|e| fail(algo.name(), e))
+    let (plan, rec) = explain_text(algo, &mut eng, scn).unwrap_or_else(|e| fail(algo.name(), e));
+    let plan = plan.unwrap_or_else(|| {
+        format!(
+            "{} is not declared as a protocol DAG — no packing plan to show\n",
+            algo.name()
+        )
+    });
+    let (peak, sum) = (
+        rec.metric("peak_active").unwrap_or(0),
+        rec.metric("sum_active").unwrap_or(0),
+    );
+    let naive = rec.rounds.saturating_mul(scn.spec.n as u64).max(1);
+    let footprint = eng.resident_bytes();
+    format!(
+        "{plan}activity: peak_active {} / n {} · sum_active {} ({:.1}% of rounds × n)\n\
+         resources: gen {:.2} ms · resident {:.1} B/node ({} B engine state)\n",
+        peak,
+        scn.spec.n,
+        sum,
+        100.0 * sum as f64 / naive as f64,
+        gen_ms,
+        footprint.per_node(scn.spec.n),
+        footprint.total()
+    )
 }
 
 /// A spec the algorithm is not defined on is the user's error (usage, like
@@ -544,19 +546,10 @@ fn fail(algo_name: &str, e: RunnerError) -> ! {
 }
 
 /// `serve` — run the resident scenario coordinator (see `docs/serving.md`).
-/// Default is the stdio front; `--listen <addr>` binds a local TCP socket
-/// and runs until a `Shutdown` request lands.
+/// Default is the stdio front (`--stdio`); `--listen <addr>` binds a local
+/// TCP socket instead and runs until a `Shutdown` request lands.
 fn cmd_serve(flags: &HashMap<String, String>) {
-    let mut cfg = ServeConfig::default();
-    if let Some(w) = flags.get("workers") {
-        cfg = cfg.with_workers(w.parse().unwrap_or_else(|_| panic!("bad --workers")));
-    }
-    if let Some(t) = flags.get("engine-threads") {
-        cfg = cfg.with_engine_threads(t.parse().unwrap_or_else(|_| panic!("bad --engine-threads")));
-    }
-    if let Some(c) = flags.get("cache") {
-        cfg = cfg.with_cache_capacity(c.parse().unwrap_or_else(|_| panic!("bad --cache")));
-    }
+    let cfg = or_usage(serve_config(flags));
     match flags.get("listen") {
         Some(addr) if !addr.is_empty() => {
             let server = Server::spawn(cfg, addr).unwrap_or_else(|e| {
@@ -583,6 +576,25 @@ fn cmd_serve(flags: &HashMap<String, String>) {
     }
 }
 
+/// The pool shape the `serve` flags ask for; the two fronts exclude each
+/// other.
+fn serve_config(flags: &HashMap<String, String>) -> Result<ServeConfig, String> {
+    if flags.contains_key("stdio") && flags.contains_key("listen") {
+        return Err("--stdio and --listen are mutually exclusive".into());
+    }
+    let mut cfg = ServeConfig::default();
+    if let Some(w) = flag(flags, "workers")? {
+        cfg = cfg.with_workers(w);
+    }
+    if let Some(t) = flag(flags, "engine-threads")? {
+        cfg = cfg.with_engine_threads(t);
+    }
+    if let Some(c) = flag(flags, "cache")? {
+        cfg = cfg.with_cache_capacity(c);
+    }
+    Ok(cfg)
+}
+
 fn cmd_list() {
     println!("registered algorithms:");
     for a in algorithms() {
@@ -591,7 +603,7 @@ fn cmd_list() {
 }
 
 fn cmd_info(flags: &HashMap<String, String>) {
-    let n = get_usize(flags, "n", 64);
+    let n = or_usage(flag(flags, "n")).unwrap_or(64);
     let cfg = NetConfig::new(n, 0);
     let c = cfg.capacity;
     println!("Node-Capacitated Clique, n = {n}:");
@@ -664,7 +676,7 @@ mod tests {
             "rmat",
             "hyperbolic",
         ] {
-            let (spec, n) = family_spec(fam, 64, &flags);
+            let (spec, n) = family_spec(fam, 64, &flags).unwrap();
             assert!(n >= 1);
             let spec = ScenarioSpec::new(spec, n, 1);
             assert!(spec.build().is_ok(), "family {fam} must build");
@@ -677,7 +689,7 @@ mod tests {
         flags.insert("n".to_string(), "32".to_string());
         flags.insert("threads".to_string(), "4".to_string());
         flags.insert("weights".to_string(), "100".to_string());
-        let spec = spec_from_flags("gnp", &flags);
+        let spec = spec_from_flags("gnp", &flags).unwrap();
         assert_eq!(spec.n, 32);
         assert_eq!(spec.threads, 4);
         assert_eq!(spec.weight_max, 100);
@@ -692,35 +704,35 @@ mod tests {
                 .map(|(k, v)| (k.to_string(), v.to_string()))
                 .collect()
         };
-        assert_eq!(model_from_flags(64, &with(&[])), None);
+        assert_eq!(model_from_flags(64, &with(&[])), Ok(None));
         assert_eq!(
             model_from_flags(64, &with(&[("model", "ncc")])),
-            Some(ModelSpec::Ncc)
+            Ok(Some(ModelSpec::Ncc))
         );
         assert_eq!(
             model_from_flags(64, &with(&[("model", "cc"), ("edge-cap", "5")])),
-            Some(ModelSpec::CongestedClique { edge_cap: 5 })
+            Ok(Some(ModelSpec::CongestedClique { edge_cap: 5 }))
         );
         // default edge cap tracks the NCC per-node constant at that n
         assert_eq!(
             model_from_flags(64, &with(&[("model", "congested-clique")])),
-            Some(ModelSpec::CongestedClique {
+            Ok(Some(ModelSpec::CongestedClique {
                 edge_cap: Capacity::default_for(64).send
-            })
+            }))
         );
         assert_eq!(
             model_from_flags(
                 64,
                 &with(&[("model", "kmachine"), ("machines", "16"), ("link-cap", "2")])
             ),
-            Some(ModelSpec::KMachine {
+            Ok(Some(ModelSpec::KMachine {
                 k: 16,
                 link_capacity: 2
-            })
+            }))
         );
         assert_eq!(
             model_from_flags(64, &with(&[("model", "hybrid"), ("local-cap", "3")])),
-            Some(ModelSpec::HybridLocal { local_edge_cap: 3 })
+            Ok(Some(ModelSpec::HybridLocal { local_edge_cap: 3 }))
         );
     }
 
@@ -752,17 +764,19 @@ mod tests {
         let mut flags = HashMap::new();
         flags.insert("n".to_string(), "32".to_string());
         flags.insert("seed".to_string(), "3".to_string());
-        let scn = spec_from_flags("gnp", &flags).build().unwrap();
+        let scn = spec_from_flags("gnp", &flags).unwrap().build().unwrap();
         // a DAG-declared algorithm gets a stage-by-stage plan with budget use
-        let text =
-            explain_plan(find_algorithm("apsp").unwrap(), &scn).expect("apsp is DAG-declared");
+        let text = explain(find_algorithm("apsp").unwrap(), &scn, 0.0);
         assert!(text.contains("packing plan for `apsp`"));
         assert!(text.contains("lane budget"));
         assert!(text.contains("stage    1"));
         assert!(text.contains("spread"), "lane labels must be listed");
         assert!(text.contains("total:"));
-        // a baseline has no DAG and therefore no plan
-        assert!(explain_plan(find_algorithm("gossip").unwrap(), &scn).is_none());
+        assert!(text.contains("activity: peak_active"));
+        // a baseline has no DAG and therefore no plan, but still an activity line
+        let text = explain(find_algorithm("gossip").unwrap(), &scn, 0.0);
+        assert!(text.starts_with("gossip is not declared as a protocol DAG"));
+        assert!(text.contains("activity: peak_active"));
     }
 
     #[test]
@@ -770,7 +784,7 @@ mod tests {
         let mut flags = HashMap::new();
         flags.insert("n".to_string(), "32".to_string());
         flags.insert("model".to_string(), "kmachine".to_string());
-        let spec = spec_from_flags("gnp", &flags);
+        let spec = spec_from_flags("gnp", &flags).unwrap();
         assert_eq!(
             spec.model,
             ModelSpec::KMachine {
@@ -780,7 +794,28 @@ mod tests {
         );
         // cc switches the node capacity off in the same stroke
         flags.insert("model".to_string(), "cc".to_string());
-        let spec = spec_from_flags("gnp", &flags);
+        let spec = spec_from_flags("gnp", &flags).unwrap();
         assert_eq!(spec.capacity, Capacity::unbounded());
+    }
+
+    #[test]
+    fn bad_flag_values_are_errors_naming_the_flag() {
+        for (key, value) in [("n", "x"), ("weights", "-1"), ("param", "abc")] {
+            let flags = HashMap::from([(key.to_string(), value.to_string())]);
+            let err = spec_from_flags("gnp", &flags).unwrap_err();
+            assert!(
+                err.contains(&format!("--{key} ")) && err.contains(&format!("'{value}'")),
+                "{err}"
+            );
+        }
+        let flags = HashMap::from([("workers".to_string(), "many".to_string())]);
+        assert!(serve_config(&flags).unwrap_err().contains("--workers"));
+        let fronts = HashMap::from([
+            ("stdio".to_string(), String::new()),
+            ("listen".to_string(), "127.0.0.1:0".to_string()),
+        ]);
+        assert!(serve_config(&fronts)
+            .unwrap_err()
+            .contains("mutually exclusive"));
     }
 }
