@@ -45,7 +45,7 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Paylo
 use rand::Rng;
 
 use crate::combine::Aggregate;
-use crate::compose::{lane_seed, run_composed, run_single};
+use crate::compose::{lane_seed, run_composed};
 use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::topology::{Butterfly, GroupId};
 
@@ -1181,6 +1181,15 @@ where
 // execution doubles as the paper's synchronisation barrier
 // ([`sync_barrier`]) — the token-passing variant of App. B.1 condensed to
 // its round cost.
+//
+// `AbProgram` is one plain program. [`aggregate_and_broadcast`], and with
+// it every barrier, hands it straight to `Engine::execute`: no mux, no
+// lane header, the nodes' own RNG streams, and the engine's recycled
+// buffers, so a barrier on a warm engine allocates only its input, state
+// and result vectors. [`ab_sub`] wraps the same program as a lane, for the
+// DAG stages that run an A&B beside other protocols; a one-lane mux
+// charges zero header bits and borrows the node's stream, so both paths
+// cost the same rounds, messages, bits and drops.
 
 /// Wire format of Aggregate-and-Broadcast. Discriminant + payload; levels
 /// are implied by the round.
@@ -1323,7 +1332,7 @@ pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
         agg,
         _pd: std::marker::PhantomData,
     };
-    let states: Vec<AbState<V>> = inputs
+    let mut states: Vec<AbState<V>> = inputs
         .into_iter()
         .map(|input| AbState {
             input,
@@ -1331,9 +1340,7 @@ pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
             result: None,
         })
         .collect();
-    let (states, stats) = run_single(engine, prog, states)?;
-    // degenerate d = 0 (n = 2..3 has d = 1, so this only matters if the
-    // butterfly had a single column; d ≥ 1 always holds for n ≥ 2)
+    let stats = engine.execute(&prog, &mut states)?;
     let results = states.into_iter().map(|s| s.result).collect();
     Ok((results, stats))
 }
@@ -1513,6 +1520,54 @@ mod ab_tests {
             "rounds {}",
             stats.rounds
         );
+    }
+
+    /// `aggregate_and_broadcast` executes `AbProgram` directly; a one-node
+    /// `Dag` holding `ab_sub` runs the same program as the only lane of a
+    /// mux. They must be one execution, bit for bit: stats (drops and bits
+    /// included), results and the engine's global round. A&B delivers at
+    /// most one message per node-round, so a receive cap of 1 drops
+    /// nothing; a cap of 0 drops every message.
+    #[test]
+    fn direct_barrier_matches_a_one_lane_mux() {
+        use crate::compose::Dag;
+        use ncc_model::Capacity;
+        for n in [2usize, 3, 48, 100] {
+            let inputs: Vec<Option<u64>> = (0..n as u64)
+                .map(|v| (v % 3 != 1).then_some(v * 7 + 5))
+                .collect();
+            let recv = |recv| {
+                let cap = Capacity {
+                    recv,
+                    ..Capacity::default_for(n)
+                };
+                NetConfig::new(n, 42).with_capacity(cap).permissive()
+            };
+            let configs = [
+                (NetConfig::new(n, 42), false),
+                (recv(1), false),
+                (recv(0), true),
+            ];
+            for (cfg, drops) in configs {
+                let mut direct = Engine::new(cfg.clone());
+                let (want, want_stats) =
+                    aggregate_and_broadcast(&mut direct, inputs.clone(), &SumU64).unwrap();
+                let mut muxed = Engine::new(cfg);
+                let mut dag = Dag::new();
+                let lane_inputs = inputs.clone();
+                let node = dag.proto(
+                    "ab",
+                    &[],
+                    move |_| ab_sub(n, lane_inputs, &SumU64),
+                    |s| s.into_results(),
+                );
+                let mut run = dag.run(&mut muxed).unwrap();
+                assert_eq!(want_stats.dropped > 0, drops, "n={n}");
+                assert_eq!(run.stats, want_stats, "n={n}");
+                assert_eq!(run.outputs.take(node), want, "n={n}");
+                assert_eq!(muxed.global_round(), direct.global_round(), "n={n}");
+            }
+        }
     }
 
     #[test]

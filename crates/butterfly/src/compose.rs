@@ -20,11 +20,12 @@
 //! blocking entry points (`aggregate`, `multicast_setup`, `multicast`,
 //! `multi_aggregate`) build that sub and hand it, alone, to
 //! [`run_composed`] — the same stages, barriers and round count a one-node
-//! [`Dag`] holding the sub gets. [`run_single`] runs one bare program as a
-//! one-lane mux (bit-identical to direct execution); Aggregate-and-Broadcast,
-//! which is a single program and its own barrier, uses it.
+//! [`Dag`] holding the sub gets. Aggregate-and-Broadcast is the exception:
+//! it is one plain program and its own barrier, so
+//! [`aggregate_and_broadcast`](crate::aggregation::aggregate_and_broadcast)
+//! and [`sync_barrier`] hand it to `Engine::execute` without a mux.
 
-use ncc_model::{Engine, ExecStats, LaneId, ModelError, MuxBuilder, MuxState, NodeProgram};
+use ncc_model::{Engine, ExecStats, LaneId, ModelError, MuxBuilder, MuxState};
 
 use crate::aggregation::sync_barrier;
 
@@ -119,27 +120,6 @@ pub fn run_composed<'a>(
         total.merge(&sync_barrier(engine)?);
     }
     Ok((total, report))
-}
-
-/// Executes one program as a one-lane mux (no barrier) — how
-/// [`aggregate_and_broadcast`](crate::aggregation::aggregate_and_broadcast)
-/// runs. Bit-identical to
-/// `engine.execute(&prog, &mut states)` — the lane header is zero bits and
-/// the lane draws from the node's own RNG stream.
-pub fn run_single<Prog>(
-    engine: &mut Engine,
-    prog: Prog,
-    states: Vec<Prog::State>,
-) -> Result<(Vec<Prog::State>, ExecStats), ModelError>
-where
-    Prog: NodeProgram,
-    Prog::State: 'static,
-{
-    let mut b = MuxBuilder::new(engine.n());
-    let id = b.lane(prog, states);
-    let (mux, mut mstates) = b.build();
-    let stats = engine.execute(&mux, &mut mstates)?;
-    Ok((ncc_model::take_lane_states(&mut mstates, id), stats))
 }
 
 /// Derives a deterministic lane seed from the engine seed and a composition
@@ -403,7 +383,7 @@ impl<'a> Dag<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncc_model::{Ctx, Envelope, NetConfig};
+    use ncc_model::{Ctx, Envelope, NetConfig, NodeProgram};
 
     /// Minimal 2-stage sub-protocol for driver tests: stage 1 relays a token
     /// around the ring `hops` times, stage 2 broadcasts a completion flag to
@@ -499,18 +479,6 @@ mod tests {
         assert_eq!(c.done_count, Some(9 + 9 * n as u64));
         // stage 1 is bounded by the slowest lane, not the sum
         assert!(stats.rounds < (10 + 2) + 2 * 20, "rounds {}", stats.rounds);
-    }
-
-    #[test]
-    fn run_single_matches_direct_execution() {
-        let n = 12;
-        let mut eng = Engine::new(NetConfig::new(n, 8));
-        let mut direct = vec![0u64; n];
-        let s1 = eng.execute(&Relay { hops: 3 }, &mut direct).unwrap();
-        let mut eng = Engine::new(NetConfig::new(n, 8));
-        let (muxed, s2) = run_single(&mut eng, Relay { hops: 3 }, vec![0u64; n]).unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(direct, muxed);
     }
 
     #[test]

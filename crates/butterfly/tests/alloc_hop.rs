@@ -9,13 +9,18 @@
 //! * A `multicast` reads the recorded forest through the
 //!   [`MulticastTrees`] it is handed: it allocates no hash table — zero
 //!   requests of the sizes the forest's own maps have.
+//! * A `sync_barrier` is a plain program on the engine's recycled
+//!   buffers: it allocates its input, state and result vectors and
+//!   nothing else — the same count at n = 64 and n = 1024, whatever the
+//!   number of messages.
 //!
 //! Same harness and the same one-test-per-file rule as the engine's
 //! `alloc_regression.rs` and `alloc_mux.rs`, whose counting allocator this
 //! file shares.
 
 use ncc_butterfly::{
-    multi_aggregate, multicast, multicast_setup, self_joins, GroupId, MinU64, MulticastTrees,
+    multi_aggregate, multicast, multicast_setup, self_joins, sync_barrier, GroupId, MinU64,
+    MulticastTrees,
 };
 use ncc_hashing::{FxHashMap, SharedRandomness};
 use ncc_model::{Engine, NetConfig, NodeId};
@@ -72,6 +77,17 @@ fn counted_multi_aggregate(
     let allocs = common::allocs() - before;
     assert!(stats.clean() && out.iter().all(Option::is_some));
     (allocs, stats.sent)
+}
+
+/// `(allocations, messages sent)` of one counted `sync_barrier` on `eng`,
+/// after two uncounted ones grew its buffers.
+fn counted_barrier(eng: &mut Engine) -> (u64, u64) {
+    for _ in 0..2 {
+        sync_barrier(eng).unwrap();
+    }
+    let before = common::allocs();
+    let stats = sync_barrier(eng).unwrap();
+    (common::allocs() - before, stats.sent)
 }
 
 /// The sizes of the hash tables the forest holds: each distinct non-empty
@@ -140,4 +156,11 @@ fn a_hop_allocates_for_the_message_and_nothing_else() {
         after, before,
         "requests of the forest's table sizes {sizes:?}"
     );
+
+    // the barrier: its three vectors, at any n
+    let (small_allocs, small_sent) = counted_barrier(&mut eng);
+    let (big_allocs, big_sent) = counted_barrier(&mut Engine::new(NetConfig::new(1024, 17)));
+    assert!(big_sent > 10 * small_sent, "{big_sent} vs {small_sent}");
+    assert!(small_allocs <= 4, "{small_allocs} allocations at n = {N}");
+    assert_eq!(big_allocs, small_allocs, "n = 1024 vs n = {N}");
 }

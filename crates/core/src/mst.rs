@@ -93,6 +93,47 @@ pub struct MstResult {
     pub plan: SchedReport,
 }
 
+/// The FindMin search key of arc `a → b` of weight `w`: `w ∘ arc id`, so
+/// keys order by weight, ties broken by arc id.
+fn key_of(w: u64, a: NodeId, b: NodeId, idb: u32) -> u64 {
+    (w << (2 * idb)) | arc_id(a, b, idb)
+}
+
+/// Per node, its incident arcs in `weighted_neighbors` order as
+/// `(k_up, mask_up, k_dn, mask_dn)`: the keys of the arc leaving the node
+/// and of the arc entering it, each beside its sketch mask. Neither ever
+/// changes, so FindMin hashes every arc once per run, not once per bucket
+/// of every step.
+fn arc_masks(wg: &WeightedGraph, sketch: &XorSketch, idb: u32) -> Vec<Vec<(u64, u64, u64, u64)>> {
+    (0..wg.n() as NodeId)
+        .map(|u| {
+            wg.weighted_neighbors(u)
+                .map(|(v, w)| {
+                    let (up, dn) = (key_of(w, u, v, idb), key_of(w, v, u, idb));
+                    (up, sketch.element_mask(up), dn, sketch.element_mask(dn))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The largest `weight_max` whose FindMin messages fit in `payload_bits`
+/// on an `n`-node network (§3 assumes `W = poly(n)`). The widest one is
+/// the range multicast's butterfly hop: a 1-bit message tag and a 6-bit
+/// level, the group id `leader ∘ 32-bit sub`, and the pair `(lo, hi)` of
+/// keys, `bits(W) + 2·idb` and `bits(W + 1) + 2·idb` bits wide at most
+/// (`hi` may be the end of the key range, `(W + 1) ∘ 0…0`). That end must
+/// also fit in a `u64`: `bits(W + 1) ≤ 64 − 2·idb`.
+pub fn max_weight(n: usize, payload_bits: u32) -> u64 {
+    let idb = node_id_bits(n);
+    // the budget for bits(W) + bits(W + 1)
+    let b = payload_bits
+        .saturating_sub(7 + 32 + 5 * idb)
+        .min(2 * 64u32.saturating_sub(2 * idb));
+    // the largest W spending at most b: 2ᵏ − 1 spends 2k + 1, 2ᵏ − 2 spends 2k
+    ((1u64 << (b / 2)) + (b % 2) as u64).saturating_sub(2)
+}
+
 /// Splits `[lo, hi)` into at most `b` contiguous integer buckets of
 /// near-equal width (every bucket non-empty).
 fn bucket_bounds(lo: u64, hi: u64, b: u64) -> Vec<(u64, u64)> {
@@ -129,7 +170,6 @@ pub fn mst(
     report.push("agree-w", s);
     let w_max = wmax[0].unwrap_or(1);
 
-    let key_of = |w: u64, a: NodeId, b: NodeId| -> u64 { (w << (2 * idb)) | arc_id(a, b, idb) };
     let range_hi: u64 = (w_max + 1) << (2 * idb);
     // steps until every component's live range has width ≤ 1 (worst-case
     // bucket width is ⌈width / B⌉)
@@ -150,28 +190,22 @@ pub fn mst(
         SharedRandomness::k_for(n),
     );
 
-    // bucket-j memberships for the given live ranges: every node sketches
-    // its incident arcs with keys in bucket j of its component's range.
-    // A `Copy` closure, so the per-bucket DAG build closures can share it.
-    let sketch_ref = &sketch;
+    // bucket-j memberships for the given live ranges: every node XORs the
+    // tabled masks of its incident arcs with keys in bucket j of its
+    // component's range. A `Copy` closure, so the per-bucket DAG build
+    // closures can share it.
+    let masks = &arc_masks(wg, &sketch, idb);
     let build_memberships = move |lo: &[u64], hi: &[u64], leader: &[NodeId], j: usize| {
         (0..n)
             .map(|u| {
                 let bounds = bucket_bounds(lo[u], hi[u], FIND_BUCKETS);
-                let Some(&(blo, bhi)) = bounds.get(j) else {
+                let Some(bucket) = bounds.get(j).map(|&(blo, bhi)| blo..bhi) else {
                     return Vec::new();
                 };
-                let mut up = 0u64;
-                let mut down = 0u64;
-                for (v, w) in wg.weighted_neighbors(u as NodeId) {
-                    let k_up = key_of(w, u as NodeId, v);
-                    if (blo..bhi).contains(&k_up) {
-                        up ^= sketch_ref.element_mask(k_up & arc_mask | (w << (2 * idb)));
-                    }
-                    let k_dn = key_of(w, v, u as NodeId);
-                    if (blo..bhi).contains(&k_dn) {
-                        down ^= sketch_ref.element_mask(k_dn & arc_mask | (w << (2 * idb)));
-                    }
+                let (mut up, mut down) = (0u64, 0u64);
+                for &(k_up, mask_up, k_dn, mask_dn) in &masks[u] {
+                    up ^= if bucket.contains(&k_up) { mask_up } else { 0 };
+                    down ^= if bucket.contains(&k_dn) { mask_dn } else { 0 };
                 }
                 if up == 0 && down == 0 {
                     Vec::new() // zero contribution: XOR-identity, skip
@@ -712,6 +746,40 @@ mod tests {
         // lane accounting: every phase ran multi-lane FindMin steps
         assert!(r.findmin_steps >= r.phases);
         assert!(r.lane_stages > r.findmin_steps);
+    }
+
+    proptest::proptest! {
+        /// The mask table holds, per node and in `weighted_neighbors`
+        /// order, both keys of every incident arc beside exactly the mask
+        /// the sketch gives that key — and a key is its own hashed
+        /// argument (`k & arc_mask | w ∘ 0…0 == k`).
+        #[test]
+        fn mask_table_matches_the_sketch(seed in proptest::prelude::any::<u64>(), n in 2usize..40) {
+            let g = gen::gnp(n, 0.3, seed);
+            let wg = gen::with_random_weights(&g, (n * n) as u64, seed ^ 1);
+            let sketch = XorSketch::derive(
+                &SharedRandomness::new(seed ^ 2),
+                ncc_hashing::shared::labels::MST_SKETCH,
+                SKETCH_TRIALS,
+                SharedRandomness::k_for(n),
+            );
+            let idb = node_id_bits(n);
+            let arc_mask = (1u64 << (2 * idb)) - 1;
+            let table = arc_masks(&wg, &sketch, idb);
+            proptest::prop_assert_eq!(table.len(), n);
+            for (u, arcs) in table.iter().enumerate() {
+                let u = u as NodeId;
+                proptest::prop_assert_eq!(arcs.len(), wg.degree(u));
+                for (&(k_up, m_up, k_dn, m_dn), (v, w)) in arcs.iter().zip(wg.weighted_neighbors(u)) {
+                    proptest::prop_assert_eq!((k_up, k_dn), (key_of(w, u, v, idb), key_of(w, v, u, idb)));
+                    proptest::prop_assert_eq!(m_up, sketch.element_mask(k_up));
+                    proptest::prop_assert_eq!(m_dn, sketch.element_mask(k_dn));
+                    for k in [k_up, k_dn] {
+                        proptest::prop_assert_eq!(k & arc_mask | (w << (2 * idb)), k);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

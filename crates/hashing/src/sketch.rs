@@ -34,11 +34,6 @@ impl XorSketch {
         }
     }
 
-    /// Number of trials (mask width in bits).
-    pub fn trials(&self) -> usize {
-        self.fns.len()
-    }
-
     /// The packed mask of one element: bit `i` is `h_i(x) mod 2`.
     #[inline]
     pub fn element_mask(&self, x: u64) -> u64 {
@@ -47,16 +42,6 @@ impl XorSketch {
             m |= f.to_bit(x) << i;
         }
         m
-    }
-
-    /// Sketch of a whole set: XOR of element masks.
-    pub fn set_mask<I: IntoIterator<Item = u64>>(&self, xs: I) -> u64 {
-        xs.into_iter().fold(0, |acc, x| acc ^ self.element_mask(x))
-    }
-
-    /// Probability that two *unequal* sets produce equal masks: `2^{−t}`.
-    pub fn collision_probability(&self) -> f64 {
-        2f64.powi(-(self.fns.len() as i32))
     }
 }
 
@@ -69,11 +54,17 @@ mod tests {
         XorSketch::derive(&SharedRandomness::new(1234), 99, t, 8)
     }
 
+    /// Sketch of a whole set: the XOR of its element masks, which is what
+    /// an XOR aggregation over the set's members computes.
+    fn set_mask(s: &XorSketch, xs: impl IntoIterator<Item = u64>) -> u64 {
+        xs.into_iter().fold(0, |acc, x| acc ^ s.element_mask(x))
+    }
+
     #[test]
     fn equal_sets_equal_masks_any_order() {
         let s = sketch(32);
-        let a = s.set_mask([5u64, 9, 200, 7]);
-        let b = s.set_mask([7u64, 200, 9, 5]);
+        let a = set_mask(&s, [5u64, 9, 200, 7]);
+        let b = set_mask(&s, [7u64, 200, 9, 5]);
         assert_eq!(a, b);
     }
 
@@ -82,8 +73,8 @@ mod tests {
         // XOR semantics: an element appearing twice vanishes — exactly the
         // property FindMin uses (internal edges appear in both directions).
         let s = sketch(32);
-        assert_eq!(s.set_mask([3u64, 3]), 0);
-        assert_eq!(s.set_mask([3u64, 4, 3]), s.element_mask(4));
+        assert_eq!(set_mask(&s, [3u64, 3]), 0);
+        assert_eq!(set_mask(&s, [3u64, 4, 3]), s.element_mask(4));
     }
 
     #[test]
@@ -94,8 +85,8 @@ mod tests {
             let mut other = base.clone();
             other.push(extra);
             assert_ne!(
-                s.set_mask(base.iter().copied()),
-                s.set_mask(other),
+                set_mask(&s, base.iter().copied()),
+                set_mask(&s, other),
                 "collision at {extra}"
             );
         }
@@ -130,8 +121,8 @@ mod tests {
         fn mask_is_linear(xs in proptest::collection::vec(any::<u64>(), 0..20),
                           ys in proptest::collection::vec(any::<u64>(), 0..20)) {
             let s = sketch(16);
-            let lhs = s.set_mask(xs.iter().copied()) ^ s.set_mask(ys.iter().copied());
-            let both = s.set_mask(xs.iter().chain(ys.iter()).copied());
+            let lhs = set_mask(&s, xs.iter().copied()) ^ set_mask(&s, ys.iter().copied());
+            let both = set_mask(&s, xs.iter().chain(ys.iter()).copied());
             prop_assert_eq!(lhs, both);
         }
 

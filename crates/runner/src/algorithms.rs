@@ -18,7 +18,7 @@ use ncc_core::Prepared;
 use ncc_graph::{analysis, check};
 use ncc_model::{Engine, ExecStats, ModelError};
 
-use crate::{RunRecord, RunnerError, Scenario, Verdict};
+use crate::{RunRecord, RunnerError, Scenario, ScenarioSpec, Verdict};
 
 /// The engine's error unless another is named, as in `std::io::Result`.
 type Result<T, E = ModelError> = std::result::Result<T, E>;
@@ -69,12 +69,13 @@ pub trait Algorithm: Sync {
     /// One-line description, shown in `ncc-cli help` and the README.
     fn description(&self) -> &'static str;
 
-    /// Smallest network the algorithm is defined on. The graph algorithms
-    /// (§3–§5) orient, peel and build trees over a butterfly, which takes
-    /// two nodes; [`run_checked`] turns a smaller spec into a typed error
-    /// before any of them can assert.
-    fn min_n(&self) -> usize {
-        2
+    /// Whether the algorithm is defined on `spec`, and if not, why.
+    /// [`run_checked`] asks before round 0, so a spec the algorithm cannot
+    /// run is a typed error, never an assert or an engine abort. The
+    /// default asks for two nodes: the graph algorithms (§3–§5) orient,
+    /// peel and build trees over a butterfly, which takes two.
+    fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
+        needs_nodes(self.name(), 2, spec)
     }
 
     /// The preamble the main stage needs.
@@ -145,20 +146,15 @@ fn run_planned<A: Algorithm + ?Sized>(
     Ok((rec, out.plan))
 }
 
-/// Rejects a scenario below the algorithm's node bound, naming the bound.
-fn admit(algo: &dyn Algorithm, scn: &Scenario) -> Result<(), RunnerError> {
-    if scn.spec.n < algo.min_n() {
-        return Err(RunnerError::Scenario(format!(
-            "`{}` needs n ≥ {}, the spec has n = {}",
-            algo.name(),
-            algo.min_n(),
-            scn.spec.n
-        )));
+/// The node bound of [`Algorithm::admits`], naming it when `spec` is below.
+fn needs_nodes(name: &str, min: usize, spec: &ScenarioSpec) -> Result<(), String> {
+    match spec.n {
+        n if n < min => Err(format!("`{name}` needs n ≥ {min}, the spec has n = {n}")),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-/// [`Algorithm::run`] behind the admission check — the one entry every
+/// [`Algorithm::run`] behind [`Algorithm::admits`] — the one entry every
 /// front end (`run_record*`, `ncc-cli`, `ncc-serve`) shares, so a spec the
 /// algorithm is not defined on costs an error value, not a panic.
 pub fn run_checked(
@@ -166,7 +162,7 @@ pub fn run_checked(
     eng: &mut Engine,
     scn: &Scenario,
 ) -> Result<RunRecord, RunnerError> {
-    admit(algo, scn)?;
+    algo.admits(&scn.spec).map_err(RunnerError::Scenario)?;
     Ok(algo.run(eng, scn)?)
 }
 
@@ -181,7 +177,7 @@ pub fn explain_text(
     scn: &Scenario,
 ) -> Result<(Option<String>, RunRecord), RunnerError> {
     use std::fmt::Write;
-    admit(algo, scn)?;
+    algo.admits(&scn.spec).map_err(RunnerError::Scenario)?;
     let (rec, plan) = run_planned(algo, eng, scn)?;
     let Some(plan) = plan else {
         return Ok((None, rec));
@@ -236,6 +232,19 @@ impl Algorithm for Mst {
     }
     fn description(&self) -> &'static str {
         "minimum spanning forest, Boruvka + sketch FindMin (§3, O(log⁴ n))"
+    }
+    /// Two nodes, and weights FindMin's widest message can carry (§3
+    /// assumes `W = poly(n)`).
+    fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
+        needs_nodes(self.name(), 2, spec)?;
+        let fits = ncc_core::mst::max_weight(spec.n, spec.capacity.payload_bits);
+        if spec.weight_max > fits {
+            return Err(format!(
+                "`mst` carries weight_max ≤ {fits} in {}-bit payloads at n = {}, the spec has weight_max = {}",
+                spec.capacity.payload_bits, spec.n, spec.weight_max
+            ));
+        }
+        Ok(())
     }
     fn preparation(&self) -> Preparation {
         Preparation::Seed
@@ -497,8 +506,8 @@ impl Algorithm for Gossip {
     fn name(&self) -> &'static str {
         "gossip"
     }
-    fn min_n(&self) -> usize {
-        1
+    fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
+        needs_nodes(self.name(), 1, spec)
     }
     fn description(&self) -> &'static str {
         "all-to-all token gossip baseline (§1, Θ(n/log n) rounds)"
@@ -517,8 +526,8 @@ impl Algorithm for Broadcast {
     fn name(&self) -> &'static str {
         "broadcast"
     }
-    fn min_n(&self) -> usize {
-        1
+    fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
+        needs_nodes(self.name(), 1, spec)
     }
     fn description(&self) -> &'static str {
         "single-source flooding broadcast baseline (§1, Θ(log n/log log n))"
@@ -543,8 +552,8 @@ impl Algorithm for ButterflyAggregation {
     fn name(&self) -> &'static str {
         "butterfly-aggregation"
     }
-    fn min_n(&self) -> usize {
-        1
+    fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
+        needs_nodes(self.name(), 1, spec)
     }
     fn description(&self) -> &'static str {
         "global min via butterfly aggregate-and-broadcast (Thm 2.2, O(log n))"

@@ -9,8 +9,8 @@
 
 use ncc_model::{Capacity, Engine, ModelSpec};
 use ncc_runner::{
-    algorithms, explain_text, find_algorithm, run_named, run_named_threads, run_record,
-    standard_grid, FamilySpec, Preparation, RunnerError, ScenarioSpec, Verdict,
+    algorithms, explain_text, find_algorithm, run_checked, run_named, run_named_threads,
+    run_record, standard_grid, FamilySpec, Preparation, RunnerError, ScenarioSpec, Verdict,
 };
 use proptest::prelude::*;
 
@@ -220,6 +220,48 @@ fn one_node_spec_is_a_typed_error_for_graph_algorithms() {
             }
             Err(e) => panic!("{name}: expected a scenario error, got {e}"),
         }
+    }
+}
+
+/// MST refuses, before round 0, weights its FindMin messages cannot carry.
+/// At n = 64 the default payload is 144 bits and the widest message, a
+/// range multicast hop, is 7 + (32 + 6) bits plus two keys of
+/// `bits(w) + 12` and `bits(w + 1) + 12` bits: `w = 2³⁷ − 1` fits in
+/// exactly 144, `2³⁷` does not. Without a payload bound the keys
+/// themselves must fit a `u64`.
+#[test]
+fn mst_admits_exactly_the_weights_its_messages_carry() {
+    let mst = find_algorithm("mst").unwrap();
+    let spec = ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, 64, 3);
+    let largest = (1u64 << 37) - 1;
+    assert_eq!(
+        ncc_core::mst::max_weight(64, spec.capacity.payload_bits),
+        largest
+    );
+    assert_eq!(ncc_core::mst::max_weight(64, u32::MAX), (1 << 52) - 2);
+
+    let rec = run_record(mst, &spec.clone().with_weight_max(largest)).unwrap();
+    assert_eq!(rec.verdict, Verdict::Verified, "{}", rec.summary);
+
+    let unbounded = spec
+        .clone()
+        .with_model(ModelSpec::CongestedClique { edge_cap: 4 });
+    for bad in [
+        spec.with_weight_max(largest + 1),
+        unbounded.with_weight_max(u64::MAX),
+    ] {
+        let scn = bad.build().unwrap();
+        let mut eng = scn.engine();
+        match run_checked(mst, &mut eng, &scn) {
+            Err(RunnerError::Scenario(msg)) => {
+                assert!(msg.contains("weight_max"), "{msg}");
+                assert!(msg.contains(&bad.weight_max.to_string()), "{msg}");
+                let fits = ncc_core::mst::max_weight(64, bad.capacity.payload_bits);
+                assert!(msg.contains(&fits.to_string()), "{msg}");
+            }
+            other => panic!("weight_max {} admitted: {other:?}", bad.weight_max),
+        }
+        assert_eq!(eng.global_round(), 0, "a rejected spec runs no round");
     }
 }
 
