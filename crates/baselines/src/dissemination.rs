@@ -14,7 +14,16 @@
 //!   identifiers: node `u`'s children are `cap·u + 1 … cap·u + cap`. Depth
 //!   `⌈log n / log cap⌉ = Θ(log n / log log n)` for `cap = Θ(log n)`.
 
-use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram};
+use ncc_model::{Capacity, Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram};
+
+/// The messages per node per round both schedules use: `min(send, recv, n)`
+/// (batches beyond `n − 1` are pointless, and the bound keeps the schedule
+/// arithmetic overflow-safe). On `n ≥ 2` nodes a cap of 0 makes no
+/// progress — gossip spins to the round limit, broadcast informs nobody —
+/// so the runner refuses such a capacity before round 0.
+pub fn round_cap(capacity: &Capacity, n: usize) -> usize {
+    capacity.send.min(capacity.recv).min(n)
+}
 
 // ---------------------------------------------------------------------------
 // Gossip
@@ -70,12 +79,7 @@ impl NodeProgram for GossipProgram {
 /// any node missed a token. Rounds: `⌈(n−1)/cap⌉ + 1`.
 pub fn gossip_all(engine: &mut Engine) -> Result<ExecStats, ModelError> {
     let n = engine.n();
-    let cap = (engine
-        .config()
-        .capacity
-        .send
-        .min(engine.config().capacity.recv) as u64)
-        .min(n as u64); // batches beyond n−1 are pointless (and overflow-safe)
+    let cap = round_cap(&engine.config().capacity, n) as u64;
     let prog = GossipProgram { n: n as u64, cap };
     let mut states: Vec<GossipState> = (0..n as u64)
         .map(|u| GossipState {
@@ -111,12 +115,13 @@ struct BroadcastState {
 }
 
 impl BroadcastProgram {
+    /// Sends `value` to node `id`'s children, `fanout·id + 1 ..= fanout·id +
+    /// fanout` cut at `n − 1`, in ascending order. Only children that exist
+    /// are visited: a leaf — most nodes — costs one comparison.
     fn relay(&self, id: NodeId, value: u64, ctx: &mut Ctx<'_, u64>) {
-        for c in 1..=self.fanout {
-            let child = self.fanout * id as u64 + c;
-            if child < self.n {
-                ctx.send(child as NodeId, value);
-            }
+        let base = self.fanout * id as u64;
+        for child in base + 1..=(base + self.fanout).min(self.n - 1) {
+            ctx.send(child as NodeId, value);
         }
     }
 }
@@ -146,15 +151,9 @@ impl NodeProgram for BroadcastProgram {
 /// rounds = tree depth = `Θ(log n / log cap)`.
 pub fn broadcast_all(engine: &mut Engine, value: u64) -> Result<ExecStats, ModelError> {
     let n = engine.n();
-    let fanout = (engine
-        .config()
-        .capacity
-        .send
-        .min(engine.config().capacity.recv) as u64)
-        .min(n as u64);
     let prog = BroadcastProgram {
         n: n as u64,
-        fanout,
+        fanout: round_cap(&engine.config().capacity, n) as u64,
     };
     let mut states: Vec<BroadcastState> = vec![BroadcastState::default(); n];
     states[0].value = Some(value);
@@ -211,6 +210,101 @@ mod tests {
                 "n={n}: rounds {} vs depth bound {depth}",
                 stats.rounds
             );
+        }
+    }
+
+    /// The relay before it computed the child range: every one of the
+    /// `fanout` slots is tested against `n`, so a leaf pays `fanout`
+    /// failed tests. Kept as the reference `relay` must match.
+    struct AllSlotsBroadcast(BroadcastProgram);
+
+    impl AllSlotsBroadcast {
+        fn relay(&self, id: NodeId, value: u64, ctx: &mut Ctx<'_, u64>) {
+            let BroadcastProgram { n, fanout } = self.0;
+            for c in 1..=fanout {
+                let child = fanout * id as u64 + c;
+                if child < n {
+                    ctx.send(child as NodeId, value);
+                }
+            }
+        }
+    }
+
+    impl NodeProgram for AllSlotsBroadcast {
+        type State = BroadcastState;
+        type Payload = u64;
+
+        fn init(&self, st: &mut BroadcastState, ctx: &mut Ctx<'_, u64>) {
+            if ctx.id == 0 {
+                self.relay(0, st.value.unwrap(), ctx);
+            }
+        }
+
+        fn round(&self, st: &mut BroadcastState, inbox: &[Envelope<u64>], ctx: &mut Ctx<'_, u64>) {
+            if let (Some(env), None) = (inbox.first(), st.value) {
+                st.value = Some(env.payload);
+                self.relay(ctx.id, env.payload, ctx);
+            }
+        }
+    }
+
+    /// Runs `prog` from node 0 holding `value` on a fresh engine; returns
+    /// the statistics, the engine's round counter and the final states.
+    fn run_from_source<P>(
+        prog: &P,
+        cfg: NetConfig,
+        value: u64,
+    ) -> (ExecStats, u64, Vec<Option<u64>>)
+    where
+        P: NodeProgram<State = BroadcastState, Payload = u64>,
+    {
+        let mut eng = Engine::new(cfg);
+        let mut states = vec![BroadcastState::default(); eng.n()];
+        states[0].value = Some(value);
+        let stats = eng.execute(prog, &mut states).unwrap();
+        let values = states.into_iter().map(|s| s.value).collect();
+        (stats, eng.global_round(), values)
+    }
+
+    #[test]
+    fn relay_sends_exactly_what_the_all_slots_loop_sends() {
+        for label in ["1", "2", "3", "7", "default", "unbounded"] {
+            let capacity = |n: usize| match label {
+                "default" => Capacity::default_for(n),
+                "unbounded" => Capacity::unbounded(),
+                f => Capacity::squeezed(f.parse().unwrap(), f.parse().unwrap()),
+            };
+            // the tree's shape changes at f, f + 1, f² + f and f² + f + 1
+            // nodes; 600 stands for "no more than that fits"
+            let f = round_cap(&capacity(600), 600);
+            let mut sizes: Vec<usize> = [1, 2, 3, f, f + 1, f * f + f, f * f + f + 1, 600]
+                .into_iter()
+                .map(|n| n.min(600))
+                .collect();
+            sizes.sort_unstable();
+            sizes.dedup();
+            for n in sizes {
+                let cfg = NetConfig::new(n, 9).with_capacity(capacity(n));
+                let fanout = round_cap(&cfg.capacity, n) as u64;
+                let n64 = n as u64;
+                let fast = run_from_source(&BroadcastProgram { n: n64, fanout }, cfg.clone(), 77);
+                let slow = run_from_source(
+                    &AllSlotsBroadcast(BroadcastProgram { n: n64, fanout }),
+                    cfg,
+                    77,
+                );
+                assert_eq!(fast.0, slow.0, "fanout {label}, n = {n}: stats");
+                assert_eq!(fast.1, slow.1, "fanout {label}, n = {n}: global round");
+                assert!(
+                    fast.2.iter().all(|v| *v == Some(77)),
+                    "fanout {label}, n = {n}: a node was not informed"
+                );
+                assert_eq!(
+                    fast.0.sent,
+                    n64 - 1,
+                    "fanout {label}, n = {n}: one message per edge"
+                );
+            }
         }
     }
 

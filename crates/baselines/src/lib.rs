@@ -21,6 +21,6 @@ pub mod dissemination;
 pub mod naive;
 pub mod sequential;
 
-pub use dissemination::{broadcast_all, gossip_all};
+pub use dissemination::{broadcast_all, gossip_all, round_cap};
 pub use naive::{naive_bfs, NaiveBfsResult};
 pub use sequential::{greedy_coloring, greedy_matching, greedy_mis};

@@ -12,7 +12,7 @@
 //! its main stage: the in-model run, the centralised correctness check,
 //! its summary and its own metrics.
 
-use ncc_baselines::{broadcast_all, gossip_all};
+use ncc_baselines::{broadcast_all, gossip_all, round_cap};
 use ncc_butterfly::{aggregate_and_broadcast, MinU64, SchedReport};
 use ncc_core::Prepared;
 use ncc_graph::{analysis, check};
@@ -500,6 +500,21 @@ fn baseline(stage: &'static str, stats: ExecStats) -> Outcome {
     }
 }
 
+/// The admission rule of the two baselines: defined from one node up, and
+/// on two or more only if [`round_cap`] lets a node send and receive at
+/// least one message a round — at 0 gossip never finishes and broadcast
+/// informs nobody.
+fn needs_round_cap(name: &str, spec: &ScenarioSpec) -> Result<(), String> {
+    needs_nodes(name, 1, spec)?;
+    if spec.n >= 2 && round_cap(&spec.capacity, spec.n) == 0 {
+        return Err(format!(
+            "`{name}` needs a capacity of send ≥ 1 and recv ≥ 1 at n = {}, the spec has send = {}, recv = {}",
+            spec.n, spec.capacity.send, spec.capacity.recv
+        ));
+    }
+    Ok(())
+}
+
 struct Gossip;
 
 impl Algorithm for Gossip {
@@ -507,7 +522,7 @@ impl Algorithm for Gossip {
         "gossip"
     }
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        needs_nodes(self.name(), 1, spec)
+        needs_round_cap(self.name(), spec)
     }
     fn description(&self) -> &'static str {
         "all-to-all token gossip baseline (§1, Θ(n/log n) rounds)"
@@ -527,7 +542,7 @@ impl Algorithm for Broadcast {
         "broadcast"
     }
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        needs_nodes(self.name(), 1, spec)
+        needs_round_cap(self.name(), spec)
     }
     fn description(&self) -> &'static str {
         "single-source flooding broadcast baseline (§1, Θ(log n/log log n))"

@@ -265,6 +265,50 @@ fn mst_admits_exactly_the_weights_its_messages_carry() {
     }
 }
 
+/// Gossip and broadcast schedule `min(send, recv, n)` messages per node per
+/// round. A capacity that makes that 0 is refused before round 0: gossip
+/// would spin to the engine's round limit, broadcast would inform nobody.
+/// At one message a round both finish in exactly `n` rounds with nothing
+/// lost, and a one-node spec needs no capacity at all.
+#[test]
+fn dissemination_admits_only_a_capacity_that_makes_progress() {
+    let n = 64;
+    let spec = ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, n, 3);
+    for (name, messages) in [("gossip", n * (n - 1)), ("broadcast", n - 1)] {
+        let algo = find_algorithm(name).unwrap();
+        for (send, recv) in [(0, 8), (8, 0)] {
+            let scn = spec
+                .clone()
+                .with_capacity(Capacity::squeezed(send, recv))
+                .build()
+                .unwrap();
+            let mut eng = scn.engine();
+            match run_checked(algo, &mut eng, &scn) {
+                Err(RunnerError::Scenario(msg)) => {
+                    assert!(msg.contains(&format!("send = {send}")), "{msg}");
+                    assert!(msg.contains(&format!("recv = {recv}")), "{msg}");
+                }
+                other => panic!("{name} admitted send = {send}, recv = {recv}: {other:?}"),
+            }
+            assert_eq!(eng.global_round(), 0, "a rejected spec runs no round");
+        }
+
+        let one = spec.clone().with_capacity(Capacity::squeezed(1, 1));
+        let total = run_record(algo, &one).unwrap().report.total;
+        assert_eq!(
+            total.rounds, n as u64,
+            "{name}: rounds at one message a round"
+        );
+        assert_eq!(total.sent, messages as u64, "{name}: messages");
+        assert_eq!(total.delivered, total.sent, "{name}: nothing lost");
+
+        let single =
+            ScenarioSpec::new(FamilySpec::Path, 1, 3).with_capacity(Capacity::squeezed(0, 0));
+        let rec = run_record(algo, &single).unwrap_or_else(|e| panic!("{name} at n = 1: {e}"));
+        assert!(rec.verdict.ok(), "{name} at n = 1: {}", rec.summary);
+    }
+}
+
 /// Execution layout must never leak into results: the full RunRecord JSON
 /// (scenario echo, stages, counters) is byte-identical whether the engine
 /// steps sequentially or with 4 worker threads. `n` is chosen above the
