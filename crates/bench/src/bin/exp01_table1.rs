@@ -14,12 +14,10 @@
 //! `--threads <t>` runs the deterministic parallel executor; every number
 //! in the table is identical for any thread count.
 
-use ncc_bench::{
-    arboricity_workload, cli_json, cli_threads, describe, engine_threaded, f2, lg, Table, SEED,
-};
+use ncc_bench::{arboricity_workload, cli, describe, f2, lg, write_json, Table, SEED};
 use ncc_core::prepare;
 use ncc_graph::{analysis, check, gen};
-use ncc_model::ExecStats;
+use ncc_model::{Engine, ExecStats, NetConfig};
 
 #[derive(serde::Serialize)]
 struct Record {
@@ -41,10 +39,10 @@ struct Output {
     records: Vec<Record>,
 }
 
+const USAGE: &str = "usage: exp01_table1 [--threads <t>] [--json <path>]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = cli_json(&args);
-    let threads = cli_threads(&args);
+    let cli = cli(USAGE, &["json", "threads"]);
 
     println!("# E1 — Table 1: problem / measured rounds / paper bound / ratio");
     let mut table = Table::new(&[
@@ -90,7 +88,7 @@ fn main() {
         // ---- MST (Thm 3.2: O(log⁴ n)) -------------------------------------
         {
             let wg = gen::with_random_weights(&g, (n * n) as u64, SEED + 1);
-            let mut eng = engine_threaded(n, SEED + 2, threads);
+            let mut eng = Engine::new(NetConfig::new(n, SEED + 2).with_threads(cli.threads));
             let prep = prepare(&mut eng, SEED + 3, None).expect("seed agreement");
             let r = ncc_core::mst(&mut eng, prep.shared(), &wg).expect("mst");
             let ok = check::check_mst(&wg, &r.edges).is_ok();
@@ -101,7 +99,7 @@ fn main() {
         }
 
         // ---- shared §5 pipeline --------------------------------------------
-        let mut eng = engine_threaded(n, SEED + 4, threads);
+        let mut eng = Engine::new(NetConfig::new(n, SEED + 4).with_threads(cli.threads));
         let prep = prepare(&mut eng, SEED + 5, Some(&g)).expect("prepare");
         let (shared, bt) = (prep.shared(), prep.trees());
 
@@ -150,14 +148,12 @@ fn main() {
     table.print();
     println!("\nratio columns should stay roughly flat across n (same hidden constant).");
 
-    if let Some(path) = json_path {
+    if let Some(path) = cli.json {
         let out = Output {
             experiment: "exp01_table1".into(),
             seed: SEED,
             records,
         };
-        let json = serde_json::to_string_pretty(&out).expect("serialize records");
-        std::fs::write(&path, json + "\n").expect("write JSON output");
-        println!("wrote {path}");
+        write_json(&path, &out);
     }
 }

@@ -23,7 +23,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use ncc_bench::{cli_json, f2, Table, SEED};
+use ncc_bench::{cli, f2, write_json, Table, SEED};
 use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 use ncc_serve::{Request, Response, ServeConfig, ServeStats, Server};
 use serde::Serialize;
@@ -154,10 +154,11 @@ struct ServeBench {
     records: Vec<RunRecord>,
 }
 
+const USAGE: &str = "usage: exp21_serve_load [--smoke] [--json <path>]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let (n, per_client) = if smoke { (32, 6) } else { (64, 12) };
+    let cli = cli(USAGE, &["smoke", "json"]);
+    let (n, per_client) = if cli.smoke { (32, 6) } else { (64, 12) };
     let mix = spec_mix(n);
 
     let cfg = ServeConfig::with_thread_budget(CLIENTS).with_cache_capacity(16);
@@ -258,7 +259,7 @@ fn main() {
 
     server.shutdown_and_join();
 
-    if let Some(path) = cli_json(&args) {
+    if let Some(path) = cli.json {
         let bench = ServeBench {
             experiment: "exp21_serve_load".into(),
             seed: SEED,
@@ -271,8 +272,6 @@ fn main() {
             serve_stats,
             records,
         };
-        let json = serde_json::to_string_pretty(&bench).expect("bench serializes") + "\n";
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
+        write_json(&path, &bench);
     }
 }

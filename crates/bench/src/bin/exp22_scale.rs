@@ -36,7 +36,7 @@
 
 use std::time::Instant;
 
-use ncc_bench::{cli_json, cli_threads, f2, Table, SEED};
+use ncc_bench::{cli, f2, write_json, Table, SEED};
 use ncc_graph::gen;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, NetConfig, NodeProgram};
 use ncc_runner::{find_algorithm, FamilySpec, RunRecord, ScenarioSpec};
@@ -217,10 +217,11 @@ fn run_cell(
     });
 }
 
+const USAGE: &str = "usage: exp22_scale [--smoke] [--threads <t>] [--json <path>]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let threads = cli_threads(&args);
+    let cli = cli(USAGE, &["smoke", "threads", "json"]);
+    let (smoke, threads) = (cli.smoke, cli.threads);
     let ns: &[usize] = if smoke {
         &[10_000]
     } else {
@@ -284,7 +285,7 @@ fn main() {
     );
     println!("  {} ms", f2(tail.sparse_ms));
 
-    if let Some(path) = cli_json(&args) {
+    if let Some(path) = cli.json {
         let bench = ScaleBench {
             experiment: "exp22_scale".into(),
             seed: SEED,
@@ -295,8 +296,6 @@ fn main() {
             cells,
             sparse_tail: tail,
         };
-        let json = serde_json::to_string_pretty(&bench).expect("bench serializes") + "\n";
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
+        write_json(&path, &bench);
     }
 }

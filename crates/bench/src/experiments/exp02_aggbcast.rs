@@ -4,10 +4,10 @@
 //! stay bounded by a small constant (ours is ≈ 2: one aggregation sweep +
 //! one broadcast sweep).
 
-use ncc_bench::{engine, f2, lg, Table, SEED};
+use crate::{engine, f2, lg, Table, SEED};
 use ncc_butterfly::{aggregate_and_broadcast, SumU64};
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     println!("# E2 — Theorem 2.2 (Aggregate-and-Broadcast): rounds vs log n");
     let mut t = Table::new(&[
         "n",
@@ -34,4 +34,5 @@ fn main() {
     }
     t.print();
     println!("\nexpected: rounds ≈ 2·log2(n) + O(1); per-round load O(1).");
+    Vec::new()
 }

@@ -5,12 +5,12 @@
 //! `L = n·ℓ₁` too), (b) a target-concentration sweep that scales `ℓ₂`.
 //! The bound-ratio column must stay flat.
 
-use ncc_bench::{engine, f2, lg, Table, SEED};
+use crate::{engine, f2, lg, Table, SEED};
 use ncc_butterfly::aggregation::aggregate;
 use ncc_butterfly::{AggregationSpec, GroupId, SumU64};
 use ncc_hashing::SharedRandomness;
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     let n = 1024usize;
     let shared = SharedRandomness::new(SEED);
     println!("# E3 — Theorem 2.3 (Aggregation), n = {n}");
@@ -94,4 +94,5 @@ fn main() {
     }
     t.print();
     println!("\nexpected: ratio flat in both sweeps (Theorem 2.3's three-term bound).");
+    Vec::new()
 }

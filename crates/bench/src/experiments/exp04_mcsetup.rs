@@ -4,11 +4,11 @@
 //! Sweeps the global load `L` (members per group × group count) and prints
 //! setup rounds and measured congestion against both bounds.
 
-use ncc_bench::{engine, f2, lg, Table, SEED};
+use crate::{engine, f2, lg, Table, SEED};
 use ncc_butterfly::{multicast_setup, self_joins, GroupId};
 use ncc_hashing::SharedRandomness;
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     let n = 1024usize;
     let shared = SharedRandomness::new(SEED);
     println!("# E4 — Theorem 2.4 (Multicast Tree Setup), n = {n}");
@@ -60,4 +60,5 @@ fn main() {
     }
     t.print();
     println!("\nexpected: both ratio columns flat (Theorem 2.4).");
+    Vec::new()
 }

@@ -3,11 +3,11 @@
 //! Builds tree families of increasing congestion `C` and measures the
 //! delivery rounds of a full multicast against the bound.
 
-use ncc_bench::{engine, f2, lg, Table, SEED};
+use crate::{engine, f2, lg, Table, SEED};
 use ncc_butterfly::{multicast, multicast_setup, self_joins, GroupId};
 use ncc_hashing::SharedRandomness;
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     let n = 1024usize;
     let shared = SharedRandomness::new(SEED);
     println!("# E5 — Theorem 2.5 (Multicast), n = {n}");
@@ -63,4 +63,5 @@ fn main() {
     }
     t.print();
     println!("\nexpected: ratio flat; delivered counts duplicates-free per membership.");
+    Vec::new()
 }

@@ -6,13 +6,13 @@
 //! (star, cycle, G(n,p), union of forests) with everyone as source, and
 //! with small source subsets, validating the Corollary-1 form.
 
-use ncc_bench::{engine, f2, lg, Table, SEED};
+use crate::{engine, f2, lg, Table, SEED};
 use ncc_butterfly::{multi_aggregate, MinU64};
 use ncc_core::broadcast_trees::neighborhood_group;
 use ncc_core::prepare;
 use ncc_graph::{gen, Graph};
 
-fn run(name: &str, g: &Graph, frac: usize, t: &mut Table) {
+fn row(name: &str, g: &Graph, frac: usize, t: &mut Table) {
     let n = g.n();
     let mut eng = engine(n, SEED + 77);
     let prep = prepare(&mut eng, SEED + 78, Some(g)).expect("prepare");
@@ -52,18 +52,19 @@ fn run(name: &str, g: &Graph, frac: usize, t: &mut Table) {
     ]);
 }
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     println!("# E6 — Theorem 2.6 / Corollary 1 (Multi-Aggregation over broadcast trees)");
     let mut t = Table::new(&[
         "graph", "n", "sources", "sum_deg", "rounds", "bound", "ratio", "reached", "clean",
     ]);
     let n = 512;
-    run("star", &gen::star(n), 1, &mut t);
-    run("star", &gen::star(n), 8, &mut t);
-    run("cycle", &gen::cycle(n), 1, &mut t);
-    run("gnp(0.02)", &gen::gnp(n, 0.02, SEED), 1, &mut t);
-    run("gnp(0.02)", &gen::gnp(n, 0.02, SEED), 8, &mut t);
-    run("forests(4)", &gen::forest_union(n, 4, SEED), 1, &mut t);
+    row("star", &gen::star(n), 1, &mut t);
+    row("star", &gen::star(n), 8, &mut t);
+    row("cycle", &gen::cycle(n), 1, &mut t);
+    row("gnp(0.02)", &gen::gnp(n, 0.02, SEED), 1, &mut t);
+    row("gnp(0.02)", &gen::gnp(n, 0.02, SEED), 8, &mut t);
+    row("forests(4)", &gen::forest_union(n, 4, SEED), 1, &mut t);
     t.print();
     println!("\nexpected: ratio flat; the star row is the paper's capacity adversary.");
+    Vec::new()
 }

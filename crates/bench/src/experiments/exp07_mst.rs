@@ -3,17 +3,12 @@
 //! A declarative sweep over [`ScenarioSpec`]s through the runner registry:
 //! `n` over sparse `G(n,p)`, weight ranges `W = n, n², n³` at fixed `n`,
 //! and a structure sweep. Every output is verified against Kruskal inside
-//! the registry run; `--json <path>` writes the records, `--threads <t>`
-//! runs the deterministic parallel executor.
+//! the registry run.
 
-use ncc_bench::{cli_json, cli_threads, f2, lg, write_records_json, Table, SEED};
-use ncc_runner::{run_named_threads, FamilySpec, ScenarioSpec};
+use crate::{experiments::sweep, f2, lg, SEED};
+use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli_threads(&args);
-    let json = cli_json(&args);
-
+pub fn run() -> Vec<RunRecord> {
     // The whole experiment is this grid — adding a row is a data change.
     let mut grid: Vec<(&str, ScenarioSpec)> = Vec::new();
     for &n in &[32usize, 64, 128, 256, 512] {
@@ -46,14 +41,12 @@ fn main() {
     ));
 
     println!("# E7 — Theorem 3.2 (MST): rounds vs log⁴ n");
-    let mut t = Table::new(&[
+    let headers = [
         "graph", "n", "W", "phases", "rounds", "log^4 n", "ratio", "ok",
-    ]);
-    let mut records = Vec::new();
-    for (name, spec) in &grid {
-        let rec = run_named_threads("mst", spec, threads).expect("mst");
+    ];
+    let records = sweep("mst", &grid, &headers, |name, spec, rec| {
         let bound = lg(spec.n).powi(4);
-        t.row(vec![
+        vec![
             (*name).into(),
             spec.n.to_string(),
             spec.weight_max.to_string(),
@@ -62,12 +55,8 @@ fn main() {
             f2(bound),
             f2(rec.rounds as f64 / bound),
             rec.verdict.ok().to_string(),
-        ]);
-        records.push(rec);
-    }
-    t.print();
+        ]
+    });
     println!("\nexpected: ratio flat in n; weak growth in W (key width), none in structure.");
-    if let Some(path) = json {
-        write_records_json(&path, "exp07_mst", &records);
-    }
+    records
 }

@@ -3,17 +3,13 @@
 //! The bound has two regimes: diameter-dominated (grids, paths) and
 //! log-dominated (G(n,p), stars). The declarative scenario grid covers
 //! both; every output is validated against the centralised BFS inside the
-//! registry run. `--json <path>` writes the records.
+//! registry run.
 
-use ncc_bench::{cli_json, cli_threads, f2, lg, spec_graph, write_records_json, Table, SEED};
+use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
 use ncc_graph::analysis;
-use ncc_runner::{run_named_threads, FamilySpec, ScenarioSpec};
+use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli_threads(&args);
-    let json = cli_json(&args);
-
+pub fn run() -> Vec<RunRecord> {
     let grid: Vec<(&str, ScenarioSpec)> = vec![
         // diameter-dominated regime
         ("path", ScenarioSpec::new(FamilySpec::Path, 128, SEED)),
@@ -34,17 +30,15 @@ fn main() {
     ];
 
     println!("# E9 — Theorem 5.2 (BFS Tree): rounds vs (a + D + log n)·log n");
-    let mut t = Table::new(&[
+    let headers = [
         "graph", "n", "D", "phases", "rounds", "bound", "ratio", "ok",
-    ]);
-    let mut records = Vec::new();
-    for (name, spec) in &grid {
-        let rec = run_named_threads("bfs", spec, threads).expect("bfs");
+    ];
+    let records = sweep("bfs", &grid, &headers, |name, spec, rec| {
         let g = spec_graph(spec);
         let d = analysis::diameter(&g) as f64;
         let (alo, _) = analysis::arboricity_bounds(&g);
         let bound = (alo as f64 + d + lg(spec.n)) * lg(spec.n);
-        t.row(vec![
+        vec![
             (*name).into(),
             spec.n.to_string(),
             (d as u64).to_string(),
@@ -53,12 +47,8 @@ fn main() {
             f2(bound),
             f2(rec.rounds as f64 / bound),
             rec.verdict.ok().to_string(),
-        ]);
-        records.push(rec);
-    }
-    t.print();
+        ]
+    });
     println!("\nexpected: ratio flat across both regimes (D-dominated and log-dominated).");
-    if let Some(path) = json {
-        write_records_json(&path, "exp09_bfs", &records);
-    }
+    records
 }

@@ -2,17 +2,12 @@
 //!
 //! Declarative scenario sweep: arboricity at fixed `n`, then `n` at fixed
 //! `a`. Validity is checked inside the registry run; the MIS size is
-//! reported next to the sequential greedy baseline's. `--json <path>`
-//! writes the records.
+//! reported next to the sequential greedy baseline's.
 
-use ncc_bench::{cli_json, cli_threads, f2, lg, spec_graph, write_records_json, Table, SEED};
-use ncc_runner::{run_named_threads, FamilySpec, ScenarioSpec};
+use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
+use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli_threads(&args);
-    let json = cli_json(&args);
-
+pub fn run() -> Vec<RunRecord> {
     let mut grid: Vec<(usize, ScenarioSpec)> = Vec::new();
     for &a in &[1usize, 2, 4, 8, 16] {
         grid.push((
@@ -28,18 +23,16 @@ fn main() {
     }
 
     println!("# E10 — Theorem 5.3 (MIS): rounds vs (a + log n)·log n");
-    let mut t = Table::new(&[
+    let headers = [
         "n", "a", "phases", "|MIS|", "|greedy|", "rounds", "bound", "ratio", "ok",
-    ]);
-    let mut records = Vec::new();
-    for (a, spec) in &grid {
-        let rec = run_named_threads("mis", spec, threads).expect("mis");
+    ];
+    let records = sweep("mis", &grid, &headers, |a, spec, rec| {
         let greedy = ncc_baselines::greedy_mis(&spec_graph(spec))
             .iter()
             .filter(|&&b| b)
             .count();
         let bound = (*a as f64 + lg(spec.n)) * lg(spec.n);
-        t.row(vec![
+        vec![
             spec.n.to_string(),
             a.to_string(),
             rec.phases.unwrap_or(0).to_string(),
@@ -49,12 +42,8 @@ fn main() {
             f2(bound),
             f2(rec.rounds as f64 / bound),
             rec.verdict.ok().to_string(),
-        ]);
-        records.push(rec);
-    }
-    t.print();
+        ]
+    });
     println!("\nexpected: flat ratio; MIS size comparable to the greedy baseline.");
-    if let Some(path) = json {
-        write_records_json(&path, "exp10_mis", &records);
-    }
+    records
 }

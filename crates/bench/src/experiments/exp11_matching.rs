@@ -1,17 +1,12 @@
 //! E11 — Theorem 5.4: Maximal Matching in `O((a + log n) log n)` rounds.
 //!
 //! Declarative scenario sweep through the runner registry; matching size
-//! reported next to the sequential greedy baseline's. `--json <path>`
-//! writes the records.
+//! reported next to the sequential greedy baseline's.
 
-use ncc_bench::{cli_json, cli_threads, f2, lg, spec_graph, write_records_json, Table, SEED};
-use ncc_runner::{run_named_threads, FamilySpec, ScenarioSpec};
+use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
+use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli_threads(&args);
-    let json = cli_json(&args);
-
+pub fn run() -> Vec<RunRecord> {
     let mut grid: Vec<(usize, ScenarioSpec)> = Vec::new();
     for &a in &[1usize, 2, 4, 8, 16] {
         grid.push((
@@ -27,19 +22,17 @@ fn main() {
     }
 
     println!("# E11 — Theorem 5.4 (Maximal Matching): rounds vs (a + log n)·log n");
-    let mut t = Table::new(&[
+    let headers = [
         "n", "a", "phases", "|M|", "|greedy|", "rounds", "bound", "ratio", "ok",
-    ]);
-    let mut records = Vec::new();
-    for (a, spec) in &grid {
-        let rec = run_named_threads("matching", spec, threads).expect("matching");
+    ];
+    let records = sweep("matching", &grid, &headers, |a, spec, rec| {
         let greedy = ncc_baselines::greedy_matching(&spec_graph(spec))
             .iter()
             .filter(|m| m.is_some())
             .count()
             / 2;
         let bound = (*a as f64 + lg(spec.n)) * lg(spec.n);
-        t.row(vec![
+        vec![
             spec.n.to_string(),
             a.to_string(),
             rec.phases.unwrap_or(0).to_string(),
@@ -49,12 +42,8 @@ fn main() {
             f2(bound),
             f2(rec.rounds as f64 / bound),
             rec.verdict.ok().to_string(),
-        ]);
-        records.push(rec);
-    }
-    t.print();
+        ]
+    });
     println!("\nexpected: flat ratio; matching size comparable to greedy.");
-    if let Some(path) = json {
-        write_records_json(&path, "exp11_matching", &records);
-    }
+    records
 }

@@ -2,47 +2,38 @@
 //! rounds. The palette must scale with `a` (not with Δ — the star row is
 //! the discriminating case) and every coloring must be proper.
 //!
-//! Declarative scenario sweep through the runner registry. `--json <path>`
-//! writes the records.
+//! Declarative scenario sweep through the runner registry.
 
-use ncc_bench::{cli_json, cli_threads, f2, lg, spec_graph, write_records_json, Table, SEED};
-use ncc_runner::{run_named_threads, FamilySpec, ScenarioSpec};
+use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
+use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli_threads(&args);
-    let json = cli_json(&args);
-
-    let mut grid: Vec<(&str, usize, ScenarioSpec)> = Vec::new();
+pub fn run() -> Vec<RunRecord> {
+    let mut grid: Vec<((&str, usize), ScenarioSpec)> = Vec::new();
     for &a in &[1usize, 2, 4, 8, 16] {
         grid.push((
-            "forests",
-            a,
+            ("forests", a),
             ScenarioSpec::new(FamilySpec::Forests { k: a }, 256, SEED + a as u64 * 7),
         ));
     }
     // the palette-vs-Δ discriminator: a = 1 but Δ = n−1
-    grid.push(("star", 1, ScenarioSpec::new(FamilySpec::Star, 256, SEED)));
-    grid.push(("grid", 2, ScenarioSpec::grid(16, 16, SEED)));
+    grid.push((("star", 1), ScenarioSpec::new(FamilySpec::Star, 256, SEED)));
+    grid.push((("grid", 2), ScenarioSpec::grid(16, 16, SEED)));
     for &n in &[64usize, 128, 256, 512] {
         grid.push((
-            "forests",
-            3,
+            ("forests", 3),
             ScenarioSpec::new(FamilySpec::Forests { k: 3 }, n, SEED + 11),
         ));
     }
 
     println!("# E12 — Theorem 5.5 (O(a)-Coloring): palette O(a), rounds vs (a+log n)·log^1.5 n");
-    let mut t = Table::new(&[
+    let headers = [
         "graph", "n", "a", "deg_max", "palette", "used", "greedy", "rounds", "bound", "ratio", "ok",
-    ]);
-    let mut records = Vec::new();
-    for (name, a, spec) in &grid {
-        let rec = run_named_threads("coloring", spec, threads).expect("coloring");
+    ];
+    let records = sweep("coloring", &grid, &headers, |(name, a), spec, rec| {
         let g = spec_graph(spec);
         let (_, greedy_used) = ncc_baselines::greedy_coloring(&g);
         let bound = (*a as f64 + lg(spec.n)) * lg(spec.n).powf(1.5);
-        t.row(vec![
+        vec![
             (*name).into(),
             spec.n.to_string(),
             a.to_string(),
@@ -54,12 +45,8 @@ fn main() {
             f2(bound),
             f2(rec.rounds as f64 / bound),
             rec.verdict.ok().to_string(),
-        ]);
-        records.push(rec);
-    }
-    t.print();
+        ]
+    });
     println!("\nexpected: palette tracks a (star stays constant!); ratio flat.");
-    if let Some(path) = json {
-        write_records_json(&path, "exp12_coloring", &records);
-    }
+    records
 }

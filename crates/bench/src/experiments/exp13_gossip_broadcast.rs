@@ -5,17 +5,12 @@
 //! trace the bounds: `gossip·log n / n` and `broadcast·log log n / log n`
 //! must stay flat. Declarative scenario sweep through the runner registry
 //! (the dissemination baselines run on the clique itself, so the input
-//! graph family is a cheap placeholder). `--json <path>` writes the
-//! records.
+//! graph family is a cheap placeholder).
 
-use ncc_bench::{cli_json, cli_threads, f2, lg, write_records_json, Table, SEED};
-use ncc_runner::{run_named_threads, FamilySpec, ScenarioSpec};
+use crate::{f2, lg, Table, SEED};
+use ncc_runner::{run_named, FamilySpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = cli_threads(&args);
-    let json = cli_json(&args);
-
+pub fn run() -> Vec<RunRecord> {
     let grid: Vec<ScenarioSpec> = [6u32, 8, 10, 12]
         .iter()
         .map(|&k| ScenarioSpec::new(FamilySpec::Path, 1usize << k, SEED))
@@ -36,9 +31,8 @@ fn main() {
     for spec in &grid {
         let n = spec.n;
         let cap = spec.capacity.send;
-        let g = run_named_threads("gossip", spec, threads).expect("gossip");
-        let b = run_named_threads("broadcast", &spec.clone().with_seed(SEED + 1), threads)
-            .expect("broadcast");
+        let g = run_named("gossip", spec).expect("gossip");
+        let b = run_named("broadcast", &spec.clone().with_seed(SEED + 1)).expect("broadcast");
         let g_bound = n as f64 / cap as f64;
         let b_bound = (lg(n) / lg(n).log2()).max(1.0);
         t.row(vec![
@@ -57,7 +51,5 @@ fn main() {
     t.print();
     println!("\nexpected: both ratio columns flat — the intro's bounds are tight for");
     println!("these protocols (gossip saturates Θ̃(n) bits/round; broadcast fans out Θ(log n)).");
-    if let Some(path) = json {
-        write_records_json(&path, "exp13_gossip_broadcast", &records);
-    }
+    records
 }

@@ -9,18 +9,14 @@
 //! flat (up to the Õ(·) log factors and the max-vs-mean gap on the
 //! bottleneck link).
 //!
-//! With `--json <path>` the sweep writes its `RunRecord`s in the
-//! `BENCH_*.json` schema — the scenario echo carries the model, so the
-//! perf-trajectory history sees the k-machine dimension.
+//! The records' scenario echo carries the model, so the perf-trajectory
+//! history sees the k-machine dimension.
 
-use ncc_bench::{cli_json, f2, write_records_json, Table, SEED};
+use crate::{f2, Table, SEED};
 use ncc_kmachine::KMachineModel;
 use ncc_runner::{find_algorithm, FamilySpec, ModelSpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = cli_json(&args);
-
+pub fn run() -> Vec<RunRecord> {
     println!("# E14 — Corollary 2 (k-machine conversion of a full NCC execution)");
     let n = 256usize;
     let bfs = find_algorithm("bfs").expect("bfs registered");
@@ -66,8 +62,5 @@ fn main() {
     t.print();
     println!("\nexpected: km_rounds falls ≈ k²-fold as k doubles (until the T·sync floor");
     println!("dominates at large k); ratio bounded by a polylog factor (the Õ).");
-
-    if let Some(path) = json_path {
-        write_records_json(&path, "exp14_kmachine", &records);
-    }
+    records
 }

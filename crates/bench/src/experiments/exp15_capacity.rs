@@ -5,11 +5,11 @@
 //! Prints peak per-node per-round load, the configured cap, and the ratio
 //! `peak / log₂ n` — the hidden constant of the `O(log n)` claim.
 
-use ncc_bench::{arboricity_workload, engine, f2, lg, Table, SEED};
+use crate::{arboricity_workload, engine, f2, lg, Table, SEED};
 use ncc_core::prepare;
 use ncc_graph::gen;
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     println!("# E15 — Lemma 4.11: peak per-node load is O(log n), zero drops");
     let n = 256usize;
     let g = arboricity_workload(n, 4, SEED);
@@ -31,15 +31,7 @@ fn main() {
         let r = ncc_core::mst(&mut eng, prep.shared(), &wg).expect("mst");
         let mut total = prep.report.total;
         total.merge(&r.report.total);
-        t.row(vec![
-            "MST".into(),
-            n.to_string(),
-            total.peak_load().to_string(),
-            eng.config().capacity.send.to_string(),
-            f2(total.peak_load() as f64 / lg(n)),
-            total.dropped.to_string(),
-            total.send_cap_violations.to_string(),
-        ]);
+        add(&mut t, "MST", n, eng.config().capacity.send, total);
     }
 
     // §5 pipeline + each algorithm
@@ -70,4 +62,5 @@ fn main() {
 
     t.print();
     println!("\nexpected: drops = 0 and violations = 0 everywhere; peak/log2(n) ≤ κ = 8.");
+    Vec::new()
 }

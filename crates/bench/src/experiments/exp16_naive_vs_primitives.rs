@@ -6,11 +6,11 @@
 //! variants are *correct* (the naive one is TDMA-scheduled, so nothing is
 //! dropped) — the difference is purely rounds, and it widens linearly in n.
 
-use ncc_bench::{engine, f2, Table, SEED};
+use crate::{engine, f2, Table, SEED};
 use ncc_core::prepare;
 use ncc_graph::{check, gen};
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     println!("# E16 — naive direct-send BFS vs primitive-stack BFS (star graphs)");
     let mut t = Table::new(&[
         "n",
@@ -46,4 +46,5 @@ fn main() {
     println!("\nexpected: the naive TDMA schedule costs Θ((n/log n)²) on a star (slot wait");
     println!("× batch count), the stack stays polylog — small n favors naive constants,");
     println!("with the crossover near n ≈ 2–4k justifying the paper's machinery.");
+    Vec::new()
 }

@@ -5,11 +5,11 @@
 //! starved behind every lower-id group along its path. The effect shows as
 //! a growing gap in combining-phase rounds as group contention rises.
 
-use ncc_bench::{engine, f2, Table, SEED};
+use crate::{engine, f2, Table, SEED};
 use ncc_butterfly::{aggregation_sub, lane_seed, run_composed, AggregationSpec, GroupId, SumU64};
 use ncc_hashing::SharedRandomness;
 
-fn run(n: usize, l1: usize, random_ranks: bool) -> u64 {
+fn rounds(n: usize, l1: usize, random_ranks: bool) -> u64 {
     let shared = SharedRandomness::new(SEED);
     let memberships: Vec<Vec<(GroupId, u64)>> = (0..n)
         .map(|u| {
@@ -40,13 +40,13 @@ fn run(n: usize, l1: usize, random_ranks: bool) -> u64 {
     stats.rounds
 }
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     println!("# E17 — routing ablation: random ranks (paper) vs static priority");
     let n = 512usize;
     let mut t = Table::new(&["l1", "random_ranks", "static_prio", "static/random"]);
     for l1 in [2usize, 4, 8, 16, 32] {
-        let rr = run(n, l1, true);
-        let st = run(n, l1, false);
+        let rr = rounds(n, l1, true);
+        let st = rounds(n, l1, false);
         t.row(vec![
             l1.to_string(),
             rr.to_string(),
@@ -58,4 +58,5 @@ fn main() {
     println!("\nexpected: both complete (correctness is rank-independent), but the");
     println!("static-priority column trends upward relative to random ranks as");
     println!("contention grows — the Theorem B.2 delay-sequence effect.");
+    Vec::new()
 }

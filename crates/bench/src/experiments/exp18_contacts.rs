@@ -10,7 +10,7 @@
 //! add slowly-growing tails. Reported: median and max distinct contacts,
 //! and their ratio to `log₂ n`.
 
-use ncc_bench::{arboricity_workload, engine, f2, lg, Table, SEED};
+use crate::{arboricity_workload, engine, f2, lg, Table, SEED};
 use ncc_core::prepare;
 use ncc_model::{NodeId, TraceEvent, TraceSink};
 use std::sync::{Arc, Mutex};
@@ -27,7 +27,7 @@ impl TraceSink for ContactSink {
     }
 }
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     println!("# E18 — distinct contacts per node across full executions");
     let n = 256usize;
     let g = arboricity_workload(n, 3, SEED);
@@ -73,4 +73,5 @@ fn main() {
     println!("\ninterpretation: medians of a few·log n distinct contacts support the");
     println!("conclusion's remark that Θ(log n) initial contacts (plus graph neighbors");
     println!("and overlay-introduced ones) suffice — nodes never need the full clique.");
+    Vec::new()
 }

@@ -7,11 +7,11 @@
 //! synchronisation barriers and the Identification Algorithm's delivery
 //! spread dominate, exactly as the per-primitive analyses predict.
 
-use ncc_bench::{arboricity_workload, engine, SEED};
+use crate::{arboricity_workload, engine, SEED};
 use ncc_core::prepare;
 use ncc_graph::gen;
 
-fn main() {
+pub fn run() -> Vec<ncc_runner::RunRecord> {
     let n = 256usize;
     println!("# E19 — round-budget breakdowns at n = {n}\n");
 
@@ -43,4 +43,5 @@ fn main() {
         println!("### setup\n{}", prep.report.breakdown_table());
         println!("### mis\n{}", r.report.breakdown_table());
     }
+    Vec::new()
 }

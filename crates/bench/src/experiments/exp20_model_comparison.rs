@@ -15,18 +15,13 @@
 //! the butterfly primitives barely change — they never relied on more than
 //! `O(log n)` messages per node, which is the design point of the paper.
 //! The k-machine column charges `km_rounds` honestly, and the hybrid
-//! column reports the local-edge load it actually used.
-//!
-//! With `--json <path>` every cell's `RunRecord` is written in the
-//! `BENCH_*.json` schema (the scenario echo carries the model).
+//! column reports the local-edge load it actually used. Every cell's
+//! record echoes its model.
 
-use ncc_bench::{cli_json, f2, write_records_json, Table, SEED};
+use crate::{f2, Table, SEED};
 use ncc_runner::{run_record, ModelSpec, RunRecord, ScenarioSpec};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = cli_json(&args);
-
+pub fn run() -> Vec<RunRecord> {
     println!(
         "# E20 — protocols across execution models (ncc / congested-clique / kmachine / hybrid)"
     );
@@ -75,8 +70,5 @@ fn main() {
     println!("\nexpected: gossip collapses under the congested clique (per-edge Θ̃(n²) bits");
     println!("vs the node cap's Θ̃(n)); butterfly primitives pay ≈1× everywhere — they are");
     println!("already node-capacity-optimal; kmachine charges Õ(n·T/k²) km_rounds on top.");
-
-    if let Some(path) = json_path {
-        write_records_json(&path, "exp20_model_comparison", &records);
-    }
+    records
 }

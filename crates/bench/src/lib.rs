@@ -1,15 +1,23 @@
 //! # ncc-bench — the experiment harness
 //!
-//! One binary per experiment under `src/bin/` (its module header names the
-//! paper claim it tests); each prints a table in the shape of the paper's results (round counts next to the
+//! One binary, `ncc-bench <experiment>`, runs the paper's experiments from
+//! the static table in [`experiments`] (each module header names the paper
+//! claim it tests); `exp01_table1`, `exp21_serve_load` and `exp22_scale`
+//! keep binaries of their own because their harness differs, and
+//! `bench_compare` diffs `BENCH_*.json` snapshots. Each experiment prints
+//! a table in the shape of the paper's results (round counts next to the
 //! theorem bound, plus the bound *ratio*, which should stay flat across the
 //! sweep if the asymptotic shape holds). Criterion benches in `benches/`
 //! cover wall-clock performance of the simulator itself.
 //!
-//! Everything is seeded; rerunning a binary reproduces its table exactly.
+//! Everything is seeded; rerunning an experiment reproduces its table
+//! exactly.
 
 use ncc_graph::Graph;
 use ncc_model::{Engine, NetConfig};
+use ncc_runner::flags::{flag, parse_args, value};
+
+pub mod experiments;
 
 /// Standard experiment seed, the SPAA'19 conference date; the suite's
 /// `ncc_runner::SUITE_SEED` is the same value.
@@ -72,37 +80,39 @@ pub fn engine(n: usize, seed: u64) -> Engine {
     Engine::new(NetConfig::new(n, seed))
 }
 
-/// Builds an engine with the repository-default capacity and `threads`
-/// worker threads for the step and route phases. Results are bit-identical
-/// to `threads = 1`.
-pub fn engine_threaded(n: usize, seed: u64, threads: usize) -> Engine {
-    Engine::new(NetConfig::new(n, seed).with_threads(threads))
+/// An experiment binary's command line, read by the shared parser of
+/// [`ncc_runner::flags`].
+pub struct Cli {
+    pub positional: Vec<String>,
+    /// `--json <path>`: where to write the records.
+    pub json: Option<String>,
+    /// `--threads <t>`, default 1.
+    pub threads: usize,
+    /// `--smoke`: the short variant CI runs.
+    pub smoke: bool,
 }
 
-/// Parses `--threads <t>` from a raw argument list (default 1), so every
-/// experiment binary plumbs the deterministic parallel executor the same
-/// way.
-pub fn cli_threads(args: &[String]) -> usize {
-    cli_value(args, "--threads")
-        .map(|v| v.parse().expect("--threads needs an integer"))
-        .unwrap_or(1)
-}
-
-/// Parses `--json <path>` from a raw argument list.
-pub fn cli_json(args: &[String]) -> Option<String> {
-    cli_value(args, "--json").map(str::to_string)
-}
-
-/// Value of `flag`, if present. A `--`-prefixed next token is another flag,
-/// not a value (`--json --threads 4` must not read `--threads` as the json
-/// path); a flag without a value is an error.
-fn cli_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => v.as_str(),
-            _ => panic!("{flag} needs a value"),
+/// Parses this process's arguments, accepting only the flag names in
+/// `accepted` (some of `json`, `threads`, `smoke`). A misspelt flag, a
+/// `--json` without a path or a `--threads` that is not a number is a
+/// usage error naming it, raised before any work starts.
+pub fn cli(usage: &str, accepted: &[&str]) -> Cli {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = parse_args(&args, accepted).and_then(|(positional, flags)| {
+        Ok(Cli {
+            json: value(&flags, "json")?.map(str::to_string),
+            threads: flag(&flags, "threads")?.unwrap_or(1),
+            smoke: flags.contains_key("smoke"),
+            positional,
         })
+    });
+    parsed.unwrap_or_else(|e| usage_exit(usage, &e))
+}
+
+/// A usage error: the message and the usage to stderr, exit 2.
+pub fn usage_exit(usage: &str, msg: &str) -> ! {
+    eprintln!("error: {msg}\n\n{usage}");
+    std::process::exit(2)
 }
 
 /// The bounded-arboricity workload family used across Table-1 experiments.
@@ -129,13 +139,21 @@ pub fn spec_graph(spec: &ncc_runner::ScenarioSpec) -> Graph {
         .unwrap_or_else(|e| panic!("unbuildable spec {}: {e}", spec.label()))
 }
 
-/// Writes a migrated experiment's records as JSON (the `BENCH_*.json`
+/// Writes an experiment's records as JSON (the `BENCH_*.json`
 /// schema shared with `ncc-cli suite`), so every sweep leaves a
 /// machine-readable trail for the perf-trajectory history.
 pub fn write_records_json(path: &str, experiment: &str, records: &[ncc_runner::RunRecord]) {
-    ncc_runner::SuiteOutput::new(experiment, SEED, records.to_vec())
-        .write(path)
-        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    write_json(
+        path,
+        &ncc_runner::SuiteOutput::new(experiment, SEED, records.to_vec()),
+    );
+}
+
+/// Writes `value` to `path` as pretty JSON with a trailing newline, and
+/// says so on stdout.
+pub fn write_json(path: &str, value: &impl serde::Serialize) {
+    let json = serde_json::to_string_pretty(value).expect("serializable") + "\n";
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {path}");
 }
 
@@ -155,29 +173,6 @@ mod tests {
     fn lg_monotone() {
         assert!(lg(1024) > lg(256));
         assert!((lg(1024) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cli_flags_parse() {
-        let args: Vec<String> = ["--json", "out.json", "--threads", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(cli_threads(&args), 4);
-        assert_eq!(cli_json(&args).as_deref(), Some("out.json"));
-        assert_eq!(cli_threads(&[]), 1);
-        assert_eq!(cli_json(&[]), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "--json needs a value")]
-    fn cli_json_rejects_flag_as_value() {
-        // the old parser silently returned "--threads" as the json path
-        let args: Vec<String> = ["--json", "--threads", "4"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let _ = cli_json(&args);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's results form a matrix `{algorithm} × {graph family} × {n} ×
 //! {capacity} × {seed}`. This crate is the one typed entrypoint into that
-//! matrix for every caller — the CLI, the `exp*` experiment binaries, the
+//! matrix for every caller — the CLI, the `ncc-bench` experiments, the
 //! suite snapshot, and the examples:
 //!
 //! * [`ScenarioSpec`] — a serde-serializable value (graph family + params,
@@ -26,6 +26,8 @@
 //!   wall-clock), so snapshots diff byte-for-byte in CI;
 //! * [`run_suite`] / [`standard_grid`] — the whole registry over a scenario
 //!   grid, producing `BENCH_suite.json`.
+//! * [`flags`] — the one command-line flag parser every binary of the
+//!   workspace uses; a flag the command does not take is an error naming it.
 //!
 //! # Example: one scenario, two call styles
 //!
@@ -45,6 +47,7 @@
 //! ```
 
 pub mod algorithms;
+pub mod flags;
 pub mod hash;
 pub mod record;
 pub mod scenario;
@@ -59,9 +62,8 @@ pub use ncc_model::ModelSpec;
 pub use record::{RunRecord, Verdict};
 pub use scenario::{FamilySpec, Scenario, ScenarioSpec};
 pub use suite::{
-    filter_grid, run_named, run_named_threads, run_record, run_record_threads, run_suite,
-    run_suite_filtered, standard_grid, standard_grid_for_model, standard_models, SuiteOutput,
-    SUITE_SEED,
+    filter_grid, run_named, run_record, run_record_threads, run_suite, run_suite_filtered,
+    standard_grid, standard_grid_for_model, standard_models, SuiteOutput, SUITE_SEED,
 };
 
 use std::fmt;

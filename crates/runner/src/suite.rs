@@ -139,18 +139,9 @@ pub fn run_record(algo: &dyn Algorithm, spec: &ScenarioSpec) -> Result<RunRecord
 
 /// Registry dispatch by name.
 pub fn run_named(name: &str, spec: &ScenarioSpec) -> Result<RunRecord, RunnerError> {
-    run_named_threads(name, spec, spec.threads)
-}
-
-/// Registry dispatch by name with a thread-count override.
-pub fn run_named_threads(
-    name: &str,
-    spec: &ScenarioSpec,
-    threads: usize,
-) -> Result<RunRecord, RunnerError> {
     let algo = crate::find_algorithm(name)
         .ok_or_else(|| RunnerError::UnknownAlgorithm(name.to_string()))?;
-    run_record_threads(algo, spec, threads)
+    run_record(algo, spec)
 }
 
 /// Every registered algorithm over every spec in `grid`, each on a fresh

@@ -9,8 +9,8 @@
 
 use ncc_model::{Capacity, Engine, ModelSpec};
 use ncc_runner::{
-    algorithms, explain_text, find_algorithm, run_checked, run_named, run_named_threads,
-    run_record, standard_grid, FamilySpec, Preparation, RunnerError, ScenarioSpec, Verdict,
+    algorithms, explain_text, find_algorithm, run_checked, run_named, run_record,
+    run_record_threads, standard_grid, FamilySpec, Preparation, RunnerError, ScenarioSpec, Verdict,
 };
 use proptest::prelude::*;
 
@@ -207,7 +207,7 @@ fn one_node_spec_is_a_typed_error_for_graph_algorithms() {
     let spec = ScenarioSpec::new(FamilySpec::Path, 1, 5);
     for algo in algorithms() {
         let name = algo.name();
-        match run_named_threads(name, &spec, 1) {
+        match run_record_threads(find_algorithm(name).unwrap(), &spec, 1) {
             Ok(rec) => {
                 assert!(
                     matches!(name, "gossip" | "broadcast" | "butterfly-aggregation"),
@@ -317,8 +317,8 @@ fn dissemination_admits_only_a_capacity_that_makes_progress() {
 fn run_record_json_identical_across_thread_counts() {
     let spec = ScenarioSpec::new(FamilySpec::Gnp { p: 0.08 }, 160, 11);
     for name in ["bfs", "butterfly-aggregation"] {
-        let seq = run_named_threads(name, &spec, 1).unwrap();
-        let par = run_named_threads(name, &spec, 4).unwrap();
+        let seq = run_record_threads(find_algorithm(name).unwrap(), &spec, 1).unwrap();
+        let par = run_record_threads(find_algorithm(name).unwrap(), &spec, 4).unwrap();
         assert_eq!(
             seq.to_json(),
             par.to_json(),
@@ -381,8 +381,8 @@ fn model_records_identical_across_thread_counts() {
     ] {
         let spec = base.clone().with_model(model);
         for name in ["bfs", "gossip"] {
-            let seq = run_named_threads(name, &spec, 1).unwrap();
-            let par = run_named_threads(name, &spec, 4).unwrap();
+            let seq = run_record_threads(find_algorithm(name).unwrap(), &spec, 1).unwrap();
+            let par = run_record_threads(find_algorithm(name).unwrap(), &spec, 4).unwrap();
             assert_eq!(
                 seq.to_json(),
                 par.to_json(),

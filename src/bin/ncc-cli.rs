@@ -26,13 +26,13 @@
 //! instead. `explain` prints the scheduler's packing plan for a
 //! DAG-declared algorithm — which primitive lanes share which mux stage,
 //! and how that sits against the per-node lane budget. `serve` runs the
-//! resident daemon of `docs/serving.md`. A flag value that does not parse
-//! is a usage error (exit 2) naming the flag, never a panic.
-
-use std::collections::HashMap;
+//! resident daemon of `docs/serving.md`. A flag the command does not take,
+//! or a flag value that does not parse, is a usage error (exit 2) naming
+//! the flag, never a panic.
 
 use ncc::graph::{analysis, io};
 use ncc::model::{Capacity, ModelSpec, NetConfig};
+use ncc::runner::flags::{flag, parse_args, Flags};
 use ncc::runner::{
     algorithms, explain_text, filter_grid, find_algorithm, run_checked, run_suite_filtered,
     standard_grid, standard_grid_for_model, suggest_algorithm, FamilySpec, RunRecord, RunnerError,
@@ -40,13 +40,28 @@ use ncc::runner::{
 };
 use ncc::serve::{serve_stdio, ServeConfig, Server};
 
+/// The flags every scenario takes, whether generated or read from a file.
+const SPEC_FLAGS: &str =
+    "n param seed src threads weights model edge-cap machines link-cap local-cap";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
         usage_and_exit(None);
     }
     let cmd = args[0].as_str();
-    let (positional, flags) = parse_args(&args[1..]);
+    let accepted = match cmd {
+        "gen" => format!("{SPEC_FLAGS} out"),
+        "run" => format!("{SPEC_FLAGS} graph family json"),
+        "suite" => "out threads model edge-cap machines link-cap local-cap filter family".into(),
+        "explain" => format!("{SPEC_FLAGS} family"),
+        "serve" => "stdio listen workers engine-threads cache".into(),
+        "info" => "n".into(),
+        "list" | "help" | "-h" | "--help" => String::new(),
+        other => usage_and_exit(Some(&format!("unknown command '{other}'"))),
+    };
+    let accepted: Vec<&str> = accepted.split_whitespace().collect();
+    let (positional, flags) = or_usage(parse_args(&args[1..], &accepted));
 
     match cmd {
         "gen" => cmd_gen(&positional, &flags),
@@ -56,38 +71,8 @@ fn main() {
         "serve" => cmd_serve(&flags),
         "list" => cmd_list(),
         "info" => cmd_info(&flags),
-        "help" | "-h" | "--help" => usage_and_exit(None),
-        other => usage_and_exit(Some(&format!("unknown command '{other}'"))),
+        _ => usage_and_exit(None),
     }
-}
-
-/// Splits raw arguments into positionals and `--flag [value]` pairs.
-///
-/// A flag followed by another `--`-prefixed token (or by nothing) is
-/// *valueless* and maps to the empty string — `--json --threads 4` parses
-/// as `json=""`, `threads="4"`, never `json="--threads"`.
-fn parse_args(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    flags.insert(name.to_string(), v.clone());
-                    i += 2;
-                }
-                _ => {
-                    flags.insert(name.to_string(), String::new());
-                    i += 1;
-                }
-            }
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (positional, flags)
 }
 
 fn usage_and_exit(err: Option<&str>) -> ! {
@@ -139,27 +124,8 @@ fn or_usage<T>(r: Result<T, String>) -> T {
     r.unwrap_or_else(|e| usage_and_exit(Some(&e)))
 }
 
-/// `--key` parsed as a `T`; `None` when the flag is absent. A value that
-/// does not parse is an error naming the flag and the value.
-fn flag<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    key: &str,
-) -> Result<Option<T>, String> {
-    flags
-        .get(key)
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("--{key} needs a {}, got '{v}'", std::any::type_name::<T>()))
-        })
-        .transpose()
-}
-
 /// Maps the CLI family vocabulary onto a [`FamilySpec`].
-fn family_spec(
-    family: &str,
-    n: usize,
-    flags: &HashMap<String, String>,
-) -> Result<(FamilySpec, usize), String> {
+fn family_spec(family: &str, n: usize, flags: &Flags) -> Result<(FamilySpec, usize), String> {
     let p = flag(flags, "param")?.unwrap_or(f64::NAN);
     let param_usize = if p.is_nan() { 0 } else { p as usize };
     Ok(match family {
@@ -234,10 +200,7 @@ fn family_spec(
 
 /// Maps the `--model` vocabulary (plus its parameter flags) onto a
 /// [`ModelSpec`]. `None` when no `--model` flag was given (NCC default).
-fn model_from_flags(
-    n: usize,
-    flags: &HashMap<String, String>,
-) -> Result<Option<ModelSpec>, String> {
+fn model_from_flags(n: usize, flags: &Flags) -> Result<Option<ModelSpec>, String> {
     let Some(name) = flags.get("model") else {
         return Ok(None);
     };
@@ -259,7 +222,7 @@ fn model_from_flags(
 
 /// Builds the scenario spec described by the `run` flags for a generated
 /// family.
-fn spec_from_flags(family: &str, flags: &HashMap<String, String>) -> Result<ScenarioSpec, String> {
+fn spec_from_flags(family: &str, flags: &Flags) -> Result<ScenarioSpec, String> {
     let (fam, n) = family_spec(family, flag(flags, "n")?.unwrap_or(64), flags)?;
     spec_over(fam, n, flags)
 }
@@ -267,11 +230,7 @@ fn spec_from_flags(family: &str, flags: &HashMap<String, String>) -> Result<Scen
 /// The spec over `family` at `n` nodes with the flags every scenario takes
 /// — seed, source, threads, weights, model — whether the graph is generated
 /// or read from a `--graph` file.
-fn spec_over(
-    family: FamilySpec,
-    n: usize,
-    flags: &HashMap<String, String>,
-) -> Result<ScenarioSpec, String> {
+fn spec_over(family: FamilySpec, n: usize, flags: &Flags) -> Result<ScenarioSpec, String> {
     let mut spec = ScenarioSpec::new(family, n, flag(flags, "seed")?.unwrap_or(1))
         .with_source(flag(flags, "src")?.unwrap_or(0))
         .with_threads(flag(flags, "threads")?.unwrap_or(1));
@@ -284,7 +243,7 @@ fn spec_over(
     Ok(spec)
 }
 
-fn cmd_gen(positional: &[String], flags: &HashMap<String, String>) {
+fn cmd_gen(positional: &[String], flags: &Flags) {
     let family = positional.first().map(String::as_str).unwrap_or_else(|| {
         usage_and_exit(Some("gen needs a family"));
     });
@@ -311,7 +270,7 @@ fn unknown_algorithm(name: &str) -> String {
     }
 }
 
-fn cmd_run(positional: &[String], flags: &HashMap<String, String>) {
+fn cmd_run(positional: &[String], flags: &Flags) {
     let algo_name = positional.first().map(String::as_str).unwrap_or_else(|| {
         usage_and_exit(Some("run needs an algorithm"));
     });
@@ -403,10 +362,14 @@ fn print_record(r: &RunRecord, send_cap: usize) {
     }
 }
 
-fn cmd_suite(flags: &HashMap<String, String>) {
+fn cmd_suite(flags: &Flags) {
     let threads = or_usage(flag(flags, "threads")).unwrap_or(1);
-    let partial = flags.get("filter").is_some_and(|f| !f.is_empty())
-        || flags.get("family").is_some_and(|f| !f.is_empty());
+    // `--family <substring>` restricts the scenario axis, `--filter
+    // <substring>` the algorithm axis — the fast-iteration path when
+    // tuning one algorithm without regenerating the full snapshot.
+    let given = |key| flags.get(key).map(String::as_str).filter(|f| !f.is_empty());
+    let (family_filter, algo_filter) = (given("family"), given("filter"));
+    let partial = family_filter.is_some() || algo_filter.is_some();
     let out_path = match flags.get("out") {
         Some(p) if !p.is_empty() => p.clone(),
         // a filtered run is not a full snapshot: never overwrite the
@@ -429,17 +392,6 @@ fn cmd_suite(flags: &HashMap<String, String>) {
     } else {
         standard_grid()
     };
-    // `--family <substring>` restricts the scenario axis, `--filter
-    // <substring>` the algorithm axis — the fast-iteration path when
-    // tuning one algorithm without regenerating the full snapshot.
-    let family_filter = flags
-        .get("family")
-        .map(String::as_str)
-        .filter(|f| !f.is_empty());
-    let algo_filter = flags
-        .get("filter")
-        .map(String::as_str)
-        .filter(|f| !f.is_empty());
     let grid = filter_grid(grid, family_filter);
     if grid.is_empty() {
         usage_and_exit(Some(&format!(
@@ -487,7 +439,7 @@ fn cmd_suite(flags: &HashMap<String, String>) {
 /// `explain <algo>` — run the algorithm once and print the scheduler's
 /// packing plan of its declared DAG instead of the results, then that
 /// run's activity and resources.
-fn cmd_explain(positional: &[String], flags: &HashMap<String, String>) {
+fn cmd_explain(positional: &[String], flags: &Flags) {
     let algo_name = positional.first().map(String::as_str).unwrap_or_else(|| {
         usage_and_exit(Some("explain needs an algorithm"));
     });
@@ -548,7 +500,7 @@ fn fail(algo_name: &str, e: RunnerError) -> ! {
 /// `serve` — run the resident scenario coordinator (see `docs/serving.md`).
 /// Default is the stdio front (`--stdio`); `--listen <addr>` binds a local
 /// TCP socket instead and runs until a `Shutdown` request lands.
-fn cmd_serve(flags: &HashMap<String, String>) {
+fn cmd_serve(flags: &Flags) {
     let cfg = or_usage(serve_config(flags));
     match flags.get("listen") {
         Some(addr) if !addr.is_empty() => {
@@ -578,7 +530,7 @@ fn cmd_serve(flags: &HashMap<String, String>) {
 
 /// The pool shape the `serve` flags ask for; the two fronts exclude each
 /// other.
-fn serve_config(flags: &HashMap<String, String>) -> Result<ServeConfig, String> {
+fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
     if flags.contains_key("stdio") && flags.contains_key("listen") {
         return Err("--stdio and --listen are mutually exclusive".into());
     }
@@ -602,7 +554,7 @@ fn cmd_list() {
     }
 }
 
-fn cmd_info(flags: &HashMap<String, String>) {
+fn cmd_info(flags: &Flags) {
     let n = or_usage(flag(flags, "n")).unwrap_or(64);
     let cfg = NetConfig::new(n, 0);
     let c = cfg.capacity;
@@ -629,33 +581,7 @@ fn cmd_info(flags: &HashMap<String, String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn strings(args: &[&str]) -> Vec<String> {
-        args.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parse_accepts_flag_value_pairs() {
-        let (pos, flags) = parse_args(&strings(&["mst", "--n", "64", "--seed", "9"]));
-        assert_eq!(pos, vec!["mst"]);
-        assert_eq!(flags.get("n").map(String::as_str), Some("64"));
-        assert_eq!(flags.get("seed").map(String::as_str), Some("9"));
-    }
-
-    #[test]
-    fn parse_rejects_flag_as_swallowed_value() {
-        // the old parser read this as json="--threads" and dropped --threads
-        let (_, flags) = parse_args(&strings(&["--json", "--threads", "4"]));
-        assert_eq!(flags.get("json").map(String::as_str), Some(""));
-        assert_eq!(flags.get("threads").map(String::as_str), Some("4"));
-    }
-
-    #[test]
-    fn parse_valueless_trailing_flag() {
-        let (pos, flags) = parse_args(&strings(&["run", "--json"]));
-        assert_eq!(pos, vec!["run"]);
-        assert_eq!(flags.get("json").map(String::as_str), Some(""));
-    }
+    use std::collections::HashMap;
 
     #[test]
     fn family_spec_covers_cli_vocabulary() {
