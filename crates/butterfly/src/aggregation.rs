@@ -252,7 +252,7 @@ impl<V: Payload, A: Aggregate<V>> ScatterCombine<'_, V, A> {
     fn scatter(&self, st: &mut ScatterCombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
         let take = st.to_send.len().min(self.batch);
         for (group, value) in st.to_send.drain(..take) {
-            let col = ctx.rng.gen_range(0..self.columns);
+            let col = ctx.rng().gen_range(0..self.columns);
             ctx.send(
                 self.bf.emulator(col),
                 LevelMsg {
@@ -356,7 +356,7 @@ impl<V: Payload> NodeProgram for DeliverProgram<V> {
         // draw delivery rounds and sort
         let mut scheduled = std::mem::take(&mut st.scheduled);
         for slot in scheduled.iter_mut() {
-            slot.0 = ctx.rng.gen_range(1..=self.spread);
+            slot.0 = ctx.rng().gen_range(1..=self.spread);
         }
         scheduled.sort_by_key(|(r, g, _)| (*r, *g));
         st.scheduled = scheduled;
@@ -865,7 +865,7 @@ where
         let take = st.to_send.len().min(self.batch).min(*budget);
         *budget -= take;
         for (group, value) in st.to_send.drain(..take) {
-            let col = ctx.rng.gen_range(0..self.columns);
+            let col = ctx.rng().gen_range(0..self.columns);
             ctx.send(
                 self.bf.emulator(col),
                 MaMsg::Agg(LevelMsg {
@@ -949,7 +949,7 @@ where
         );
         // re-key fresh leaf arrivals and queue them for scattering
         for (group, member, value) in st.spread.at_leaves.drain(..) {
-            let mapped = (self.leaf_map)(ctx.rng, GroupId(group), member, &value);
+            let mapped = (self.leaf_map)(ctx.rng(), GroupId(group), member, &value);
             st.to_send
                 .push((GroupId::new(member, MA_SUB).raw(), mapped));
         }

@@ -225,7 +225,7 @@ impl RecordScatterProgram {
     fn scatter(&self, st: &mut RecordScatterState, ctx: &mut Ctx<'_, SetupMsg>) {
         let take = st.to_send.len().min(self.batch);
         for (group, member) in st.to_send.drain(..take) {
-            let col = ctx.rng.gen_range(0..self.columns);
+            let col = ctx.rng().gen_range(0..self.columns);
             ctx.send(col, SetupMsg::Join { group, member });
         }
         if !st.to_send.is_empty() {

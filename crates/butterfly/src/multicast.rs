@@ -230,7 +230,7 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<'_, V> {
         // schedule fresh leaf arrivals: deliver in a uniform round of the
         // next `window` rounds (delay 1 = this round's send)
         for (group, member, value) in st.spread.at_leaves.drain(..) {
-            let due = ctx.round + ctx.rng.gen_range(1..=self.window) - 1;
+            let due = ctx.round + ctx.rng().gen_range(1..=self.window) - 1;
             st.scheduled.push((due, member, group, value));
         }
         // flush due deliveries in scheduling order (deterministic), one

@@ -55,13 +55,13 @@
 use std::any::{Any, TypeId};
 
 use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use crate::capacity::Capacity;
 use crate::error::ModelError;
 use crate::network::{Lane, Ncc, NetworkModel};
 use crate::payload::{Envelope, Payload};
-use crate::program::{Ctx, NodeProgram, ProgScratch};
-use crate::rng::node_rng;
+use crate::program::{Ctx, NodeProgram, ProgScratch, Stream};
 use crate::router::{Router, RouterScratch};
 use crate::stats::{ExecStats, MemoryFootprint, RoundStats};
 use crate::trace::{TraceEvent, TraceSink};
@@ -123,7 +123,10 @@ impl NetConfig {
 /// [`NetworkModel`] (the Node-Capacitated Clique by default).
 pub struct Engine {
     cfg: NetConfig,
+    /// Per-node private streams, each seeded by its first draw (see
+    /// [`Ctx::rng`]); `rng_stale[i]` marks node `i`'s as not seeded yet.
     node_rngs: Vec<SmallRng>,
+    rng_stale: Vec<bool>,
     global_round: u64,
     /// Cumulative statistics across every execution on this engine.
     pub total: ExecStats,
@@ -164,34 +167,23 @@ struct EngineScratch {
 }
 
 impl EngineScratch {
-    /// Detaches the recycled buffers for payload type `P`, or fresh empty
-    /// ones the first time `P` executes on this engine.
-    fn take_bufs<P: Payload>(&mut self) -> PayloadBufs<P> {
+    /// The recycled buffers for payload type `P`, installed empty the
+    /// first time `P` executes on this engine. An execution takes them out
+    /// and puts them back grown.
+    fn bufs<P: Payload>(&mut self) -> &mut PayloadBufs<P> {
         let key = TypeId::of::<P>();
-        for (k, b) in &mut self.typed {
-            if *k == key {
-                let bufs = b
-                    .as_any_mut()
-                    .downcast_mut::<PayloadBufs<P>>()
-                    .expect("entry keyed by payload TypeId");
-                return std::mem::take(bufs);
+        let i = match self.typed.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.typed.push((key, Box::<PayloadBufs<P>>::default()));
+                self.typed.len() - 1
             }
-        }
-        PayloadBufs::default()
-    }
-
-    /// Returns `P`'s buffers for reuse by the next execution.
-    fn put_bufs<P: Payload>(&mut self, bufs: PayloadBufs<P>) {
-        let key = TypeId::of::<P>();
-        for (k, b) in &mut self.typed {
-            if *k == key {
-                *b.as_any_mut()
-                    .downcast_mut::<PayloadBufs<P>>()
-                    .expect("entry keyed by payload TypeId") = bufs;
-                return;
-            }
-        }
-        self.typed.push((key, Box::new(bufs)));
+        };
+        self.typed[i]
+            .1
+            .as_any_mut()
+            .downcast_mut()
+            .expect("entry keyed by payload TypeId")
     }
 }
 
@@ -266,12 +258,10 @@ impl Engine {
     /// An engine under an explicit network model (Congested Clique,
     /// k-machine, hybrid local+global, or anything user-provided).
     pub fn with_model(cfg: NetConfig, model: Box<dyn NetworkModel>) -> Self {
-        let node_rngs = (0..cfg.n as NodeId)
-            .map(|i| node_rng(cfg.seed, i))
-            .collect();
         Engine {
+            node_rngs: vec![SmallRng::seed_from_u64(0); cfg.n],
+            rng_stale: vec![true; cfg.n],
             cfg,
-            node_rngs,
             global_round: 0,
             total: ExecStats::default(),
             sink: None,
@@ -280,10 +270,11 @@ impl Engine {
         }
     }
 
-    /// Returns the engine to its just-constructed state: node RNGs are
-    /// reseeded from the config seed, the global round counter and the
-    /// cumulative totals are zeroed, and the network model clears its
-    /// accumulated cost accounting ([`NetworkModel::reset`]).
+    /// Returns the engine to its just-constructed state: every node's RNG
+    /// stream is marked stale, so its next draw reseeds it from the config
+    /// seed (`n` flag writes, not `n` generators), the global round counter
+    /// and the cumulative totals are zeroed, and the network model clears
+    /// its accumulated cost accounting ([`NetworkModel::reset`]).
     ///
     /// After `reset()`, an execution sequence is byte-identical to the same
     /// sequence on a freshly built engine — drop sampling is keyed by
@@ -300,9 +291,7 @@ impl Engine {
     /// influences results, and keeping it is what makes resident-engine
     /// replays allocate nothing O(n) in the steady state.
     pub fn reset(&mut self) {
-        for (i, r) in self.node_rngs.iter_mut().enumerate() {
-            *r = node_rng(self.cfg.seed, i as NodeId);
-        }
+        self.rng_stale.fill(true);
         self.global_round = 0;
         self.total = ExecStats::default();
         self.model.reset();
@@ -348,6 +337,7 @@ impl Engine {
         let Engine {
             cfg,
             node_rngs,
+            rng_stale,
             global_round,
             total,
             sink,
@@ -369,7 +359,7 @@ impl Engine {
             mut outs,
             mut scratches,
             mut locals,
-        } = scratch.take_bufs::<Prog::Payload>();
+        } = std::mem::take(scratch.bufs::<Prog::Payload>());
         if outs.is_empty() {
             // worker 0's buffers: the sequential step phase uses them too
             outs.push(Vec::new());
@@ -421,7 +411,7 @@ impl Engine {
                         &step,
                         active,
                         states,
-                        node_rngs,
+                        (node_rngs, rng_stale),
                         awake,
                         awake_locals,
                         &mut sends,
@@ -431,8 +421,9 @@ impl Engine {
                     )
                 } else {
                     let (out, scratch) = (&mut outs[0], &mut scratches[0]);
+                    let rngs = (&mut node_rngs[..], &mut rng_stale[..]);
                     step_chunk(
-                        &step, active, 0, states, node_rngs, out, scratch, awake, &mut sends,
+                        &step, active, 0, states, rngs, out, scratch, awake, &mut sends,
                     )
                 };
 
@@ -549,13 +540,13 @@ impl Engine {
         }
         let (router_sc, arena) = router.into_recycled();
         scratch.router = router_sc;
-        scratch.put_bufs(PayloadBufs {
+        *scratch.bufs() = PayloadBufs {
             sends,
             arena,
             outs,
             scratches,
             locals,
-        });
+        };
         result
     }
 
@@ -574,7 +565,8 @@ impl Engine {
             * size_of::<NodeId>()
             + sc.trace_buf.capacity() * size_of::<TraceEvent>();
         MemoryFootprint {
-            node_rngs: self.node_rngs.capacity() * size_of::<SmallRng>(),
+            node_rngs: self.node_rngs.capacity() * size_of::<SmallRng>()
+                + self.rng_stale.capacity(),
             activity_lists,
             router_tables: sc.router.resident_bytes(),
             payload_bufs: sc.typed.iter().map(|(_, b)| b.resident_bytes()).sum(),
@@ -598,15 +590,15 @@ struct Step<'a, Prog: NodeProgram> {
 /// The one place a node is stepped: the sequential step phase is one call
 /// over the whole active list, the parallel one a call per worker.
 ///
-/// `states` and `rngs` hold the entries of nodes `base..base + len`, which
-/// must cover the chunk's ids.
+/// `states` and `rngs` (the node streams and their stale flags) hold the
+/// entries of nodes `base..base + len`, which must cover the chunk's ids.
 #[allow(clippy::too_many_arguments)]
 fn step_chunk<Prog: NodeProgram>(
     step: &Step<'_, Prog>,
     chunk: &[NodeId],
     base: usize,
     states: &mut [Prog::State],
-    rngs: &mut [SmallRng],
+    rngs: (&mut [SmallRng], &mut [bool]),
     out: &mut Vec<(NodeId, Prog::Payload)>,
     scratch: &mut ProgScratch,
     awake: &mut Vec<NodeId>,
@@ -621,9 +613,10 @@ fn step_chunk<Prog: NodeProgram>(
         model,
     } = step;
     let mut v = Violation::default();
+    let (gens, stale) = rngs;
     for &node in chunk {
         let i = node as usize - base;
-        out.clear();
+        // `out` is empty here: `Violation::account` drains it.
         // The stay-awake flag is a stack local, not an O(n) column:
         // nodes that set it are collected into the ascending awake list.
         let mut stay = false;
@@ -631,7 +624,7 @@ fn step_chunk<Prog: NodeProgram>(
             id: node,
             n: cfg.n,
             round: local_round,
-            rng: &mut rngs[i],
+            stream: Stream::new(&mut gens[i], &mut stale[i], cfg.seed),
             out,
             awake: &mut stay,
             scratch,
@@ -662,7 +655,7 @@ fn step_parallel<Prog: NodeProgram>(
     step: &Step<'_, Prog>,
     active: &[NodeId],
     states: &mut [Prog::State],
-    node_rngs: &mut [SmallRng],
+    (node_rngs, rng_stale): (&mut [SmallRng], &mut [bool]),
     awake: &mut Vec<NodeId>,
     awake_locals: &mut Vec<Vec<NodeId>>,
     sends: &mut Vec<Envelope<Prog::Payload>>,
@@ -693,13 +686,17 @@ fn step_parallel<Prog: NodeProgram>(
             .zip(awake_locals[..nchunks].iter_mut());
         // The active list is ascending and duplicate-free (engine
         // invariant), so successive chunks cover disjoint, ascending id
-        // ranges and each worker can own its range of `states` and
-        // `node_rngs` outright.
+        // ranges and each worker can own its range of `states`,
+        // `node_rngs` and `rng_stale` outright.
         let (mut rest_states, mut rest_rngs, mut base) = (states, node_rngs, 0);
+        let mut rest_stale = rng_stale;
         for (slice, (((out, scratch), local), awl)) in active.chunks(chunk).zip(worker_bufs) {
             let (lo, hi) = (slice[0] as usize, slice[slice.len() - 1] as usize + 1);
             let states = carve(&mut rest_states, base, lo, hi);
-            let rngs = carve(&mut rest_rngs, base, lo, hi);
+            let rngs = (
+                carve(&mut rest_rngs, base, lo, hi),
+                carve(&mut rest_stale, base, lo, hi),
+            );
             base = hi;
             handles.push(scope.spawn(move || {
                 local.clear();
@@ -748,7 +745,8 @@ struct Violation {
 
 impl Violation {
     /// Applies the model's send-side budgets to one node's outgoing
-    /// messages and moves the survivors into the flat send buffer.
+    /// messages and moves the survivors into the flat send buffer,
+    /// leaving `out` empty.
     ///
     /// `send_cap` is the model's node-level budget; in lane-splitting
     /// models (`!model.uniform_lanes()`) only `Lane::Global` messages count
@@ -759,7 +757,7 @@ impl Violation {
     fn account<P: Payload>(
         &mut self,
         node: NodeId,
-        out: &[(NodeId, P)],
+        out: &mut Vec<(NodeId, P)>,
         cfg: &NetConfig,
         send_cap: usize,
         model: &dyn NetworkModel,
@@ -774,8 +772,8 @@ impl Violation {
         // as truncated (recorded after the loop).
         let mut counted = 0usize;
         let mut taken = 0usize;
-        for (dst, p) in out.iter() {
-            let global = uniform || model.lane(node, *dst) == Lane::Global;
+        for (dst, p) in out.drain(..) {
+            let global = uniform || model.lane(node, dst) == Lane::Global;
             if global {
                 counted += 1;
                 if taken >= send_cap {
@@ -783,9 +781,9 @@ impl Violation {
                 }
                 taken += 1;
             }
-            if (*dst as usize) >= cfg.n {
+            if (dst as usize) >= cfg.n {
                 if self.bad_dst.is_none() {
-                    self.bad_dst = Some((node, *dst));
+                    self.bad_dst = Some((node, dst));
                 }
                 continue;
             }
@@ -801,7 +799,7 @@ impl Violation {
                 }
             }
             self.bits += bits as u64;
-            sends.push(Envelope::new(node, *dst, p.clone()));
+            sends.push(Envelope::new(node, dst, p));
         }
         if counted > send_cap {
             self.violations += 1;

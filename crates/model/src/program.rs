@@ -15,6 +15,7 @@ use std::any::Any;
 use rand::rngs::SmallRng;
 
 use crate::payload::{Envelope, Payload};
+use crate::rng::node_rng;
 use crate::NodeId;
 
 /// A step worker's program-scratch slot: reusable buffers a program may
@@ -26,7 +27,30 @@ use crate::NodeId;
 /// messages between node-rounds and never an input to a result.
 pub(crate) type ProgScratch = Option<Box<dyn Any + Send>>;
 
-/// Per-node, per-round interface to the network.
+/// A private randomness stream, seeded the first time it is drawn from:
+/// while `stale` is set, `rng` holds nothing yet and the stream is
+/// `node_rng(seed, id)` of the stepping node. The engine's node streams
+/// and a [`crate::MuxBuilder::lane_seeded`] lane's streams start stale,
+/// so a stream that is never drawn from is never seeded.
+pub(crate) struct Stream<'a> {
+    rng: &'a mut SmallRng,
+    stale: &'a mut bool,
+    seed: u64,
+}
+
+impl<'a> Stream<'a> {
+    pub(crate) fn new(rng: &'a mut SmallRng, stale: &'a mut bool, seed: u64) -> Self {
+        Stream { rng, stale, seed }
+    }
+
+    /// The same stream, borrowed for a shorter scope.
+    pub(crate) fn reborrow(&mut self) -> Stream<'_> {
+        Stream::new(self.rng, self.stale, self.seed)
+    }
+}
+
+/// Per-node, per-round interface to the network: the node's identity, its
+/// sends, its stay-awake request and its private randomness, [`Ctx::rng`].
 pub struct Ctx<'a, P: Payload> {
     /// This node's identifier.
     pub id: NodeId,
@@ -34,14 +58,28 @@ pub struct Ctx<'a, P: Payload> {
     pub n: usize,
     /// Rounds elapsed since this program execution started (0 = init round).
     pub round: u64,
-    /// This node's private randomness stream.
-    pub rng: &'a mut SmallRng,
+    pub(crate) stream: Stream<'a>,
     pub(crate) out: &'a mut Vec<(NodeId, P)>,
     pub(crate) awake: &'a mut bool,
     pub(crate) scratch: &'a mut ProgScratch,
 }
 
 impl<P: Payload> Ctx<'_, P> {
+    /// This node's private randomness stream, keyed by `(seed, id)`: the
+    /// engine's seed, or the lane seed of a
+    /// [`crate::MuxBuilder::lane_seeded`] lane. It is seeded on the first
+    /// draw after `Engine::new`, `Engine::reset` or the lane's build, so it
+    /// starts in the same state whenever that draw comes.
+    #[inline]
+    pub fn rng(&mut self) -> &mut SmallRng {
+        let s = &mut self.stream;
+        if *s.stale {
+            *s.rng = node_rng(s.seed, self.id);
+            *s.stale = false;
+        }
+        s.rng
+    }
+
     /// Queues a message for delivery at the beginning of the next round.
     /// Subject to the send cap; exceeding it is a model violation.
     #[inline]
@@ -87,15 +125,6 @@ pub trait NodeProgram: Sync {
     );
 }
 
-/// Blanket helper: drive a program where state construction is uniform.
-pub fn make_states<Prog, F>(n: usize, f: F) -> Vec<Prog::State>
-where
-    Prog: NodeProgram,
-    F: FnMut(NodeId) -> Prog::State,
-{
-    (0..n as NodeId).map(f).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,12 +134,12 @@ mod tests {
     fn ctx_send_queues_messages() {
         let mut out: Vec<(NodeId, u64)> = Vec::new();
         let mut awake = false;
-        let mut rng = SmallRng::seed_from_u64(1);
+        let (mut rng, mut stale) = (SmallRng::seed_from_u64(1), false);
         let mut ctx = Ctx {
             id: 0,
             n: 4,
             round: 0,
-            rng: &mut rng,
+            stream: Stream::new(&mut rng, &mut stale, 0),
             out: &mut out,
             awake: &mut awake,
             scratch: &mut None,
@@ -124,15 +153,37 @@ mod tests {
     }
 
     #[test]
+    fn rng_seeds_a_stale_stream_on_first_draw_only() {
+        use crate::rng::node_rng;
+        use rand::Rng;
+        let mut out: Vec<(NodeId, u64)> = Vec::new();
+        let (mut rng, mut stale) = (SmallRng::seed_from_u64(1), true);
+        let mut ctx = Ctx {
+            id: 3,
+            n: 4,
+            round: 0,
+            stream: Stream::new(&mut rng, &mut stale, 9),
+            out: &mut out,
+            awake: &mut false,
+            scratch: &mut None,
+        };
+        let mut want = node_rng(9, 3);
+        let drawn: Vec<u64> = (0..3).map(|_| ctx.rng().gen()).collect();
+        let expected: Vec<u64> = (0..3).map(|_| want.gen()).collect();
+        assert_eq!(drawn, expected);
+        assert!(!stale);
+    }
+
+    #[test]
     fn ctx_stay_awake_sets_flag() {
         let mut out: Vec<(NodeId, u64)> = Vec::new();
         let mut awake = false;
-        let mut rng = SmallRng::seed_from_u64(1);
+        let (mut rng, mut stale) = (SmallRng::seed_from_u64(1), false);
         let mut ctx = Ctx {
             id: 3,
             n: 4,
             round: 5,
-            rng: &mut rng,
+            stream: Stream::new(&mut rng, &mut stale, 0),
             out: &mut out,
             awake: &mut awake,
             scratch: &mut None,

@@ -157,7 +157,8 @@ impl ExecStats {
 /// (`ExecStats`/`RoundStats` stay untouched so records do not drift).
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct MemoryFootprint {
-    /// Per-node RNG streams (the one unavoidable O(n) column).
+    /// Per-node RNG streams and their stale flags (the one unavoidable
+    /// O(n) column).
     pub node_rngs: usize,
     /// Activity lists: active/next-active/awake id columns + trace buffer.
     pub activity_lists: usize,

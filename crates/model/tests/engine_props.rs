@@ -35,7 +35,8 @@ impl NodeProgram for Scatter {
 
     fn init(&self, _st: &mut ScatterState, ctx: &mut Ctx<'_, u64>) {
         for _ in 0..self.fanout {
-            let dst = ctx.rng.gen_range(0..ctx.n as u32);
+            let n = ctx.n as u32;
+            let dst = ctx.rng().gen_range(0..n);
             ctx.send(dst, ctx.id as u64);
         }
         if self.waves > 1 {
@@ -50,7 +51,8 @@ impl NodeProgram for Scatter {
         }
         if ctx.round < self.waves {
             for _ in 0..self.fanout {
-                let dst = ctx.rng.gen_range(0..ctx.n as u32);
+                let n = ctx.n as u32;
+                let dst = ctx.rng().gen_range(0..n);
                 ctx.send(dst, ctx.id as u64);
             }
             if ctx.round + 1 < self.waves {
@@ -84,7 +86,8 @@ struct WitnessState {
 
 impl Witness {
     fn ping(&self, ctx: &mut Ctx<'_, u64>) {
-        let dst = ctx.rng.gen_range(0..ctx.n as u32);
+        let n = ctx.n as u32;
+        let dst = ctx.rng().gen_range(0..n);
         ctx.send(dst, ctx.id as u64);
         self.sent_in_round[ctx.round as usize].fetch_add(1, Ordering::Relaxed);
     }
@@ -112,10 +115,10 @@ impl NodeProgram for Witness {
         st.steps += 1;
         st.read += inbox.len() as u64;
         if ctx.round < self.horizon {
-            if ctx.rng.gen_range(0..4) == 0 {
+            if ctx.rng().gen_range(0..4) == 0 {
                 self.ping(ctx);
             }
-            if ctx.rng.gen_range(0..4) == 0 {
+            if ctx.rng().gen_range(0..4) == 0 {
                 ctx.stay_awake();
                 st.asked_at = Some(ctx.round);
             }

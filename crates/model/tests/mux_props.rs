@@ -30,8 +30,9 @@ struct ProtoState {
 impl RandomProto {
     fn burst(&self, st: &ProtoState, ctx: &mut Ctx<'_, u64>) {
         for _ in 0..self.fanout {
-            let dst = ctx.rng.gen_range(0..ctx.n as u32);
-            let val: u64 = ctx.rng.gen();
+            let n = ctx.n as u32;
+            let dst = ctx.rng().gen_range(0..n);
+            let val: u64 = ctx.rng().gen();
             ctx.send(dst, val ^ self.salt ^ st.checksum);
         }
     }

@@ -43,7 +43,8 @@ impl Scatter {
             let dst = if f % 3 == 0 {
                 (ctx.id + 1) % ctx.n as u32 // ring neighbour: hybrid-local
             } else {
-                ctx.rng.gen_range(0..ctx.n as u32)
+                let n = ctx.n as u32;
+                ctx.rng().gen_range(0..n)
             };
             ctx.send(dst, ctx.id as u64);
         }
