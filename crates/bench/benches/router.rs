@@ -1,14 +1,12 @@
 //! bench_router — delivery-phase throughput of the batched counting-sort
 //! router.
 //!
-//! `batched` / `batched_t4` route a seeded, skewed dense batch at
-//! n ∈ {1e3, 1e4, 1e5} (8 messages per node, one in four aimed at a hot
-//! 1% of destinations so the receive-cap sampling path is exercised) on 1
-//! and 4 threads. `sparse_t1` / `sparse_t4` route 2¹⁶ sends on 2²⁰ nodes —
-//! enough volume for the partitioned route, but a sparse round
-//! (`sends × 8 < n`), which must cost the same on a threaded router as on
-//! a sequential one. Every arm reuses one [`Router`] across iterations,
-//! i.e. the steady state of an execution.
+//! `batched` routes a seeded, skewed dense batch at n ∈ {1e3, 1e4, 1e5}
+//! (8 messages per node, one in four aimed at a hot 1% of destinations so
+//! the receive-cap sampling path is exercised). `sparse` routes 2¹⁶ sends
+//! on 2²⁰ nodes, a sparse round (`sends × 8 < n`) that walks only its
+//! touched destinations. Every arm reuses one [`Router`] across
+//! iterations, i.e. the steady state of an execution.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncc_bench::SEED;
@@ -40,10 +38,10 @@ fn bench_router(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_delivery");
     group.sample_size(10);
     // routes `template` once per iteration on one long-lived router
-    let mut arm = |name: &str, n: usize, threads: usize, template: &[Envelope<u64>]| {
+    let mut arm = |name: &str, n: usize, template: &[Envelope<u64>]| {
         let recv = Capacity::default_for(n).recv;
         group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
-            let mut router: Router<u64> = Router::new(n, SEED, threads);
+            let mut router: Router<u64> = Router::new(n, SEED, 1);
             let mut batch: Vec<Envelope<u64>> = Vec::with_capacity(template.len());
             b.iter(|| {
                 batch.clear();
@@ -54,16 +52,14 @@ fn bench_router(c: &mut Criterion) {
     };
     for &n in &[1_000usize, 10_000, 100_000] {
         let template = make_sends(n);
-        arm("batched", n, 1, &template);
-        arm("batched_t4", n, 4, &template);
+        arm("batched", n, &template);
     }
     let n = 1 << 20;
     let mut rng = network_rng(SEED, 1, 0);
     let sparse: Vec<Envelope<u64>> = (0..1u32 << 16)
         .map(|i| Envelope::new(i, rng.gen_range(0..n as u32), i as u64))
         .collect();
-    arm("sparse_t1", n, 1, &sparse);
-    arm("sparse_t4", n, 4, &sparse);
+    arm("sparse", n, &sparse);
     group.finish();
 }
 

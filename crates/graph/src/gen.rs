@@ -226,9 +226,10 @@ pub fn rmat(n: usize, m: usize, seed: u64) -> Graph {
 /// a unit of deterministic parallel work; see [`rmat`].
 pub const RMAT_BLOCK: usize = 1 << 20;
 
-/// [`rmat`] with edge sampling fanned out over `threads` scoped workers.
-/// The result is byte-identical to `rmat(n, m, seed)` for every
-/// `threads` value — parallelism is execution layout, never identity.
+/// [`rmat`] with edge sampling fanned out over `threads` scoped workers,
+/// at most one per core. The result is byte-identical to
+/// `rmat(n, m, seed)` for every `threads` value — parallelism is
+/// execution layout, never identity.
 pub fn rmat_threads(n: usize, m: usize, seed: u64, threads: usize) -> Graph {
     rmat_blocked(n, m, seed, threads, RMAT_BLOCK)
 }
@@ -241,7 +242,7 @@ pub fn rmat_blocked(n: usize, m: usize, seed: u64, threads: usize, block: usize)
     assert!(block >= 1, "block size must be positive");
     let scale = usize::BITS - (n - 1).leading_zeros(); // ⌈log₂ n⌉ for n ≥ 2
     let nblocks = m.div_ceil(block).max(1);
-    let workers = threads.clamp(1, nblocks);
+    let workers = worker_count(threads, nblocks);
     // contiguous block ranges per worker; each worker samples its blocks
     // in order and sorts its run once, so the merge in `from_sorted_runs`
     // sees `workers` pre-sorted streams.
@@ -275,6 +276,19 @@ pub fn rmat_blocked(n: usize, m: usize, seed: u64, threads: usize, block: usize)
         })
     };
     Graph::from_sorted_runs(n, runs)
+}
+
+/// Scoped workers a parallel generator spawns for `units` units of work
+/// when asked for `threads`: at least one, at most one per unit, and no
+/// more than the machine has cores — a request's thread count is not
+/// trusted to be sane, and one OS thread per unit can exhaust the process.
+/// Output never depends on the count.
+fn worker_count(threads: usize, units: usize) -> usize {
+    if threads <= 1 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    threads.min(cores).clamp(1, units)
 }
 
 /// Block `k`'s RNG seed. Block 0 keeps the plain seed (byte-compat with
@@ -343,12 +357,12 @@ pub fn hyperbolic(n: usize, alpha: f64, c: f64, seed: u64) -> Graph {
 }
 
 /// [`hyperbolic`] with the angular-window pass fanned out over `threads`
-/// scoped workers. Point sampling stays a single RNG stream (it is cheap
-/// and pins the geometry); the RNG-free candidate scan is partitioned by
-/// source node `i`. Every qualifying pair is emitted exactly once, from
-/// its smaller endpoint, so `i`-range chunks produce disjoint sorted
-/// runs and the merged edge list is byte-identical at every thread
-/// count.
+/// scoped workers, at most one per core. Point sampling stays a single
+/// RNG stream (it is cheap and pins the geometry); the RNG-free candidate
+/// scan is partitioned by source node `i`. Every qualifying pair is
+/// emitted exactly once, from its smaller endpoint, so `i`-range chunks
+/// produce disjoint sorted runs and the merged edge list is
+/// byte-identical at every thread count.
 pub fn hyperbolic_threads(n: usize, alpha: f64, c: f64, seed: u64, threads: usize) -> Graph {
     assert!(n >= 2);
     assert!(alpha > 0.0, "alpha must be positive");
@@ -439,7 +453,7 @@ pub fn hyperbolic_threads(n: usize, alpha: f64, c: f64, seed: u64, threads: usiz
         out
     };
 
-    let workers = threads.clamp(1, n);
+    let workers = worker_count(threads, n);
     let chunk = n.div_ceil(workers);
     let runs: Vec<Vec<(NodeId, NodeId)>> = if workers == 1 {
         vec![scan_sources(0, n)]
@@ -567,6 +581,14 @@ pub fn with_distinct_weights(g: &Graph, seed: u64) -> WeightedGraph {
 mod tests {
     use super::*;
     use crate::analysis;
+
+    #[test]
+    fn worker_count_is_capped_by_units_and_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(worker_count(0, 10), 1);
+        assert_eq!(worker_count(8, 1), 1);
+        assert_eq!(worker_count(usize::MAX, usize::MAX), cores);
+    }
 
     #[test]
     fn path_cycle_star_shapes() {

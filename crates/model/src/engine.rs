@@ -47,10 +47,9 @@
 //! and message ordering is fixed by (sending node id, send order). The
 //! multi-threaded step phase partitions the active set into contiguous
 //! chunks and concatenates the per-chunk outputs in chunk order, which
-//! reproduces the sequential order exactly; the multi-threaded route phase
-//! is a partitioned counting sort whose arena layout and drop choices are
-//! bit-identical to the sequential path. Property tests assert
-//! sequential ≡ parallel for 1, 2, 4 and 8 threads on random programs.
+//! reproduces the sequential order exactly. The route phase always runs on
+//! the calling thread. Property tests assert sequential ≡ parallel for 1,
+//! 2, 4 and 8 threads on random programs.
 
 use std::any::{Any, TypeId};
 
@@ -84,7 +83,8 @@ pub struct NetConfig {
     /// Strict mode: cap/payload violations abort with an error. Permissive
     /// mode: violations are counted and excess sends are truncated.
     pub strict: bool,
-    /// Worker threads for the step and route phases. `1` = sequential.
+    /// Worker threads for the step phase. `1` = sequential. The step
+    /// phase runs at most as many as the machine has cores.
     pub threads: usize,
     /// Abort if a single program execution exceeds this many rounds.
     pub max_rounds: u64,
@@ -123,6 +123,10 @@ impl NetConfig {
 /// [`NetworkModel`] (the Node-Capacitated Clique by default).
 pub struct Engine {
     cfg: NetConfig,
+    /// Threads the step phase runs: `cfg.threads` capped at the cores,
+    /// asked once here. A count past the cores buys nothing and, large
+    /// enough, exhausts the OS.
+    step_threads: usize,
     /// Per-node private streams, each seeded by its first draw (see
     /// [`Ctx::rng`]); `rng_stale[i]` marks node `i`'s as not seeded yet.
     node_rngs: Vec<SmallRng>,
@@ -258,10 +262,15 @@ impl Engine {
     /// An engine under an explicit network model (Congested Clique,
     /// k-machine, hybrid local+global, or anything user-provided).
     pub fn with_model(cfg: NetConfig, model: Box<dyn NetworkModel>) -> Self {
+        let step_threads = match cfg.threads {
+            0 | 1 => 1,
+            t => t.min(std::thread::available_parallelism().map_or(1, |p| p.get())),
+        };
         Engine {
             node_rngs: vec![SmallRng::seed_from_u64(0); cfg.n],
             rng_stale: vec![true; cfg.n],
             cfg,
+            step_threads,
             global_round: 0,
             total: ExecStats::default(),
             sink: None,
@@ -336,6 +345,7 @@ impl Engine {
         assert_eq!(states.len(), self.cfg.n, "one state per node required");
         let Engine {
             cfg,
+            step_threads,
             node_rngs,
             rng_stale,
             global_round,
@@ -365,13 +375,8 @@ impl Engine {
             outs.push(Vec::new());
             scratches.push(None);
         }
-        let mut router: Router<Prog::Payload> = Router::with_recycled(
-            n,
-            cfg.seed,
-            cfg.threads,
-            std::mem::take(&mut scratch.router),
-            arena,
-        );
+        let mut router: Router<Prog::Payload> =
+            Router::with_recycled(n, cfg.seed, std::mem::take(&mut scratch.router), arena);
         let EngineScratch {
             active,
             next_active,
@@ -406,9 +411,10 @@ impl Engine {
                     send_cap,
                     model: &**model,
                 };
-                let violation = if cfg.threads > 1 && active.len() >= PAR_MIN_ACTIVE {
+                let violation = if *step_threads > 1 && active.len() >= PAR_MIN_ACTIVE {
                     step_parallel(
                         &step,
+                        *step_threads,
                         active,
                         states,
                         (node_rngs, rng_stale),
@@ -653,6 +659,7 @@ fn carve<'a, T>(rest: &mut &'a mut [T], base: usize, lo: usize, hi: usize) -> &'
 #[allow(clippy::too_many_arguments)]
 fn step_parallel<Prog: NodeProgram>(
     step: &Step<'_, Prog>,
+    threads: usize,
     active: &[NodeId],
     states: &mut [Prog::State],
     (node_rngs, rng_stale): (&mut [SmallRng], &mut [bool]),
@@ -663,7 +670,7 @@ fn step_parallel<Prog: NodeProgram>(
     scratches: &mut Vec<ProgScratch>,
     locals: &mut Vec<Vec<Envelope<Prog::Payload>>>,
 ) -> Violation {
-    let threads = step.cfg.threads.min(active.len());
+    let threads = threads.min(active.len());
     let chunk = active.len().div_ceil(threads);
     let nchunks = active.len().div_ceil(chunk);
     while outs.len() < nchunks {
@@ -1043,6 +1050,17 @@ mod tests {
         let stats = eng.execute(&Silent, &mut states).unwrap();
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.sent, 0);
+    }
+
+    #[test]
+    fn step_threads_are_capped_at_the_cores() {
+        // Round 0 steps all 10⁵ nodes; one thread per chunk of one node
+        // each would exhaust the OS and abort the process.
+        let n = 100_000;
+        let mut eng = Engine::new(NetConfig::new(n, 0).with_threads(n));
+        let stats = eng.execute(&Silent, &mut vec![(); n]).unwrap();
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(eng.config().threads, n, "the configured count stays as set");
     }
 
     /// stay_awake keeps a node running without messages.

@@ -50,12 +50,12 @@
 //! sort of the round's flat send buffer into a reusable per-destination
 //! inbox arena — count, prefix-sum, scatter, then per-bucket receive-cap
 //! sampling keyed by `(seed, round, destination)`. All routing state (the
-//! arena, offset tables, sampling scratch, per-thread histograms) is owned
-//! by the router and recycled, so in the steady state of an execution the
+//! arena, offset and cursor tables, sampling scratch) is owned by the
+//! router and recycled, so in the steady state of an execution the
 //! delivery phase performs **no heap allocation** and envelopes are moved,
-//! never cloned. Both the step phase and the route phase run on the
-//! deterministic parallel executor; results are bit-identical for any
-//! thread count.
+//! never cloned. The router runs on the calling thread; only the step
+//! phase runs on the deterministic parallel executor, and results are
+//! bit-identical for any thread count.
 //!
 //! Every execution produces [`stats::ExecStats`]: rounds, message and bit
 //! counters, maximum per-node in/out load, and drop counts. The benchmark

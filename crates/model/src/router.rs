@@ -30,9 +30,12 @@
 //! * `sends × 8 < n` — a *sparse* round walks only its distinct
 //!   destinations (collected on first touch, then sorted), so it costs
 //!   O(sends · log sends) and never scans a full table;
-//! * otherwise the round walks `0..n`, the classic dense counting sort;
-//! * a dense round of at least 2¹⁶ sends on a router with `threads > 1`
-//!   runs the same steps partitioned across the workers (below).
+//! * otherwise the round walks `0..n`, the classic dense counting sort.
+//!
+//! Every round runs on the calling thread. The route is a memory-bound
+//! counting sort, and the only registered algorithms that route a large
+//! round every round (`broadcast`, `gossip`) ran slower with a
+//! partitioned one, so there is none.
 //!
 //! The router maintains an **occupied-destination list** (ascending ids of
 //! the buckets that kept at least one message) and two cross-round
@@ -44,26 +47,21 @@
 //!
 //! ## Steady-state zero allocation
 //!
-//! All buffers — the inbox arena, the offset/length/count tables, the
-//! settle scratch (Fisher–Yates permutations, per-sender stamp counters,
-//! survivor index lists), and the per-worker histograms — are owned by the
-//! `Router` and reused across rounds. After the high-water round of an
-//! execution, routing performs **no heap allocation at all**; `route` only
-//! clears and refills what it owns. (The arena grows to the largest
-//! round's send volume and stays there.) The payload-independent tables
-//! live in a detachable [`RouterScratch`], so a long-lived owner (the
-//! engine) can recycle them across whole executions too.
+//! All buffers — the inbox arena, the offset/length/count/cursor tables,
+//! and the settle scratch (Fisher–Yates permutations, per-sender stamp
+//! counters, survivor index lists) — are owned by the `Router` and reused
+//! across rounds. After the high-water round of an execution, routing
+//! performs **no heap allocation at all**; `route` only clears and refills
+//! what it owns. (The arena grows to the largest round's send volume and
+//! stays there.) The payload-independent tables live in a detachable
+//! [`RouterScratch`], so a long-lived owner (the engine) can recycle them
+//! across whole executions too.
 //!
-//! ## Deterministic parallelism
+//! ## Determinism
 //!
-//! The partitioned route keeps per-worker histograms (count), combines
-//! them sequentially into bucket offsets and per-`(worker, destination)`
-//! scatter cursors (prefix), scatters into disjoint slots, and settles
-//! contiguous destination ranges in parallel. The arena layout is the
-//! sequential one, and survivor choices depend only on
-//! `(seed, round, destination)` and bucket content — never on the worker
-//! count. A test-side reference implementation checks every policy against
-//! the sparse, dense and partitioned (2, 4 and 8 workers) routes.
+//! Survivor choices depend only on `(seed, round, destination)` and bucket
+//! content. A test-side reference implementation checks every policy
+//! against the sparse and dense routes.
 
 use rand::Rng;
 
@@ -71,12 +69,6 @@ use crate::network::{Lane, Ncc, NetworkModel, RecvPolicy};
 use crate::payload::{Envelope, Payload};
 use crate::rng::network_rng;
 use crate::NodeId;
-
-/// Minimum sends in a dense round before the partitioned route is worth
-/// the thread-scope and histogram-zeroing overhead. Routing is a
-/// memory-bound counting sort (~tens of ns per message sequentially), so
-/// the crossover sits far higher than for the compute-bound step phase.
-const PAR_MIN_SENDS: usize = 1 << 16;
 
 /// A round is sparse — it walks its touched destinations, not `0..n` —
 /// when `sends × SPARSE_FACTOR < n`: below that, collecting and sorting the
@@ -101,19 +93,8 @@ pub struct RouteReport {
     pub max_edge_load: u64,
 }
 
-impl RouteReport {
-    /// Folds in the report of a disjoint destination range.
-    fn absorb(&mut self, part: RouteReport) {
-        self.delivered += part.delivered;
-        self.dropped += part.dropped;
-        self.max_in = self.max_in.max(part.max_in);
-        self.over_cap_dsts += part.over_cap_dsts;
-        self.max_edge_load = self.max_edge_load.max(part.max_edge_load);
-    }
-}
-
-/// Settle scratch: everything one worker needs to apply a receive policy
-/// to a bucket. Reused across rounds.
+/// Settle scratch: everything the settle step needs to apply a receive
+/// policy to a bucket. Reused across rounds.
 #[derive(Default)]
 struct SampleScratch {
     /// Fisher–Yates permutation buffer (node-cap sampling).
@@ -153,31 +134,9 @@ impl SampleScratch {
     }
 }
 
-/// One route worker's tables. Worker 0 serves the sequential route; the
-/// others exist only once a round has been routed partitioned.
-#[derive(Default)]
-struct Worker {
-    /// Histogram of the worker's send chunk, then its scatter cursors.
-    cursor: Vec<u32>,
-    sample: SampleScratch,
-    /// The worker's share of a partitioned round's drop and occupied
-    /// lists, ascending; concatenated in worker order after the settle.
-    drops: Vec<(NodeId, u32)>,
-    occupied: Vec<NodeId>,
-}
-
-impl Worker {
-    fn new(n: usize) -> Self {
-        Worker {
-            cursor: vec![0; n],
-            ..Worker::default()
-        }
-    }
-}
-
 /// Every payload-independent routing table a [`Router`] owns: the
-/// per-destination offset/length/count tables, the per-worker histogram
-/// and settle scratch, the drop list, and the occupied-destination list.
+/// per-destination offset/length/count/cursor tables, the settle scratch,
+/// the drop list, and the occupied-destination list.
 ///
 /// [`Router<P>`] is generic over the payload (its inbox arena holds
 /// `Envelope<P>`), but these tables — the O(n) part of a router's memory —
@@ -199,7 +158,9 @@ pub struct RouterScratch {
     len: Vec<u32>,
     /// Pre-drop per-destination in-degrees; all zeros between rounds.
     counts: Vec<u32>,
-    workers: Vec<Worker>,
+    /// Scatter cursors: each destination's next free arena slot.
+    cursor: Vec<u32>,
+    sample: SampleScratch,
     /// `(destination, dropped)` for every lossy destination this round,
     /// ascending by destination.
     drops: Vec<(NodeId, u32)>,
@@ -225,14 +186,7 @@ impl RouterScratch {
             self.start.resize(n, 0);
             self.len.resize(n, 0);
             self.counts.resize(n, 0);
-        }
-        if self.workers.is_empty() {
-            self.workers.push(Worker::new(n));
-        }
-        for w in &mut self.workers {
-            if w.cursor.len() < n {
-                w.cursor.resize(n, 0);
-            }
+            self.cursor.resize(n, 0);
         }
         // A completed execution ends quiescent (nothing delivered in its
         // final round), but an aborted one may leave buckets filled.
@@ -247,29 +201,21 @@ impl RouterScratch {
     /// part of a resident engine's per-node memory footprint.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
-        let vecs = self.start.capacity() * size_of::<u32>()
-            + self.len.capacity() * size_of::<u32>()
-            + self.counts.capacity() * size_of::<u32>()
+        let sample = &self.sample;
+        (self.start.capacity()
+            + self.len.capacity()
+            + self.counts.capacity()
+            + self.cursor.capacity()
+            + self.radix_counts.capacity()
+            + sample.perm.capacity()
+            + sample.keep.capacity()
+            + sample.globals.capacity()
+            + sample.edge_cnt.capacity())
+            * size_of::<u32>()
+            + sample.edge_stamp.capacity() * size_of::<u64>()
             + self.drops.capacity() * size_of::<(NodeId, u32)>()
-            + self.occupied.capacity() * size_of::<NodeId>()
-            + self.touched.capacity() * size_of::<NodeId>()
-            + self.radix_counts.capacity() * size_of::<u32>()
-            + self.radix_buf.capacity() * size_of::<NodeId>();
-        let workers: usize = self
-            .workers
-            .iter()
-            .map(|w| {
-                w.cursor.capacity() * size_of::<u32>()
-                    + w.sample.perm.capacity() * size_of::<u32>()
-                    + w.sample.keep.capacity() * size_of::<u32>()
-                    + w.sample.globals.capacity() * size_of::<u32>()
-                    + w.sample.edge_stamp.capacity() * size_of::<u64>()
-                    + w.sample.edge_cnt.capacity() * size_of::<u32>()
-                    + w.drops.capacity() * size_of::<(NodeId, u32)>()
-                    + w.occupied.capacity() * size_of::<NodeId>()
-            })
-            .sum();
-        vecs + workers
+            + (self.occupied.capacity() + self.touched.capacity() + self.radix_buf.capacity())
+                * size_of::<NodeId>()
     }
 }
 
@@ -323,9 +269,6 @@ fn sort_touched(touched: &mut [NodeId], n: usize, counts: &mut Vec<u32>, buf: &m
 pub struct Router<P> {
     n: usize,
     seed: u64,
-    threads: usize,
-    /// Sends-per-round crossover below which a dense round stays sequential.
-    min_par_sends: usize,
     /// Flat inbox arena; bucket `d` occupies `start[d] .. start[d] + len[d]`.
     arena: Vec<Envelope<P>>,
     /// All payload-independent tables (see [`RouterScratch`]).
@@ -333,8 +276,11 @@ pub struct Router<P> {
 }
 
 impl<P: Payload> Router<P> {
-    pub fn new(n: usize, seed: u64, threads: usize) -> Self {
-        Self::with_recycled(n, seed, threads, RouterScratch::default(), Vec::new())
+    /// A router for `n` destinations whose drop choices are keyed by
+    /// `seed`. The third argument is ignored: every round is routed on
+    /// the calling thread. It stays only so existing callers compile.
+    pub fn new(n: usize, seed: u64, _threads: usize) -> Self {
+        Self::with_recycled(n, seed, RouterScratch::default(), Vec::new())
     }
 
     /// Builds a router around previously used tables and a previously used
@@ -347,35 +293,18 @@ impl<P: Payload> Router<P> {
     pub fn with_recycled(
         n: usize,
         seed: u64,
-        threads: usize,
         mut sc: RouterScratch,
         mut arena: Vec<Envelope<P>>,
     ) -> Self {
         sc.ensure(n);
         arena.clear();
-        Router {
-            n,
-            seed,
-            threads: threads.max(1),
-            min_par_sends: PAR_MIN_SENDS,
-            arena,
-            sc,
-        }
+        Router { n, seed, arena, sc }
     }
 
     /// Releases the tables (reusable by a router of any payload type) and
     /// the typed inbox arena, the counterpart of [`Router::with_recycled`].
     pub fn into_recycled(self) -> (RouterScratch, Vec<Envelope<P>>) {
         (self.sc, self.arena)
-    }
-
-    /// Overrides the sequential→partitioned crossover (default: 2¹⁶ sends
-    /// per dense round) so property tests can reach the partitioned route
-    /// without 2¹⁶ messages per case; results are identical either way.
-    #[doc(hidden)]
-    pub fn with_min_parallel_sends(mut self, min: usize) -> Self {
-        self.min_par_sends = min.max(1);
-        self
     }
 
     /// The messages delivered to `node` in the last routed round, in
@@ -424,9 +353,16 @@ impl<P: Payload> Router<P> {
 
     /// Routes one round's flat send buffer into the inbox arena under the
     /// given receive policy. Drains `sends`; envelopes are moved, never
-    /// cloned. Drop choices are keyed by `(seed, round, destination)` and
-    /// are independent of thread count. `model` is consulted only by the
-    /// [`RecvPolicy::Hybrid`] policy, for per-message lane classification.
+    /// cloned. Drop choices are keyed by `(seed, round, destination)`.
+    /// `model` is consulted only by the [`RecvPolicy::Hybrid`] policy, for
+    /// per-message lane classification.
+    ///
+    /// A sparse round walks only its distinct destinations, sorted —
+    /// O(sends · log sends), no O(n) scan; a dense round walks `0..n`. The
+    /// sorted touched list visits the same non-empty destinations in the
+    /// same ascending order as the full walk, so bucket layout, drop
+    /// choices, the occupied list and the report do not depend on which
+    /// sequence was walked.
     pub fn route_model(
         &mut self,
         sends: &mut Vec<Envelope<P>>,
@@ -435,21 +371,22 @@ impl<P: Payload> Router<P> {
         model: &dyn NetworkModel,
     ) -> RouteReport {
         let total = sends.len();
-        // Hard assert: the prefix sums feeding the unsafe scatter are u32,
+        // Hard assert: the scatter's raw writes land at u32 prefix sums,
         // and a wrap there would mean out-of-bounds writes. One comparison
         // per round is free next to the routing work itself.
         assert!(
             total <= u32::MAX as usize,
             "round send volume overflows u32 offsets"
         );
+        let sc = &mut self.sc;
         // Clear the previous round's buckets. The occupied list names every
         // destination with a non-zero length, so this is O(occupied) — an
         // empty round costs O(1), not O(n).
-        for &d in &self.sc.occupied {
-            self.sc.len[d as usize] = 0;
+        for &d in &sc.occupied {
+            sc.len[d as usize] = 0;
         }
-        self.sc.occupied.clear();
-        self.sc.drops.clear();
+        sc.occupied.clear();
+        sc.drops.clear();
         if total == 0 {
             self.arena.clear();
             return RouteReport::default();
@@ -461,32 +398,8 @@ impl<P: Payload> Router<P> {
             seed: self.seed,
             round,
         };
-        // Sparse or dense is asked first: only a dense round, whose work
-        // dwarfs the O(n · workers) histograms, is offered to the threads.
-        let sparse = total.saturating_mul(SPARSE_FACTOR) < self.n;
-        if !sparse && self.threads > 1 && total >= self.min_par_sends {
-            self.route_partitioned(sends, rule)
-        } else {
-            self.route_sequential(sends, rule, sparse)
-        }
-    }
-
-    /// The sequential route: count, then prefix, scatter and settle over
-    /// the round's destination sequence. A sparse round walks only its
-    /// distinct destinations, sorted — O(sends · log sends), no O(n) scan;
-    /// a dense round walks `0..n`. The sorted touched list visits the same
-    /// non-empty destinations in the same ascending order as the full
-    /// walk, so bucket layout, drop choices, the occupied list and the
-    /// report do not depend on which sequence was walked.
-    fn route_sequential(
-        &mut self,
-        sends: &mut Vec<Envelope<P>>,
-        rule: Rule<'_>,
-        sparse: bool,
-    ) -> RouteReport {
-        let sc = &mut self.sc;
         // `counts` is all zeros on entry (router invariant)
-        if !sparse {
+        if total.saturating_mul(SPARSE_FACTOR) >= self.n {
             for e in sends.iter() {
                 sc.counts[e.dst as usize] += 1;
             }
@@ -517,6 +430,11 @@ impl<P: Payload> Router<P> {
     /// Prefix, scatter and settle over `dsts`: ascending, and covering
     /// every destination with a non-zero count. Generic so that each
     /// sequence gets its own straight-line loops.
+    ///
+    /// The settle applies the rule to each bucket, records the post-drop
+    /// length, and re-zeroes the visited counts (restoring the router's
+    /// counts-all-zero invariant); `drops` and `occupied` come out
+    /// ascending because `dsts` is.
     fn place(
         &mut self,
         dsts: impl Iterator<Item = usize> + Clone,
@@ -524,154 +442,43 @@ impl<P: Payload> Router<P> {
         rule: Rule<'_>,
     ) -> RouteReport {
         let Router { arena, sc, .. } = self;
-        let Worker { cursor, sample, .. } = &mut sc.workers[0];
 
         // prefix
         let mut run = 0u32;
         for d in dsts.clone() {
             sc.start[d] = run;
-            cursor[d] = run;
+            sc.cursor[d] = run;
             run += sc.counts[d];
         }
         debug_assert_eq!(run as usize, sends.len());
 
         // scatter (every send's destination is in the sequence, so every
         // cursor it reads was initialised by the prefix above)
-        scatter_sequential(arena, cursor, sends);
+        scatter(arena, &mut sc.cursor, sends);
 
-        let tables = Span {
-            base: 0,
-            start: &sc.start,
-            len: &mut sc.len,
-            counts: &mut sc.counts,
-            arena,
-            arena_off: 0,
-        };
-        settle_range(dsts, tables, rule, sample, &mut sc.drops, &mut sc.occupied)
-    }
-
-    /// The partitioned route of a large dense round: same arena layout and
-    /// drop choices as [`Router::route_sequential`], for any worker count.
-    fn route_partitioned(&mut self, sends: &mut Vec<Envelope<P>>, rule: Rule<'_>) -> RouteReport {
-        let n = self.n;
-        let total = sends.len();
-        let chunk = total.div_ceil(self.threads);
-        let t = total.div_ceil(chunk); // number of non-empty send chunks
-        let Router { arena, sc, .. } = self;
-        while sc.workers.len() < t {
-            sc.workers.push(Worker::new(n));
-        }
-        let workers = &mut sc.workers[..t];
-
-        // count: per-chunk histograms
-        std::thread::scope(|scope| {
-            for (w, part) in workers.iter_mut().zip(sends.chunks(chunk)) {
-                scope.spawn(move || {
-                    w.cursor[..n].fill(0);
-                    for e in part {
-                        w.cursor[e.dst as usize] += 1;
-                    }
-                });
-            }
-        });
-
-        // prefix: combine histograms into bucket offsets; in the same pass,
-        // turn each per-worker histogram entry into that worker's absolute
-        // scatter cursor for the destination (exclusive prefix across
-        // workers, chunk order = global send order).
-        let mut run = 0u32;
-        for d in 0..n {
-            sc.start[d] = run;
-            let mut c = 0u32;
-            for w in workers.iter_mut() {
-                let h = w.cursor[d];
-                w.cursor[d] = run + c;
-                c += h;
-            }
-            sc.counts[d] = c;
-            run += c;
-        }
-
-        // scatter: each worker moves its chunk into disjoint arena slots.
-        arena.clear();
-        arena.reserve(total);
-        let base = SendPtr(arena.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for (w, part) in workers.iter_mut().zip(sends.chunks(chunk)) {
-                scope.spawn(move || {
-                    for e in part {
-                        let pos = w.cursor[e.dst as usize];
-                        w.cursor[e.dst as usize] = pos + 1;
-                        // SAFETY: the prefix pass gives every (worker, dst)
-                        // cursor a disjoint slot range, so each arena slot is
-                        // written exactly once; `ptr::read` duplicates the
-                        // envelope, and ownership is relinquished by the
-                        // `sends.set_len(0)` below before any drop can run.
-                        unsafe { std::ptr::write(base.get().add(pos as usize), std::ptr::read(e)) };
-                    }
-                });
-            }
-        });
-        // SAFETY: every element of `sends` was moved into the arena exactly
-        // once; truncating without dropping hands ownership to the arena.
-        unsafe {
-            sends.set_len(0);
-            arena.set_len(total);
-        }
-
-        // settle: contiguous destination ranges, one per worker. Buckets
-        // lie in the arena in destination order, so a range's buckets are
-        // one contiguous arena slice and the split below is a safe one.
-        let dst_chunk = n.div_ceil(t);
-        let bounds = &sc.start[..n];
-        let tables = bounds
-            .chunks(dst_chunk)
-            .zip(sc.len[..n].chunks_mut(dst_chunk))
-            .zip(sc.counts[..n].chunks_mut(dst_chunk));
-        let parts: Vec<RouteReport> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(t);
-            let mut rest = &mut arena[..];
-            let mut arena_off = 0usize;
-            for (i, (w, ((start, len), counts))) in workers.iter_mut().zip(tables).enumerate() {
-                let base = i * dst_chunk;
-                let end = bounds.get(base + dst_chunk).map_or(total, |&s| s as usize);
-                let (mine, tail) = std::mem::take(&mut rest).split_at_mut(end - arena_off);
-                rest = tail;
-                let span = Span {
-                    base,
-                    start,
-                    len,
-                    counts,
-                    arena: mine,
-                    arena_off,
-                };
-                arena_off = end;
-                handles.push(scope.spawn(move || {
-                    w.drops.clear();
-                    w.occupied.clear();
-                    let dsts = base..base + span.len.len();
-                    settle_range(
-                        dsts,
-                        span,
-                        rule,
-                        &mut w.sample,
-                        &mut w.drops,
-                        &mut w.occupied,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("router worker panicked"))
-                .collect()
-        });
-        // A round may use fewer ranges than workers; zipping with the
-        // reports reads the lists of exactly the workers that settled one.
+        // settle
         let mut report = RouteReport::default();
-        for (part, w) in parts.into_iter().zip(workers.iter()) {
-            report.absorb(part);
-            sc.drops.extend_from_slice(&w.drops);
-            sc.occupied.extend_from_slice(&w.occupied);
+        for d in dsts {
+            let c = sc.counts[d] as usize;
+            sc.counts[d] = 0;
+            if c == 0 {
+                continue;
+            }
+            let s = sc.start[d] as usize;
+            // a bucket the policy keeps whole is never located, let alone read
+            let out = rule.settle_bucket(c, d as NodeId, &mut sc.sample, || &mut arena[s..s + c]);
+            sc.len[d] = out.kept as u32;
+            report.max_in = report.max_in.max(c as u64);
+            report.delivered += out.kept as u64;
+            report.max_edge_load = report.max_edge_load.max(out.max_edge);
+            if out.kept > 0 {
+                sc.occupied.push(d as NodeId);
+            }
+            if out.kept < c {
+                report.dropped += (c - out.kept) as u64;
+                report.over_cap_dsts += 1;
+                sc.drops.push((d as NodeId, (c - out.kept) as u32));
+            }
         }
         report
     }
@@ -680,7 +487,7 @@ impl<P: Payload> Router<P> {
 /// Moves one round's sends into the arena at the slots named by `cursor`
 /// (each destination's cursor advances as its bucket fills). The cursor
 /// table must hold an exclusive prefix over the sends' destinations.
-fn scatter_sequential<P: Payload>(
+fn scatter<P: Payload>(
     arena: &mut Vec<Envelope<P>>,
     cursor: &mut [u32],
     sends: &mut Vec<Envelope<P>>,
@@ -699,62 +506,6 @@ fn scatter_sequential<P: Payload>(
     }
     // SAFETY: all `total` slots were initialised by the scatter above.
     unsafe { arena.set_len(total) };
-}
-
-/// A contiguous destination range's view of the tables and of the arena
-/// slice holding its buckets. The sequential route settles through one
-/// span over everything; the partitioned route hands each worker its own.
-struct Span<'a, P> {
-    /// Destination id of `start[0]`, `len[0]` and `counts[0]`.
-    base: usize,
-    start: &'a [u32],
-    len: &'a mut [u32],
-    counts: &'a mut [u32],
-    arena: &'a mut [Envelope<P>],
-    /// Arena offset of `arena[0]`.
-    arena_off: usize,
-}
-
-/// Settles the buckets of `dsts`: applies the rule to each, records the
-/// post-drop length, and re-zeroes the visited counts (restoring the
-/// router's counts-all-zero invariant). `dsts` must be ascending, lie in
-/// the span, and cover every destination of it with a non-zero count;
-/// `drops` and `occupied` therefore come out ascending.
-fn settle_range<P>(
-    dsts: impl Iterator<Item = usize>,
-    span: Span<'_, P>,
-    rule: Rule<'_>,
-    sample: &mut SampleScratch,
-    drops: &mut Vec<(NodeId, u32)>,
-    occupied: &mut Vec<NodeId>,
-) -> RouteReport {
-    let mut report = RouteReport::default();
-    for d in dsts {
-        let i = d - span.base;
-        let c = span.counts[i] as usize;
-        span.counts[i] = 0;
-        if c == 0 {
-            continue;
-        }
-        // a bucket the policy keeps whole is never located, let alone read
-        let out = rule.settle_bucket(c, d as NodeId, sample, || {
-            let s = span.start[i] as usize - span.arena_off;
-            &mut span.arena[s..s + c]
-        });
-        span.len[i] = out.kept as u32;
-        report.max_in = report.max_in.max(c as u64);
-        report.delivered += out.kept as u64;
-        report.max_edge_load = report.max_edge_load.max(out.max_edge);
-        if out.kept > 0 {
-            occupied.push(d as NodeId);
-        }
-        if out.kept < c {
-            report.dropped += (c - out.kept) as u64;
-            report.over_cap_dsts += 1;
-            drops.push((d as NodeId, (c - out.kept) as u32));
-        }
-    }
-    report
 }
 
 /// The network's receive rule for one round: the policy with everything
@@ -904,27 +655,6 @@ fn compact_bucket<P>(bucket: &mut [Envelope<P>], survivors: &[u32]) {
     }
 }
 
-/// Raw-pointer wrapper so disjoint per-slot mutable access can cross the
-/// thread-scope boundary. See the safety comments at the use sites.
-struct SendPtr<T>(*mut T);
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field use) so that edition-2021 closures
-    /// capture the whole `SendPtr` — which is `Send` — instead of performing
-    /// a disjoint capture of the raw-pointer field, which is not.
-    #[inline]
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -965,35 +695,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(delivered, sorted);
         assert_eq!(delivered.len(), 4);
-    }
-
-    #[test]
-    fn sequential_and_parallel_routes_agree() {
-        let n = 64;
-        let mk_sends = || -> Vec<Envelope<u64>> {
-            // deterministic skewed pattern: hot destinations 0..4
-            (0..4500u32)
-                .map(|i| {
-                    env(
-                        i % n as u32,
-                        if i % 3 == 0 { i % 4 } else { i % n as u32 },
-                        i as u64,
-                    )
-                })
-                .collect()
-        };
-        let run = |threads: usize| {
-            let mut r: Router<u64> = Router::new(n, 42, threads).with_min_parallel_sends(1);
-            let mut sends = mk_sends();
-            let rep = r.route(&mut sends, 9, 16);
-            let inboxes: Vec<Vec<Envelope<u64>>> =
-                (0..n as u32).map(|d| r.inbox(d).to_vec()).collect();
-            (rep, r.drops().to_vec(), inboxes)
-        };
-        let a = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(a, run(threads), "threads={threads}");
-        }
     }
 
     #[test]
@@ -1086,46 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn pairwise_policies_agree_across_thread_counts() {
-        let n = 48;
-        let h = HybridLocal::from_edges(n, (0..n as u32 - 1).map(|u| (u, u + 1)), 1);
-        let mk_sends = || -> Vec<Envelope<u64>> {
-            (0..4000u32)
-                .map(|i| {
-                    let src = i % n as u32;
-                    let dst = if i % 5 == 0 {
-                        (src + 1) % n as u32 // often a local edge
-                    } else {
-                        (i * 7) % n as u32
-                    };
-                    env(src, dst, i as u64)
-                })
-                .collect()
-        };
-        for policy in [
-            RecvPolicy::EdgeCap { edge_cap: 3 },
-            RecvPolicy::Hybrid {
-                recv: 6,
-                local_edge_cap: 1,
-            },
-            RecvPolicy::Unlimited,
-        ] {
-            let run = |threads: usize| {
-                let mut r: Router<u64> = Router::new(n, 42, threads).with_min_parallel_sends(1);
-                let mut sends = mk_sends();
-                let rep = r.route_model(&mut sends, 9, policy, &h);
-                let inboxes: Vec<Vec<Envelope<u64>>> =
-                    (0..n as u32).map(|d| r.inbox(d).to_vec()).collect();
-                (rep, r.drops().to_vec(), inboxes)
-            };
-            let a = run(1);
-            for threads in [2, 4, 8] {
-                assert_eq!(a, run(threads), "policy={policy:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn radix_touched_sort_matches_sort_unstable() {
         // adversarial distinct-id distributions at and around the radix
         // gate: clustered in one bucket, spread across all buckets,
@@ -1170,7 +831,7 @@ mod tests {
         let (sc, arena) = r.into_recycled();
         let cap_before = arena.capacity();
         assert!(cap_before >= 96, "arena should retain capacity");
-        let mut r2: Router<u64> = Router::with_recycled(n, 11, 1, sc, arena);
+        let mut r2: Router<u64> = Router::with_recycled(n, 11, sc, arena);
         let got = route_once(&mut r2, 0);
         assert_eq!(got, expect, "recycled router must be bit-identical");
         let (_, arena) = r2.into_recycled();
@@ -1184,24 +845,22 @@ mod tests {
     #[test]
     fn occupied_lists_nonempty_buckets_ascending() {
         let n = 64;
-        for threads in [1, 4] {
-            let mut r: Router<u64> = Router::new(n, 7, threads).with_min_parallel_sends(1);
-            // 8 sends on 64 nodes: a dense round, so 4 threads partition it
-            let mut sends: Vec<_> = [50, 3, 50, 17, 3, 17, 50, 3]
-                .iter()
-                .enumerate()
-                .map(|(i, &dst)| env(i as u32, dst, i as u64))
-                .collect();
-            r.route(&mut sends, 0, 8);
-            assert_eq!(r.occupied(), &[3, 17, 50], "threads={threads}");
-            for d in 0..n as u32 {
-                assert_eq!(r.has_mail(d), r.occupied().contains(&d));
-            }
-            // empty round clears the occupied list
-            r.route(&mut Vec::new(), 1, 8);
-            assert!(r.occupied().is_empty());
-            assert!(!r.has_mail(50));
+        let mut r: Router<u64> = Router::new(n, 7, 1);
+        // 8 sends on 64 nodes: a dense round
+        let mut sends: Vec<_> = [50, 3, 50, 17, 3, 17, 50, 3]
+            .iter()
+            .enumerate()
+            .map(|(i, &dst)| env(i as u32, dst, i as u64))
+            .collect();
+        r.route(&mut sends, 0, 8);
+        assert_eq!(r.occupied(), &[3, 17, 50]);
+        for d in 0..n as u32 {
+            assert_eq!(r.has_mail(d), r.occupied().contains(&d));
         }
+        // empty round clears the occupied list
+        r.route(&mut Vec::new(), 1, 8);
+        assert!(r.occupied().is_empty());
+        assert!(!r.has_mail(50));
     }
 
     #[test]
@@ -1225,7 +884,7 @@ mod tests {
         let (sc, _) = r.into_recycled();
         // adopt the tables for a different payload type; previous bucket
         // state must not leak through
-        let mut r2: Router<(u32, u32)> = Router::with_recycled(8, 1, 1, sc, Vec::new());
+        let mut r2: Router<(u32, u32)> = Router::with_recycled(8, 1, sc, Vec::new());
         assert!(!r2.has_mail(1));
         assert!(r2.occupied().is_empty());
         let mut sends2 = vec![Envelope::new(3, 2, (7u32, 9u32))];
@@ -1234,17 +893,16 @@ mod tests {
         assert_eq!(r2.occupied(), &[2]);
         // and a smaller-n adoption still clears correctly
         let (sc, _) = r2.into_recycled();
-        let r3: Router<u64> = Router::with_recycled(4, 1, 1, sc, Vec::new());
+        let r3: Router<u64> = Router::with_recycled(4, 1, sc, Vec::new());
         assert!(!r3.has_mail(2));
         assert!(r3.occupied().is_empty());
     }
 
     #[test]
     fn sparse_round_is_never_offered_to_the_threads() {
-        // 2¹⁶ sends reach the partitioned route's volume bar, but on 2²⁰
-        // nodes the round is sparse (sends × 8 < n) and must stay on the
-        // touched-destination walk: a threaded router ends it holding the
-        // same tables as a sequential one — no O(n) histogram per thread.
+        // `Router::new` ignores its thread argument: a router built with
+        // 4 ends a sparse round (2¹⁶ sends on 2²⁰ nodes) holding the same
+        // tables as one built with 1 — no O(n) table per thread.
         let n = 1 << 20;
         let tables_after_round = |threads: usize| {
             let mut r: Router<u64> = Router::new(n, 7, threads);

@@ -225,10 +225,9 @@ proptest! {
     /// The batched router reproduces the reference delivery exactly — every
     /// inbox, `drops()`, `occupied()` and the whole report — for every
     /// receive policy, on every route: a small world whose rounds are
-    /// dense (partitioned whenever `threads > 1`, down to fewer destination
-    /// ranges than workers), and a large one routed dense, sparse (over
-    /// enough distinct destinations for the radix sort), empty and dense
-    /// again on one router, so state carried between rounds is checked too.
+    /// mostly dense, and a large one routed dense, sparse (over enough
+    /// distinct destinations for the radix sort), empty and dense again on
+    /// one router, so state carried between rounds is checked too.
     #[test]
     fn router_matches_reference_semantics(
         kind in 0usize..4,
@@ -268,38 +267,30 @@ proptest! {
                 .zip(&rounds)
                 .map(|(b, &r)| reference_route(b, n, policy, &ring, seed, r))
                 .collect();
-            for threads in [1usize, 2, 4, 8] {
-                // threshold 1 offers every dense round to the threads, so
-                // the partitioned route is exercised on small batches too
-                let mut router: Router<u64> =
-                    Router::new(n, seed, threads).with_min_parallel_sends(1);
-                for ((batch, &r), want) in batches.iter().zip(&rounds).zip(&want) {
-                    let at = format!(
-                        "{policy:?} n={n} sends={} seed={seed} round={r} threads={threads}",
-                        batch.len()
-                    );
-                    let mut sends = batch.clone();
-                    let report = router.route_model(&mut sends, r, policy, &ring);
-                    prop_assert!(sends.is_empty(), "sends not drained: {}", at);
-                    prop_assert_eq!(report, want.report, "report diverged: {}", at);
+            let mut router: Router<u64> = Router::new(n, seed, 1);
+            for ((batch, &r), want) in batches.iter().zip(&rounds).zip(&want) {
+                let at = format!("{policy:?} n={n} sends={} seed={seed} round={r}", batch.len());
+                let mut sends = batch.clone();
+                let report = router.route_model(&mut sends, r, policy, &ring);
+                prop_assert!(sends.is_empty(), "sends not drained: {}", at);
+                prop_assert_eq!(report, want.report, "report diverged: {}", at);
+                prop_assert_eq!(
+                    report.delivered + report.dropped,
+                    batch.len() as u64,
+                    "conservation failed: {}", at
+                );
+                prop_assert_eq!(router.drops(), want.drops.as_slice(), "drops diverged: {}", at);
+                prop_assert_eq!(
+                    router.occupied(),
+                    want.occupied.as_slice(),
+                    "occupied diverged: {}", at
+                );
+                for d in 0..n as u32 {
                     prop_assert_eq!(
-                        report.delivered + report.dropped,
-                        batch.len() as u64,
-                        "conservation failed: {}", at
+                        router.inbox(d),
+                        want.inboxes[d as usize].as_slice(),
+                        "inbox {} diverged: {}", d, at
                     );
-                    prop_assert_eq!(router.drops(), want.drops.as_slice(), "drops diverged: {}", at);
-                    prop_assert_eq!(
-                        router.occupied(),
-                        want.occupied.as_slice(),
-                        "occupied diverged: {}", at
-                    );
-                    for d in 0..n as u32 {
-                        prop_assert_eq!(
-                            router.inbox(d),
-                            want.inboxes[d as usize].as_slice(),
-                            "inbox {} diverged: {}", d, at
-                        );
-                    }
                 }
             }
         }

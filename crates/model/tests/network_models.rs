@@ -274,9 +274,8 @@ fn unbounded_capacity_through_batched_router() {
         assert!(stats.clean());
     }
 
-    // Router-level, parallel path forced on a small batch with
-    // recv = usize::MAX and an over-concentrated destination.
-    let mut router: Router<u64> = Router::new(8, 3, 4).with_min_parallel_sends(1);
+    // Router-level, recv = usize::MAX and an over-concentrated destination.
+    let mut router: Router<u64> = Router::new(8, 3, 1);
     let mut sends: Vec<Envelope<u64>> = (0..1000u32)
         .map(|i| Envelope::new(i % 8, 0, i as u64))
         .collect();

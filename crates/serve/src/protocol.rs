@@ -105,8 +105,6 @@ pub struct ServeStats {
     pub errors: u64,
     /// Worker threads executing requests.
     pub workers: u64,
-    /// Engine threads each worker runs its scenarios with.
-    pub engine_threads: u64,
     /// Runs that reused a resident engine via `Engine::reset` instead of
     /// building a fresh one (worker-local engine residency).
     pub engine_reuses: u64,

@@ -8,14 +8,14 @@
 //! [`Engine::reset`] between runs of the same spec — because engines are
 //! deliberately *not* shared across threads: residency is per worker, and
 //! the byte-identity contract (a served record equals a cold batch run's
-//! record, for any worker count and any engine thread count) is what makes
-//! that residency safe to use at all.
+//! record, for any worker count) is what makes that residency safe to use
+//! at all.
 //!
-//! The thread budget is global: `workers × engine_threads` is the most
-//! threads the daemon will run hot, and [`ServeConfig::with_thread_budget`]
-//! splits a budget in favour of request concurrency (many workers, each
-//! running its engine sequentially) — the serving workload is many small
-//! scenarios, not one large one.
+//! Every worker runs its engines on one thread:
+//! [`ServeConfig::with_thread_budget`] turns a thread budget into that many
+//! workers — the serving workload is many small scenarios, not one large
+//! one. A spec's own `threads` reaches graph generation only, capped at
+//! the machine's cores.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -35,15 +35,13 @@ use ncc_runner::{
 use crate::cache::BuildCache;
 use crate::protocol::{parse_request, Request, Response, ServeStats};
 
-/// Shape of a serving daemon: worker count, per-worker engine threads, and
-/// the build-cache capacity.
+/// Shape of a serving daemon: worker count, build-cache capacity and queue
+/// depth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Worker threads pulling requests off the queue (concurrent in-flight
     /// requests).
     pub workers: usize,
-    /// Engine threads each worker runs its scenarios with.
-    pub engine_threads: usize,
     /// Build-cache capacity (resident scenario artifacts).
     pub cache_capacity: usize,
     /// Bounded job-queue depth; enqueueing past it blocks the fronts
@@ -52,15 +50,14 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Splits a global thread budget in favour of request concurrency:
-    /// every budgeted thread becomes a worker and each worker runs its
-    /// engine sequentially. A serving workload is many small independent
+    /// Spends a global thread budget on request concurrency: every
+    /// budgeted thread becomes a worker, and each worker runs its engines
+    /// on one thread. A serving workload is many small independent
     /// scenarios; parallelism across requests beats parallelism inside one.
     pub fn with_thread_budget(budget: usize) -> Self {
         let workers = budget.max(1);
         ServeConfig {
             workers,
-            engine_threads: 1,
             cache_capacity: 64,
             queue_depth: 4 * workers,
         }
@@ -69,11 +66,6 @@ impl ServeConfig {
     pub fn with_workers(mut self, w: usize) -> Self {
         self.workers = w.max(1);
         self.queue_depth = self.queue_depth.max(4 * self.workers);
-        self
-    }
-
-    pub fn with_engine_threads(mut self, t: usize) -> Self {
-        self.engine_threads = t.max(1);
         self
     }
 
@@ -213,7 +205,6 @@ impl Coordinator {
             served: self.served.load(Ordering::SeqCst),
             errors: self.errors.load(Ordering::SeqCst),
             workers: self.cfg.workers as u64,
-            engine_threads: self.cfg.engine_threads as u64,
             engine_reuses: self.engine_reuses.load(Ordering::SeqCst),
         }
     }
@@ -299,7 +290,7 @@ impl Coordinator {
                 self.engine_reuses.fetch_add(1, Ordering::SeqCst);
                 eng
             }
-            None => scenario.engine_with_threads(self.cfg.engine_threads),
+            None => scenario.engine_with_threads(1),
         };
         let result = run_checked(algo, &mut engine, &scenario);
         slots.put(hash.0, canonical, engine);
@@ -690,7 +681,6 @@ mod tests {
         coord.handle_line_once(&run_line(1, "gossip", &spec(1)));
         let stats = coord.stats();
         assert_eq!(stats.workers, 3);
-        assert_eq!(stats.engine_threads, 1);
         assert_eq!(stats.served, 1);
         assert_eq!(stats.cache.capacity, 5);
         assert_eq!(stats.cache.misses, 1);

@@ -63,9 +63,9 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Cold build, then cache hit with a resident engine, at engine thread
-    /// counts 1 and 4 — every path must produce byte-identical records,
-    /// and they must equal the batch path's record.
+    /// Cold build, then cache hit with a resident engine — both paths must
+    /// produce byte-identical records, and they must equal the batch
+    /// path's record.
     #[test]
     fn cache_hit_records_are_byte_identical(
         spec in spec_strategy(),
@@ -74,22 +74,16 @@ proptest! {
         let batch = run_record_threads(find_algorithm(algo).unwrap(), &spec, 1)
             .unwrap()
             .to_json();
-        for engine_threads in [1usize, 4] {
-            let cfg = ServeConfig::with_thread_budget(1)
-                .with_engine_threads(engine_threads);
-            let coord = Coordinator::new(cfg);
-            let mut slots = EngineSlots::new(4);
-            let line = run_line(1, algo, &spec);
-            let (hit_cold, cold) =
-                record_json(coord.handle_line(&line, &mut slots).unwrap());
-            let (hit_warm, warm) =
-                record_json(coord.handle_line(&line, &mut slots).unwrap());
-            prop_assert!(!hit_cold);
-            prop_assert!(hit_warm);
-            prop_assert_eq!(&cold, &warm, "resident engine must replay exactly");
-            prop_assert_eq!(&cold, &batch, "served record must equal batch record");
-            prop_assert_eq!(coord.stats().engine_reuses, 1);
-        }
+        let coord = Coordinator::new(ServeConfig::with_thread_budget(1));
+        let mut slots = EngineSlots::new(4);
+        let line = run_line(1, algo, &spec);
+        let (hit_cold, cold) = record_json(coord.handle_line(&line, &mut slots).unwrap());
+        let (hit_warm, warm) = record_json(coord.handle_line(&line, &mut slots).unwrap());
+        prop_assert!(!hit_cold);
+        prop_assert!(hit_warm);
+        prop_assert_eq!(&cold, &warm, "resident engine must replay exactly");
+        prop_assert_eq!(&cold, &batch, "served record must equal batch record");
+        prop_assert_eq!(coord.stats().engine_reuses, 1);
     }
 
     /// Evict an artifact by cycling the cache past capacity, then request

@@ -9,8 +9,7 @@
 //! ncc-cli suite [--out <file>] [--threads <t>] [--model <m>]
 //!               [--filter <algo-substring>] [--family <scenario-substring>]
 //! ncc-cli explain <algo> [--family <f> --n <N> --param <x> --seed <s>]
-//! ncc-cli serve [--stdio | --listen <addr>] [--workers <N>]
-//!               [--engine-threads <t>] [--cache <N>]
+//! ncc-cli serve [--stdio | --listen <addr>] [--workers <N>] [--cache <N>]
 //! ncc-cli list
 //! ncc-cli info --n <N>
 //! ```
@@ -55,7 +54,7 @@ fn main() {
         "run" => format!("{SPEC_FLAGS} graph family json"),
         "suite" => "out threads model edge-cap machines link-cap local-cap filter family".into(),
         "explain" => format!("{SPEC_FLAGS} family"),
-        "serve" => "stdio listen workers engine-threads cache".into(),
+        "serve" => "stdio listen workers cache".into(),
         "info" => "n".into(),
         "list" | "help" | "-h" | "--help" => String::new(),
         other => usage_and_exit(Some(&format!("unknown command '{other}'"))),
@@ -92,8 +91,7 @@ USAGE:
   ncc-cli suite [--out <file>] [--threads <t>] [--model <m>]
                 [--filter <algo-substring>] [--family <scenario-substring>]
   ncc-cli explain <algo> [--family <f> --n <N> --param <x> --seed <s>]
-  ncc-cli serve [--stdio | --listen <addr>] [--workers <N>]
-                [--engine-threads <t>] [--cache <N>]
+  ncc-cli serve [--stdio | --listen <addr>] [--workers <N>] [--cache <N>]
   ncc-cli list
   ncc-cli info --n <N>
 
@@ -508,10 +506,9 @@ fn cmd_serve(flags: &Flags) {
                 usage_and_exit(Some(&format!("cannot bind {addr}: {e}")));
             });
             eprintln!(
-                "serving on {} ({} workers, {} engine threads, cache {})",
+                "serving on {} ({} workers, cache {})",
                 server.addr(),
                 cfg.workers,
-                cfg.engine_threads,
                 cfg.cache_capacity
             );
             while !server.coordinator().is_shutdown() {
@@ -537,9 +534,6 @@ fn serve_config(flags: &Flags) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::default();
     if let Some(w) = flag(flags, "workers")? {
         cfg = cfg.with_workers(w);
-    }
-    if let Some(t) = flag(flags, "engine-threads")? {
-        cfg = cfg.with_engine_threads(t);
     }
     if let Some(c) = flag(flags, "cache")? {
         cfg = cfg.with_cache_capacity(c);
