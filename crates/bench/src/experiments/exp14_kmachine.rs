@@ -4,8 +4,8 @@
 //! Runs BFS through the runner registry under the first-class `KMachine`
 //! execution model for a sweep of `k`: the engine routes every delivery
 //! through the machine partition and charges per-link capacity, so
-//! `km_rounds` lands in the `ExecStats` (and the RunRecord) instead of a
-//! side-channel trace sink. `km_rounds · k² / (n · T)` must stay roughly
+//! `km_rounds` lands in the `ExecStats` (and the RunRecord).
+//! `km_rounds · k² / (n · T)` must stay roughly
 //! flat (up to the Õ(·) log factors and the max-vs-mean gap on the
 //! bottleneck link).
 //!

@@ -10,20 +10,33 @@
 //! add slowly-growing tails. Reported: median and max distinct contacts,
 //! and their ratio to `log₂ n`.
 
-use crate::{arboricity_workload, engine, f2, lg, Table, SEED};
+use crate::{arboricity_workload, f2, lg, Table, SEED};
 use ncc_core::prepare;
-use ncc_model::{NodeId, TraceEvent, TraceSink};
-use std::sync::{Arc, Mutex};
+use ncc_model::{Capacity, Engine, NetConfig, NetworkModel, NodeId, RecvPolicy, TraceEvent};
+use std::any::Any;
+use std::collections::BTreeSet;
 
-/// Counts distinct destinations per source.
-struct ContactSink(Arc<Mutex<Vec<std::collections::BTreeSet<NodeId>>>>);
+/// The NCC model, recording the distinct destinations of each source.
+struct Contacts(Vec<BTreeSet<NodeId>>);
 
-impl TraceSink for ContactSink {
-    fn on_round(&mut self, _round: u64, delivered: &[TraceEvent]) {
-        let mut sets = self.0.lock().unwrap();
+impl NetworkModel for Contacts {
+    fn name(&self) -> &'static str {
+        "ncc-contacts"
+    }
+    fn recv_policy(&self, cap: &Capacity) -> RecvPolicy {
+        ncc_model::Ncc.recv_policy(cap)
+    }
+    fn wants_delivered_pairs(&self) -> bool {
+        true
+    }
+    fn charge_round(&mut self, _round: u64, delivered: &[TraceEvent]) -> u64 {
         for ev in delivered {
-            sets[ev.src as usize].insert(ev.dst);
+            self.0[ev.src as usize].insert(ev.dst);
         }
+        0
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
@@ -34,9 +47,8 @@ pub fn run() -> Vec<ncc_runner::RunRecord> {
     let mut t = Table::new(&["algorithm", "median", "max", "median/log2n", "max/log2n"]);
 
     let run = |label: &str, which: u8, t: &mut Table| {
-        let sets = Arc::new(Mutex::new(vec![std::collections::BTreeSet::new(); n]));
-        let mut eng = engine(n, SEED + which as u64);
-        eng.set_sink(Box::new(ContactSink(sets.clone())));
+        let contacts = Box::new(Contacts(vec![BTreeSet::new(); n]));
+        let mut eng = Engine::with_model(NetConfig::new(n, SEED + which as u64), contacts);
         let prep = prepare(&mut eng, SEED + 9, Some(&g)).unwrap();
         let (shared, bt) = (prep.shared(), prep.trees());
         match which {
@@ -53,7 +65,8 @@ pub fn run() -> Vec<ncc_runner::RunRecord> {
                 let _ = ncc_core::coloring(&mut eng, shared, &bt.orientation, &g).unwrap();
             }
         }
-        let mut sizes: Vec<usize> = sets.lock().unwrap().iter().map(|s| s.len()).collect();
+        let contacts = eng.model().as_any().downcast_ref::<Contacts>().unwrap();
+        let mut sizes: Vec<usize> = contacts.0.iter().map(BTreeSet::len).collect();
         sizes.sort_unstable();
         let median = sizes[n / 2];
         let max = *sizes.last().unwrap();

@@ -18,16 +18,11 @@
 //! [`ExecStats`](ncc_model::ExecStats) — links operate in parallel, so the
 //! bottleneck pair dominates, and messages between co-hosted nodes are
 //! free, as in the model.
-//!
-//! [`KMachineCost`] is the underlying streaming accountant. It doubles as a
-//! passive [`TraceSink`] for observing an NCC execution without changing
-//! its model (the pre-promotion interface, still used by the conversion
-//! benches).
 
 use std::any::Any;
 
 use ncc_model::rng::derive_seed;
-use ncc_model::{Capacity, NetworkModel, NodeId, RecvPolicy, TraceEvent, TraceSink};
+use ncc_model::{Capacity, NetworkModel, NodeId, RecvPolicy, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,139 +34,20 @@ pub fn random_assignment(n: usize, k: usize, seed: u64) -> Vec<u32> {
     (0..n).map(|_| rng.gen_range(0..k as u32)).collect()
 }
 
-/// Streaming k-machine cost model. For every NCC round it bins delivered
-/// messages by (source machine, destination machine) and charges
-/// `max_pair ⌈load / link_capacity⌉` k-machine rounds (links operate in
-/// parallel; the bottleneck pair dominates).
-#[derive(Debug, Clone)]
-pub struct KMachineCost {
+/// Summary of a conversion so far: the model's running totals.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KMachineReport {
     pub k: usize,
-    assignment: Vec<u32>,
-    /// Messages per link per k-machine round (the `O(log n)`-bits budget in
-    /// message units; 1 = one `O(log n)`-bit message per link per round).
-    pub link_capacity: u64,
-    /// Charged k-machine rounds so far.
+    /// Charged k-machine rounds.
     pub km_rounds: u64,
     /// Observed NCC rounds.
     pub ncc_rounds: u64,
-    /// Total messages crossing machine boundaries.
+    /// Messages crossing machine boundaries.
     pub cross_messages: u64,
-    /// Total messages staying inside one machine (free).
+    /// Messages staying inside one machine (free).
     pub local_messages: u64,
     /// Peak single-pair load in any NCC round.
     pub max_pair_load: u64,
-    scratch: Vec<u64>,
-}
-
-impl KMachineCost {
-    pub fn new(assignment: Vec<u32>, k: usize, link_capacity: u64) -> Self {
-        assert!(link_capacity >= 1);
-        assert!(assignment.iter().all(|&m| (m as usize) < k));
-        KMachineCost {
-            k,
-            assignment,
-            link_capacity,
-            km_rounds: 0,
-            ncc_rounds: 0,
-            cross_messages: 0,
-            local_messages: 0,
-            max_pair_load: 0,
-            scratch: vec![0; k * k],
-        }
-    }
-
-    /// Convenience: fresh random partition.
-    pub fn with_random_assignment(n: usize, k: usize, seed: u64, link_capacity: u64) -> Self {
-        Self::new(random_assignment(n, k, seed), k, link_capacity)
-    }
-
-    #[inline]
-    fn machine(&self, v: NodeId) -> usize {
-        self.assignment[v as usize] as usize
-    }
-
-    /// Zeroes every running counter (charged rounds, message tallies, peak
-    /// loads) while keeping the partition and link capacity — the machine
-    /// assignment is scenario identity, the counters are per-run state.
-    pub fn reset(&mut self) {
-        self.km_rounds = 0;
-        self.ncc_rounds = 0;
-        self.cross_messages = 0;
-        self.local_messages = 0;
-        self.max_pair_load = 0;
-        self.scratch.iter_mut().for_each(|x| *x = 0);
-    }
-
-    /// The nodes hosted per machine (for load-balance reporting).
-    pub fn machine_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.k];
-        for &m in &self.assignment {
-            sizes[m as usize] += 1;
-        }
-        sizes
-    }
-}
-
-impl KMachineCost {
-    /// Bins one engine round's delivered messages by (source machine,
-    /// destination machine), updates the running totals, and returns the
-    /// k-machine rounds this engine round costs:
-    /// `max(1, ⌈bottleneck pair load / link_capacity⌉)` (an empty round
-    /// still costs one synchronised k-machine round).
-    pub fn charge_round(&mut self, _round: u64, delivered: &[TraceEvent]) -> u64 {
-        self.ncc_rounds += 1;
-        let charge = if delivered.is_empty() {
-            1
-        } else {
-            self.scratch.iter_mut().for_each(|x| *x = 0);
-            let mut max_load = 0u64;
-            for ev in delivered {
-                let (ms, md) = (self.machine(ev.src), self.machine(ev.dst));
-                if ms == md {
-                    self.local_messages += 1;
-                    continue;
-                }
-                self.cross_messages += 1;
-                let slot = &mut self.scratch[ms * self.k + md];
-                *slot += 1;
-                max_load = max_load.max(*slot);
-            }
-            self.max_pair_load = self.max_pair_load.max(max_load);
-            max_load.div_ceil(self.link_capacity).max(1)
-        };
-        self.km_rounds += charge;
-        charge
-    }
-}
-
-impl TraceSink for KMachineCost {
-    fn on_round(&mut self, round: u64, delivered: &[TraceEvent]) {
-        self.charge_round(round, delivered);
-    }
-}
-
-/// Summary of a finished conversion (extracted from the sink).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KMachineReport {
-    pub k: usize,
-    pub km_rounds: u64,
-    pub ncc_rounds: u64,
-    pub cross_messages: u64,
-    pub local_messages: u64,
-    pub max_pair_load: u64,
-}
-
-impl KMachineCost {
-    pub fn report(&self) -> KMachineReport {
-        KMachineReport {
-            k: self.k,
-            km_rounds: self.km_rounds,
-            ncc_rounds: self.ncc_rounds,
-            cross_messages: self.cross_messages,
-            local_messages: self.local_messages,
-            max_pair_load: self.max_pair_load,
-        }
-    }
 }
 
 /// The k-machine model as a first-class [`NetworkModel`].
@@ -186,31 +62,50 @@ impl KMachineCost {
 /// full [`KMachineReport`] (cross-machine traffic, bottleneck loads).
 #[derive(Debug, Clone)]
 pub struct KMachineModel {
-    cost: KMachineCost,
+    assignment: Vec<u32>,
+    /// Messages per link per k-machine round (the `O(log n)`-bits budget in
+    /// message units; 1 = one `O(log n)`-bit message per link per round).
+    link_capacity: u64,
+    totals: KMachineReport,
+    /// One round's cross-machine `(source machine, destination machine)`
+    /// pairs as `ms << 32 | md` keys, reused across rounds: sorting bins
+    /// them in O(messages), whatever `k` is.
+    keys: Vec<u64>,
 }
 
 impl KMachineModel {
     /// Random vertex partition of `n` nodes over `k` machines, keyed by
     /// `seed` (the Theorem A.1 setup).
     pub fn new(n: usize, k: usize, seed: u64, link_capacity: u64) -> Self {
-        KMachineModel {
-            cost: KMachineCost::with_random_assignment(n, k, seed, link_capacity),
-        }
+        Self::from_assignment(random_assignment(n, k, seed), k, link_capacity)
     }
 
     /// Explicit node → machine assignment.
     pub fn from_assignment(assignment: Vec<u32>, k: usize, link_capacity: u64) -> Self {
+        assert!(link_capacity >= 1);
+        assert!(assignment.iter().all(|&m| (m as usize) < k));
         KMachineModel {
-            cost: KMachineCost::new(assignment, k, link_capacity),
+            assignment,
+            link_capacity,
+            totals: KMachineReport {
+                k,
+                ..KMachineReport::default()
+            },
+            keys: Vec::new(),
         }
     }
 
     pub fn report(&self) -> KMachineReport {
-        self.cost.report()
+        self.totals
     }
 
+    /// The nodes hosted per machine (for load-balance reporting).
     pub fn machine_sizes(&self) -> Vec<usize> {
-        self.cost.machine_sizes()
+        let mut sizes = vec![0usize; self.totals.k];
+        for &m in &self.assignment {
+            sizes[m as usize] += 1;
+        }
+        sizes
     }
 }
 
@@ -229,12 +124,45 @@ impl NetworkModel for KMachineModel {
         true
     }
 
-    fn charge_round(&mut self, round: u64, delivered: &[TraceEvent]) -> u64 {
-        self.cost.charge_round(round, delivered)
+    /// Bins one engine round's delivered messages by (source machine,
+    /// destination machine), updates the running totals, and returns the
+    /// k-machine rounds this engine round costs:
+    /// `max(1, ⌈bottleneck pair load / link_capacity⌉)` (an empty round
+    /// still costs one synchronised k-machine round).
+    fn charge_round(&mut self, _round: u64, delivered: &[TraceEvent]) -> u64 {
+        let machine = |v: NodeId| self.assignment[v as usize] as u64;
+        self.keys.clear();
+        for ev in delivered {
+            let (ms, md) = (machine(ev.src), machine(ev.dst));
+            if ms != md {
+                self.keys.push((ms << 32) | md);
+            }
+        }
+        self.keys.sort_unstable();
+        let max_load = self
+            .keys
+            .chunk_by(|a, b| a == b)
+            .map(|run| run.len() as u64)
+            .max()
+            .unwrap_or(0);
+        let t = &mut self.totals;
+        t.ncc_rounds += 1;
+        t.cross_messages += self.keys.len() as u64;
+        t.local_messages += (delivered.len() - self.keys.len()) as u64;
+        t.max_pair_load = t.max_pair_load.max(max_load);
+        let charge = max_load.div_ceil(self.link_capacity).max(1);
+        t.km_rounds += charge;
+        charge
     }
 
+    /// Zeroes every running counter while keeping the partition and link
+    /// capacity: the machine assignment is scenario identity, the counters
+    /// are per-run state.
     fn reset(&mut self) {
-        self.cost.reset();
+        self.totals = KMachineReport {
+            k: self.totals.k,
+            ..KMachineReport::default()
+        };
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -242,34 +170,9 @@ impl NetworkModel for KMachineModel {
     }
 }
 
-/// A handle-keeping wrapper: the engine owns the sink as a boxed trait
-/// object, so callers that need to read the cost afterwards install a
-/// `SharedSink` and keep the `Arc`.
-pub struct SharedSink(pub std::sync::Arc<std::sync::Mutex<KMachineCost>>);
-
-impl SharedSink {
-    pub fn new(cost: KMachineCost) -> (Self, std::sync::Arc<std::sync::Mutex<KMachineCost>>) {
-        let arc = std::sync::Arc::new(std::sync::Mutex::new(cost));
-        (SharedSink(arc.clone()), arc)
-    }
-}
-
-impl TraceSink for SharedSink {
-    fn on_round(&mut self, round: u64, delivered: &[TraceEvent]) {
-        self.0.lock().expect("cost lock").on_round(round, delivered);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_sink_accumulates_through_handle() {
-        let (mut sink, handle) = SharedSink::new(KMachineCost::new(vec![0, 1], 2, 1));
-        sink.on_round(0, &[TraceEvent { src: 0, dst: 1 }]);
-        assert_eq!(handle.lock().unwrap().cross_messages, 1);
-    }
 
     #[test]
     fn reset_zeroes_counters_but_keeps_partition() {
@@ -279,10 +182,10 @@ mod tests {
             TraceEvent { src: 2, dst: 3 },
             TraceEvent { src: 0, dst: 2 },
         ];
-        let charge1 = NetworkModel::charge_round(&mut model, 0, &evs);
+        let charge1 = model.charge_round(0, &evs);
         assert!(model.report().km_rounds > 0);
         assert_eq!(model.report().cross_messages, 2);
-        NetworkModel::reset(&mut model);
+        model.reset();
         let fresh = model.report();
         assert_eq!(fresh.km_rounds, 0);
         assert_eq!(fresh.ncc_rounds, 0);
@@ -290,7 +193,7 @@ mod tests {
         assert_eq!(fresh.local_messages, 0);
         assert_eq!(fresh.max_pair_load, 0);
         // the partition is identity, not state: the recharge is identical
-        let charge2 = NetworkModel::charge_round(&mut model, 0, &evs);
+        let charge2 = model.charge_round(0, &evs);
         assert_eq!(charge1, charge2);
         assert_eq!(model.machine_sizes(), vec![2, 2]);
     }
@@ -299,8 +202,7 @@ mod tests {
     fn assignment_is_balanced_and_deterministic() {
         let a = random_assignment(1000, 8, 7);
         assert_eq!(a, random_assignment(1000, 8, 7));
-        let cost = KMachineCost::new(a, 8, 1);
-        let sizes = cost.machine_sizes();
+        let sizes = KMachineModel::from_assignment(a, 8, 1).machine_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 1000);
         for &s in &sizes {
             assert!((80..=175).contains(&s), "unbalanced machine: {s}");
@@ -310,19 +212,20 @@ mod tests {
     #[test]
     fn local_messages_are_free() {
         // all nodes on one machine of k = 2: everything local
-        let mut cost = KMachineCost::new(vec![0; 10], 2, 1);
+        let mut model = KMachineModel::from_assignment(vec![0; 10], 2, 1);
         let evs: Vec<TraceEvent> = (0..9).map(|i| TraceEvent { src: i, dst: i + 1 }).collect();
-        cost.on_round(0, &evs);
-        assert_eq!(cost.cross_messages, 0);
-        assert_eq!(cost.local_messages, 9);
-        assert_eq!(cost.km_rounds, 1); // sync round only
+        model.charge_round(0, &evs);
+        let rep = model.report();
+        assert_eq!(rep.cross_messages, 0);
+        assert_eq!(rep.local_messages, 9);
+        assert_eq!(rep.km_rounds, 1); // sync round only
     }
 
     #[test]
     fn bottleneck_pair_dominates() {
         // nodes 0..5 on machine 0, nodes 5..10 on machine 1
         let assignment: Vec<u32> = (0..10).map(|v| (v >= 5) as u32).collect();
-        let mut cost = KMachineCost::new(assignment, 2, 1);
+        let mut model = KMachineModel::from_assignment(assignment, 2, 1);
         // 7 messages 0→1 direction, 2 messages 1→0
         let mut evs = Vec::new();
         for i in 0..7u32 {
@@ -333,25 +236,26 @@ mod tests {
         }
         evs.push(TraceEvent { src: 6, dst: 1 });
         evs.push(TraceEvent { src: 7, dst: 2 });
-        cost.on_round(0, &evs);
-        assert_eq!(cost.cross_messages, 9);
-        assert_eq!(cost.km_rounds, 7);
-        assert_eq!(cost.max_pair_load, 7);
+        model.charge_round(0, &evs);
+        let rep = model.report();
+        assert_eq!(rep.cross_messages, 9);
+        assert_eq!(rep.km_rounds, 7);
+        assert_eq!(rep.max_pair_load, 7);
     }
 
     #[test]
     fn link_capacity_divides_cost() {
         let assignment: Vec<u32> = (0..10).map(|v| (v >= 5) as u32).collect();
-        let mut cost = KMachineCost::new(assignment.clone(), 2, 4);
+        let mut model = KMachineModel::from_assignment(assignment.clone(), 2, 4);
         let evs: Vec<TraceEvent> = (0..8u32)
             .map(|i| TraceEvent { src: i % 5, dst: 5 })
             .collect();
-        cost.on_round(0, &evs);
-        assert_eq!(cost.km_rounds, 2); // ⌈8/4⌉
+        model.charge_round(0, &evs);
+        assert_eq!(model.report().km_rounds, 2); // ⌈8/4⌉
 
-        let mut cost1 = KMachineCost::new(assignment, 2, 1);
-        cost1.on_round(0, &evs);
-        assert_eq!(cost1.km_rounds, 8);
+        let mut model1 = KMachineModel::from_assignment(assignment, 2, 1);
+        model1.charge_round(0, &evs);
+        assert_eq!(model1.report().km_rounds, 8);
     }
 
     #[test]
@@ -360,7 +264,7 @@ mod tests {
         let n = 512u32;
         let mut rng = SmallRng::seed_from_u64(42);
         let mut rounds_for = |k: usize| {
-            let mut cost = KMachineCost::with_random_assignment(n as usize, k, 1, 1);
+            let mut model = KMachineModel::new(n as usize, k, 1, 1);
             for r in 0..50 {
                 let evs: Vec<TraceEvent> = (0..n)
                     .map(|_| TraceEvent {
@@ -368,9 +272,9 @@ mod tests {
                         dst: rng.gen_range(0..n),
                     })
                     .collect();
-                cost.on_round(r, &evs);
+                model.charge_round(r, &evs);
             }
-            cost.km_rounds
+            model.report().km_rounds
         };
         let (r2, r8) = (rounds_for(2), rounds_for(8));
         // Corollary 2: cost scales like n/k² — k: 2→8 should give ≈ 16×;
@@ -380,23 +284,36 @@ mod tests {
 
     #[test]
     fn empty_rounds_cost_one() {
-        let mut cost = KMachineCost::new(vec![0, 1], 2, 1);
-        cost.on_round(0, &[]);
-        cost.on_round(1, &[]);
-        assert_eq!(cost.km_rounds, 2);
-        assert_eq!(cost.ncc_rounds, 2);
+        let mut model = KMachineModel::from_assignment(vec![0, 1], 2, 1);
+        model.charge_round(0, &[]);
+        model.charge_round(1, &[]);
+        assert_eq!(model.report().km_rounds, 2);
+        assert_eq!(model.report().ncc_rounds, 2);
     }
 
     #[test]
     fn charge_round_returns_per_round_charge() {
         let assignment: Vec<u32> = (0..10).map(|v| (v >= 5) as u32).collect();
-        let mut cost = KMachineCost::new(assignment, 2, 2);
+        let mut model = KMachineModel::from_assignment(assignment, 2, 2);
         let evs: Vec<TraceEvent> = (0..6u32)
             .map(|i| TraceEvent { src: i % 5, dst: 5 })
             .collect();
-        assert_eq!(cost.charge_round(0, &evs), 3); // ⌈6/2⌉
-        assert_eq!(cost.charge_round(1, &[]), 1);
-        assert_eq!(cost.km_rounds, 4);
+        assert_eq!(model.charge_round(0, &evs), 3); // ⌈6/2⌉
+        assert_eq!(model.charge_round(1, &[]), 1);
+        assert_eq!(model.report().km_rounds, 4);
+    }
+
+    #[test]
+    fn machine_count_past_the_nodes_costs_no_dense_table() {
+        // k = u32::MAX machines over 32 nodes: a per-pair table of k² slots
+        // could never be allocated; the bins are O(messages)
+        let k = u32::MAX as usize;
+        let mut model = KMachineModel::new(32, k, 5, 1);
+        let evs: Vec<TraceEvent> = (0..32u32).map(|i| TraceEvent { src: i, dst: 0 }).collect();
+        assert!(model.charge_round(0, &evs) >= 1);
+        let rep = model.report();
+        assert_eq!(rep.k, k);
+        assert_eq!(rep.cross_messages + rep.local_messages, 32);
     }
 
     mod model {

@@ -28,8 +28,8 @@
 //! router's ascending occupied-destination list — the router already
 //! knows exactly who got mail. Both inputs are sorted and duplicate-free,
 //! so the merge is the sorted, deduplicated active set in
-//! O(active + occupied) time; that merge is the scheduler. Trace and
-//! cost-accounting inbox walks likewise visit only occupied buckets, and a
+//! O(active + occupied) time; that merge is the scheduler. A model's
+//! per-round cost accounting likewise walks only occupied buckets, and a
 //! round whose sends are far below `n` is routed over its touched
 //! destinations only (see [`crate::router`]).
 //!
@@ -58,12 +58,11 @@ use rand::SeedableRng;
 
 use crate::capacity::Capacity;
 use crate::error::ModelError;
-use crate::network::{Lane, Ncc, NetworkModel};
+use crate::network::{Lane, Ncc, NetworkModel, TraceEvent};
 use crate::payload::{Envelope, Payload};
 use crate::program::{Ctx, NodeProgram, ProgScratch, Stream};
 use crate::router::{Router, RouterScratch};
 use crate::stats::{ExecStats, MemoryFootprint, RoundStats};
-use crate::trace::{TraceEvent, TraceSink};
 use crate::NodeId;
 
 /// Active-set size below which the step phase stays sequential even with
@@ -134,7 +133,6 @@ pub struct Engine {
     global_round: u64,
     /// Cumulative statistics across every execution on this engine.
     pub total: ExecStats,
-    sink: Option<Box<dyn TraceSink>>,
     model: Box<dyn NetworkModel>,
     scratch: EngineScratch,
 }
@@ -273,7 +271,6 @@ impl Engine {
             step_threads,
             global_round: 0,
             total: ExecStats::default(),
-            sink: None,
             model,
             scratch: EngineScratch::default(),
         }
@@ -291,9 +288,7 @@ impl Engine {
     /// `(seed, node)`, and both are restored exactly. This is what lets a
     /// resident service (`ncc-serve`) keep an engine alive across requests
     /// instead of rebuilding it, without forking the deterministic record
-    /// history (gated the same way thread-count invariance is). An
-    /// installed trace sink is left in place; callers that need a fresh
-    /// sink swap it explicitly.
+    /// history (gated the same way thread-count invariance is).
     ///
     /// The engine's reusable scratch (router tables, activity lists) is
     /// deliberately *not* cleared: it is pure cost-side state that never
@@ -325,15 +320,6 @@ impl Engine {
         self.global_round
     }
 
-    /// Installs a trace sink that observes every delivered message.
-    pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
-    }
-
-    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
     /// Runs `prog` to quiescence (no messages in flight, no node awake).
     /// Returns the statistics of this execution alone; the engine's
     /// cumulative totals are updated as a side effect.
@@ -350,7 +336,6 @@ impl Engine {
             rng_stale,
             global_round,
             total,
-            sink,
             model,
             scratch,
         } = self;
@@ -478,26 +463,18 @@ impl Engine {
                 round_stats.over_cap_dsts = report.over_cap_dsts;
                 round_stats.max_edge_load = report.max_edge_load;
 
-                // ---- model cost accounting + tracing ------------------------
+                // ---- model cost accounting ----------------------------------
                 // Only the occupied buckets hold mail, and the occupied list
-                // is ascending, so this walk sees exactly the events the old
-                // full 0..n scan produced — in O(messages), not O(n).
-                if sink.is_some() || wants_pairs {
+                // is ascending, so this walk sees exactly the events a full
+                // 0..n scan would — in O(messages), not O(n).
+                if wants_pairs {
                     trace_buf.clear();
                     for &d in router.occupied() {
                         for e in router.inbox(d) {
                             trace_buf.push(TraceEvent { src: e.src, dst: d });
                         }
                     }
-                    if wants_pairs {
-                        round_stats.km_rounds = model.charge_round(*global_round, trace_buf);
-                    }
-                    if let Some(sink) = sink.as_mut() {
-                        sink.on_round(*global_round, trace_buf);
-                        if !router.drops().is_empty() {
-                            sink.on_drops(*global_round, router.drops());
-                        }
-                    }
+                    round_stats.km_rounds = model.charge_round(*global_round, trace_buf);
                 }
 
                 // ---- next active set ----------------------------------------
@@ -838,7 +815,6 @@ impl Violation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RecordingSink;
 
     /// Every node sends one message to (id+1) mod n for `hops` rounds.
     struct RingRelay {
@@ -985,52 +961,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_sees_deliveries() {
-        let mut eng = Engine::new(NetConfig::new(8, 7));
-        eng.set_sink(Box::new(RecordingSink::default()));
-        let mut states = vec![RelayState::default(); 8];
-        eng.execute(&RingRelay { hops: 1 }, &mut states).unwrap();
-        let sink = eng.take_sink().unwrap();
-        // Downcast is awkward through Box<dyn TraceSink>; instead re-run with
-        // a local sink through a fresh engine to keep the test simple.
-        drop(sink);
-        struct Counter(std::sync::Arc<std::sync::atomic::AtomicUsize>);
-        impl TraceSink for Counter {
-            fn on_round(&mut self, _r: u64, d: &[TraceEvent]) {
-                self.0
-                    .fetch_add(d.len(), std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut eng = Engine::new(NetConfig::new(8, 7));
-        eng.set_sink(Box::new(Counter(counter.clone())));
-        let mut states = vec![RelayState::default(); 8];
-        let stats = eng.execute(&RingRelay { hops: 1 }, &mut states).unwrap();
-        assert_eq!(
-            counter.load(std::sync::atomic::Ordering::Relaxed) as u64,
-            stats.delivered
-        );
-    }
-
-    #[test]
     fn trace_sink_sees_drops() {
         let n = 512;
         let mut eng = Engine::new(NetConfig::new(n, 3));
         let cap = eng.config().capacity.recv;
-        eng.set_sink(Box::new(RecordingSink::default()));
         let mut states = vec![(); n];
         let stats = eng.execute(&Flood, &mut states).unwrap();
-        // can't downcast through Box<dyn TraceSink>; assert via stats and a
-        // fresh recording run instead
-        drop(eng.take_sink());
-        let mut sink = RecordingSink::default();
-        let mut reference: Router<u64> = Router::new(n, 3, 1);
-        let mut sends: Vec<Envelope<u64>> = (1..n as u32)
-            .map(|i| Envelope::new(i, 0, i as u64))
-            .collect();
-        reference.route(&mut sends, 0, cap);
-        sink.on_drops(0, reference.drops());
-        assert_eq!(sink.total_drops(), stats.dropped);
         assert_eq!(stats.dropped, (n - 1 - cap) as u64);
     }
 

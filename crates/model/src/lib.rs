@@ -104,7 +104,6 @@ pub mod program;
 pub mod rng;
 pub mod router;
 pub mod stats;
-pub mod trace;
 
 pub use capacity::Capacity;
 pub use engine::{Engine, NetConfig};
@@ -112,12 +111,13 @@ pub use error::ModelError;
 pub use mux::{
     lane_stats, take_lane_states, DynPayload, LaneId, LaneStats, Mux, MuxBuilder, MuxState, Tagged,
 };
-pub use network::{CongestedClique, HybridLocal, Lane, ModelSpec, Ncc, NetworkModel, RecvPolicy};
+pub use network::{
+    CongestedClique, HybridLocal, Lane, ModelSpec, Ncc, NetworkModel, RecvPolicy, TraceEvent,
+};
 pub use payload::{Envelope, Payload};
 pub use program::{Ctx, NodeProgram};
 pub use router::{RouteReport, Router, RouterScratch};
 pub use stats::{ExecStats, MemoryFootprint, RoundStats};
-pub use trace::{TraceEvent, TraceSink};
 
 /// Node identifier. The model fixes identifiers to `{0, 1, ..., n-1}`
 /// (§1.1: identifiers are common knowledge, so w.l.o.g. they are dense).

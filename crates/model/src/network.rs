@@ -32,8 +32,14 @@ use std::any::Any;
 use serde::{Deserialize, Serialize};
 
 use crate::capacity::Capacity;
-use crate::trace::TraceEvent;
 use crate::NodeId;
+
+/// One delivered message, as [`NetworkModel::charge_round`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent {
+    pub src: NodeId,
+    pub dst: NodeId,
+}
 
 /// Which kind of link a message travels in models that distinguish the
 /// input graph's *local* edges from the *global* clique (the §1 hybrid
@@ -117,10 +123,15 @@ pub trait NetworkModel: Send + Sync {
         false
     }
 
-    /// Cost accounting over one round's *delivered* messages. Returns the
-    /// number of model rounds this engine round is charged (recorded as
-    /// `km_rounds` in [`crate::stats::RoundStats`]); models without extra
-    /// accounting return 0.
+    /// Cost accounting over one round's *delivered* messages (dropped ones
+    /// are not part of the realized communication). Returns the number of
+    /// model rounds this engine round is charged (recorded as `km_rounds`
+    /// in [`crate::stats::RoundStats`]); models without extra accounting
+    /// return 0.
+    ///
+    /// Pairs arrive grouped by destination — ascending destination, and
+    /// within a destination in `(sender, send order)` — mirroring the
+    /// router's inbox arena layout.
     fn charge_round(&mut self, _round: u64, _delivered: &[TraceEvent]) -> u64 {
         0
     }

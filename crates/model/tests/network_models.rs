@@ -94,14 +94,20 @@ fn all_models(n: usize) -> Vec<Box<dyn NetworkModel>> {
     vec![
         Box::new(Ncc),
         Box::new(CongestedClique::new(2)),
-        Box::new(ChargingModel),
+        Box::new(ChargingModel::default()),
         Box::new(ring_model(n, 1)),
     ]
 }
 
 /// Minimal cost-accounting model: NCC semantics, charges one extra round
-/// per 10 delivered messages.
-struct ChargingModel;
+/// per 10 delivered messages, and tallies what `charge_round` is shown.
+#[derive(Default)]
+struct ChargingModel {
+    /// Delivered pairs seen across every round.
+    pairs: u64,
+    /// Rounds whose pairs were not in ascending destination order.
+    unsorted_rounds: u64,
+}
 
 impl NetworkModel for ChargingModel {
     fn name(&self) -> &'static str {
@@ -114,6 +120,8 @@ impl NetworkModel for ChargingModel {
         true
     }
     fn charge_round(&mut self, _round: u64, delivered: &[ncc_model::TraceEvent]) -> u64 {
+        self.pairs += delivered.len() as u64;
+        self.unsorted_rounds += !delivered.is_sorted_by_key(|ev| ev.dst) as u64;
         1 + delivered.len() as u64 / 10
     }
     fn as_any(&self) -> &dyn std::any::Any {
@@ -129,7 +137,7 @@ fn run_model(
     waves: u64,
     fanout: usize,
     threads: usize,
-) -> (ncc_model::ExecStats, Vec<(u64, u64)>) {
+) -> (ncc_model::ExecStats, Vec<(u64, u64)>, Engine) {
     let cfg = NetConfig::new(n, seed)
         .with_capacity(Capacity::squeezed(64, recv_cap))
         .permissive()
@@ -140,7 +148,7 @@ fn run_model(
         .execute(&Scatter { waves, fanout }, &mut states)
         .unwrap();
     let sums = states.iter().map(|s| (s.received, s.checksum)).collect();
-    (stats, sums)
+    (stats, sums, eng)
 }
 
 proptest! {
@@ -153,7 +161,8 @@ proptest! {
     /// Conservation for every model × threads ∈ {1, 4}: each sent message
     /// is delivered or dropped, never both or neither; truncation stays on
     /// the send side (disjoint from drops); node inboxes account exactly
-    /// for the delivered total.
+    /// for the delivered total, and so do the pairs a model's
+    /// `charge_round` is shown, ascending by destination.
     #[test]
     fn cross_model_conservation(
         n in 8usize..160,
@@ -165,7 +174,8 @@ proptest! {
         for threads in [1usize, 4] {
             for model in all_models(n) {
                 let name = model.name();
-                let (stats, sums) = run_model(model, n, seed, recv_cap, waves, fanout, threads);
+                let (stats, sums, eng) =
+                    run_model(model, n, seed, recv_cap, waves, fanout, threads);
                 prop_assert_eq!(
                     stats.delivered + stats.dropped,
                     stats.sent,
@@ -176,6 +186,10 @@ proptest! {
                 let received: u64 = sums.iter().map(|&(r, _)| r).sum();
                 prop_assert_eq!(received, stats.delivered, "model {}", name);
                 prop_assert_eq!(stats.lost(), stats.dropped + stats.truncated);
+                if let Some(c) = eng.model().as_any().downcast_ref::<ChargingModel>() {
+                    prop_assert_eq!(c.pairs, stats.delivered, "at {} threads", threads);
+                    prop_assert_eq!(c.unsorted_rounds, 0, "at {} threads", threads);
+                }
             }
         }
     }
@@ -190,8 +204,8 @@ proptest! {
     ) {
         for (a, b) in all_models(n).into_iter().zip(all_models(n)) {
             let name = a.name();
-            let (s1, r1) = run_model(a, n, seed, recv_cap, 3, fanout, 1);
-            let (s4, r4) = run_model(b, n, seed, recv_cap, 3, fanout, 4);
+            let (s1, r1, _) = run_model(a, n, seed, recv_cap, 3, fanout, 1);
+            let (s4, r4, _) = run_model(b, n, seed, recv_cap, 3, fanout, 4);
             prop_assert_eq!(s1, s4, "stats diverged under {}", name);
             prop_assert_eq!(r1, r4, "states diverged under {}", name);
         }
@@ -217,7 +231,7 @@ proptest! {
             let stats = eng.execute(&Scatter { waves: 3, fanout }, &mut states).unwrap();
             (stats, states.iter().map(|s| s.checksum).collect::<Vec<_>>())
         };
-        let (s_explicit, r_explicit) =
+        let (s_explicit, r_explicit, _) =
             run_model(Box::new(Ncc), n, seed, recv_cap, 3, fanout, 1);
         prop_assert_eq!(s_default, s_explicit);
         prop_assert_eq!(r_default, r_explicit.iter().map(|&(_, c)| c).collect::<Vec<_>>());

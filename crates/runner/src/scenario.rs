@@ -250,10 +250,26 @@ impl ScenarioSpec {
         Ok(g)
     }
 
-    /// Instantiates the full scenario (graph + weights).
+    /// Instantiates the full scenario (graph + weights), after
+    /// [`Self::check_model`].
     pub fn build(&self) -> Result<Scenario, RunnerError> {
+        self.check_model()?;
         let graph = self.build_graph()?;
         Ok(Scenario::from_graph(self.clone(), graph))
+    }
+
+    /// Refuses a model no engine can be built for: a k-machine count past
+    /// `u32::MAX` (machine ids are `u32`).
+    pub fn check_model(&self) -> Result<(), RunnerError> {
+        match self.model {
+            ModelSpec::KMachine { k, .. } if k > u32::MAX as usize => {
+                Err(RunnerError::Scenario(format!(
+                    "KMachine k = {k} exceeds the largest machine count, {}",
+                    u32::MAX
+                )))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// The engine configuration this spec describes.

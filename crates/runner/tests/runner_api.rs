@@ -223,6 +223,27 @@ fn one_node_spec_is_a_typed_error_for_graph_algorithms() {
     }
 }
 
+/// The k-machine count is a client's number: one far past `n` runs in
+/// memory bounded by the graph and the round's messages, and one past
+/// `u32::MAX` (machine ids are `u32`) is a typed error before any graph
+/// is built.
+#[test]
+fn huge_machine_counts_run_or_are_refused() {
+    let km = |k| {
+        ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, 32, 3).with_model(ModelSpec::KMachine {
+            k,
+            link_capacity: 1,
+        })
+    };
+    let bfs = find_algorithm("bfs").unwrap();
+    let rec = run_record_threads(bfs, &km(100_000), 1).unwrap();
+    assert!(rec.verdict.ok(), "{}", rec.summary);
+    match run_record_threads(bfs, &km(u32::MAX as usize + 1), 1) {
+        Err(RunnerError::Scenario(msg)) => assert!(msg.contains("k = 4294967296"), "{msg}"),
+        other => panic!("expected a scenario error, got {other:?}"),
+    }
+}
+
 /// MST refuses, before round 0, weights its FindMin messages cannot carry.
 /// At n = 64 the default payload is 144 bits and the widest message, a
 /// range multicast hop, is 7 + (32 + 6) bits plus two keys of

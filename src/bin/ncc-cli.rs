@@ -238,6 +238,7 @@ fn spec_over(family: FamilySpec, n: usize, flags: &Flags) -> Result<ScenarioSpec
     if let Some(model) = model_from_flags(n, flags)? {
         spec = spec.with_model(model);
     }
+    spec.check_model().map_err(|e| e.to_string())?;
     Ok(spec)
 }
 
