@@ -55,10 +55,11 @@ pub trait LaneSub<'a> {
 
     /// `true` if one execution of this protocol already leaves every node
     /// knowing that the stage finished — i.e. the protocol is its own phase
-    /// barrier. A scheduler may skip the trailing [`sync_barrier`] for a
-    /// stage whose lanes are all self-synchronizing, matching the cost of
-    /// `aggregate_and_broadcast` (an Aggregate-and-Broadcast *is* the
-    /// barrier primitive of App. B.1).
+    /// barrier (an Aggregate-and-Broadcast *is* the barrier primitive of
+    /// App. B.1). The DAG scheduler owes no [`sync_barrier`] after a stage
+    /// whose lanes are all self-synchronizing, matching the cost of
+    /// `aggregate_and_broadcast`; and when such a stage follows one that
+    /// owes a barrier, it runs in that barrier's slot and carries it.
     fn self_synchronizing(&self) -> bool {
         false
     }
@@ -284,7 +285,7 @@ pub(crate) struct DagNode<'a> {
 /// ([`Dag::run`], implemented in [`crate::schedule`]) decides what runs
 /// *together* — it packs every antichain of ready protocols into shared
 /// [`ncc_model::Mux`] executions under the per-node `O(log n)` instance
-/// budget, charging one shared [`sync_barrier`] per packed stage. See the
+/// budget, with at most one shared [`sync_barrier`] per packed stage. See the
 /// [`crate::schedule`] module docs for the scheduling rules and the paper
 /// mapping.
 ///

@@ -25,8 +25,8 @@
 //! [`multicast_sub`], [`multi_aggregate_sub`]): a short sequence of
 //! streamed pipeline stages (scatter while combining, spread while
 //! delivering) that run as lanes of one [`ncc_model::Mux`], so concurrent
-//! primitive instances **share rounds, capacity and one barrier per
-//! stage** instead of queuing — the §2 "run many instances in parallel"
+//! primitive instances **share rounds, capacity and at most one barrier
+//! per stage** instead of queuing — the §2 "run many instances in parallel"
 //! argument, executable (see [`compose`] and the [`Dag`] scheduler in
 //! [`schedule`]). The blocking functions in the table above are wrappers:
 //! they build the sub and run it alone under [`run_composed`] — except

@@ -62,16 +62,6 @@ impl MulticastTrees {
         }
         best
     }
-
-    /// Total number of tree nodes across all trees (size of the forest).
-    pub fn total_tree_nodes(&self) -> usize {
-        self.leaves.iter().map(FxHashMap::len).sum::<usize>()
-            + self
-                .in_edges
-                .iter()
-                .flat_map(|lvls| lvls.iter().map(FxHashMap::len))
-                .sum::<usize>()
-    }
 }
 
 /// Per-node recording state for the tree-building routing run.
@@ -593,6 +583,5 @@ mod tests {
         let n = 16;
         let (trees, _, _) = setup(n, vec![Vec::new(); n]);
         assert_eq!(trees.congestion(), 0);
-        assert_eq!(trees.total_tree_nodes(), 0);
     }
 }

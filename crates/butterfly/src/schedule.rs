@@ -20,14 +20,17 @@
 //!   argument holds. A wider antichain is *split*: the overflow runs in the
 //!   next stage (sequential composition, the same fallback the paper uses
 //!   when more than `O(log n)` instances are needed);
-//! * one shared [`sync_barrier`] is
-//!   charged per packed stage (App. B.1's phase synchronisation, paid once
-//!   for the whole stage rather than once per primitive) — except for
-//!   stages whose lanes are all
+//! * each packed stage *owes* one shared [`sync_barrier`] (App. B.1's
+//!   phase synchronisation, paid once for the whole stage rather than once
+//!   per primitive) — except stages whose lanes are all
 //!   [self-synchronizing](crate::compose::LaneSub::self_synchronizing)
 //!   (Aggregate-and-Broadcast *is* the barrier primitive, so a stage of
 //!   A&B lanes ends synchronised for free, matching the cost of
 //!   `aggregate_and_broadcast` run alone);
+//! * an owed barrier is paid just before the next packed stage — unless
+//!   that stage is all self-synchronizing, in which case it runs in the
+//!   barrier's slot and **carries** it (see below). A barrier still owed
+//!   when the DAG finishes is paid at the end;
 //! * multi-stage primitives (Aggregation's combine→deliver, …) keep
 //!   contributing lanes stage after stage until done, so their internal
 //!   phases also share barriers with whatever else is in flight.
@@ -36,13 +39,35 @@
 //! execute the *same* lane/stage/barrier sequence — bit-identical rounds,
 //! drops and outputs — while the DAG form deletes the bespoke lane
 //! plumbing (see `crates/butterfly/tests/schedule_props.rs` for the
-//! property-level equivalence proof).
+//! property-level equivalence proof). The one difference is the carried
+//! barrier, which makes a DAG one barrier cheaper per carrying stage.
+//!
+//! # The carried barrier
+//!
+//! The per-phase consensus of most algorithms (bfs/mis/coloring/apsp's
+//! `check`, orientation's aggregates) is an A&B whose input is final once
+//! the stage before it is quiescent. Paying that stage's barrier and then
+//! the consensus runs two back-to-back A&Bs where one suffices. Let the
+//! stage quiesce at round `t` and let `B` be the A&B's length:
+//!
+//! * quiescence at round `t` is unchanged;
+//! * before: the barrier ran in rounds `t+1…t+B`, the consensus in
+//!   `t+B+1…t+2B`;
+//! * after: the consensus runs in rounds `t+1…t+B`. Its inputs are outputs
+//!   of DAG nodes that were already done at quiescence, so they are final
+//!   when the barrier would have started;
+//! * every node still learns "the stage finished" at round `t+B` — the
+//!   consensus is an A&B, so it ends synchronised exactly like the barrier
+//!   — and it learns the consensus value `B` rounds earlier than before;
+//! * asymptotics are unchanged: still one `O(log n)` synchronisation per
+//!   phase where one is needed.
 //!
 //! # Packing plan introspection
 //!
 //! Every run returns a [`SchedReport`]: the budget, and per stage the
 //! packed lanes (with per-lane [`LaneStats`]), any deferred (budget-split)
-//! nodes, the rounds spent and whether a barrier was charged. The runner
+//! nodes, the rounds spent, whether a barrier was charged after it and
+//! whether it carried the barrier of the stage before it. The runner
 //! echoes its headline numbers into `RunRecord.metrics`, and
 //! `ncc-cli explain <algo>` prints it as a table.
 
@@ -80,9 +105,13 @@ pub struct PackedStage {
     pub deferred: Vec<String>,
     /// Statistics of the shared execution (barrier excluded).
     pub stats: ExecStats,
-    /// Whether a trailing `sync_barrier` was charged (false when every
-    /// lane was self-synchronizing).
+    /// Whether a `sync_barrier` was charged after this stage (false when
+    /// every lane was self-synchronizing, or when the next stage carried
+    /// the barrier).
     pub barrier: bool,
+    /// Whether this all-A&B stage ran in the barrier slot of the stage
+    /// before it, carrying that stage's barrier.
+    pub carried: bool,
 }
 
 impl PackedStage {
@@ -132,6 +161,11 @@ impl SchedReport {
     pub fn barriers(&self) -> usize {
         self.stages.iter().filter(|s| s.barrier).count()
     }
+
+    /// Stages that carried the barrier of the stage before them.
+    pub fn carried(&self) -> usize {
+        self.stages.iter().filter(|s| s.carried).count()
+    }
 }
 
 /// Result of one [`Dag::run`]: typed outputs, total engine statistics
@@ -165,6 +199,8 @@ impl<'a> Dag<'a> {
             budget,
             stages: Vec::new(),
         };
+        // Whether the last stage pushed still owes its `sync_barrier`.
+        let mut owed = false;
 
         loop {
             // Settle to a fixpoint: finish quiesced lanes, run ready
@@ -226,12 +262,14 @@ impl<'a> Dag<'a> {
             let mut b = MuxBuilder::new(n).with_lane_budget(budget);
             let mut installed: Vec<(usize, ncc_model::LaneId)> = Vec::new();
             let mut deferred: Vec<String> = Vec::new();
+            let mut all_sync = true;
             for i in 0..nodes.len() {
                 if let NodeState::Running(lane) = &mut nodes[i].state {
                     if installed.len() >= budget {
                         deferred.push(nodes[i].label.clone());
                         continue;
                     }
+                    all_sync &= lane.self_synchronizing();
                     lane.pace(share);
                     let id = lane
                         .install(&mut b)
@@ -253,35 +291,43 @@ impl<'a> Dag<'a> {
                 break;
             }
 
+            // The previous stage's barrier: an all-A&B stage runs in its
+            // slot and carries it, any other stage waits for it.
+            let carried = owed && all_sync;
+            if owed && !all_sync {
+                pay_barrier(engine, &mut total, &mut report)?;
+            }
+
             // One shared execution for the whole antichain...
             let (mux, mut states) = b.build();
             let stats = engine.execute(&mux, &mut states)?;
             total.merge(&stats);
             let per_lane = lane_stats(&states);
-            let mut all_sync = true;
             let mut lanes = Vec::with_capacity(installed.len());
             for (k, (i, id)) in installed.iter().enumerate() {
                 let NodeState::Running(lane) = &mut nodes[*i].state else {
                     unreachable!()
                 };
-                all_sync &= lane.self_synchronizing();
                 lane.collect(*id, &mut states);
                 lanes.push(LaneRecord {
                     label: nodes[*i].label.clone(),
                     stats: per_lane[k],
                 });
             }
-            // ...and one shared barrier, unless the lanes synchronised
-            // themselves (all-A&B stages, matching `aggregate_and_broadcast`).
-            if !all_sync {
-                total.merge(&sync_barrier(engine)?);
-            }
             report.stages.push(PackedStage {
                 lanes,
                 deferred,
                 stats,
-                barrier: !all_sync,
+                barrier: false,
+                carried,
             });
+            // ...which owes one shared barrier, unless its lanes
+            // synchronised themselves (matching `aggregate_and_broadcast`).
+            owed = !all_sync;
+        }
+        // A barrier still owed when the DAG finishes is paid here.
+        if owed {
+            pay_barrier(engine, &mut total, &mut report)?;
         }
 
         Ok(DagRun {
@@ -292,16 +338,43 @@ impl<'a> Dag<'a> {
     }
 }
 
+/// Pays the `sync_barrier` owed by the last stage of `report`.
+fn pay_barrier(
+    engine: &mut Engine,
+    total: &mut ExecStats,
+    report: &mut SchedReport,
+) -> Result<(), ModelError> {
+    total.merge(&sync_barrier(engine)?);
+    report
+        .stages
+        .last_mut()
+        .expect("only a stage owes a barrier")
+        .barrier = true;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::{ab_sub, aggregate_and_broadcast};
+    use crate::aggregation::{ab_sub, aggregate_and_broadcast, aggregation_sub, AggregationSpec};
     use crate::combine::{MaxU64, MinU64, SumU64};
-    use crate::compose::Dep;
+    use crate::compose::{run_composed, Dep};
+    use crate::topology::GroupId;
+    use ncc_hashing::SharedRandomness;
     use ncc_model::NetConfig;
 
     fn engine(n: usize) -> Engine {
         Engine::new(NetConfig::new(n, 77))
+    }
+
+    /// Node `u` sends `u` to group `u mod 4`: a two-stage, barriered lane.
+    fn agg_spec(n: usize) -> AggregationSpec<u64> {
+        AggregationSpec {
+            memberships: (0..n as u32)
+                .map(|u| vec![(GroupId::new(u % 4, 0), u as u64)])
+                .collect(),
+            ell2_hat: 1,
+        }
     }
 
     #[test]
@@ -434,6 +507,66 @@ mod tests {
         let mut dag = Dag::new();
         let b = dag.compute("b", &[], |_| 2u64);
         let _ = dag.compute("c", &[Dep(b.idx + 1)], |_| 3u64);
+    }
+
+    #[test]
+    fn trailing_barrier_is_still_paid() {
+        let n = 32;
+        let shared = SharedRandomness::new(5);
+        let mut eng = engine(n);
+        let mut sub = aggregation_sub(n, &shared, agg_spec(n), &SumU64, 9);
+        let (composed, _) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
+        let mut eng = engine(n);
+        let mut dag = Dag::new();
+        let shared = &shared;
+        dag.proto(
+            "agg",
+            &[],
+            move |_| aggregation_sub(n, shared, agg_spec(n), &SumU64, 9),
+            |s| s.into_deliveries(),
+        );
+        let run = dag.run(&mut eng).unwrap();
+        // combine and deliver each charge a barrier; nothing carries the
+        // last one, so the DAG pays it exactly as `run_composed` does
+        assert_eq!(run.report.stages.len(), 2);
+        assert!(run.report.stages.iter().all(|s| s.barrier && !s.carried));
+        assert_eq!(run.stats, composed);
+    }
+
+    #[test]
+    fn split_ab_antichain_carries_the_barrier_once() {
+        let n = 32;
+        let shared = SharedRandomness::new(5);
+        let mut eng = engine(n);
+        let mut dag = Dag::new();
+        let shared = &shared;
+        let agg = dag.proto(
+            "agg",
+            &[],
+            move |_| aggregation_sub(n, shared, agg_spec(n), &SumU64, 9),
+            |s| s.into_deliveries(),
+        );
+        for j in 0..3u64 {
+            dag.proto(
+                format!("check{j}"),
+                &[agg.into()],
+                move |_| ab_sub(n, vec![Some(j); n], &MaxU64),
+                |s| s.into_results(),
+            );
+        }
+        let run = dag.run_budgeted(&mut eng, 2).unwrap();
+        // combine (barrier), deliver (barrier carried), checks 0–1
+        // (carry it, check2 deferred), check2 (nothing owed)
+        let st = &run.report.stages;
+        assert_eq!(st.len(), 4);
+        assert_eq!(
+            st.iter()
+                .map(|s| (s.barrier, s.carried))
+                .collect::<Vec<_>>(),
+            [(true, false), (false, false), (false, true), (false, false)]
+        );
+        assert_eq!(st[2].deferred, ["check2"]);
+        assert_eq!((run.report.barriers(), run.report.carried()), (1, 1));
     }
 
     #[test]

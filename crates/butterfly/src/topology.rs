@@ -100,13 +100,6 @@ impl Butterfly {
         ((alpha ^ target) >> i) & 1 == 1
     }
 
-    /// The two columns adjacent to `(i, α)` at level `i+1` (straight, cross).
-    #[inline]
-    pub fn down_neighbors(&self, alpha: u32, i: u32) -> (u32, u32) {
-        debug_assert!(i < self.d);
-        (alpha, alpha ^ (1 << i))
-    }
-
     /// Walks the unique path from `(0, src)` to `(d, target)`, returning the
     /// sequence of columns visited (length `d + 1`).
     pub fn path_columns(&self, src: u32, target: u32) -> Vec<u32> {
@@ -209,14 +202,6 @@ mod tests {
         // same bit: straight
         assert!(!b.route_is_cross(0b0101, 2, 0b0111));
         assert_eq!(b.route_step(0b0101, 2, 0b0111), 0b0101);
-    }
-
-    #[test]
-    fn down_neighbors_differ_at_level_bit() {
-        let b = Butterfly::for_n(32);
-        let (s, c) = b.down_neighbors(0b01010, 3);
-        assert_eq!(s, 0b01010);
-        assert_eq!(c, 0b00010);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! equivalent to hand-fusing the same lanes through [`run_composed`] —
 //! across thread counts and capacity regimes — and a lane budget narrower
 //! than the antichain must split it into sequential stages without
-//! changing any output.
+//! changing any output. An A&B that depends on a barriered stage runs in
+//! that stage's barrier slot: one barrier cheaper, same outputs.
 
 use ncc_butterfly::{
-    ab_sub, aggregation_sub, run_composed, AggregationSpec, Dag, GroupId, LaneSub, MaxU64, SumU64,
+    ab_sub, aggregate_and_broadcast, aggregation_sub, run_composed, sync_barrier, AggregationSpec,
+    Dag, GroupId, LaneSub, MaxU64, SumU64,
 };
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Capacity, Engine, NetConfig};
@@ -125,6 +127,79 @@ fn run_dag(
     )
 }
 
+/// One aggregation's sorted deliveries, per node.
+type LaneDeliveries = Vec<Vec<(GroupId, u64)>>;
+
+/// Per node, the sum of the values delivered to it (`None` if nothing
+/// was): the node-local step between an aggregation and its consensus.
+fn delivered_sums(deliveries: &[Vec<(GroupId, u64)>]) -> Vec<Option<u64>> {
+    deliveries
+        .iter()
+        .map(|d| d.iter().map(|(_, v)| *v).reduce(|a, b| a + b))
+        .collect()
+}
+
+/// Aggregation → compute → dependent A&B, run without the scheduler:
+/// [`run_composed`] on the aggregation (a barrier after each of its
+/// stages), then [`aggregate_and_broadcast`] on its per-node sums.
+/// Returns (sorted deliveries, A&B results, rounds).
+fn run_chain_sequential(
+    n: usize,
+    seed: u64,
+    unbounded: bool,
+) -> (LaneDeliveries, Vec<Option<u64>>, u64) {
+    let shared = SharedRandomness::new(seed ^ 0xF00D);
+    let mut eng = engine(n, seed, 1, unbounded);
+    let mut agg = aggregation_sub(n, &shared, make_spec(n, 0), &SumU64, 40);
+    let (agg_stats, _) = run_composed(&mut eng, &mut [&mut agg]).unwrap();
+    let deliveries: Vec<_> = agg.into_deliveries().into_iter().map(sorted).collect();
+    let (ab, ab_stats) =
+        aggregate_and_broadcast(&mut eng, delivered_sums(&deliveries), &SumU64).unwrap();
+    (deliveries, ab, agg_stats.rounds + ab_stats.rounds)
+}
+
+/// The same chain declared as a [`Dag`]: the A&B carries the barrier of
+/// the aggregation's last stage.
+fn run_chain_dag(
+    n: usize,
+    seed: u64,
+    threads: usize,
+    unbounded: bool,
+) -> (
+    LaneDeliveries,
+    Vec<Option<u64>>,
+    u64,
+    ncc_butterfly::SchedReport,
+) {
+    let shared = SharedRandomness::new(seed ^ 0xF00D);
+    let mut eng = engine(n, seed, threads, unbounded);
+    let mut dag = Dag::new();
+    let shared = &shared;
+    let agg = dag.proto(
+        "agg",
+        &[],
+        move |_| aggregation_sub(n, shared, make_spec(n, 0), &SumU64, 40),
+        |s| s.into_deliveries(),
+    );
+    let sums = dag.compute("sums", &[agg.into()], move |d| {
+        delivered_sums(d.get(agg).as_slice())
+    });
+    let ab = dag.proto(
+        "total",
+        &[sums.into()],
+        move |d| ab_sub(n, d.get(sums).clone(), &SumU64),
+        |s| s.into_results(),
+    );
+    let mut run = dag.run(&mut eng).unwrap();
+    let deliveries = run.outputs.take(agg).into_iter().map(sorted).collect();
+    (
+        deliveries,
+        run.outputs.take(ab),
+        run.stats.rounds,
+        run.report,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 12,
@@ -191,5 +266,38 @@ proptest! {
             k + 1,
             budget
         );
+    }
+
+    /// A dependent A&B runs in the barrier slot of the aggregation's last
+    /// stage: exactly one `sync_barrier` cheaper than paying that barrier
+    /// and then running the A&B, with the same outputs (unbounded caps,
+    /// so the shifted rounds cannot change a drop).
+    #[test]
+    fn dependent_ab_carries_the_barrier(
+        n in 16usize..48,
+        seed in 0u64..1_000,
+    ) {
+        let barrier = sync_barrier(&mut engine(n, seed, 1, true)).unwrap().rounds;
+        let (want_d, want_ab, want_rounds) = run_chain_sequential(n, seed, true);
+        let (deliveries, ab, rounds, report) = run_chain_dag(n, seed, 1, true);
+        prop_assert_eq!(&deliveries, &want_d, "deliveries diverge");
+        prop_assert_eq!(&ab, &want_ab, "A&B results diverge");
+        prop_assert_eq!(rounds + barrier, want_rounds, "not exactly one barrier saved");
+        prop_assert_eq!((report.barriers(), report.carried()), (1, 1));
+        prop_assert!(report.stages.last().unwrap().carried);
+    }
+
+    /// Under tight caps the carried chain is still a function of the seed
+    /// alone: identical outputs and rounds at 1 and 4 threads.
+    #[test]
+    fn carried_chain_is_thread_invariant(
+        n in 16usize..48,
+        seed in 0u64..1_000,
+    ) {
+        let (d1, ab1, r1, _) = run_chain_dag(n, seed, 1, false);
+        let (d4, ab4, r4, _) = run_chain_dag(n, seed, 4, false);
+        prop_assert_eq!(&d4, &d1, "thread count changed deliveries");
+        prop_assert_eq!(&ab4, &ab1, "thread count changed A&B results");
+        prop_assert_eq!(r4, r1, "thread count changed rounds");
     }
 }

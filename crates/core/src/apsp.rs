@@ -11,7 +11,8 @@
 //! spreads are mutually independent, so they are declared as `L` root
 //! nodes of a protocol [`Dag`] and the scheduler packs them into one mux
 //! automatically, within the `O(log n)` lane budget; the termination
-//! consensus hangs off the combine step as a barrier-free solo stage.
+//! consensus hangs off the combine step as a solo A&B stage that runs in
+//! the spreads' barrier slot.
 //!
 //! Every node ends with its exact distance to every landmark, i.e. an
 //! `L`-entry distance sketch. Two sketches give the classic landmark
@@ -163,7 +164,8 @@ pub fn landmark_apsp(
                 .collect();
             (dist, next, newly)
         });
-        // termination consensus (self-synchronizing — no extra barrier)
+        // termination consensus (self-synchronizing: carries the spreads'
+        // barrier)
         let check = dag.proto(
             format!("p{phase}:check"),
             &[combine.into()],
@@ -294,7 +296,7 @@ mod tests {
     #[test]
     fn plan_packs_spreads_into_shared_stages() {
         // phase 1: all L spreads are an antichain within the lane budget →
-        // exactly 3 stages (spread ×2 barriered, check barrier-free)
+        // exactly 3 stages (spread ×2, then the check in their barrier slot)
         let g = gen::gnp(64, 0.2, 3);
         let r = run(&g, 11, None);
         let l = r.landmarks.len();
@@ -302,8 +304,15 @@ mod tests {
         assert_eq!(first.lanes.len(), l, "all spreads must share one mux");
         assert!(first.barrier);
         assert!(r.plan.max_lanes() <= r.plan.budget);
-        // the check stages pay no barrier
+        // one charged barrier per phase: the check stages carry the
+        // second spread stage's barrier and pay none
+        let phases = r.plan.stages.len() / 3;
+        assert_eq!(r.plan.stages.len(), 3 * phases);
+        assert_eq!(r.plan.barriers(), phases);
+        assert_eq!(r.plan.carried(), phases);
         for ph in r.plan.stages.chunks(3) {
+            assert!(ph[0].barrier && !ph[1].barrier);
+            assert!(ph[2].carried, "A&B check must carry the spread's barrier");
             assert!(!ph[2].barrier, "A&B check must not pay a barrier");
         }
     }

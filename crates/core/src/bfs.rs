@@ -9,8 +9,9 @@
 //!
 //! Each phase is *declared* as a protocol [`Dag`]: frontier spread →
 //! node-local frontier update → termination check, and the scheduler packs
-//! and barriers the stages (the check is an A&B, so it self-synchronises
-//! and costs no extra barrier — same round count as the hand-fused path).
+//! and barriers the stages. The check is an A&B, so it self-synchronises
+//! and runs in the barrier slot of the spread's last stage: the phase
+//! pays one barrier, not a barrier and then the check.
 
 use ncc_butterfly::{ab_sub, lane_seed, multi_aggregate_sub, Dag, MaxU64, MinU64, SchedReport};
 use ncc_graph::Graph;
@@ -89,7 +90,7 @@ pub fn bfs(
                 })
                 .collect::<Vec<Option<u64>>>()
         });
-        // termination consensus (also the phase barrier)
+        // termination consensus (carries the spread's barrier)
         let check = dag.proto(
             format!("p{phase}:check"),
             &[newly.into()],
@@ -208,14 +209,17 @@ mod tests {
 
     #[test]
     fn plan_packs_check_without_barrier() {
-        // every phase: spread pipeline (2 stages, barriered) then the A&B
-        // check (self-synchronizing, no barrier) — the same cost structure
-        // the hand-fused path had
+        // every phase: spread pipeline (2 stages) then the A&B check, which
+        // runs in the second spread stage's barrier slot — one charged
+        // barrier per phase
         let g = gen::grid(4, 4);
         let r = run(&g, 0, 9);
         assert_eq!(r.plan.stages.len() as u32, 3 * r.phases);
+        assert_eq!(r.plan.barriers() as u32, r.phases);
+        assert_eq!(r.plan.carried() as u32, r.phases);
         for ph in r.plan.stages.chunks(3) {
-            assert!(ph[0].barrier && ph[1].barrier);
+            assert!(ph[0].barrier && !ph[1].barrier);
+            assert!(ph[2].carried, "A&B check must carry the spread's barrier");
             assert!(!ph[2].barrier, "A&B check must not pay a barrier");
             assert_eq!(ph[2].lanes.len(), 1);
         }

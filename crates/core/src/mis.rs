@@ -10,8 +10,8 @@
 //!
 //! Each phase is declared as a protocol [`Dag`] — draw → join decision →
 //! announce → termination check — and the scheduler serialises the chain
-//! (every node depends on its predecessor) while charging the same stages
-//! and barriers as the hand-fused lane code did.
+//! (every node depends on its predecessor). The check is an A&B, so it
+//! runs in the barrier slot of the announce stage before it.
 
 use ncc_butterfly::{
     ab_sub, lane_seed, multi_aggregate_sub, Dag, GroupId, MaxU64, MinU64, SchedReport,

@@ -38,11 +38,11 @@
 //! coloring consumes.
 //!
 //! Each phase is declared as a handful of protocol [`Dag`]s whose antichains
-//! the scheduler packs exactly as the hand-fused lane code did: the phase-1
-//! Δ agreement rides stage 1's aggregation, the d* agreement rides the
-//! identification, and every consensus (`avg`, `flags`, `continue`) hangs
-//! off a compute node so it runs as a barrier-free solo stage — the same
-//! rounds as the old blocking calls, declared instead of hand-sequenced.
+//! the scheduler packs: the phase-1 Δ agreement rides stage 1's
+//! aggregation, the d* agreement rides the identification, and every
+//! consensus (`avg`, `flags`, `continue`) hangs off a compute node so it
+//! runs as a solo A&B stage in the barrier slot of the stage before it —
+//! one barrier fewer per consensus than the old blocking calls.
 
 use std::cell::OnceCell;
 

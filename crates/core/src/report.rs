@@ -26,17 +26,6 @@ impl AlgoReport {
         self.stages.push((label.into(), stats));
     }
 
-    /// Sums the stats of all stages whose label starts with `prefix`.
-    pub fn stage_total(&self, prefix: &str) -> ExecStats {
-        let mut acc = ExecStats::default();
-        for (label, s) in &self.stages {
-            if label.starts_with(prefix) {
-                acc.merge(s);
-            }
-        }
-        acc
-    }
-
     /// Number of stages with the given label prefix.
     pub fn stage_count(&self, prefix: &str) -> usize {
         self.stages
@@ -102,7 +91,6 @@ mod tests {
         r.push("phase", stats(7));
         r.push("phase", stats(9));
         assert_eq!(r.total.rounds, 21);
-        assert_eq!(r.stage_total("phase").rounds, 16);
         assert_eq!(r.stage_count("phase"), 2);
         assert_eq!(r.stage_count("setup"), 1);
         assert_eq!(r.stage_count("missing"), 0);

@@ -28,21 +28,6 @@ pub fn kruskal_mst_weight(g: &WeightedGraph) -> Weight {
     total
 }
 
-/// Reference MST edge set via Kruskal with (weight, edge) tie-breaking.
-pub fn kruskal_mst_edges(g: &WeightedGraph) -> Vec<(NodeId, NodeId)> {
-    let mut edges: Vec<(Weight, NodeId, NodeId)> =
-        g.weighted_edges().map(|(u, v, w)| (w, u, v)).collect();
-    edges.sort_unstable();
-    let mut dsu = Dsu::new(g.n());
-    let mut out = Vec::new();
-    for (_, u, v) in edges {
-        if dsu.union(u, v) {
-            out.push((u, v));
-        }
-    }
-    out
-}
-
 /// Verifies that `edges` is a minimum spanning forest of `g`:
 /// spanning (connects exactly what `g` connects), acyclic, and of minimum
 /// total weight (compared against Kruskal).
@@ -211,19 +196,25 @@ pub fn check_orientation(g: &Graph, directed: &[(NodeId, NodeId)], bound: usize)
     Ok(())
 }
 
-/// Maximum outdegree of an orientation (for reporting the measured constant).
-pub fn orientation_max_outdegree(n: usize, directed: &[(NodeId, NodeId)]) -> usize {
-    let mut outdeg = vec![0usize; n];
-    for &(u, _) in directed {
-        outdeg[u as usize] += 1;
-    }
-    outdeg.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+
+    /// Reference MST edge set via Kruskal with (weight, edge) tie-breaking.
+    fn kruskal_mst_edges(g: &WeightedGraph) -> Vec<(NodeId, NodeId)> {
+        let mut edges: Vec<(Weight, NodeId, NodeId)> =
+            g.weighted_edges().map(|(u, v, w)| (w, u, v)).collect();
+        edges.sort_unstable();
+        let mut dsu = Dsu::new(g.n());
+        let mut out = Vec::new();
+        for (_, u, v) in edges {
+            if dsu.union(u, v) {
+                out.push((u, v));
+            }
+        }
+        out
+    }
 
     fn diamond() -> Graph {
         Graph::from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -330,7 +321,6 @@ mod tests {
         let g = gen::star(5);
         let all_in: Vec<_> = (1..5).map(|v| (v as NodeId, 0)).collect();
         assert!(check_orientation(&g, &all_in, 1).is_ok());
-        assert_eq!(orientation_max_outdegree(5, &all_in), 1);
         // all-out violates bound 1
         let all_out: Vec<_> = (1..5).map(|v| (0, v as NodeId)).collect();
         assert!(check_orientation(&g, &all_out, 1).is_err());

@@ -181,14 +181,6 @@ impl Graph {
             .max()
             .unwrap_or(0)
     }
-
-    pub fn avg_degree(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            (2 * self.m()) as f64 / self.n as f64
-        }
-    }
 }
 
 /// Serialize graphs as `(n, edge list)` — stable and compact.
@@ -357,7 +349,6 @@ mod tests {
         let e: Vec<_> = g.edges().collect();
         assert_eq!(e, vec![(0, 1), (0, 2), (1, 2)]);
         assert_eq!(g.max_degree(), 2);
-        assert!((g.avg_degree() - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -112,12 +112,6 @@ pub fn id_bits(n: usize) -> u32 {
     crate::ilog2_ceil(n).max(1)
 }
 
-/// Bit width of a directed edge identifier `id(u) ∘ id(v)` (§2.2).
-#[inline]
-pub fn edge_id_bits(n: usize) -> u32 {
-    2 * id_bits(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,7 +168,6 @@ mod tests {
     fn id_bit_widths() {
         assert_eq!(id_bits(2), 1);
         assert_eq!(id_bits(1024), 10);
-        assert_eq!(edge_id_bits(1024), 20);
         // n = 1 still needs one bit to name a node
         assert_eq!(id_bits(1), 1);
     }

@@ -168,7 +168,9 @@ pub fn run_checked(
 
 /// [`run_checked`] that also renders the run's packing plan for human eyes
 /// (`ncc-cli explain`): one line per packed stage — lanes vs budget,
-/// barrier, rounds, lane labels — plus a totals line. The text is `None`
+/// barrier (charged, or `carries` for an all-A&B stage run in the
+/// previous stage's barrier slot), rounds, lane labels — plus a totals
+/// line. The text is `None`
 /// when the algorithm is not DAG-declared; the record is the one
 /// [`run_checked`] returns.
 pub fn explain_text(
@@ -198,7 +200,11 @@ pub fn explain_text(
             i + 1,
             st.lanes.len(),
             plan.budget,
-            if st.barrier { "barrier" } else { "       " },
+            match (st.barrier, st.carried) {
+                (true, _) => "barrier",
+                (_, true) => "carries",
+                _ => "       ",
+            },
             st.rounds(),
             labels.join(" "),
             if st.deferred.is_empty() {
@@ -210,12 +216,13 @@ pub fn explain_text(
     }
     let _ = writeln!(
         out,
-        "total: {} stages, {} lane-stages, max {}/{} lanes, {} barriers, {} budget splits",
+        "total: {} stages, {} lane-stages, max {}/{} lanes, {} barriers charged, {} carried, {} budget splits",
         plan.stages.len(),
         plan.lane_stages(),
         plan.max_lanes(),
         plan.budget,
         plan.barriers(),
+        plan.carried(),
         plan.splits()
     );
     Ok((Some(out), rec))

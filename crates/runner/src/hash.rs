@@ -60,13 +60,6 @@ pub fn spec_hash(spec: &ScenarioSpec) -> SpecHash {
     SpecHash(fnv1a64(canonical_spec_json(spec).as_bytes()))
 }
 
-impl ScenarioSpec {
-    /// [`spec_hash`] as a method, for call-site ergonomics.
-    pub fn content_hash(&self) -> SpecHash {
-        spec_hash(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,7 +70,6 @@ mod tests {
     fn hash_is_stable_across_clones_and_calls() {
         let spec = ScenarioSpec::new(FamilySpec::Gnp { p: 0.25 }, 64, 7);
         assert_eq!(spec_hash(&spec), spec_hash(&spec.clone()));
-        assert_eq!(spec.content_hash(), spec_hash(&spec));
     }
 
     #[test]
