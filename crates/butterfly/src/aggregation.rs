@@ -5,8 +5,8 @@
 //! global load (total memberships), `ℓ₁` the maximum memberships per node
 //! and `ℓ̂₂` a known bound on targets per node.
 //!
-//! One pipeline — the [`AggregationSub`] lane, two stages with a
-//! [`sync_barrier`] (App. B.1 synchronisation) after each:
+//! One pipeline — the [`AggregationSub`] lane, two stages, each followed
+//! by one synchronisation:
 //!
 //! 1. **Scatter + combine** — every node sends its packets
 //!    `(group, value)` in batches of `⌈log n⌉` per round to uniformly
@@ -18,9 +18,14 @@
 //!    **combine** via the distributive aggregate; packets of different
 //!    groups contending for one butterfly edge wait in the column's
 //!    [`RouteQueue`], which holds the contention rule.
+//!    No node can tell locally that the combine is done, so the stage
+//!    ends on a [`sync_barrier`] (App. B.1 synchronisation).
 //! 2. **Postprocessing** — each level-`d` node delivers every finished
 //!    group aggregate to its target in a round chosen uniformly from
-//!    `{1..⌈ℓ̂₂/log n⌉}`, smoothing the receive load.
+//!    `{1..⌈ℓ̂₂/log n⌉}`, smoothing the receive load. Every node knows
+//!    from ℓ̂₂ and `n` when the last delivery lands, so the stage ends on
+//!    the clock ([`StageEnd::Within`]): a pad of idle rounds to that
+//!    bound, or the barrier when it is sooner.
 //!
 //! [`aggregate`] builds that lane and drives it alone under
 //! [`run_composed`]; algorithms put the same lane
@@ -45,7 +50,7 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Paylo
 use rand::Rng;
 
 use crate::combine::Aggregate;
-use crate::compose::{lane_seed, run_composed};
+use crate::compose::{lane_seed, run_composed, StageEnd};
 use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::topology::{Butterfly, GroupId};
 
@@ -529,6 +534,15 @@ impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for Aggregatio
     fn is_done(&self) -> bool {
         self.out.is_some()
     }
+
+    fn stage_end(&self) -> StageEnd {
+        // deliveries leave in local rounds `0..spread` and the last lands
+        // in round `spread`: the stage is over within `spread + 1` rounds
+        match &self.del {
+            Some((p, _)) => StageEnd::Within(p.spread + 1),
+            None => StageEnd::Barrier,
+        }
+    }
 }
 
 /// Runs the full Aggregation Algorithm. Every group's inputs are combined
@@ -669,7 +683,7 @@ pub(crate) mod tests {
         let n = 16;
         let (out, stats) = run_sum(n, vec![Vec::new(); n], 1);
         assert!(out.iter().all(Vec::is_empty));
-        // the two stage barriers still run: O(log n) each
+        // the combine's barrier and the delivery's pad still run: O(log n)
         assert!(stats.rounds < 40, "rounds {}", stats.rounds);
     }
 
@@ -1123,6 +1137,15 @@ where
     fn is_done(&self) -> bool {
         self.out.is_some()
     }
+
+    fn stage_end(&self) -> StageEnd {
+        // deliveries leave in local rounds `0..spread` and the last lands
+        // in round `spread`: the stage is over within `spread + 1` rounds
+        match &self.del {
+            Some((p, _)) => StageEnd::Within(p.spread + 1),
+            None => StageEnd::Barrier,
+        }
+    }
 }
 
 /// Runs Multi-Aggregation (Theorem 2.6): every source `s_i` multicasts
@@ -1409,11 +1432,21 @@ impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AbSub<'a, 
         self.out.is_some()
     }
 
-    fn self_synchronizing(&self) -> bool {
+    fn stage_end(&self) -> StageEnd {
         // A&B ends with everyone knowing the result — it IS the barrier
         // primitive (App. B.1), so a stage made only of A&B lanes needs no
         // trailing `sync_barrier` (matching [`aggregate_and_broadcast`]'s cost).
-        true
+        StageEnd::SelfSync
+    }
+}
+
+/// Rounds one [`sync_barrier`] takes on `n` nodes when none of its
+/// messages is dropped: `2d + 2` on `2^d` nodes, one more to inform the
+/// attached nodes otherwise, and none on one node.
+pub(crate) fn barrier_rounds(n: usize) -> u64 {
+    match n {
+        0 | 1 => 0,
+        _ => 2 * ncc_model::ilog2_floor(n) as u64 + 2 + !n.is_power_of_two() as u64,
     }
 }
 
@@ -1520,6 +1553,14 @@ mod ab_tests {
             "rounds {}",
             stats.rounds
         );
+    }
+
+    #[test]
+    fn barrier_rounds_is_the_barrier_length() {
+        for n in [1usize, 2, 3, 4, 7, 48, 64, 100, 128] {
+            let stats = sync_barrier(&mut engine(n)).unwrap();
+            assert_eq!(barrier_rounds(n), stats.rounds, "n = {n}");
+        }
     }
 
     /// `aggregate_and_broadcast` executes `AbProgram` directly; a one-node

@@ -10,16 +10,21 @@
 //!   that carries its per-node states into the next stage;
 //! * [`run_composed`] aligns the current stages of all sub-protocols as
 //!   lanes of one mux execution, so concurrent primitives share rounds,
-//!   capacity and drop sampling exactly as one program — then charges **one**
-//!   [`sync_barrier`] for the whole stage (instead of one per primitive, the
-//!   cost model of App. B.1's phase synchronisation);
+//!   capacity and drop sampling exactly as one program — then settles
+//!   **one sync per stage** for the whole stage (instead of one per
+//!   primitive, the cost model of App. B.1's phase synchronisation): a
+//!   [`sync_barrier`], nothing when every lane is its own barrier, or a
+//!   *pad* of idle rounds to a bound every node knows (see
+//!   [`StageEnd`]). The [`Dag`] scheduler settles its stages by the same
+//!   rule, and may also let an all-A&B stage carry the sync owed before
+//!   it: one sync per stage — a barrier, carried, or a pad;
 //! * sub-protocols with fewer stages simply contribute nothing to the later
 //!   executions; outputs are collected from the final states.
 //!
 //! Each primitive has exactly one implementation, its [`LaneSub`]. The
 //! blocking entry points (`aggregate`, `multicast_setup`, `multicast`,
 //! `multi_aggregate`) build that sub and hand it, alone, to
-//! [`run_composed`] — the same stages, barriers and round count a one-node
+//! [`run_composed`] — the same stages, syncs and round count a one-node
 //! [`Dag`] holding the sub gets. Aggregate-and-Broadcast is the exception:
 //! it is one plain program and its own barrier, so
 //! [`aggregate_and_broadcast`](crate::aggregation::aggregate_and_broadcast)
@@ -27,7 +32,81 @@
 
 use ncc_model::{Engine, ExecStats, LaneId, ModelError, MuxBuilder, MuxState};
 
-use crate::aggregation::sync_barrier;
+use crate::aggregation::{barrier_rounds, sync_barrier};
+
+/// How every node learns that a lane's current stage is over, and so what
+/// the stage owes before the next one may start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageEnd {
+    /// No node can tell locally: the stage owes a [`sync_barrier`].
+    Barrier,
+    /// The stage ends with every node knowing it ended: it is its own
+    /// phase barrier (an Aggregate-and-Broadcast *is* the barrier
+    /// primitive of App. B.1), so it owes nothing.
+    SelfSync,
+    /// The stage is over within this many rounds of its start, a bound
+    /// every node computes from common knowledge (ℓ̂₂ and `n`, or a
+    /// declared window): the nodes learn the end from the clock, and the
+    /// stage owes a pad of idle rounds up to the bound.
+    Within(u64),
+}
+
+impl StageEnd {
+    /// The end of a stage whose lanes end as `self` and `other`: all
+    /// self-synchronizing stays self-synchronizing, all fixed-duration
+    /// ends at the largest bound, and any other mix needs a barrier.
+    pub(crate) fn join(self, other: StageEnd) -> StageEnd {
+        match (self, other) {
+            (StageEnd::SelfSync, StageEnd::SelfSync) => StageEnd::SelfSync,
+            (StageEnd::Within(a), StageEnd::Within(b)) => StageEnd::Within(a.max(b)),
+            _ => StageEnd::Barrier,
+        }
+    }
+}
+
+/// What a finished stage owes before the next one: the one rule
+/// [`run_composed`] and the DAG scheduler share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Owed {
+    Nothing,
+    /// This many idle rounds bring the clock to the stage's bound.
+    Pad(u64),
+    Barrier,
+}
+
+impl Owed {
+    /// The debt of a stage on `n` nodes that ended as `end` after `rounds`
+    /// rounds. A pad longer than a barrier is paid as the barrier, so no
+    /// node learns the end later than it would have. Panics, naming the
+    /// stage's lanes by `labels()`, if a fixed-duration stage overran its
+    /// bound.
+    pub(crate) fn after(end: StageEnd, rounds: u64, n: usize, labels: impl Fn() -> String) -> Owed {
+        match end {
+            StageEnd::SelfSync => Owed::Nothing,
+            StageEnd::Barrier => Owed::Barrier,
+            StageEnd::Within(bound) => {
+                assert!(
+                    rounds <= bound,
+                    "stage {} ran {rounds} rounds, past its declared bound of {bound}",
+                    labels()
+                );
+                match bound - rounds {
+                    pad if pad > barrier_rounds(n) => Owed::Barrier,
+                    pad => Owed::Pad(pad),
+                }
+            }
+        }
+    }
+
+    /// Pays the debt on `engine`.
+    pub(crate) fn pay(self, engine: &mut Engine) -> Result<ExecStats, ModelError> {
+        match self {
+            Owed::Nothing => Ok(ExecStats::default()),
+            Owed::Pad(k) => Ok(engine.idle_rounds(k)),
+            Owed::Barrier => sync_barrier(engine),
+        }
+    }
+}
 
 /// A primitive decomposed into mux-lane stages.
 ///
@@ -53,15 +132,15 @@ pub trait LaneSub<'a> {
     /// returns `Some`.
     fn is_done(&self) -> bool;
 
-    /// `true` if one execution of this protocol already leaves every node
-    /// knowing that the stage finished — i.e. the protocol is its own phase
-    /// barrier (an Aggregate-and-Broadcast *is* the barrier primitive of
-    /// App. B.1). The DAG scheduler owes no [`sync_barrier`] after a stage
-    /// whose lanes are all self-synchronizing, matching the cost of
-    /// `aggregate_and_broadcast`; and when such a stage follows one that
-    /// owes a barrier, it runs in that barrier's slot and carries it.
-    fn self_synchronizing(&self) -> bool {
-        false
+    /// How every node learns that the stage the next
+    /// [`LaneSub::install`] runs is over — query it before `install`.
+    /// Default [`StageEnd::Barrier`]. A stage whose lanes are all
+    /// [`StageEnd::SelfSync`] owes nothing, matching the cost of
+    /// `aggregate_and_broadcast`, and when it follows a stage that owes a
+    /// sync it runs in that sync's slot and carries it. A stage whose
+    /// lanes are all [`StageEnd::Within`] owes a pad to the largest bound.
+    fn stage_end(&self) -> StageEnd {
+        StageEnd::Barrier
     }
 
     /// Asks the lane to keep its per-node sends within `send_budget`
@@ -90,8 +169,9 @@ pub struct ComposeReport {
 
 /// Runs a set of sub-protocols to completion, stage by stage: the current
 /// stage of every unfinished protocol becomes one lane of a shared mux
-/// execution, followed by a single [`sync_barrier`]. Returns the total
-/// statistics (executions + barriers) and the lane accounting.
+/// execution, followed by the one sync the stage owes ([`StageEnd`]).
+/// Returns the total statistics (executions + syncs) and the lane
+/// accounting.
 pub fn run_composed<'a>(
     engine: &mut Engine,
     subs: &mut [&mut (dyn LaneSub<'a> + 'a)],
@@ -102,23 +182,26 @@ pub fn run_composed<'a>(
     loop {
         let mut b = MuxBuilder::new(n);
         let mut installed: Vec<(usize, LaneId)> = Vec::new();
+        let mut end: Option<StageEnd> = None;
         for (i, sub) in subs.iter_mut().enumerate() {
+            let lane_end = sub.stage_end();
             if let Some(id) = sub.install(&mut b) {
                 installed.push((i, id));
+                end = Some(end.map_or(lane_end, |e| e.join(lane_end)));
             }
         }
-        if installed.is_empty() {
-            break;
-        }
+        let Some(end) = end else { break };
         report.stages += 1;
         report.max_lanes = report.max_lanes.max(installed.len() as u32);
         report.lane_stages += installed.len() as u32;
         let (mux, mut states) = b.build();
-        total.merge(&engine.execute(&mux, &mut states)?);
-        for (i, id) in installed {
+        let stats = engine.execute(&mux, &mut states)?;
+        total.merge(&stats);
+        for &(i, id) in &installed {
             subs[i].collect(id, &mut states);
         }
-        total.merge(&sync_barrier(engine)?);
+        let lanes = || format!("{:?}", installed.iter().map(|l| l.0).collect::<Vec<_>>());
+        total.merge(&Owed::after(end, stats.rounds, n, lanes).pay(engine)?);
     }
     Ok((total, report))
 }
@@ -215,7 +298,7 @@ pub(crate) trait DynLane<'a> {
     fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId>;
     fn collect(&mut self, lane: LaneId, states: &mut [MuxState]);
     fn is_done(&self) -> bool;
-    fn self_synchronizing(&self) -> bool;
+    fn stage_end(&self) -> StageEnd;
     /// Consumes the finished sub-protocol into its boxed output.
     fn finish(&mut self) -> Box<dyn Any>;
 }
@@ -244,8 +327,10 @@ impl<'a, S: LaneSub<'a> + 'a, T: 'static, F: FnOnce(S) -> T> DynLane<'a> for Pro
     fn is_done(&self) -> bool {
         self.sub.as_ref().is_none_or(|s| s.is_done())
     }
-    fn self_synchronizing(&self) -> bool {
-        self.sub.as_ref().is_some_and(|s| s.self_synchronizing())
+    fn stage_end(&self) -> StageEnd {
+        self.sub
+            .as_ref()
+            .map_or(StageEnd::Barrier, |s| s.stage_end())
     }
     fn finish(&mut self) -> Box<dyn Any> {
         let sub = self.sub.take().expect("lane finished twice");
@@ -285,7 +370,8 @@ pub(crate) struct DagNode<'a> {
 /// ([`Dag::run`], implemented in [`crate::schedule`]) decides what runs
 /// *together* — it packs every antichain of ready protocols into shared
 /// [`ncc_model::Mux`] executions under the per-node `O(log n)` instance
-/// budget, with at most one shared [`sync_barrier`] per packed stage. See the
+/// budget, with at most one shared sync per packed stage (a
+/// [`sync_barrier`], carried or paid, or a pad to a known bound). See the
 /// [`crate::schedule`] module docs for the scheduling rules and the paper
 /// mapping.
 ///

@@ -25,8 +25,8 @@
 //! [`multicast_sub`], [`multi_aggregate_sub`]): a short sequence of
 //! streamed pipeline stages (scatter while combining, spread while
 //! delivering) that run as lanes of one [`ncc_model::Mux`], so concurrent
-//! primitive instances **share rounds, capacity and at most one barrier
-//! per stage** instead of queuing — the §2 "run many instances in parallel"
+//! primitive instances **share rounds, capacity and at most one sync per
+//! stage** instead of queuing — the §2 "run many instances in parallel"
 //! argument, executable (see [`compose`] and the [`Dag`] scheduler in
 //! [`schedule`]). The blocking functions in the table above are wrappers:
 //! they build the sub and run it alone under [`run_composed`] — except
@@ -38,9 +38,12 @@
 //! The paper interleaves a token-passing variant of Aggregate-and-Broadcast
 //! to synchronise phase boundaries (App. B.1). Here the engine's quiescence
 //! detection plays the token protocol's role, and an **explicit in-model
-//! A&B run ([`sync_barrier`]) is charged after every stage** so round
-//! totals include the synchronisation cost, exactly as the paper's bounds
-//! do.
+//! A&B run ([`sync_barrier`]) is charged after every stage whose end no
+//! node can tell locally** so round totals include the synchronisation
+//! cost, exactly as the paper's bounds do. A stage whose length every node
+//! knows in advance ([`StageEnd::Within`]: aggregation's delivery) ends on
+//! the clock instead: it is padded with idle rounds up to that bound, never
+//! longer than the barrier it replaces.
 //!
 //! # Example: global minimum in `O(log n)` rounds
 //!
@@ -76,6 +79,7 @@ pub use aggregation::{
 pub use combine::{Aggregate, MaxU64, MinByKey, MinU64, SumPair, SumU64, XorPair, XorSum, XorU64};
 pub use compose::{
     lane_seed, run_composed, ComposeReport, Dag, DagOutputs, Dep, Deps, LaneSub, ProtoNode,
+    StageEnd,
 };
 pub use mctree::{multicast_setup, multicast_setup_sub, self_joins, McSetupSub, MulticastTrees};
 pub use multicast::{multicast, multicast_sub, MulticastSub};

@@ -43,8 +43,6 @@ pub struct MulticastTrees {
     /// packet arrived at `(i, α)` via the straight edge and/or the cross
     /// edge from level `i−1`.
     pub in_edges: Vec<Vec<FxHashMap<u64, (bool, bool)>>>,
-    /// Groups rooted at each column (level `d`).
-    pub roots: Vec<Vec<u64>>,
 }
 
 impl MulticastTrees {
@@ -53,12 +51,11 @@ impl MulticastTrees {
     pub fn congestion(&self) -> usize {
         let mut best = 0;
         for alpha in 0..self.leaves.len() {
-            // level 0: leaf sets
+            // level 0: leaf sets; levels 1..=d (the roots on level d)
             best = best.max(self.leaves[alpha].len());
             for lvl in &self.in_edges[alpha] {
                 best = best.max(lvl.len());
             }
-            best = best.max(self.roots[alpha].len());
         }
         best
     }
@@ -152,20 +149,10 @@ fn trees_from_states(n: usize, d: u32, rec_states: Vec<RecordState>) -> Multicas
         n,
         leaves: Vec::with_capacity(n),
         in_edges: Vec::with_capacity(n),
-        roots: Vec::with_capacity(n),
     };
     for st in rec_states {
-        // the groups rooted at this column are exactly those with a
-        // recorded in-edge at level d
-        let mut roots: Vec<u64> = st
-            .in_edges
-            .last()
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        roots.sort_unstable();
         trees.leaves.push(st.leaves);
         trees.in_edges.push(st.in_edges);
-        trees.roots.push(roots);
     }
     trees
 }

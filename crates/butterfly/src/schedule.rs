@@ -20,17 +20,22 @@
 //!   argument holds. A wider antichain is *split*: the overflow runs in the
 //!   next stage (sequential composition, the same fallback the paper uses
 //!   when more than `O(log n)` instances are needed);
-//! * each packed stage *owes* one shared [`sync_barrier`] (App. B.1's
-//!   phase synchronisation, paid once for the whole stage rather than once
-//!   per primitive) — except stages whose lanes are all
-//!   [self-synchronizing](crate::compose::LaneSub::self_synchronizing)
-//!   (Aggregate-and-Broadcast *is* the barrier primitive, so a stage of
-//!   A&B lanes ends synchronised for free, matching the cost of
-//!   `aggregate_and_broadcast` run alone);
-//! * an owed barrier is paid just before the next packed stage — unless
+//! * each packed stage *owes* one shared sync, decided by how its lanes
+//!   end ([`StageEnd`], asked of each lane before it is installed):
+//!   - every lane [`StageEnd::SelfSync`]: nothing (Aggregate-and-Broadcast
+//!     *is* the barrier primitive, so a stage of A&B lanes ends
+//!     synchronised for free, matching the cost of
+//!     `aggregate_and_broadcast` run alone);
+//!   - every lane [`StageEnd::Within`]: a **pad** of idle rounds up to the
+//!     largest bound `R` (see below), or a barrier if the pad would be
+//!     the longer of the two;
+//!   - any other stage, a mix of `SelfSync` and `Within` lanes included:
+//!     one shared [`sync_barrier`] (App. B.1's phase synchronisation,
+//!     paid once for the whole stage rather than once per primitive);
+//! * an owed sync is paid just before the next packed stage — unless
 //!   that stage is all self-synchronizing, in which case it runs in the
-//!   barrier's slot and **carries** it (see below). A barrier still owed
-//!   when the DAG finishes is paid at the end;
+//!   sync's slot and **carries** it (see below). A sync still owed when
+//!   the DAG finishes is paid at the end;
 //! * multi-stage primitives (Aggregation's combine→deliver, …) keep
 //!   contributing lanes stage after stage until done, so their internal
 //!   phases also share barriers with whatever else is in flight.
@@ -39,10 +44,35 @@
 //! execute the *same* lane/stage/barrier sequence — bit-identical rounds,
 //! drops and outputs — while the DAG form deletes the bespoke lane
 //! plumbing (see `crates/butterfly/tests/schedule_props.rs` for the
-//! property-level equivalence proof). The one difference is the carried
-//! barrier, which makes a DAG one barrier cheaper per carrying stage.
+//! property-level equivalence proof); [`crate::run_composed`] settles
+//! each stage by the same rule. The one difference is the carried sync,
+//! which makes a DAG one barrier (or pad) cheaper per carrying stage.
 //!
-//! # The carried barrier
+//! # The pad: a stage of known length ends on the clock
+//!
+//! The paper pays for a synchronisation only when a phase's length is
+//! unknown. Some stages' lengths are known in advance: aggregation's
+//! delivery sends in rounds drawn from `{1..⌈ℓ̂₂/log n⌉}`, and a scheduled
+//! exchange declared to send only inside a window (`ScheduleSub::within`
+//! in `ncc-core`) is over when the window is. Such lanes end
+//! [`StageEnd::Within`] their bound. Let such a stage start at round `t₀`,
+//! quiesce `rounds` rounds later, and let `R` be the largest bound of its
+//! lanes:
+//!
+//! * the stage starts at a round `t₀` all nodes agree on (the previous
+//!   stage ended synchronised);
+//! * `R` comes from common knowledge (ℓ̂₂ and `n`, or the declared
+//!   window), so every node knows at `t₀ + R` that the stage is over,
+//!   with no communication. The scheduler asserts `rounds ≤ R`, naming
+//!   the stage's labels, and charges `R − rounds` idle rounds
+//!   ([`Engine::idle_rounds`]: no node stepped, no message sent);
+//! * when that pad is longer than a barrier of `B` rounds, the barrier is
+//!   paid instead, so every node learns the end at
+//!   `min(t₀ + R, quiescence + B)` — never later than before;
+//! * asymptotics are unchanged: the pad is at most the barrier's
+//!   `O(log n)`.
+//!
+//! # The carried sync
 //!
 //! The per-phase consensus of most algorithms (bfs/mis/coloring/apsp's
 //! `check`, orientation's aggregates) is an A&B whose input is final once
@@ -62,19 +92,24 @@
 //! * asymptotics are unchanged: still one `O(log n)` synchronisation per
 //!   phase where one is needed.
 //!
+//! An owed pad is carried the same way: the consensus starts right after
+//! quiescence and ends synchronised `B` rounds later, exactly as when it
+//! carried the barrier the pad replaced.
+//!
 //! # Packing plan introspection
 //!
 //! Every run returns a [`SchedReport`]: the budget, and per stage the
 //! packed lanes (with per-lane [`LaneStats`]), any deferred (budget-split)
-//! nodes, the rounds spent, whether a barrier was charged after it and
-//! whether it carried the barrier of the stage before it. The runner
+//! nodes, the rounds spent, whether a barrier or a pad was charged after
+//! it and whether it carried the sync of the stage before it. The runner
 //! echoes its headline numbers into `RunRecord.metrics`, and
 //! `ncc-cli explain <algo>` prints it as a table.
+//!
+//! [`sync_barrier`]: crate::aggregation::sync_barrier
 
 use ncc_model::{lane_stats, Engine, ExecStats, LaneStats, ModelError, MuxBuilder};
 
-use crate::aggregation::sync_barrier;
-use crate::compose::{Dag, DagOutputs, Deps, NodeState};
+use crate::compose::{Dag, DagOutputs, Deps, NodeState, Owed, StageEnd};
 
 /// The default per-node parallel-instance budget: `2·⌈log₂ n⌉`, floored at
 /// 6 so degenerate tiny networks can still pack the widest primitive sets
@@ -106,11 +141,16 @@ pub struct PackedStage {
     /// Statistics of the shared execution (barrier excluded).
     pub stats: ExecStats,
     /// Whether a `sync_barrier` was charged after this stage (false when
-    /// every lane was self-synchronizing, or when the next stage carried
-    /// the barrier).
+    /// every lane was self-synchronizing, when the stage was padded, or
+    /// when the next stage carried the barrier).
     pub barrier: bool,
-    /// Whether this all-A&B stage ran in the barrier slot of the stage
-    /// before it, carrying that stage's barrier.
+    /// `Some(k)`: the stage ended at its known bound, and `k` idle rounds
+    /// were charged after it (`Some(0)` when it used the whole bound).
+    /// `None` when the pad was carried, a barrier was paid, or nothing
+    /// was owed.
+    pub pad: Option<u64>,
+    /// Whether this all-A&B stage ran in the sync slot of the stage
+    /// before it, carrying that stage's barrier or pad.
     pub carried: bool,
 }
 
@@ -162,9 +202,14 @@ impl SchedReport {
         self.stages.iter().filter(|s| s.barrier).count()
     }
 
-    /// Stages that carried the barrier of the stage before them.
+    /// Stages that carried the sync of the stage before them.
     pub fn carried(&self) -> usize {
         self.stages.iter().filter(|s| s.carried).count()
+    }
+
+    /// Stages that ended on the clock, padded to their bound.
+    pub fn padded(&self) -> usize {
+        self.stages.iter().filter(|s| s.pad.is_some()).count()
     }
 }
 
@@ -173,7 +218,8 @@ impl SchedReport {
 pub struct DagRun {
     /// Outputs of every node, retrieved by handle.
     pub outputs: DagOutputs,
-    /// Total cost: every stage execution plus every charged barrier.
+    /// Total cost: every stage execution plus every charged barrier and
+    /// pad.
     pub stats: ExecStats,
     /// The packing plan the scheduler chose.
     pub report: SchedReport,
@@ -199,8 +245,8 @@ impl<'a> Dag<'a> {
             budget,
             stages: Vec::new(),
         };
-        // Whether the last stage pushed still owes its `sync_barrier`.
-        let mut owed = false;
+        // What the last stage pushed still owes.
+        let mut owed = Owed::Nothing;
 
         loop {
             // Settle to a fixpoint: finish quiesced lanes, run ready
@@ -262,14 +308,15 @@ impl<'a> Dag<'a> {
             let mut b = MuxBuilder::new(n).with_lane_budget(budget);
             let mut installed: Vec<(usize, ncc_model::LaneId)> = Vec::new();
             let mut deferred: Vec<String> = Vec::new();
-            let mut all_sync = true;
+            let mut end: Option<StageEnd> = None;
             for i in 0..nodes.len() {
                 if let NodeState::Running(lane) = &mut nodes[i].state {
                     if installed.len() >= budget {
                         deferred.push(nodes[i].label.clone());
                         continue;
                     }
-                    all_sync &= lane.self_synchronizing();
+                    let lane_end = lane.stage_end();
+                    end = Some(end.map_or(lane_end, |e| e.join(lane_end)));
                     lane.pace(share);
                     let id = lane
                         .install(&mut b)
@@ -278,7 +325,7 @@ impl<'a> Dag<'a> {
                 }
             }
 
-            if installed.is_empty() {
+            let Some(end) = end else {
                 let stuck: Vec<&str> = nodes
                     .iter()
                     .filter(|nd| !matches!(nd.state, NodeState::Done))
@@ -289,13 +336,13 @@ impl<'a> Dag<'a> {
                     "DAG deadlock: nodes {stuck:?} can never become ready"
                 );
                 break;
-            }
+            };
 
-            // The previous stage's barrier: an all-A&B stage runs in its
+            // The previous stage's sync: an all-A&B stage runs in its
             // slot and carries it, any other stage waits for it.
-            let carried = owed && all_sync;
-            if owed && !all_sync {
-                pay_barrier(engine, &mut total, &mut report)?;
+            let carried = owed != Owed::Nothing && end == StageEnd::SelfSync;
+            if !carried {
+                settle(owed, engine, &mut total, &mut report)?;
             }
 
             // One shared execution for the whole antichain...
@@ -314,21 +361,20 @@ impl<'a> Dag<'a> {
                     stats: per_lane[k],
                 });
             }
+            let labels = || format!("{:?}", lanes.iter().map(|l| &l.label).collect::<Vec<_>>());
+            // ...which owes one shared sync, by how its lanes end.
+            owed = Owed::after(end, stats.rounds, n, labels);
             report.stages.push(PackedStage {
                 lanes,
                 deferred,
                 stats,
                 barrier: false,
+                pad: None,
                 carried,
             });
-            // ...which owes one shared barrier, unless its lanes
-            // synchronised themselves (matching `aggregate_and_broadcast`).
-            owed = !all_sync;
         }
-        // A barrier still owed when the DAG finishes is paid here.
-        if owed {
-            pay_barrier(engine, &mut total, &mut report)?;
-        }
+        // A sync still owed when the DAG finishes is paid here.
+        settle(owed, engine, &mut total, &mut report)?;
 
         Ok(DagRun {
             outputs: DagOutputs { outputs },
@@ -338,42 +384,77 @@ impl<'a> Dag<'a> {
     }
 }
 
-/// Pays the `sync_barrier` owed by the last stage of `report`.
-fn pay_barrier(
+/// Pays what the last stage of `report` owes, and records it there.
+fn settle(
+    owed: Owed,
     engine: &mut Engine,
     total: &mut ExecStats,
     report: &mut SchedReport,
 ) -> Result<(), ModelError> {
-    total.merge(&sync_barrier(engine)?);
-    report
-        .stages
-        .last_mut()
-        .expect("only a stage owes a barrier")
-        .barrier = true;
+    if let Some(last) = report.stages.last_mut() {
+        last.barrier = owed == Owed::Barrier;
+        last.pad = if let Owed::Pad(k) = owed {
+            Some(k)
+        } else {
+            None
+        };
+    }
+    total.merge(&owed.pay(engine)?);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::{ab_sub, aggregate_and_broadcast, aggregation_sub, AggregationSpec};
+    use crate::aggregation::{
+        ab_sub, aggregate_and_broadcast, aggregation_sub, barrier_rounds, sync_barrier,
+        AggregationSpec,
+    };
     use crate::combine::{MaxU64, MinU64, SumU64};
-    use crate::compose::{run_composed, Dep};
+    use crate::compose::{run_composed, Dep, LaneSub};
+    use crate::mctree::multicast_setup_sub;
     use crate::topology::GroupId;
     use ncc_hashing::SharedRandomness;
-    use ncc_model::NetConfig;
+    use ncc_model::{LaneId, MuxState, NetConfig, NodeId};
 
     fn engine(n: usize) -> Engine {
         Engine::new(NetConfig::new(n, 77))
     }
 
-    /// Node `u` sends `u` to group `u mod 4`: a two-stage, barriered lane.
+    /// Node `u` sends `u` to group `u mod 4`: a lane whose combine stage
+    /// ends on a barrier and whose delivery ends on the clock.
     fn agg_spec(n: usize) -> AggregationSpec<u64> {
         AggregationSpec {
             memberships: (0..n as u32)
                 .map(|u| vec![(GroupId::new(u % 4, 0), u as u64)])
                 .collect(),
             ell2_hat: 1,
+        }
+    }
+
+    /// Node `u` joins the group of node `u + 1`: a one-stage tree setup,
+    /// which ends on a barrier.
+    fn ring_joins(n: usize, tag: u32) -> Vec<Vec<(GroupId, NodeId)>> {
+        (0..n as u32)
+            .map(|u| vec![(GroupId::new((u + 1) % n as u32, tag), u)])
+            .collect()
+    }
+
+    /// Runs `S` but claims each of its stages is over within `.1` rounds.
+    struct Claims<S>(S, u64);
+
+    impl<'a, S: LaneSub<'a>> LaneSub<'a> for Claims<S> {
+        fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId> {
+            self.0.install(b)
+        }
+        fn collect(&mut self, lane: LaneId, states: &mut [MuxState]) {
+            self.0.collect(lane, states)
+        }
+        fn is_done(&self) -> bool {
+            self.0.is_done()
+        }
+        fn stage_end(&self) -> StageEnd {
+            StageEnd::Within(self.1)
         }
     }
 
@@ -514,7 +595,50 @@ mod tests {
         let n = 32;
         let shared = SharedRandomness::new(5);
         let mut eng = engine(n);
-        let mut sub = aggregation_sub(n, &shared, agg_spec(n), &SumU64, 9);
+        let mut composed = ExecStats::default();
+        for tag in [1, 2] {
+            let mut sub = multicast_setup_sub(n, &shared, ring_joins(n, tag), 9 + tag as u64);
+            composed.merge(&run_composed(&mut eng, &mut [&mut sub]).unwrap().0);
+        }
+        let mut eng = engine(n);
+        let mut dag = Dag::new();
+        let shared = &shared;
+        let first = dag.proto(
+            "trees1",
+            &[],
+            move |_| multicast_setup_sub(n, shared, ring_joins(n, 1), 10),
+            |s| s.into_trees(),
+        );
+        dag.proto(
+            "trees2",
+            &[first.into()],
+            move |_| multicast_setup_sub(n, shared, ring_joins(n, 2), 11),
+            |s| s.into_trees(),
+        );
+        let run = dag.run(&mut eng).unwrap();
+        // each setup charges a barrier; nothing carries the last one, so
+        // the DAG pays it exactly as `run_composed` does
+        assert_eq!(run.report.stages.len(), 2);
+        assert!(run.report.stages.iter().all(|s| s.barrier && !s.carried));
+        assert_eq!(run.stats, composed);
+    }
+
+    /// One message, delivered in a round drawn from `1..=⌈ℓ̂₂/log n⌉`.
+    fn one_message(n: usize, ell2_hat: usize) -> AggregationSpec<u64> {
+        let mut memberships = vec![Vec::new(); n];
+        memberships[3] = vec![(GroupId::new(7, 0), 1u64)];
+        AggregationSpec {
+            memberships,
+            ell2_hat,
+        }
+    }
+
+    #[test]
+    fn aggregation_delivery_is_padded_to_its_bound() {
+        let n = 32;
+        let shared = SharedRandomness::new(5);
+        let mut eng = engine(n);
+        let mut sub = aggregation_sub(n, &shared, one_message(n, 25), &SumU64, 9);
         let (composed, _) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
         let mut eng = engine(n);
         let mut dag = Dag::new();
@@ -522,15 +646,80 @@ mod tests {
         dag.proto(
             "agg",
             &[],
-            move |_| aggregation_sub(n, shared, agg_spec(n), &SumU64, 9),
+            move |_| aggregation_sub(n, shared, one_message(n, 25), &SumU64, 9),
             |s| s.into_deliveries(),
         );
         let run = dag.run(&mut eng).unwrap();
-        // combine and deliver each charge a barrier; nothing carries the
-        // last one, so the DAG pays it exactly as `run_composed` does
-        assert_eq!(run.report.stages.len(), 2);
-        assert!(run.report.stages.iter().all(|s| s.barrier && !s.carried));
+        // combine + barrier + delivery + pad to the bound ⌈25/5⌉ + 1 = 6
+        let st = &run.report.stages;
+        assert_eq!(st.len(), 2);
+        assert!(st[0].barrier && st[0].pad.is_none());
+        assert!(st[1].rounds() < 6, "the draw leaves part of the bound idle");
+        assert!(!st[1].barrier && st[1].pad == Some(6 - st[1].rounds()));
+        assert_eq!((run.report.barriers(), run.report.padded()), (1, 1));
+        let barrier = barrier_rounds(n);
+        assert_eq!(run.stats.rounds, st[0].rounds() + barrier + 6);
         assert_eq!(run.stats, composed);
+    }
+
+    #[test]
+    fn pad_longer_than_a_barrier_pays_the_barrier() {
+        let n = 32;
+        let shared = SharedRandomness::new(5);
+        let mut eng = engine(n);
+        let mut dag = Dag::new();
+        let shared = &shared;
+        dag.proto(
+            "agg",
+            &[],
+            move |_| aggregation_sub(n, shared, one_message(n, 5000), &SumU64, 9),
+            |s| s.into_deliveries(),
+        );
+        let run = dag.run(&mut eng).unwrap();
+        let st = &run.report.stages;
+        let barrier = sync_barrier(&mut engine(n)).unwrap().rounds;
+        // the bound is ⌈5000/5⌉ + 1 = 1001
+        assert!(1001 - st[1].rounds() > barrier, "the pad is the longer");
+        assert!(st[1].barrier && st[1].pad.is_none());
+        let executed = st[0].rounds() + st[1].rounds();
+        assert_eq!(run.stats.rounds, executed + 2 * barrier);
+    }
+
+    #[test]
+    #[should_panic(expected = "stage [\"liar\"] ran")]
+    fn overrunning_its_bound_panics_with_the_stage_label() {
+        let n = 16;
+        let mut dag = Dag::new();
+        dag.proto(
+            "liar",
+            &[],
+            move |_| Claims(ab_sub(n, vec![Some(1); n], &MaxU64), 3),
+            |s| s.0.into_results(),
+        );
+        let _ = dag.run(&mut engine(n));
+    }
+
+    #[test]
+    fn self_sync_and_within_lanes_together_pay_a_barrier() {
+        let n = 16;
+        let mut dag = Dag::new();
+        dag.proto(
+            "ab",
+            &[],
+            move |_| ab_sub(n, vec![Some(1); n], &MaxU64),
+            |s| s.into_results(),
+        );
+        dag.proto(
+            "timed",
+            &[],
+            move |_| Claims(ab_sub(n, vec![Some(2); n], &MaxU64), 1000),
+            |s| s.0.into_results(),
+        );
+        let run = dag.run(&mut engine(n)).unwrap();
+        let st = &run.report.stages;
+        assert_eq!(st.len(), 1);
+        assert!(st[0].barrier && st[0].pad.is_none());
+        assert_eq!(run.stats.rounds, st[0].rounds() + barrier_rounds(n));
     }
 
     #[test]

@@ -84,33 +84,11 @@ impl Butterfly {
         }
     }
 
-    /// Next column on the unique path toward level-`d` column `target`,
-    /// taken from level `i` (so bit `i` is fixed).
-    #[inline]
-    pub fn route_step(&self, alpha: u32, i: u32, target: u32) -> u32 {
-        debug_assert!(i < self.d);
-        let bit = 1u32 << i;
-        (alpha & !bit) | (target & bit)
-    }
-
     /// Whether the routing step at level `i` toward `target` crosses
     /// columns (i.e. costs an NCC message) from column `alpha`.
     #[inline]
     pub fn route_is_cross(&self, alpha: u32, i: u32, target: u32) -> bool {
         ((alpha ^ target) >> i) & 1 == 1
-    }
-
-    /// Walks the unique path from `(0, src)` to `(d, target)`, returning the
-    /// sequence of columns visited (length `d + 1`).
-    pub fn path_columns(&self, src: u32, target: u32) -> Vec<u32> {
-        let mut cols = Vec::with_capacity(self.d as usize + 1);
-        let mut cur = src;
-        cols.push(cur);
-        for i in 0..self.d {
-            cur = self.route_step(cur, i, target);
-            cols.push(cur);
-        }
-        cols
     }
 }
 
@@ -152,6 +130,26 @@ impl GroupId {
 mod tests {
     use super::*;
 
+    impl Butterfly {
+        /// Next column on the unique path toward level-`d` column `target`,
+        /// taken from level `i` (so bit `i` is fixed).
+        fn route_step(&self, alpha: u32, i: u32, target: u32) -> u32 {
+            debug_assert!(i < self.d);
+            let bit = 1u32 << i;
+            (alpha & !bit) | (target & bit)
+        }
+    }
+
+    /// Walks the unique path from `(0, src)` to `(d, target)`, returning
+    /// the sequence of columns visited (length `d + 1`).
+    fn path_columns(b: &Butterfly, src: u32, target: u32) -> Vec<u32> {
+        let mut cols = vec![src];
+        for i in 0..b.d() {
+            cols.push(b.route_step(*cols.last().unwrap(), i, target));
+        }
+        cols
+    }
+
     #[test]
     fn dimensions() {
         let b = Butterfly::for_n(16);
@@ -181,7 +179,7 @@ mod tests {
     fn bit_fixing_path_reaches_target() {
         let b = Butterfly::for_n(64); // d = 6
         for (src, dst) in [(0u32, 63u32), (5, 40), (63, 0), (21, 21)] {
-            let p = b.path_columns(src, dst);
+            let p = path_columns(&b, src, dst);
             assert_eq!(p.len(), 7);
             assert_eq!(p[0], src);
             assert_eq!(*p.last().unwrap(), dst);
@@ -209,7 +207,7 @@ mod tests {
         // distinct sources reach the same target via distinct columns at
         // intermediate levels until bits merge — spot-check determinism
         let b = Butterfly::for_n(16);
-        assert_eq!(b.path_columns(3, 9), b.path_columns(3, 9));
+        assert_eq!(path_columns(&b, 3, 9), path_columns(&b, 3, 9));
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! across thread counts and capacity regimes — and a lane budget narrower
 //! than the antichain must split it into sequential stages without
 //! changing any output. An A&B that depends on a barriered stage runs in
-//! that stage's barrier slot: one barrier cheaper, same outputs.
+//! that stage's barrier slot: one barrier cheaper, same outputs. An
+//! aggregation's delivery ends on the clock: padded to its bound, or its
+//! pad carried by a dependent A&B.
 
 use ncc_butterfly::{
-    ab_sub, aggregate_and_broadcast, aggregation_sub, run_composed, sync_barrier, AggregationSpec,
-    Dag, GroupId, LaneSub, MaxU64, SumU64,
+    ab_sub, aggregate_and_broadcast, aggregation_sub, multicast_setup_sub, run_composed,
+    sync_barrier, AggregationSpec, Dag, GroupId, LaneSub, MaxU64, MulticastTrees, SumU64,
 };
-use ncc_hashing::SharedRandomness;
-use ncc_model::{Capacity, Engine, NetConfig};
+use ncc_hashing::{FxHashMap, SharedRandomness};
+use ncc_model::{Capacity, Engine, NetConfig, NodeId};
 use proptest::prelude::*;
 
 fn engine(n: usize, seed: u64, threads: usize, unbounded: bool) -> Engine {
@@ -36,6 +38,23 @@ fn make_spec(n: usize, sub: u32) -> AggregationSpec<u64> {
             .collect(),
         ell2_hat: 1,
     }
+}
+
+/// Node `u` joins the group of node `u + 1` under `tag`.
+fn ring_joins(n: usize, tag: u32) -> Vec<Vec<(GroupId, NodeId)>> {
+    (0..n as u32)
+        .map(|u| vec![(GroupId::new((u + 1) % n as u32, tag), u)])
+        .collect()
+}
+
+/// The level-0 leaf sets of a multicast forest, per column.
+type Leaves = Vec<FxHashMap<u64, Vec<NodeId>>>;
+
+/// Per node that emulates a column, the number of trees with a leaf there.
+fn leaf_counts(n: usize, trees: &MulticastTrees) -> Vec<Option<u64>> {
+    (0..n)
+        .map(|u| trees.leaves.get(u).map(|l| l.len() as u64))
+        .collect()
 }
 
 fn ab_inputs(n: usize, seed: u64) -> Vec<Option<u64>> {
@@ -140,9 +159,9 @@ fn delivered_sums(deliveries: &[Vec<(GroupId, u64)>]) -> Vec<Option<u64>> {
 }
 
 /// Aggregation → compute → dependent A&B, run without the scheduler:
-/// [`run_composed`] on the aggregation (a barrier after each of its
-/// stages), then [`aggregate_and_broadcast`] on its per-node sums.
-/// Returns (sorted deliveries, A&B results, rounds).
+/// [`run_composed`] on the aggregation (a barrier after its combine, a
+/// pad after its delivery), then [`aggregate_and_broadcast`] on its
+/// per-node sums. Returns (sorted deliveries, A&B results, rounds).
 fn run_chain_sequential(
     n: usize,
     seed: u64,
@@ -158,8 +177,8 @@ fn run_chain_sequential(
     (deliveries, ab, agg_stats.rounds + ab_stats.rounds)
 }
 
-/// The same chain declared as a [`Dag`]: the A&B carries the barrier of
-/// the aggregation's last stage.
+/// The same chain declared as a [`Dag`]: the A&B carries the pad of the
+/// aggregation's delivery.
 fn run_chain_dag(
     n: usize,
     seed: u64,
@@ -198,6 +217,69 @@ fn run_chain_dag(
         run.stats.rounds,
         run.report,
     )
+}
+
+/// Tree setup → dependent tree setup → compute → dependent A&B, run
+/// without the scheduler: [`run_composed`] on each setup (a barrier
+/// after each), then [`aggregate_and_broadcast`] on the second forest's
+/// per-column leaf counts. Returns (second forest's leaves, A&B results,
+/// rounds).
+fn run_setup_chain_sequential(
+    n: usize,
+    seed: u64,
+    unbounded: bool,
+) -> (Leaves, Vec<Option<u64>>, u64) {
+    let shared = SharedRandomness::new(seed ^ 0xF00D);
+    let mut eng = engine(n, seed, 1, unbounded);
+    let mut rounds = 0;
+    let mut trees = None;
+    for tag in [1, 2] {
+        let mut setup = multicast_setup_sub(n, &shared, ring_joins(n, tag), 40 + tag as u64);
+        rounds += run_composed(&mut eng, &mut [&mut setup]).unwrap().0.rounds;
+        trees = Some(setup.into_trees());
+    }
+    let trees = trees.unwrap();
+    let (ab, ab_stats) =
+        aggregate_and_broadcast(&mut eng, leaf_counts(n, &trees), &SumU64).unwrap();
+    (trees.leaves, ab, rounds + ab_stats.rounds)
+}
+
+/// The same chain declared as a [`Dag`]: the A&B carries the barrier of
+/// the second setup.
+fn run_setup_chain_dag(
+    n: usize,
+    seed: u64,
+    threads: usize,
+    unbounded: bool,
+) -> (Leaves, Vec<Option<u64>>, u64, ncc_butterfly::SchedReport) {
+    let shared = SharedRandomness::new(seed ^ 0xF00D);
+    let mut eng = engine(n, seed, threads, unbounded);
+    let mut dag = Dag::new();
+    let shared = &shared;
+    let first = dag.proto(
+        "trees1",
+        &[],
+        move |_| multicast_setup_sub(n, shared, ring_joins(n, 1), 41),
+        |s| s.into_trees(),
+    );
+    let second = dag.proto(
+        "trees2",
+        &[first.into()],
+        move |_| multicast_setup_sub(n, shared, ring_joins(n, 2), 42),
+        |s| s.into_trees(),
+    );
+    let counts = dag.compute("counts", &[second.into()], move |d| {
+        leaf_counts(n, d.get(second))
+    });
+    let ab = dag.proto(
+        "total",
+        &[counts.into()],
+        move |d| ab_sub(n, d.get(counts).clone(), &SumU64),
+        |s| s.into_results(),
+    );
+    let mut run = dag.run(&mut eng).unwrap();
+    let leaves = run.outputs.take(second).leaves;
+    (leaves, run.outputs.take(ab), run.stats.rounds, run.report)
 }
 
 proptest! {
@@ -268,18 +350,18 @@ proptest! {
         );
     }
 
-    /// A dependent A&B runs in the barrier slot of the aggregation's last
-    /// stage: exactly one `sync_barrier` cheaper than paying that barrier
-    /// and then running the A&B, with the same outputs (unbounded caps,
-    /// so the shifted rounds cannot change a drop).
+    /// A dependent A&B runs in the barrier slot of the second setup:
+    /// exactly one `sync_barrier` cheaper than paying that barrier and
+    /// then running the A&B, with the same outputs (unbounded caps, so
+    /// the shifted rounds cannot change a drop).
     #[test]
     fn dependent_ab_carries_the_barrier(
         n in 16usize..48,
         seed in 0u64..1_000,
     ) {
         let barrier = sync_barrier(&mut engine(n, seed, 1, true)).unwrap().rounds;
-        let (want_d, want_ab, want_rounds) = run_chain_sequential(n, seed, true);
-        let (deliveries, ab, rounds, report) = run_chain_dag(n, seed, 1, true);
+        let (want_d, want_ab, want_rounds) = run_setup_chain_sequential(n, seed, true);
+        let (deliveries, ab, rounds, report) = run_setup_chain_dag(n, seed, 1, true);
         prop_assert_eq!(&deliveries, &want_d, "deliveries diverge");
         prop_assert_eq!(&ab, &want_ab, "A&B results diverge");
         prop_assert_eq!(rounds + barrier, want_rounds, "not exactly one barrier saved");
@@ -294,10 +376,84 @@ proptest! {
         n in 16usize..48,
         seed in 0u64..1_000,
     ) {
-        let (d1, ab1, r1, _) = run_chain_dag(n, seed, 1, false);
-        let (d4, ab4, r4, _) = run_chain_dag(n, seed, 4, false);
+        let (d1, ab1, r1, _) = run_setup_chain_dag(n, seed, 1, false);
+        let (d4, ab4, r4, _) = run_setup_chain_dag(n, seed, 4, false);
         prop_assert_eq!(&d4, &d1, "thread count changed deliveries");
         prop_assert_eq!(&ab4, &ab1, "thread count changed A&B results");
         prop_assert_eq!(r4, r1, "thread count changed rounds");
+    }
+
+    /// An aggregation lane costs combine + barrier + delivery + pad to the
+    /// delivery's bound `⌈ℓ̂₂/log n⌉ + 1` (or a second barrier, when that
+    /// is sooner): in a DAG exactly as under [`run_composed`].
+    #[test]
+    fn aggregation_pads_its_delivery(
+        n in 16usize..48,
+        seed in 0u64..1_000,
+        ell2_hat in 1usize..200,
+    ) {
+        let shared = SharedRandomness::new(seed ^ 0xF00D);
+        let spec = || AggregationSpec { ell2_hat, ..make_spec(n, 0) };
+        let mut eng = engine(n, seed, 1, true);
+        let mut sub = aggregation_sub(n, &shared, spec(), &SumU64, 40);
+        let (composed, _) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
+
+        let mut eng = engine(n, seed, 1, true);
+        let mut dag = Dag::new();
+        let shared = &shared;
+        dag.proto("agg", &[], move |_| aggregation_sub(n, shared, spec(), &SumU64, 40), |s| {
+            s.into_deliveries()
+        });
+        let run = dag.run(&mut eng).unwrap();
+        prop_assert_eq!(run.stats, composed);
+
+        let barrier = sync_barrier(&mut engine(n, seed, 1, true)).unwrap().rounds;
+        let bound = (ell2_hat as u64).div_ceil(ncc_model::ilog2_ceil(n) as u64) + 1;
+        let st = &run.report.stages;
+        prop_assert_eq!(st.len(), 2);
+        prop_assert!(st[0].barrier && st[0].pad.is_none());
+        let pad = bound - st[1].rounds();
+        let sync = if pad > barrier {
+            prop_assert!(st[1].barrier && st[1].pad.is_none());
+            barrier
+        } else {
+            prop_assert!(!st[1].barrier && st[1].pad == Some(pad));
+            pad
+        };
+        prop_assert_eq!(run.stats.rounds, st[0].rounds() + barrier + st[1].rounds() + sync);
+    }
+
+    /// A dependent A&B runs in the pad slot of the aggregation's
+    /// delivery: exactly the pad cheaper than paying it and then running
+    /// the A&B, with the same outputs.
+    #[test]
+    fn dependent_ab_carries_the_pad(
+        n in 16usize..48,
+        seed in 0u64..1_000,
+    ) {
+        let (want_d, want_ab, want_rounds) = run_chain_sequential(n, seed, true);
+        let (deliveries, ab, rounds, report) = run_chain_dag(n, seed, 1, true);
+        prop_assert_eq!(&deliveries, &want_d, "deliveries diverge");
+        prop_assert_eq!(&ab, &want_ab, "A&B results diverge");
+        let st = &report.stages;
+        prop_assert_eq!(st.len(), 3);
+        // ℓ̂₂ = 1: the delivery is over within 2 rounds
+        let pad = 2 - st[1].rounds();
+        prop_assert_eq!(rounds + pad, want_rounds, "not exactly the pad saved");
+        prop_assert!(!st[1].barrier && st[1].pad.is_none() && st[2].carried);
+        prop_assert_eq!((report.barriers(), report.carried(), report.padded()), (1, 1, 0));
+    }
+
+    /// Under tight caps a padded stage — its pad paid (an antichain of
+    /// aggregations and an A&B) or carried (the aggregation chain) — is a
+    /// function of the seed alone: identical outputs, rounds and plans at
+    /// 1 and 4 threads.
+    #[test]
+    fn padded_stages_are_thread_invariant(
+        n in 16usize..48,
+        seed in 0u64..1_000,
+    ) {
+        prop_assert_eq!(run_dag(n, seed, 1, false, 2, None), run_dag(n, seed, 4, false, 2, None));
+        prop_assert_eq!(run_chain_dag(n, seed, 1, false), run_chain_dag(n, seed, 4, false));
     }
 }

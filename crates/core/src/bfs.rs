@@ -9,9 +9,9 @@
 //!
 //! Each phase is *declared* as a protocol [`Dag`]: frontier spread →
 //! node-local frontier update → termination check, and the scheduler packs
-//! and barriers the stages. The check is an A&B, so it self-synchronises
-//! and runs in the barrier slot of the spread's last stage: the phase
-//! pays one barrier, not a barrier and then the check.
+//! and synchronises the stages. The check is an A&B, so it
+//! self-synchronises and runs in the sync slot of the spread's delivery:
+//! the phase pays one barrier (after the spread's combine) and the check.
 
 use ncc_butterfly::{ab_sub, lane_seed, multi_aggregate_sub, Dag, MaxU64, MinU64, SchedReport};
 use ncc_graph::Graph;

@@ -19,7 +19,8 @@
 //! once the termination consensus comes back empty): pick → accept ∥ check,
 //! where the accept Aggregation and the termination A&B are an antichain the
 //! scheduler packs into one mux — the same fusion the hand-wired lane code
-//! did explicitly — then notify → propose over scheduled exchanges.
+//! did explicitly — then notify → propose over round-1 scheduled
+//! exchanges, whose stages end on the clock (a pad) instead of a barrier.
 
 use ncc_butterfly::{
     ab_sub, aggregation_sub, lane_seed, multi_aggregate_sub, AggregationSpec, Dag, GroupId, MaxU64,
@@ -192,7 +193,7 @@ pub fn maximal_matching(
                         None => Vec::new(),
                     })
                     .collect();
-                schedule_sub(n, schedules)
+                schedule_sub(n, schedules).within(1)
             },
             |s| s.into_results(),
         );
@@ -236,7 +237,7 @@ pub fn maximal_matching(
             &[chain.into()],
             move |d| {
                 let (schedules, _) = d.get(chain);
-                schedule_sub(n, schedules.clone())
+                schedule_sub(n, schedules.clone()).within(1)
             },
             |s| s.into_results(),
         );

@@ -33,7 +33,9 @@
 //! FindMin bucket lanes (plus the step-0 coin multicast) are an antichain
 //! the scheduler packs into one mux, the range multicast feeds the bucket
 //! memberships through a compute node, and the link/adopt chains thread
-//! typed outputs (exchange inboxes) into downstream build closures; the
+//! typed outputs (exchange inboxes) into downstream build closures. Each
+//! FindMin delivery and the round-1 `adopt` exchange have a length every
+//! node knows, so their stages end on the clock (a pad), not a barrier; the
 //! link trees, which the multicast after them borrows, go through a cell
 //! that outlives the DAG.
 
@@ -580,7 +582,7 @@ pub fn mst(
         let adopt = dag.proto(
             format!("p{phase}:adopt"),
             &[],
-            move |_| schedule_sub(n, new_leader_msg),
+            move |_| schedule_sub(n, new_leader_msg).within(1),
             |s| s.into_results(),
         );
         // leaders fold their inbox with the locally decided adoption and

@@ -26,14 +26,6 @@ impl AlgoReport {
         self.stages.push((label.into(), stats));
     }
 
-    /// Number of stages with the given label prefix.
-    pub fn stage_count(&self, prefix: &str) -> usize {
-        self.stages
-            .iter()
-            .filter(|(l, _)| l.starts_with(prefix))
-            .count()
-    }
-
     /// Groups stages by *kind* (the label suffix after the last `:`, so the
     /// per-phase labels like `p3:ident1` and `p4:ident1` fold together) and
     /// returns `(kind, occurrences, total rounds)` sorted by rounds,
@@ -91,9 +83,6 @@ mod tests {
         r.push("phase", stats(7));
         r.push("phase", stats(9));
         assert_eq!(r.total.rounds, 21);
-        assert_eq!(r.stage_count("phase"), 2);
-        assert_eq!(r.stage_count("setup"), 1);
-        assert_eq!(r.stage_count("missing"), 0);
     }
 
     #[test]

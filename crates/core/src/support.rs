@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use ncc_butterfly::Butterfly;
+use ncc_butterfly::{Butterfly, StageEnd};
 use ncc_hashing::FxHashMap;
 use ncc_model::{Ctx, Envelope, NodeId, NodeProgram};
 
@@ -357,6 +357,7 @@ pub type ReceivedPerNode = Vec<Vec<(NodeId, u64)>>;
 /// [`ScheduleSub::into_results`].
 pub struct ScheduleSub {
     stage: Option<Vec<ScheduleState>>,
+    end: StageEnd,
     out: Option<ReceivedPerNode>,
 }
 
@@ -376,11 +377,28 @@ pub fn schedule_sub(n: usize, schedules: Vec<Vec<(u64, NodeId, u64)>>) -> Schedu
         .collect();
     ScheduleSub {
         stage: Some(states),
+        end: StageEnd::Barrier,
         out: None,
     }
 }
 
 impl ScheduleSub {
+    /// Declares that every send is scheduled in rounds `1..=window`, a
+    /// window every node knows: the last message lands by round `window`,
+    /// so the stage runs at most `window + 1` rounds and ends on the clock
+    /// ([`StageEnd::Within`] that bound), not on a barrier. Panics on a
+    /// round outside the window.
+    pub fn within(mut self, window: u64) -> Self {
+        for &(r, _, _) in self.stage.iter().flatten().flat_map(|s| &s.to_send) {
+            assert!(
+                (1..=window).contains(&r),
+                "round {r} lies outside the window 1..={window}"
+            );
+        }
+        self.end = StageEnd::Within(window + 1);
+        self
+    }
+
     /// Per-node `(src, value)` pairs. Panics before the composition finished.
     pub fn into_results(self) -> ReceivedPerNode {
         self.out
@@ -392,6 +410,10 @@ impl<'a> ncc_butterfly::LaneSub<'a> for ScheduleSub {
     fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
         let states = self.stage.take()?;
         Some(b.lane(ScheduleProgram, states))
+    }
+
+    fn stage_end(&self) -> StageEnd {
+        self.end
     }
 
     fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
@@ -653,6 +675,30 @@ mod tests {
         assert_eq!(at7, vec![(3, 33), (5, 55)]);
         assert_eq!(recv[8], vec![(3, 34)]);
         assert!(stats.clean());
+    }
+
+    #[test]
+    fn within_declares_the_window_as_the_stage_bound() {
+        let n = 16;
+        let mut schedules = vec![Vec::new(); n];
+        schedules[3] = vec![(1, 7, 33), (2, 8, 34)];
+        assert_eq!(
+            schedule_sub(n, schedules.clone()).stage_end(),
+            StageEnd::Barrier
+        );
+        let mut sub = schedule_sub(n, schedules).within(2);
+        assert_eq!(sub.stage_end(), StageEnd::Within(3));
+        // the last message lands in round 2: three rounds, the bound
+        let stats = run_alone(&mut Engine::new(NetConfig::new(n, 9)), &mut sub);
+        assert_eq!(stats.rounds, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "round 2 lies outside the window 1..=1")]
+    fn within_rejects_a_round_outside_the_window() {
+        let mut schedules = vec![Vec::new(); 8];
+        schedules[5] = vec![(1, 2, 9), (2, 3, 9)];
+        let _ = schedule_sub(8, schedules).within(1);
     }
 
     #[test]

@@ -59,25 +59,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     dist
 }
 
-/// BFS tree: `(distance, parent)` where the parent is the smallest-id
-/// neighbor on a shortest path (the paper's tie-breaking rule, §5.1).
-pub fn bfs_tree(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<Option<NodeId>>) {
-    let dist = bfs_distances(g, src);
-    let mut parent = vec![None; g.n()];
-    for v in 0..g.n() as NodeId {
-        if v == src || dist[v as usize] == UNREACHABLE {
-            continue;
-        }
-        parent[v as usize] = g
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&u| dist[u as usize] + 1 == dist[v as usize])
-            .min();
-    }
-    (dist, parent)
-}
-
 /// Exact diameter of the (connected part of the) graph by running BFS from
 /// every node. Quadratic — fine at simulator scales.
 pub fn diameter(g: &Graph) -> u32 {
@@ -177,31 +158,50 @@ pub fn arboricity_bounds(g: &Graph) -> (usize, usize) {
     (lo, hi.max(1))
 }
 
-/// A greedy `d`-orientation from the degeneracy ordering: every edge points
-/// from the endpoint peeled earlier to the one peeled later, giving
-/// outdegree ≤ degeneracy. Used as the *reference* orientation quality
-/// against which the distributed Orientation Algorithm (§4) is compared.
-pub fn degeneracy_orientation(g: &Graph) -> Vec<(NodeId, NodeId)> {
-    let (_, order) = degeneracy(g);
-    let mut pos = vec![0u32; g.n()];
-    for (i, &v) in order.iter().enumerate() {
-        pos[v as usize] = i as u32;
-    }
-    g.edges()
-        .map(|(u, v)| {
-            if pos[u as usize] < pos[v as usize] {
-                (u, v)
-            } else {
-                (v, u)
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gen;
+
+    /// BFS tree: `(distance, parent)` where the parent is the smallest-id
+    /// neighbor on a shortest path (the paper's tie-breaking rule, §5.1).
+    pub(crate) fn bfs_tree(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<Option<NodeId>>) {
+        let dist = bfs_distances(g, src);
+        let mut parent = vec![None; g.n()];
+        for v in 0..g.n() as NodeId {
+            if v == src || dist[v as usize] == UNREACHABLE {
+                continue;
+            }
+            parent[v as usize] = g
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&u| dist[u as usize] + 1 == dist[v as usize])
+                .min();
+        }
+        (dist, parent)
+    }
+
+    /// A greedy `d`-orientation from the degeneracy ordering: every edge points
+    /// from the endpoint peeled earlier to the one peeled later, giving
+    /// outdegree ≤ degeneracy. Used as the *reference* orientation quality
+    /// against which the distributed Orientation Algorithm (§4) is compared.
+    fn degeneracy_orientation(g: &Graph) -> Vec<(NodeId, NodeId)> {
+        let (_, order) = degeneracy(g);
+        let mut pos = vec![0u32; g.n()];
+        for (i, &v) in order.iter().enumerate() {
+            pos[v as usize] = i as u32;
+        }
+        g.edges()
+            .map(|(u, v)| {
+                if pos[u as usize] < pos[v as usize] {
+                    (u, v)
+                } else {
+                    (v, u)
+                }
+            })
+            .collect()
+    }
 
     #[test]
     fn components_of_disjoint_paths() {

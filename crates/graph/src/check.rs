@@ -256,14 +256,14 @@ mod tests {
     #[test]
     fn bfs_checker_accepts_reference() {
         let g = diamond();
-        let (dist, parent) = analysis::bfs_tree(&g, 0);
+        let (dist, parent) = analysis::tests::bfs_tree(&g, 0);
         assert!(check_bfs(&g, 0, &dist, &parent).is_ok());
     }
 
     #[test]
     fn bfs_checker_rejects_wrong_distance() {
         let g = diamond();
-        let (mut dist, parent) = analysis::bfs_tree(&g, 0);
+        let (mut dist, parent) = analysis::tests::bfs_tree(&g, 0);
         dist[3] = 1;
         assert!(check_bfs(&g, 0, &dist, &parent).is_err());
     }
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn bfs_checker_rejects_bad_parent() {
         let g = diamond();
-        let (dist, mut parent) = analysis::bfs_tree(&g, 0);
+        let (dist, mut parent) = analysis::tests::bfs_tree(&g, 0);
         parent[3] = Some(0); // 0 is not adjacent to 3
         assert!(check_bfs(&g, 0, &dist, &parent).is_err());
     }

@@ -9,10 +9,10 @@
 //! e <u> <v> [weight]
 //! ```
 //!
-//! Unweighted and weighted graphs share the format; a missing weight means
-//! weight 1.
+//! A weight column is parsed (a missing weight means weight 1); the
+//! graph read back is unweighted.
 
-use crate::graph::{Graph, WeightedGraph};
+use crate::graph::Graph;
 use crate::{NodeId, Weight};
 
 /// Serialises a graph to the edge-list format.
@@ -21,16 +21,6 @@ pub fn write_graph(g: &Graph) -> String {
     s.push_str(&format!("n {}\n", g.n()));
     for (u, v) in g.edges() {
         s.push_str(&format!("e {u} {v}\n"));
-    }
-    s
-}
-
-/// Serialises a weighted graph.
-pub fn write_weighted(g: &WeightedGraph) -> String {
-    let mut s = String::with_capacity(16 + 16 * g.m());
-    s.push_str(&format!("n {}\n", g.n()));
-    for (u, v, w) in g.weighted_edges() {
-        s.push_str(&format!("e {u} {v} {w}\n"));
     }
     s
 }
@@ -119,16 +109,27 @@ pub fn read_graph(text: &str) -> Result<Graph, ParseError> {
     ))
 }
 
-/// Parses a weighted graph.
-pub fn read_weighted(text: &str) -> Result<WeightedGraph, ParseError> {
-    let (n, edges) = parse_lines(text)?;
-    Ok(WeightedGraph::from_weighted_edges(n, edges))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::graph::WeightedGraph;
+
+    /// Serialises a weighted graph.
+    fn write_weighted(g: &WeightedGraph) -> String {
+        let mut s = String::with_capacity(16 + 16 * g.m());
+        s.push_str(&format!("n {}\n", g.n()));
+        for (u, v, w) in g.weighted_edges() {
+            s.push_str(&format!("e {u} {v} {w}\n"));
+        }
+        s
+    }
+
+    /// Parses a weighted graph.
+    fn read_weighted(text: &str) -> Result<WeightedGraph, ParseError> {
+        let (n, edges) = parse_lines(text)?;
+        Ok(WeightedGraph::from_weighted_edges(n, edges))
+    }
 
     #[test]
     fn roundtrip_unweighted() {

@@ -65,16 +65,16 @@ pub fn pow(mut base: u64, mut exp: u64) -> u64 {
     acc
 }
 
-/// Multiplicative inverse via Fermat's little theorem. `a` must be non-zero.
-pub fn inv(a: u64) -> u64 {
-    assert!(!a.is_multiple_of(M61), "zero has no inverse");
-    pow(a, M61 - 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Multiplicative inverse via Fermat's little theorem. `a` must be non-zero.
+    fn inv(a: u64) -> u64 {
+        assert!(!a.is_multiple_of(M61), "zero has no inverse");
+        pow(a, M61 - 2)
+    }
 
     #[test]
     fn small_identities() {

@@ -98,15 +98,6 @@ impl KMachineModel {
     pub fn report(&self) -> KMachineReport {
         self.totals
     }
-
-    /// The nodes hosted per machine (for load-balance reporting).
-    pub fn machine_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.totals.k];
-        for &m in &self.assignment {
-            sizes[m as usize] += 1;
-        }
-        sizes
-    }
 }
 
 impl NetworkModel for KMachineModel {
@@ -174,6 +165,15 @@ impl NetworkModel for KMachineModel {
 mod tests {
     use super::*;
 
+    /// The nodes hosted per machine.
+    fn machine_sizes(model: &KMachineModel) -> Vec<usize> {
+        let mut sizes = vec![0usize; model.totals.k];
+        for &m in &model.assignment {
+            sizes[m as usize] += 1;
+        }
+        sizes
+    }
+
     #[test]
     fn reset_zeroes_counters_but_keeps_partition() {
         let mut model = KMachineModel::from_assignment(vec![0, 1, 0, 1], 2, 1);
@@ -195,14 +195,14 @@ mod tests {
         // the partition is identity, not state: the recharge is identical
         let charge2 = model.charge_round(0, &evs);
         assert_eq!(charge1, charge2);
-        assert_eq!(model.machine_sizes(), vec![2, 2]);
+        assert_eq!(machine_sizes(&model), vec![2, 2]);
     }
 
     #[test]
     fn assignment_is_balanced_and_deterministic() {
         let a = random_assignment(1000, 8, 7);
         assert_eq!(a, random_assignment(1000, 8, 7));
-        let sizes = KMachineModel::from_assignment(a, 8, 1).machine_sizes();
+        let sizes = machine_sizes(&KMachineModel::from_assignment(a, 8, 1));
         assert_eq!(sizes.iter().sum::<usize>(), 1000);
         for &s in &sizes {
             assert!((80..=175).contains(&s), "unbalanced machine: {s}");
@@ -361,6 +361,25 @@ mod tests {
                 rep.cross_messages + rep.local_messages,
                 stats.delivered,
                 "every delivered message is either local or cross-machine"
+            );
+        }
+
+        #[test]
+        fn idle_rounds_are_charged_like_empty_rounds() {
+            let n = 16;
+            let model = KMachineModel::new(n, 4, 9, 1);
+            let mut eng = Engine::with_model(NetConfig::new(n, 7), Box::new(model));
+            let ran = eng.execute(&RingRelay, &mut vec![(); n]).unwrap();
+            let idle = eng.idle_rounds(5);
+            // one sync round each, as for an executed round with no mail
+            assert_eq!((idle.rounds, idle.km_rounds, idle.sent), (5, 5, 0));
+            assert_eq!(eng.global_round(), ran.rounds + 5);
+            assert_eq!(eng.total.km_rounds, ran.km_rounds + 5);
+            let km = eng.model().as_any().downcast_ref::<KMachineModel>();
+            let rep = km.expect("kmachine model").report();
+            assert_eq!(
+                (rep.ncc_rounds, rep.km_rounds),
+                (ran.rounds + 5, ran.km_rounds + 5)
             );
         }
 

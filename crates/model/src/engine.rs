@@ -533,6 +533,25 @@ impl Engine {
         result
     }
 
+    /// Lets `k` rounds pass with no node stepped and no message sent: a
+    /// stage padded to a bound every node knows ends on the clock. Each
+    /// round advances [`Engine::global_round`] and is charged like an
+    /// empty executed round ([`NetworkModel::charge_round`] with no
+    /// deliveries, when the model wants them). Allocates nothing.
+    pub fn idle_rounds(&mut self, k: u64) -> ExecStats {
+        let mut stats = ExecStats::default();
+        for _ in 0..k {
+            let mut round = RoundStats::default();
+            if self.model.wants_delivered_pairs() {
+                round.km_rounds = self.model.charge_round(self.global_round, &[]);
+            }
+            stats.absorb_round(&round);
+            self.total.absorb_round(&round);
+            self.global_round += 1;
+        }
+        stats
+    }
+
     /// Estimated resident heap footprint of the engine's long-lived
     /// state, by component — what a resident scenario service pays per
     /// node to keep this engine warm. Capacity-based (what is held, not

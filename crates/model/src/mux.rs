@@ -355,13 +355,6 @@ impl<'a> MuxBuilder<'a> {
         self.lanes.len()
     }
 
-    /// Lanes still admissible under the declared budget
-    /// (`usize::MAX` when unbounded).
-    pub fn remaining_budget(&self) -> usize {
-        self.budget
-            .map_or(usize::MAX, |b| b.saturating_sub(self.lanes.len()))
-    }
-
     fn push<Prog>(&mut self, prog: Prog, states: Vec<Prog::State>, seed: Option<u64>) -> LaneId
     where
         Prog: NodeProgram + 'a,
@@ -604,6 +597,15 @@ impl std::fmt::Debug for Mux<'_> {
 mod tests {
     use super::*;
     use crate::engine::{Engine, NetConfig};
+
+    impl MuxBuilder<'_> {
+        /// Lanes still admissible under the declared budget
+        /// (`usize::MAX` when unbounded).
+        fn remaining_budget(&self) -> usize {
+            self.budget
+                .map_or(usize::MAX, |b| b.saturating_sub(self.lanes.len()))
+        }
+    }
 
     /// Every node sends one message to (id+1) mod n for `hops` rounds.
     struct RingRelay {

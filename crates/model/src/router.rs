@@ -321,12 +321,6 @@ impl<P: Payload> Router<P> {
         &self.arena[s..s + l]
     }
 
-    /// Whether `node` received at least one message in the last routed round.
-    #[inline]
-    pub fn has_mail(&self, node: NodeId) -> bool {
-        self.sc.len[node as usize] > 0
-    }
-
     /// `(destination, dropped count)` pairs of the last routed round,
     /// ascending by destination.
     #[inline]
@@ -659,6 +653,14 @@ fn compact_bucket<P>(bucket: &mut [Envelope<P>], survivors: &[u32]) {
 mod tests {
     use super::*;
     use crate::network::{CongestedClique, HybridLocal};
+
+    impl<P: Payload> Router<P> {
+        /// Whether `node` received at least one message in the last routed round.
+        #[inline]
+        fn has_mail(&self, node: NodeId) -> bool {
+            self.sc.len[node as usize] > 0
+        }
+    }
 
     fn env(src: NodeId, dst: NodeId, payload: u64) -> Envelope<u64> {
         Envelope::new(src, dst, payload)

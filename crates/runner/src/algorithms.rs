@@ -168,9 +168,9 @@ pub fn run_checked(
 
 /// [`run_checked`] that also renders the run's packing plan for human eyes
 /// (`ncc-cli explain`): one line per packed stage — lanes vs budget,
-/// barrier (charged, or `carries` for an all-A&B stage run in the
-/// previous stage's barrier slot), rounds, lane labels — plus a totals
-/// line. The text is `None`
+/// sync (`barrier` charged, `pad k` idle rounds to a known bound, or
+/// `carries` for an all-A&B stage run in the previous stage's sync
+/// slot), rounds, lane labels — plus a totals line. The text is `None`
 /// when the algorithm is not DAG-declared; the record is the one
 /// [`run_checked`] returns.
 pub fn explain_text(
@@ -196,14 +196,15 @@ pub fn explain_text(
         let labels: Vec<&str> = st.lanes.iter().map(|l| l.label.as_str()).collect();
         let _ = writeln!(
             out,
-            "  stage {:>4}  {:>2}/{} lanes  {}  {:>5} rounds  {}{}",
+            "  stage {:>4}  {:>2}/{} lanes  {:<7}  {:>5} rounds  {}{}",
             i + 1,
             st.lanes.len(),
             plan.budget,
-            match (st.barrier, st.carried) {
-                (true, _) => "barrier",
-                (_, true) => "carries",
-                _ => "       ",
+            match (st.barrier, st.pad, st.carried) {
+                (true, ..) => "barrier".to_string(),
+                (_, Some(k), _) => format!("pad {k}"),
+                (.., true) => "carries".to_string(),
+                _ => String::new(),
             },
             st.rounds(),
             labels.join(" "),
@@ -216,13 +217,15 @@ pub fn explain_text(
     }
     let _ = writeln!(
         out,
-        "total: {} stages, {} lane-stages, max {}/{} lanes, {} barriers charged, {} carried, {} budget splits",
+        "total: {} stages, {} lane-stages, max {}/{} lanes, {} barriers charged, {} carried, {} padded ({} idle rounds), {} budget splits",
         plan.stages.len(),
         plan.lane_stages(),
         plan.max_lanes(),
         plan.budget,
         plan.barriers(),
         plan.carried(),
+        plan.padded(),
+        plan.stages.iter().filter_map(|s| s.pad).sum::<u64>(),
         plan.splits()
     );
     Ok((Some(out), rec))

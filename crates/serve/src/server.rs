@@ -308,14 +308,6 @@ impl Coordinator {
         }
     }
 
-    /// Runs one full request/response cycle against a scratch
-    /// [`EngineSlots`] — the single-shot path for tests and simple tools
-    /// that don't want a pool.
-    pub fn handle_line_once(&self, line: &str) -> Option<Response> {
-        let mut slots = EngineSlots::new(4);
-        self.handle_line(line, &mut slots)
-    }
-
     /// Convenience: build a [`Scenario`] through the cache (used by load
     /// generators that want warm artifacts without a run).
     pub fn warm(&self, spec: &ScenarioSpec) -> Result<Arc<Scenario>, ncc_runner::RunnerError> {
@@ -554,6 +546,15 @@ pub fn serve_stdio(cfg: ServeConfig) -> io::Result<()> {
 mod tests {
     use super::*;
     use ncc_runner::FamilySpec;
+
+    impl Coordinator {
+        /// Runs one full request/response cycle against a scratch
+        /// [`EngineSlots`].
+        fn handle_line_once(&self, line: &str) -> Option<Response> {
+            let mut slots = EngineSlots::new(4);
+            self.handle_line(line, &mut slots)
+        }
+    }
 
     fn run_line(id: u64, algorithm: &str, spec: &ScenarioSpec) -> String {
         serde_json::to_string(&Request::Run {

@@ -694,6 +694,10 @@ mod tests {
         assert!(text.contains("spread"), "lane labels must be listed");
         assert!(text.contains("total:"));
         assert!(text.contains("activity: peak_active"));
+        // matching's round-1 exchanges end on the clock: `pad k` stages
+        let text = explain(find_algorithm("matching").unwrap(), &scn, 0.0);
+        assert!(text.contains("  pad "), "padded stages are marked");
+        assert!(text.contains(" padded ("), "the totals count them");
         // a baseline has no DAG and therefore no plan, but still an activity line
         let text = explain(find_algorithm("gossip").unwrap(), &scn, 0.0);
         assert!(text.starts_with("gossip is not declared as a protocol DAG"));
