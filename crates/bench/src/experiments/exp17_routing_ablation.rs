@@ -6,7 +6,7 @@
 //! a growing gap in combining-phase rounds as group contention rises.
 
 use crate::{engine, f2, Table, SEED};
-use ncc_butterfly::{aggregation_sub, lane_seed, run_composed, AggregationSpec, GroupId, SumU64};
+use ncc_butterfly::{aggregation_sub, lane_seed, run_alone, AggregationSpec, GroupId, SumU64};
 use ncc_hashing::SharedRandomness;
 
 fn rounds(n: usize, l1: usize, random_ranks: bool) -> u64 {
@@ -33,8 +33,9 @@ fn rounds(n: usize, l1: usize, random_ranks: bool) -> u64 {
     if !random_ranks {
         sub = sub.static_priority();
     }
-    let (stats, _) = run_composed(&mut eng, &mut [&mut sub]).expect("aggregation");
-    let delivered: u64 = sub.into_deliveries().iter().flatten().map(|(_, v)| v).sum();
+    let (deliveries, stats) =
+        run_alone(&mut eng, sub, |s| s.into_deliveries()).expect("aggregation");
+    let delivered: u64 = deliveries.iter().flatten().map(|(_, v)| v).sum();
     assert_eq!(delivered, (n * l1) as u64, "no packet may be lost");
     assert!(stats.clean());
     stats.rounds

@@ -27,9 +27,9 @@
 //!    the clock ([`StageEnd::Within`]): a pad of idle rounds to that
 //!    bound, or the barrier when it is sooner.
 //!
-//! [`aggregate`] builds that lane and drives it alone under
-//! [`run_composed`]; algorithms put the same lane
-//! next to others in a [`Dag`](crate::compose::Dag). There is no second
+//! [`aggregate`] builds that lane and runs it alone, a one-node
+//! [`Dag`](crate::compose::Dag) ([`run_alone`]); algorithms put the same
+//! lane next to others in a larger one. There is no second
 //! implementation. [`multi_aggregate`] / [`MultiAggSub`] (Theorem 2.6)
 //! follow the same shape, with the tree spreading of
 //! [`multicast`](mod@crate::multicast) feeding the scatter.
@@ -50,8 +50,9 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Paylo
 use rand::Rng;
 
 use crate::combine::Aggregate;
-use crate::compose::{lane_seed, run_composed, StageEnd};
+use crate::compose::{lane_seed, StageEnd};
 use crate::queue::{LevelOrder, Route, RouteQueue};
+use crate::schedule::run_alone;
 use crate::topology::{Butterfly, GroupId};
 
 /// Per-node delivery lists: for each node, the `(group, value)` pairs it
@@ -388,7 +389,7 @@ impl<V: Payload> NodeProgram for DeliverProgram<V> {
 
 /// The Aggregation Algorithm as a composable lane: stage 1 is the
 /// scatter+combine pipeline, stage 2 the randomized delivery. Build with
-/// [`aggregation_sub`], run under [`crate::compose::run_composed`], read
+/// [`aggregation_sub`], run with [`run_alone`] or as a DAG node, read
 /// with [`AggregationSub::into_deliveries`].
 pub struct AggregationSub<'a, V: Payload, A: Aggregate<V>> {
     stage: usize,
@@ -549,7 +550,7 @@ impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for Aggregatio
 /// with `agg` and delivered to the group's target; the per-node output lists
 /// the `(group, aggregate)` pairs that node received as a target.
 ///
-/// Blocking wrapper: one [`AggregationSub`] alone under [`run_composed`].
+/// Blocking wrapper: one [`AggregationSub`] under [`run_alone`].
 /// Round complexity (Theorem 2.3): `O(L/n + (ℓ₁ + ℓ̂₂)/log n + log n)` w.h.p.
 pub fn aggregate<V: Payload, A: Aggregate<V>>(
     engine: &mut Engine,
@@ -558,9 +559,814 @@ pub fn aggregate<V: Payload, A: Aggregate<V>>(
     agg: &A,
 ) -> Result<(GroupedDeliveries<V>, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6167_6772 /* "aggr" */, 0);
-    let mut sub = aggregation_sub(engine.n(), shared, spec, agg, seed);
-    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
-    Ok((sub.into_deliveries(), stats))
+    let sub = aggregation_sub(engine.n(), shared, spec, agg, seed);
+    run_alone(engine, sub, AggregationSub::into_deliveries)
+}
+
+// ---------------------------------------------------------------------------
+// Multi-Aggregation (Theorem 2.6, Appendix B.5)
+// ---------------------------------------------------------------------------
+
+/// Sub-identifier namespace for the re-keyed member groups.
+const MA_SUB: u32 = 0x4D41;
+
+/// Wire format of the Multi-Aggregation pipeline: tree spreading
+/// (payload `V`) and re-keyed aggregation routing (payload `W`) share the
+/// rounds.
+#[derive(Debug, Clone)]
+pub(crate) enum MaMsg<V, W> {
+    Spread(LevelMsg<V>),
+    Agg(LevelMsg<W>),
+}
+
+impl<V: Payload, W: Payload> Payload for MaMsg<V, W> {
+    fn bit_size(&self) -> u32 {
+        1 + match self {
+            MaMsg::Spread(m) => m.bit_size(),
+            MaMsg::Agg(m) => m.bit_size(),
+        }
+    }
+}
+
+pub(crate) struct MaPipelineState<V, W> {
+    pub spread: crate::multicast::SpreadState<V>,
+    pub to_send: Vec<(u64, W)>,
+    pub comb: CombineState<W>,
+}
+
+/// The Multi-Aggregation pipeline (Theorem 2.6, streamed): packets
+/// spread down the trees, each leaf arrival is re-keyed through `leaf_map`
+/// (with the lane's private randomness — the §5.3 annotation hook) and
+/// immediately scattered as a level-0 arrival of the combining network,
+/// which routes toward `h(id(u))` in the same rounds. Stage 2 delivers.
+pub(crate) struct MaPipelineProgram<'a, V, W, A, F> {
+    pub bf: Butterfly,
+    pub hashes: RouteHashes,
+    pub trees: &'a crate::mctree::MulticastTrees,
+    pub agg: &'a A,
+    pub leaf_map: F,
+    pub batch: usize,
+    pub columns: u32,
+    /// Per-node, per-round send ceiling across the whole fused pipeline
+    /// (spread + scatter + combine) — the lane's share of the node
+    /// capacity when a scheduler packs it next to siblings
+    /// ([`crate::compose::LaneSub::pace`]). `usize::MAX` = unpaced.
+    pub send_budget: usize,
+    pub _pd: std::marker::PhantomData<(V, W)>,
+}
+
+impl<V, W, A, F> MaPipelineProgram<'_, V, W, A, F>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
+{
+    fn scatter(
+        &self,
+        st: &mut MaPipelineState<V, W>,
+        budget: &mut usize,
+        ctx: &mut Ctx<'_, MaMsg<V, W>>,
+    ) {
+        let take = st.to_send.len().min(self.batch).min(*budget);
+        *budget -= take;
+        for (group, value) in st.to_send.drain(..take) {
+            let col = ctx.rng().gen_range(0..self.columns);
+            ctx.send(
+                self.bf.emulator(col),
+                MaMsg::Agg(LevelMsg {
+                    level: 0,
+                    group,
+                    route: self.hashes.route(group),
+                    value,
+                }),
+            );
+        }
+    }
+}
+
+impl<V, W, A, F> NodeProgram for MaPipelineProgram<'_, V, W, A, F>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
+{
+    type State = MaPipelineState<V, W>;
+    type Payload = MaMsg<V, W>;
+
+    fn init(&self, st: &mut MaPipelineState<V, W>, ctx: &mut Ctx<'_, MaMsg<V, W>>) {
+        if let Some((group, value)) = st.spread.source_packet.take() {
+            let route = self.hashes.route(group);
+            ctx.send(
+                self.bf.emulator(route.target),
+                MaMsg::Spread(LevelMsg {
+                    level: self.bf.d() as u8,
+                    group,
+                    route,
+                    value,
+                }),
+            );
+        }
+    }
+
+    fn round(
+        &self,
+        st: &mut MaPipelineState<V, W>,
+        inbox: &[Envelope<MaMsg<V, W>>],
+        ctx: &mut Ctx<'_, MaMsg<V, W>>,
+    ) {
+        if !self.bf.emulates(ctx.id) {
+            return; // sources fired at init; all traffic stays on columns
+        }
+        let alpha = self.bf.column_of(ctx.id);
+        for env in inbox {
+            match &env.payload {
+                MaMsg::Spread(m) => crate::multicast::spread_arrive(
+                    self.trees,
+                    &mut st.spread,
+                    alpha,
+                    m.level as u32,
+                    m.group,
+                    m.route,
+                    m.value.clone(),
+                ),
+                MaMsg::Agg(m) => combine_insert(
+                    &self.bf,
+                    self.agg,
+                    &mut st.comb,
+                    alpha,
+                    m.level as u32,
+                    m.group,
+                    m.route,
+                    m.value.clone(),
+                ),
+            }
+        }
+        // one shared send budget across the fused pipeline's three phases
+        let mut budget = self.send_budget;
+        crate::multicast::spread_step(
+            &self.bf,
+            self.trees,
+            &mut st.spread,
+            alpha,
+            &mut budget,
+            &mut |dst, msg| ctx.send(dst, MaMsg::Spread(msg)),
+        );
+        // re-key fresh leaf arrivals and queue them for scattering
+        for (group, member, value) in st.spread.at_leaves.drain(..) {
+            let mapped = (self.leaf_map)(ctx.rng(), GroupId(group), member, &value);
+            st.to_send
+                .push((GroupId::new(member, MA_SUB).raw(), mapped));
+        }
+        self.scatter(st, &mut budget, ctx);
+        combine_step(
+            &self.bf,
+            self.agg,
+            &mut st.comb,
+            alpha,
+            &mut budget,
+            &mut |dst, msg| ctx.send(dst, MaMsg::Agg(msg)),
+        );
+        if !(st.spread.queue.is_empty() && st.to_send.is_empty() && st.comb.queue.is_empty()) {
+            ctx.stay_awake();
+        }
+    }
+}
+
+/// Multi-Aggregation as a composable lane: stage 1 is the fused
+/// spread→re-key→scatter→combine pipeline, stage 2 the delivery. Build
+/// with [`multi_aggregate_sub`], run with [`run_alone`] or as a DAG node,
+/// read with [`MultiAggSub::into_results`].
+pub struct MultiAggSub<'a, V, W, A, F>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
+{
+    stage: usize,
+    lane_seed: u64,
+    pipe: crate::compose::Stage<MaPipelineProgram<'a, V, W, A, F>, MaPipelineState<V, W>>,
+    del: crate::compose::Stage<DeliverProgram<W>, DeliverState<W>>,
+    out: Option<Vec<Option<W>>>,
+}
+
+/// Builds the multi-aggregation sub-protocol. Arguments mirror
+/// [`multi_aggregate`]; `lane_seed` keys the lane's private randomness
+/// (leaf-map draws, scatter columns).
+pub fn multi_aggregate_sub<'a, V, W, A, F>(
+    n: usize,
+    shared: &SharedRandomness,
+    trees: &'a crate::mctree::MulticastTrees,
+    messages: Vec<Option<(GroupId, V)>>,
+    leaf_map: F,
+    agg: &'a A,
+    lane_seed: u64,
+) -> MultiAggSub<'a, V, W, A, F>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
+{
+    assert_eq!(messages.len(), n);
+    let bf = Butterfly::for_n(n);
+    let hashes = RouteHashes::new(shared, &bf, n);
+    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
+    let states: Vec<MaPipelineState<V, W>> = crate::multicast::spread_states(messages)
+        .into_iter()
+        .map(|spread| MaPipelineState {
+            spread,
+            to_send: Vec::new(),
+            comb: CombineState::default(),
+        })
+        .collect();
+    MultiAggSub {
+        stage: 0,
+        lane_seed,
+        pipe: Some((
+            MaPipelineProgram {
+                bf,
+                hashes,
+                trees,
+                agg,
+                leaf_map,
+                batch: logn,
+                columns: bf.columns() as u32,
+                send_budget: usize::MAX,
+                _pd: std::marker::PhantomData,
+            },
+            states,
+        )),
+        del: None,
+        out: None,
+    }
+}
+
+impl<V, W, A, F> MultiAggSub<'_, V, W, A, F>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
+{
+    /// Per node `u`: the aggregate over packets multicast to `u`, or `None`
+    /// if no group reached it. Panics before the composition finished.
+    pub fn into_results(self) -> Vec<Option<W>> {
+        self.out
+            .expect("multi-aggregation sub-protocol not finished")
+    }
+}
+
+impl<'a, V, W, A, F> crate::compose::LaneSub<'a> for MultiAggSub<'a, V, W, A, F>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync + 'a,
+{
+    fn pace(&mut self, send_budget: usize) {
+        if let Some((prog, _)) = self.pipe.as_mut() {
+            prog.send_budget = send_budget;
+        }
+    }
+
+    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
+        match self.stage {
+            0 => {
+                let (prog, states) = self.pipe.take()?;
+                Some(b.lane_seeded(
+                    prog,
+                    states,
+                    ncc_model::rng::derive_seed(&[self.lane_seed, 0]),
+                ))
+            }
+            1 => {
+                let (prog, states) = self.del.take()?;
+                Some(b.lane_seeded(
+                    prog,
+                    states,
+                    ncc_model::rng::derive_seed(&[self.lane_seed, 1]),
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
+        match self.stage {
+            0 => {
+                let pipe: Vec<MaPipelineState<V, W>> = ncc_model::take_lane_states(states, lane);
+                let del_states: Vec<DeliverState<W>> = pipe
+                    .into_iter()
+                    .map(|s| DeliverState {
+                        scheduled: s.comb.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
+                        received: Vec::new(),
+                    })
+                    .collect();
+                self.del = Some((
+                    DeliverProgram {
+                        spread: 1, // each node is target of ≤ 1 re-keyed group
+                        _pd: std::marker::PhantomData,
+                    },
+                    del_states,
+                ));
+            }
+            _ => {
+                let del: Vec<DeliverState<W>> = ncc_model::take_lane_states(states, lane);
+                self.out = Some(
+                    del.into_iter()
+                        .map(|s| s.received.into_iter().next().map(|(_, v)| v))
+                        .collect(),
+                );
+            }
+        }
+        self.stage += 1;
+    }
+
+    fn is_done(&self) -> bool {
+        self.out.is_some()
+    }
+
+    fn stage_end(&self) -> StageEnd {
+        // deliveries leave in local rounds `0..spread` and the last lands
+        // in round `spread`: the stage is over within `spread + 1` rounds
+        match &self.del {
+            Some((p, _)) => StageEnd::Within(p.spread + 1),
+            None => StageEnd::Barrier,
+        }
+    }
+}
+
+/// Runs Multi-Aggregation (Theorem 2.6): every source `s_i` multicasts
+/// `p_i` down its tree; each leaf `l(i, u)` re-keys its packet to
+/// `(id(u), map(p_i))` — optionally transforming it with leaf-local
+/// randomness, which is how the matching algorithm of §5.3 annotates
+/// packets with uniform ranks — then the re-keyed packets are scattered,
+/// aggregated toward `h(id(u))` exactly as in the Aggregation Algorithm,
+/// and delivered to `u`. Runs in `O(C + log n)` rounds over trees of
+/// congestion `C`.
+///
+/// `messages[u] = Some((group, payload))` iff `u` sources `group`; `agg`
+/// combines the mapped packets per destination. Returns per node `u` the
+/// aggregate `f({map(p_i) | u ∈ A_i})`, or `None` if no group reaches `u`.
+///
+/// Blocking wrapper: one [`MultiAggSub`] under [`run_alone`].
+pub fn multi_aggregate<V, W, A, F>(
+    engine: &mut Engine,
+    shared: &SharedRandomness,
+    trees: &crate::mctree::MulticastTrees,
+    messages: Vec<Option<(GroupId, V)>>,
+    leaf_map: F,
+    agg: &A,
+) -> Result<(Vec<Option<W>>, ExecStats), ModelError>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
+{
+    let seed = lane_seed(engine, 0x6d61_6767 /* "magg" */, 0);
+    let sub = multi_aggregate_sub(engine.n(), shared, trees, messages, leaf_map, agg, seed);
+    run_alone(engine, sub, MultiAggSub::into_results)
+}
+
+// ---------------------------------------------------------------------------
+// Aggregate-and-Broadcast (Theorem 2.2, Appendix B.1)
+// ---------------------------------------------------------------------------
+//
+// Given a distributive aggregate `f` and a set `A ⊆ V` of nodes holding one
+// input each, every node learns `f(inputs of A)` in `O(log n)` rounds:
+//
+// 1. non-emulating nodes inject their inputs into their proxy level-0
+//    butterfly nodes;
+// 2. *aggregation sweep* (rounds `1..=d`): at round `r`, bit `r−1` of the
+//    column index is fixed to 0 — every live column with that bit set
+//    forwards its partial aggregate across the corresponding cross edge,
+//    so after round `d` the root column 0 holds the full aggregate at
+//    level `d`;
+// 3. *broadcast sweep* (rounds `d+1..=2d`): the reverse binomial tree
+//    pushes the result back to every column;
+// 4. a final round informs the attached non-emulating nodes.
+//
+// Every node sends and receives `O(1)` messages per round here. The same
+// execution doubles as the paper's synchronisation barrier
+// ([`sync_barrier`]) — the token-passing variant of App. B.1 condensed to
+// its round cost.
+//
+// `AbProgram` is one plain program. [`aggregate_and_broadcast`], and with
+// it every barrier, hands it straight to `Engine::execute`: no mux, no
+// lane header, the nodes' own RNG streams, and the engine's recycled
+// buffers, so a barrier on a warm engine allocates only its input, state
+// and result vectors. [`ab_sub`] wraps the same program as a lane, for the
+// DAG stages that run an A&B beside other protocols; a one-lane mux
+// charges zero header bits and borrows the node's stream, so both paths
+// cost the same rounds, messages, bits and drops.
+
+/// Wire format of Aggregate-and-Broadcast. Discriminant + payload; levels
+/// are implied by the round.
+#[derive(Debug, Clone)]
+pub enum AbMsg<V> {
+    /// Non-emulating node → proxy column (round 0).
+    Inject(V),
+    /// Aggregation sweep, cross edge toward the root.
+    Down(V),
+    /// Broadcast sweep, cross edge away from the root.
+    Up(V),
+    /// Level-0 column → attached non-emulating node.
+    Result(V),
+}
+
+impl<V: Payload> Payload for AbMsg<V> {
+    fn bit_size(&self) -> u32 {
+        let inner = match self {
+            AbMsg::Inject(v) | AbMsg::Down(v) | AbMsg::Up(v) | AbMsg::Result(v) => v.bit_size(),
+        };
+        2 + inner
+    }
+}
+
+/// Per-node Aggregate-and-Broadcast state.
+#[derive(Debug, Clone)]
+pub struct AbState<V> {
+    input: Option<V>,
+    acc: Option<V>,
+    /// The broadcast result once known; the driver reads this field.
+    pub result: Option<V>,
+}
+
+struct AbProgram<'a, V, A> {
+    bf: Butterfly,
+    agg: &'a A,
+    _pd: std::marker::PhantomData<V>,
+}
+
+impl<V: Payload, A: Aggregate<V>> AbProgram<'_, V, A> {
+    fn absorb(&self, st: &mut AbState<V>, inbox: &[Envelope<AbMsg<V>>]) {
+        for env in inbox {
+            let v = match &env.payload {
+                AbMsg::Inject(v) | AbMsg::Down(v) => v,
+                AbMsg::Up(v) | AbMsg::Result(v) => {
+                    st.result = Some(v.clone());
+                    continue;
+                }
+            };
+            st.acc = Some(match st.acc.take() {
+                None => v.clone(),
+                Some(a) => self.agg.combine(&a, v),
+            });
+        }
+    }
+}
+
+impl<V: Payload, A: Aggregate<V>> NodeProgram for AbProgram<'_, V, A> {
+    type State = AbState<V>;
+    type Payload = AbMsg<V>;
+
+    fn init(&self, st: &mut AbState<V>, ctx: &mut Ctx<'_, AbMsg<V>>) {
+        if self.bf.emulates(ctx.id) {
+            st.acc = st.input.clone();
+            ctx.stay_awake();
+        } else if let Some(v) = st.input.clone() {
+            let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
+            ctx.send(proxy, AbMsg::Inject(v));
+        }
+    }
+
+    fn round(
+        &self,
+        st: &mut AbState<V>,
+        inbox: &[Envelope<AbMsg<V>>],
+        ctx: &mut Ctx<'_, AbMsg<V>>,
+    ) {
+        let d = self.bf.d();
+        let r = ctx.round;
+        if !self.bf.emulates(ctx.id) {
+            // non-emulating nodes only ever receive the final Result
+            self.absorb(st, inbox);
+            return;
+        }
+        let alpha = self.bf.column_of(ctx.id);
+        self.absorb(st, inbox);
+
+        if r <= d as u64 {
+            // aggregation sweep: fix bit r−1
+            let bit = 1u32 << (r - 1);
+            let low_mask = bit - 1;
+            if alpha & low_mask == 0 && alpha & bit != 0 {
+                if let Some(v) = st.acc.take() {
+                    ctx.send(self.bf.emulator(alpha & !bit), AbMsg::Down(v));
+                }
+            }
+            ctx.stay_awake();
+        } else if r <= 2 * d as u64 {
+            // broadcast sweep: step j = r − d sends across bit d − j
+            let j = (r - d as u64) as u32;
+            if j == 1 && alpha == 0 {
+                st.result = st.acc.clone();
+            }
+            let bit = 1u32 << (d - j);
+            let low_mask = (bit << 1) - 1;
+            if alpha & low_mask == 0 {
+                if let Some(v) = st.result.clone() {
+                    ctx.send(self.bf.emulator(alpha | bit), AbMsg::Up(v));
+                }
+            }
+            ctx.stay_awake();
+        } else if r == 2 * d as u64 + 1 {
+            // inform the attached non-emulating node, if any
+            if let Some(v) = st.result.clone() {
+                if let Some(node) = self.bf.attached_node(alpha) {
+                    ctx.send(node, AbMsg::Result(v));
+                }
+            }
+        }
+    }
+}
+
+/// Runs Aggregate-and-Broadcast: each node optionally holds one input;
+/// afterwards every node knows the aggregate (or `None` if no node held an
+/// input). Takes `O(log n)` rounds (Theorem 2.2).
+pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
+    engine: &mut Engine,
+    inputs: Vec<Option<V>>,
+    agg: &A,
+) -> Result<(Vec<Option<V>>, ExecStats), ModelError> {
+    let n = engine.n();
+    assert_eq!(inputs.len(), n);
+    if n == 1 {
+        // degenerate network: the aggregate is the node's own input
+        return Ok((inputs, ExecStats::default()));
+    }
+    let bf = Butterfly::for_n(n);
+    let prog = AbProgram {
+        bf,
+        agg,
+        _pd: std::marker::PhantomData,
+    };
+    let mut states: Vec<AbState<V>> = inputs
+        .into_iter()
+        .map(|input| AbState {
+            input,
+            acc: None,
+            result: None,
+        })
+        .collect();
+    let stats = engine.execute(&prog, &mut states)?;
+    let results = states.into_iter().map(|s| s.result).collect();
+    Ok((results, stats))
+}
+
+/// Aggregate-and-Broadcast as a composable lane: a single stage that rides
+/// alongside heavier lanes (the paper's ubiquitous "agree on a global
+/// value" step, at zero extra stage cost when composed). Build with
+/// [`ab_sub`], run as a DAG node, read with [`AbSub::into_results`].
+pub struct AbSub<'a, V: Payload, A: Aggregate<V>> {
+    stage: crate::compose::Stage<AbProgram<'a, V, A>, AbState<V>>,
+    out: Option<Vec<Option<V>>>,
+}
+
+/// Builds the Aggregate-and-Broadcast sub-protocol. Arguments mirror
+/// [`aggregate_and_broadcast`] (the same program run alone).
+pub fn ab_sub<'a, V: Payload, A: Aggregate<V>>(
+    n: usize,
+    inputs: Vec<Option<V>>,
+    agg: &'a A,
+) -> AbSub<'a, V, A> {
+    assert_eq!(inputs.len(), n);
+    assert!(n >= 2, "composable A&B needs n ≥ 2");
+    let bf = Butterfly::for_n(n);
+    let states: Vec<AbState<V>> = inputs
+        .into_iter()
+        .map(|input| AbState {
+            input,
+            acc: None,
+            result: None,
+        })
+        .collect();
+    AbSub {
+        stage: Some((
+            AbProgram {
+                bf,
+                agg,
+                _pd: std::marker::PhantomData,
+            },
+            states,
+        )),
+        out: None,
+    }
+}
+
+impl<V: Payload, A: Aggregate<V>> AbSub<'_, V, A> {
+    /// Per node: the broadcast aggregate (`None` iff no node held an
+    /// input). Panics before the composition finished.
+    pub fn into_results(self) -> Vec<Option<V>> {
+        self.out.expect("A&B sub-protocol not finished")
+    }
+}
+
+impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AbSub<'a, V, A> {
+    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
+        let (prog, states) = self.stage.take()?;
+        Some(b.lane(prog, states))
+    }
+
+    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
+        let st: Vec<AbState<V>> = ncc_model::take_lane_states(states, lane);
+        self.out = Some(st.into_iter().map(|s| s.result).collect());
+    }
+
+    fn is_done(&self) -> bool {
+        self.out.is_some()
+    }
+
+    fn stage_end(&self) -> StageEnd {
+        // A&B ends with everyone knowing the result — it IS the barrier
+        // primitive (App. B.1), so a stage made only of A&B lanes needs no
+        // trailing `sync_barrier` (matching [`aggregate_and_broadcast`]'s cost).
+        StageEnd::SelfSync
+    }
+}
+
+/// Rounds one [`sync_barrier`] takes on `n` nodes when none of its
+/// messages is dropped: `2d + 2` on `2^d` nodes, one more to inform the
+/// attached nodes otherwise, and none on one node.
+pub(crate) fn barrier_rounds(n: usize) -> u64 {
+    match n {
+        0 | 1 => 0,
+        _ => 2 * ncc_model::ilog2_floor(n) as u64 + 2 + !n.is_power_of_two() as u64,
+    }
+}
+
+/// The synchronisation barrier used between phases of larger primitives:
+/// an Aggregate-and-Broadcast of a constant. Costs the `O(log n)` rounds
+/// the paper charges for its token-based synchronisation (App. B.1).
+pub fn sync_barrier(engine: &mut Engine) -> Result<ExecStats, ModelError> {
+    let n = engine.n();
+    let inputs: Vec<Option<u64>> = vec![Some(1); n];
+    let (results, stats) = aggregate_and_broadcast(engine, inputs, &crate::combine::MinU64)?;
+    debug_assert!(results.iter().all(|r| *r == Some(1)));
+    Ok(stats)
+}
+
+#[cfg(test)]
+mod ab_tests {
+    use super::*;
+    use crate::combine::{MaxU64, MinU64, SumU64};
+    use ncc_model::NetConfig;
+
+    fn engine(n: usize) -> Engine {
+        Engine::new(NetConfig::new(n, 42))
+    }
+
+    #[test]
+    fn sum_over_all_nodes() {
+        for n in [2usize, 3, 4, 7, 8, 16, 33, 100, 128] {
+            let mut eng = engine(n);
+            let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
+            let (res, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
+            let expect = (n as u64 * (n as u64 - 1)) / 2;
+            for (v, r) in res.iter().enumerate() {
+                assert_eq!(*r, Some(expect), "node {v} at n={n}");
+            }
+            assert!(stats.clean(), "drops at n={n}");
+        }
+    }
+
+    #[test]
+    fn partial_input_set() {
+        let n = 20;
+        let mut eng = engine(n);
+        // only nodes 3, 17 (non-emulating for d=4), 9 hold inputs
+        let mut inputs: Vec<Option<u64>> = vec![None; n];
+        inputs[3] = Some(30);
+        inputs[17] = Some(5);
+        inputs[9] = Some(12);
+        let (res, _) = aggregate_and_broadcast(&mut eng, inputs, &MaxU64).unwrap();
+        assert!(res.iter().all(|r| *r == Some(30)));
+    }
+
+    #[test]
+    fn empty_input_set_gives_none() {
+        let n = 16;
+        let mut eng = engine(n);
+        let inputs: Vec<Option<u64>> = vec![None; n];
+        let (res, _) = aggregate_and_broadcast(&mut eng, inputs, &MinU64).unwrap();
+        assert!(res.iter().all(|r| r.is_none()));
+    }
+
+    #[test]
+    fn rounds_logarithmic() {
+        // Theorem 2.2: O(log n) rounds. Measure the constant: 2d + O(1).
+        for k in [3u32, 5, 8, 10] {
+            let n = 1usize << k;
+            let mut eng = engine(n);
+            let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
+            let (_, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
+            assert!(
+                stats.rounds <= 2 * k as u64 + 3,
+                "n=2^{k}: {} rounds > 2d+3",
+                stats.rounds
+            );
+        }
+    }
+
+    #[test]
+    fn per_round_load_constant() {
+        let n = 256;
+        let mut eng = engine(n);
+        let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
+        let (_, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
+        assert!(stats.max_in <= 2, "max in-degree {}", stats.max_in);
+        assert!(stats.max_out <= 2, "max out-degree {}", stats.max_out);
+    }
+
+    #[test]
+    fn non_power_of_two_includes_attached_nodes() {
+        let n = 21; // d = 4, columns 0..16, attached 16..21
+        let mut eng = engine(n);
+        let inputs: Vec<Option<u64>> = (0..n as u64).map(|v| Some(v + 100)).collect();
+        let (res, _) = aggregate_and_broadcast(&mut eng, inputs, &MaxU64).unwrap();
+        // max input is node 20's (120); node 20 is non-emulating
+        assert!(res.iter().all(|r| *r == Some(120)));
+    }
+
+    #[test]
+    fn sync_barrier_costs_log_rounds() {
+        let n = 64;
+        let mut eng = engine(n);
+        let stats = sync_barrier(&mut eng).unwrap();
+        assert!(
+            stats.rounds >= 6 && stats.rounds <= 16,
+            "rounds {}",
+            stats.rounds
+        );
+    }
+
+    #[test]
+    fn barrier_rounds_is_the_barrier_length() {
+        for n in [1usize, 2, 3, 4, 7, 48, 64, 100, 128] {
+            let stats = sync_barrier(&mut engine(n)).unwrap();
+            assert_eq!(barrier_rounds(n), stats.rounds, "n = {n}");
+        }
+    }
+
+    /// `aggregate_and_broadcast` executes `AbProgram` directly; a one-node
+    /// `Dag` holding `ab_sub` runs the same program as the only lane of a
+    /// mux. They must be one execution, bit for bit: stats (drops and bits
+    /// included), results and the engine's global round. A&B delivers at
+    /// most one message per node-round, so a receive cap of 1 drops
+    /// nothing; a cap of 0 drops every message.
+    #[test]
+    fn direct_barrier_matches_a_one_lane_mux() {
+        use crate::compose::Dag;
+        use ncc_model::Capacity;
+        for n in [2usize, 3, 48, 100] {
+            let inputs: Vec<Option<u64>> = (0..n as u64)
+                .map(|v| (v % 3 != 1).then_some(v * 7 + 5))
+                .collect();
+            let recv = |recv| {
+                let cap = Capacity {
+                    recv,
+                    ..Capacity::default_for(n)
+                };
+                NetConfig::new(n, 42).with_capacity(cap).permissive()
+            };
+            let configs = [
+                (NetConfig::new(n, 42), false),
+                (recv(1), false),
+                (recv(0), true),
+            ];
+            for (cfg, drops) in configs {
+                let mut direct = Engine::new(cfg.clone());
+                let (want, want_stats) =
+                    aggregate_and_broadcast(&mut direct, inputs.clone(), &SumU64).unwrap();
+                let mut muxed = Engine::new(cfg);
+                let mut dag = Dag::new();
+                let lane_inputs = inputs.clone();
+                let node = dag.proto(
+                    "ab",
+                    &[],
+                    move |_| ab_sub(n, lane_inputs, &SumU64),
+                    |s| s.into_results(),
+                );
+                let mut run = dag.run(&mut muxed).unwrap();
+                assert_eq!(want_stats.dropped > 0, drops, "n={n}");
+                assert_eq!(run.stats, want_stats, "n={n}");
+                assert_eq!(run.outputs.take(node), want, "n={n}");
+                assert_eq!(muxed.global_round(), direct.global_round(), "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn single_node_trivial() {
+        let mut eng = engine(1);
+        let (res, stats) = aggregate_and_broadcast(&mut eng, vec![Some(9u64)], &SumU64).unwrap();
+        assert_eq!(res, vec![Some(9)]);
+        assert_eq!(stats.rounds, 0);
+    }
 }
 
 #[cfg(test)]
@@ -808,814 +1614,5 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!(col, fresh.target);
             proptest::prop_assert_eq!(states[col as usize].arrived.get(&group), Some(&1));
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-Aggregation (Theorem 2.6, Appendix B.5)
-// ---------------------------------------------------------------------------
-
-/// Sub-identifier namespace for the re-keyed member groups.
-const MA_SUB: u32 = 0x4D41;
-
-/// Wire format of the Multi-Aggregation pipeline: tree spreading
-/// (payload `V`) and re-keyed aggregation routing (payload `W`) share the
-/// rounds.
-#[derive(Debug, Clone)]
-pub(crate) enum MaMsg<V, W> {
-    Spread(LevelMsg<V>),
-    Agg(LevelMsg<W>),
-}
-
-impl<V: Payload, W: Payload> Payload for MaMsg<V, W> {
-    fn bit_size(&self) -> u32 {
-        1 + match self {
-            MaMsg::Spread(m) => m.bit_size(),
-            MaMsg::Agg(m) => m.bit_size(),
-        }
-    }
-}
-
-pub(crate) struct MaPipelineState<V, W> {
-    pub spread: crate::multicast::SpreadState<V>,
-    pub to_send: Vec<(u64, W)>,
-    pub comb: CombineState<W>,
-}
-
-/// The Multi-Aggregation pipeline (Theorem 2.6, streamed): packets
-/// spread down the trees, each leaf arrival is re-keyed through `leaf_map`
-/// (with the lane's private randomness — the §5.3 annotation hook) and
-/// immediately scattered as a level-0 arrival of the combining network,
-/// which routes toward `h(id(u))` in the same rounds. Stage 2 delivers.
-pub(crate) struct MaPipelineProgram<'a, V, W, A, F> {
-    pub bf: Butterfly,
-    pub hashes: RouteHashes,
-    pub trees: &'a crate::mctree::MulticastTrees,
-    pub agg: &'a A,
-    pub leaf_map: F,
-    pub batch: usize,
-    pub columns: u32,
-    /// Per-node, per-round send ceiling across the whole fused pipeline
-    /// (spread + scatter + combine) — the lane's share of the node
-    /// capacity when a scheduler packs it next to siblings
-    /// ([`crate::compose::LaneSub::pace`]). `usize::MAX` = unpaced.
-    pub send_budget: usize,
-    pub _pd: std::marker::PhantomData<(V, W)>,
-}
-
-impl<V, W, A, F> MaPipelineProgram<'_, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    fn scatter(
-        &self,
-        st: &mut MaPipelineState<V, W>,
-        budget: &mut usize,
-        ctx: &mut Ctx<'_, MaMsg<V, W>>,
-    ) {
-        let take = st.to_send.len().min(self.batch).min(*budget);
-        *budget -= take;
-        for (group, value) in st.to_send.drain(..take) {
-            let col = ctx.rng().gen_range(0..self.columns);
-            ctx.send(
-                self.bf.emulator(col),
-                MaMsg::Agg(LevelMsg {
-                    level: 0,
-                    group,
-                    route: self.hashes.route(group),
-                    value,
-                }),
-            );
-        }
-    }
-}
-
-impl<V, W, A, F> NodeProgram for MaPipelineProgram<'_, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    type State = MaPipelineState<V, W>;
-    type Payload = MaMsg<V, W>;
-
-    fn init(&self, st: &mut MaPipelineState<V, W>, ctx: &mut Ctx<'_, MaMsg<V, W>>) {
-        if let Some((group, value)) = st.spread.source_packet.take() {
-            let route = self.hashes.route(group);
-            ctx.send(
-                self.bf.emulator(route.target),
-                MaMsg::Spread(LevelMsg {
-                    level: self.bf.d() as u8,
-                    group,
-                    route,
-                    value,
-                }),
-            );
-        }
-    }
-
-    fn round(
-        &self,
-        st: &mut MaPipelineState<V, W>,
-        inbox: &[Envelope<MaMsg<V, W>>],
-        ctx: &mut Ctx<'_, MaMsg<V, W>>,
-    ) {
-        if !self.bf.emulates(ctx.id) {
-            return; // sources fired at init; all traffic stays on columns
-        }
-        let alpha = self.bf.column_of(ctx.id);
-        for env in inbox {
-            match &env.payload {
-                MaMsg::Spread(m) => crate::multicast::spread_arrive(
-                    self.trees,
-                    &mut st.spread,
-                    alpha,
-                    m.level as u32,
-                    m.group,
-                    m.route,
-                    m.value.clone(),
-                ),
-                MaMsg::Agg(m) => combine_insert(
-                    &self.bf,
-                    self.agg,
-                    &mut st.comb,
-                    alpha,
-                    m.level as u32,
-                    m.group,
-                    m.route,
-                    m.value.clone(),
-                ),
-            }
-        }
-        // one shared send budget across the fused pipeline's three phases
-        let mut budget = self.send_budget;
-        crate::multicast::spread_step(
-            &self.bf,
-            self.trees,
-            &mut st.spread,
-            alpha,
-            &mut budget,
-            &mut |dst, msg| ctx.send(dst, MaMsg::Spread(msg)),
-        );
-        // re-key fresh leaf arrivals and queue them for scattering
-        for (group, member, value) in st.spread.at_leaves.drain(..) {
-            let mapped = (self.leaf_map)(ctx.rng(), GroupId(group), member, &value);
-            st.to_send
-                .push((GroupId::new(member, MA_SUB).raw(), mapped));
-        }
-        self.scatter(st, &mut budget, ctx);
-        combine_step(
-            &self.bf,
-            self.agg,
-            &mut st.comb,
-            alpha,
-            &mut budget,
-            &mut |dst, msg| ctx.send(dst, MaMsg::Agg(msg)),
-        );
-        if !(st.spread.queue.is_empty() && st.to_send.is_empty() && st.comb.queue.is_empty()) {
-            ctx.stay_awake();
-        }
-    }
-}
-
-/// Multi-Aggregation as a composable lane: stage 1 is the fused
-/// spread→re-key→scatter→combine pipeline, stage 2 the delivery. Build
-/// with [`multi_aggregate_sub`], run under
-/// [`crate::compose::run_composed`], read with
-/// [`MultiAggSub::into_results`].
-pub struct MultiAggSub<'a, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    stage: usize,
-    lane_seed: u64,
-    pipe: crate::compose::Stage<MaPipelineProgram<'a, V, W, A, F>, MaPipelineState<V, W>>,
-    del: crate::compose::Stage<DeliverProgram<W>, DeliverState<W>>,
-    out: Option<Vec<Option<W>>>,
-}
-
-/// Builds the multi-aggregation sub-protocol. Arguments mirror
-/// [`multi_aggregate`]; `lane_seed` keys the lane's private randomness
-/// (leaf-map draws, scatter columns).
-pub fn multi_aggregate_sub<'a, V, W, A, F>(
-    n: usize,
-    shared: &SharedRandomness,
-    trees: &'a crate::mctree::MulticastTrees,
-    messages: Vec<Option<(GroupId, V)>>,
-    leaf_map: F,
-    agg: &'a A,
-    lane_seed: u64,
-) -> MultiAggSub<'a, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    assert_eq!(messages.len(), n);
-    let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let states: Vec<MaPipelineState<V, W>> = crate::multicast::spread_states(messages)
-        .into_iter()
-        .map(|spread| MaPipelineState {
-            spread,
-            to_send: Vec::new(),
-            comb: CombineState::default(),
-        })
-        .collect();
-    MultiAggSub {
-        stage: 0,
-        lane_seed,
-        pipe: Some((
-            MaPipelineProgram {
-                bf,
-                hashes,
-                trees,
-                agg,
-                leaf_map,
-                batch: logn,
-                columns: bf.columns() as u32,
-                send_budget: usize::MAX,
-                _pd: std::marker::PhantomData,
-            },
-            states,
-        )),
-        del: None,
-        out: None,
-    }
-}
-
-impl<V, W, A, F> MultiAggSub<'_, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    /// Per node `u`: the aggregate over packets multicast to `u`, or `None`
-    /// if no group reached it. Panics before the composition finished.
-    pub fn into_results(self) -> Vec<Option<W>> {
-        self.out
-            .expect("multi-aggregation sub-protocol not finished")
-    }
-}
-
-impl<'a, V, W, A, F> crate::compose::LaneSub<'a> for MultiAggSub<'a, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync + 'a,
-{
-    fn pace(&mut self, send_budget: usize) {
-        if let Some((prog, _)) = self.pipe.as_mut() {
-            prog.send_budget = send_budget;
-        }
-    }
-
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        match self.stage {
-            0 => {
-                let (prog, states) = self.pipe.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 0]),
-                ))
-            }
-            1 => {
-                let (prog, states) = self.del.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 1]),
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        match self.stage {
-            0 => {
-                let pipe: Vec<MaPipelineState<V, W>> = ncc_model::take_lane_states(states, lane);
-                let del_states: Vec<DeliverState<W>> = pipe
-                    .into_iter()
-                    .map(|s| DeliverState {
-                        scheduled: s.comb.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
-                        received: Vec::new(),
-                    })
-                    .collect();
-                self.del = Some((
-                    DeliverProgram {
-                        spread: 1, // each node is target of ≤ 1 re-keyed group
-                        _pd: std::marker::PhantomData,
-                    },
-                    del_states,
-                ));
-            }
-            _ => {
-                let del: Vec<DeliverState<W>> = ncc_model::take_lane_states(states, lane);
-                self.out = Some(
-                    del.into_iter()
-                        .map(|s| s.received.into_iter().next().map(|(_, v)| v))
-                        .collect(),
-                );
-            }
-        }
-        self.stage += 1;
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-
-    fn stage_end(&self) -> StageEnd {
-        // deliveries leave in local rounds `0..spread` and the last lands
-        // in round `spread`: the stage is over within `spread + 1` rounds
-        match &self.del {
-            Some((p, _)) => StageEnd::Within(p.spread + 1),
-            None => StageEnd::Barrier,
-        }
-    }
-}
-
-/// Runs Multi-Aggregation (Theorem 2.6): every source `s_i` multicasts
-/// `p_i` down its tree; each leaf `l(i, u)` re-keys its packet to
-/// `(id(u), map(p_i))` — optionally transforming it with leaf-local
-/// randomness, which is how the matching algorithm of §5.3 annotates
-/// packets with uniform ranks — then the re-keyed packets are scattered,
-/// aggregated toward `h(id(u))` exactly as in the Aggregation Algorithm,
-/// and delivered to `u`. Runs in `O(C + log n)` rounds over trees of
-/// congestion `C`.
-///
-/// `messages[u] = Some((group, payload))` iff `u` sources `group`; `agg`
-/// combines the mapped packets per destination. Returns per node `u` the
-/// aggregate `f({map(p_i) | u ∈ A_i})`, or `None` if no group reaches `u`.
-///
-/// Blocking wrapper: one [`MultiAggSub`] alone under [`run_composed`].
-pub fn multi_aggregate<V, W, A, F>(
-    engine: &mut Engine,
-    shared: &SharedRandomness,
-    trees: &crate::mctree::MulticastTrees,
-    messages: Vec<Option<(GroupId, V)>>,
-    leaf_map: F,
-    agg: &A,
-) -> Result<(Vec<Option<W>>, ExecStats), ModelError>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    let seed = lane_seed(engine, 0x6d61_6767 /* "magg" */, 0);
-    let mut sub = multi_aggregate_sub(engine.n(), shared, trees, messages, leaf_map, agg, seed);
-    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
-    Ok((sub.into_results(), stats))
-}
-
-// ---------------------------------------------------------------------------
-// Aggregate-and-Broadcast (Theorem 2.2, Appendix B.1)
-// ---------------------------------------------------------------------------
-//
-// Given a distributive aggregate `f` and a set `A ⊆ V` of nodes holding one
-// input each, every node learns `f(inputs of A)` in `O(log n)` rounds:
-//
-// 1. non-emulating nodes inject their inputs into their proxy level-0
-//    butterfly nodes;
-// 2. *aggregation sweep* (rounds `1..=d`): at round `r`, bit `r−1` of the
-//    column index is fixed to 0 — every live column with that bit set
-//    forwards its partial aggregate across the corresponding cross edge,
-//    so after round `d` the root column 0 holds the full aggregate at
-//    level `d`;
-// 3. *broadcast sweep* (rounds `d+1..=2d`): the reverse binomial tree
-//    pushes the result back to every column;
-// 4. a final round informs the attached non-emulating nodes.
-//
-// Every node sends and receives `O(1)` messages per round here. The same
-// execution doubles as the paper's synchronisation barrier
-// ([`sync_barrier`]) — the token-passing variant of App. B.1 condensed to
-// its round cost.
-//
-// `AbProgram` is one plain program. [`aggregate_and_broadcast`], and with
-// it every barrier, hands it straight to `Engine::execute`: no mux, no
-// lane header, the nodes' own RNG streams, and the engine's recycled
-// buffers, so a barrier on a warm engine allocates only its input, state
-// and result vectors. [`ab_sub`] wraps the same program as a lane, for the
-// DAG stages that run an A&B beside other protocols; a one-lane mux
-// charges zero header bits and borrows the node's stream, so both paths
-// cost the same rounds, messages, bits and drops.
-
-/// Wire format of Aggregate-and-Broadcast. Discriminant + payload; levels
-/// are implied by the round.
-#[derive(Debug, Clone)]
-pub enum AbMsg<V> {
-    /// Non-emulating node → proxy column (round 0).
-    Inject(V),
-    /// Aggregation sweep, cross edge toward the root.
-    Down(V),
-    /// Broadcast sweep, cross edge away from the root.
-    Up(V),
-    /// Level-0 column → attached non-emulating node.
-    Result(V),
-}
-
-impl<V: Payload> Payload for AbMsg<V> {
-    fn bit_size(&self) -> u32 {
-        let inner = match self {
-            AbMsg::Inject(v) | AbMsg::Down(v) | AbMsg::Up(v) | AbMsg::Result(v) => v.bit_size(),
-        };
-        2 + inner
-    }
-}
-
-/// Per-node Aggregate-and-Broadcast state.
-#[derive(Debug, Clone)]
-pub struct AbState<V> {
-    input: Option<V>,
-    acc: Option<V>,
-    /// The broadcast result once known; the driver reads this field.
-    pub result: Option<V>,
-}
-
-struct AbProgram<'a, V, A> {
-    bf: Butterfly,
-    agg: &'a A,
-    _pd: std::marker::PhantomData<V>,
-}
-
-impl<V: Payload, A: Aggregate<V>> AbProgram<'_, V, A> {
-    fn absorb(&self, st: &mut AbState<V>, inbox: &[Envelope<AbMsg<V>>]) {
-        for env in inbox {
-            let v = match &env.payload {
-                AbMsg::Inject(v) | AbMsg::Down(v) => v,
-                AbMsg::Up(v) | AbMsg::Result(v) => {
-                    st.result = Some(v.clone());
-                    continue;
-                }
-            };
-            st.acc = Some(match st.acc.take() {
-                None => v.clone(),
-                Some(a) => self.agg.combine(&a, v),
-            });
-        }
-    }
-}
-
-impl<V: Payload, A: Aggregate<V>> NodeProgram for AbProgram<'_, V, A> {
-    type State = AbState<V>;
-    type Payload = AbMsg<V>;
-
-    fn init(&self, st: &mut AbState<V>, ctx: &mut Ctx<'_, AbMsg<V>>) {
-        if self.bf.emulates(ctx.id) {
-            st.acc = st.input.clone();
-            ctx.stay_awake();
-        } else if let Some(v) = st.input.clone() {
-            let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
-            ctx.send(proxy, AbMsg::Inject(v));
-        }
-    }
-
-    fn round(
-        &self,
-        st: &mut AbState<V>,
-        inbox: &[Envelope<AbMsg<V>>],
-        ctx: &mut Ctx<'_, AbMsg<V>>,
-    ) {
-        let d = self.bf.d();
-        let r = ctx.round;
-        if !self.bf.emulates(ctx.id) {
-            // non-emulating nodes only ever receive the final Result
-            self.absorb(st, inbox);
-            return;
-        }
-        let alpha = self.bf.column_of(ctx.id);
-        self.absorb(st, inbox);
-
-        if r <= d as u64 {
-            // aggregation sweep: fix bit r−1
-            let bit = 1u32 << (r - 1);
-            let low_mask = bit - 1;
-            if alpha & low_mask == 0 && alpha & bit != 0 {
-                if let Some(v) = st.acc.take() {
-                    ctx.send(self.bf.emulator(alpha & !bit), AbMsg::Down(v));
-                }
-            }
-            ctx.stay_awake();
-        } else if r <= 2 * d as u64 {
-            // broadcast sweep: step j = r − d sends across bit d − j
-            let j = (r - d as u64) as u32;
-            if j == 1 && alpha == 0 {
-                st.result = st.acc.clone();
-            }
-            let bit = 1u32 << (d - j);
-            let low_mask = (bit << 1) - 1;
-            if alpha & low_mask == 0 {
-                if let Some(v) = st.result.clone() {
-                    ctx.send(self.bf.emulator(alpha | bit), AbMsg::Up(v));
-                }
-            }
-            ctx.stay_awake();
-        } else if r == 2 * d as u64 + 1 {
-            // inform the attached non-emulating node, if any
-            if let Some(v) = st.result.clone() {
-                if let Some(node) = self.bf.attached_node(alpha) {
-                    ctx.send(node, AbMsg::Result(v));
-                }
-            }
-        }
-    }
-}
-
-/// Runs Aggregate-and-Broadcast: each node optionally holds one input;
-/// afterwards every node knows the aggregate (or `None` if no node held an
-/// input). Takes `O(log n)` rounds (Theorem 2.2).
-pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
-    engine: &mut Engine,
-    inputs: Vec<Option<V>>,
-    agg: &A,
-) -> Result<(Vec<Option<V>>, ExecStats), ModelError> {
-    let n = engine.n();
-    assert_eq!(inputs.len(), n);
-    if n == 1 {
-        // degenerate network: the aggregate is the node's own input
-        return Ok((inputs, ExecStats::default()));
-    }
-    let bf = Butterfly::for_n(n);
-    let prog = AbProgram {
-        bf,
-        agg,
-        _pd: std::marker::PhantomData,
-    };
-    let mut states: Vec<AbState<V>> = inputs
-        .into_iter()
-        .map(|input| AbState {
-            input,
-            acc: None,
-            result: None,
-        })
-        .collect();
-    let stats = engine.execute(&prog, &mut states)?;
-    let results = states.into_iter().map(|s| s.result).collect();
-    Ok((results, stats))
-}
-
-/// Aggregate-and-Broadcast as a composable lane: a single stage that rides
-/// alongside heavier lanes (the paper's ubiquitous "agree on a global
-/// value" step, at zero extra stage cost when composed). Build with
-/// [`ab_sub`], run under [`crate::compose::run_composed`] or as a DAG
-/// node, read with [`AbSub::into_results`].
-pub struct AbSub<'a, V: Payload, A: Aggregate<V>> {
-    stage: crate::compose::Stage<AbProgram<'a, V, A>, AbState<V>>,
-    out: Option<Vec<Option<V>>>,
-}
-
-/// Builds the Aggregate-and-Broadcast sub-protocol. Arguments mirror
-/// [`aggregate_and_broadcast`] (the same program run alone).
-pub fn ab_sub<'a, V: Payload, A: Aggregate<V>>(
-    n: usize,
-    inputs: Vec<Option<V>>,
-    agg: &'a A,
-) -> AbSub<'a, V, A> {
-    assert_eq!(inputs.len(), n);
-    assert!(n >= 2, "composable A&B needs n ≥ 2");
-    let bf = Butterfly::for_n(n);
-    let states: Vec<AbState<V>> = inputs
-        .into_iter()
-        .map(|input| AbState {
-            input,
-            acc: None,
-            result: None,
-        })
-        .collect();
-    AbSub {
-        stage: Some((
-            AbProgram {
-                bf,
-                agg,
-                _pd: std::marker::PhantomData,
-            },
-            states,
-        )),
-        out: None,
-    }
-}
-
-impl<V: Payload, A: Aggregate<V>> AbSub<'_, V, A> {
-    /// Per node: the broadcast aggregate (`None` iff no node held an
-    /// input). Panics before the composition finished.
-    pub fn into_results(self) -> Vec<Option<V>> {
-        self.out.expect("A&B sub-protocol not finished")
-    }
-}
-
-impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AbSub<'a, V, A> {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let (prog, states) = self.stage.take()?;
-        Some(b.lane(prog, states))
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        let st: Vec<AbState<V>> = ncc_model::take_lane_states(states, lane);
-        self.out = Some(st.into_iter().map(|s| s.result).collect());
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-
-    fn stage_end(&self) -> StageEnd {
-        // A&B ends with everyone knowing the result — it IS the barrier
-        // primitive (App. B.1), so a stage made only of A&B lanes needs no
-        // trailing `sync_barrier` (matching [`aggregate_and_broadcast`]'s cost).
-        StageEnd::SelfSync
-    }
-}
-
-/// Rounds one [`sync_barrier`] takes on `n` nodes when none of its
-/// messages is dropped: `2d + 2` on `2^d` nodes, one more to inform the
-/// attached nodes otherwise, and none on one node.
-pub(crate) fn barrier_rounds(n: usize) -> u64 {
-    match n {
-        0 | 1 => 0,
-        _ => 2 * ncc_model::ilog2_floor(n) as u64 + 2 + !n.is_power_of_two() as u64,
-    }
-}
-
-/// The synchronisation barrier used between phases of larger primitives:
-/// an Aggregate-and-Broadcast of a constant. Costs the `O(log n)` rounds
-/// the paper charges for its token-based synchronisation (App. B.1).
-pub fn sync_barrier(engine: &mut Engine) -> Result<ExecStats, ModelError> {
-    let n = engine.n();
-    let inputs: Vec<Option<u64>> = vec![Some(1); n];
-    let (results, stats) = aggregate_and_broadcast(engine, inputs, &crate::combine::MinU64)?;
-    debug_assert!(results.iter().all(|r| *r == Some(1)));
-    Ok(stats)
-}
-
-#[cfg(test)]
-mod ab_tests {
-    use super::*;
-    use crate::combine::{MaxU64, MinU64, SumU64};
-    use ncc_model::NetConfig;
-
-    fn engine(n: usize) -> Engine {
-        Engine::new(NetConfig::new(n, 42))
-    }
-
-    #[test]
-    fn sum_over_all_nodes() {
-        for n in [2usize, 3, 4, 7, 8, 16, 33, 100, 128] {
-            let mut eng = engine(n);
-            let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
-            let (res, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
-            let expect = (n as u64 * (n as u64 - 1)) / 2;
-            for (v, r) in res.iter().enumerate() {
-                assert_eq!(*r, Some(expect), "node {v} at n={n}");
-            }
-            assert!(stats.clean(), "drops at n={n}");
-        }
-    }
-
-    #[test]
-    fn partial_input_set() {
-        let n = 20;
-        let mut eng = engine(n);
-        // only nodes 3, 17 (non-emulating for d=4), 9 hold inputs
-        let mut inputs: Vec<Option<u64>> = vec![None; n];
-        inputs[3] = Some(30);
-        inputs[17] = Some(5);
-        inputs[9] = Some(12);
-        let (res, _) = aggregate_and_broadcast(&mut eng, inputs, &MaxU64).unwrap();
-        assert!(res.iter().all(|r| *r == Some(30)));
-    }
-
-    #[test]
-    fn empty_input_set_gives_none() {
-        let n = 16;
-        let mut eng = engine(n);
-        let inputs: Vec<Option<u64>> = vec![None; n];
-        let (res, _) = aggregate_and_broadcast(&mut eng, inputs, &MinU64).unwrap();
-        assert!(res.iter().all(|r| r.is_none()));
-    }
-
-    #[test]
-    fn rounds_logarithmic() {
-        // Theorem 2.2: O(log n) rounds. Measure the constant: 2d + O(1).
-        for k in [3u32, 5, 8, 10] {
-            let n = 1usize << k;
-            let mut eng = engine(n);
-            let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
-            let (_, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
-            assert!(
-                stats.rounds <= 2 * k as u64 + 3,
-                "n=2^{k}: {} rounds > 2d+3",
-                stats.rounds
-            );
-        }
-    }
-
-    #[test]
-    fn per_round_load_constant() {
-        let n = 256;
-        let mut eng = engine(n);
-        let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
-        let (_, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
-        assert!(stats.max_in <= 2, "max in-degree {}", stats.max_in);
-        assert!(stats.max_out <= 2, "max out-degree {}", stats.max_out);
-    }
-
-    #[test]
-    fn non_power_of_two_includes_attached_nodes() {
-        let n = 21; // d = 4, columns 0..16, attached 16..21
-        let mut eng = engine(n);
-        let inputs: Vec<Option<u64>> = (0..n as u64).map(|v| Some(v + 100)).collect();
-        let (res, _) = aggregate_and_broadcast(&mut eng, inputs, &MaxU64).unwrap();
-        // max input is node 20's (120); node 20 is non-emulating
-        assert!(res.iter().all(|r| *r == Some(120)));
-    }
-
-    #[test]
-    fn sync_barrier_costs_log_rounds() {
-        let n = 64;
-        let mut eng = engine(n);
-        let stats = sync_barrier(&mut eng).unwrap();
-        assert!(
-            stats.rounds >= 6 && stats.rounds <= 16,
-            "rounds {}",
-            stats.rounds
-        );
-    }
-
-    #[test]
-    fn barrier_rounds_is_the_barrier_length() {
-        for n in [1usize, 2, 3, 4, 7, 48, 64, 100, 128] {
-            let stats = sync_barrier(&mut engine(n)).unwrap();
-            assert_eq!(barrier_rounds(n), stats.rounds, "n = {n}");
-        }
-    }
-
-    /// `aggregate_and_broadcast` executes `AbProgram` directly; a one-node
-    /// `Dag` holding `ab_sub` runs the same program as the only lane of a
-    /// mux. They must be one execution, bit for bit: stats (drops and bits
-    /// included), results and the engine's global round. A&B delivers at
-    /// most one message per node-round, so a receive cap of 1 drops
-    /// nothing; a cap of 0 drops every message.
-    #[test]
-    fn direct_barrier_matches_a_one_lane_mux() {
-        use crate::compose::Dag;
-        use ncc_model::Capacity;
-        for n in [2usize, 3, 48, 100] {
-            let inputs: Vec<Option<u64>> = (0..n as u64)
-                .map(|v| (v % 3 != 1).then_some(v * 7 + 5))
-                .collect();
-            let recv = |recv| {
-                let cap = Capacity {
-                    recv,
-                    ..Capacity::default_for(n)
-                };
-                NetConfig::new(n, 42).with_capacity(cap).permissive()
-            };
-            let configs = [
-                (NetConfig::new(n, 42), false),
-                (recv(1), false),
-                (recv(0), true),
-            ];
-            for (cfg, drops) in configs {
-                let mut direct = Engine::new(cfg.clone());
-                let (want, want_stats) =
-                    aggregate_and_broadcast(&mut direct, inputs.clone(), &SumU64).unwrap();
-                let mut muxed = Engine::new(cfg);
-                let mut dag = Dag::new();
-                let lane_inputs = inputs.clone();
-                let node = dag.proto(
-                    "ab",
-                    &[],
-                    move |_| ab_sub(n, lane_inputs, &SumU64),
-                    |s| s.into_results(),
-                );
-                let mut run = dag.run(&mut muxed).unwrap();
-                assert_eq!(want_stats.dropped > 0, drops, "n={n}");
-                assert_eq!(run.stats, want_stats, "n={n}");
-                assert_eq!(run.outputs.take(node), want, "n={n}");
-                assert_eq!(muxed.global_round(), direct.global_round(), "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_node_trivial() {
-        let mut eng = engine(1);
-        let (res, stats) = aggregate_and_broadcast(&mut eng, vec![Some(9u64)], &SumU64).unwrap();
-        assert_eq!(res, vec![Some(9)]);
-        assert_eq!(stats.rounds, 0);
     }
 }

@@ -2,43 +2,43 @@
 //!
 //! The paper's complexity arguments run *many* primitive instances in the
 //! same rounds (§2: "run O(log n) instances of the Aggregation Algorithm in
-//! parallel"), sharing the per-node `O(log n)` budget. This module is the
-//! driver for that style of composition over [`ncc_model::Mux`]:
+//! parallel"), sharing the per-node `O(log n)` budget. This module declares
+//! that style of composition over [`ncc_model::Mux`]:
 //!
 //! * a primitive decomposed for composition is a [`LaneSub`]: a sequence of
 //!   *stages*, each an ordinary `NodeProgram` plus a node-local transition
 //!   that carries its per-node states into the next stage;
-//! * [`run_composed`] aligns the current stages of all sub-protocols as
-//!   lanes of one mux execution, so concurrent primitives share rounds,
-//!   capacity and drop sampling exactly as one program — then settles
-//!   **one sync per stage** for the whole stage (instead of one per
-//!   primitive, the cost model of App. B.1's phase synchronisation): a
-//!   [`sync_barrier`], nothing when every lane is its own barrier, or a
-//!   *pad* of idle rounds to a bound every node knows (see
-//!   [`StageEnd`]). The [`Dag`] scheduler settles its stages by the same
-//!   rule, and may also let an all-A&B stage carry the sync owed before
-//!   it: one sync per stage — a barrier, carried, or a pad;
+//! * a [`Dag`] declares which sub-protocols run and what depends on what.
+//!   Its scheduler ([`crate::schedule`]) aligns the current stages of all
+//!   ready subs as lanes of one mux execution, so concurrent primitives
+//!   share rounds, capacity and drop sampling exactly as one program —
+//!   then settles **one sync per stage** for the whole stage (instead of
+//!   one per primitive, the cost model of App. B.1's phase
+//!   synchronisation): a [`sync_barrier`], nothing when every lane is its
+//!   own barrier, or a *pad* of idle rounds to a bound every node knows
+//!   (see [`StageEnd`]), unless an all-A&B stage carries it;
 //! * sub-protocols with fewer stages simply contribute nothing to the later
 //!   executions; outputs are collected from the final states.
 //!
-//! Each primitive has exactly one implementation, its [`LaneSub`]. The
-//! blocking entry points (`aggregate`, `multicast_setup`, `multicast`,
-//! `multi_aggregate`) build that sub and hand it, alone, to
-//! [`run_composed`] — the same stages, syncs and round count a one-node
-//! [`Dag`] holding the sub gets. Aggregate-and-Broadcast is the exception:
-//! it is one plain program and its own barrier, so
+//! Each primitive has exactly one implementation, its [`LaneSub`], and one
+//! driver. The blocking entry points (`aggregate`, `multicast_setup`,
+//! `multicast`, `multi_aggregate`) build that sub and hand it to
+//! [`run_alone`](crate::schedule::run_alone), a one-node [`Dag`].
+//! Aggregate-and-Broadcast is the exception: it is one plain program and
+//! its own barrier, so
 //! [`aggregate_and_broadcast`](crate::aggregation::aggregate_and_broadcast)
 //! and [`sync_barrier`] hand it to `Engine::execute` without a mux.
+//!
+//! [`sync_barrier`]: crate::aggregation::sync_barrier
 
-use ncc_model::{Engine, ExecStats, LaneId, ModelError, MuxBuilder, MuxState};
-
-use crate::aggregation::{barrier_rounds, sync_barrier};
+use ncc_model::{Engine, LaneId, MuxBuilder, MuxState};
 
 /// How every node learns that a lane's current stage is over, and so what
 /// the stage owes before the next one may start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageEnd {
-    /// No node can tell locally: the stage owes a [`sync_barrier`].
+    /// No node can tell locally: the stage owes a
+    /// [`sync_barrier`](crate::aggregation::sync_barrier).
     Barrier,
     /// The stage ends with every node knowing it ended: it is its own
     /// phase barrier (an Aggregate-and-Broadcast *is* the barrier
@@ -51,66 +51,9 @@ pub enum StageEnd {
     Within(u64),
 }
 
-impl StageEnd {
-    /// The end of a stage whose lanes end as `self` and `other`: all
-    /// self-synchronizing stays self-synchronizing, all fixed-duration
-    /// ends at the largest bound, and any other mix needs a barrier.
-    pub(crate) fn join(self, other: StageEnd) -> StageEnd {
-        match (self, other) {
-            (StageEnd::SelfSync, StageEnd::SelfSync) => StageEnd::SelfSync,
-            (StageEnd::Within(a), StageEnd::Within(b)) => StageEnd::Within(a.max(b)),
-            _ => StageEnd::Barrier,
-        }
-    }
-}
-
-/// What a finished stage owes before the next one: the one rule
-/// [`run_composed`] and the DAG scheduler share.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Owed {
-    Nothing,
-    /// This many idle rounds bring the clock to the stage's bound.
-    Pad(u64),
-    Barrier,
-}
-
-impl Owed {
-    /// The debt of a stage on `n` nodes that ended as `end` after `rounds`
-    /// rounds. A pad longer than a barrier is paid as the barrier, so no
-    /// node learns the end later than it would have. Panics, naming the
-    /// stage's lanes by `labels()`, if a fixed-duration stage overran its
-    /// bound.
-    pub(crate) fn after(end: StageEnd, rounds: u64, n: usize, labels: impl Fn() -> String) -> Owed {
-        match end {
-            StageEnd::SelfSync => Owed::Nothing,
-            StageEnd::Barrier => Owed::Barrier,
-            StageEnd::Within(bound) => {
-                assert!(
-                    rounds <= bound,
-                    "stage {} ran {rounds} rounds, past its declared bound of {bound}",
-                    labels()
-                );
-                match bound - rounds {
-                    pad if pad > barrier_rounds(n) => Owed::Barrier,
-                    pad => Owed::Pad(pad),
-                }
-            }
-        }
-    }
-
-    /// Pays the debt on `engine`.
-    pub(crate) fn pay(self, engine: &mut Engine) -> Result<ExecStats, ModelError> {
-        match self {
-            Owed::Nothing => Ok(ExecStats::default()),
-            Owed::Pad(k) => Ok(engine.idle_rounds(k)),
-            Owed::Barrier => sync_barrier(engine),
-        }
-    }
-}
-
 /// A primitive decomposed into mux-lane stages.
 ///
-/// The driver repeatedly calls [`LaneSub::install`] (returning `None` once
+/// The scheduler repeatedly calls [`LaneSub::install`] (returning `None` once
 /// the protocol is finished) and, after the shared execution quiesces,
 /// [`LaneSub::collect`] with the same lane id so the protocol can pull its
 /// states back out and perform its node-local stage transition.
@@ -155,56 +98,6 @@ pub trait LaneSub<'a> {
 /// A pending stage of a sub-protocol: its program plus per-node states,
 /// consumed by [`LaneSub::install`].
 pub(crate) type Stage<Prog, St> = Option<(Prog, Vec<St>)>;
-
-/// Round/lane accounting of one [`run_composed`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ComposeReport {
-    /// Shared stage executions performed.
-    pub stages: u32,
-    /// Max lanes that ran concurrently in any stage.
-    pub max_lanes: u32,
-    /// Sum over stages of the lanes installed (lane-stages of work).
-    pub lane_stages: u32,
-}
-
-/// Runs a set of sub-protocols to completion, stage by stage: the current
-/// stage of every unfinished protocol becomes one lane of a shared mux
-/// execution, followed by the one sync the stage owes ([`StageEnd`]).
-/// Returns the total statistics (executions + syncs) and the lane
-/// accounting.
-pub fn run_composed<'a>(
-    engine: &mut Engine,
-    subs: &mut [&mut (dyn LaneSub<'a> + 'a)],
-) -> Result<(ExecStats, ComposeReport), ModelError> {
-    let n = engine.n();
-    let mut total = ExecStats::default();
-    let mut report = ComposeReport::default();
-    loop {
-        let mut b = MuxBuilder::new(n);
-        let mut installed: Vec<(usize, LaneId)> = Vec::new();
-        let mut end: Option<StageEnd> = None;
-        for (i, sub) in subs.iter_mut().enumerate() {
-            let lane_end = sub.stage_end();
-            if let Some(id) = sub.install(&mut b) {
-                installed.push((i, id));
-                end = Some(end.map_or(lane_end, |e| e.join(lane_end)));
-            }
-        }
-        let Some(end) = end else { break };
-        report.stages += 1;
-        report.max_lanes = report.max_lanes.max(installed.len() as u32);
-        report.lane_stages += installed.len() as u32;
-        let (mux, mut states) = b.build();
-        let stats = engine.execute(&mux, &mut states)?;
-        total.merge(&stats);
-        for &(i, id) in &installed {
-            subs[i].collect(id, &mut states);
-        }
-        let lanes = || format!("{:?}", installed.iter().map(|l| l.0).collect::<Vec<_>>());
-        total.merge(&Owed::after(end, stats.rounds, n, lanes).pay(engine)?);
-    }
-    Ok((total, report))
-}
 
 /// Derives a deterministic lane seed from the engine seed and a composition
 /// label — so composed lanes have reproducible, composition-independent
@@ -303,38 +196,38 @@ pub(crate) trait DynLane<'a> {
     fn finish(&mut self) -> Box<dyn Any>;
 }
 
+/// A running sub-protocol and its finisher, taken together by `finish`.
 struct ProtoRun<'a, S: LaneSub<'a> + 'a, T, F: FnOnce(S) -> T> {
-    sub: Option<S>,
-    fin: Option<F>,
+    run: Option<(S, F)>,
     _pd: PhantomData<&'a ()>,
+}
+
+impl<'a, S: LaneSub<'a> + 'a, T, F: FnOnce(S) -> T> ProtoRun<'a, S, T, F> {
+    fn sub(&mut self) -> &mut S {
+        &mut self.run.as_mut().expect("lane already finished").0
+    }
 }
 
 impl<'a, S: LaneSub<'a> + 'a, T: 'static, F: FnOnce(S) -> T> DynLane<'a> for ProtoRun<'a, S, T, F> {
     fn pace(&mut self, send_budget: usize) {
-        if let Some(s) = self.sub.as_mut() {
-            s.pace(send_budget);
-        }
+        self.sub().pace(send_budget);
     }
     fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId> {
-        self.sub.as_mut().expect("lane already finished").install(b)
+        self.sub().install(b)
     }
     fn collect(&mut self, lane: LaneId, states: &mut [MuxState]) {
-        self.sub
-            .as_mut()
-            .expect("lane already finished")
-            .collect(lane, states);
+        self.sub().collect(lane, states);
     }
     fn is_done(&self) -> bool {
-        self.sub.as_ref().is_none_or(|s| s.is_done())
+        self.run.as_ref().is_none_or(|(s, _)| s.is_done())
     }
     fn stage_end(&self) -> StageEnd {
-        self.sub
+        self.run
             .as_ref()
-            .map_or(StageEnd::Barrier, |s| s.stage_end())
+            .map_or(StageEnd::Barrier, |(s, _)| s.stage_end())
     }
     fn finish(&mut self) -> Box<dyn Any> {
-        let sub = self.sub.take().expect("lane finished twice");
-        let fin = self.fin.take().expect("finisher consumed twice");
+        let (sub, fin) = self.run.take().expect("lane finished twice");
         Box::new(fin(sub))
     }
 }
@@ -371,9 +264,9 @@ pub(crate) struct DagNode<'a> {
 /// *together* — it packs every antichain of ready protocols into shared
 /// [`ncc_model::Mux`] executions under the per-node `O(log n)` instance
 /// budget, with at most one shared sync per packed stage (a
-/// [`sync_barrier`], carried or paid, or a pad to a known bound). See the
-/// [`crate::schedule`] module docs for the scheduling rules and the paper
-/// mapping.
+/// [`sync_barrier`](crate::aggregation::sync_barrier), carried or paid,
+/// or a pad to a known bound). See the [`crate::schedule`] module docs for
+/// the scheduling rules and the paper mapping.
 ///
 /// Two node kinds:
 /// * [`Dag::proto`] — a communicating sub-protocol ([`LaneSub`]), built
@@ -443,8 +336,7 @@ impl<'a> Dag<'a> {
             deps,
             NodeState::Pending(Box::new(move |deps| {
                 Box::new(ProtoRun {
-                    sub: Some(build(deps)),
-                    fin: Some(finish),
+                    run: Some((build(deps), finish)),
                     _pd: PhantomData,
                 })
             })),
@@ -540,32 +432,36 @@ mod tests {
     fn composed_stages_share_barriers() {
         let n = 16;
         let mut eng = Engine::new(NetConfig::new(n, 3));
-        let mut a = TwoStage {
-            n,
-            hops: 4,
-            stage: 0,
-            seen: 0,
-            done_count: None,
-        };
-        let mut c = TwoStage {
-            n,
-            hops: 9,
-            stage: 0,
-            seen: 0,
-            done_count: None,
-        };
-        let (stats, rep) = run_composed(&mut eng, &mut [&mut a, &mut c]).unwrap();
-        assert_eq!(rep.stages, 2, "stages align across lanes");
-        assert_eq!(rep.max_lanes, 2);
-        assert_eq!(rep.lane_stages, 4);
-        assert_eq!(a.seen, 4);
-        assert_eq!(c.seen, 9);
+        let mut dag = Dag::new();
+        let [a, c] = [4, 9].map(|hops| {
+            let sub = TwoStage {
+                n,
+                hops,
+                stage: 0,
+                seen: 0,
+                done_count: None,
+            };
+            dag.proto(
+                format!("relay{hops}"),
+                &[],
+                move |_| sub,
+                |s| (s.seen, s.done_count),
+            )
+        });
+        let mut run = dag.run(&mut eng).unwrap();
+        assert_eq!(run.report.stages.len(), 2, "stages align across lanes");
+        assert_eq!(run.report.max_lanes(), 2);
+        assert_eq!(run.report.lane_stages(), 4);
         // node 0's counter starts at its own count and absorbs every
         // node's report (its own included)
-        assert_eq!(a.done_count, Some(4 + 4 * n as u64));
-        assert_eq!(c.done_count, Some(9 + 9 * n as u64));
+        assert_eq!(run.outputs.take(a), (4, Some(4 + 4 * n as u64)));
+        assert_eq!(run.outputs.take(c), (9, Some(9 + 9 * n as u64)));
         // stage 1 is bounded by the slowest lane, not the sum
-        assert!(stats.rounds < (10 + 2) + 2 * 20, "rounds {}", stats.rounds);
+        assert!(
+            run.stats.rounds < (10 + 2) + 2 * 20,
+            "rounds {}",
+            run.stats.rounds
+        );
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! stage** instead of queuing — the §2 "run many instances in parallel"
 //! argument, executable (see [`compose`] and the [`Dag`] scheduler in
 //! [`schedule`]). The blocking functions in the table above are wrappers:
-//! they build the sub and run it alone under [`run_composed`] — except
-//! [`aggregate_and_broadcast`], one plain program that the engine executes
-//! directly, since it is the stage barrier itself.
+//! they build the sub and hand it to [`run_alone`], a one-node [`Dag`] —
+//! except [`aggregate_and_broadcast`], one plain program that the engine
+//! executes directly, since it is the stage barrier itself.
 //!
 //! ## Stage synchronisation
 //!
@@ -77,12 +77,11 @@ pub use aggregation::{
     MultiAggSub,
 };
 pub use combine::{Aggregate, MaxU64, MinByKey, MinU64, SumPair, SumU64, XorPair, XorSum, XorU64};
-pub use compose::{
-    lane_seed, run_composed, ComposeReport, Dag, DagOutputs, Dep, Deps, LaneSub, ProtoNode,
-    StageEnd,
-};
+pub use compose::{lane_seed, Dag, DagOutputs, Dep, Deps, LaneSub, ProtoNode, StageEnd};
 pub use mctree::{multicast_setup, multicast_setup_sub, self_joins, McSetupSub, MulticastTrees};
 pub use multicast::{multicast, multicast_sub, MulticastSub};
-pub use schedule::{default_lane_budget, DagRun, LaneRecord, PackedStage, SchedReport};
+pub use schedule::{
+    default_lane_budget, run_alone, DagRun, LaneRecord, Owed, PackedStage, SchedReport,
+};
 pub use seed::broadcast_seed;
 pub use topology::{Butterfly, GroupId};

@@ -23,8 +23,9 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgra
 use rand::Rng;
 
 use crate::aggregation::RouteHashes;
-use crate::compose::{lane_seed, run_composed};
+use crate::compose::lane_seed;
 use crate::queue::{LevelOrder, Route, RouteQueue};
+use crate::schedule::run_alone;
 use crate::topology::{Butterfly, GroupId};
 
 /// The recorded forest of multicast trees, indexed by column.
@@ -271,7 +272,7 @@ impl NodeProgram for RecordScatterProgram {
 
 /// Multicast Tree Setup as a composable lane: one stage
 /// (scatter + recording routing). Build with [`multicast_setup_sub`], run
-/// under [`crate::compose::run_composed`], read with
+/// with [`run_alone`] or as a DAG node, read with
 /// [`McSetupSub::into_trees`].
 pub struct McSetupSub {
     stage: Option<(RecordScatterProgram, Vec<RecordScatterState>)>,
@@ -353,16 +354,15 @@ impl<'a> crate::compose::LaneSub<'a> for McSetupSub {
 /// (Lemma 5.1) instead of forcing high-degree nodes to inject `Θ(Δ)`
 /// packets themselves.
 ///
-/// Blocking wrapper: one [`McSetupSub`] alone under [`run_composed`].
+/// Blocking wrapper: one [`McSetupSub`] under [`run_alone`].
 pub fn multicast_setup(
     engine: &mut Engine,
     shared: &SharedRandomness,
     joins: Vec<Vec<(GroupId, NodeId)>>,
 ) -> Result<(MulticastTrees, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6d63_7375 /* "mcsu" */, 0);
-    let mut sub = multicast_setup_sub(engine.n(), shared, joins, seed);
-    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
-    Ok((sub.into_trees(), stats))
+    let sub = multicast_setup_sub(engine.n(), shared, joins, seed);
+    run_alone(engine, sub, McSetupSub::into_trees)
 }
 
 /// Convenience: turns per-node group lists into self-registrations

@@ -26,9 +26,10 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgra
 use rand::Rng;
 
 use crate::aggregation::{LevelMsg, RouteHashes};
-use crate::compose::{lane_seed, run_composed};
+use crate::compose::lane_seed;
 use crate::mctree::MulticastTrees;
 use crate::queue::{LevelOrder, Route, RouteQueue};
+use crate::schedule::run_alone;
 use crate::topology::{Butterfly, GroupId};
 
 // ---------------------------------------------------------------------------
@@ -258,9 +259,8 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<'_, V> {
 }
 
 /// Multicast as a composable lane: one stage (spread + smoothed leaf
-/// delivery). Build with [`multicast_sub`], run under
-/// [`crate::compose::run_composed`], read with
-/// [`MulticastSub::into_deliveries`].
+/// delivery). Build with [`multicast_sub`], run with [`run_alone`] or as
+/// a DAG node, read with [`MulticastSub::into_deliveries`].
 pub struct MulticastSub<'a, V: Payload> {
     stage: Option<(SpreadDeliverProgram<'a, V>, Vec<SpreadDeliverState<V>>)>,
     lane_seed: u64,
@@ -337,7 +337,7 @@ impl<'a, V: Payload> crate::compose::LaneSub<'a> for MulticastSub<'a, V> {
 /// `group`. `ell_hat` is the known bound on group memberships per node.
 /// Returns, per node, the multicast packets it received as a member.
 ///
-/// Blocking wrapper: one [`MulticastSub`] alone under [`run_composed`].
+/// Blocking wrapper: one [`MulticastSub`] under [`run_alone`].
 pub fn multicast<V: Payload>(
     engine: &mut Engine,
     shared: &SharedRandomness,
@@ -346,9 +346,8 @@ pub fn multicast<V: Payload>(
     ell_hat: usize,
 ) -> Result<(crate::aggregation::GroupedDeliveries<V>, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6d63_7374 /* "mcst" */, 0);
-    let mut sub = multicast_sub(engine.n(), shared, trees, messages, ell_hat, seed);
-    let (stats, _) = run_composed(engine, &mut [&mut sub])?;
-    Ok((sub.into_deliveries(), stats))
+    let sub = multicast_sub(engine.n(), shared, trees, messages, ell_hat, seed);
+    run_alone(engine, sub, MulticastSub::into_deliveries)
 }
 
 #[cfg(test)]

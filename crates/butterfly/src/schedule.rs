@@ -44,9 +44,10 @@
 //! execute the *same* lane/stage/barrier sequence — bit-identical rounds,
 //! drops and outputs — while the DAG form deletes the bespoke lane
 //! plumbing (see `crates/butterfly/tests/schedule_props.rs` for the
-//! property-level equivalence proof); [`crate::run_composed`] settles
-//! each stage by the same rule. The one difference is the carried sync,
-//! which makes a DAG one barrier (or pad) cheaper per carrying stage.
+//! property-level equivalence proof against a test-only fused driver).
+//! The scheduler is the only driver: a sub-protocol run by itself is a
+//! one-node DAG ([`run_alone`]), so its stages are settled by the same
+//! code as every packed stage.
 //!
 //! # The pad: a stage of known length ends on the clock
 //!
@@ -100,16 +101,15 @@
 //!
 //! Every run returns a [`SchedReport`]: the budget, and per stage the
 //! packed lanes (with per-lane [`LaneStats`]), any deferred (budget-split)
-//! nodes, the rounds spent, whether a barrier or a pad was charged after
-//! it and whether it carried the sync of the stage before it. The runner
+//! nodes, the rounds spent, the sync charged after it ([`Owed`]) and
+//! whether it carried the sync of the stage before it. The runner
 //! echoes its headline numbers into `RunRecord.metrics`, and
 //! `ncc-cli explain <algo>` prints it as a table.
-//!
-//! [`sync_barrier`]: crate::aggregation::sync_barrier
 
 use ncc_model::{lane_stats, Engine, ExecStats, LaneStats, ModelError, MuxBuilder};
 
-use crate::compose::{Dag, DagOutputs, Deps, NodeState, Owed, StageEnd};
+use crate::aggregation::{barrier_rounds, sync_barrier};
+use crate::compose::{Dag, DagOutputs, Deps, LaneSub, NodeState, StageEnd};
 
 /// The default per-node parallel-instance budget: `2·⌈log₂ n⌉`, floored at
 /// 6 so degenerate tiny networks can still pack the widest primitive sets
@@ -140,15 +140,11 @@ pub struct PackedStage {
     pub deferred: Vec<String>,
     /// Statistics of the shared execution (barrier excluded).
     pub stats: ExecStats,
-    /// Whether a `sync_barrier` was charged after this stage (false when
-    /// every lane was self-synchronizing, when the stage was padded, or
-    /// when the next stage carried the barrier).
-    pub barrier: bool,
-    /// `Some(k)`: the stage ended at its known bound, and `k` idle rounds
-    /// were charged after it (`Some(0)` when it used the whole bound).
-    /// `None` when the pad was carried, a barrier was paid, or nothing
-    /// was owed.
-    pub pad: Option<u64>,
+    /// The sync charged after this stage: [`Owed::Nothing`] when every
+    /// lane was self-synchronizing or the next stage carried the sync,
+    /// [`Owed::Pad`]`(k)` when the stage ended at its known bound and `k`
+    /// idle rounds were charged (`0` when it used the whole bound).
+    pub sync: Owed,
     /// Whether this all-A&B stage ran in the sync slot of the stage
     /// before it, carrying that stage's barrier or pad.
     pub carried: bool,
@@ -199,7 +195,10 @@ impl SchedReport {
 
     /// Stages that charged a trailing barrier.
     pub fn barriers(&self) -> usize {
-        self.stages.iter().filter(|s| s.barrier).count()
+        self.stages
+            .iter()
+            .filter(|s| s.sync == Owed::Barrier)
+            .count()
     }
 
     /// Stages that carried the sync of the stage before them.
@@ -209,7 +208,10 @@ impl SchedReport {
 
     /// Stages that ended on the clock, padded to their bound.
     pub fn padded(&self) -> usize {
-        self.stages.iter().filter(|s| s.pad.is_some()).count()
+        self.stages
+            .iter()
+            .filter(|s| matches!(s.sync, Owed::Pad(_)))
+            .count()
     }
 }
 
@@ -368,8 +370,7 @@ impl<'a> Dag<'a> {
                 lanes,
                 deferred,
                 stats,
-                barrier: false,
-                pad: None,
+                sync: Owed::Nothing,
                 carried,
             });
         }
@@ -384,6 +385,81 @@ impl<'a> Dag<'a> {
     }
 }
 
+/// Runs one sub-protocol by itself and converts it into its output with
+/// `finish`: a one-node [`Dag`], so its stages are settled by the same
+/// code as every packed stage. The blocking entry points (`aggregate`,
+/// `multicast_setup`, `multicast`, `multi_aggregate`) are this call on
+/// their sub.
+pub fn run_alone<'a, S, T, F>(
+    engine: &mut Engine,
+    sub: S,
+    finish: F,
+) -> Result<(T, ExecStats), ModelError>
+where
+    S: LaneSub<'a> + 'a,
+    T: 'static,
+    F: FnOnce(S) -> T + 'a,
+{
+    // Exactly its one node: the default growth to four would request the
+    // size of one of the forest tables `tests/alloc_hop.rs` checks a
+    // `multicast` never requests.
+    let mut dag = Dag {
+        nodes: Vec::with_capacity(1),
+    };
+    let node = dag.proto("alone", &[], move |_| sub, finish);
+    let mut run = dag.run(engine)?;
+    Ok((run.outputs.take(node), run.stats))
+}
+
+impl StageEnd {
+    /// The end of a stage whose lanes end as `self` and `other`: all
+    /// self-synchronizing stays self-synchronizing, all fixed-duration
+    /// ends at the largest bound, and any other mix needs a barrier.
+    fn join(self, other: StageEnd) -> StageEnd {
+        match (self, other) {
+            (StageEnd::SelfSync, StageEnd::SelfSync) => StageEnd::SelfSync,
+            (StageEnd::Within(a), StageEnd::Within(b)) => StageEnd::Within(a.max(b)),
+            _ => StageEnd::Barrier,
+        }
+    }
+}
+
+/// What a finished stage owes before the next one may start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Owed {
+    /// Nothing.
+    Nothing,
+    /// This many idle rounds bring the clock to the stage's bound.
+    Pad(u64),
+    /// A [`sync_barrier`].
+    Barrier,
+}
+
+impl Owed {
+    /// The debt of a stage on `n` nodes that ended as `end` after `rounds`
+    /// rounds. A pad longer than a barrier is paid as the barrier, so no
+    /// node learns the end later than it would have. Panics, naming the
+    /// stage's lanes by `labels()`, if a fixed-duration stage overran its
+    /// bound.
+    fn after(end: StageEnd, rounds: u64, n: usize, labels: impl Fn() -> String) -> Owed {
+        match end {
+            StageEnd::SelfSync => Owed::Nothing,
+            StageEnd::Barrier => Owed::Barrier,
+            StageEnd::Within(bound) => {
+                assert!(
+                    rounds <= bound,
+                    "stage {} ran {rounds} rounds, past its declared bound of {bound}",
+                    labels()
+                );
+                match bound - rounds {
+                    pad if pad > barrier_rounds(n) => Owed::Barrier,
+                    pad => Owed::Pad(pad),
+                }
+            }
+        }
+    }
+}
+
 /// Pays what the last stage of `report` owes, and records it there.
 fn settle(
     owed: Owed,
@@ -392,26 +468,22 @@ fn settle(
     report: &mut SchedReport,
 ) -> Result<(), ModelError> {
     if let Some(last) = report.stages.last_mut() {
-        last.barrier = owed == Owed::Barrier;
-        last.pad = if let Owed::Pad(k) = owed {
-            Some(k)
-        } else {
-            None
-        };
+        last.sync = owed;
     }
-    total.merge(&owed.pay(engine)?);
+    total.merge(&match owed {
+        Owed::Nothing => ExecStats::default(),
+        Owed::Pad(k) => engine.idle_rounds(k),
+        Owed::Barrier => sync_barrier(engine)?,
+    });
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregation::{
-        ab_sub, aggregate_and_broadcast, aggregation_sub, barrier_rounds, sync_barrier,
-        AggregationSpec,
-    };
+    use crate::aggregation::{ab_sub, aggregate_and_broadcast, aggregation_sub, AggregationSpec};
     use crate::combine::{MaxU64, MinU64, SumU64};
-    use crate::compose::{run_composed, Dep, LaneSub};
+    use crate::compose::Dep;
     use crate::mctree::multicast_setup_sub;
     use crate::topology::GroupId;
     use ncc_hashing::SharedRandomness;
@@ -483,7 +555,7 @@ mod tests {
         assert_eq!(run.stats, blocking_stats);
         assert_eq!(eng.total.rounds, blocking_round);
         assert_eq!(run.report.stages.len(), 1);
-        assert!(!run.report.stages[0].barrier);
+        assert_ne!(run.report.stages[0].sync, Owed::Barrier);
     }
 
     #[test]
@@ -595,10 +667,10 @@ mod tests {
         let n = 32;
         let shared = SharedRandomness::new(5);
         let mut eng = engine(n);
-        let mut composed = ExecStats::default();
+        let mut alone = ExecStats::default();
         for tag in [1, 2] {
-            let mut sub = multicast_setup_sub(n, &shared, ring_joins(n, tag), 9 + tag as u64);
-            composed.merge(&run_composed(&mut eng, &mut [&mut sub]).unwrap().0);
+            let sub = multicast_setup_sub(n, &shared, ring_joins(n, tag), 9 + tag as u64);
+            alone.merge(&run_alone(&mut eng, sub, |s| s.into_trees()).unwrap().1);
         }
         let mut eng = engine(n);
         let mut dag = Dag::new();
@@ -617,10 +689,14 @@ mod tests {
         );
         let run = dag.run(&mut eng).unwrap();
         // each setup charges a barrier; nothing carries the last one, so
-        // the DAG pays it exactly as `run_composed` does
+        // the chain pays it exactly as each setup run alone does
         assert_eq!(run.report.stages.len(), 2);
-        assert!(run.report.stages.iter().all(|s| s.barrier && !s.carried));
-        assert_eq!(run.stats, composed);
+        assert!(run
+            .report
+            .stages
+            .iter()
+            .all(|s| s.sync == Owed::Barrier && !s.carried));
+        assert_eq!(run.stats, alone);
     }
 
     /// One message, delivered in a round drawn from `1..=⌈ℓ̂₂/log n⌉`.
@@ -638,9 +714,6 @@ mod tests {
         let n = 32;
         let shared = SharedRandomness::new(5);
         let mut eng = engine(n);
-        let mut sub = aggregation_sub(n, &shared, one_message(n, 25), &SumU64, 9);
-        let (composed, _) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
-        let mut eng = engine(n);
         let mut dag = Dag::new();
         let shared = &shared;
         dag.proto(
@@ -653,13 +726,12 @@ mod tests {
         // combine + barrier + delivery + pad to the bound ⌈25/5⌉ + 1 = 6
         let st = &run.report.stages;
         assert_eq!(st.len(), 2);
-        assert!(st[0].barrier && st[0].pad.is_none());
+        assert_eq!(st[0].sync, Owed::Barrier);
         assert!(st[1].rounds() < 6, "the draw leaves part of the bound idle");
-        assert!(!st[1].barrier && st[1].pad == Some(6 - st[1].rounds()));
+        assert_eq!(st[1].sync, Owed::Pad(6 - st[1].rounds()));
         assert_eq!((run.report.barriers(), run.report.padded()), (1, 1));
         let barrier = barrier_rounds(n);
         assert_eq!(run.stats.rounds, st[0].rounds() + barrier + 6);
-        assert_eq!(run.stats, composed);
     }
 
     #[test]
@@ -680,7 +752,7 @@ mod tests {
         let barrier = sync_barrier(&mut engine(n)).unwrap().rounds;
         // the bound is ⌈5000/5⌉ + 1 = 1001
         assert!(1001 - st[1].rounds() > barrier, "the pad is the longer");
-        assert!(st[1].barrier && st[1].pad.is_none());
+        assert_eq!(st[1].sync, Owed::Barrier);
         let executed = st[0].rounds() + st[1].rounds();
         assert_eq!(run.stats.rounds, executed + 2 * barrier);
     }
@@ -718,7 +790,7 @@ mod tests {
         let run = dag.run(&mut engine(n)).unwrap();
         let st = &run.report.stages;
         assert_eq!(st.len(), 1);
-        assert!(st[0].barrier && st[0].pad.is_none());
+        assert_eq!(st[0].sync, Owed::Barrier);
         assert_eq!(run.stats.rounds, st[0].rounds() + barrier_rounds(n));
     }
 
@@ -750,7 +822,7 @@ mod tests {
         assert_eq!(st.len(), 4);
         assert_eq!(
             st.iter()
-                .map(|s| (s.barrier, s.carried))
+                .map(|s| (s.sync == Owed::Barrier, s.carried))
                 .collect::<Vec<_>>(),
             [(true, false), (false, false), (false, true), (false, false)]
         );

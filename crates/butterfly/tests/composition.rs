@@ -1,12 +1,15 @@
-//! The primitives' one pipeline, run as a lane under `run_composed` and
-//! through the blocking wrappers, against closed-form expectations — and
-//! heterogeneous lanes sharing rounds.
+//! The primitives' one pipeline, run as a lane under the hand-fused
+//! driver and through the blocking wrappers, against closed-form
+//! expectations — and heterogeneous lanes sharing rounds.
 
+mod common;
+
+use common::run_fused;
 use ncc_butterfly::aggregation::aggregate;
 use ncc_butterfly::{
     ab_sub, aggregation_sub, lane_seed, multi_aggregate, multi_aggregate_sub, multicast,
-    multicast_setup, multicast_setup_sub, multicast_sub, run_composed, AggregationSpec, Dag,
-    GroupId, LaneSub, MaxU64, MinU64, SumU64,
+    multicast_setup, multicast_setup_sub, multicast_sub, AggregationSpec, Dag, GroupId, LaneSub,
+    MaxU64, MinU64, SumU64,
 };
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Engine, NetConfig};
@@ -42,7 +45,7 @@ fn fused_aggregation_matches_blocking_outputs() {
 
     let mut eng = engine(n, 3);
     let mut sub = aggregation_sub(n, &shared, spec, &SumU64, 99);
-    let (stats, rep) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
+    let rep = run_fused(&mut eng, &mut [&mut sub]);
     let fused = sub.into_deliveries();
 
     assert_eq!(rep.stages, 2, "aggregation is two stages");
@@ -52,7 +55,7 @@ fn fused_aggregation_matches_blocking_outputs() {
         assert_eq!(fused[t], want, "lane, node {t}");
         assert_eq!(blocking[t], want, "wrapper, node {t}");
     }
-    assert!(stats.clean() && blocking_stats.clean());
+    assert!(rep.stats.clean() && blocking_stats.clean());
 }
 
 #[test]
@@ -110,10 +113,10 @@ fn fused_setup_and_multicast_match_blocking_deliveries() {
 
     let mut eng = engine(n, 11);
     let mut setup = multicast_setup_sub(n, &shared, ncc_butterfly::self_joins(joins), 5);
-    let (setup_stats, _) = run_composed(&mut eng, &mut [&mut setup]).unwrap();
+    let setup_stats = run_fused(&mut eng, &mut [&mut setup]).stats;
     let fused_trees = setup.into_trees();
     let mut mc = multicast_sub(n, &shared, &fused_trees, messages, 2, 6);
-    let (mc_stats, rep) = run_composed(&mut eng, &mut [&mut mc]).unwrap();
+    let rep = run_fused(&mut eng, &mut [&mut mc]);
     let fused = mc.into_deliveries();
 
     assert_eq!(rep.stages, 1, "multicast is one stage");
@@ -127,7 +130,7 @@ fn fused_setup_and_multicast_match_blocking_deliveries() {
         assert_eq!(sorted(fused[u].clone()), want, "lane, node {u}");
         assert_eq!(sorted(blocking[u].clone()), want, "wrapper, node {u}");
     }
-    assert!(setup_stats.clean() && mc_stats.clean());
+    assert!(setup_stats.clean() && rep.stats.clean());
 }
 
 #[test]
@@ -164,12 +167,12 @@ fn fused_multi_aggregation_matches_blocking_semantics() {
     .unwrap();
 
     let mut sub = multi_aggregate_sub(n, &shared, &trees, messages, |_, _, _, v| *v, &MinU64, 8);
-    let (stats, rep) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
+    let rep = run_fused(&mut eng, &mut [&mut sub]);
 
     assert_eq!(rep.stages, 2, "multi-aggregation is two stages");
     assert_eq!(sub.into_results(), want, "lane");
     assert_eq!(blocking, want, "wrapper");
-    assert!(stats.clean() && blocking_stats.clean());
+    assert!(rep.stats.clean() && blocking_stats.clean());
 }
 
 #[test]
@@ -212,13 +215,13 @@ fn heterogeneous_lanes_share_rounds() {
         let mut refs: Vec<&mut dyn LaneSub> =
             lanes.iter_mut().map(|l| l as &mut dyn LaneSub).collect();
         refs.push(&mut ab);
-        let (stats, rep) = run_composed(&mut eng, &mut refs).unwrap();
+        let rep = run_fused(&mut eng, &mut refs);
         assert_eq!(rep.max_lanes, 5);
         assert_eq!(rep.stages, 2);
         assert!(
-            stats.rounds * 2 < seq_rounds,
+            rep.stats.rounds * 2 < seq_rounds,
             "composed {} rounds vs sequential {seq_rounds}",
-            stats.rounds
+            rep.stats.rounds
         );
     }
     assert_eq!(ab.into_results(), ab_seq);

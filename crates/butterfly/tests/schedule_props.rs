@@ -1,6 +1,6 @@
 //! Property tests for the DAG scheduler: declaring an antichain of
 //! primitives as a [`Dag`] and letting the scheduler pack it must be
-//! equivalent to hand-fusing the same lanes through [`run_composed`] —
+//! equivalent to hand-fusing the same lanes ([`common::run_fused`]) —
 //! across thread counts and capacity regimes — and a lane budget narrower
 //! than the antichain must split it into sequential stages without
 //! changing any output. An A&B that depends on a barriered stage runs in
@@ -8,9 +8,11 @@
 //! aggregation's delivery ends on the clock: padded to its bound, or its
 //! pad carried by a dependent A&B.
 
+mod common;
+
 use ncc_butterfly::{
-    ab_sub, aggregate_and_broadcast, aggregation_sub, multicast_setup_sub, run_composed,
-    sync_barrier, AggregationSpec, Dag, GroupId, LaneSub, MaxU64, MulticastTrees, SumU64,
+    ab_sub, aggregate_and_broadcast, aggregation_sub, multicast_setup_sub, run_alone, sync_barrier,
+    AggregationSpec, Dag, GroupId, LaneSub, MaxU64, MulticastTrees, Owed, SumU64,
 };
 use ncc_hashing::{FxHashMap, SharedRandomness};
 use ncc_model::{Capacity, Engine, NetConfig, NodeId};
@@ -63,11 +65,12 @@ fn ab_inputs(n: usize, seed: u64) -> Vec<Option<u64>> {
         .collect()
 }
 
-/// Hand-fused baseline: all lanes installed into one [`run_composed`]
-/// group. Returns (per-lane sorted deliveries, A&B results, rounds).
+/// Hand-fused baseline: all lanes installed into one
+/// [`common::run_fused`] group. Returns (per-lane sorted deliveries, A&B
+/// results, rounds).
 type Deliveries = Vec<Vec<Vec<(GroupId, u64)>>>;
 
-fn run_fused(
+fn run_hand_fused(
     n: usize,
     seed: u64,
     threads: usize,
@@ -84,8 +87,7 @@ fn run_fused(
         let mut refs: Vec<&mut dyn LaneSub> =
             lanes.iter_mut().map(|l| l as &mut dyn LaneSub).collect();
         refs.push(&mut ab);
-        let (stats, _) = run_composed(&mut eng, &mut refs).unwrap();
-        stats
+        common::run_fused(&mut eng, &mut refs).stats
     };
     let deliveries = lanes
         .into_iter()
@@ -158,10 +160,10 @@ fn delivered_sums(deliveries: &[Vec<(GroupId, u64)>]) -> Vec<Option<u64>> {
         .collect()
 }
 
-/// Aggregation → compute → dependent A&B, run without the scheduler:
-/// [`run_composed`] on the aggregation (a barrier after its combine, a
-/// pad after its delivery), then [`aggregate_and_broadcast`] on its
-/// per-node sums. Returns (sorted deliveries, A&B results, rounds).
+/// Aggregation → compute → dependent A&B, one primitive at a time:
+/// [`run_alone`] on the aggregation (a barrier after its combine, a pad
+/// after its delivery), then [`aggregate_and_broadcast`] on its per-node
+/// sums. Returns (sorted deliveries, A&B results, rounds).
 fn run_chain_sequential(
     n: usize,
     seed: u64,
@@ -169,9 +171,9 @@ fn run_chain_sequential(
 ) -> (LaneDeliveries, Vec<Option<u64>>, u64) {
     let shared = SharedRandomness::new(seed ^ 0xF00D);
     let mut eng = engine(n, seed, 1, unbounded);
-    let mut agg = aggregation_sub(n, &shared, make_spec(n, 0), &SumU64, 40);
-    let (agg_stats, _) = run_composed(&mut eng, &mut [&mut agg]).unwrap();
-    let deliveries: Vec<_> = agg.into_deliveries().into_iter().map(sorted).collect();
+    let agg = aggregation_sub(n, &shared, make_spec(n, 0), &SumU64, 40);
+    let (deliveries, agg_stats) = run_alone(&mut eng, agg, |s| s.into_deliveries()).unwrap();
+    let deliveries: Vec<_> = deliveries.into_iter().map(sorted).collect();
     let (ab, ab_stats) =
         aggregate_and_broadcast(&mut eng, delivered_sums(&deliveries), &SumU64).unwrap();
     (deliveries, ab, agg_stats.rounds + ab_stats.rounds)
@@ -219,9 +221,9 @@ fn run_chain_dag(
     )
 }
 
-/// Tree setup → dependent tree setup → compute → dependent A&B, run
-/// without the scheduler: [`run_composed`] on each setup (a barrier
-/// after each), then [`aggregate_and_broadcast`] on the second forest's
+/// Tree setup → dependent tree setup → compute → dependent A&B, one
+/// primitive at a time: [`run_alone`] on each setup (a barrier after
+/// each), then [`aggregate_and_broadcast`] on the second forest's
 /// per-column leaf counts. Returns (second forest's leaves, A&B results,
 /// rounds).
 fn run_setup_chain_sequential(
@@ -234,9 +236,10 @@ fn run_setup_chain_sequential(
     let mut rounds = 0;
     let mut trees = None;
     for tag in [1, 2] {
-        let mut setup = multicast_setup_sub(n, &shared, ring_joins(n, tag), 40 + tag as u64);
-        rounds += run_composed(&mut eng, &mut [&mut setup]).unwrap().0.rounds;
-        trees = Some(setup.into_trees());
+        let setup = multicast_setup_sub(n, &shared, ring_joins(n, tag), 40 + tag as u64);
+        let (forest, stats) = run_alone(&mut eng, setup, |s| s.into_trees()).unwrap();
+        rounds += stats.rounds;
+        trees = Some(forest);
     }
     let trees = trees.unwrap();
     let (ab, ab_stats) =
@@ -302,7 +305,7 @@ proptest! {
         let mut reference = None;
         for threads in [1usize, 4] {
             for unbounded in [false, true] {
-                let fused = run_fused(n, seed, threads, unbounded, k);
+                let fused = run_hand_fused(n, seed, threads, unbounded, k);
                 let (deliveries, ab, rounds, report) =
                     run_dag(n, seed, threads, unbounded, k, None);
                 prop_assert_eq!(&deliveries, &fused.0, "deliveries diverge");
@@ -334,7 +337,7 @@ proptest! {
         seed in 0u64..1_000,
         budget in 1usize..3,
     ) {
-        let fused = run_fused(n, seed, 1, true, k);
+        let fused = run_hand_fused(n, seed, 1, true, k);
         let (deliveries, ab, _, report) = run_dag(n, seed, 1, true, k, Some(budget));
         prop_assert_eq!(&deliveries, &fused.0, "split packing changed deliveries");
         prop_assert_eq!(&ab, &fused.1, "split packing changed A&B results");
@@ -385,7 +388,7 @@ proptest! {
 
     /// An aggregation lane costs combine + barrier + delivery + pad to the
     /// delivery's bound `⌈ℓ̂₂/log n⌉ + 1` (or a second barrier, when that
-    /// is sooner): in a DAG exactly as under [`run_composed`].
+    /// is sooner): in a DAG exactly as under [`common::run_fused`].
     #[test]
     fn aggregation_pads_its_delivery(
         n in 16usize..48,
@@ -396,7 +399,7 @@ proptest! {
         let spec = || AggregationSpec { ell2_hat, ..make_spec(n, 0) };
         let mut eng = engine(n, seed, 1, true);
         let mut sub = aggregation_sub(n, &shared, spec(), &SumU64, 40);
-        let (composed, _) = run_composed(&mut eng, &mut [&mut sub]).unwrap();
+        let fused = common::run_fused(&mut eng, &mut [&mut sub]).stats;
 
         let mut eng = engine(n, seed, 1, true);
         let mut dag = Dag::new();
@@ -405,19 +408,19 @@ proptest! {
             s.into_deliveries()
         });
         let run = dag.run(&mut eng).unwrap();
-        prop_assert_eq!(run.stats, composed);
+        prop_assert_eq!(run.stats, fused);
 
         let barrier = sync_barrier(&mut engine(n, seed, 1, true)).unwrap().rounds;
         let bound = (ell2_hat as u64).div_ceil(ncc_model::ilog2_ceil(n) as u64) + 1;
         let st = &run.report.stages;
         prop_assert_eq!(st.len(), 2);
-        prop_assert!(st[0].barrier && st[0].pad.is_none());
+        prop_assert_eq!(st[0].sync, Owed::Barrier);
         let pad = bound - st[1].rounds();
         let sync = if pad > barrier {
-            prop_assert!(st[1].barrier && st[1].pad.is_none());
+            prop_assert_eq!(st[1].sync, Owed::Barrier);
             barrier
         } else {
-            prop_assert!(!st[1].barrier && st[1].pad == Some(pad));
+            prop_assert_eq!(st[1].sync, Owed::Pad(pad));
             pad
         };
         prop_assert_eq!(run.stats.rounds, st[0].rounds() + barrier + st[1].rounds() + sync);
@@ -440,7 +443,7 @@ proptest! {
         // ℓ̂₂ = 1: the delivery is over within 2 rounds
         let pad = 2 - st[1].rounds();
         prop_assert_eq!(rounds + pad, want_rounds, "not exactly the pad saved");
-        prop_assert!(!st[1].barrier && st[1].pad.is_none() && st[2].carried);
+        prop_assert!(st[1].sync == Owed::Nothing && st[2].carried);
         prop_assert_eq!((report.barriers(), report.carried(), report.padded()), (1, 1, 0));
     }
 

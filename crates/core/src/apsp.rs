@@ -202,6 +202,7 @@ pub fn landmark_apsp(
 mod tests {
     use super::*;
     use crate::broadcast_trees::build_broadcast_trees;
+    use ncc_butterfly::Owed;
     use ncc_graph::{analysis, gen};
     use ncc_model::NetConfig;
 
@@ -302,7 +303,7 @@ mod tests {
         let l = r.landmarks.len();
         let first = &r.plan.stages[0];
         assert_eq!(first.lanes.len(), l, "all spreads must share one mux");
-        assert!(first.barrier);
+        assert_eq!(first.sync, Owed::Barrier);
         assert!(r.plan.max_lanes() <= r.plan.budget);
         // one charged barrier per phase: the check stages carry the
         // second spread stage's barrier and pay none
@@ -311,9 +312,13 @@ mod tests {
         assert_eq!(r.plan.barriers(), phases);
         assert_eq!(r.plan.carried(), phases);
         for ph in r.plan.stages.chunks(3) {
-            assert!(ph[0].barrier && !ph[1].barrier);
+            assert!(ph[0].sync == Owed::Barrier && ph[1].sync != Owed::Barrier);
             assert!(ph[2].carried, "A&B check must carry the spread's barrier");
-            assert!(!ph[2].barrier, "A&B check must not pay a barrier");
+            assert_ne!(
+                ph[2].sync,
+                Owed::Barrier,
+                "A&B check must not pay a barrier"
+            );
         }
     }
 }

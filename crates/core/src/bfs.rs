@@ -134,6 +134,7 @@ pub fn bfs(
 mod tests {
     use super::*;
     use crate::broadcast_trees::build_broadcast_trees;
+    use ncc_butterfly::Owed;
     use ncc_graph::{check, gen};
     use ncc_model::NetConfig;
 
@@ -218,9 +219,13 @@ mod tests {
         assert_eq!(r.plan.barriers() as u32, r.phases);
         assert_eq!(r.plan.carried() as u32, r.phases);
         for ph in r.plan.stages.chunks(3) {
-            assert!(ph[0].barrier && !ph[1].barrier);
+            assert!(ph[0].sync == Owed::Barrier && ph[1].sync != Owed::Barrier);
             assert!(ph[2].carried, "A&B check must carry the spread's barrier");
-            assert!(!ph[2].barrier, "A&B check must not pay a barrier");
+            assert_ne!(
+                ph[2].sync,
+                Owed::Barrier,
+                "A&B check must not pay a barrier"
+            );
             assert_eq!(ph[2].lanes.len(), 1);
         }
     }

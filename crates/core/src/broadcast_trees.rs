@@ -13,7 +13,7 @@
 //! these trees: any source set `S` reaches all neighborhoods in
 //! `O(Σ_{u∈S} d(u)/n + log n)` rounds.
 
-use ncc_butterfly::{lane_seed, multicast_setup_sub, run_composed, GroupId, MulticastTrees};
+use ncc_butterfly::{lane_seed, multicast_setup_sub, run_alone, GroupId, MulticastTrees};
 use ncc_graph::Graph;
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Engine, ModelError, NodeId};
@@ -78,10 +78,9 @@ pub fn build_broadcast_trees(
             regs
         })
         .collect();
-    let mut setup = multicast_setup_sub(g.n(), shared, joins, lane_seed(engine, 0x6274_7265, 0));
-    let (s, _) = run_composed(engine, &mut [&mut setup])?;
+    let setup = multicast_setup_sub(g.n(), shared, joins, lane_seed(engine, 0x6274_7265, 0));
+    let (trees, s) = run_alone(engine, setup, |s| s.into_trees())?;
     report.push("tree-setup", s);
-    let trees = setup.into_trees();
 
     // Δ (the ℓ̂ bound for neighborhood multicasts) was already agreed
     // in-model during the orientation's first composed stage.

@@ -600,18 +600,12 @@ pub fn node_id_bits(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncc_butterfly::{run_composed, LaneSub};
+    use ncc_butterfly::{run_alone, LaneSub};
     use ncc_model::{Engine, ExecStats, NetConfig};
 
-    /// Runs one sub alone to completion (stage barriers included).
-    fn run_alone<'a>(eng: &mut Engine, sub: &mut (dyn LaneSub<'a> + 'a)) -> ExecStats {
-        run_composed(eng, &mut [sub]).unwrap().0
-    }
-
     fn gather(eng: &mut Engine, values: Vec<Option<u64>>) -> (Vec<u64>, ExecStats) {
-        let mut sub = gather_broadcast_sub(eng.n(), values);
-        let stats = run_alone(eng, &mut sub);
-        (sub.into_results(), stats)
+        let sub = gather_broadcast_sub(eng.n(), values);
+        run_alone(eng, sub, |s| s.into_results()).unwrap()
     }
 
     #[test]
@@ -667,9 +661,8 @@ mod tests {
         let mut schedules = vec![Vec::new(); n];
         schedules[3] = vec![(1, 7, 33), (2, 8, 34)];
         schedules[5] = vec![(1, 7, 55)];
-        let mut sub = schedule_sub(n, schedules);
-        let stats = run_alone(&mut eng, &mut sub);
-        let recv = sub.into_results();
+        let sub = schedule_sub(n, schedules);
+        let (recv, stats) = run_alone(&mut eng, sub, |s| s.into_results()).unwrap();
         let mut at7 = recv[7].clone();
         at7.sort_unstable();
         assert_eq!(at7, vec![(3, 33), (5, 55)]);
@@ -686,10 +679,11 @@ mod tests {
             schedule_sub(n, schedules.clone()).stage_end(),
             StageEnd::Barrier
         );
-        let mut sub = schedule_sub(n, schedules).within(2);
+        let sub = schedule_sub(n, schedules).within(2);
         assert_eq!(sub.stage_end(), StageEnd::Within(3));
         // the last message lands in round 2: three rounds, the bound
-        let stats = run_alone(&mut Engine::new(NetConfig::new(n, 9)), &mut sub);
+        let eng = &mut Engine::new(NetConfig::new(n, 9));
+        let (_, stats) = run_alone(eng, sub, |s| s.into_results()).unwrap();
         assert_eq!(stats.rounds, 3);
     }
 
@@ -718,9 +712,8 @@ mod tests {
         let e56 = edge_id(5, 6, idb);
         probes[5].push((1, 22, e56));
         probes[6].push((2, 22, e56));
-        let mut sub = rendezvous_sub(n, probes, idb);
-        run_alone(&mut eng, &mut sub);
-        let matched = sub.into_results();
+        let sub = rendezvous_sub(n, probes, idb);
+        let (matched, _) = run_alone(&mut eng, sub, |s| s.into_results()).unwrap();
         assert_eq!(matched[2], vec![e29]);
         assert_eq!(matched[9], vec![e29]);
         assert!(matched[4].is_empty());

@@ -392,8 +392,9 @@ impl<'a> MuxBuilder<'a> {
     /// Adds a lane that draws randomness from the node's own engine stream.
     ///
     /// With exactly one such lane, the mux execution is bit-identical to
-    /// `engine.execute(&prog, &mut states)` — this is the mode the blocking
-    /// primitive adapters use.
+    /// `engine.execute(&prog, &mut states)`. Lanes that draw no randomness
+    /// of their own (Aggregate-and-Broadcast, scheduled exchanges) use it;
+    /// the primitives' lanes use [`MuxBuilder::lane_seeded`].
     pub fn lane<Prog>(&mut self, prog: Prog, states: Vec<Prog::State>) -> LaneId
     where
         Prog: NodeProgram + 'a,

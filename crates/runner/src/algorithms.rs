@@ -13,7 +13,7 @@
 //! its summary and its own metrics.
 
 use ncc_baselines::{broadcast_all, gossip_all, round_cap};
-use ncc_butterfly::{aggregate_and_broadcast, MinU64, SchedReport};
+use ncc_butterfly::{aggregate_and_broadcast, MinU64, Owed, SchedReport};
 use ncc_core::Prepared;
 use ncc_graph::{analysis, check};
 use ncc_model::{Engine, ExecStats, ModelError};
@@ -200,10 +200,10 @@ pub fn explain_text(
             i + 1,
             st.lanes.len(),
             plan.budget,
-            match (st.barrier, st.pad, st.carried) {
-                (true, ..) => "barrier".to_string(),
-                (_, Some(k), _) => format!("pad {k}"),
-                (.., true) => "carries".to_string(),
+            match (st.sync, st.carried) {
+                (Owed::Barrier, _) => "barrier".to_string(),
+                (Owed::Pad(k), _) => format!("pad {k}"),
+                (_, true) => "carries".to_string(),
                 _ => String::new(),
             },
             st.rounds(),
@@ -225,7 +225,10 @@ pub fn explain_text(
         plan.barriers(),
         plan.carried(),
         plan.padded(),
-        plan.stages.iter().filter_map(|s| s.pad).sum::<u64>(),
+        plan.stages
+            .iter()
+            .map(|s| if let Owed::Pad(k) = s.sync { k } else { 0 })
+            .sum::<u64>(),
         plan.splits()
     );
     Ok((Some(out), rec))
