@@ -29,10 +29,21 @@
 //!
 //! [`aggregate`] builds that lane and runs it alone, a one-node
 //! [`Dag`](crate::compose::Dag) ([`run_alone`]); algorithms put the same
-//! lane next to others in a larger one. There is no second
-//! implementation. [`multi_aggregate`] / [`MultiAggSub`] (Theorem 2.6)
-//! follow the same shape, with the tree spreading of
-//! [`multicast`](mod@crate::multicast) feeding the scatter.
+//! lane next to others in a larger one.
+//!
+//! Multi-Aggregation (Theorem 2.6, [`multi_aggregate`]) runs the same
+//! combining network. Both primitives are one [`CombineSub`] lane whose
+//! stage 1 is one program, generic over its [`Front`]: what feeds the
+//! scatter besides a node's own memberships. Aggregation's front is `()`,
+//! nothing; Multi-Aggregation's is the tree spreading of
+//! [`multicast`](mod@crate::multicast) ([`SpreadFront`]), whose leaf
+//! arrivals are re-keyed to their members and scattered in the same
+//! rounds. Besides the front, only the delivery window (`⌈ℓ̂₂/log n⌉`
+//! rounds for Aggregation, one for Multi-Aggregation) and the output
+//! shape ([`Front::Out`]) differ. There is no second
+//! implementation. Front, scatter and combine share the lane's send
+//! budget ([`LaneSub::pace`]), so packed lanes never overdraw the node
+//! capacity.
 //!
 //! Group targets are encoded in the group identifier ([`GroupId`]), mirroring
 //! the paper's content-addressed group names (`A_{id(w)∘i}`).
@@ -50,7 +61,9 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Paylo
 use rand::Rng;
 
 use crate::combine::Aggregate;
-use crate::compose::{lane_seed, StageEnd};
+use crate::compose::{lane_seed, LaneSub, Stage, StageEnd};
+use crate::mctree::MulticastTrees;
+use crate::multicast::{spread_arrive, spread_states, spread_step, SpreadState};
 use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::schedule::run_alone;
 use crate::topology::{Butterfly, GroupId};
@@ -71,7 +84,7 @@ pub struct AggregationSpec<V> {
 /// Hash plumbing shared by the routing programs (derived from the agreed
 /// shared randomness, so every node computes identical values locally).
 #[derive(Debug, Clone)]
-pub(crate) struct RouteHashes {
+pub struct RouteHashes {
     target_fn: PolyHash,
     rank_fn: PolyHash,
     pub(crate) columns: u64,
@@ -128,14 +141,16 @@ impl<V: Payload> Payload for PacketMsg<V> {
     }
 }
 
+/// A packet on a butterfly edge: the combining network's wire format, and
+/// the tree spread's.
 #[derive(Debug, Clone)]
-pub(crate) struct LevelMsg<V> {
+pub struct LevelMsg<V> {
     /// Level of the butterfly node this packet is arriving at.
-    pub level: u8,
-    pub group: u64,
+    pub(crate) level: u8,
+    pub(crate) group: u64,
     /// `group`'s route, carried uncharged (see [`Route`]).
-    pub route: Route,
-    pub value: V,
+    pub(crate) route: Route,
+    pub(crate) value: V,
 }
 
 impl<V: Payload> Payload for LevelMsg<V> {
@@ -235,91 +250,185 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
     }
 }
 
-/// Stage 1 of the Aggregation pipeline: injection and combining in the
-/// same rounds. Nodes scatter their packets in batches of `⌈log n⌉` as
-/// level-0 arrivals while the random-rank routing already moves earlier
-/// packets toward `h(group)` — the streamed form of Thm 2.3's first two
-/// phases (the routing analysis \[1, 57\] covers continuous injection).
-pub(crate) struct ScatterCombine<'a, V, A> {
-    pub bf: Butterfly,
-    pub hashes: RouteHashes,
-    pub agg: &'a A,
-    pub batch: usize,
-    pub columns: u32,
-    pub _pd: std::marker::PhantomData<V>,
+/// What feeds a combining pipeline's scatter besides a node's own
+/// memberships. Aggregation has nothing in front (`()`, wire type
+/// [`LevelMsg<W>`]); Multi-Aggregation has the tree spread
+/// ([`SpreadFront`], wire type [`MaMsg<V, W>`]).
+pub trait Front<W>: Sync {
+    /// Per-node state of the front.
+    type State: Send + 'static;
+    /// The pipeline's wire type: combining packets plus the front's own.
+    type Msg: Payload;
+    /// What the lane hands back per node.
+    type Out: Send + 'static;
+    /// Shapes what a node received in the delivery stage into its
+    /// output, as that stage's states are collected.
+    fn out(received: Vec<(GroupId, W)>) -> Self::Out;
+    /// Wraps a combining packet for the wire.
+    fn agg(m: LevelMsg<W>) -> Self::Msg;
+    /// Takes an arrival at column `alpha`: keeps the front's own traffic,
+    /// hands back a combining packet.
+    fn arrive<'m>(
+        &self,
+        st: &mut Self::State,
+        alpha: u32,
+        m: &'m Self::Msg,
+    ) -> Option<&'m LevelMsg<W>>;
+    /// Round 0 on every node, before its first scatter. Default: nothing.
+    fn init(
+        &self,
+        _st: &mut Self::State,
+        _bf: &Butterfly,
+        _hashes: &RouteHashes,
+        _ctx: &mut Ctx<'_, Self::Msg>,
+    ) {
+    }
+    /// One step at column `alpha`, before the scatter: every send debits
+    /// `budget`, and packets to scatter are pushed to `to_send`. Default:
+    /// nothing.
+    fn step(
+        &self,
+        _st: &mut Self::State,
+        _bf: &Butterfly,
+        _alpha: u32,
+        _budget: &mut usize,
+        _to_send: &mut Vec<(u64, W)>,
+        _ctx: &mut Ctx<'_, Self::Msg>,
+    ) {
+    }
+    /// `true` while the front has traffic queued. Default: never.
+    fn busy(_st: &Self::State) -> bool {
+        false
+    }
 }
 
-pub(crate) struct ScatterCombineState<V> {
-    pub to_send: Vec<(u64, V)>,
-    pub comb: CombineState<V>,
+impl<W: Payload> Front<W> for () {
+    type State = ();
+    type Msg = LevelMsg<W>;
+    type Out = Vec<(GroupId, W)>;
+
+    fn out(received: Vec<(GroupId, W)>) -> Self::Out {
+        received
+    }
+
+    fn agg(m: LevelMsg<W>) -> LevelMsg<W> {
+        m
+    }
+
+    fn arrive<'m>(&self, _: &mut (), _: u32, m: &'m LevelMsg<W>) -> Option<&'m LevelMsg<W>> {
+        Some(m)
+    }
 }
 
-impl<V: Payload, A: Aggregate<V>> ScatterCombine<'_, V, A> {
-    fn scatter(&self, st: &mut ScatterCombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
-        let take = st.to_send.len().min(self.batch);
+/// Stage 1 of both aggregations: injection and combining in the same
+/// rounds. Each node scatters its packets — its own memberships, and what
+/// its front hands it — in batches of `⌈log n⌉` as level-0 arrivals at
+/// uniformly random columns, while the random-rank routing already moves
+/// earlier packets toward `h(group)`: the streamed form of Thm 2.3's
+/// first two phases (the routing analysis \[1, 57\] covers continuous
+/// injection).
+pub(crate) struct CombinePipeline<'a, W, A, Fr> {
+    bf: Butterfly,
+    hashes: RouteHashes,
+    agg: &'a A,
+    front: Fr,
+    batch: usize,
+    /// Per-node, per-round send ceiling across the whole pipeline (front,
+    /// scatter and combine): the lane's share of the node capacity
+    /// ([`LaneSub::pace`]). `usize::MAX` = unpaced.
+    send_budget: usize,
+    _pd: std::marker::PhantomData<W>,
+}
+
+pub(crate) struct PipeState<S, W> {
+    front: S,
+    to_send: Vec<(u64, W)>,
+    comb: CombineState<W>,
+}
+
+impl<W: Payload, A: Aggregate<W>, Fr: Front<W>> CombinePipeline<'_, W, A, Fr> {
+    fn scatter(
+        &self,
+        st: &mut PipeState<Fr::State, W>,
+        budget: &mut usize,
+        ctx: &mut Ctx<'_, Fr::Msg>,
+    ) {
+        let take = st.to_send.len().min(self.batch).min(*budget);
+        *budget -= take;
         for (group, value) in st.to_send.drain(..take) {
-            let col = ctx.rng().gen_range(0..self.columns);
+            let col = ctx.rng().gen_range(0..self.bf.columns() as u32);
             ctx.send(
                 self.bf.emulator(col),
-                LevelMsg {
+                Fr::agg(LevelMsg {
                     level: 0,
                     group,
                     route: self.hashes.route(group),
                     value,
-                },
+                }),
             );
-        }
-        if !st.to_send.is_empty() {
-            ctx.stay_awake();
         }
     }
 }
 
-impl<V: Payload, A: Aggregate<V>> NodeProgram for ScatterCombine<'_, V, A> {
-    type State = ScatterCombineState<V>;
-    type Payload = LevelMsg<V>;
+impl<W: Payload, A: Aggregate<W>, Fr: Front<W>> NodeProgram for CombinePipeline<'_, W, A, Fr> {
+    type State = PipeState<Fr::State, W>;
+    type Payload = Fr::Msg;
 
-    fn init(&self, st: &mut ScatterCombineState<V>, ctx: &mut Ctx<'_, LevelMsg<V>>) {
-        self.scatter(st, ctx);
+    fn init(&self, st: &mut PipeState<Fr::State, W>, ctx: &mut Ctx<'_, Fr::Msg>) {
+        self.front.init(&mut st.front, &self.bf, &self.hashes, ctx);
+        let mut budget = self.send_budget;
+        self.scatter(st, &mut budget, ctx);
+        if !st.to_send.is_empty() {
+            ctx.stay_awake();
+        }
     }
 
     fn round(
         &self,
-        st: &mut ScatterCombineState<V>,
-        inbox: &[Envelope<LevelMsg<V>>],
-        ctx: &mut Ctx<'_, LevelMsg<V>>,
+        st: &mut PipeState<Fr::State, W>,
+        inbox: &[Envelope<Fr::Msg>],
+        ctx: &mut Ctx<'_, Fr::Msg>,
     ) {
+        let mut budget = self.send_budget;
         if self.bf.emulates(ctx.id) {
             let alpha = self.bf.column_of(ctx.id);
             for env in inbox {
-                let m = &env.payload;
-                combine_insert(
-                    &self.bf,
-                    self.agg,
-                    &mut st.comb,
-                    alpha,
-                    m.level as u32,
-                    m.group,
-                    m.route,
-                    m.value.clone(),
-                );
+                if let Some(m) = self.front.arrive(&mut st.front, alpha, &env.payload) {
+                    combine_insert(
+                        &self.bf,
+                        self.agg,
+                        &mut st.comb,
+                        alpha,
+                        m.level as u32,
+                        m.group,
+                        m.route,
+                        m.value.clone(),
+                    );
+                }
             }
-            self.scatter(st, ctx);
-            let mut unpaced = usize::MAX;
+            self.front.step(
+                &mut st.front,
+                &self.bf,
+                alpha,
+                &mut budget,
+                &mut st.to_send,
+                ctx,
+            );
+            self.scatter(st, &mut budget, ctx);
             combine_step(
                 &self.bf,
                 self.agg,
                 &mut st.comb,
                 alpha,
-                &mut unpaced,
-                &mut |dst, msg| ctx.send(dst, msg),
+                &mut budget,
+                &mut |dst, msg| ctx.send(dst, Fr::agg(msg)),
             );
-            if !st.comb.queue.is_empty() {
-                ctx.stay_awake();
-            }
         } else {
             // non-emulating nodes only scatter; routing stays on columns
-            self.scatter(st, ctx);
+            self.scatter(st, &mut budget, ctx);
+        }
+        if Fr::busy(&st.front) || !st.to_send.is_empty() || !st.comb.queue.is_empty() {
+            ctx.stay_awake();
         }
     }
 }
@@ -384,21 +493,61 @@ impl<V: Payload> NodeProgram for DeliverProgram<V> {
 }
 
 // ---------------------------------------------------------------------------
-// The sub-protocol and its blocking entry point
+// The sub-protocol and its blocking entry points
 // ---------------------------------------------------------------------------
 
-/// The Aggregation Algorithm as a composable lane: stage 1 is the
-/// scatter+combine pipeline, stage 2 the randomized delivery. Build with
-/// [`aggregation_sub`], run with [`run_alone`] or as a DAG node, read
-/// with [`AggregationSub::into_deliveries`].
-pub struct AggregationSub<'a, V: Payload, A: Aggregate<V>> {
+/// The combining network as a composable lane: stage 1 is the
+/// scatter+combine pipeline behind front `Fr`, stage 2 the randomized
+/// delivery. Used as [`AggregationSub`] and [`MultiAggSub`]; run with
+/// [`run_alone`] or as a DAG node.
+pub struct CombineSub<'a, W, A, Fr: Front<W>> {
     stage: usize,
     lane_seed: u64,
-    logn: usize,
-    ell2_hat: usize,
-    sc: crate::compose::Stage<ScatterCombine<'a, V, A>, ScatterCombineState<V>>,
-    del: crate::compose::Stage<DeliverProgram<V>, DeliverState<V>>,
-    out: Option<GroupedDeliveries<V>>,
+    /// Delivery rounds are drawn from `1..=window`.
+    window: u64,
+    pipe: Stage<CombinePipeline<'a, W, A, Fr>, PipeState<Fr::State, W>>,
+    del: Stage<DeliverProgram<W>, DeliverState<W>>,
+    out: Option<Vec<Fr::Out>>,
+}
+
+/// The Aggregation Algorithm as a composable lane: the combining network
+/// with nothing in front. Build with [`aggregation_sub`], read with
+/// [`AggregationSub::into_deliveries`].
+pub type AggregationSub<'a, V, A> = CombineSub<'a, V, A, ()>;
+
+/// Multi-Aggregation as a composable lane: the combining network behind
+/// the tree spread. Build with [`multi_aggregate_sub`], read with
+/// [`MultiAggSub::into_results`].
+pub type MultiAggSub<'a, V, W, A, F> = CombineSub<'a, W, A, SpreadFront<'a, V, F>>;
+
+/// The lane around one combining pipeline, per-node states given.
+fn combine_sub<'a, W, A, Fr: Front<W>>(
+    n: usize,
+    shared: &SharedRandomness,
+    front: Fr,
+    agg: &'a A,
+    states: Vec<PipeState<Fr::State, W>>,
+    window: u64,
+    lane_seed: u64,
+) -> CombineSub<'a, W, A, Fr> {
+    let bf = Butterfly::for_n(n);
+    let pipe = CombinePipeline {
+        bf,
+        hashes: RouteHashes::new(shared, &bf, n),
+        agg,
+        front,
+        batch: ncc_model::ilog2_ceil(n).max(1) as usize,
+        send_budget: usize::MAX,
+        _pd: std::marker::PhantomData,
+    };
+    CombineSub {
+        stage: 0,
+        lane_seed,
+        window,
+        pipe: Some((pipe, states)),
+        del: None,
+        out: None,
+    }
 }
 
 /// Builds the aggregation sub-protocol. Arguments mirror [`aggregate`];
@@ -419,46 +568,27 @@ pub fn aggregation_sub<'a, V: Payload, A: Aggregate<V>>(
             merge_into(&mut by_group, g.raw(), v, agg);
         }
         let out = vec![by_group.into_iter().map(|(g, v)| (GroupId(g), v)).collect()];
-        return AggregationSub {
+        return CombineSub {
             stage: 0,
             lane_seed,
-            logn: 1,
-            ell2_hat: spec.ell2_hat,
-            sc: None,
+            window: 1,
+            pipe: None,
             del: None,
             out: Some(out),
         };
     }
-    let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
     let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let states: Vec<ScatterCombineState<V>> = spec
+    let states = spec
         .memberships
         .into_iter()
-        .map(|ms| ScatterCombineState {
+        .map(|ms| PipeState {
+            front: (),
             to_send: ms.into_iter().map(|(g, v)| (g.raw(), v)).collect(),
             comb: CombineState::default(),
         })
         .collect();
-    AggregationSub {
-        stage: 0,
-        lane_seed,
-        logn,
-        ell2_hat: spec.ell2_hat,
-        sc: Some((
-            ScatterCombine {
-                bf,
-                hashes,
-                agg,
-                batch: logn,
-                columns: bf.columns() as u32,
-                _pd: std::marker::PhantomData,
-            },
-            states,
-        )),
-        del: None,
-        out: None,
-    }
+    let window = spec.ell2_hat.div_ceil(logn).max(1) as u64;
+    combine_sub(n, shared, (), agg, states, window, lane_seed)
 }
 
 impl<V: Payload, A: Aggregate<V>> AggregationSub<'_, V, A> {
@@ -467,7 +597,7 @@ impl<V: Payload, A: Aggregate<V>> AggregationSub<'_, V, A> {
     /// rank-independent, but Theorem B.2's delay bound only holds for
     /// random ranks. Call before the lane is installed.
     pub fn static_priority(mut self) -> Self {
-        self.sc = self.sc.map(|(mut prog, states)| {
+        self.pipe = self.pipe.map(|(mut prog, states)| {
             prog.hashes = prog.hashes.with_fifo();
             (prog, states)
         });
@@ -481,24 +611,28 @@ impl<V: Payload, A: Aggregate<V>> AggregationSub<'_, V, A> {
     }
 }
 
-impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AggregationSub<'a, V, A> {
+impl<'a, W, A, Fr> LaneSub<'a> for CombineSub<'a, W, A, Fr>
+where
+    W: Payload,
+    A: Aggregate<W>,
+    Fr: Front<W> + 'a,
+{
+    fn pace(&mut self, send_budget: usize) {
+        if let Some((prog, _)) = self.pipe.as_mut() {
+            prog.send_budget = send_budget;
+        }
+    }
+
     fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
+        let seed = ncc_model::rng::derive_seed(&[self.lane_seed, self.stage as u64]);
         match self.stage {
             0 => {
-                let (prog, states) = self.sc.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 0]),
-                ))
+                let (prog, states) = self.pipe.take()?;
+                Some(b.lane_seeded(prog, states, seed))
             }
             1 => {
                 let (prog, states) = self.del.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 1]),
-                ))
+                Some(b.lane_seeded(prog, states, seed))
             }
             _ => None,
         }
@@ -507,9 +641,8 @@ impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for Aggregatio
     fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
         match self.stage {
             0 => {
-                let sc: Vec<ScatterCombineState<V>> = ncc_model::take_lane_states(states, lane);
-                let spread = (self.ell2_hat.div_ceil(self.logn)).max(1) as u64;
-                let del_states: Vec<DeliverState<V>> = sc
+                let pipe: Vec<PipeState<Fr::State, W>> = ncc_model::take_lane_states(states, lane);
+                let del_states: Vec<DeliverState<W>> = pipe
                     .into_iter()
                     .map(|s| DeliverState {
                         scheduled: s.comb.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
@@ -518,15 +651,15 @@ impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for Aggregatio
                     .collect();
                 self.del = Some((
                     DeliverProgram {
-                        spread,
+                        spread: self.window,
                         _pd: std::marker::PhantomData,
                     },
                     del_states,
                 ));
             }
             _ => {
-                let del: Vec<DeliverState<V>> = ncc_model::take_lane_states(states, lane);
-                self.out = Some(del.into_iter().map(|s| s.received).collect());
+                let del: Vec<DeliverState<W>> = ncc_model::take_lane_states(states, lane);
+                self.out = Some(del.into_iter().map(|s| Fr::out(s.received)).collect());
             }
         }
         self.stage += 1;
@@ -537,8 +670,8 @@ impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for Aggregatio
     }
 
     fn stage_end(&self) -> StageEnd {
-        // deliveries leave in local rounds `0..spread` and the last lands
-        // in round `spread`: the stage is over within `spread + 1` rounds
+        // deliveries leave in local rounds `0..window` and the last lands
+        // in round `window`: the stage is over within `window + 1` rounds
         match &self.del {
             Some((p, _)) => StageEnd::Within(p.spread + 1),
             None => StageEnd::Barrier,
@@ -574,8 +707,10 @@ const MA_SUB: u32 = 0x4D41;
 /// (payload `V`) and re-keyed aggregation routing (payload `W`) share the
 /// rounds.
 #[derive(Debug, Clone)]
-pub(crate) enum MaMsg<V, W> {
+pub enum MaMsg<V, W> {
+    /// A packet spreading down its tree.
     Spread(LevelMsg<V>),
+    /// A re-keyed packet in the combining network.
     Agg(LevelMsg<W>),
 }
 
@@ -588,80 +723,65 @@ impl<V: Payload, W: Payload> Payload for MaMsg<V, W> {
     }
 }
 
-pub(crate) struct MaPipelineState<V, W> {
-    pub spread: crate::multicast::SpreadState<V>,
-    pub to_send: Vec<(u64, W)>,
-    pub comb: CombineState<W>,
+/// Multi-Aggregation's [`Front`] (Theorem 2.6, streamed): sources fire at
+/// the roots in round 0, packets spread down the trees, and each leaf
+/// arrival is re-keyed through `leaf_map` (with the lane's private
+/// randomness — the §5.3 annotation hook) to its member's group
+/// `(id(u), MA_SUB)` and scattered in the same round.
+pub struct SpreadFront<'a, V, F> {
+    trees: &'a MulticastTrees,
+    leaf_map: F,
+    _pd: std::marker::PhantomData<V>,
 }
 
-/// The Multi-Aggregation pipeline (Theorem 2.6, streamed): packets
-/// spread down the trees, each leaf arrival is re-keyed through `leaf_map`
-/// (with the lane's private randomness — the §5.3 annotation hook) and
-/// immediately scattered as a level-0 arrival of the combining network,
-/// which routes toward `h(id(u))` in the same rounds. Stage 2 delivers.
-pub(crate) struct MaPipelineProgram<'a, V, W, A, F> {
-    pub bf: Butterfly,
-    pub hashes: RouteHashes,
-    pub trees: &'a crate::mctree::MulticastTrees,
-    pub agg: &'a A,
-    pub leaf_map: F,
-    pub batch: usize,
-    pub columns: u32,
-    /// Per-node, per-round send ceiling across the whole fused pipeline
-    /// (spread + scatter + combine) — the lane's share of the node
-    /// capacity when a scheduler packs it next to siblings
-    /// ([`crate::compose::LaneSub::pace`]). `usize::MAX` = unpaced.
-    pub send_budget: usize,
-    pub _pd: std::marker::PhantomData<(V, W)>,
-}
-
-impl<V, W, A, F> MaPipelineProgram<'_, V, W, A, F>
+impl<V, W, F> Front<W> for SpreadFront<'_, V, F>
 where
     V: Payload,
     W: Payload,
-    A: Aggregate<W>,
     F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
 {
-    fn scatter(
+    type State = SpreadState<V>;
+    type Msg = MaMsg<V, W>;
+    type Out = Option<W>;
+
+    /// A node is target of at most one re-keyed group, its own.
+    fn out(received: Vec<(GroupId, W)>) -> Option<W> {
+        received.into_iter().next().map(|(_, v)| v)
+    }
+
+    fn agg(m: LevelMsg<W>) -> MaMsg<V, W> {
+        MaMsg::Agg(m)
+    }
+
+    fn arrive<'m>(
         &self,
-        st: &mut MaPipelineState<V, W>,
-        budget: &mut usize,
-        ctx: &mut Ctx<'_, MaMsg<V, W>>,
-    ) {
-        let take = st.to_send.len().min(self.batch).min(*budget);
-        *budget -= take;
-        for (group, value) in st.to_send.drain(..take) {
-            let col = ctx.rng().gen_range(0..self.columns);
-            ctx.send(
-                self.bf.emulator(col),
-                MaMsg::Agg(LevelMsg {
-                    level: 0,
-                    group,
-                    route: self.hashes.route(group),
-                    value,
-                }),
-            );
+        st: &mut SpreadState<V>,
+        alpha: u32,
+        m: &'m MaMsg<V, W>,
+    ) -> Option<&'m LevelMsg<W>> {
+        match m {
+            MaMsg::Spread(m) => {
+                let (level, value) = (m.level as u32, m.value.clone());
+                spread_arrive(self.trees, st, alpha, level, m.group, m.route, value);
+                None
+            }
+            MaMsg::Agg(m) => Some(m),
         }
     }
-}
 
-impl<V, W, A, F> NodeProgram for MaPipelineProgram<'_, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    type State = MaPipelineState<V, W>;
-    type Payload = MaMsg<V, W>;
-
-    fn init(&self, st: &mut MaPipelineState<V, W>, ctx: &mut Ctx<'_, MaMsg<V, W>>) {
-        if let Some((group, value)) = st.spread.source_packet.take() {
-            let route = self.hashes.route(group);
+    fn init(
+        &self,
+        st: &mut SpreadState<V>,
+        bf: &Butterfly,
+        hashes: &RouteHashes,
+        ctx: &mut Ctx<'_, MaMsg<V, W>>,
+    ) {
+        if let Some((group, value)) = st.source_packet.take() {
+            let route = hashes.route(group);
             ctx.send(
-                self.bf.emulator(route.target),
+                bf.emulator(route.target),
                 MaMsg::Spread(LevelMsg {
-                    level: self.bf.d() as u8,
+                    level: bf.d() as u8,
                     group,
                     route,
                     value,
@@ -670,86 +790,28 @@ where
         }
     }
 
-    fn round(
+    fn step(
         &self,
-        st: &mut MaPipelineState<V, W>,
-        inbox: &[Envelope<MaMsg<V, W>>],
+        st: &mut SpreadState<V>,
+        bf: &Butterfly,
+        alpha: u32,
+        budget: &mut usize,
+        to_send: &mut Vec<(u64, W)>,
         ctx: &mut Ctx<'_, MaMsg<V, W>>,
     ) {
-        if !self.bf.emulates(ctx.id) {
-            return; // sources fired at init; all traffic stays on columns
-        }
-        let alpha = self.bf.column_of(ctx.id);
-        for env in inbox {
-            match &env.payload {
-                MaMsg::Spread(m) => crate::multicast::spread_arrive(
-                    self.trees,
-                    &mut st.spread,
-                    alpha,
-                    m.level as u32,
-                    m.group,
-                    m.route,
-                    m.value.clone(),
-                ),
-                MaMsg::Agg(m) => combine_insert(
-                    &self.bf,
-                    self.agg,
-                    &mut st.comb,
-                    alpha,
-                    m.level as u32,
-                    m.group,
-                    m.route,
-                    m.value.clone(),
-                ),
-            }
-        }
-        // one shared send budget across the fused pipeline's three phases
-        let mut budget = self.send_budget;
-        crate::multicast::spread_step(
-            &self.bf,
-            self.trees,
-            &mut st.spread,
-            alpha,
-            &mut budget,
-            &mut |dst, msg| ctx.send(dst, MaMsg::Spread(msg)),
-        );
+        spread_step(bf, self.trees, st, alpha, budget, &mut |dst, msg| {
+            ctx.send(dst, MaMsg::Spread(msg))
+        });
         // re-key fresh leaf arrivals and queue them for scattering
-        for (group, member, value) in st.spread.at_leaves.drain(..) {
+        for (group, member, value) in st.at_leaves.drain(..) {
             let mapped = (self.leaf_map)(ctx.rng(), GroupId(group), member, &value);
-            st.to_send
-                .push((GroupId::new(member, MA_SUB).raw(), mapped));
-        }
-        self.scatter(st, &mut budget, ctx);
-        combine_step(
-            &self.bf,
-            self.agg,
-            &mut st.comb,
-            alpha,
-            &mut budget,
-            &mut |dst, msg| ctx.send(dst, MaMsg::Agg(msg)),
-        );
-        if !(st.spread.queue.is_empty() && st.to_send.is_empty() && st.comb.queue.is_empty()) {
-            ctx.stay_awake();
+            to_send.push((GroupId::new(member, MA_SUB).raw(), mapped));
         }
     }
-}
 
-/// Multi-Aggregation as a composable lane: stage 1 is the fused
-/// spread→re-key→scatter→combine pipeline, stage 2 the delivery. Build
-/// with [`multi_aggregate_sub`], run with [`run_alone`] or as a DAG node,
-/// read with [`MultiAggSub::into_results`].
-pub struct MultiAggSub<'a, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
-    stage: usize,
-    lane_seed: u64,
-    pipe: crate::compose::Stage<MaPipelineProgram<'a, V, W, A, F>, MaPipelineState<V, W>>,
-    del: crate::compose::Stage<DeliverProgram<W>, DeliverState<W>>,
-    out: Option<Vec<Option<W>>>,
+    fn busy(st: &SpreadState<V>) -> bool {
+        !st.queue.is_empty()
+    }
 }
 
 /// Builds the multi-aggregation sub-protocol. Arguments mirror
@@ -758,7 +820,7 @@ where
 pub fn multi_aggregate_sub<'a, V, W, A, F>(
     n: usize,
     shared: &SharedRandomness,
-    trees: &'a crate::mctree::MulticastTrees,
+    trees: &'a MulticastTrees,
     messages: Vec<Option<(GroupId, V)>>,
     leaf_map: F,
     agg: &'a A,
@@ -771,131 +833,29 @@ where
     F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
 {
     assert_eq!(messages.len(), n);
-    let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let states: Vec<MaPipelineState<V, W>> = crate::multicast::spread_states(messages)
+    let front = SpreadFront {
+        trees,
+        leaf_map,
+        _pd: std::marker::PhantomData,
+    };
+    let states = spread_states(messages)
         .into_iter()
-        .map(|spread| MaPipelineState {
-            spread,
+        .map(|front| PipeState {
+            front,
             to_send: Vec::new(),
             comb: CombineState::default(),
         })
         .collect();
-    MultiAggSub {
-        stage: 0,
-        lane_seed,
-        pipe: Some((
-            MaPipelineProgram {
-                bf,
-                hashes,
-                trees,
-                agg,
-                leaf_map,
-                batch: logn,
-                columns: bf.columns() as u32,
-                send_budget: usize::MAX,
-                _pd: std::marker::PhantomData,
-            },
-            states,
-        )),
-        del: None,
-        out: None,
-    }
+    // each node is target of ≤ 1 re-keyed group: a one-round delivery
+    combine_sub(n, shared, front, agg, states, 1, lane_seed)
 }
 
-impl<V, W, A, F> MultiAggSub<'_, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
-{
+impl<W, A, Fr: Front<W, Out = Option<W>>> CombineSub<'_, W, A, Fr> {
     /// Per node `u`: the aggregate over packets multicast to `u`, or `None`
     /// if no group reached it. Panics before the composition finished.
     pub fn into_results(self) -> Vec<Option<W>> {
         self.out
             .expect("multi-aggregation sub-protocol not finished")
-    }
-}
-
-impl<'a, V, W, A, F> crate::compose::LaneSub<'a> for MultiAggSub<'a, V, W, A, F>
-where
-    V: Payload,
-    W: Payload,
-    A: Aggregate<W>,
-    F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync + 'a,
-{
-    fn pace(&mut self, send_budget: usize) {
-        if let Some((prog, _)) = self.pipe.as_mut() {
-            prog.send_budget = send_budget;
-        }
-    }
-
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        match self.stage {
-            0 => {
-                let (prog, states) = self.pipe.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 0]),
-                ))
-            }
-            1 => {
-                let (prog, states) = self.del.take()?;
-                Some(b.lane_seeded(
-                    prog,
-                    states,
-                    ncc_model::rng::derive_seed(&[self.lane_seed, 1]),
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        match self.stage {
-            0 => {
-                let pipe: Vec<MaPipelineState<V, W>> = ncc_model::take_lane_states(states, lane);
-                let del_states: Vec<DeliverState<W>> = pipe
-                    .into_iter()
-                    .map(|s| DeliverState {
-                        scheduled: s.comb.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
-                        received: Vec::new(),
-                    })
-                    .collect();
-                self.del = Some((
-                    DeliverProgram {
-                        spread: 1, // each node is target of ≤ 1 re-keyed group
-                        _pd: std::marker::PhantomData,
-                    },
-                    del_states,
-                ));
-            }
-            _ => {
-                let del: Vec<DeliverState<W>> = ncc_model::take_lane_states(states, lane);
-                self.out = Some(
-                    del.into_iter()
-                        .map(|s| s.received.into_iter().next().map(|(_, v)| v))
-                        .collect(),
-                );
-            }
-        }
-        self.stage += 1;
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-
-    fn stage_end(&self) -> StageEnd {
-        // deliveries leave in local rounds `0..spread` and the last lands
-        // in round `spread`: the stage is over within `spread + 1` rounds
-        match &self.del {
-            Some((p, _)) => StageEnd::Within(p.spread + 1),
-            None => StageEnd::Barrier,
-        }
     }
 }
 
@@ -916,7 +876,7 @@ where
 pub fn multi_aggregate<V, W, A, F>(
     engine: &mut Engine,
     shared: &SharedRandomness,
-    trees: &crate::mctree::MulticastTrees,
+    trees: &MulticastTrees,
     messages: Vec<Option<(GroupId, V)>>,
     leaf_map: F,
     agg: &A,
@@ -1461,6 +1421,27 @@ pub(crate) mod tests {
         );
     }
 
+    /// A node `≥ 2^d` emulates no column but still scatters its own
+    /// memberships, batch after batch: node 18 of 20 (`d = 4`, batches of
+    /// `⌈log₂ 20⌉ = 5`) holds three batches.
+    #[test]
+    fn non_emulating_member_scatters_every_batch() {
+        let n = 20;
+        let mut memberships: Vec<Vec<(GroupId, u64)>> = vec![Vec::new(); n];
+        memberships[18] = (0..12)
+            .map(|t| (GroupId::new(t, 2), 100 + t as u64))
+            .collect();
+        let (out, stats) = run_sum(n, memberships, 1);
+        for t in 0..n {
+            let want: Vec<_> = (t < 12)
+                .then(|| (GroupId::new(t as u32, 2), 100 + t as u64))
+                .into_iter()
+                .collect();
+            assert_eq!(out[t], want, "node {t}");
+        }
+        assert!(stats.clean());
+    }
+
     #[test]
     fn xor_cancellation_across_members() {
         let n = 16;
@@ -1614,5 +1595,24 @@ pub(crate) mod tests {
             proptest::prop_assert_eq!(col, fresh.target);
             proptest::prop_assert_eq!(states[col as usize].arrived.get(&group), Some(&1));
         }
+    }
+
+    /// The one combining pipeline keeps the layouts of the two programs
+    /// it replaced: per-node stage-1 state 72 B behind `()` and 144 B
+    /// behind the tree spread, and Aggregation's wire type `LevelMsg`
+    /// (32 B), so its `bits` carry no front tag. Per-node state is what
+    /// peak RSS scales with: a stage-1 state that grew to 80 B once
+    /// raised `dag_mst` `peak_rss_mb` by 31 % (CHANGES.md, the
+    /// `RouteQueue` entry).
+    #[test]
+    fn pipeline_layouts_are_pinned() {
+        type Leaf = fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &u64) -> u64;
+        type Agg = CombinePipeline<'static, u64, SumU64, ()>;
+        type Multi = CombinePipeline<'static, u64, MinU64, SpreadFront<'static, u64, Leaf>>;
+        fn wire<P: NodeProgram<Payload = LevelMsg<u64>>>() {}
+        wire::<Agg>();
+        assert_eq!(std::mem::size_of::<<Agg as NodeProgram>::State>(), 72);
+        assert_eq!(std::mem::size_of::<<Multi as NodeProgram>::State>(), 144);
+        assert_eq!(std::mem::size_of::<LevelMsg<u64>>(), 32);
     }
 }

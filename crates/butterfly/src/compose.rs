@@ -90,8 +90,16 @@ pub trait LaneSub<'a> {
     /// messages per round — its *share* of the node capacity when a
     /// scheduler packs it next to other lanes (§2's parallel-instances
     /// argument: `k` concurrent instances each slow down by the factor
-    /// `k`, they do not overdraw the budget). Default: no-op, for lanes
-    /// whose per-round load is already `O(1)`-bounded by construction.
+    /// `k`, they do not overdraw the budget). The scheduler calls it
+    /// before every [`LaneSub::install`].
+    ///
+    /// Both combining lanes, Aggregation and Multi-Aggregation (one
+    /// [`CombineSub`](crate::aggregation::CombineSub)), honour it in
+    /// every round of their scatter+combine stage, round 0 included:
+    /// their load there is `Θ(log n)` per round. Default: no-op, meant
+    /// for lanes whose per-round load is `O(1)` by construction. Some
+    /// lanes keep the no-op with a `Θ(log n)` load: the combining lanes'
+    /// delivery stage, multicast and tree setup.
     fn pace(&mut self, _send_budget: usize) {}
 }
 

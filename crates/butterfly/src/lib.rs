@@ -24,9 +24,13 @@
 //! ([`ab_sub`], [`aggregation_sub`], [`multicast_setup_sub`],
 //! [`multicast_sub`], [`multi_aggregate_sub`]): a short sequence of
 //! streamed pipeline stages (scatter while combining, spread while
-//! delivering) that run as lanes of one [`ncc_model::Mux`], so concurrent
-//! primitive instances **share rounds, capacity and at most one sync per
-//! stage** instead of queuing — the §2 "run many instances in parallel"
+//! delivering) that run as lanes of one [`ncc_model::Mux`]. Aggregation
+//! and Multi-Aggregation share one combining pipeline and one lane type
+//! ([`aggregation::CombineSub`]); they differ only in what feeds the
+//! scatter ([`aggregation::Front`]: nothing, or the multicast tree
+//! spread), in the delivery window and in the shape of their output.
+//! Concurrent primitive instances **share rounds, capacity and at most
+//! one sync per stage** instead of queuing — the §2 "run many instances in parallel"
 //! argument, executable (see [`compose`] and the [`Dag`] scheduler in
 //! [`schedule`]). The blocking functions in the table above are wrappers:
 //! they build the sub and hand it to [`run_alone`], a one-node [`Dag`] —

@@ -17,9 +17,12 @@
 //! lane, one stage and one [`sync_barrier`](crate::aggregation::sync_barrier).
 //! [`multicast`] drives that lane alone; algorithms pack it next to others
 //! in a [`Dag`](crate::compose::Dag). The spreading half
-//! (`spread_arrive`/`spread_step`) is shared with Multi-Aggregation; both
-//! programs borrow the [`MulticastTrees`] and read a column's recorded
-//! edges and leaves there, so starting a multicast copies none of it.
+//! (`spread_arrive`/`spread_step`) is shared with Multi-Aggregation, where
+//! it is the [`SpreadFront`](crate::aggregation::SpreadFront) of the one
+//! combining pipeline: there each leaf arrival is re-keyed and scattered
+//! instead of delivered. Both programs borrow the [`MulticastTrees`] and
+//! read a column's recorded edges and leaves there, so starting a
+//! multicast copies none of it.
 
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
@@ -38,16 +41,16 @@ use crate::topology::{Butterfly, GroupId};
 
 /// Per-node state for the downward spreading phase. The column's share of
 /// the recorded forest is not copied here: the spreading programs hold the
-/// [`MulticastTrees`] and [`spread_arrive`] reads column `α`'s maps there.
-pub(crate) struct SpreadState<V> {
+/// [`MulticastTrees`] and read column `α`'s maps there.
+pub struct SpreadState<V> {
     /// Packets waiting at level `i + 1` (queue level `i`, so levels
     /// `1..=d`) to traverse the down-edge to the straight (`dir` 0) or
     /// cross (`dir` 1) child.
-    pub queue: RouteQueue<V>,
+    pub(crate) queue: RouteQueue<V>,
     /// `(group, member, value)` reaching level-0 leaves here.
-    pub at_leaves: Vec<(u64, NodeId, V)>,
+    pub(crate) at_leaves: Vec<(u64, NodeId, V)>,
     /// If this node is a source: packet to fire at the root in round 0.
-    pub source_packet: Option<(u64, V)>,
+    pub(crate) source_packet: Option<(u64, V)>,
 }
 
 /// A packet arrives at `(level, α)`: copy it onto every recorded child

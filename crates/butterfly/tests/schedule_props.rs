@@ -460,3 +460,52 @@ proptest! {
         prop_assert_eq!(run_chain_dag(n, seed, 1, false), run_chain_dag(n, seed, 4, false));
     }
 }
+
+/// A full lane budget of aggregations, each with `⌈log₂ n⌉` memberships
+/// per node, under the default strict capacity: every lane would scatter
+/// `⌈log₂ n⌉` packets in round 0, `budget · ⌈log₂ n⌉` in all, well over
+/// the `8⌈log₂ n⌉` send cap. [`LaneSub::pace`] holds each lane to its
+/// share, so the run completes without one send being refused or
+/// truncated. Receive-side drops are not asserted: the packed scatters
+/// still overfill some columns' receive caps.
+#[test]
+fn packed_heavy_aggregations_keep_the_send_cap() {
+    for n in [64usize, 256, 1024] {
+        let logn = ncc_model::ilog2_ceil(n);
+        let k = ncc_butterfly::default_lane_budget(n);
+        let shared = SharedRandomness::new(n as u64);
+        let mut eng = Engine::new(NetConfig::new(n, 5));
+        let cap = eng.config().capacity.send as u64;
+        let mut dag = Dag::new();
+        for sub in 0..k as u32 {
+            let spec = AggregationSpec {
+                memberships: (0..n as u32)
+                    .map(|u| {
+                        (0..logn)
+                            .map(|j| (GroupId::new((u + j) % n as u32, sub), u64::from(u)))
+                            .collect()
+                    })
+                    .collect(),
+                ell2_hat: 64,
+            };
+            let shared = &shared;
+            dag.proto(
+                format!("agg{sub}"),
+                &[],
+                move |_| aggregation_sub(n, shared, spec, &SumU64, 40 + u64::from(sub)),
+                |s| s.into_deliveries(),
+            );
+        }
+        let run = dag
+            .run(&mut eng)
+            .unwrap_or_else(|e| panic!("n = {n}, k = {k}: {e:?}"));
+        assert_eq!(run.report.max_lanes(), k, "n = {n}: all lanes in one stage");
+        assert_eq!(run.stats.truncated, 0, "n = {n}");
+        assert_eq!(run.stats.send_cap_violations, 0, "n = {n}");
+        assert!(
+            run.stats.max_out <= cap,
+            "n = {n}: {} > {cap}",
+            run.stats.max_out
+        );
+    }
+}
