@@ -61,7 +61,7 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Paylo
 use rand::Rng;
 
 use crate::combine::Aggregate;
-use crate::compose::{lane_seed, LaneSub, Stage, StageEnd};
+use crate::compose::{lane_seed, Lane, LaneSub, Stage, StageEnd};
 use crate::mctree::MulticastTrees;
 use crate::multicast::{spread_arrive, spread_states, spread_step, SpreadState};
 use crate::queue::{LevelOrder, Route, RouteQueue};
@@ -129,10 +129,11 @@ impl RouteHashes {
 // Wire formats
 // ---------------------------------------------------------------------------
 
+/// A packet delivered point to point: a group id and its value.
 #[derive(Debug, Clone)]
-pub(crate) struct PacketMsg<V> {
-    pub group: u64,
-    pub value: V,
+pub struct PacketMsg<V> {
+    pub(crate) group: u64,
+    pub(crate) value: V,
 }
 
 impl<V: Payload> Payload for PacketMsg<V> {
@@ -956,7 +957,9 @@ pub struct AbState<V> {
     pub result: Option<V>,
 }
 
-struct AbProgram<'a, V, A> {
+/// The Aggregate-and-Broadcast program (Theorem 2.2), the program of an
+/// [`AbSub`].
+pub struct AbProgram<'a, V, A> {
     bf: Butterfly,
     agg: &'a A,
     _pd: std::marker::PhantomData<V>,
@@ -1059,13 +1062,23 @@ pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
         // degenerate network: the aggregate is the node's own input
         return Ok((inputs, ExecStats::default()));
     }
-    let bf = Butterfly::for_n(n);
+    let (prog, mut states) = ab_program(inputs, agg);
+    let stats = engine.execute(&prog, &mut states)?;
+    Ok((ab_results(states), stats))
+}
+
+/// The Aggregate-and-Broadcast program over `inputs.len()` nodes and its
+/// initial per-node states.
+fn ab_program<V: Payload, A: Aggregate<V>>(
+    inputs: Vec<Option<V>>,
+    agg: &A,
+) -> (AbProgram<'_, V, A>, Vec<AbState<V>>) {
     let prog = AbProgram {
-        bf,
+        bf: Butterfly::for_n(inputs.len()),
         agg,
         _pd: std::marker::PhantomData,
     };
-    let mut states: Vec<AbState<V>> = inputs
+    let states = inputs
         .into_iter()
         .map(|input| AbState {
             input,
@@ -1073,19 +1086,22 @@ pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
             result: None,
         })
         .collect();
-    let stats = engine.execute(&prog, &mut states)?;
-    let results = states.into_iter().map(|s| s.result).collect();
-    Ok((results, stats))
+    (prog, states)
+}
+
+fn ab_results<V>(states: Vec<AbState<V>>) -> Vec<Option<V>> {
+    states.into_iter().map(|s| s.result).collect()
 }
 
 /// Aggregate-and-Broadcast as a composable lane: a single stage that rides
 /// alongside heavier lanes (the paper's ubiquitous "agree on a global
-/// value" step, at zero extra stage cost when composed). Build with
-/// [`ab_sub`], run as a DAG node, read with [`AbSub::into_results`].
-pub struct AbSub<'a, V: Payload, A: Aggregate<V>> {
-    stage: crate::compose::Stage<AbProgram<'a, V, A>, AbState<V>>,
-    out: Option<Vec<Option<V>>>,
-}
+/// value" step, at zero extra stage cost when composed). It ends
+/// [`StageEnd::SelfSync`]: A&B ends with everyone knowing the result — it
+/// *is* the barrier primitive (App. B.1), so a stage made only of A&B
+/// lanes needs no trailing [`sync_barrier`], matching
+/// [`aggregate_and_broadcast`]'s cost. Per node, the output is the
+/// broadcast aggregate (`None` iff no node held an input).
+pub type AbSub<'a, V, A> = Lane<AbProgram<'a, V, A>, Vec<Option<V>>>;
 
 /// Builds the Aggregate-and-Broadcast sub-protocol. Arguments mirror
 /// [`aggregate_and_broadcast`] (the same program run alone).
@@ -1096,57 +1112,8 @@ pub fn ab_sub<'a, V: Payload, A: Aggregate<V>>(
 ) -> AbSub<'a, V, A> {
     assert_eq!(inputs.len(), n);
     assert!(n >= 2, "composable A&B needs n ≥ 2");
-    let bf = Butterfly::for_n(n);
-    let states: Vec<AbState<V>> = inputs
-        .into_iter()
-        .map(|input| AbState {
-            input,
-            acc: None,
-            result: None,
-        })
-        .collect();
-    AbSub {
-        stage: Some((
-            AbProgram {
-                bf,
-                agg,
-                _pd: std::marker::PhantomData,
-            },
-            states,
-        )),
-        out: None,
-    }
-}
-
-impl<V: Payload, A: Aggregate<V>> AbSub<'_, V, A> {
-    /// Per node: the broadcast aggregate (`None` iff no node held an
-    /// input). Panics before the composition finished.
-    pub fn into_results(self) -> Vec<Option<V>> {
-        self.out.expect("A&B sub-protocol not finished")
-    }
-}
-
-impl<'a, V: Payload, A: Aggregate<V>> crate::compose::LaneSub<'a> for AbSub<'a, V, A> {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let (prog, states) = self.stage.take()?;
-        Some(b.lane(prog, states))
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        let st: Vec<AbState<V>> = ncc_model::take_lane_states(states, lane);
-        self.out = Some(st.into_iter().map(|s| s.result).collect());
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-
-    fn stage_end(&self) -> StageEnd {
-        // A&B ends with everyone knowing the result — it IS the barrier
-        // primitive (App. B.1), so a stage made only of A&B lanes needs no
-        // trailing `sync_barrier` (matching [`aggregate_and_broadcast`]'s cost).
-        StageEnd::SelfSync
-    }
+    let (prog, states) = ab_program(inputs, agg);
+    Lane::new(prog, states, ab_results).ending(StageEnd::SelfSync)
 }
 
 /// Rounds one [`sync_barrier`] takes on `n` nodes when none of its

@@ -21,9 +21,16 @@
 //!   executions; outputs are collected from the final states.
 //!
 //! Each primitive has exactly one implementation, its [`LaneSub`], and one
-//! driver. The blocking entry points (`aggregate`, `multicast_setup`,
-//! `multicast`, `multi_aggregate`) build that sub and hand it to
-//! [`run_alone`](crate::schedule::run_alone), a one-node [`Dag`].
+//! driver. A single-stage primitive's `LaneSub` is data, not a type of its
+//! own: a [`Lane`] holds its program, per-node states, [`StageEnd`] and a
+//! finisher (Aggregate-and-Broadcast, tree setup, multicast, and
+//! `ncc-core`'s scheduled exchange and rendezvous). Only the two-stage
+//! lanes are hand-written: the combining pipeline's
+//! [`CombineSub`](crate::aggregation::CombineSub) and `ncc-core`'s
+//! gather-and-broadcast. The blocking entry points (`aggregate`,
+//! `multicast_setup`, `multicast`, `multi_aggregate`) build that sub and
+//! hand it to [`run_alone`](crate::schedule::run_alone), a one-node
+//! [`Dag`].
 //! Aggregate-and-Broadcast is the exception: it is one plain program and
 //! its own barrier, so
 //! [`aggregate_and_broadcast`](crate::aggregation::aggregate_and_broadcast)
@@ -31,7 +38,7 @@
 //!
 //! [`sync_barrier`]: crate::aggregation::sync_barrier
 
-use ncc_model::{Engine, LaneId, MuxBuilder, MuxState};
+use ncc_model::{Engine, LaneId, MuxBuilder, MuxState, NodeProgram};
 
 /// How every node learns that a lane's current stage is over, and so what
 /// the stage owes before the next one may start.
@@ -99,13 +106,86 @@ pub trait LaneSub<'a> {
     /// their load there is `Θ(log n)` per round. Default: no-op, meant
     /// for lanes whose per-round load is `O(1)` by construction. Some
     /// lanes keep the no-op with a `Θ(log n)` load: the combining lanes'
-    /// delivery stage, multicast and tree setup.
+    /// delivery stage, and the multicast and tree-setup [`Lane`]s (a
+    /// `Lane` never paces).
     fn pace(&mut self, _send_budget: usize) {}
 }
 
 /// A pending stage of a sub-protocol: its program plus per-node states,
 /// consumed by [`LaneSub::install`].
 pub(crate) type Stage<Prog, St> = Option<(Prog, Vec<St>)>;
+
+/// A single-stage primitive as data: one program, its per-node states,
+/// how the stage ends, and a capture-free `finish` that turns the
+/// collected states into the output. Every single-stage lane
+/// (Aggregate-and-Broadcast, tree setup, multicast, `ncc-core`'s scheduled
+/// exchange and rendezvous) is a `Lane`; read it with
+/// [`Lane::into_results`].
+pub struct Lane<P: NodeProgram, T> {
+    stage: Stage<P, P::State>,
+    seed: Option<u64>,
+    end: StageEnd,
+    finish: fn(Vec<P::State>) -> T,
+    out: Option<T>,
+}
+
+impl<P: NodeProgram, T> Lane<P, T> {
+    /// A lane on the nodes' own randomness streams
+    /// ([`MuxBuilder::lane`]) that ends on a [`StageEnd::Barrier`].
+    pub fn new(prog: P, states: Vec<P::State>, finish: fn(Vec<P::State>) -> T) -> Self {
+        Lane {
+            stage: Some((prog, states)),
+            seed: None,
+            end: StageEnd::Barrier,
+            finish,
+            out: None,
+        }
+    }
+
+    /// Gives the lane a private randomness stream keyed by `seed`
+    /// ([`MuxBuilder::lane_seeded`]).
+    pub fn seeded(mut self, seed: u64) -> Self {
+        self.seed = Some(seed);
+        self
+    }
+
+    /// Sets how every node learns that the stage is over.
+    pub fn ending(mut self, end: StageEnd) -> Self {
+        self.end = end;
+        self
+    }
+
+    /// The finished output. Panics before the composition finished.
+    pub fn into_results(self) -> T {
+        self.out.expect("lane not finished")
+    }
+}
+
+impl<'a, P, T> LaneSub<'a> for Lane<P, T>
+where
+    P: NodeProgram + 'a,
+    P::State: 'static,
+{
+    fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId> {
+        let (prog, states) = self.stage.take()?;
+        Some(match self.seed {
+            Some(seed) => b.lane_seeded(prog, states, seed),
+            None => b.lane(prog, states),
+        })
+    }
+
+    fn collect(&mut self, lane: LaneId, states: &mut [MuxState]) {
+        self.out = Some((self.finish)(ncc_model::take_lane_states(states, lane)));
+    }
+
+    fn is_done(&self) -> bool {
+        self.out.is_some()
+    }
+
+    fn stage_end(&self) -> StageEnd {
+        self.end
+    }
+}
 
 /// Derives a deterministic lane seed from the engine seed and a composition
 /// label — so composed lanes have reproducible, composition-independent
@@ -470,6 +550,61 @@ mod tests {
             "rounds {}",
             run.stats.rounds
         );
+    }
+
+    /// Every node draws one number in round 0 and keeps it.
+    struct Draw;
+    impl NodeProgram for Draw {
+        type State = u64;
+        type Payload = u64;
+        fn init(&self, st: &mut u64, ctx: &mut Ctx<'_, u64>) {
+            *st = rand::Rng::gen(ctx.rng());
+        }
+        fn round(&self, _st: &mut u64, _inbox: &[Envelope<u64>], _ctx: &mut Ctx<'_, u64>) {}
+    }
+
+    fn keep(states: Vec<u64>) -> Vec<u64> {
+        states
+    }
+
+    #[test]
+    fn lane_installs_once_and_is_done_after_collect() {
+        let n = 8;
+        let mut lane = Lane::new(Relay { hops: 3 }, vec![0u64; n], keep);
+        assert!(!lane.is_done());
+        let mut b = MuxBuilder::new(n);
+        let id = lane.install(&mut b).expect("the one stage installs");
+        assert!(lane.install(&mut MuxBuilder::new(n)).is_none());
+        assert!(!lane.is_done(), "installed but not collected");
+        let (mux, mut states) = b.build();
+        Engine::new(NetConfig::new(n, 5))
+            .execute(&mux, &mut states)
+            .unwrap();
+        lane.collect(id, &mut states);
+        assert!(lane.is_done());
+        assert_eq!(lane.into_results(), vec![3u64; n]);
+    }
+
+    #[test]
+    fn lane_reports_its_end_before_install() {
+        let lane = || Lane::new(Draw, vec![0u64; 4], keep);
+        assert_eq!(lane().stage_end(), StageEnd::Barrier);
+        for end in [StageEnd::SelfSync, StageEnd::Within(7)] {
+            assert_eq!(lane().ending(end).stage_end(), end);
+        }
+    }
+
+    #[test]
+    fn seeded_lane_alone_matches_the_bare_program() {
+        let (n, seed) = (16, 0x5eed);
+        let lane = Lane::new(Draw, vec![0u64; n], keep).seeded(seed);
+        let mut eng = Engine::new(NetConfig::new(n, 1));
+        let (alone, _) = crate::schedule::run_alone(&mut eng, lane, Lane::into_results).unwrap();
+        let mut bare = vec![0u64; n];
+        Engine::new(NetConfig::new(n, seed))
+            .execute(&Draw, &mut bare)
+            .unwrap();
+        assert_eq!(alone, bare);
     }
 
     #[test]

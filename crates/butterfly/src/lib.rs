@@ -81,7 +81,7 @@ pub use aggregation::{
     MultiAggSub,
 };
 pub use combine::{Aggregate, MaxU64, MinByKey, MinU64, SumPair, SumU64, XorPair, XorSum, XorU64};
-pub use compose::{lane_seed, Dag, DagOutputs, Dep, Deps, LaneSub, ProtoNode, StageEnd};
+pub use compose::{lane_seed, Dag, DagOutputs, Dep, Deps, Lane, LaneSub, ProtoNode, StageEnd};
 pub use mctree::{multicast_setup, multicast_setup_sub, self_joins, McSetupSub, MulticastTrees};
 pub use multicast::{multicast, multicast_sub, MulticastSub};
 pub use schedule::{

@@ -23,7 +23,7 @@ use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgra
 use rand::Rng;
 
 use crate::aggregation::RouteHashes;
-use crate::compose::lane_seed;
+use crate::compose::{lane_seed, Lane};
 use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::schedule::run_alone;
 use crate::topology::{Butterfly, GroupId};
@@ -63,7 +63,7 @@ impl MulticastTrees {
 }
 
 /// Per-node recording state for the tree-building routing run.
-pub(crate) struct RecordState {
+struct RecordState {
     /// Routing queue as in the combining phase, value = unit (join packets
     /// carry no data; combining just merges paths).
     queue: RouteQueue<()>,
@@ -81,7 +81,7 @@ impl RecordState {
     }
 }
 
-pub(crate) struct RecordProgram {
+struct RecordProgram {
     bf: Butterfly,
     hashes: RouteHashes,
 }
@@ -165,7 +165,7 @@ fn trees_from_states(n: usize, d: u32, rec_states: Vec<RecordState>) -> Multicas
 /// Wire format of the tree setup: join-packet scattering and recording
 /// routing share the rounds.
 #[derive(Debug, Clone)]
-pub(crate) enum SetupMsg {
+pub enum SetupMsg {
     /// A registration landing on a random level-0 column.
     Join { group: u64, member: u64 },
     /// A join packet climbing the butterfly (recorded as a tree edge);
@@ -184,19 +184,21 @@ impl ncc_model::Payload for SetupMsg {
     }
 }
 
-pub(crate) struct RecordScatterState {
-    pub to_send: Vec<(u64, u64)>,
-    pub rec: RecordState,
+/// Per-node state of the tree setup: registrations still to scatter, and
+/// the column's recording.
+pub struct RecordScatterState {
+    to_send: Vec<(u64, u64)>,
+    rec: RecordState,
 }
 
 /// Multicast Tree Setup (Theorem 2.4, streamed): registrations scatter to
 /// random level-0 columns in batches of `⌈log n⌉` — the landing columns
 /// become the leaves `l(i, u)` — while earlier join packets already route
 /// toward their roots, recording in-edges.
-pub(crate) struct RecordScatterProgram {
-    pub record: RecordProgram,
-    pub batch: usize,
-    pub columns: u32,
+pub struct RecordScatterProgram {
+    record: RecordProgram,
+    batch: usize,
+    columns: u32,
 }
 
 impl RecordScatterProgram {
@@ -271,16 +273,10 @@ impl NodeProgram for RecordScatterProgram {
 }
 
 /// Multicast Tree Setup as a composable lane: one stage
-/// (scatter + recording routing). Build with [`multicast_setup_sub`], run
-/// with [`run_alone`] or as a DAG node, read with
-/// [`McSetupSub::into_trees`].
-pub struct McSetupSub {
-    stage: Option<(RecordScatterProgram, Vec<RecordScatterState>)>,
-    lane_seed: u64,
-    n: usize,
-    d: u32,
-    out: Option<MulticastTrees>,
-}
+/// (scatter + recording routing) on its own randomness stream. Build with
+/// [`multicast_setup_sub`], run with [`run_alone`] or as a DAG node, read
+/// the recorded forest with [`Lane::into_results`].
+pub type McSetupSub = Lane<RecordScatterProgram, MulticastTrees>;
 
 /// Builds the tree-setup sub-protocol. Arguments mirror
 /// [`multicast_setup`]; `lane_seed` keys the lane's private randomness
@@ -303,47 +299,17 @@ pub fn multicast_setup_sub(
             rec: RecordState::new(bf.d()),
         })
         .collect();
-    McSetupSub {
-        stage: Some((
-            RecordScatterProgram {
-                record: RecordProgram { bf, hashes },
-                batch: logn,
-                columns: bf.columns() as u32,
-            },
-            states,
-        )),
-        lane_seed,
-        n,
-        d: bf.d(),
-        out: None,
-    }
-}
-
-impl McSetupSub {
-    /// The recorded forest. Panics before the composition finished.
-    pub fn into_trees(self) -> MulticastTrees {
-        self.out.expect("tree-setup sub-protocol not finished")
-    }
-}
-
-impl<'a> crate::compose::LaneSub<'a> for McSetupSub {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let (prog, states) = self.stage.take()?;
-        Some(b.lane_seeded(prog, states, self.lane_seed))
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        let rec: Vec<RecordScatterState> = ncc_model::take_lane_states(states, lane);
-        self.out = Some(trees_from_states(
-            self.n,
-            self.d,
-            rec.into_iter().map(|s| s.rec).collect(),
-        ));
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
+    let prog = RecordScatterProgram {
+        record: RecordProgram { bf, hashes },
+        batch: logn,
+        columns: bf.columns() as u32,
+    };
+    Lane::new(prog, states, |st| {
+        let n = st.len();
+        let d = Butterfly::for_n(n).d();
+        trees_from_states(n, d, st.into_iter().map(|s| s.rec).collect())
+    })
+    .seeded(lane_seed)
 }
 
 /// Sets up multicast trees from explicit *registrations*: node `u`'s list
@@ -362,7 +328,7 @@ pub fn multicast_setup(
 ) -> Result<(MulticastTrees, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6d63_7375 /* "mcsu" */, 0);
     let sub = multicast_setup_sub(engine.n(), shared, joins, seed);
-    run_alone(engine, sub, McSetupSub::into_trees)
+    run_alone(engine, sub, McSetupSub::into_results)
 }
 
 /// Convenience: turns per-node group lists into self-registrations

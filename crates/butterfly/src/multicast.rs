@@ -28,8 +28,8 @@ use ncc_hashing::SharedRandomness;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
 use rand::Rng;
 
-use crate::aggregation::{LevelMsg, RouteHashes};
-use crate::compose::lane_seed;
+use crate::aggregation::{GroupedDeliveries, LevelMsg, RouteHashes};
+use crate::compose::{lane_seed, Lane};
 use crate::mctree::MulticastTrees;
 use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::schedule::run_alone;
@@ -142,8 +142,10 @@ pub(crate) fn spread_states<V: Payload>(
 /// Wire format of the multicast pipeline: tree routing + leaf delivery
 /// in one program.
 #[derive(Debug, Clone)]
-pub(crate) enum McMsg<V> {
+pub enum McMsg<V> {
+    /// A packet spreading down its tree.
     Route(LevelMsg<V>),
+    /// A leaf delivering a packet to a member.
     Deliver(crate::aggregation::PacketMsg<V>),
 }
 
@@ -156,11 +158,12 @@ impl<V: Payload> Payload for McMsg<V> {
     }
 }
 
-pub(crate) struct SpreadDeliverState<V> {
-    pub spread: SpreadState<V>,
+/// Per-node state of the multicast pipeline.
+pub struct SpreadDeliverState<V> {
+    spread: SpreadState<V>,
     /// `(due round, member, group, value)` — leaf deliveries in flight.
-    pub scheduled: Vec<(u64, NodeId, u64, V)>,
-    pub received: Vec<(GroupId, V)>,
+    scheduled: Vec<(u64, NodeId, u64, V)>,
+    received: Vec<(GroupId, V)>,
 }
 
 /// The Multicast pipeline (Theorem 2.5, streamed): packets spread down
@@ -168,12 +171,12 @@ pub(crate) struct SpreadDeliverState<V> {
 /// for delivery in a uniformly random round of the next
 /// `window = ⌈ℓ̂/log n⌉` rounds — the paper's load-smoothing rule, with no
 /// barrier between spreading and delivery.
-pub(crate) struct SpreadDeliverProgram<'a, V> {
-    pub bf: Butterfly,
-    pub hashes: RouteHashes,
-    pub trees: &'a MulticastTrees,
-    pub window: u64,
-    pub _pd: std::marker::PhantomData<V>,
+pub struct SpreadDeliverProgram<'a, V> {
+    bf: Butterfly,
+    hashes: RouteHashes,
+    trees: &'a MulticastTrees,
+    window: u64,
+    _pd: std::marker::PhantomData<V>,
 }
 
 impl<V: Payload> NodeProgram for SpreadDeliverProgram<'_, V> {
@@ -262,13 +265,10 @@ impl<V: Payload> NodeProgram for SpreadDeliverProgram<'_, V> {
 }
 
 /// Multicast as a composable lane: one stage (spread + smoothed leaf
-/// delivery). Build with [`multicast_sub`], run with [`run_alone`] or as
-/// a DAG node, read with [`MulticastSub::into_deliveries`].
-pub struct MulticastSub<'a, V: Payload> {
-    stage: Option<(SpreadDeliverProgram<'a, V>, Vec<SpreadDeliverState<V>>)>,
-    lane_seed: u64,
-    out: Option<crate::aggregation::GroupedDeliveries<V>>,
-}
+/// delivery) on its own randomness stream. Build with [`multicast_sub`],
+/// run with [`run_alone`] or as a DAG node, read the per-node
+/// `(group, payload)` deliveries with [`Lane::into_results`].
+pub type MulticastSub<'a, V> = Lane<SpreadDeliverProgram<'a, V>, GroupedDeliveries<V>>;
 
 /// Builds the multicast sub-protocol over previously set-up trees.
 /// Arguments mirror [`multicast`]; `lane_seed` keys the lane's private
@@ -294,44 +294,17 @@ pub fn multicast_sub<'a, V: Payload>(
             received: Vec::new(),
         })
         .collect();
-    MulticastSub {
-        stage: Some((
-            SpreadDeliverProgram {
-                bf,
-                hashes,
-                trees,
-                window,
-                _pd: std::marker::PhantomData,
-            },
-            states,
-        )),
-        lane_seed,
-        out: None,
-    }
-}
-
-impl<V: Payload> MulticastSub<'_, V> {
-    /// The per-node `(group, payload)` deliveries. Panics before the
-    /// composition ran to completion.
-    pub fn into_deliveries(self) -> crate::aggregation::GroupedDeliveries<V> {
-        self.out.expect("multicast sub-protocol not finished")
-    }
-}
-
-impl<'a, V: Payload> crate::compose::LaneSub<'a> for MulticastSub<'a, V> {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let (prog, states) = self.stage.take()?;
-        Some(b.lane_seeded(prog, states, self.lane_seed))
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        let st: Vec<SpreadDeliverState<V>> = ncc_model::take_lane_states(states, lane);
-        self.out = Some(st.into_iter().map(|s| s.received).collect());
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
+    let prog = SpreadDeliverProgram {
+        bf,
+        hashes,
+        trees,
+        window,
+        _pd: std::marker::PhantomData,
+    };
+    Lane::new(prog, states, |st| {
+        st.into_iter().map(|s| s.received).collect()
+    })
+    .seeded(lane_seed)
 }
 
 /// Runs the Multicast Algorithm over previously set-up trees.
@@ -347,10 +320,10 @@ pub fn multicast<V: Payload>(
     trees: &MulticastTrees,
     messages: Vec<Option<(GroupId, V)>>,
     ell_hat: usize,
-) -> Result<(crate::aggregation::GroupedDeliveries<V>, ExecStats), ModelError> {
+) -> Result<(GroupedDeliveries<V>, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6d63_7374 /* "mcst" */, 0);
     let sub = multicast_sub(engine.n(), shared, trees, messages, ell_hat, seed);
-    run_alone(engine, sub, MulticastSub::into_deliveries)
+    run_alone(engine, sub, MulticastSub::into_results)
 }
 
 #[cfg(test)]

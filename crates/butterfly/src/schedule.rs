@@ -54,8 +54,8 @@
 //! The paper pays for a synchronisation only when a phase's length is
 //! unknown. Some stages' lengths are known in advance: aggregation's
 //! delivery sends in rounds drawn from `{1..⌈ℓ̂₂/log n⌉}`, and a scheduled
-//! exchange declared to send only inside a window (`ScheduleSub::within`
-//! in `ncc-core`) is over when the window is. Such lanes end
+//! exchange declared to send only inside a window (`schedule_sub`'s
+//! `window` in `ncc-core`) is over when the window is. Such lanes end
 //! [`StageEnd::Within`] their bound. Let such a stage start at round `t₀`,
 //! quiesce `rounds` rounds later, and let `R` be the largest bound of its
 //! lanes:
@@ -670,7 +670,7 @@ mod tests {
         let mut alone = ExecStats::default();
         for tag in [1, 2] {
             let sub = multicast_setup_sub(n, &shared, ring_joins(n, tag), 9 + tag as u64);
-            alone.merge(&run_alone(&mut eng, sub, |s| s.into_trees()).unwrap().1);
+            alone.merge(&run_alone(&mut eng, sub, |s| s.into_results()).unwrap().1);
         }
         let mut eng = engine(n);
         let mut dag = Dag::new();
@@ -679,13 +679,13 @@ mod tests {
             "trees1",
             &[],
             move |_| multicast_setup_sub(n, shared, ring_joins(n, 1), 10),
-            |s| s.into_trees(),
+            |s| s.into_results(),
         );
         dag.proto(
             "trees2",
             &[first.into()],
             move |_| multicast_setup_sub(n, shared, ring_joins(n, 2), 11),
-            |s| s.into_trees(),
+            |s| s.into_results(),
         );
         let run = dag.run(&mut eng).unwrap();
         // each setup charges a barrier; nothing carries the last one, so

@@ -114,10 +114,10 @@ fn fused_setup_and_multicast_match_blocking_deliveries() {
     let mut eng = engine(n, 11);
     let mut setup = multicast_setup_sub(n, &shared, ncc_butterfly::self_joins(joins), 5);
     let setup_stats = run_fused(&mut eng, &mut [&mut setup]).stats;
-    let fused_trees = setup.into_trees();
+    let fused_trees = setup.into_results();
     let mut mc = multicast_sub(n, &shared, &fused_trees, messages, 2, 6);
     let rep = run_fused(&mut eng, &mut [&mut mc]);
-    let fused = mc.into_deliveries();
+    let fused = mc.into_results();
 
     assert_eq!(rep.stages, 1, "multicast is one stage");
     for u in 0..n {

@@ -237,7 +237,7 @@ fn run_setup_chain_sequential(
     let mut trees = None;
     for tag in [1, 2] {
         let setup = multicast_setup_sub(n, &shared, ring_joins(n, tag), 40 + tag as u64);
-        let (forest, stats) = run_alone(&mut eng, setup, |s| s.into_trees()).unwrap();
+        let (forest, stats) = run_alone(&mut eng, setup, |s| s.into_results()).unwrap();
         rounds += stats.rounds;
         trees = Some(forest);
     }
@@ -263,13 +263,13 @@ fn run_setup_chain_dag(
         "trees1",
         &[],
         move |_| multicast_setup_sub(n, shared, ring_joins(n, 1), 41),
-        |s| s.into_trees(),
+        |s| s.into_results(),
     );
     let second = dag.proto(
         "trees2",
         &[first.into()],
         move |_| multicast_setup_sub(n, shared, ring_joins(n, 2), 42),
-        |s| s.into_trees(),
+        |s| s.into_results(),
     );
     let counts = dag.compute("counts", &[second.into()], move |d| {
         leaf_counts(n, d.get(second))

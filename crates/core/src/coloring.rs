@@ -97,7 +97,7 @@ pub fn coloring(
         "setup:in-trees",
         &[],
         move |_| multicast_setup_sub(n, shared, joins, trees_seed),
-        |s| s.into_trees(),
+        |s| s.into_results(),
     );
     let ahat = dag.proto(
         "setup:ahat",
@@ -171,7 +171,7 @@ pub fn coloring(
                 format!("l{li}:r{rep}:tentative"),
                 &[],
                 move |_| in_multicast_sub(n, shared, in_trees, messages, a_hat, tent_seed),
-                |s| s.into_deliveries(),
+                |s| s.into_results(),
             );
             // u defers iff some same-level uncolored out-neighbor announced
             // u's own candidate (u receives announcements of all x with
@@ -215,7 +215,7 @@ pub fn coloring(
                         .collect();
                     in_multicast_sub(n, shared, in_trees, messages, a_hat, perm_in_seed)
                 },
-                |s| s.into_deliveries(),
+                |s| s.into_results(),
             );
             let perm_out_cand = cand.clone();
             let perm_out = dag.proto(

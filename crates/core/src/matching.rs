@@ -193,7 +193,7 @@ pub fn maximal_matching(
                         None => Vec::new(),
                     })
                     .collect();
-                schedule_sub(n, schedules).within(1)
+                schedule_sub(n, schedules, Some(1))
             },
             |s| s.into_results(),
         );
@@ -237,7 +237,7 @@ pub fn maximal_matching(
             &[chain.into()],
             move |d| {
                 let (schedules, _) = d.get(chain);
-                schedule_sub(n, schedules.clone()).within(1)
+                schedule_sub(n, schedules.clone(), Some(1))
             },
             |s| s.into_results(),
         );

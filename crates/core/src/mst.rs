@@ -279,7 +279,7 @@ pub fn mst(
             format!("p{phase}:trees"),
             &[],
             move |_| multicast_setup_sub(n, shared, joins, trees_seed),
-            |s| s.into_trees(),
+            |s| s.into_results(),
         );
         let mut run = dag.run(engine)?;
         report.push(format!("p{phase}:trees"), run.stats);
@@ -347,7 +347,7 @@ pub fn mst(
                     format!("p{phase}:find0:coin"),
                     &[],
                     move |_| multicast_sub(n, shared, trees, msgs, 1, coin_seed),
-                    |s| s.into_deliveries(),
+                    |s| s.into_results(),
                 );
                 let mut run = dag.run(engine)?;
                 report.push(format!("p{phase}:find{step}"), run.stats);
@@ -356,10 +356,7 @@ pub fn mst(
                 plan.merge(run.report);
                 for u in 0..n {
                     if leader[u] != u as NodeId {
-                        coin[u] = coins_recv[u]
-                            .first()
-                            .map(|&(_, c)| c == 1)
-                            .expect("member must receive its component's coin");
+                        coin[u] = member_copy(&coins_recv[u], "a member gets its coin")? == 1;
                     }
                 }
                 descend(&mut lo, &mut hi, &leader, &lane_out);
@@ -377,7 +374,7 @@ pub fn mst(
                     format!("p{phase}:find{step}:range-mc"),
                     &[],
                     move |_| multicast_sub(n, shared, trees, msgs, 1, range_seed),
-                    |s| s.into_deliveries(),
+                    |s| s.into_results(),
                 );
                 let lo_c = lo.clone();
                 let hi_c = hi.clone();
@@ -388,17 +385,16 @@ pub fn mst(
                     move |d| {
                         let recv = d.get(mc);
                         let (mut lo, mut hi) = (lo_c, hi_c);
+                        let mut lost = Ok(());
                         for u in 0..n {
                             if leader_c[u] != u as NodeId {
-                                let (rlo, rhi) = recv[u]
-                                    .first()
-                                    .map(|&(_, r)| r)
-                                    .expect("range reaches members");
-                                lo[u] = rlo;
-                                hi[u] = rhi;
+                                match member_copy(&recv[u], "a member gets its range") {
+                                    Ok((rlo, rhi)) => (lo[u], hi[u]) = (rlo, rhi),
+                                    Err(e) => lost = Err(e),
+                                }
                             }
                         }
-                        (lo, hi)
+                        (lo, hi, lost)
                     },
                 );
                 let mut aggs = Vec::new();
@@ -408,7 +404,7 @@ pub fn mst(
                         format!("p{phase}:find{step}:agg{j}"),
                         &[ranges.into()],
                         move |d| {
-                            let (lo, hi) = d.get(ranges);
+                            let (lo, hi, _) = d.get(ranges);
                             aggregation_sub(
                                 n,
                                 shared,
@@ -425,7 +421,8 @@ pub fn mst(
                 }
                 let mut run = dag.run(engine)?;
                 report.push(format!("p{phase}:find{step}"), run.stats);
-                let (new_lo, new_hi) = run.outputs.take(ranges);
+                let (new_lo, new_hi, lost) = run.outputs.take(ranges);
+                lost?;
                 lo = new_lo;
                 hi = new_hi;
                 let lane_out: Vec<_> = aggs.iter().map(|&a| run.outputs.take(a)).collect();
@@ -467,7 +464,7 @@ pub fn mst(
             format!("p{phase}:announce"),
             &[],
             move |_| multicast_sub(n, shared, trees_ref, msgs, 1, announce_seed),
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let done = dag.proto(
             format!("p{phase}:done"),
@@ -482,10 +479,7 @@ pub fn mst(
         plan.merge(run.report);
         for u in 0..n {
             if leader[u] != u as NodeId {
-                let code = keys_recv[u]
-                    .first()
-                    .map(|&(_, c)| c)
-                    .expect("key reaches members");
+                let code = member_copy(&keys_recv[u], "a member gets the found key")?;
                 found[u] = if code > 0 { Some(code - 1) } else { None };
             }
         }
@@ -538,7 +532,7 @@ pub fn mst(
             format!("p{phase}:link-trees"),
             &[],
             move |_| multicast_setup_sub(n, shared, joins, link_trees_seed),
-            |s| recorded.set(s.into_trees()).expect("recorded once"),
+            |s| recorded.set(s.into_results()).expect("recorded once"),
         );
         let link_mc = dag.proto(
             format!("p{phase}:link-mc"),
@@ -547,7 +541,7 @@ pub fn mst(
                 let trees = recorded.get().expect("link-trees finished first");
                 multicast_sub(n, shared, trees, messages, 1, link_mc_seed)
             },
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let mut run = dag.run(engine)?;
         report.push(format!("p{phase}:link"), run.stats);
@@ -582,7 +576,7 @@ pub fn mst(
         let adopt = dag.proto(
             format!("p{phase}:adopt"),
             &[],
-            move |_| schedule_sub(n, new_leader_msg).within(1),
+            move |_| schedule_sub(n, new_leader_msg, Some(1)),
             |s| s.into_results(),
         );
         // leaders fold their inbox with the locally decided adoption and
@@ -612,7 +606,7 @@ pub fn mst(
                 let (_, messages) = d.get(decide);
                 multicast_sub(n, shared, trees_ref, messages.clone(), 1, adopt_mc_seed)
             },
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let mut run = dag.run(engine)?;
         report.push(format!("p{phase}:adopt"), run.stats);
@@ -625,10 +619,7 @@ pub fn mst(
                     leader[u] = nl;
                 }
             } else {
-                let code = adopt_recv[u]
-                    .first()
-                    .map(|&(_, c)| c)
-                    .expect("members hear adoption");
+                let code = member_copy(&adopt_recv[u], "a member hears the adoption")?;
                 if code > 0 {
                     leader[u] = (code - 1) as NodeId;
                 }
@@ -646,6 +637,14 @@ pub fn mst(
         report,
         plan,
     })
+}
+
+/// A member's copy of its component's multicast, or the typed failure of
+/// the w.h.p. `event` that it arrives.
+fn member_copy<V: Copy>(recv: &[(GroupId, V)], event: &'static str) -> Result<V, ModelError> {
+    recv.first()
+        .map(|&(_, v)| v)
+        .ok_or(ModelError::WhpEventFailed { event })
 }
 
 #[cfg(test)]

@@ -414,8 +414,10 @@ pub fn orient(
         let mut run = dag.run(engine)?;
         report.push(format!("p{phase}:ident1+dstar"), run.stats);
         plan.merge(run.report);
-        let d_star_i =
-            run.outputs.take(dstar)[0].expect("active set is non-empty when Σdᵢ > 0") as usize;
+        // the active set is non-empty when Σdᵢ > 0, unless drops lost it
+        let d_star_i = run.outputs.take(dstar)[0].ok_or(ModelError::WhpEventFailed {
+            event: "the d* agreement hears an active node",
+        })? as usize;
         debug_assert!(d_star_i <= d_bound, "bound must dominate the exact d*");
         d_star_global = d_star_global.max(d_star_i);
         let (mut red, mut unsuccessful) = run.outputs.take(peeled);
@@ -477,7 +479,7 @@ pub fn orient(
             let resp = dag.proto(
                 format!("p{phase}:uhigh-resp"),
                 &[sched.into()],
-                move |d| schedule_sub(n, d.get(sched).clone()),
+                move |d| schedule_sub(n, d.get(sched).clone(), None),
                 |s| s.into_results(),
             );
             let mut run = dag.run(engine)?;
@@ -534,7 +536,7 @@ pub fn orient(
                 format!("p{phase}:ulow-trees"),
                 &[],
                 move |_| multicast_setup_sub(n, shared, joins, trees_seed),
-                |s| recorded.set(s.into_trees()).expect("recorded once"),
+                |s| recorded.set(s.into_results()).expect("recorded once"),
             );
             let flagged = dag.proto(
                 format!("p{phase}:ulow-mc"),
@@ -543,7 +545,7 @@ pub fn orient(
                     let trees = recorded.get().expect("ulow-trees finished first");
                     multicast_sub(n, shared, trees, messages, ell_hat, mc_seed)
                 },
-                |s| s.into_deliveries(),
+                |s| s.into_results(),
             );
             let mut run = dag.run(engine)?;
             report.push(format!("p{phase}:ulow"), run.stats);
@@ -662,10 +664,11 @@ pub fn orient(
                 if still[0].is_none() {
                     break;
                 }
-                assert!(
-                    iter + 1 < MAX_REIDENT,
-                    "identification did not converge — raise C_IDENT"
-                );
+                if iter + 1 == MAX_REIDENT {
+                    return Err(ModelError::WhpEventFailed {
+                        event: "identification converges",
+                    });
+                }
             }
         }
 

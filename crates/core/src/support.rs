@@ -16,7 +16,7 @@
 
 use std::collections::BTreeSet;
 
-use ncc_butterfly::{Butterfly, StageEnd};
+use ncc_butterfly::{Butterfly, Lane, StageEnd};
 use ncc_hashing::FxHashMap;
 use ncc_model::{Ctx, Envelope, NodeId, NodeProgram};
 
@@ -50,7 +50,6 @@ struct GatherState {
 
 struct GatherProgram {
     bf: Butterfly,
-    n: usize,
 }
 
 impl GatherProgram {
@@ -88,12 +87,7 @@ impl NodeProgram for GatherProgram {
         ctx: &mut Ctx<'_, GatherMsg>,
     ) {
         if !self.bf.emulates(ctx.id) {
-            // continue proxy injection; also absorb broadcasts
-            for env in inbox {
-                if let GatherMsg::Bcast(v) = env.payload {
-                    st.collected.push(v);
-                }
-            }
+            // continue proxy injection
             if let Some(&v) = st.queue.iter().next() {
                 st.queue.remove(&v);
                 let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
@@ -105,31 +99,13 @@ impl NodeProgram for GatherProgram {
             return;
         }
         let alpha = self.bf.column_of(ctx.id);
+        // the gather stage carries only `Gather`; `BcastProgram` relays
         for env in inbox {
-            match env.payload {
-                GatherMsg::Gather(v) => {
-                    if alpha == 0 {
-                        st.collected.push(v);
-                    } else {
-                        st.queue.insert(v);
-                    }
-                }
-                GatherMsg::Bcast(v) => {
+            if let GatherMsg::Gather(v) = env.payload {
+                if alpha == 0 {
                     st.collected.push(v);
-                    // relay down the binomial tree, pipelined
-                    let limit = if alpha == 0 {
-                        self.bf.d()
-                    } else {
-                        alpha.trailing_zeros()
-                    };
-                    for b in 0..limit {
-                        ctx.send(self.bf.emulator(alpha | (1 << b)), GatherMsg::Bcast(v));
-                    }
-                    if let Some(att) = self.bf.attached_node(alpha) {
-                        if (att as usize) < self.n {
-                            ctx.send(att, GatherMsg::Bcast(v));
-                        }
-                    }
+                } else {
+                    st.queue.insert(v);
                 }
             }
         }
@@ -231,7 +207,9 @@ pub struct ScheduleState {
     pub received: Vec<(NodeId, u64)>,
 }
 
-struct ScheduleProgram;
+/// The scheduled exchange's program: each node sends its entries in
+/// their rounds and records what it receives.
+pub struct ScheduleProgram;
 
 impl ScheduleProgram {
     fn flush(&self, st: &mut ScheduleState, ctx: &mut Ctx<'_, u64>) {
@@ -267,8 +245,9 @@ impl NodeProgram for ScheduleProgram {
 // Edge rendezvous (§4 Stage 3)
 // ---------------------------------------------------------------------------
 
+/// Wire format of the rendezvous.
 #[derive(Debug, Clone)]
-enum RdvMsg {
+pub enum RdvMsg {
     /// Edge-message: canonical edge id, sent by an endpoint.
     Probe(u64),
     /// Response: both endpoints sent the same id this round.
@@ -283,15 +262,17 @@ impl ncc_model::Payload for RdvMsg {
     }
 }
 
+/// Per-node rendezvous state.
 #[derive(Debug, Default, Clone)]
-struct RdvState {
+pub struct RdvState {
     /// `(round, rendezvous node, edge id)`, sorted by round.
     probes: Vec<(u64, NodeId, u64)>,
     /// Edge ids confirmed to have both endpoints probing.
     matched: Vec<u64>,
 }
 
-struct RdvProgram {
+/// The rendezvous program (§4 Stage 3).
+pub struct RdvProgram {
     /// Extracts the two endpoints from a canonical edge id.
     id_bits: u32,
 }
@@ -353,21 +334,37 @@ pub type ReceivedPerNode = Vec<Vec<(NodeId, u64)>>;
 // ---------------------------------------------------------------------------
 
 /// A scheduled point-to-point exchange as a composable lane: one stage on
-/// the engine's own randomness stream (the program draws none). Read with
-/// [`ScheduleSub::into_results`].
-pub struct ScheduleSub {
-    stage: Option<Vec<ScheduleState>>,
-    end: StageEnd,
-    out: Option<ReceivedPerNode>,
-}
+/// the engine's own randomness stream (the program draws none). Read the
+/// per-node `(src, value)` pairs with [`Lane::into_results`].
+pub type ScheduleSub = Lane<ScheduleProgram, ReceivedPerNode>;
 
 /// Builds the scheduled-exchange sub-protocol: node `u` sends `value` to
 /// `dst` in its chosen `round` for every `(round, dst, value)` in
 /// `schedules[u]`; the result lists per node the `(src, value)` pairs
 /// received. The caller is responsible for schedules that respect the
 /// capacity bound w.h.p. (uniform rounds over a window ≥ load/log n).
-pub fn schedule_sub(n: usize, schedules: Vec<Vec<(u64, NodeId, u64)>>) -> ScheduleSub {
+///
+/// `window: Some(w)` declares that every send is scheduled in rounds
+/// `1..=w`, a window every node knows: the last message lands by round
+/// `w`, so the stage runs at most `w + 1` rounds and ends on the clock
+/// ([`StageEnd::Within`] that bound), not on a barrier. Panics on a round
+/// outside the window. `None` ends the stage on a barrier.
+pub fn schedule_sub(
+    n: usize,
+    schedules: Vec<Vec<(u64, NodeId, u64)>>,
+    window: Option<u64>,
+) -> ScheduleSub {
     assert_eq!(schedules.len(), n);
+    let mut end = StageEnd::Barrier;
+    if let Some(w) = window {
+        for &(r, _, _) in schedules.iter().flatten() {
+            assert!(
+                (1..=w).contains(&r),
+                "round {r} lies outside the window 1..={w}"
+            );
+        }
+        end = StageEnd::Within(w + 1);
+    }
     let states = schedules
         .into_iter()
         .map(|to_send| ScheduleState {
@@ -375,63 +372,15 @@ pub fn schedule_sub(n: usize, schedules: Vec<Vec<(u64, NodeId, u64)>>) -> Schedu
             received: Vec::new(),
         })
         .collect();
-    ScheduleSub {
-        stage: Some(states),
-        end: StageEnd::Barrier,
-        out: None,
-    }
+    Lane::new(ScheduleProgram, states, |st| {
+        st.into_iter().map(|s| s.received).collect()
+    })
+    .ending(end)
 }
 
-impl ScheduleSub {
-    /// Declares that every send is scheduled in rounds `1..=window`, a
-    /// window every node knows: the last message lands by round `window`,
-    /// so the stage runs at most `window + 1` rounds and ends on the clock
-    /// ([`StageEnd::Within`] that bound), not on a barrier. Panics on a
-    /// round outside the window.
-    pub fn within(mut self, window: u64) -> Self {
-        for &(r, _, _) in self.stage.iter().flatten().flat_map(|s| &s.to_send) {
-            assert!(
-                (1..=window).contains(&r),
-                "round {r} lies outside the window 1..={window}"
-            );
-        }
-        self.end = StageEnd::Within(window + 1);
-        self
-    }
-
-    /// Per-node `(src, value)` pairs. Panics before the composition finished.
-    pub fn into_results(self) -> ReceivedPerNode {
-        self.out
-            .expect("scheduled-exchange sub-protocol not finished")
-    }
-}
-
-impl<'a> ncc_butterfly::LaneSub<'a> for ScheduleSub {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let states = self.stage.take()?;
-        Some(b.lane(ScheduleProgram, states))
-    }
-
-    fn stage_end(&self) -> StageEnd {
-        self.end
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        let st: Vec<ScheduleState> = ncc_model::take_lane_states(states, lane);
-        self.out = Some(st.into_iter().map(|s| s.received).collect());
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-}
-
-/// The §4 Stage 3 rendezvous as a composable lane: one stage. Read with
-/// [`RdvSub::into_results`].
-pub struct RdvSub {
-    stage: Option<(RdvProgram, Vec<RdvState>)>,
-    out: Option<Vec<Vec<u64>>>,
-}
+/// The §4 Stage 3 rendezvous as a composable lane: one stage. Read the
+/// per-node matched edge ids with [`Lane::into_results`].
+pub type RdvSub = Lane<RdvProgram, Vec<Vec<u64>>>;
 
 /// Builds the rendezvous sub-protocol: each participating node probes
 /// `(round, node)` pairs derived from shared hashes of its candidate edge
@@ -447,33 +396,9 @@ pub fn rendezvous_sub(n: usize, probes: Vec<Vec<(u64, NodeId, u64)>>, id_bits: u
             matched: Vec::new(),
         })
         .collect();
-    RdvSub {
-        stage: Some((RdvProgram { id_bits }, states)),
-        out: None,
-    }
-}
-
-impl RdvSub {
-    /// Per-node matched edge ids. Panics before the composition finished.
-    pub fn into_results(self) -> Vec<Vec<u64>> {
-        self.out.expect("rendezvous sub-protocol not finished")
-    }
-}
-
-impl<'a> ncc_butterfly::LaneSub<'a> for RdvSub {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let (prog, states) = self.stage.take()?;
-        Some(b.lane(prog, states))
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        let st: Vec<RdvState> = ncc_model::take_lane_states(states, lane);
-        self.out = Some(st.into_iter().map(|s| s.matched).collect());
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
+    Lane::new(RdvProgram { id_bits }, states, |st| {
+        st.into_iter().map(|s| s.matched).collect()
+    })
 }
 
 /// Gather-and-broadcast as a composable lane: two stages (gather toward
@@ -539,7 +464,7 @@ impl<'a> ncc_butterfly::LaneSub<'a> for GatherBcastSub {
     fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
         let bf = self.bf?;
         if let Some(gstates) = self.gather.take() {
-            return Some(b.lane(GatherProgram { bf, n: self.n }, gstates));
+            return Some(b.lane(GatherProgram { bf }, gstates));
         }
         let bstates = self.bcast.take()?;
         Some(b.lane(BcastProgram { bf, n: self.n }, bstates))
@@ -661,7 +586,7 @@ mod tests {
         let mut schedules = vec![Vec::new(); n];
         schedules[3] = vec![(1, 7, 33), (2, 8, 34)];
         schedules[5] = vec![(1, 7, 55)];
-        let sub = schedule_sub(n, schedules);
+        let sub = schedule_sub(n, schedules, None);
         let (recv, stats) = run_alone(&mut eng, sub, |s| s.into_results()).unwrap();
         let mut at7 = recv[7].clone();
         at7.sort_unstable();
@@ -676,10 +601,10 @@ mod tests {
         let mut schedules = vec![Vec::new(); n];
         schedules[3] = vec![(1, 7, 33), (2, 8, 34)];
         assert_eq!(
-            schedule_sub(n, schedules.clone()).stage_end(),
+            schedule_sub(n, schedules.clone(), None).stage_end(),
             StageEnd::Barrier
         );
-        let sub = schedule_sub(n, schedules).within(2);
+        let sub = schedule_sub(n, schedules, Some(2));
         assert_eq!(sub.stage_end(), StageEnd::Within(3));
         // the last message lands in round 2: three rounds, the bound
         let eng = &mut Engine::new(NetConfig::new(n, 9));
@@ -692,7 +617,61 @@ mod tests {
     fn within_rejects_a_round_outside_the_window() {
         let mut schedules = vec![Vec::new(); 8];
         schedules[5] = vec![(1, 2, 9), (2, 3, 9)];
-        let _ = schedule_sub(8, schedules).within(1);
+        let _ = schedule_sub(8, schedules, Some(1));
+    }
+
+    /// How each single-stage primitive's lane ends.
+    #[test]
+    fn single_stage_lanes_pin_their_stage_end() {
+        use ncc_butterfly::{
+            ab_sub, multicast_setup_sub, multicast_sub, GroupId, MinU64, MulticastTrees,
+        };
+        use ncc_hashing::SharedRandomness;
+        let n = 8;
+        let shared = SharedRandomness::new(1);
+        let trees = MulticastTrees {
+            d: 3,
+            n,
+            leaves: Vec::new(),
+            in_edges: Vec::new(),
+        };
+        let sends = || vec![vec![(2, 1, 9)]; n];
+        let table = [
+            (
+                "ab",
+                ab_sub(n, vec![Some(1u64); n], &MinU64).stage_end(),
+                StageEnd::SelfSync,
+            ),
+            (
+                "multicast",
+                multicast_sub::<u64>(n, &shared, &trees, vec![None; n], 1, 7).stage_end(),
+                StageEnd::Barrier,
+            ),
+            (
+                "tree setup",
+                multicast_setup_sub(n, &shared, vec![vec![(GroupId::new(0, 0), 0)]; n], 7)
+                    .stage_end(),
+                StageEnd::Barrier,
+            ),
+            (
+                "rendezvous",
+                rendezvous_sub(n, sends(), 3).stage_end(),
+                StageEnd::Barrier,
+            ),
+            (
+                "schedule",
+                schedule_sub(n, sends(), None).stage_end(),
+                StageEnd::Barrier,
+            ),
+            (
+                "schedule within 2",
+                schedule_sub(n, sends(), Some(2)).stage_end(),
+                StageEnd::Within(3),
+            ),
+        ];
+        for (name, got, want) in table {
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub enum ModelError {
     },
     /// The run exceeded its round limit without reaching quiescence.
     RoundLimitExceeded { limit: u64 },
+    /// An event an algorithm's analysis guarantees w.h.p. did not happen,
+    /// typically because a message it needed was dropped at a receive
+    /// cap; `event` names it.
+    WhpEventFailed { event: &'static str },
 }
 
 impl fmt::Display for ModelError {
@@ -70,6 +74,7 @@ impl fmt::Display for ModelError {
             ModelError::RoundLimitExceeded { limit } => {
                 write!(f, "execution did not quiesce within {limit} rounds")
             }
+            ModelError::WhpEventFailed { event } => write!(f, "w.h.p. event failed: {event}"),
         }
     }
 }

@@ -81,3 +81,51 @@ fn unbounded_capacity_never_drops() {
     // finishes in very few rounds
     assert!(stats.rounds <= 3, "rounds {}", stats.rounds);
 }
+
+/// Receive-cap drops make the algorithms lose messages they wait for; a
+/// lost message must surface as a typed error (or a record with a
+/// verdict), never as a panic. Every registry algorithm on a small dense
+/// graph under two tight receive caps, with the default send cap.
+#[test]
+fn receive_cap_drops_never_panic() {
+    use ncc::runner::{algorithms, run_checked, FamilySpec, ScenarioSpec};
+    let mut panics = Vec::new();
+    let mut runs = 0;
+    for algo in algorithms() {
+        for seed in 0..6 {
+            for recv in [2, 4] {
+                let spec = ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, 32, seed).with_capacity(
+                    Capacity {
+                        recv,
+                        ..Capacity::default_for(32)
+                    },
+                );
+                let scn = spec.build().expect("spec builds");
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = run_checked(*algo, &mut scn.engine(), &scn);
+                }));
+                runs += 1;
+                if run.is_err() {
+                    panics.push(format!("{} seed={seed} recv={recv}", algo.name()));
+                }
+            }
+        }
+    }
+    assert_eq!(runs, 10 * 6 * 2);
+    assert!(panics.is_empty(), "panicked: {panics:?}");
+}
+
+/// A Barabási–Albert graph under a receive cap of 8 on which orientation's
+/// U_low re-identification never converged (`identification did not
+/// converge`): the drops must end in a record or a typed error.
+#[test]
+fn orientation_under_drops_returns_instead_of_panicking() {
+    use ncc::graph::gen::barabasi_albert;
+    use ncc::hashing::SharedRandomness;
+    let n = 128;
+    let g = barabasi_albert(n, 4, 15);
+    let cfg =
+        NetConfig::new(n, 15).with_capacity(Capacity::squeezed(Capacity::default_for(n).send, 8));
+    let mut eng = Engine::new(cfg);
+    let _ = ncc::core::orient(&mut eng, &SharedRandomness::new(15 ^ 0xABCD), &g);
+}
