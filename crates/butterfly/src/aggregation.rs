@@ -1570,7 +1570,9 @@ pub(crate) mod tests {
     /// (32 B), so its `bits` carry no front tag. Per-node state is what
     /// peak RSS scales with: a stage-1 state that grew to 80 B once
     /// raised `dag_mst` `peak_rss_mb` by 31 % (CHANGES.md, the
-    /// `RouteQueue` entry).
+    /// `RouteQueue` entry). Every lane of a packed stage rides the mux
+    /// wire type, 24 B per envelope because the lane tag sits inside the
+    /// payload's one allocation, not beside its pointer.
     #[test]
     fn pipeline_layouts_are_pinned() {
         type Leaf = fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &u64) -> u64;
@@ -1581,5 +1583,7 @@ pub(crate) mod tests {
         assert_eq!(std::mem::size_of::<<Agg as NodeProgram>::State>(), 72);
         assert_eq!(std::mem::size_of::<<Multi as NodeProgram>::State>(), 144);
         assert_eq!(std::mem::size_of::<LevelMsg<u64>>(), 32);
+        use ncc_model::{DynPayload, Envelope};
+        assert_eq!(std::mem::size_of::<Envelope<DynPayload>>(), 24);
     }
 }

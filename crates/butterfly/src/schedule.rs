@@ -112,9 +112,9 @@ use crate::aggregation::{barrier_rounds, sync_barrier};
 use crate::compose::{Dag, DagOutputs, Deps, LaneSub, NodeState, StageEnd};
 
 /// The default per-node parallel-instance budget: `2·⌈log₂ n⌉`, floored at
-/// 6 so degenerate tiny networks can still pack the widest primitive sets
-/// the in-repo algorithms declare (MST's 4-ary FindMin plus its coin lane).
-/// `O(log n)`, as §2 requires.
+/// 6 so degenerate tiny networks still pack a useful antichain. `O(log n)`,
+/// as §2 requires. MST's FindMin sizes itself by it: `budget − 1` bucket
+/// lanes plus its coin lane fill a step-0 stage exactly.
 pub fn default_lane_budget(n: usize) -> usize {
     (2 * ncc_model::ilog2_ceil(n) as usize).max(6)
 }

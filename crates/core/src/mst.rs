@@ -7,18 +7,21 @@
 //! 1. the leader flips Heads/Tails and multicasts the coin;
 //! 2. **FindMin** (King–Kutten–Thorup \[35\] adapted): the component finds its
 //!    minimum outgoing edge by search over the combined `(weight ∘ arc id)`
-//!    key space. Each step splits the live range into `B = 4` buckets and
-//!    asks, **concurrently**, "does the component have an outgoing arc with
-//!    key in bucket `j`?" — one Aggregation *lane* per bucket, multiplexed
-//!    into the same rounds (the §2 "run many instances in parallel"
-//!    argument, executed literally). A bucket's answer compares the XOR
-//!    sketches `h↑(C)` and `h↓(C)` (§3): internal edges contribute the same
-//!    arc ids to both sums and cancel; outgoing arcs survive. The leader
-//!    descends into the smallest non-empty bucket, so the search takes
-//!    `⌈log₄ range⌉` steps instead of `⌈log₂ range⌉` — the composition
-//!    halves the dominant round cost. One range multicast precedes each
-//!    step (step 0 needs none: the initial range is common knowledge, and
-//!    the coin multicast rides the step-0 lanes instead);
+//!    key space. Each step splits the live range into
+//!    `B = default_lane_budget(n) − 1` buckets (`2⌈log₂ n⌉ − 1`, so 11 at
+//!    n = 64) and asks, **concurrently**, "does the component have an
+//!    outgoing arc with key in bucket `j`?" — one Aggregation *lane* per
+//!    bucket, multiplexed into the same rounds (the §2 "run `Θ(log n)`
+//!    instances in parallel" argument, executed literally). A bucket's
+//!    answer compares the XOR sketches `h↑(C)` and `h↓(C)` (§3): internal
+//!    edges contribute the same arc ids to both sums and cancel; outgoing
+//!    arcs survive. The leader descends into the smallest non-empty
+//!    bucket, so the search takes `⌈log_B range⌉` steps instead of
+//!    `⌈log₂ range⌉` — with `range = poly(n)`, `O(log n / log log n)`
+//!    steps per phase instead of `O(log n)`. One range multicast precedes
+//!    each step (step 0 needs none: the initial range is common knowledge,
+//!    and the coin multicast rides the step-0 lanes instead, so that
+//!    antichain fills the lane budget exactly);
 //! 3. the inside endpoint of the minimum outgoing edge joins the outside
 //!    endpoint's multicast group and learns its component's coin and
 //!    leader (Theorem 2.4 + 2.5);
@@ -29,7 +32,7 @@
 //! `O(log n)` phases merge everything w.h.p. \[23, 24\].
 
 //!
-//! Every execution group is declared as a protocol [`Dag`]: the four
+//! Every execution group is declared as a protocol [`Dag`]: the `B`
 //! FindMin bucket lanes (plus the step-0 coin multicast) are an antichain
 //! the scheduler packs into one mux, the range multicast feeds the bucket
 //! memberships through a compute node, and the link/adopt chains thread
@@ -42,8 +45,9 @@
 use std::cell::OnceCell;
 
 use ncc_butterfly::{
-    ab_sub, aggregate_and_broadcast, aggregation_sub, lane_seed, multicast_setup_sub,
-    multicast_sub, AggregationSpec, Dag, GroupId, MaxU64, SchedReport, XorPair,
+    ab_sub, aggregate_and_broadcast, aggregation_sub, default_lane_budget, lane_seed,
+    multicast_setup_sub, multicast_sub, AggregationSpec, Dag, GroupId, MaxU64, SchedReport,
+    XorPair,
 };
 use ncc_graph::{NodeId, WeightedGraph};
 use ncc_hashing::{SharedRandomness, XorSketch};
@@ -56,16 +60,35 @@ use crate::support::{arc_id, node_id_bits, schedule_sub};
 /// Sub-identifier namespaces for the MST's group families.
 const COMP_SUB: u32 = 11; // component trees (target = leader)
 const LINK_SUB: u32 = 13; // cross-component coin queries (target = outside endpoint)
-const FIND_SUB: u32 = 12; // FindMin sketch aggregation (target = leader)
+const FIND_SUB: u32 = 12; // FindMin sketch aggregation (target = leader), ∘ bucket
 
 /// Sketch trials per probe: failure 2⁻⁴⁰ per probe, packed in one word and
 /// still `O(log n)` bits.
 const SKETCH_TRIALS: usize = 40;
 
-/// FindMin search arity: buckets probed concurrently per step, one
-/// aggregation lane each. All lanes share the per-node capacity budget
-/// (4 · ⌈log n⌉ scatter messages per round ≤ the κ·⌈log n⌉ cap).
-const FIND_BUCKETS: u64 = 4;
+/// FindMin search arity on `n` nodes: buckets probed concurrently per
+/// step, one aggregation lane each, so that the step-0 antichain (every
+/// bucket plus the coin multicast) fills the lane budget exactly. The
+/// lanes share the per-node capacity through `LaneSub::pace`.
+fn find_buckets(n: usize) -> u64 {
+    default_lane_budget(n) as u64 - 1
+}
+
+/// The group of bucket `j` of `leader`'s component. A group id per
+/// bucket hashes each bucket lane to its own butterfly column; one id
+/// shared by all `B` lanes would route a component's whole step through
+/// one column.
+fn bucket_group(leader: NodeId, j: usize) -> GroupId {
+    GroupId::new(leader, FIND_SUB | ((j as u32) << 16))
+}
+
+/// The lane-seed index of bucket `j` in step `step` of phase `phase`: the
+/// bucket gets 8 bits (`B ≤ 2⌈log₂ n⌉ − 1 < 2⁸` for any `n` a `u64`
+/// counts), the step 16, so no two (phase, step, bucket) share a seed.
+fn bucket_seed_index(phase: u64, step: u32, j: u64) -> u64 {
+    debug_assert!(j < 1 << 8 && step < 1 << 16);
+    (((phase << 16) | step as u64) << 8) | j
+}
 
 /// Lane-seed labels for the composed sub-protocols.
 const LS_TREES: u64 = 0x6d73_7401;
@@ -85,8 +108,10 @@ pub struct MstResult {
     pub edges: Vec<(NodeId, NodeId)>,
     pub phases: u32,
     /// Total FindMin search steps across all phases (each step probes
-    /// `FIND_BUCKETS` buckets concurrently).
+    /// `findmin_buckets` buckets concurrently).
     pub findmin_steps: u32,
+    /// FindMin's arity `B = default_lane_budget(n) − 1`.
+    pub findmin_buckets: u32,
     /// Total lane-stages executed by composed (multiplexed) runs — the
     /// per-lane accounting echoed into `RunRecord.metrics`.
     pub lane_stages: u32,
@@ -136,17 +161,28 @@ pub fn max_weight(n: usize, payload_bits: u32) -> u64 {
     ((1u64 << (b / 2)) + (b % 2) as u64).saturating_sub(2)
 }
 
-/// Splits `[lo, hi)` into at most `b` contiguous integer buckets of
-/// near-equal width (every bucket non-empty).
-fn bucket_bounds(lo: u64, hi: u64, b: u64) -> Vec<(u64, u64)> {
-    let width = hi.saturating_sub(lo);
-    if width == 0 {
-        return Vec::new();
+/// FindMin steps until every live range inside `[0, range_hi)` has width
+/// ≤ 1 under `b`-ary splits (the widest bucket of a width-`w` range is
+/// `⌈w / b⌉` wide).
+fn find_steps(range_hi: u64, b: u64) -> u32 {
+    let mut steps = 0u32;
+    let mut w = range_hi;
+    while w > 1 {
+        w = w.div_ceil(b);
+        steps += 1;
     }
+    steps
+}
+
+/// Bucket `j` of `[lo, hi)` split into at most `b` contiguous integer
+/// buckets of near-equal width (every bucket non-empty), or `None` past
+/// the last one. Computed alone, so a node asks for its lane's bucket in
+/// O(1), not O(B); in `u128`, so `width · j` cannot overflow.
+fn bucket(lo: u64, hi: u64, b: u64, j: u64) -> Option<(u64, u64)> {
+    let (width, b, j) = (hi.saturating_sub(lo) as u128, b as u128, j as u128);
     let b = b.min(width);
-    (0..b)
-        .map(|i| (lo + width * i / b, lo + width * (i + 1) / b))
-        .collect()
+    let at = |i: u128| lo + (width * i / b) as u64;
+    (j < b).then(|| (at(j), at(j + 1)))
 }
 
 /// Runs the MST algorithm. Works on disconnected graphs (yields a forest).
@@ -173,17 +209,8 @@ pub fn mst(
     let w_max = wmax[0].unwrap_or(1);
 
     let range_hi: u64 = (w_max + 1) << (2 * idb);
-    // steps until every component's live range has width ≤ 1 (worst-case
-    // bucket width is ⌈width / B⌉)
-    let find_steps = {
-        let mut steps = 0u32;
-        let mut w = range_hi;
-        while w > 1 {
-            w = w.div_ceil(FIND_BUCKETS);
-            steps += 1;
-        }
-        steps
-    };
+    let buckets = find_buckets(n);
+    let find_steps = find_steps(range_hi, buckets);
 
     let sketch = XorSketch::derive(
         shared,
@@ -200,10 +227,10 @@ pub fn mst(
     let build_memberships = move |lo: &[u64], hi: &[u64], leader: &[NodeId], j: usize| {
         (0..n)
             .map(|u| {
-                let bounds = bucket_bounds(lo[u], hi[u], FIND_BUCKETS);
-                let Some(bucket) = bounds.get(j).map(|&(blo, bhi)| blo..bhi) else {
+                let Some((blo, bhi)) = bucket(lo[u], hi[u], buckets, j as u64) else {
                     return Vec::new();
                 };
+                let bucket = blo..bhi;
                 let (mut up, mut down) = (0u64, 0u64);
                 for &(k_up, mask_up, k_dn, mask_dn) in &masks[u] {
                     up ^= if bucket.contains(&k_up) { mask_up } else { 0 };
@@ -212,45 +239,11 @@ pub fn mst(
                 if up == 0 && down == 0 {
                     Vec::new() // zero contribution: XOR-identity, skip
                 } else {
-                    vec![(GroupId::new(leader[u], FIND_SUB), (up, down))]
+                    vec![(bucket_group(leader[u], j), (up, down))]
                 }
             })
             .collect::<Vec<Vec<(GroupId, (u64, u64))>>>()
     };
-
-    // leaders descend into the smallest non-empty bucket (up ≠ down sketch)
-    fn descend(
-        lo: &mut [u64],
-        hi: &mut [u64],
-        leader: &[NodeId],
-        lane_out: &[ncc_butterfly::GroupedDeliveries<(u64, u64)>],
-    ) {
-        for u in 0..lo.len() {
-            if leader[u] != u as NodeId || hi[u] <= lo[u] {
-                continue;
-            }
-            let bounds = bucket_bounds(lo[u], hi[u], FIND_BUCKETS);
-            let mut chosen = None;
-            for (j, &(blo, bhi)) in bounds.iter().enumerate() {
-                let (up, down) = lane_out[j][u].first().map(|&(_, v)| v).unwrap_or((0, 0));
-                if up != down {
-                    chosen = Some((blo, bhi));
-                    break;
-                }
-            }
-            match chosen {
-                Some((blo, bhi)) => {
-                    lo[u] = blo;
-                    hi[u] = bhi;
-                }
-                None => {
-                    // no outgoing arc anywhere in the live range
-                    lo[u] = 0;
-                    hi[u] = 0;
-                }
-            }
-        }
-    }
 
     let mut leader: Vec<NodeId> = (0..n as NodeId).collect();
     let mut mst_edges: Vec<(NodeId, NodeId)> = Vec::new();
@@ -308,62 +301,19 @@ pub fn mst(
         let mut hi: Vec<u64> = vec![range_hi; n];
         for step in 0..find_steps {
             findmin_steps += 1;
-            let sl = (pl << 16) | step as u64;
-            let agg_seeds: Vec<u64> = (0..FIND_BUCKETS)
-                .map(|j| lane_seed(engine, LS_AGG, (sl << 3) | j))
-                .collect();
             let trees = &trees;
-
             let mut dag = Dag::new();
-            if step == 0 {
-                // the initial range is common knowledge: the four bucket
-                // lanes and the coin multicast are one packed antichain
-                let mut aggs = Vec::new();
-                for (j, &seed) in agg_seeds.iter().enumerate() {
-                    let leader_c = leader.clone();
-                    let lo_c = lo.clone();
-                    let hi_c = hi.clone();
-                    aggs.push(dag.proto(
-                        format!("p{phase}:find0:agg{j}"),
-                        &[],
-                        move |_| {
-                            aggregation_sub(
-                                n,
-                                shared,
-                                AggregationSpec {
-                                    memberships: build_memberships(&lo_c, &hi_c, &leader_c, j),
-                                    ell2_hat: 1,
-                                },
-                                &XorPair,
-                                seed,
-                            )
-                        },
-                        |s| s.into_deliveries(),
-                    ));
-                }
-                let coin_seed = lane_seed(engine, LS_COIN, pl);
-                let msgs = std::mem::take(&mut coin_msgs);
-                let coin_node = dag.proto(
-                    format!("p{phase}:find0:coin"),
-                    &[],
-                    move |_| multicast_sub(n, shared, trees, msgs, 1, coin_seed),
-                    |s| s.into_results(),
-                );
-                let mut run = dag.run(engine)?;
-                report.push(format!("p{phase}:find{step}"), run.stats);
-                let lane_out: Vec<_> = aggs.iter().map(|&a| run.outputs.take(a)).collect();
-                let coins_recv = run.outputs.take(coin_node);
-                plan.merge(run.report);
-                for u in 0..n {
-                    if leader[u] != u as NodeId {
-                        coin[u] = member_copy(&coins_recv[u], "a member gets its coin")? == 1;
-                    }
-                }
-                descend(&mut lo, &mut hi, &leader, &lane_out);
+            // Step 0's range is common knowledge. After it, leaders
+            // re-announce their narrowed range, and the delivered ranges
+            // feed the bucket memberships through a compute node.
+            let (lo_c, hi_c) = (lo.clone(), hi.clone());
+            let ranges = if step == 0 {
+                dag.compute(format!("p{phase}:find0:range"), &[], move |_| {
+                    (lo_c, hi_c, Ok(()))
+                })
             } else {
-                // leaders re-announce their narrowed range; the delivered
-                // ranges feed the bucket memberships through a compute node
-                let range_seed = lane_seed(engine, LS_RANGE, sl);
+                let range_seed = lane_seed(engine, LS_RANGE, (pl << 16) | step as u64);
+                let leader_c = leader.clone();
                 let mut msgs: Vec<Option<(GroupId, (u64, u64))>> = vec![None; n];
                 for u in 0..n {
                     if leader[u] == u as NodeId {
@@ -376,10 +326,7 @@ pub fn mst(
                     move |_| multicast_sub(n, shared, trees, msgs, 1, range_seed),
                     |s| s.into_results(),
                 );
-                let lo_c = lo.clone();
-                let hi_c = hi.clone();
-                let leader_c = leader.clone();
-                let ranges = dag.compute(
+                dag.compute(
                     format!("p{phase}:find{step}:range"),
                     &[mc.into()],
                     move |d| {
@@ -396,11 +343,13 @@ pub fn mst(
                         }
                         (lo, hi, lost)
                     },
-                );
-                let mut aggs = Vec::new();
-                for (j, &seed) in agg_seeds.iter().enumerate() {
+                )
+            };
+            let aggs: Vec<_> = (0..buckets)
+                .map(|j| {
+                    let seed = lane_seed(engine, LS_AGG, bucket_seed_index(pl, step, j));
                     let leader_c = leader.clone();
-                    aggs.push(dag.proto(
+                    dag.proto(
                         format!("p{phase}:find{step}:agg{j}"),
                         &[ranges.into()],
                         move |d| {
@@ -409,7 +358,7 @@ pub fn mst(
                                 n,
                                 shared,
                                 AggregationSpec {
-                                    memberships: build_memberships(lo, hi, &leader_c, j),
+                                    memberships: build_memberships(lo, hi, &leader_c, j as usize),
                                     ell2_hat: 1,
                                 },
                                 &XorPair,
@@ -417,17 +366,47 @@ pub fn mst(
                             )
                         },
                         |s| s.into_deliveries(),
-                    ));
+                    )
+                })
+                .collect();
+            // the coin multicast rides the step-0 bucket lanes
+            let coin_node = (step == 0).then(|| {
+                let coin_seed = lane_seed(engine, LS_COIN, pl);
+                let msgs = std::mem::take(&mut coin_msgs);
+                dag.proto(
+                    format!("p{phase}:find0:coin"),
+                    &[],
+                    move |_| multicast_sub(n, shared, trees, msgs, 1, coin_seed),
+                    |s| s.into_results(),
+                )
+            });
+            let mut run = dag.run(engine)?;
+            report.push(format!("p{phase}:find{step}"), run.stats);
+            let lost;
+            (lo, hi, lost) = run.outputs.take(ranges);
+            lost?;
+            let lane_out: Vec<_> = aggs.iter().map(|&a| run.outputs.take(a)).collect();
+            if let Some(coin_node) = coin_node {
+                let coins_recv = run.outputs.take(coin_node);
+                for u in 0..n {
+                    if leader[u] != u as NodeId {
+                        coin[u] = member_copy(&coins_recv[u], "a member gets its coin")? == 1;
+                    }
                 }
-                let mut run = dag.run(engine)?;
-                report.push(format!("p{phase}:find{step}"), run.stats);
-                let (new_lo, new_hi, lost) = run.outputs.take(ranges);
-                lost?;
-                lo = new_lo;
-                hi = new_hi;
-                let lane_out: Vec<_> = aggs.iter().map(|&a| run.outputs.take(a)).collect();
-                plan.merge(run.report);
-                descend(&mut lo, &mut hi, &leader, &lane_out);
+            }
+            plan.merge(run.report);
+            // leaders descend into the smallest non-empty bucket (up ≠ down
+            // sketch), or to (0, 0) when the live range has no outgoing arc
+            for u in 0..n {
+                if leader[u] != u as NodeId || hi[u] <= lo[u] {
+                    continue;
+                }
+                let bounds = (0..buckets).map_while(|j| bucket(lo[u], hi[u], buckets, j));
+                let hit = bounds.zip(&lane_out).find(|(_, out)| {
+                    let (up, down) = out[u].first().map_or((0, 0), |&(_, v)| v);
+                    up != down
+                });
+                (lo[u], hi[u]) = hit.map_or((0, 0), |(bounds, _)| bounds);
             }
         }
 
@@ -633,6 +612,7 @@ pub fn mst(
         edges: mst_edges,
         phases: phase,
         findmin_steps,
+        findmin_buckets: buckets as u32,
         lane_stages: plan.lane_stages() as u32,
         report,
         plan,
@@ -783,11 +763,46 @@ mod tests {
         }
     }
 
+    /// Every (phase, step, bucket) a run can reach draws its own lane
+    /// seed. With a 3-bit bucket field, bucket j ≥ 8 of step s took the
+    /// seed of bucket j − 8 of step s + 1.
     #[test]
-    fn bucket_bounds_partition_the_range() {
-        for (lo, hi) in [(0u64, 1u64), (0, 7), (5, 6), (10, 100), (0, 1 << 40)] {
-            let b = bucket_bounds(lo, hi, 4);
-            assert!(!b.is_empty());
+    fn bucket_seed_indices_are_distinct() {
+        for n in [2usize, 64, 1024, 1 << 20] {
+            let buckets = find_buckets(n);
+            let max_phases = 4 * ncc_model::ilog2_ceil(n).max(1) as u64 + 16;
+            let steps = find_steps(u64::MAX, buckets);
+            let mut seen = std::collections::HashSet::new();
+            for phase in 1..=max_phases {
+                for step in 0..steps {
+                    for j in 0..buckets {
+                        let index = bucket_seed_index(phase, step, j);
+                        assert!(
+                            seen.insert(index),
+                            "n={n}: {phase}/{step}/{j} reuses {index}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn buckets_partition_the_range() {
+        let ranges = [
+            (0u64, 1u64),
+            (0, 7),
+            (5, 6),
+            (10, 100),
+            (0, 1 << 40),
+            (3, u64::MAX),
+        ];
+        for ((lo, hi), k) in ranges
+            .into_iter()
+            .zip([4, 11, 19, 4, 11, 19].into_iter().cycle())
+        {
+            let b: Vec<_> = (0..k).map_while(|j| bucket(lo, hi, k, j)).collect();
+            assert_eq!(b.len() as u64, k.min(hi - lo));
             assert_eq!(b[0].0, lo);
             assert_eq!(b.last().unwrap().1, hi);
             for w in b.windows(2) {
@@ -795,6 +810,6 @@ mod tests {
             }
             assert!(b.iter().all(|&(a, z)| z > a), "no empty buckets");
         }
-        assert!(bucket_bounds(3, 3, 4).is_empty());
+        assert_eq!(bucket(3, 3, 4, 0), None);
     }
 }

@@ -61,7 +61,7 @@ use crate::error::ModelError;
 use crate::network::{Lane, Ncc, NetworkModel, TraceEvent};
 use crate::payload::{Envelope, Payload};
 use crate::program::{Ctx, NodeProgram, ProgScratch, Stream};
-use crate::router::{Router, RouterScratch};
+use crate::router::{reserve_bounded, Router, RouterScratch};
 use crate::stats::{ExecStats, MemoryFootprint, RoundStats};
 use crate::NodeId;
 
@@ -719,6 +719,7 @@ fn step_parallel<Prog: NodeProgram>(
     }
     // Chunk-order concatenation reproduces the sequential order exactly —
     // for the send buffer and for the ascending awake list alike.
+    reserve_bounded(sends, locals[..nchunks].iter().map(Vec::len).sum());
     for local in &mut locals[..nchunks] {
         sends.append(local);
     }
@@ -775,6 +776,7 @@ impl Violation {
         // as truncated (recorded after the loop).
         let mut counted = 0usize;
         let mut taken = 0usize;
+        reserve_bounded(sends, attempted);
         for (dst, p) in out.drain(..) {
             let global = uniform || model.lane(node, dst) == Lane::Global;
             if global {
@@ -1178,5 +1180,52 @@ mod tests {
         let mut states = vec![(); 2];
         let err = eng.execute(&Forever, &mut states).unwrap_err();
         assert_eq!(err, ModelError::RoundLimitExceeded { limit: 50 });
+    }
+
+    /// At local round r every node sends r + 1 messages, for `rounds`
+    /// rounds: a send volume that climbs through several buffer growths.
+    struct Ramp {
+        rounds: u64,
+    }
+    impl NodeProgram for Ramp {
+        type State = ();
+        type Payload = u64;
+        fn init(&self, st: &mut (), ctx: &mut Ctx<'_, u64>) {
+            self.round(st, &[], ctx);
+        }
+        fn round(&self, _st: &mut (), _inbox: &[Envelope<u64>], ctx: &mut Ctx<'_, u64>) {
+            if ctx.round < self.rounds {
+                for i in 0..=ctx.round {
+                    ctx.send((ctx.id + 1 + i as u32) % ctx.n as u32, i);
+                }
+                ctx.stay_awake();
+            }
+        }
+    }
+
+    /// The flat send buffer and the inbox arena grow by a factor of at
+    /// most 1.125, not by doubling: after a run whose busiest round
+    /// carries k messages each holds at most k + k/8 + one node's sends
+    /// (doubling would hold 1 024 slots for the 576 here), and a replay
+    /// keeps them as they are.
+    #[test]
+    fn send_buffers_grow_boundedly() {
+        for (n, threads) in [(64, 1), (256, 2)] {
+            let rounds = 9u64;
+            let (k, per_node) = (n * rounds as usize, rounds as usize);
+            let mut eng = Engine::new(NetConfig::new(n, 5).with_threads(threads));
+            let mut states = vec![(); n];
+            let stats = eng.execute(&Ramp { rounds }, &mut states).unwrap();
+            assert_eq!(stats.max_out, per_node as u64);
+            let bufs = eng.scratch.bufs::<u64>();
+            let caps = (bufs.sends.capacity(), bufs.arena.capacity());
+            for cap in [caps.0, caps.1] {
+                assert!(cap >= k, "n={n}: {cap} slots, busiest round {k}");
+                assert!(cap <= k + k / 8 + per_node, "n={n}: {cap} slots for {k}");
+            }
+            eng.execute(&Ramp { rounds }, &mut states).unwrap();
+            let bufs = eng.scratch.bufs::<u64>();
+            assert_eq!((bufs.sends.capacity(), bufs.arena.capacity()), caps);
+        }
     }
 }

@@ -37,7 +37,7 @@
 //!
 //! The [`mux`] module multiplexes any number of independent programs
 //! (*lanes*) into one execution: [`Mux`] is itself a [`NodeProgram`] over
-//! lane-[`Tagged`] payloads, with per-lane state, per-lane quiescence and
+//! lane-tagged [`DynPayload`]s, with per-lane state, per-lane quiescence and
 //! a deterministic lane-round-robin send interleave, so composed
 //! protocols share the per-node capacity budget and drop sampling exactly
 //! as one program — the paper's "run `O(log n)` instances in parallel"
@@ -109,7 +109,7 @@ pub use capacity::Capacity;
 pub use engine::{Engine, NetConfig};
 pub use error::ModelError;
 pub use mux::{
-    lane_stats, take_lane_states, DynPayload, LaneId, LaneStats, Mux, MuxBuilder, MuxState, Tagged,
+    lane_stats, take_lane_states, DynPayload, LaneId, LaneStats, Mux, MuxBuilder, MuxState,
 };
 pub use network::{
     CongestedClique, HybridLocal, Lane, ModelSpec, Ncc, NetworkModel, RecvPolicy, TraceEvent,

@@ -5,10 +5,11 @@
 //! Aggregation Algorithm explicitly runs "O(log n) instances in parallel",
 //! and Theorems 2.3–2.6 charge one shared capacity budget for all of them.
 //! A [`Mux`] makes that composition executable: it is itself a
-//! [`NodeProgram`] whose payload is a [`Tagged`] envelope (lane id + inner
-//! payload), and it drives any number of *lanes* — independent sub-programs
-//! with their own per-node state — inside one engine execution, so the
-//! lanes **share rounds** instead of queuing behind each other.
+//! [`NodeProgram`] whose payload is a [`DynPayload`] (lane id + type-erased
+//! inner payload), and it drives any number of *lanes* — independent
+//! sub-programs with their own per-node state — inside one engine
+//! execution, so the lanes **share rounds** instead of queuing behind each
+//! other.
 //!
 //! ## Capacity-sharing invariant
 //!
@@ -48,7 +49,8 @@
 //! contract, pinned by `tests/alloc_mux.rs` on a resident `threads = 1`
 //! replay: a node-round that neither receives nor sends performs **zero**
 //! heap allocations, and a message costs at most one — the `Arc` of
-//! [`DynPayload::new`] that erases its type for the shared wire format.
+//! [`DynPayload::new`] that erases its type for the shared wire format and
+//! holds its lane tag.
 //!
 //! ## Determinism
 //!
@@ -89,49 +91,58 @@ impl<P: Payload> ErasedPayload for P {
     }
 }
 
-/// A type-erased payload: any [`Payload`] value behind a cheap-to-clone
-/// handle, reporting the inner value's honest `bit_size`.
+/// What a [`DynPayload`] points at: the lane tag beside the inner value,
+/// in the one allocation that erases the value's type.
+struct Wire<T: ?Sized> {
+    lane: u32,
+    lane_bits: u8,
+    inner: T,
+}
+
+/// The wire format of a [`Mux`] execution: a lane-tagged, type-erased
+/// payload behind a cheap-to-clone pointer, so an envelope stays 24 bytes
+/// whatever the lanes carry.
+///
+/// `lane_bits` is the header width the active composition needs to name a
+/// lane (`⌈log₂ k⌉` for `k` lanes — zero for a single lane, so one-lane
+/// executions charge exactly the inner payload's bits).
 #[derive(Clone)]
-pub struct DynPayload(std::sync::Arc<dyn ErasedPayload>);
+pub struct DynPayload(std::sync::Arc<Wire<dyn ErasedPayload>>);
 
 impl DynPayload {
-    pub fn new<P: Payload>(inner: P) -> Self {
-        DynPayload(std::sync::Arc::new(inner))
+    pub fn new<P: Payload>(lane: u32, lane_bits: u8, inner: P) -> Self {
+        DynPayload(std::sync::Arc::new(Wire {
+            lane,
+            lane_bits,
+            inner,
+        }))
+    }
+
+    /// The lane this payload belongs to.
+    pub fn lane(&self) -> u32 {
+        self.0.lane
     }
 
     /// The inner value, if it has type `P`.
     pub fn downcast_ref<P: Payload>(&self) -> Option<&P> {
-        self.0.as_any().downcast_ref::<P>()
+        self.0.inner.as_any().downcast_ref::<P>()
     }
 }
 
 impl std::fmt::Debug for DynPayload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "DynPayload({} bits)", self.0.bits())
+        write!(
+            f,
+            "DynPayload(lane {}, {} bits)",
+            self.0.lane,
+            self.bit_size()
+        )
     }
 }
 
 impl Payload for DynPayload {
     fn bit_size(&self) -> u32 {
-        self.0.bits()
-    }
-}
-
-/// A lane-tagged payload: the wire format of a [`Mux`] execution.
-///
-/// `lane_bits` is the header width the active composition needs to name a
-/// lane (`⌈log₂ k⌉` for `k` lanes — zero for a single lane, so one-lane
-/// executions charge exactly the inner payload's bits).
-#[derive(Debug, Clone)]
-pub struct Tagged<P> {
-    pub lane: u32,
-    pub lane_bits: u8,
-    pub inner: P,
-}
-
-impl<P: Payload> Payload for Tagged<P> {
-    fn bit_size(&self) -> u32 {
-        self.lane_bits as u32 + self.inner.bit_size()
+        self.0.lane_bits as u32 + self.0.inner.bits()
     }
 }
 
@@ -140,7 +151,7 @@ impl<P: Payload> Payload for Tagged<P> {
 // ---------------------------------------------------------------------------
 
 /// The `Ctx` a [`Mux`] node-round runs in.
-type MuxCtx<'a> = Ctx<'a, Tagged<DynPayload>>;
+type MuxCtx<'a> = Ctx<'a, DynPayload>;
 
 /// Identifier of a lane within one [`Mux`] (index into the lane table).
 pub type LaneId = usize;
@@ -242,10 +253,17 @@ trait ErasedLane<'a>: Sync {
     fn deliver(&self, sc: &mut LaneScratch, src: NodeId, dst: NodeId, payload: &DynPayload);
 
     /// Steps the inner program on the inbox `deliver` filled (empty on
-    /// init), leaving its sends in `sc.out` and the inbox cleared. The
-    /// lane's `Ctx` is the node's, `node`, with the lane's own buffers and
-    /// its own stream if it has one.
-    fn step(&self, slot: &mut LaneSlot, sc: &mut LaneScratch, is_init: bool, node: &mut MuxCtx);
+    /// init), leaving its sends in `sc.out`, tagged `(lane, lane_bits)`,
+    /// and the inbox cleared. The lane's `Ctx` is the node's, `node`, with
+    /// the lane's own buffers and its own stream if it has one.
+    fn step(
+        &self,
+        tag: (u32, u8),
+        slot: &mut LaneSlot,
+        sc: &mut LaneScratch,
+        is_init: bool,
+        node: &mut MuxCtx,
+    );
     /// Boxes `states` back out (used by [`take_lane_states`]).
     fn type_name(&self) -> &'static str;
 }
@@ -270,7 +288,14 @@ where
         sc.mail += 1;
     }
 
-    fn step(&self, slot: &mut LaneSlot, sc: &mut LaneScratch, is_init: bool, node: &mut MuxCtx) {
+    fn step(
+        &self,
+        (lane, lane_bits): (u32, u8),
+        slot: &mut LaneSlot,
+        sc: &mut LaneScratch,
+        is_init: bool,
+        node: &mut MuxCtx,
+    ) {
         let state = slot
             .state
             .downcast_mut::<Prog::State>()
@@ -306,7 +331,7 @@ where
         sc.out.extend(
             bufs.out
                 .drain(..)
-                .map(|(dst, p)| Some((dst, DynPayload::new(p)))),
+                .map(|(dst, p)| Some((dst, DynPayload::new(lane, lane_bits, p)))),
         );
     }
 
@@ -478,7 +503,7 @@ pub fn lane_stats(states: &[MuxState]) -> Vec<LaneStats> {
 // The multiplexer program
 // ---------------------------------------------------------------------------
 
-/// The lane multiplexer: a [`NodeProgram`] over [`Tagged`] payloads that
+/// The lane multiplexer: a [`NodeProgram`] over [`DynPayload`]s that
 /// interleaves any number of sub-programs in the same rounds. See the
 /// module docs for the capacity-sharing and quiescence semantics.
 pub struct Mux<'a> {
@@ -497,9 +522,9 @@ impl Mux<'_> {
     fn node_round(
         &self,
         st: &mut MuxState,
-        inbox: &[Envelope<Tagged<DynPayload>>],
+        inbox: &[Envelope<DynPayload>],
         is_init: bool,
-        ctx: &mut Ctx<'_, Tagged<DynPayload>>,
+        ctx: &mut MuxCtx,
     ) {
         debug_assert_eq!(st.lanes.len(), self.lanes.len());
         // Take the worker's scratch out of its slot for the node-round (a
@@ -519,19 +544,20 @@ impl Mux<'_> {
 
         // Partition the combined inbox by lane, preserving arrival order.
         for env in inbox {
-            let lane = env.payload.lane as usize;
+            let lane = env.payload.lane() as usize;
             let sc = bufs.get_mut(lane).expect("message for unknown lane");
-            self.lanes[lane].deliver(sc, env.src, env.dst, &env.payload.inner);
+            self.lanes[lane].deliver(sc, env.src, env.dst, &env.payload);
         }
 
         let mut any_awake = false;
         let mut longest = 0;
-        for ((lane, slot), sc) in self.lanes.iter().zip(&mut st.lanes).zip(bufs.iter_mut()) {
+        let lanes = self.lanes.iter().zip(&mut st.lanes).zip(bufs.iter_mut());
+        for (i, ((lane, slot), sc)) in lanes.enumerate() {
             // Engine activity rule, per lane: step on init, on mail, or when
             // the lane asked to stay awake last round.
             if is_init || sc.mail > 0 || slot.awake {
                 slot.awake = false;
-                lane.step(slot, sc, is_init, ctx);
+                lane.step((i as u32, self.lane_bits), slot, sc, is_init, ctx);
                 longest = longest.max(sc.out.len());
             }
             any_awake |= slot.awake;
@@ -543,17 +569,10 @@ impl Mux<'_> {
         // walks the lanes' out-buffers in place; the buffers are cleared
         // afterwards and keep their capacity.
         for j in 0..longest {
-            for (lane, sc) in bufs.iter_mut().enumerate() {
+            for sc in bufs.iter_mut() {
                 if let Some(slot) = sc.out.get_mut(j) {
-                    let (dst, inner) = slot.take().expect("each send is interleaved once");
-                    ctx.send(
-                        dst,
-                        Tagged {
-                            lane: lane as u32,
-                            lane_bits: self.lane_bits,
-                            inner,
-                        },
-                    );
+                    let (dst, payload) = slot.take().expect("each send is interleaved once");
+                    ctx.send(dst, payload);
                 }
             }
         }
@@ -571,18 +590,13 @@ impl Mux<'_> {
 
 impl<'a> NodeProgram for Mux<'a> {
     type State = MuxState;
-    type Payload = Tagged<DynPayload>;
+    type Payload = DynPayload;
 
-    fn init(&self, st: &mut MuxState, ctx: &mut Ctx<'_, Tagged<DynPayload>>) {
+    fn init(&self, st: &mut MuxState, ctx: &mut MuxCtx) {
         self.node_round(st, &[], true, ctx);
     }
 
-    fn round(
-        &self,
-        st: &mut MuxState,
-        inbox: &[Envelope<Tagged<DynPayload>>],
-        ctx: &mut Ctx<'_, Tagged<DynPayload>>,
-    ) {
+    fn round(&self, st: &mut MuxState, inbox: &[Envelope<DynPayload>], ctx: &mut MuxCtx) {
         self.node_round(st, inbox, false, ctx);
     }
 }
@@ -669,29 +683,20 @@ mod tests {
 
     #[test]
     fn tagged_bit_size_charges_lane_header() {
-        let t = Tagged {
-            lane: 3,
-            lane_bits: 2,
-            inner: 255u64,
-        };
-        assert_eq!(t.bit_size(), 2 + 8);
-        let solo = Tagged {
-            lane: 0,
-            lane_bits: 0,
-            inner: 255u64,
-        };
-        assert_eq!(solo.bit_size(), 8);
-        let dyn_t = Tagged {
-            lane: 1,
-            lane_bits: 1,
-            inner: DynPayload::new((3u64, true)),
-        };
-        assert_eq!(dyn_t.bit_size(), 1 + 2 + 1);
+        // k = 4 lanes: a 2-bit header on top of the inner bits
+        let t = DynPayload::new(3, 2, 255u64);
+        assert_eq!((t.lane(), t.bit_size()), (3, 2 + 8));
+        // a single lane: no header, exactly the inner payload's bits
+        let solo = DynPayload::new(0, 0, 255u64);
+        assert_eq!((solo.lane(), solo.bit_size()), (0, 8));
+        // k = 2 lanes over a composite payload
+        let pair = DynPayload::new(1, 1, (3u64, true));
+        assert_eq!(pair.bit_size(), 1 + 2 + 1);
     }
 
     #[test]
     fn dyn_payload_downcasts() {
-        let p = DynPayload::new(42u64);
+        let p = DynPayload::new(0, 0, 42u64);
         assert_eq!(p.downcast_ref::<u64>(), Some(&42));
         assert!(p.downcast_ref::<bool>().is_none());
         assert_eq!(p.bit_size(), 6);
@@ -883,15 +888,7 @@ mod tests {
             vec![RelayState::default(); n],
         );
         let (mux, mut states) = b.build();
-        let stray = Envelope::new(
-            1,
-            0,
-            Tagged {
-                lane: 3,
-                lane_bits: 0,
-                inner: DynPayload::new(9u64),
-            },
-        );
+        let stray = Envelope::new(1, 0, DynPayload::new(3, 0, 9u64));
         let (mut rng, mut stale) = (SmallRng::seed_from_u64(1), false);
         let mut ctx = Ctx {
             id: 0,

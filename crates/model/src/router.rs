@@ -478,6 +478,19 @@ impl<P: Payload> Router<P> {
     }
 }
 
+/// Makes room for `more` pushes, growing the capacity to at most
+/// `max(len + more, 1.125 · capacity)` instead of doubling it. The engine's
+/// flat send buffer and the router's arena live as long as their engine
+/// and keep the capacity of its busiest round, so doubling would hold up
+/// to twice that round's messages for good; a 1.125 factor still
+/// amortises, and a replay of the same rounds grows nothing.
+pub(crate) fn reserve_bounded<T>(v: &mut Vec<T>, more: usize) {
+    let need = v.len() + more;
+    if v.capacity() < need {
+        v.reserve_exact(need.max(v.capacity() + v.capacity() / 8) - v.len());
+    }
+}
+
 /// Moves one round's sends into the arena at the slots named by `cursor`
 /// (each destination's cursor advances as its bucket fills). The cursor
 /// table must hold an exclusive prefix over the sends' destinations.
@@ -488,7 +501,7 @@ fn scatter<P: Payload>(
 ) {
     let total = sends.len();
     arena.clear();
-    arena.reserve(total);
+    reserve_bounded(arena, total);
     let base = arena.as_mut_ptr();
     for e in sends.drain(..) {
         let pos = cursor[e.dst as usize];

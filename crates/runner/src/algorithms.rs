@@ -287,6 +287,7 @@ impl Algorithm for Mst {
                 ("edges", r.edges.len() as u64),
                 ("weight", weight),
                 ("findmin_steps", r.findmin_steps as u64),
+                ("findmin_buckets", r.findmin_buckets as u64),
                 ("rounds_findmin", rounds_findmin),
                 ("lane_stages", r.lane_stages as u64),
             ],

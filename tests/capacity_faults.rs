@@ -129,3 +129,61 @@ fn orientation_under_drops_returns_instead_of_panicking() {
     let mut eng = Engine::new(cfg);
     let _ = ncc::core::orient(&mut eng, &SharedRandomness::new(15 ^ 0xABCD), &g);
 }
+
+/// MST's FindMin packs `default_lane_budget(n) − 1` bucket lanes beside
+/// the coin multicast. On every MST row of the standard grid, which
+/// covers all four network models, the run stays `Verified` with no message
+/// dropped, truncated or over the send cap, and peaks at half the node
+/// capacity at most: bucket lanes that shared a group id, hence a
+/// butterfly column, once peaked at 42 of 48 at n = 64. Every step-0
+/// FindMin stage packs exactly the lane budget, with no split.
+#[test]
+fn mst_findmin_fills_the_lane_budget_within_capacity() {
+    use ncc::butterfly::default_lane_budget;
+    use ncc::model::ModelSpec;
+    use ncc::runner::{find_algorithm, standard_grid, Verdict};
+    let mst = find_algorithm("mst").expect("mst is registered");
+    let specs = standard_grid();
+    for model in [
+        ModelSpec::Ncc,
+        ModelSpec::CongestedClique { edge_cap: 48 },
+        ModelSpec::KMachine {
+            k: 8,
+            link_capacity: 1,
+        },
+        ModelSpec::HybridLocal { local_edge_cap: 8 },
+    ] {
+        assert!(specs.iter().any(|s| s.model == model), "{model:?}");
+    }
+    for spec in &specs {
+        let scn = spec.build().expect("spec builds");
+        let mut eng = scn.engine();
+        let prep = ncc::core::prepare(&mut eng, spec.seed, None).expect("seed agreement");
+        let out = mst.run_main(&mut eng, &scn, &prep).expect("mst runs");
+        let label = spec.label();
+        assert_eq!(out.verdict, Verdict::Verified, "{label}");
+        let cap = spec.capacity.send.min(spec.capacity.recv) as u64;
+        for s in [&prep.report.total, &out.stats] {
+            let faults = (s.dropped, s.truncated, s.send_cap_violations);
+            assert_eq!(faults, (0, 0, 0), "{label}: (dropped, truncated, over cap)");
+            assert!(
+                s.peak_load() <= cap / 2,
+                "{label}: peak load {} of {cap}",
+                s.peak_load()
+            );
+        }
+        let plan = out.plan.expect("mst is DAG-declared");
+        let budget = default_lane_budget(spec.n);
+        // step 0's scatter-and-combine stage carries the coin multicast
+        let step0: Vec<_> = plan
+            .stages
+            .iter()
+            .filter(|st| st.lanes.iter().any(|l| l.label.ends_with(":find0:coin")))
+            .collect();
+        assert_eq!(step0.len() as u32, out.phases.expect("phases"), "{label}");
+        for st in step0 {
+            assert_eq!((st.lanes.len(), st.deferred.len()), (budget, 0), "{label}");
+        }
+        assert_eq!(plan.splits(), 0, "{label}");
+    }
+}
