@@ -33,8 +33,7 @@ fn rounds(n: usize, l1: usize, random_ranks: bool) -> u64 {
     if !random_ranks {
         sub = sub.static_priority();
     }
-    let (deliveries, stats) =
-        run_alone(&mut eng, sub, |s| s.into_deliveries()).expect("aggregation");
+    let (deliveries, stats) = run_alone(&mut eng, sub, |s| s.into_results()).expect("aggregation");
     let delivered: u64 = deliveries.iter().flatten().map(|(_, v)| v).sum();
     assert_eq!(delivered, (n * l1) as u64, "no packet may be lost");
     assert!(stats.clean());

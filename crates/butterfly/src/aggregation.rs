@@ -22,28 +22,32 @@
 //!    ends on a [`sync_barrier`] (App. B.1 synchronisation).
 //! 2. **Postprocessing** — each level-`d` node delivers every finished
 //!    group aggregate to its target in a round chosen uniformly from
-//!    `{1..⌈ℓ̂₂/log n⌉}`, smoothing the receive load. Every node knows
-//!    from ℓ̂₂ and `n` when the last delivery lands, so the stage ends on
-//!    the clock ([`StageEnd::Within`]): a pad of idle rounds to that
-//!    bound, or the barrier when it is sooner.
+//!    `{1..⌈ℓ̂₂/log n⌉}`, smoothing the receive load
+//!    ([`ScheduleProgram`], the program of `ncc-core`'s scheduled
+//!    exchange too). Every node knows from ℓ̂₂ and `n` when the last
+//!    delivery lands, so the stage ends on the clock
+//!    ([`StageEnd::Within`]): a pad of idle rounds to that bound, or the
+//!    barrier when it is sooner.
 //!
 //! [`aggregate`] builds that lane and runs it alone, a one-node
 //! [`Dag`](crate::compose::Dag) ([`run_alone`]); algorithms put the same
 //! lane next to others in a larger one.
 //!
 //! Multi-Aggregation (Theorem 2.6, [`multi_aggregate`]) runs the same
-//! combining network. Both primitives are one [`CombineSub`] lane whose
-//! stage 1 is one program, generic over its [`Front`]: what feeds the
-//! scatter besides a node's own memberships. Aggregation's front is `()`,
-//! nothing; Multi-Aggregation's is the tree spreading of
+//! combining network, and so does the member-fired combine
+//! ([`multicast_aggregate_sub`]). All three are one [`CombineSub`] lane
+//! whose stage 1 is one program, generic over its [`Front`]: what feeds
+//! the scatter besides a node's own memberships. Aggregation's front is
+//! `()`, nothing; Multi-Aggregation's is the tree spreading of
 //! [`multicast`](mod@crate::multicast) ([`SpreadFront`]), whose leaf
 //! arrivals are re-keyed to their members and scattered in the same
-//! rounds. Besides the front, only the delivery window (`⌈ℓ̂₂/log n⌉`
-//! rounds for Aggregation, one for Multi-Aggregation) and the output
-//! shape ([`Front::Out`]) differ. There is no second
-//! implementation. Front, scatter and combine share the lane's send
-//! budget ([`LaneSub::pace`]), so packed lanes never overdraw the node
-//! capacity.
+//! rounds; the member-fired combine's is the whole multicast
+//! ([`MulticastFront`]), whose members fire on their copies. Besides the
+//! front, only the delivery window (`⌈ℓ̂₂/log n⌉` rounds; one for
+//! Multi-Aggregation) and the output shape ([`Front::Out`]) differ. There
+//! is no second implementation. Front, scatter and combine share the
+//! lane's send budget ([`LaneSub::pace`]), so packed lanes never overdraw
+//! the node capacity.
 //!
 //! Group targets are encoded in the group identifier ([`GroupId`]), mirroring
 //! the paper's content-addressed group names (`A_{id(w)∘i}`).
@@ -57,13 +61,15 @@ use std::collections::BTreeMap;
 
 use ncc_hashing::shared::labels;
 use ncc_hashing::{PolyHash, SharedRandomness};
-use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Payload};
+use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
 use rand::Rng;
 
 use crate::combine::Aggregate;
 use crate::compose::{lane_seed, Lane, LaneSub, Stage, StageEnd};
 use crate::mctree::MulticastTrees;
-use crate::multicast::{spread_arrive, spread_states, spread_step, SpreadState};
+use crate::multicast::{
+    spread_deliver_states, spread_states, SpreadDeliverState, SpreadState, TreeSpread,
+};
 use crate::queue::{LevelOrder, Route, RouteQueue};
 use crate::schedule::run_alone;
 use crate::topology::{Butterfly, GroupId};
@@ -253,8 +259,10 @@ pub(crate) fn combine_step<V: Payload, A: Aggregate<V>>(
 
 /// What feeds a combining pipeline's scatter besides a node's own
 /// memberships. Aggregation has nothing in front (`()`, wire type
-/// [`LevelMsg<W>`]); Multi-Aggregation has the tree spread
-/// ([`SpreadFront`], wire type [`MaMsg<V, W>`]).
+/// [`LevelMsg<W>`]); Multi-Aggregation has the tree spread, re-keyed at
+/// the leaves ([`SpreadFront`], wire type [`MaMsg<V, W>`]); the
+/// member-fired combine has the whole multicast, fired at the members
+/// ([`MulticastFront`], wire type [`McAggMsg<V, W>`]).
 pub trait Front<W>: Sync {
     /// Per-node state of the front.
     type State: Send + 'static;
@@ -262,39 +270,38 @@ pub trait Front<W>: Sync {
     type Msg: Payload;
     /// What the lane hands back per node.
     type Out: Send + 'static;
-    /// Shapes what a node received in the delivery stage into its
-    /// output, as that stage's states are collected.
-    fn out(received: Vec<(GroupId, W)>) -> Self::Out;
+    /// What a node keeps of its front's final state for its output.
+    type Kept: Send + 'static;
+    /// Takes what a node keeps of its front's final state, as stage 1's
+    /// states are collected (the rest is freed then).
+    fn keep(st: Self::State) -> Self::Kept;
+    /// Shapes a node's output from what its front kept and what it
+    /// received in the delivery stage, as that stage's states are
+    /// collected.
+    fn out(kept: Self::Kept, received: Vec<(GroupId, W)>) -> Self::Out;
     /// Wraps a combining packet for the wire.
     fn agg(m: LevelMsg<W>) -> Self::Msg;
-    /// Takes an arrival at column `alpha`: keeps the front's own traffic,
-    /// hands back a combining packet.
+    /// Takes an arrival at node `me`, emulator or not: keeps the front's
+    /// own traffic (packets `me` fires go to its scatter queue,
+    /// `to_send`), hands back a combining packet.
     fn arrive<'m>(
         &self,
         st: &mut Self::State,
-        alpha: u32,
+        me: NodeId,
         m: &'m Self::Msg,
+        to_send: &mut Vec<(GroupId, W)>,
     ) -> Option<&'m LevelMsg<W>>;
     /// Round 0 on every node, before its first scatter. Default: nothing.
-    fn init(
-        &self,
-        _st: &mut Self::State,
-        _bf: &Butterfly,
-        _hashes: &RouteHashes,
-        _ctx: &mut Ctx<'_, Self::Msg>,
-    ) {
-    }
-    /// One step at column `alpha`, before the scatter: every send debits
-    /// `budget`, and packets to scatter are pushed to `to_send`. Default:
-    /// nothing.
+    fn init(&self, _: &mut Self::State, _: &RouteHashes, _: &mut Ctx<'_, Self::Msg>) {}
+    /// One step at an emulator's column, before the scatter: every send
+    /// debits `budget`, and packets to scatter are pushed to `to_send`.
+    /// Default: nothing.
     fn step(
         &self,
-        _st: &mut Self::State,
-        _bf: &Butterfly,
-        _alpha: u32,
-        _budget: &mut usize,
-        _to_send: &mut Vec<(u64, W)>,
-        _ctx: &mut Ctx<'_, Self::Msg>,
+        _: &mut Self::State,
+        _: &mut usize,
+        _: &mut Vec<(GroupId, W)>,
+        _: &mut Ctx<'_, Self::Msg>,
     ) {
     }
     /// `true` while the front has traffic queued. Default: never.
@@ -307,8 +314,11 @@ impl<W: Payload> Front<W> for () {
     type State = ();
     type Msg = LevelMsg<W>;
     type Out = Vec<(GroupId, W)>;
+    type Kept = ();
 
-    fn out(received: Vec<(GroupId, W)>) -> Self::Out {
+    fn keep(_: ()) {}
+
+    fn out(_: (), received: Vec<(GroupId, W)>) -> Self::Out {
         received
     }
 
@@ -316,7 +326,13 @@ impl<W: Payload> Front<W> for () {
         m
     }
 
-    fn arrive<'m>(&self, _: &mut (), _: u32, m: &'m LevelMsg<W>) -> Option<&'m LevelMsg<W>> {
+    fn arrive<'m>(
+        &self,
+        _: &mut (),
+        _: NodeId,
+        m: &'m LevelMsg<W>,
+        _: &mut Vec<(GroupId, W)>,
+    ) -> Option<&'m LevelMsg<W>> {
         Some(m)
     }
 }
@@ -343,7 +359,7 @@ pub(crate) struct CombinePipeline<'a, W, A, Fr> {
 
 pub(crate) struct PipeState<S, W> {
     front: S,
-    to_send: Vec<(u64, W)>,
+    to_send: Vec<(GroupId, W)>,
     comb: CombineState<W>,
 }
 
@@ -362,8 +378,8 @@ impl<W: Payload, A: Aggregate<W>, Fr: Front<W>> CombinePipeline<'_, W, A, Fr> {
                 self.bf.emulator(col),
                 Fr::agg(LevelMsg {
                     level: 0,
-                    group,
-                    route: self.hashes.route(group),
+                    group: group.raw(),
+                    route: self.hashes.route(group.raw()),
                     value,
                 }),
             );
@@ -376,7 +392,7 @@ impl<W: Payload, A: Aggregate<W>, Fr: Front<W>> NodeProgram for CombinePipeline<
     type Payload = Fr::Msg;
 
     fn init(&self, st: &mut PipeState<Fr::State, W>, ctx: &mut Ctx<'_, Fr::Msg>) {
-        self.front.init(&mut st.front, &self.bf, &self.hashes, ctx);
+        self.front.init(&mut st.front, &self.hashes, ctx);
         let mut budget = self.send_budget;
         self.scatter(st, &mut budget, ctx);
         if !st.to_send.is_empty() {
@@ -390,43 +406,28 @@ impl<W: Payload, A: Aggregate<W>, Fr: Front<W>> NodeProgram for CombinePipeline<
         inbox: &[Envelope<Fr::Msg>],
         ctx: &mut Ctx<'_, Fr::Msg>,
     ) {
-        let mut budget = self.send_budget;
-        if self.bf.emulates(ctx.id) {
-            let alpha = self.bf.column_of(ctx.id);
-            for env in inbox {
-                if let Some(m) = self.front.arrive(&mut st.front, alpha, &env.payload) {
-                    combine_insert(
-                        &self.bf,
-                        self.agg,
-                        &mut st.comb,
-                        alpha,
-                        m.level as u32,
-                        m.group,
-                        m.route,
-                        m.value.clone(),
-                    );
-                }
+        let (bf, mut budget) = (&self.bf, self.send_budget);
+        // every node takes its arrivals, but only emulators route: a
+        // node that emulates no column only fires and scatters
+        let col = bf.emulates(ctx.id).then(|| bf.column_of(ctx.id));
+        for env in inbox {
+            let arrived = self
+                .front
+                .arrive(&mut st.front, ctx.id, &env.payload, &mut st.to_send);
+            if let Some(m) = arrived {
+                let alpha = col.expect("combining packets reach emulators only");
+                let (comb, level, value) = (&mut st.comb, m.level as u32, m.value.clone());
+                combine_insert(bf, self.agg, comb, alpha, level, m.group, m.route, value);
             }
-            self.front.step(
-                &mut st.front,
-                &self.bf,
-                alpha,
-                &mut budget,
-                &mut st.to_send,
-                ctx,
-            );
-            self.scatter(st, &mut budget, ctx);
-            combine_step(
-                &self.bf,
-                self.agg,
-                &mut st.comb,
-                alpha,
-                &mut budget,
-                &mut |dst, msg| ctx.send(dst, Fr::agg(msg)),
-            );
-        } else {
-            // non-emulating nodes only scatter; routing stays on columns
-            self.scatter(st, &mut budget, ctx);
+        }
+        if col.is_some() {
+            self.front
+                .step(&mut st.front, &mut budget, &mut st.to_send, ctx);
+        }
+        self.scatter(st, &mut budget, ctx);
+        if let Some(alpha) = col {
+            let mut emit = |dst, msg| ctx.send(dst, Fr::agg(msg));
+            combine_step(bf, self.agg, &mut st.comb, alpha, &mut budget, &mut emit);
         }
         if Fr::busy(&st.front) || !st.to_send.is_empty() || !st.comb.queue.is_empty() {
             ctx.stay_awake();
@@ -438,58 +439,67 @@ impl<W: Payload, A: Aggregate<W>, Fr: Front<W>> NodeProgram for CombinePipeline<
 // Stage 2: postprocessing (randomized delivery rounds)
 // ---------------------------------------------------------------------------
 
-pub(crate) struct DeliverState<V> {
-    /// `(round, group, value)` deliveries this column owes, sorted by round.
-    pub scheduled: Vec<(u64, u64, V)>,
-    /// Aggregates received by this node as a *target*.
-    pub received: Vec<(GroupId, V)>,
+/// Per-node state of a [`ScheduleProgram`].
+#[derive(Debug, Clone)]
+pub struct ScheduleState<P> {
+    /// `(round ≥ 1, dst, message)` — the sends this node owes.
+    pub to_send: Vec<(u64, NodeId, P)>,
+    /// `(src, message)` received.
+    pub received: Vec<(NodeId, P)>,
 }
 
-pub(crate) struct DeliverProgram<V> {
-    pub spread: u64,
-    pub _pd: std::marker::PhantomData<V>,
+/// Point-to-point sends at chosen rounds: every node sends each
+/// `(round, dst, message)` of its list in local round `round − 1`, in
+/// `(round, dst, key(message))` order, and keeps what it receives. With
+/// `draw: Some(w)` the rounds are drawn uniformly from `1..=w` in round
+/// 0: the combine's postprocessing (Theorem 2.3), where each level-`d`
+/// node delivers every finished aggregate to its target in a random
+/// round of `⌈ℓ̂₂/log n⌉`, smoothing the receive load. With `None` they
+/// are the senders' own (`ncc-core`'s scheduled exchange).
+pub struct ScheduleProgram<P> {
+    /// `Some(w)`: draw every send's round from `1..=w` in round 0.
+    pub draw: Option<u64>,
+    /// Orders the sends of one round to one destination.
+    pub key: fn(&P) -> u64,
 }
 
-impl<V: Payload> DeliverProgram<V> {
-    fn flush(&self, st: &mut DeliverState<V>, ctx: &mut Ctx<'_, PacketMsg<V>>) {
-        // scheduled is sorted by round; send everything due now
-        let now = ctx.round + 1; // rounds are drawn from 1..=spread
-        let due = st.scheduled.partition_point(|(r, _, _)| *r <= now);
-        for (_, group, value) in st.scheduled.drain(..due) {
-            ctx.send(GroupId(group).target(), PacketMsg { group, value });
-        }
-        if !st.scheduled.is_empty() {
-            ctx.stay_awake();
-        }
+/// Sends every entry of `to_send` (sorted by round; rounds count from 1)
+/// that is due in this round, wrapped for the wire by `wrap`, and stays
+/// awake while any is left.
+pub fn send_due<P, M: Payload>(
+    to_send: &mut Vec<(u64, NodeId, P)>,
+    ctx: &mut Ctx<'_, M>,
+    wrap: fn(P) -> M,
+) {
+    let now = ctx.round + 1;
+    let due = to_send.partition_point(|(r, _, _)| *r <= now);
+    for (_, dst, msg) in to_send.drain(..due) {
+        ctx.send(dst, wrap(msg));
+    }
+    if !to_send.is_empty() {
+        ctx.stay_awake();
     }
 }
 
-impl<V: Payload> NodeProgram for DeliverProgram<V> {
-    type State = DeliverState<V>;
-    type Payload = PacketMsg<V>;
+impl<P: Payload> NodeProgram for ScheduleProgram<P> {
+    type State = ScheduleState<P>;
+    type Payload = P;
 
-    fn init(&self, st: &mut DeliverState<V>, ctx: &mut Ctx<'_, PacketMsg<V>>) {
-        // draw delivery rounds and sort
-        let mut scheduled = std::mem::take(&mut st.scheduled);
-        for slot in scheduled.iter_mut() {
-            slot.0 = ctx.rng().gen_range(1..=self.spread);
+    fn init(&self, st: &mut ScheduleState<P>, ctx: &mut Ctx<'_, P>) {
+        if let Some(w) = self.draw {
+            for slot in st.to_send.iter_mut() {
+                slot.0 = ctx.rng().gen_range(1..=w);
+            }
         }
-        scheduled.sort_by_key(|(r, g, _)| (*r, *g));
-        st.scheduled = scheduled;
-        self.flush(st, ctx);
+        st.to_send.sort_by_key(|(r, d, m)| (*r, *d, (self.key)(m)));
+        send_due(&mut st.to_send, ctx, |m| m);
     }
 
-    fn round(
-        &self,
-        st: &mut DeliverState<V>,
-        inbox: &[Envelope<PacketMsg<V>>],
-        ctx: &mut Ctx<'_, PacketMsg<V>>,
-    ) {
+    fn round(&self, st: &mut ScheduleState<P>, inbox: &[Envelope<P>], ctx: &mut Ctx<'_, P>) {
         for env in inbox {
-            st.received
-                .push((GroupId(env.payload.group), env.payload.value.clone()));
+            st.received.push((env.src, env.payload.clone()));
         }
-        self.flush(st, ctx);
+        send_due(&mut st.to_send, ctx, |m| m);
     }
 }
 
@@ -507,13 +517,15 @@ pub struct CombineSub<'a, W, A, Fr: Front<W>> {
     /// Delivery rounds are drawn from `1..=window`.
     window: u64,
     pipe: Stage<CombinePipeline<'a, W, A, Fr>, PipeState<Fr::State, W>>,
-    del: Stage<DeliverProgram<W>, DeliverState<W>>,
+    /// What the fronts kept, from stage 1's collect to stage 2's.
+    fronts: Vec<Fr::Kept>,
+    del: Stage<ScheduleProgram<PacketMsg<W>>, ScheduleState<PacketMsg<W>>>,
     out: Option<Vec<Fr::Out>>,
 }
 
 /// The Aggregation Algorithm as a composable lane: the combining network
 /// with nothing in front. Build with [`aggregation_sub`], read with
-/// [`AggregationSub::into_deliveries`].
+/// [`AggregationSub::into_results`].
 pub type AggregationSub<'a, V, A> = CombineSub<'a, V, A, ()>;
 
 /// Multi-Aggregation as a composable lane: the combining network behind
@@ -546,9 +558,17 @@ fn combine_sub<'a, W, A, Fr: Front<W>>(
         lane_seed,
         window,
         pipe: Some((pipe, states)),
+        fronts: Vec::new(),
         del: None,
         out: None,
     }
+}
+
+/// Delivery rounds for at most `ell` deliveries per node at `⌈log₂ n⌉`
+/// per round: `⌈ell/⌈log₂ n⌉⌉`, at least one.
+pub(crate) fn delivery_window(n: usize, ell: usize) -> u64 {
+    ell.div_ceil(ncc_model::ilog2_ceil(n).max(1) as usize)
+        .max(1) as u64
 }
 
 /// Builds the aggregation sub-protocol. Arguments mirror [`aggregate`];
@@ -574,21 +594,21 @@ pub fn aggregation_sub<'a, V: Payload, A: Aggregate<V>>(
             lane_seed,
             window: 1,
             pipe: None,
+            fronts: Vec::new(),
             del: None,
             out: Some(out),
         };
     }
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
     let states = spec
         .memberships
         .into_iter()
-        .map(|ms| PipeState {
+        .map(|to_send| PipeState {
             front: (),
-            to_send: ms.into_iter().map(|(g, v)| (g.raw(), v)).collect(),
+            to_send,
             comb: CombineState::default(),
         })
         .collect();
-    let window = spec.ell2_hat.div_ceil(logn).max(1) as u64;
+    let window = delivery_window(n, spec.ell2_hat);
     combine_sub(n, shared, (), agg, states, window, lane_seed)
 }
 
@@ -604,11 +624,16 @@ impl<V: Payload, A: Aggregate<V>> AggregationSub<'_, V, A> {
         });
         self
     }
+}
 
-    /// The per-node `(group, aggregate)` deliveries. Panics before the
-    /// composition ran to completion.
-    pub fn into_deliveries(self) -> GroupedDeliveries<V> {
-        self.out.expect("aggregation sub-protocol not finished")
+impl<W, A, Fr: Front<W>> CombineSub<'_, W, A, Fr> {
+    /// Per node, its output ([`Front::Out`]): Aggregation's
+    /// `(group, aggregate)` deliveries; Multi-Aggregation's aggregate over
+    /// the packets multicast to the node, `None` if no group reached it;
+    /// the member-fired combine's fired copies beside its deliveries.
+    /// Panics before the composition ran to completion.
+    pub fn into_results(self) -> Vec<Fr::Out> {
+        self.out.expect("combining sub-protocol not finished")
     }
 }
 
@@ -643,24 +668,41 @@ where
         match self.stage {
             0 => {
                 let pipe: Vec<PipeState<Fr::State, W>> = ncc_model::take_lane_states(states, lane);
-                let del_states: Vec<DeliverState<W>> = pipe
-                    .into_iter()
-                    .map(|s| DeliverState {
-                        scheduled: s.comb.arrived.into_iter().map(|(g, v)| (0, g, v)).collect(),
-                        received: Vec::new(),
-                    })
-                    .collect();
+                // each finished aggregate owes its target one delivery
+                let deliveries = |s: PipeState<Fr::State, W>| {
+                    let at =
+                        |(group, value)| (0, GroupId(group).target(), PacketMsg { group, value });
+                    let to_send = s.comb.arrived.into_iter().map(at).collect();
+                    (
+                        Fr::keep(s.front),
+                        ScheduleState {
+                            to_send,
+                            received: Vec::new(),
+                        },
+                    )
+                };
+                let del;
+                (self.fronts, del) = pipe.into_iter().map(deliveries).unzip();
+                let draw = Some(self.window);
                 self.del = Some((
-                    DeliverProgram {
-                        spread: self.window,
-                        _pd: std::marker::PhantomData,
+                    ScheduleProgram {
+                        draw,
+                        key: |p| p.group,
                     },
-                    del_states,
+                    del,
                 ));
             }
             _ => {
-                let del: Vec<DeliverState<W>> = ncc_model::take_lane_states(states, lane);
-                self.out = Some(del.into_iter().map(|s| Fr::out(s.received)).collect());
+                let del: Vec<ScheduleState<PacketMsg<W>>> =
+                    ncc_model::take_lane_states(states, lane);
+                let fronts = std::mem::take(&mut self.fronts).into_iter();
+                let got = |s: ScheduleState<PacketMsg<W>>| {
+                    s.received
+                        .into_iter()
+                        .map(|(_, p)| (GroupId(p.group), p.value))
+                        .collect()
+                };
+                self.out = Some(fronts.zip(del).map(|(f, s)| Fr::out(f, got(s))).collect());
             }
         }
         self.stage += 1;
@@ -674,7 +716,7 @@ where
         // deliveries leave in local rounds `0..window` and the last lands
         // in round `window`: the stage is over within `window + 1` rounds
         match &self.del {
-            Some((p, _)) => StageEnd::Within(p.spread + 1),
+            Some(_) => StageEnd::Within(self.window + 1),
             None => StageEnd::Barrier,
         }
     }
@@ -694,7 +736,7 @@ pub fn aggregate<V: Payload, A: Aggregate<V>>(
 ) -> Result<(GroupedDeliveries<V>, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6167_6772 /* "aggr" */, 0);
     let sub = aggregation_sub(engine.n(), shared, spec, agg, seed);
-    run_alone(engine, sub, AggregationSub::into_deliveries)
+    run_alone(engine, sub, AggregationSub::into_results)
 }
 
 // ---------------------------------------------------------------------------
@@ -730,7 +772,7 @@ impl<V: Payload, W: Payload> Payload for MaMsg<V, W> {
 /// randomness — the §5.3 annotation hook) to its member's group
 /// `(id(u), MA_SUB)` and scattered in the same round.
 pub struct SpreadFront<'a, V, F> {
-    trees: &'a MulticastTrees,
+    spread: TreeSpread<'a>,
     leaf_map: F,
     _pd: std::marker::PhantomData<V>,
 }
@@ -744,9 +786,12 @@ where
     type State = SpreadState<V>;
     type Msg = MaMsg<V, W>;
     type Out = Option<W>;
+    type Kept = ();
+
+    fn keep(_: SpreadState<V>) {}
 
     /// A node is target of at most one re-keyed group, its own.
-    fn out(received: Vec<(GroupId, W)>) -> Option<W> {
+    fn out(_: (), received: Vec<(GroupId, W)>) -> Option<W> {
         received.into_iter().next().map(|(_, v)| v)
     }
 
@@ -757,56 +802,33 @@ where
     fn arrive<'m>(
         &self,
         st: &mut SpreadState<V>,
-        alpha: u32,
+        me: NodeId,
         m: &'m MaMsg<V, W>,
+        _: &mut Vec<(GroupId, W)>,
     ) -> Option<&'m LevelMsg<W>> {
         match m {
-            MaMsg::Spread(m) => {
-                let (level, value) = (m.level as u32, m.value.clone());
-                spread_arrive(self.trees, st, alpha, level, m.group, m.route, value);
-                None
-            }
-            MaMsg::Agg(m) => Some(m),
+            MaMsg::Spread(m) => self.spread.arrive(st, me, m),
+            MaMsg::Agg(m) => return Some(m),
         }
+        None
     }
 
-    fn init(
-        &self,
-        st: &mut SpreadState<V>,
-        bf: &Butterfly,
-        hashes: &RouteHashes,
-        ctx: &mut Ctx<'_, MaMsg<V, W>>,
-    ) {
-        if let Some((group, value)) = st.source_packet.take() {
-            let route = hashes.route(group);
-            ctx.send(
-                bf.emulator(route.target),
-                MaMsg::Spread(LevelMsg {
-                    level: bf.d() as u8,
-                    group,
-                    route,
-                    value,
-                }),
-            );
-        }
+    fn init(&self, st: &mut SpreadState<V>, hashes: &RouteHashes, ctx: &mut Ctx<'_, Self::Msg>) {
+        self.spread.fire(hashes, st, ctx, MaMsg::Spread);
     }
 
     fn step(
         &self,
         st: &mut SpreadState<V>,
-        bf: &Butterfly,
-        alpha: u32,
         budget: &mut usize,
-        to_send: &mut Vec<(u64, W)>,
+        to_send: &mut Vec<(GroupId, W)>,
         ctx: &mut Ctx<'_, MaMsg<V, W>>,
     ) {
-        spread_step(bf, self.trees, st, alpha, budget, &mut |dst, msg| {
-            ctx.send(dst, MaMsg::Spread(msg))
-        });
+        self.spread.spread(st, budget, ctx, MaMsg::Spread);
         // re-key fresh leaf arrivals and queue them for scattering
         for (group, member, value) in st.at_leaves.drain(..) {
             let mapped = (self.leaf_map)(ctx.rng(), GroupId(group), member, &value);
-            to_send.push((GroupId::new(member, MA_SUB).raw(), mapped));
+            to_send.push((GroupId::new(member, MA_SUB), mapped));
         }
     }
 
@@ -835,7 +857,10 @@ where
 {
     assert_eq!(messages.len(), n);
     let front = SpreadFront {
-        trees,
+        spread: TreeSpread {
+            bf: Butterfly::for_n(n),
+            trees,
+        },
         leaf_map,
         _pd: std::marker::PhantomData,
     };
@@ -849,15 +874,6 @@ where
         .collect();
     // each node is target of ≤ 1 re-keyed group: a one-round delivery
     combine_sub(n, shared, front, agg, states, 1, lane_seed)
-}
-
-impl<W, A, Fr: Front<W, Out = Option<W>>> CombineSub<'_, W, A, Fr> {
-    /// Per node `u`: the aggregate over packets multicast to `u`, or `None`
-    /// if no group reached it. Panics before the composition finished.
-    pub fn into_results(self) -> Vec<Option<W>> {
-        self.out
-            .expect("multi-aggregation sub-protocol not finished")
-    }
 }
 
 /// Runs Multi-Aggregation (Theorem 2.6): every source `s_i` multicasts
@@ -891,6 +907,208 @@ where
     let seed = lane_seed(engine, 0x6d61_6767 /* "magg" */, 0);
     let sub = multi_aggregate_sub(engine.n(), shared, trees, messages, leaf_map, agg, seed);
     run_alone(engine, sub, MultiAggSub::into_results)
+}
+
+// ---------------------------------------------------------------------------
+// The member-fired combine: a multicast in front of the combine
+// ---------------------------------------------------------------------------
+
+/// Wire format of the member-fired combine: the multicast's tree spread
+/// and leaf deliveries (payload `V`) and the combine (payload `W`) share
+/// the rounds. The tags are prefix-free, `0`, `10` and `11`, so the
+/// spread hop, the widest message, keeps the multicast's 1-bit tag.
+#[derive(Debug, Clone)]
+pub enum McAggMsg<V, W> {
+    /// A packet spreading down its tree.
+    Spread(LevelMsg<V>),
+    /// A leaf delivering a packet to a member.
+    Deliver(PacketMsg<V>),
+    /// A packet in the combining network.
+    Agg(LevelMsg<W>),
+}
+
+impl<V: Payload, W: Payload> Payload for McAggMsg<V, W> {
+    fn bit_size(&self) -> u32 {
+        match self {
+            McAggMsg::Spread(m) => 1 + m.bit_size(),
+            McAggMsg::Deliver(m) => 2 + m.bit_size(),
+            McAggMsg::Agg(m) => 2 + m.bit_size(),
+        }
+    }
+}
+
+/// The member-fired combine's [`Front`]: the multicast itself in front
+/// of the combine. Sources fire at their roots in round 0, packets spread
+/// down the recorded trees, and leaves deliver to the members in the
+/// multicast's smoothed window, by the same code as the multicast lane. A
+/// **member**, in the round its copy lands, runs
+/// `member_map(me, group, copy, to_send)`, which pushes the member's own
+/// `(group, value)` packets onto its own scatter queue; they are
+/// scattered and combined in the same rounds. The re-key happens at the
+/// member, not at the leaf as in [`SpreadFront`]: the leaf `l(i, u)` is a
+/// column emulator and does not hold `u`'s input.
+///
+/// # Soundness: one stage, one barrier
+///
+/// Let the stage start at a round `t₀` every node agrees on. Run as two
+/// stages, the same work would be a multicast, a barrier, then a combine
+/// whose members built their packets from the copies they received.
+///
+/// * A member's packets depend only on its own copy of the source's
+///   packet and its own input: the map runs on the member, with `me` the
+///   member, and reads nothing else. Firing in the round the copy lands
+///   therefore pushes exactly the packets it would push after the
+///   multicast's barrier, only earlier.
+/// * The stage cannot go quiet before every member has fired. A column
+///   with packets left to spread or a delivery due stays awake
+///   ([`Front::busy`]); a delivery in flight wakes its member in the next
+///   round; a member whose scatter queue is not empty stays awake; and a
+///   combining packet in flight or queued keeps its column awake. So at
+///   quiescence every copy that was not dropped has been delivered, fired
+///   on, scattered and combined, and the one barrier after the stage
+///   certifies what the two barriers of the two-stage run did.
+/// * The combining network's analysis \[1, 57\] covers continuous
+///   injection, so packets that enter while others already route cost no
+///   more than the streamed scatter of Theorem 2.3. With `B` packets per
+///   member (`ℓ₁ = B`) and each leader the target of `B` groups
+///   (`ℓ̂₂ = B`), the combine stays `O(L/n + (ℓ₁ + ℓ̂₂)/log n + log n)`.
+///   The delivery stage after it ends on the clock: its window is
+///   `⌈ℓ̂₂/⌈log₂ n⌉⌉ = ⌈B/⌈log₂ n⌉⌉` rounds.
+/// * Leaves deliver in a window of one round: here each member is in
+///   one tree (`ℓ̂ = 1`).
+/// * A copy lost to a drop is visible at its member. The front keeps its
+///   count of copies fired on from its final state ([`Front::keep`]), so
+///   the output reports it per node, and a caller turns a missing copy
+///   into a typed failure instead of a silent zero contribution.
+pub struct MulticastFront<'a, V, F> {
+    spread: TreeSpread<'a>,
+    /// Leaf deliveries leave in a uniform round of this many.
+    window: u64,
+    member_map: F,
+    _pd: std::marker::PhantomData<V>,
+}
+
+impl<V, W, F> Front<W> for MulticastFront<'_, V, F>
+where
+    V: Payload,
+    W: Payload,
+    F: Fn(NodeId, GroupId, &V, &mut Vec<(GroupId, W)>) + Sync,
+{
+    /// The spread and its leaf deliveries, and the copies a member fired
+    /// on.
+    type State = SpreadDeliverState<V, u32>;
+    type Msg = McAggMsg<V, W>;
+    /// Per node: the copies it fired on, and the aggregates it received
+    /// as a target.
+    type Out = (u32, Vec<(GroupId, W)>);
+    type Kept = u32;
+
+    fn keep(st: Self::State) -> u32 {
+        st.got
+    }
+
+    fn out(copies: u32, received: Vec<(GroupId, W)>) -> Self::Out {
+        (copies, received)
+    }
+
+    fn agg(m: LevelMsg<W>) -> McAggMsg<V, W> {
+        McAggMsg::Agg(m)
+    }
+
+    fn arrive<'m>(
+        &self,
+        st: &mut Self::State,
+        me: NodeId,
+        m: &'m McAggMsg<V, W>,
+        to_send: &mut Vec<(GroupId, W)>,
+    ) -> Option<&'m LevelMsg<W>> {
+        match m {
+            McAggMsg::Spread(m) => self.spread.arrive(&mut st.spread, me, m),
+            McAggMsg::Deliver(p) => {
+                (self.member_map)(me, GroupId(p.group), &p.value, to_send);
+                st.got += 1;
+            }
+            McAggMsg::Agg(m) => return Some(m),
+        }
+        None
+    }
+
+    fn init(&self, st: &mut Self::State, hashes: &RouteHashes, ctx: &mut Ctx<'_, Self::Msg>) {
+        self.spread
+            .fire(hashes, &mut st.spread, ctx, McAggMsg::Spread);
+    }
+
+    fn step(
+        &self,
+        st: &mut Self::State,
+        budget: &mut usize,
+        _: &mut Vec<(GroupId, W)>,
+        ctx: &mut Ctx<'_, McAggMsg<V, W>>,
+    ) {
+        let (route, deliver) = (McAggMsg::Spread, McAggMsg::Deliver);
+        self.spread
+            .deliver(st, self.window, budget, ctx, route, deliver);
+    }
+
+    fn busy(st: &Self::State) -> bool {
+        st.busy()
+    }
+}
+
+/// The member-fired combine as a composable lane: the combining network
+/// behind a multicast whose members fire. Build with
+/// [`multicast_aggregate_sub`], read with [`CombineSub::into_results`].
+pub type McAggSub<'a, V, W, A, F> = CombineSub<'a, W, A, MulticastFront<'a, V, F>>;
+
+/// Builds the member-fired combine, one stage and one barrier before the
+/// delivery: every source `s_i` multicasts `p_i` down its tree in
+/// `trees`, every member `u` of `A_i` runs `member_map(u, i, p_i, out)`
+/// on its copy and scatters what it pushed to `out`, and every node
+/// scatters its own `spec.memberships` from round 0. All packets are
+/// combined with `agg` and delivered to their targets, each of which is
+/// target of at most `spec.ell2_hat` groups. `messages[u] = Some((group,
+/// payload))` iff `u` sources `group`; `lane_seed` keys the lane's
+/// private randomness (delivery rounds, scatter columns). Leaves deliver
+/// in the round a copy reaches them, the multicast's window for `ℓ̂ = 1`:
+/// sized for trees in which a node is a member of one group, such as a
+/// partition into components.
+pub fn multicast_aggregate_sub<'a, V, W, A, F>(
+    shared: &SharedRandomness,
+    trees: &'a MulticastTrees,
+    messages: Vec<Option<(GroupId, V)>>,
+    member_map: F,
+    spec: AggregationSpec<W>,
+    agg: &'a A,
+    lane_seed: u64,
+) -> McAggSub<'a, V, W, A, F>
+where
+    V: Payload,
+    W: Payload,
+    A: Aggregate<W>,
+    F: Fn(NodeId, GroupId, &V, &mut Vec<(GroupId, W)>) + Sync,
+{
+    let n = messages.len();
+    assert!(n >= 2 && spec.memberships.len() == n);
+    let front = MulticastFront {
+        spread: TreeSpread {
+            bf: Butterfly::for_n(n),
+            trees,
+        },
+        window: 1,
+        member_map,
+        _pd: std::marker::PhantomData,
+    };
+    let states = spread_deliver_states(messages)
+        .into_iter()
+        .zip(spec.memberships)
+        .map(|(front, to_send)| PipeState {
+            front,
+            to_send,
+            comb: CombineState::default(),
+        })
+        .collect();
+    let window = delivery_window(n, spec.ell2_hat);
+    combine_sub(n, shared, front, agg, states, window, lane_seed)
 }
 
 // ---------------------------------------------------------------------------

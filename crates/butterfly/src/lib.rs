@@ -24,11 +24,13 @@
 //! ([`ab_sub`], [`aggregation_sub`], [`multicast_setup_sub`],
 //! [`multicast_sub`], [`multi_aggregate_sub`]): a short sequence of
 //! streamed pipeline stages (scatter while combining, spread while
-//! delivering) that run as lanes of one [`ncc_model::Mux`]. Aggregation
-//! and Multi-Aggregation share one combining pipeline and one lane type
-//! ([`aggregation::CombineSub`]); they differ only in what feeds the
-//! scatter ([`aggregation::Front`]: nothing, or the multicast tree
-//! spread), in the delivery window and in the shape of their output.
+//! delivering) that run as lanes of one [`ncc_model::Mux`]. Aggregation,
+//! Multi-Aggregation and the member-fired combine
+//! ([`multicast_aggregate_sub`]) share one combining pipeline and one
+//! lane type ([`aggregation::CombineSub`]); they differ only in what feeds
+//! the scatter ([`aggregation::Front`]: nothing, the multicast tree spread
+//! re-keyed at the leaves, or a whole multicast whose members fire on
+//! their copies), in the delivery window and in the shape of their output.
 //! Concurrent primitive instances **share rounds, capacity and at most
 //! one sync per stage** instead of queuing — the §2 "run many instances in parallel"
 //! argument, executable (see [`compose`] and the [`Dag`] scheduler in
@@ -77,8 +79,8 @@ pub mod topology;
 
 pub use aggregation::{
     ab_sub, aggregate, aggregate_and_broadcast, aggregation_sub, multi_aggregate,
-    multi_aggregate_sub, sync_barrier, AbSub, AggregationSpec, AggregationSub, GroupedDeliveries,
-    MultiAggSub,
+    multi_aggregate_sub, multicast_aggregate_sub, send_due, sync_barrier, AbSub, AggregationSpec,
+    AggregationSub, GroupedDeliveries, McAggSub, MultiAggSub, ScheduleProgram, ScheduleState,
 };
 pub use combine::{Aggregate, MaxU64, MinByKey, MinU64, SumPair, SumU64, XorPair, XorSum, XorU64};
 pub use compose::{lane_seed, Dag, DagOutputs, Dep, Deps, Lane, LaneSub, ProtoNode, StageEnd};

@@ -81,12 +81,7 @@ impl RecordState {
     }
 }
 
-struct RecordProgram {
-    bf: Butterfly,
-    hashes: RouteHashes,
-}
-
-impl RecordProgram {
+impl RecordScatterProgram {
     /// A registration lands on `(0, α)`: the join packet enters the
     /// butterfly here, so this is where its route is evaluated.
     fn inject(&self, st: &mut RecordState, alpha: u32, group: u64) {
@@ -143,21 +138,6 @@ impl RecordProgram {
     }
 }
 
-/// Assembles the recorded forest from the per-column recording states.
-fn trees_from_states(n: usize, d: u32, rec_states: Vec<RecordState>) -> MulticastTrees {
-    let mut trees = MulticastTrees {
-        d,
-        n,
-        leaves: Vec::with_capacity(n),
-        in_edges: Vec::with_capacity(n),
-    };
-    for st in rec_states {
-        trees.leaves.push(st.leaves);
-        trees.in_edges.push(st.in_edges);
-    }
-    trees
-}
-
 // ---------------------------------------------------------------------------
 // The setup pipeline and its lane-composable sub-protocol
 // ---------------------------------------------------------------------------
@@ -196,16 +176,16 @@ pub struct RecordScatterState {
 /// become the leaves `l(i, u)` — while earlier join packets already route
 /// toward their roots, recording in-edges.
 pub struct RecordScatterProgram {
-    record: RecordProgram,
+    bf: Butterfly,
+    hashes: RouteHashes,
     batch: usize,
-    columns: u32,
 }
 
 impl RecordScatterProgram {
     fn scatter(&self, st: &mut RecordScatterState, ctx: &mut Ctx<'_, SetupMsg>) {
         let take = st.to_send.len().min(self.batch);
         for (group, member) in st.to_send.drain(..take) {
-            let col = ctx.rng().gen_range(0..self.columns);
+            let col = ctx.rng().gen_range(0..self.bf.columns() as u32);
             ctx.send(col, SetupMsg::Join { group, member });
         }
         if !st.to_send.is_empty() {
@@ -228,8 +208,8 @@ impl NodeProgram for RecordScatterProgram {
         inbox: &[Envelope<SetupMsg>],
         ctx: &mut Ctx<'_, SetupMsg>,
     ) {
-        if self.record.bf.emulates(ctx.id) {
-            let alpha = self.record.bf.column_of(ctx.id);
+        if self.bf.emulates(ctx.id) {
+            let alpha = self.bf.column_of(ctx.id);
             for env in inbox {
                 match env.payload {
                     SetupMsg::Join { group, member } => {
@@ -238,30 +218,28 @@ impl NodeProgram for RecordScatterProgram {
                             .entry(group)
                             .or_default()
                             .push(member as NodeId);
-                        self.record.inject(&mut st.rec, alpha, group);
+                        self.inject(&mut st.rec, alpha, group);
                     }
                     SetupMsg::Route {
                         level,
                         group,
                         route,
                     } => {
-                        self.record
-                            .insert(&mut st.rec, alpha, level as u32, group, route, true);
+                        self.insert(&mut st.rec, alpha, level as u32, group, route, true);
                     }
                 }
             }
             self.scatter(st, ctx);
-            self.record
-                .step(&mut st.rec, alpha, &mut |dst, level, group, route| {
-                    ctx.send(
-                        dst,
-                        SetupMsg::Route {
-                            level,
-                            group,
-                            route,
-                        },
-                    )
-                });
+            self.step(&mut st.rec, alpha, &mut |dst, level, group, route| {
+                ctx.send(
+                    dst,
+                    SetupMsg::Route {
+                        level,
+                        group,
+                        route,
+                    },
+                )
+            });
             if !st.rec.queue.is_empty() {
                 ctx.stay_awake();
             }
@@ -300,14 +278,22 @@ pub fn multicast_setup_sub(
         })
         .collect();
     let prog = RecordScatterProgram {
-        record: RecordProgram { bf, hashes },
+        bf,
+        hashes,
         batch: logn,
-        columns: bf.columns() as u32,
     };
     Lane::new(prog, states, |st| {
-        let n = st.len();
-        let d = Butterfly::for_n(n).d();
-        trees_from_states(n, d, st.into_iter().map(|s| s.rec).collect())
+        let (n, d) = (st.len(), Butterfly::for_n(st.len()).d());
+        let (leaves, in_edges) = st
+            .into_iter()
+            .map(|s| (s.rec.leaves, s.rec.in_edges))
+            .unzip();
+        MulticastTrees {
+            d,
+            n,
+            leaves,
+            in_edges,
+        }
     })
     .seeded(lane_seed)
 }
@@ -478,9 +464,10 @@ mod tests {
             let gid = GroupId::new(member, sub);
             let group = gid.raw();
             let fresh = fresh_route(&shared, &bf, n, false, group);
-            let record = RecordProgram {
+            let record = RecordScatterProgram {
                 bf,
                 hashes: RouteHashes::new(&shared, &bf, n),
+                batch: 1,
             };
 
             // up: the join packet records the path leaf → root
@@ -506,7 +493,8 @@ mod tests {
             proptest::prop_assert_eq!(col, fresh.target);
 
             // down: the source's packet retraces it root → leaf
-            let trees = trees_from_states(n, d, rec);
+            let (leaves, in_edges) = rec.into_iter().map(|s| (s.leaves, s.in_edges)).unzip();
+            let trees = MulticastTrees { d, n, leaves, in_edges };
             let mut messages = vec![None; n];
             messages[member as usize] = Some((gid, 7u64));
             let mut spread = spread_states(messages);

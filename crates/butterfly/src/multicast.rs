@@ -16,19 +16,21 @@
 //! All three run in the same rounds of one program — the [`MulticastSub`]
 //! lane, one stage and one [`sync_barrier`](crate::aggregation::sync_barrier).
 //! [`multicast`] drives that lane alone; algorithms pack it next to others
-//! in a [`Dag`](crate::compose::Dag). The spreading half
-//! (`spread_arrive`/`spread_step`) is shared with Multi-Aggregation, where
-//! it is the [`SpreadFront`](crate::aggregation::SpreadFront) of the one
-//! combining pipeline: there each leaf arrival is re-keyed and scattered
-//! instead of delivered. Both programs borrow the [`MulticastTrees`] and
-//! read a column's recorded edges and leaves there, so starting a
-//! multicast copies none of it.
+//! in a [`Dag`](crate::compose::Dag). The spread has one implementation,
+//! `TreeSpread`, shared with two fronts of the combining pipeline:
+//! Multi-Aggregation's [`SpreadFront`](crate::aggregation::SpreadFront),
+//! where each leaf arrival is re-keyed and scattered instead of
+//! delivered, and the member-fired combine's
+//! [`MulticastFront`](crate::aggregation::MulticastFront), which runs
+//! spread *and* delivery as here and lets each member fire on its copy.
+//! All of them borrow the [`MulticastTrees`] and read a column's recorded
+//! edges and leaves there, so starting a multicast copies none of it.
 
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
 use rand::Rng;
 
-use crate::aggregation::{GroupedDeliveries, LevelMsg, RouteHashes};
+use crate::aggregation::{delivery_window, GroupedDeliveries, LevelMsg, PacketMsg, RouteHashes};
 use crate::compose::{lane_seed, Lane};
 use crate::mctree::MulticastTrees;
 use crate::queue::{LevelOrder, Route, RouteQueue};
@@ -136,7 +138,138 @@ pub(crate) fn spread_states<V: Payload>(
 }
 
 // ---------------------------------------------------------------------------
-// The pipeline and its lane-composable sub-protocol
+// Spread and leaf delivery (shared with the member-fired combine)
+// ---------------------------------------------------------------------------
+
+/// Per-node state of a spread that delivers at its leaves.
+pub struct SpreadDeliverState<V, R> {
+    pub(crate) spread: SpreadState<V>,
+    /// `(due round, member, group, value)` — leaf deliveries in flight.
+    scheduled: Vec<(u64, NodeId, u64, V)>,
+    /// What this node got as a member: the copies themselves (the
+    /// multicast), or how many copies it fired on (the member-fired
+    /// combine).
+    pub(crate) got: R,
+}
+
+impl<V, R> SpreadDeliverState<V, R> {
+    /// `true` while packets wait to spread or deliveries are due.
+    pub(crate) fn busy(&self) -> bool {
+        !self.spread.queue.is_empty() || !self.scheduled.is_empty()
+    }
+}
+
+/// Per-node spread-and-deliver states: empty queues, the sources'
+/// packets, nothing got yet.
+pub(crate) fn spread_deliver_states<V: Payload, R: Default>(
+    messages: Vec<Option<(GroupId, V)>>,
+) -> Vec<SpreadDeliverState<V, R>> {
+    spread_states(messages)
+        .into_iter()
+        .map(|spread| SpreadDeliverState {
+            spread,
+            scheduled: Vec::new(),
+            got: R::default(),
+        })
+        .collect()
+}
+
+/// The tree spread of Theorem 2.5 at one node, for every program that
+/// spreads down the recorded trees: the multicast, Multi-Aggregation's
+/// [`SpreadFront`](crate::aggregation::SpreadFront) and the member-fired
+/// combine's [`MulticastFront`](crate::aggregation::MulticastFront).
+#[derive(Clone, Copy)]
+pub(crate) struct TreeSpread<'a> {
+    pub(crate) bf: Butterfly,
+    pub(crate) trees: &'a MulticastTrees,
+}
+
+impl TreeSpread<'_> {
+    /// Round 0: a source sends its packet to its tree's root `h(group)`
+    /// on level `d` (step 1 of Theorem 2.5), wrapped for the wire by
+    /// `wrap`; a node that sources no group sends nothing.
+    pub(crate) fn fire<V: Payload, M: Payload>(
+        &self,
+        hashes: &RouteHashes,
+        st: &mut SpreadState<V>,
+        ctx: &mut Ctx<'_, M>,
+        wrap: fn(LevelMsg<V>) -> M,
+    ) {
+        if let Some((group, value)) = st.source_packet.take() {
+            let (route, level) = (hashes.route(group), self.bf.d() as u8);
+            let msg = LevelMsg {
+                level,
+                group,
+                route,
+                value,
+            };
+            ctx.send(self.bf.emulator(route.target), wrap(msg));
+        }
+    }
+
+    /// A spreading packet arrives at node `me`'s column.
+    pub(crate) fn arrive<V: Payload>(&self, st: &mut SpreadState<V>, me: NodeId, m: &LevelMsg<V>) {
+        debug_assert!(self.bf.emulates(me), "routing reaches emulators only");
+        let (alpha, level, value) = (self.bf.column_of(me), m.level as u32, m.value.clone());
+        spread_arrive(self.trees, st, alpha, level, m.group, m.route, value);
+    }
+
+    /// One spreading step at an emulator's column ([`spread_step`]), its
+    /// cross-edge sends wrapped by `wrap`.
+    pub(crate) fn spread<V: Payload, M: Payload>(
+        &self,
+        st: &mut SpreadState<V>,
+        budget: &mut usize,
+        ctx: &mut Ctx<'_, M>,
+        wrap: fn(LevelMsg<V>) -> M,
+    ) {
+        let alpha = self.bf.column_of(ctx.id);
+        let mut emit = |dst, msg| ctx.send(dst, wrap(msg));
+        spread_step(&self.bf, self.trees, st, alpha, budget, &mut emit);
+    }
+
+    /// One round of spread and delivery at an emulator's column, streamed:
+    /// spread one packet per down-edge, schedule every fresh leaf arrival
+    /// for delivery in a uniformly random round of the next
+    /// `window = ⌈ℓ̂/log n⌉` rounds — the paper's load-smoothing rule, with
+    /// no barrier between spreading and delivery — and send the due
+    /// deliveries in scheduling order (deterministic). Every send debits
+    /// `budget`; a due delivery that finds it spent waits a round.
+    pub(crate) fn deliver<V: Payload, R, M: Payload>(
+        &self,
+        st: &mut SpreadDeliverState<V, R>,
+        window: u64,
+        budget: &mut usize,
+        ctx: &mut Ctx<'_, M>,
+        route: fn(LevelMsg<V>) -> M,
+        deliver: fn(PacketMsg<V>) -> M,
+    ) {
+        self.spread(&mut st.spread, budget, ctx, route);
+        // delay 1 = this round's send
+        for (group, member, value) in st.spread.at_leaves.drain(..) {
+            let due = ctx.round + ctx.rng().gen_range(1..=window) - 1;
+            st.scheduled.push((due, member, group, value));
+        }
+        // one O(k) pass: sends move out, survivors are re-collected in order
+        let now = ctx.round;
+        let pending = std::mem::take(&mut st.scheduled);
+        st.scheduled = pending
+            .into_iter()
+            .filter_map(|(due, member, group, value)| {
+                if due <= now && *budget > 0 {
+                    *budget -= 1;
+                    ctx.send(member, deliver(PacketMsg { group, value }));
+                    None
+                } else {
+                    Some((due, member, group, value))
+                }
+            })
+            .collect();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The multicast program and its lane-composable sub-protocol
 // ---------------------------------------------------------------------------
 
 /// Wire format of the multicast pipeline: tree routing + leaf delivery
@@ -146,7 +279,7 @@ pub enum McMsg<V> {
     /// A packet spreading down its tree.
     Route(LevelMsg<V>),
     /// A leaf delivering a packet to a member.
-    Deliver(crate::aggregation::PacketMsg<V>),
+    Deliver(PacketMsg<V>),
 }
 
 impl<V: Payload> Payload for McMsg<V> {
@@ -158,107 +291,48 @@ impl<V: Payload> Payload for McMsg<V> {
     }
 }
 
-/// Per-node state of the multicast pipeline.
-pub struct SpreadDeliverState<V> {
-    spread: SpreadState<V>,
-    /// `(due round, member, group, value)` — leaf deliveries in flight.
-    scheduled: Vec<(u64, NodeId, u64, V)>,
-    received: Vec<(GroupId, V)>,
-}
-
-/// The Multicast pipeline (Theorem 2.5, streamed): packets spread down
-/// the recorded trees and every leaf arrival is *immediately* scheduled
-/// for delivery in a uniformly random round of the next
-/// `window = ⌈ℓ̂/log n⌉` rounds — the paper's load-smoothing rule, with no
-/// barrier between spreading and delivery.
+/// The Multicast pipeline (Theorem 2.5, streamed): sources fire at the
+/// roots in round 0, then `TreeSpread::deliver` spreads and delivers;
+/// a member keeps its copies.
 pub struct SpreadDeliverProgram<'a, V> {
-    bf: Butterfly,
+    spread: TreeSpread<'a>,
     hashes: RouteHashes,
-    trees: &'a MulticastTrees,
     window: u64,
     _pd: std::marker::PhantomData<V>,
 }
 
+/// Per-node state of the multicast: the copies a member received.
+type McState<V> = SpreadDeliverState<V, Vec<(GroupId, V)>>;
+
 impl<V: Payload> NodeProgram for SpreadDeliverProgram<'_, V> {
-    type State = SpreadDeliverState<V>;
+    type State = McState<V>;
     type Payload = McMsg<V>;
 
-    fn init(&self, st: &mut SpreadDeliverState<V>, ctx: &mut Ctx<'_, McMsg<V>>) {
-        if let Some((group, value)) = st.spread.source_packet.take() {
-            let route = self.hashes.route(group);
-            ctx.send(
-                self.bf.emulator(route.target),
-                McMsg::Route(LevelMsg {
-                    level: self.bf.d() as u8,
-                    group,
-                    route,
-                    value,
-                }),
-            );
-        }
+    fn init(&self, st: &mut McState<V>, ctx: &mut Ctx<'_, McMsg<V>>) {
+        self.spread
+            .fire(&self.hashes, &mut st.spread, ctx, McMsg::Route);
     }
 
     fn round(
         &self,
-        st: &mut SpreadDeliverState<V>,
+        st: &mut McState<V>,
         inbox: &[Envelope<McMsg<V>>],
         ctx: &mut Ctx<'_, McMsg<V>>,
     ) {
         for env in inbox {
             match &env.payload {
-                McMsg::Deliver(p) => st.received.push((GroupId(p.group), p.value.clone())),
-                McMsg::Route(m) => {
-                    debug_assert!(self.bf.emulates(ctx.id), "routing reaches emulators only");
-                    spread_arrive(
-                        self.trees,
-                        &mut st.spread,
-                        self.bf.column_of(ctx.id),
-                        m.level as u32,
-                        m.group,
-                        m.route,
-                        m.value.clone(),
-                    );
-                }
+                McMsg::Deliver(p) => st.got.push((GroupId(p.group), p.value.clone())),
+                McMsg::Route(m) => self.spread.arrive(&mut st.spread, ctx.id, m),
             }
         }
-        if !self.bf.emulates(ctx.id) {
+        if !self.spread.bf.emulates(ctx.id) {
             return; // members only ever receive Deliver messages
         }
-        let alpha = self.bf.column_of(ctx.id);
         let mut unpaced = usize::MAX;
-        spread_step(
-            &self.bf,
-            self.trees,
-            &mut st.spread,
-            alpha,
-            &mut unpaced,
-            &mut |dst, msg| ctx.send(dst, McMsg::Route(msg)),
-        );
-        // schedule fresh leaf arrivals: deliver in a uniform round of the
-        // next `window` rounds (delay 1 = this round's send)
-        for (group, member, value) in st.spread.at_leaves.drain(..) {
-            let due = ctx.round + ctx.rng().gen_range(1..=self.window) - 1;
-            st.scheduled.push((due, member, group, value));
-        }
-        // flush due deliveries in scheduling order (deterministic), one
-        // O(k) pass — sends move out, survivors are re-collected in order
-        let now = ctx.round;
-        let pending = std::mem::take(&mut st.scheduled);
-        st.scheduled = pending
-            .into_iter()
-            .filter_map(|(due, member, group, value)| {
-                if due <= now {
-                    ctx.send(
-                        member,
-                        McMsg::Deliver(crate::aggregation::PacketMsg { group, value }),
-                    );
-                    None
-                } else {
-                    Some((due, member, group, value))
-                }
-            })
-            .collect();
-        if !st.spread.queue.is_empty() || !st.scheduled.is_empty() {
+        let (route, deliver) = (McMsg::Route, McMsg::Deliver);
+        self.spread
+            .deliver(st, self.window, &mut unpaced, ctx, route, deliver);
+        if st.busy() {
             ctx.stay_awake();
         }
     }
@@ -283,26 +357,14 @@ pub fn multicast_sub<'a, V: Payload>(
 ) -> MulticastSub<'a, V> {
     assert_eq!(messages.len(), n);
     let bf = Butterfly::for_n(n);
-    let hashes = RouteHashes::new(shared, &bf, n);
-    let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let window = (ell_hat.div_ceil(logn)).max(1) as u64;
-    let states: Vec<SpreadDeliverState<V>> = spread_states(messages)
-        .into_iter()
-        .map(|spread| SpreadDeliverState {
-            spread,
-            scheduled: Vec::new(),
-            received: Vec::new(),
-        })
-        .collect();
     let prog = SpreadDeliverProgram {
-        bf,
-        hashes,
-        trees,
-        window,
+        spread: TreeSpread { bf, trees },
+        hashes: RouteHashes::new(shared, &bf, n),
+        window: delivery_window(n, ell_hat),
         _pd: std::marker::PhantomData,
     };
-    Lane::new(prog, states, |st| {
-        st.into_iter().map(|s| s.received).collect()
+    Lane::new(prog, spread_deliver_states(messages), |st| {
+        st.into_iter().map(|s| s.got).collect()
     })
     .seeded(lane_seed)
 }

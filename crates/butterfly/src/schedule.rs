@@ -113,8 +113,10 @@ use crate::compose::{Dag, DagOutputs, Deps, LaneSub, NodeState, StageEnd};
 
 /// The default per-node parallel-instance budget: `2·⌈log₂ n⌉`, floored at
 /// 6 so degenerate tiny networks still pack a useful antichain. `O(log n)`,
-/// as §2 requires. MST's FindMin sizes itself by it: `budget − 1` bucket
-/// lanes plus its coin lane fill a step-0 stage exactly.
+/// as §2 requires. MST's FindMin sizes its arity by it: `B = budget − 1`
+/// buckets per step, all in one fused lane, so every node is a member of
+/// and every leader the target of at most `B = Θ(log n)` groups
+/// (Theorem 2.3 with `ℓ₁ = ℓ̂₂ = B`).
 pub fn default_lane_budget(n: usize) -> usize {
     (2 * ncc_model::ilog2_ceil(n) as usize).max(6)
 }
@@ -720,7 +722,7 @@ mod tests {
             "agg",
             &[],
             move |_| aggregation_sub(n, shared, one_message(n, 25), &SumU64, 9),
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let run = dag.run(&mut eng).unwrap();
         // combine + barrier + delivery + pad to the bound ⌈25/5⌉ + 1 = 6
@@ -745,7 +747,7 @@ mod tests {
             "agg",
             &[],
             move |_| aggregation_sub(n, shared, one_message(n, 5000), &SumU64, 9),
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let run = dag.run(&mut eng).unwrap();
         let st = &run.report.stages;
@@ -805,7 +807,7 @@ mod tests {
             "agg",
             &[],
             move |_| aggregation_sub(n, shared, agg_spec(n), &SumU64, 9),
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         for j in 0..3u64 {
             dag.proto(

@@ -46,7 +46,7 @@ fn fused_aggregation_matches_blocking_outputs() {
     let mut eng = engine(n, 3);
     let mut sub = aggregation_sub(n, &shared, spec, &SumU64, 99);
     let rep = run_fused(&mut eng, &mut [&mut sub]);
-    let fused = sub.into_deliveries();
+    let fused = sub.into_results();
 
     assert_eq!(rep.stages, 2, "aggregation is two stages");
     for t in 0..n {
@@ -85,7 +85,7 @@ fn blocking_aggregate_equals_one_node_dag() {
         "agg",
         &[],
         |_| aggregation_sub(n, &shared, spec, &SumU64, seed),
-        |sub| sub.into_deliveries(),
+        |sub| sub.into_results(),
     );
     let mut run = dag.run(&mut eng).unwrap();
 
@@ -226,7 +226,7 @@ fn heterogeneous_lanes_share_rounds() {
     }
     assert_eq!(ab.into_results(), ab_seq);
     for (sub, lane) in lanes.into_iter().enumerate() {
-        let got = lane.into_deliveries();
+        let got = lane.into_results();
         // per-group sums must match the sequential run's (delivery order
         // within a node may differ)
         for u in 0..n {
@@ -236,5 +236,103 @@ fn heterogeneous_lanes_share_rounds() {
                 "lane {sub} node {u}"
             );
         }
+    }
+}
+
+/// The member-fired combine on random component trees, at n = 48 and
+/// 100 (nodes 32–47 and 64–99 emulate no column, yet are members) and
+/// n = 64. Each member's map runs exactly once per copy, on that member
+/// (`me` is a node that joined the group), and the deliveries equal a
+/// sequential oracle: every member's map output on its source's packet,
+/// plus every node's own packets, summed per group. Threads 1 and 4
+/// give the same bytes.
+#[test]
+fn member_fired_combine_matches_a_sequential_oracle() {
+    use ncc_butterfly::{multicast_aggregate_sub, run_alone, self_joins};
+    use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicU32, Ordering};
+    for n in [48usize, 64, 100] {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(n as u64);
+        // a random forest of components: every node picks a leader among
+        // n/8 sources, and every source's group is a tree of its members
+        let sources: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.125)).collect();
+        let leader: Vec<u32> = (0..n)
+            .map(|_| sources[rng.gen_range(0..sources.len())])
+            .collect();
+        let group = |s: u32| GroupId::new(s, 3);
+        let value = |s: u32| 7 + 13 * s as u64;
+        let joins: Vec<Vec<GroupId>> = (0..n as u32)
+            .map(|u| (leader[u as usize] != u).then(|| group(leader[u as usize])))
+            .map(|g| g.into_iter().collect())
+            .collect();
+        let messages: Vec<Option<(GroupId, u64)>> = (0..n as u32)
+            .map(|u| sources.contains(&u).then(|| (group(u), value(u))))
+            .collect();
+        let own: Vec<Vec<(GroupId, u64)>> = (0..n as u32)
+            .map(|u| vec![(GroupId::new(u % 5, 9), u as u64)])
+            .collect();
+        // a member fires one packet per bucket to its source, and one to
+        // a target of its own choosing: its input, not the leaf's
+        let map = |me: u32, g: GroupId, v: &u64, out: &mut Vec<(GroupId, u64)>| {
+            out.extend(
+                (0..3).map(|j| (GroupId::new(g.target(), 16 + j), v + me as u64 * j as u64)),
+            );
+            out.push((GroupId::new(me / 4, 20), 1));
+        };
+        let mut oracle: std::collections::BTreeMap<GroupId, u64> = Default::default();
+        for u in 0..n as u32 {
+            let mut fired = own[u as usize].clone();
+            for &g in &joins[u as usize] {
+                map(u, g, &value(g.target()), &mut fired);
+            }
+            for (g, v) in fired {
+                *oracle.entry(g).or_default() += v;
+            }
+        }
+        let run = |threads| {
+            let calls: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+            let counted = |me: u32, g: GroupId, v: &u64, out: &mut Vec<(GroupId, u64)>| {
+                assert!(
+                    joins[me as usize].contains(&g),
+                    "{g:?} fired on non-member {me}"
+                );
+                calls[me as usize].fetch_add(1, Ordering::SeqCst);
+                map(me, g, v, out);
+            };
+            let shared = SharedRandomness::new(n as u64 ^ 0x5eed);
+            let mut eng = Engine::new(NetConfig::new(n, 9).with_threads(threads));
+            let (trees, _) = multicast_setup(&mut eng, &shared, self_joins(joins.clone())).unwrap();
+            let spec = AggregationSpec {
+                memberships: own.clone(),
+                ell2_hat: 8,
+            };
+            let sub = multicast_aggregate_sub(
+                &shared,
+                &trees,
+                messages.clone(),
+                counted,
+                spec,
+                &SumU64,
+                4,
+            );
+            let (out, stats) = run_alone(&mut eng, sub, |s| s.into_results()).unwrap();
+            let calls: Vec<u32> = calls.iter().map(|c| c.load(Ordering::SeqCst)).collect();
+            (out, stats, calls)
+        };
+        let (out, stats, calls) = run(1);
+        assert!(stats.clean(), "n={n}");
+        for u in 0..n {
+            let copies = joins[u].len() as u32;
+            assert_eq!((out[u].0, calls[u]), (copies, copies), "n={n}, node {u}");
+            let mine = oracle.range(GroupId::new(u as u32, 0)..GroupId::new(u as u32 + 1, 0));
+            let want: Vec<_> = mine.map(|(&g, &v)| (g, v)).collect();
+            assert_eq!(sorted(out[u].1.clone()), want, "n={n}, node {u}");
+        }
+        let again = run(4);
+        assert_eq!(
+            format!("{:?}", (&out, &stats, &calls)),
+            format!("{again:?}"),
+            "n={n}"
+        );
     }
 }

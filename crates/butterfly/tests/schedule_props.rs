@@ -91,7 +91,7 @@ fn run_hand_fused(
     };
     let deliveries = lanes
         .into_iter()
-        .map(|l| l.into_deliveries().into_iter().map(sorted).collect())
+        .map(|l| l.into_results().into_iter().map(sorted).collect())
         .collect();
     (deliveries, ab.into_results(), stats.rounds)
 }
@@ -121,7 +121,7 @@ fn run_dag(
                 format!("agg{sub}"),
                 &[],
                 move |_| aggregation_sub(n, shared, make_spec(n, sub), &SumU64, 40 + sub as u64),
-                |s| s.into_deliveries(),
+                |s| s.into_results(),
             )
         })
         .collect();
@@ -172,7 +172,7 @@ fn run_chain_sequential(
     let shared = SharedRandomness::new(seed ^ 0xF00D);
     let mut eng = engine(n, seed, 1, unbounded);
     let agg = aggregation_sub(n, &shared, make_spec(n, 0), &SumU64, 40);
-    let (deliveries, agg_stats) = run_alone(&mut eng, agg, |s| s.into_deliveries()).unwrap();
+    let (deliveries, agg_stats) = run_alone(&mut eng, agg, |s| s.into_results()).unwrap();
     let deliveries: Vec<_> = deliveries.into_iter().map(sorted).collect();
     let (ab, ab_stats) =
         aggregate_and_broadcast(&mut eng, delivered_sums(&deliveries), &SumU64).unwrap();
@@ -200,7 +200,7 @@ fn run_chain_dag(
         "agg",
         &[],
         move |_| aggregation_sub(n, shared, make_spec(n, 0), &SumU64, 40),
-        |s| s.into_deliveries(),
+        |s| s.into_results(),
     );
     let sums = dag.compute("sums", &[agg.into()], move |d| {
         delivered_sums(d.get(agg).as_slice())
@@ -405,7 +405,7 @@ proptest! {
         let mut dag = Dag::new();
         let shared = &shared;
         dag.proto("agg", &[], move |_| aggregation_sub(n, shared, spec(), &SumU64, 40), |s| {
-            s.into_deliveries()
+            s.into_results()
         });
         let run = dag.run(&mut eng).unwrap();
         prop_assert_eq!(run.stats, fused);
@@ -493,7 +493,7 @@ fn packed_heavy_aggregations_keep_the_send_cap() {
                 format!("agg{sub}"),
                 &[],
                 move |_| aggregation_sub(n, shared, spec, &SumU64, 40 + u64::from(sub)),
-                |s| s.into_deliveries(),
+                |s| s.into_results(),
             );
         }
         let run = dag

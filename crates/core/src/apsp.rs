@@ -176,11 +176,9 @@ pub fn landmark_apsp(
             |s| s.into_results(),
         );
 
-        let mut run = dag.run(engine)?;
-        report.push(format!("phase{phase}"), run.stats);
-        let (new_dist, next, _) = run.outputs.take(combine);
-        let any_new = run.outputs.take(check);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
+        let (new_dist, next, _) = run.take(combine);
+        let any_new = run.take(check);
 
         dist = new_dist;
         frontiers = next;

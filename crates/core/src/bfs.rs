@@ -98,11 +98,9 @@ pub fn bfs(
             |s| s.into_results(),
         );
 
-        let mut run = dag.run(engine)?;
-        report.push(format!("phase{phase}"), run.stats);
-        let mins = run.outputs.take(spread);
-        let any_new = run.outputs.take(check);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
+        let mins = run.take(spread);
+        let any_new = run.take(check);
 
         let mut next = Vec::new();
         for v in 0..n {

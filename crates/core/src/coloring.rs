@@ -111,12 +111,10 @@ pub fn coloring(
         move |_| ab_sub(n, level_inputs, &MaxU64),
         |s| s.into_results(),
     );
-    let mut run = dag.run(engine)?;
-    report.push("in-trees+agree", run.stats);
-    let in_trees = run.outputs.take(trees);
-    let a_hat = run.outputs.take(ahat)[0].unwrap_or(0) as usize;
-    let t_max = run.outputs.take(level)[0].unwrap_or(0) as u32;
-    plan.merge(run.report);
+    let mut run = report.run_dag("in-trees+agree", dag, engine, &mut plan)?;
+    let in_trees = run.take(trees);
+    let a_hat = run.take(ahat)[0].unwrap_or(0) as usize;
+    let t_max = run.take(level)[0].unwrap_or(0) as u32;
 
     // palette [2(1+ε)â] with ε = ¼, padded so â = 1 stays feasible
     let palette = (2 * a_hat + a_hat.div_ceil(2) + 2) as u32;
@@ -247,7 +245,7 @@ pub fn coloring(
                         perm_out_seed,
                     )
                 },
-                |s| s.into_deliveries(),
+                |s| s.into_results(),
             );
             // --- is this level done? The check consumes the keep decision
             // but must run after the announcements (the deps serialise it,
@@ -269,13 +267,11 @@ pub fn coloring(
                 |s| s.into_results(),
             );
 
-            let mut run = dag.run(engine)?;
-            report.push(format!("l{li}:r{rep}"), run.stats);
-            let keeps = run.outputs.take(keeps);
-            let perm_in = run.outputs.take(perm_in);
-            let perm_out = run.outputs.take(perm_out);
-            let remaining = run.outputs.take(check);
-            plan.merge(run.report);
+            let mut run = report.run_dag(format!("l{li}:r{rep}"), dag, engine, &mut plan)?;
+            let keeps = run.take(keeps);
+            let perm_in = run.take(perm_in);
+            let perm_out = run.take(perm_out);
+            let remaining = run.take(check);
 
             // apply: winners fix their colors; everyone strikes heard colors
             for u in 0..n {

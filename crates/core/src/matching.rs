@@ -142,7 +142,7 @@ pub fn maximal_matching(
                     accept_seed,
                 )
             },
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let check = dag.proto(
             format!("p{phase}:check"),
@@ -156,12 +156,10 @@ pub fn maximal_matching(
             },
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("phase{phase}:select"), run.stats);
-        let pick = run.outputs.take(choose);
-        let accepted_in = run.outputs.take(accept);
-        let still_pairable = run.outputs.take(check)[0].is_some();
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("phase{phase}:select"), dag, engine, &mut plan)?;
+        let pick = run.take(choose);
+        let accepted_in = run.take(accept);
+        let still_pairable = run.take(check)[0].is_some();
         if !still_pairable {
             break;
         }
@@ -241,11 +239,9 @@ pub fn maximal_matching(
             },
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("phase{phase}:resolve"), run.stats);
-        let (_, proposed) = run.outputs.take(chain);
-        let props = run.outputs.take(propose);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("phase{phase}:resolve"), dag, engine, &mut plan)?;
+        let (_, proposed) = run.take(chain);
+        let props = run.take(propose);
 
         for x in 0..n {
             if let Some(y) = proposed[x] {

@@ -154,12 +154,10 @@ pub fn mis(
             |s| s.into_results(),
         );
 
-        let mut run = dag.run(engine)?;
-        report.push(format!("phase{phase}"), run.stats);
-        let joined = run.outputs.take(pick);
-        let hit = run.outputs.take(announce);
-        let any = run.outputs.take(check);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
+        let joined = run.take(pick);
+        let hit = run.take(announce);
+        let any = run.take(check);
 
         for u in 0..n {
             if joined[u] {

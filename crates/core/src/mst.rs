@@ -9,19 +9,24 @@
 //!    minimum outgoing edge by search over the combined `(weight ∘ arc id)`
 //!    key space. Each step splits the live range into
 //!    `B = default_lane_budget(n) − 1` buckets (`2⌈log₂ n⌉ − 1`, so 11 at
-//!    n = 64) and asks, **concurrently**, "does the component have an
-//!    outgoing arc with key in bucket `j`?" — one Aggregation *lane* per
-//!    bucket, multiplexed into the same rounds (the §2 "run `Θ(log n)`
-//!    instances in parallel" argument, executed literally). A bucket's
-//!    answer compares the XOR sketches `h↑(C)` and `h↓(C)` (§3): internal
-//!    edges contribute the same arc ids to both sums and cancel; outgoing
-//!    arcs survive. The leader descends into the smallest non-empty
-//!    bucket, so the search takes `⌈log_B range⌉` steps instead of
-//!    `⌈log₂ range⌉` — with `range = poly(n)`, `O(log n / log log n)`
-//!    steps per phase instead of `O(log n)`. One range multicast precedes
-//!    each step (step 0 needs none: the initial range is common knowledge,
-//!    and the coin multicast rides the step-0 lanes instead, so that
-//!    antichain fills the lane budget exactly);
+//!    n = 64) and asks, for all of them at once, "does the component have
+//!    an outgoing arc with key in bucket `j`?" — one aggregation group per
+//!    bucket and leader. A bucket's answer compares the XOR sketches
+//!    `h↑(C)` and `h↓(C)` (§3): internal edges contribute the same arc ids
+//!    to both sums and cancel; outgoing arcs survive. The leader descends
+//!    into the smallest non-empty bucket, so the search takes
+//!    `⌈log_B range⌉` steps instead of `⌈log₂ range⌉` — with
+//!    `range = poly(n)`, `O(log n / log log n)` steps per phase instead of
+//!    `O(log n)`. Every node is a member of at most `B` bucket groups per
+//!    step and every leader the target of `B`, so by Theorem 2.3 with
+//!    `ℓ₁ = ℓ̂₂ = B = Θ(log n)` a step's combine stays `O(L/n + log n)`
+//!    rounds. Each step is **one fused stage**
+//!    ([`multicast_aggregate_sub`]): the leader's range `[lo, hi)` goes
+//!    down the component tree and each member, in the round its copy
+//!    lands, makes one pass over its own arcs and fires its `B` sketch
+//!    pairs into the combine. Step 0 needs no multicast: its range is
+//!    common knowledge, so every node fires from round 0, and the coin
+//!    multicast rides beside it;
 //! 3. the inside endpoint of the minimum outgoing edge joins the outside
 //!    endpoint's multicast group and learns its component's coin and
 //!    leader (Theorem 2.4 + 2.5);
@@ -32,20 +37,18 @@
 //! `O(log n)` phases merge everything w.h.p. \[23, 24\].
 
 //!
-//! Every execution group is declared as a protocol [`Dag`]: the `B`
-//! FindMin bucket lanes (plus the step-0 coin multicast) are an antichain
-//! the scheduler packs into one mux, the range multicast feeds the bucket
-//! memberships through a compute node, and the link/adopt chains thread
-//! typed outputs (exchange inboxes) into downstream build closures. Each
-//! FindMin delivery and the round-1 `adopt` exchange have a length every
-//! node knows, so their stages end on the clock (a pad), not a barrier; the
-//! link trees, which the multicast after them borrows, go through a cell
-//! that outlives the DAG.
+//! Every execution group is declared as a protocol [`Dag`]: a FindMin
+//! step is one node (plus the coin multicast at step 0), and the
+//! link/adopt chains thread typed outputs (exchange inboxes) into
+//! downstream build closures. Each FindMin delivery and the round-1
+//! `adopt` exchange have a length every node knows, so their stages end
+//! on the clock (a pad), not a barrier; the link trees, which the
+//! multicast after them borrows, go through a cell that outlives the DAG.
 
 use std::cell::OnceCell;
 
 use ncc_butterfly::{
-    ab_sub, aggregate_and_broadcast, aggregation_sub, default_lane_budget, lane_seed,
+    ab_sub, aggregate_and_broadcast, default_lane_budget, lane_seed, multicast_aggregate_sub,
     multicast_setup_sub, multicast_sub, AggregationSpec, Dag, GroupId, MaxU64, SchedReport,
     XorPair,
 };
@@ -66,35 +69,28 @@ const FIND_SUB: u32 = 12; // FindMin sketch aggregation (target = leader), ∘ b
 /// still `O(log n)` bits.
 const SKETCH_TRIALS: usize = 40;
 
-/// FindMin search arity on `n` nodes: buckets probed concurrently per
-/// step, one aggregation lane each, so that the step-0 antichain (every
-/// bucket plus the coin multicast) fills the lane budget exactly. The
-/// lanes share the per-node capacity through `LaneSub::pace`.
+/// FindMin search arity on `n` nodes: the buckets one step probes,
+/// `default_lane_budget(n) − 1 = 2⌈log₂ n⌉ − 1`. Every node is a member
+/// of at most `B` bucket groups per step and every leader the target of
+/// `B`, so with `ℓ₁ = ℓ̂₂ = B = Θ(log n)` Theorem 2.3 keeps the step's
+/// combine at `O(L/n + log n)` rounds while each step cuts the range by
+/// a factor of `B`, not 2.
 fn find_buckets(n: usize) -> u64 {
     default_lane_budget(n) as u64 - 1
 }
 
 /// The group of bucket `j` of `leader`'s component. A group id per
-/// bucket hashes each bucket lane to its own butterfly column; one id
-/// shared by all `B` lanes would route a component's whole step through
-/// one column.
+/// bucket hashes each bucket to its own butterfly column; one id shared
+/// by all `B` buckets would route a component's whole step through one
+/// column.
 fn bucket_group(leader: NodeId, j: usize) -> GroupId {
     GroupId::new(leader, FIND_SUB | ((j as u32) << 16))
-}
-
-/// The lane-seed index of bucket `j` in step `step` of phase `phase`: the
-/// bucket gets 8 bits (`B ≤ 2⌈log₂ n⌉ − 1 < 2⁸` for any `n` a `u64`
-/// counts), the step 16, so no two (phase, step, bucket) share a seed.
-fn bucket_seed_index(phase: u64, step: u32, j: u64) -> u64 {
-    debug_assert!(j < 1 << 8 && step < 1 << 16);
-    (((phase << 16) | step as u64) << 8) | j
 }
 
 /// Lane-seed labels for the composed sub-protocols.
 const LS_TREES: u64 = 0x6d73_7401;
 const LS_COIN: u64 = 0x6d73_7402;
-const LS_RANGE: u64 = 0x6d73_7403;
-const LS_AGG: u64 = 0x6d73_7404;
+const LS_FIND: u64 = 0x6d73_7404;
 const LS_ANNOUNCE: u64 = 0x6d73_7405;
 const LS_LINK_TREES: u64 = 0x6d73_7406;
 const LS_LINK_MC: u64 = 0x6d73_7407;
@@ -146,11 +142,11 @@ fn arc_masks(wg: &WeightedGraph, sketch: &XorSketch, idb: u32) -> Vec<Vec<(u64, 
 
 /// The largest `weight_max` whose FindMin messages fit in `payload_bits`
 /// on an `n`-node network (§3 assumes `W = poly(n)`). The widest one is
-/// the range multicast's butterfly hop: a 1-bit message tag and a 6-bit
-/// level, the group id `leader ∘ 32-bit sub`, and the pair `(lo, hi)` of
-/// keys, `bits(W) + 2·idb` and `bits(W + 1) + 2·idb` bits wide at most
-/// (`hi` may be the end of the key range, `(W + 1) ∘ 0…0`). That end must
-/// also fit in a `u64`: `bits(W + 1) ≤ 64 − 2·idb`.
+/// the range's butterfly hop down a component tree: a 1-bit message tag
+/// and a 6-bit level, the group id `leader ∘ 32-bit sub`, and the pair
+/// `(lo, hi)` of keys, `bits(W) + 2·idb` and `bits(W + 1) + 2·idb` bits
+/// wide at most (`hi` may be the end of the key range, `(W + 1) ∘ 0…0`).
+/// That end must also fit in a `u64`: `bits(W + 1) ≤ 64 − 2·idb`.
 pub fn max_weight(n: usize, payload_bits: u32) -> u64 {
     let idb = node_id_bits(n);
     // the budget for bits(W) + bits(W + 1)
@@ -183,6 +179,15 @@ fn bucket(lo: u64, hi: u64, b: u64, j: u64) -> Option<(u64, u64)> {
     let b = b.min(width);
     let at = |i: u128| lo + (width * i / b) as u64;
     (j < b).then(|| (at(j), at(j + 1)))
+}
+
+/// The index `j` of the bucket of `[lo, hi)` (split as by [`bucket`])
+/// that holds `key`, or `None` outside the range: the largest `j` with
+/// `⌊width · j / b⌋ ≤ key − lo`.
+fn bucket_of(lo: u64, hi: u64, b: u64, key: u64) -> Option<usize> {
+    let (width, b) = (hi.saturating_sub(lo) as u128, b as u128);
+    let x = key.checked_sub(lo).filter(|_| key < hi)? as u128;
+    Some((((x + 1) * b.min(width) - 1) / width) as usize)
 }
 
 /// Runs the MST algorithm. Works on disconnected graphs (yields a forest).
@@ -219,30 +224,25 @@ pub fn mst(
         SharedRandomness::k_for(n),
     );
 
-    // bucket-j memberships for the given live ranges: every node XORs the
-    // tabled masks of its incident arcs with keys in bucket j of its
-    // component's range. A `Copy` closure, so the per-bucket DAG build
-    // closures can share it.
+    // One FindMin firing at node `u` of component `comp` on the live
+    // range `[lo, hi)`: one pass over `u`'s own tabled arcs XORs each
+    // arc's masks into the sketch pair of the bucket holding its keys,
+    // and every non-zero pair (zero is the XOR identity) becomes a packet
+    // of that bucket's group. A `Copy` closure, shared by the leaders'
+    // own firings and the members' map.
     let masks = &arc_masks(wg, &sketch, idb);
-    let build_memberships = move |lo: &[u64], hi: &[u64], leader: &[NodeId], j: usize| {
-        (0..n)
-            .map(|u| {
-                let Some((blo, bhi)) = bucket(lo[u], hi[u], buckets, j as u64) else {
-                    return Vec::new();
-                };
-                let bucket = blo..bhi;
-                let (mut up, mut down) = (0u64, 0u64);
-                for &(k_up, mask_up, k_dn, mask_dn) in &masks[u] {
-                    up ^= if bucket.contains(&k_up) { mask_up } else { 0 };
-                    down ^= if bucket.contains(&k_dn) { mask_dn } else { 0 };
-                }
-                if up == 0 && down == 0 {
-                    Vec::new() // zero contribution: XOR-identity, skip
-                } else {
-                    vec![(bucket_group(leader[u], j), (up, down))]
-                }
-            })
-            .collect::<Vec<Vec<(GroupId, (u64, u64))>>>()
+    let fire = move |u: NodeId, comp: GroupId, &(lo, hi): &(u64, u64), out: &mut Vec<_>| {
+        let mut pairs = vec![(0u64, 0u64); buckets as usize];
+        for &(k_up, mask_up, k_dn, mask_dn) in &masks[u as usize] {
+            if let Some(j) = bucket_of(lo, hi, buckets, k_up) {
+                pairs[j].0 ^= mask_up;
+            }
+            if let Some(j) = bucket_of(lo, hi, buckets, k_dn) {
+                pairs[j].1 ^= mask_dn;
+            }
+        }
+        let fired = pairs.into_iter().enumerate().filter(|&(_, p)| p != (0, 0));
+        out.extend(fired.map(|(j, p)| (bucket_group(comp.target(), j), p)));
     };
 
     let mut leader: Vec<NodeId> = (0..n as NodeId).collect();
@@ -274,12 +274,10 @@ pub fn mst(
             move |_| multicast_setup_sub(n, shared, joins, trees_seed),
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("p{phase}:trees"), run.stats);
-        let trees = run.outputs.take(trees_node);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("p{phase}:trees"), dag, engine, &mut plan)?;
+        let trees = run.take(trees_node);
 
-        // ---- coin flips (multicast rides the step-0 FindMin lanes) ----------
+        // ---- coin flips (multicast rides the step-0 FindMin stage) ----------
         let mut coin: Vec<bool> = vec![false; n]; // per node: its component's coin
         let mut coin_msgs: Vec<Option<(GroupId, u64)>> = vec![None; n];
         for u in 0..n {
@@ -294,82 +292,41 @@ pub fn mst(
         }
 
         // ---- FindMin: B-ary search over (weight ∘ arc id) keys --------------
-        // The live range [lo, hi) starts as common knowledge and is
-        // re-multicast by the leader after each narrowing; (0, 0) encodes
-        // "no outgoing edge".
+        // One fused stage per step. Step 0's range is common knowledge, so
+        // every node fires its own packets from round 0. After it, leaders
+        // fire theirs and multicast their narrowed range [lo, hi) down the
+        // component tree, and each member fires on the round its copy
+        // lands; (0, 0) encodes "no outgoing edge". Only leaders track
+        // their range here: a member's lives in its copy.
         let mut lo: Vec<u64> = vec![0; n];
         let mut hi: Vec<u64> = vec![range_hi; n];
         for step in 0..find_steps {
             findmin_steps += 1;
-            let trees = &trees;
-            let mut dag = Dag::new();
-            // Step 0's range is common knowledge. After it, leaders
-            // re-announce their narrowed range, and the delivered ranges
-            // feed the bucket memberships through a compute node.
-            let (lo_c, hi_c) = (lo.clone(), hi.clone());
-            let ranges = if step == 0 {
-                dag.compute(format!("p{phase}:find0:range"), &[], move |_| {
-                    (lo_c, hi_c, Ok(()))
-                })
-            } else {
-                let range_seed = lane_seed(engine, LS_RANGE, (pl << 16) | step as u64);
-                let leader_c = leader.clone();
-                let mut msgs: Vec<Option<(GroupId, (u64, u64))>> = vec![None; n];
-                for u in 0..n {
-                    if leader[u] == u as NodeId {
-                        msgs[u] = Some((GroupId::new(u as NodeId, COMP_SUB), (lo[u], hi[u])));
-                    }
+            let mut own = vec![Vec::new(); n];
+            let mut msgs: Vec<Option<(GroupId, (u64, u64))>> = vec![None; n];
+            for u in 0..n {
+                let comp = GroupId::new(leader[u], COMP_SUB);
+                if step == 0 || leader[u] == u as NodeId {
+                    fire(u as NodeId, comp, &(lo[u], hi[u]), &mut own[u]);
                 }
-                let mc = dag.proto(
-                    format!("p{phase}:find{step}:range-mc"),
-                    &[],
-                    move |_| multicast_sub(n, shared, trees, msgs, 1, range_seed),
-                    |s| s.into_results(),
-                );
-                dag.compute(
-                    format!("p{phase}:find{step}:range"),
-                    &[mc.into()],
-                    move |d| {
-                        let recv = d.get(mc);
-                        let (mut lo, mut hi) = (lo_c, hi_c);
-                        let mut lost = Ok(());
-                        for u in 0..n {
-                            if leader_c[u] != u as NodeId {
-                                match member_copy(&recv[u], "a member gets its range") {
-                                    Ok((rlo, rhi)) => (lo[u], hi[u]) = (rlo, rhi),
-                                    Err(e) => lost = Err(e),
-                                }
-                            }
-                        }
-                        (lo, hi, lost)
-                    },
-                )
+                if step > 0 && leader[u] == u as NodeId {
+                    msgs[u] = Some((comp, (lo[u], hi[u])));
+                }
+            }
+            let trees = &trees;
+            let seed = lane_seed(engine, LS_FIND, (pl << 16) | step as u64);
+            let spec = AggregationSpec {
+                memberships: own,
+                ell2_hat: buckets as usize,
             };
-            let aggs: Vec<_> = (0..buckets)
-                .map(|j| {
-                    let seed = lane_seed(engine, LS_AGG, bucket_seed_index(pl, step, j));
-                    let leader_c = leader.clone();
-                    dag.proto(
-                        format!("p{phase}:find{step}:agg{j}"),
-                        &[ranges.into()],
-                        move |d| {
-                            let (lo, hi, _) = d.get(ranges);
-                            aggregation_sub(
-                                n,
-                                shared,
-                                AggregationSpec {
-                                    memberships: build_memberships(lo, hi, &leader_c, j as usize),
-                                    ell2_hat: 1,
-                                },
-                                &XorPair,
-                                seed,
-                            )
-                        },
-                        |s| s.into_deliveries(),
-                    )
-                })
-                .collect();
-            // the coin multicast rides the step-0 bucket lanes
+            let mut dag = Dag::new();
+            let find = dag.proto(
+                format!("p{phase}:find{step}:buckets"),
+                &[],
+                move |_| multicast_aggregate_sub(shared, trees, msgs, fire, spec, &XorPair, seed),
+                |s| s.into_results(),
+            );
+            // the coin multicast rides the step-0 stage
             let coin_node = (step == 0).then(|| {
                 let coin_seed = lane_seed(engine, LS_COIN, pl);
                 let msgs = std::mem::take(&mut coin_msgs);
@@ -380,33 +337,31 @@ pub fn mst(
                     |s| s.into_results(),
                 )
             });
-            let mut run = dag.run(engine)?;
-            report.push(format!("p{phase}:find{step}"), run.stats);
-            let lost;
-            (lo, hi, lost) = run.outputs.take(ranges);
-            lost?;
-            let lane_out: Vec<_> = aggs.iter().map(|&a| run.outputs.take(a)).collect();
+            let mut run = report.run_dag(format!("p{phase}:find{step}"), dag, engine, &mut plan)?;
+            let out = run.take(find);
             if let Some(coin_node) = coin_node {
-                let coins_recv = run.outputs.take(coin_node);
+                let coins_recv = run.take(coin_node);
                 for u in 0..n {
                     if leader[u] != u as NodeId {
                         coin[u] = member_copy(&coins_recv[u], "a member gets its coin")? == 1;
                     }
                 }
             }
-            plan.merge(run.report);
-            // leaders descend into the smallest non-empty bucket (up ≠ down
-            // sketch), or to (0, 0) when the live range has no outgoing arc
-            for u in 0..n {
-                if leader[u] != u as NodeId || hi[u] <= lo[u] {
+            // leaders descend into the smallest bucket whose sketches
+            // differ (up ≠ down), or to (0, 0) when the live range has no
+            // outgoing arc
+            for (u, (copies, sketches)) in out.iter().enumerate() {
+                if leader[u] != u as NodeId {
+                    if step > 0 && *copies == 0 {
+                        let event = "a member gets its range";
+                        return Err(ModelError::WhpEventFailed { event });
+                    }
                     continue;
                 }
-                let bounds = (0..buckets).map_while(|j| bucket(lo[u], hi[u], buckets, j));
-                let hit = bounds.zip(&lane_out).find(|(_, out)| {
-                    let (up, down) = out[u].first().map_or((0, 0), |&(_, v)| v);
-                    up != down
-                });
-                (lo[u], hi[u]) = hit.map_or((0, 0), |(bounds, _)| bounds);
+                let differ = sketches.iter().filter(|(_, (up, down))| up != down);
+                let hit = differ.map(|(g, _)| (g.sub() >> 16) as u64).min(); // bucket_group's j
+                let narrowed = hit.and_then(|j| bucket(lo[u], hi[u], buckets, j));
+                (lo[u], hi[u]) = narrowed.unwrap_or((0, 0));
             }
         }
 
@@ -451,11 +406,9 @@ pub fn mst(
             move |_| ab_sub(n, done_inputs, &MaxU64),
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("p{phase}:announce+done"), run.stats);
-        let keys_recv = run.outputs.take(announce);
-        let still_merging = run.outputs.take(done)[0].is_some();
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("p{phase}:announce+done"), dag, engine, &mut plan)?;
+        let keys_recv = run.take(announce);
+        let still_merging = run.take(done)[0].is_some();
         for u in 0..n {
             if leader[u] != u as NodeId {
                 let code = member_copy(&keys_recv[u], "a member gets the found key")?;
@@ -522,10 +475,8 @@ pub fn mst(
             },
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("p{phase}:link"), run.stats);
-        let link_info = run.outputs.take(link_mc);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("p{phase}:link"), dag, engine, &mut plan)?;
+        let link_info = run.take(link_mc);
 
         // ---- merge decisions --------------------------------------------------
         // Tails component whose edge leads to Heads: record the MST edge at
@@ -587,11 +538,9 @@ pub fn mst(
             },
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("p{phase}:adopt"), run.stats);
-        let (adopted, _) = run.outputs.take(decide);
-        let adopt_recv = run.outputs.take(adopt_mc);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("p{phase}:adopt"), dag, engine, &mut plan)?;
+        let (adopted, _) = run.take(decide);
+        let adopt_recv = run.take(adopt_mc);
         for u in 0..n {
             if leader[u] == u as NodeId {
                 if let Some(nl) = adopted[u] {
@@ -763,30 +712,6 @@ mod tests {
         }
     }
 
-    /// Every (phase, step, bucket) a run can reach draws its own lane
-    /// seed. With a 3-bit bucket field, bucket j ≥ 8 of step s took the
-    /// seed of bucket j − 8 of step s + 1.
-    #[test]
-    fn bucket_seed_indices_are_distinct() {
-        for n in [2usize, 64, 1024, 1 << 20] {
-            let buckets = find_buckets(n);
-            let max_phases = 4 * ncc_model::ilog2_ceil(n).max(1) as u64 + 16;
-            let steps = find_steps(u64::MAX, buckets);
-            let mut seen = std::collections::HashSet::new();
-            for phase in 1..=max_phases {
-                for step in 0..steps {
-                    for j in 0..buckets {
-                        let index = bucket_seed_index(phase, step, j);
-                        assert!(
-                            seen.insert(index),
-                            "n={n}: {phase}/{step}/{j} reuses {index}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn buckets_partition_the_range() {
         let ranges = [
@@ -809,6 +734,15 @@ mod tests {
                 assert_eq!(w[0].1, w[1].0, "buckets must be contiguous");
             }
             assert!(b.iter().all(|&(a, z)| z > a), "no empty buckets");
+            // `bucket_of` finds the bucket holding each key, at and
+            // beside every boundary
+            let keys = b.iter().flat_map(|&(a, z)| [a, a + (z - a) / 2, z - 1]);
+            for key in keys {
+                let j = bucket_of(lo, hi, k, key).expect("a key in range has a bucket");
+                assert!((b[j].0..b[j].1).contains(&key), "{key} in {:?}", b[j]);
+            }
+            assert_eq!(bucket_of(lo, hi, k, hi), None);
+            assert_eq!(bucket_of(lo, hi, k, lo.wrapping_sub(1)), None);
         }
         assert_eq!(bucket(3, 3, 4, 0), None);
     }

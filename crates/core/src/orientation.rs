@@ -57,7 +57,7 @@ use rand::Rng;
 
 use crate::report::AlgoReport;
 use crate::support::{
-    arc_id, edge_id, gather_broadcast_sub, node_id_bits, rendezvous_sub, schedule_sub,
+    arc_id, broadcast_sub, edge_id, gather_sub, node_id_bits, rendezvous_sub, schedule_sub,
 };
 
 /// Where a neighbor sits relative to a node's own level (§5.4 needs this).
@@ -199,7 +199,7 @@ pub fn orient(
                     counts_seed,
                 )
             },
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let delta_node = (phase == 1).then(|| {
             let delta_inputs: Vec<Option<u64>> =
@@ -243,14 +243,12 @@ pub fn orient(
             },
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("p{phase}:stage1"), run.stats);
-        plan.merge(run.report);
-        let di = run.outputs.take(di_node);
+        let mut run = report.run_dag(format!("p{phase}:stage1"), dag, engine, &mut plan)?;
+        let di = run.take(di_node);
         if let Some(dn) = delta_node {
-            delta = run.outputs.take(dn)[0].unwrap_or(0) as usize;
+            delta = run.take(dn)[0].unwrap_or(0) as usize;
         }
-        let avg = run.outputs.take(avg)[0]; // identical at every node
+        let avg = run.take(avg)[0]; // identical at every node
 
         // Nodes whose residual degree hit zero retire immediately: all their
         // edges are already directed (toward them), so they know everything.
@@ -353,7 +351,7 @@ pub fn orient(
                     ident_seed,
                 )
             },
-            |s| s.into_deliveries(),
+            |s| s.into_results(),
         );
         let dstar = dag.proto(
             format!("p{phase}:dstar"),
@@ -411,18 +409,16 @@ pub fn orient(
             },
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("p{phase}:ident1+dstar"), run.stats);
-        plan.merge(run.report);
+        let mut run = report.run_dag(format!("p{phase}:ident1+dstar"), dag, engine, &mut plan)?;
         // the active set is non-empty when Σdᵢ > 0, unless drops lost it
-        let d_star_i = run.outputs.take(dstar)[0].ok_or(ModelError::WhpEventFailed {
+        let d_star_i = run.take(dstar)[0].ok_or(ModelError::WhpEventFailed {
             event: "the d* agreement hears an active node",
         })? as usize;
         debug_assert!(d_star_i <= d_bound, "bound must dominate the exact d*");
         d_star_global = d_star_global.max(d_star_i);
-        let (mut red, mut unsuccessful) = run.outputs.take(peeled);
+        let (mut red, mut unsuccessful) = run.take(peeled);
         let (any_high, any_low) =
-            run.outputs.take(flags)[0].map_or((false, false), |(h, l)| (h > 0, l > 0));
+            run.take(flags)[0].map_or((false, false), |(h, l)| (h > 0, l > 0));
 
         // ============ Stage 2 step 2a: high-degree broadcast path ==========
         // Declared as gather∥broadcast → response schedule (a compute node
@@ -440,10 +436,16 @@ pub fn orient(
             let sched_inactive: Vec<bool> = nodes.iter().map(|st| st.inactive).collect();
 
             let mut dag = Dag::new();
+            let gathered = dag.proto(
+                format!("p{phase}:uhigh-gather"),
+                &[],
+                move |_| gather_sub(n, values),
+                |s| s.into_results(),
+            );
             let gb = dag.proto(
                 format!("p{phase}:uhigh-bcast"),
-                &[],
-                move |_| gather_broadcast_sub(n, values),
+                &[gathered.into()],
+                move |d| broadcast_sub(n, d.get(gathered).clone()),
                 |s| s.into_results(),
             );
             // every active-or-waiting node responds to its U_high neighbors
@@ -482,10 +484,8 @@ pub fn orient(
                 move |d| schedule_sub(n, d.get(sched).clone(), None),
                 |s| s.into_results(),
             );
-            let mut run = dag.run(engine)?;
-            report.push(format!("p{phase}:uhigh"), run.stats);
-            plan.merge(run.report);
-            let responses = run.outputs.take(resp);
+            let mut run = report.run_dag(format!("p{phase}:uhigh"), dag, engine, &mut plan)?;
+            let responses = run.take(resp);
             for u in 0..n {
                 if high_nodes[u] {
                     red[u] = responses[u].iter().map(|&(src, _)| src).collect();
@@ -547,10 +547,8 @@ pub fn orient(
                 },
                 |s| s.into_results(),
             );
-            let mut run = dag.run(engine)?;
-            report.push(format!("p{phase}:ulow"), run.stats);
-            plan.merge(run.report);
-            let flagged = run.outputs.take(flagged);
+            let mut run = report.run_dag(format!("p{phase}:ulow"), dag, engine, &mut plan)?;
+            let flagged = run.take(flagged);
             let narrowed: Vec<Vec<NodeId>> = flagged
                 .iter()
                 .map(|f| f.iter().map(|(gid, _)| gid.target()).collect())
@@ -604,7 +602,7 @@ pub fn orient(
                             re_seed,
                         )
                     },
-                    |s| s.into_deliveries(),
+                    |s| s.into_results(),
                 );
                 let peel_active = is_active.clone();
                 let peel_di = di.clone();
@@ -656,11 +654,10 @@ pub fn orient(
                     },
                     |s| s.into_results(),
                 );
-                let mut run = dag.run(engine)?;
-                report.push(format!("p{phase}:ident2.{iter}"), run.stats);
-                plan.merge(run.report);
-                (red, unsuccessful) = run.outputs.take(peeled);
-                let still = run.outputs.take(check);
+                let mut run =
+                    report.run_dag(format!("p{phase}:ident2.{iter}"), dag, engine, &mut plan)?;
+                (red, unsuccessful) = run.take(peeled);
+                let still = run.take(check);
                 if still[0].is_none() {
                     break;
                 }
@@ -757,11 +754,9 @@ pub fn orient(
             },
             |s| s.into_results(),
         );
-        let mut run = dag.run(engine)?;
-        report.push(format!("p{phase}:stage3"), run.stats);
-        plan.merge(run.report);
-        nodes = run.outputs.take(finish);
-        if run.outputs.take(cont)[0].is_none() {
+        let mut run = report.run_dag(format!("p{phase}:stage3"), dag, engine, &mut plan)?;
+        nodes = run.take(finish);
+        if run.take(cont)[0].is_none() {
             break;
         }
     }

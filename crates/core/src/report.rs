@@ -4,7 +4,8 @@
 //! (tree setup vs. FindMin vs. synchronisation) is what the ablation
 //! experiments need, so every algorithm driver labels its stages.
 
-use ncc_model::ExecStats;
+use ncc_butterfly::{Dag, DagOutputs, SchedReport};
+use ncc_model::{Engine, ExecStats, ModelError};
 use serde::{Deserialize, Serialize};
 
 /// Accumulated statistics with labelled stages.
@@ -24,6 +25,21 @@ impl AlgoReport {
     pub fn push(&mut self, label: impl Into<String>, stats: ExecStats) {
         self.total.merge(&stats);
         self.stages.push((label.into(), stats));
+    }
+
+    /// Runs `dag` on `engine` as the stage `label`: records its stats here
+    /// and merges its packing plan into `plan`. Returns the nodes' outputs.
+    pub fn run_dag(
+        &mut self,
+        label: impl Into<String>,
+        dag: Dag<'_>,
+        engine: &mut Engine,
+        plan: &mut SchedReport,
+    ) -> Result<DagOutputs, ModelError> {
+        let run = dag.run(engine)?;
+        self.push(label, run.stats);
+        plan.merge(run.report);
+        Ok(run.outputs)
     }
 
     /// Groups stages by *kind* (the label suffix after the last `:`, so the

@@ -3,10 +3,11 @@
 //! Each is a [`LaneSub`](ncc_butterfly::LaneSub), declared as a node of
 //! the algorithm's protocol [`Dag`](ncc_butterfly::Dag):
 //!
-//! * [`gather_broadcast_sub`] — the "high-degree identifiers" pattern of §4
-//!   Stage 2: a sparse set of nodes sends their identifiers to node 0 over
-//!   the butterfly's binomial tree (queued, smallest-first) and node 0
-//!   broadcasts them back pipelined. `O(k + log n)` rounds for `k` values.
+//! * [`gather_sub`] then [`broadcast_sub`] — the "high-degree
+//!   identifiers" pattern of §4 Stage 2: a sparse set of nodes sends their
+//!   identifiers to node 0 over the butterfly's binomial tree (queued,
+//!   smallest-first) and node 0 broadcasts them back pipelined.
+//!   `O(k + log n)` rounds for `k` values.
 //! * [`schedule_sub`] — point-to-point sends at node-chosen rounds
 //!   (the "pick a uniform round in {1..T}" load-smoothing idiom used by §4
 //!   Stage 2's `R_u` responses and several §5 steps).
@@ -16,7 +17,7 @@
 
 use std::collections::BTreeSet;
 
-use ncc_butterfly::{Butterfly, Lane, StageEnd};
+use ncc_butterfly::{send_due, Butterfly, Lane, ScheduleProgram, ScheduleState, StageEnd};
 use ncc_hashing::FxHashMap;
 use ncc_model::{Ctx, Envelope, NodeId, NodeProgram};
 
@@ -24,8 +25,9 @@ use ncc_model::{Ctx, Envelope, NodeId, NodeProgram};
 // Gather-and-broadcast of a sparse identifier set
 // ---------------------------------------------------------------------------
 
+/// Wire format of the gather and of the broadcast back.
 #[derive(Debug, Clone)]
-enum GatherMsg {
+pub enum GatherMsg {
     /// Value moving toward node 0 (or injected from a proxy node).
     Gather(u64),
     /// Value broadcast back down the binomial tree.
@@ -40,21 +42,36 @@ impl ncc_model::Payload for GatherMsg {
     }
 }
 
+/// Per-node gather state.
 #[derive(Debug, Default, Clone)]
-struct GatherState {
+pub struct GatherState {
     /// Pending values to forward toward the root (sorted, min first).
     queue: BTreeSet<u64>,
     /// At node 0: everything collected. Everywhere: everything broadcast.
     collected: Vec<u64>,
 }
 
-struct GatherProgram {
+/// The gather toward node 0 over the butterfly's binomial tree, queued
+/// smallest-first.
+pub struct GatherProgram {
     bf: Butterfly,
 }
 
 impl GatherProgram {
     fn parent(&self, alpha: u32) -> u32 {
         alpha & (alpha - 1) // clear lowest set bit
+    }
+
+    /// A node that emulates no column injects its values into its proxy
+    /// column, one per round.
+    fn inject(&self, st: &mut GatherState, ctx: &mut Ctx<'_, GatherMsg>) {
+        if let Some(v) = st.queue.pop_first() {
+            let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
+            ctx.send(proxy, GatherMsg::Gather(v));
+        }
+        if !st.queue.is_empty() {
+            ctx.stay_awake();
+        }
     }
 }
 
@@ -64,18 +81,8 @@ impl NodeProgram for GatherProgram {
 
     fn init(&self, st: &mut GatherState, ctx: &mut Ctx<'_, GatherMsg>) {
         if !self.bf.emulates(ctx.id) {
-            // proxy-inject, one value per round
-            if let Some(&v) = st.queue.iter().next() {
-                st.queue.remove(&v);
-                let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
-                ctx.send(proxy, GatherMsg::Gather(v));
-                if !st.queue.is_empty() {
-                    ctx.stay_awake();
-                }
-            }
-            return;
-        }
-        if !st.queue.is_empty() {
+            self.inject(st, ctx);
+        } else if !st.queue.is_empty() {
             ctx.stay_awake();
         }
     }
@@ -87,16 +94,7 @@ impl NodeProgram for GatherProgram {
         ctx: &mut Ctx<'_, GatherMsg>,
     ) {
         if !self.bf.emulates(ctx.id) {
-            // continue proxy injection
-            if let Some(&v) = st.queue.iter().next() {
-                st.queue.remove(&v);
-                let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
-                ctx.send(proxy, GatherMsg::Gather(v));
-                if !st.queue.is_empty() {
-                    ctx.stay_awake();
-                }
-            }
-            return;
+            return self.inject(st, ctx);
         }
         let alpha = self.bf.column_of(ctx.id);
         // the gather stage carries only `Gather`; `BcastProgram` relays
@@ -121,15 +119,16 @@ impl NodeProgram for GatherProgram {
     }
 }
 
-/// Broadcast phase driver state is the same program with node 0 seeding
-/// `Bcast` messages; implemented as a second program for clarity.
-struct BcastProgram {
+/// The broadcast back: node 0 seeds one `Bcast` per round, every column
+/// relays down the binomial tree and to its attached node.
+pub struct BcastProgram {
     bf: Butterfly,
     n: usize,
 }
 
+/// Per-node broadcast state.
 #[derive(Debug, Default, Clone)]
-struct BcastState {
+pub struct BcastState {
     to_send: Vec<u64>,
     received: Vec<u64>,
 }
@@ -196,52 +195,6 @@ impl NodeProgram for BcastProgram {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduled point-to-point exchange
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default, Clone)]
-pub struct ScheduleState {
-    /// `(round ≥ 1, dst, value)` — must be sorted by round.
-    pub to_send: Vec<(u64, NodeId, u64)>,
-    /// `(src, value)` received.
-    pub received: Vec<(NodeId, u64)>,
-}
-
-/// The scheduled exchange's program: each node sends its entries in
-/// their rounds and records what it receives.
-pub struct ScheduleProgram;
-
-impl ScheduleProgram {
-    fn flush(&self, st: &mut ScheduleState, ctx: &mut Ctx<'_, u64>) {
-        let now = ctx.round + 1;
-        let due = st.to_send.partition_point(|(r, _, _)| *r <= now);
-        for (_, dst, v) in st.to_send.drain(..due) {
-            ctx.send(dst, v);
-        }
-        if !st.to_send.is_empty() {
-            ctx.stay_awake();
-        }
-    }
-}
-
-impl NodeProgram for ScheduleProgram {
-    type State = ScheduleState;
-    type Payload = u64;
-
-    fn init(&self, st: &mut ScheduleState, ctx: &mut Ctx<'_, u64>) {
-        st.to_send.sort_by_key(|&(r, d, v)| (r, d, v));
-        self.flush(st, ctx);
-    }
-
-    fn round(&self, st: &mut ScheduleState, inbox: &[Envelope<u64>], ctx: &mut Ctx<'_, u64>) {
-        for env in inbox {
-            st.received.push((env.src, env.payload));
-        }
-        self.flush(st, ctx);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Edge rendezvous (§4 Stage 3)
 // ---------------------------------------------------------------------------
 
@@ -284,17 +237,6 @@ impl RdvProgram {
             (edge_id & ((1 << self.id_bits) - 1)) as NodeId,
         )
     }
-
-    fn flush(&self, st: &mut RdvState, ctx: &mut Ctx<'_, RdvMsg>) {
-        let now = ctx.round + 1;
-        let due = st.probes.partition_point(|(r, _, _)| *r <= now);
-        for (_, dst, id) in st.probes.drain(..due) {
-            ctx.send(dst, RdvMsg::Probe(id));
-        }
-        if !st.probes.is_empty() {
-            ctx.stay_awake();
-        }
-    }
 }
 
 impl NodeProgram for RdvProgram {
@@ -303,7 +245,7 @@ impl NodeProgram for RdvProgram {
 
     fn init(&self, st: &mut RdvState, ctx: &mut Ctx<'_, RdvMsg>) {
         st.probes.sort_by_key(|&(r, d, v)| (r, d, v));
-        self.flush(st, ctx);
+        send_due(&mut st.probes, ctx, RdvMsg::Probe);
     }
 
     fn round(&self, st: &mut RdvState, inbox: &[Envelope<RdvMsg>], ctx: &mut Ctx<'_, RdvMsg>) {
@@ -322,7 +264,7 @@ impl NodeProgram for RdvProgram {
                 ctx.send(b, RdvMsg::Match(id));
             }
         }
-        self.flush(st, ctx);
+        send_due(&mut st.probes, ctx, RdvMsg::Probe);
     }
 }
 
@@ -336,7 +278,7 @@ pub type ReceivedPerNode = Vec<Vec<(NodeId, u64)>>;
 /// A scheduled point-to-point exchange as a composable lane: one stage on
 /// the engine's own randomness stream (the program draws none). Read the
 /// per-node `(src, value)` pairs with [`Lane::into_results`].
-pub type ScheduleSub = Lane<ScheduleProgram, ReceivedPerNode>;
+pub type ScheduleSub = Lane<ScheduleProgram<u64>, ReceivedPerNode>;
 
 /// Builds the scheduled-exchange sub-protocol: node `u` sends `value` to
 /// `dst` in its chosen `round` for every `(round, dst, value)` in
@@ -372,7 +314,11 @@ pub fn schedule_sub(
             received: Vec::new(),
         })
         .collect();
-    Lane::new(ScheduleProgram, states, |st| {
+    let prog = ScheduleProgram {
+        draw: None,
+        key: |&v| v,
+    };
+    Lane::new(prog, states, |st| {
         st.into_iter().map(|s| s.received).collect()
     })
     .ending(end)
@@ -401,106 +347,65 @@ pub fn rendezvous_sub(n: usize, probes: Vec<Vec<(u64, NodeId, u64)>>, id_bits: u
     })
 }
 
-/// Gather-and-broadcast as a composable lane: two stages (gather toward
-/// node 0, pipelined broadcast back), with the collect step between them
-/// performing node 0's sort/dedup locally. Read with
-/// [`GatherBcastSub::into_results`].
-pub struct GatherBcastSub {
-    n: usize,
-    bf: Option<Butterfly>,
-    /// 0 = gather, 1 = broadcast (stage being installed/collected next).
-    stage: u8,
-    gather: Option<Vec<GatherState>>,
-    bcast: Option<Vec<BcastState>>,
-    out: Option<Vec<u64>>,
-}
+/// The gather toward node 0 as a composable lane: the `Some` values climb
+/// the butterfly's binomial tree, queued smallest-first, and node 0 sorts
+/// and dedups what it collected (node-local). Read node 0's list with
+/// [`Lane::into_results`] and hand it to [`broadcast_sub`]. Together the
+/// two are the gather-and-broadcast of §4 Stage 2: `O(k + log n)` rounds
+/// for `k` values.
+pub type GatherSub = Lane<GatherProgram, Vec<u64>>;
 
-/// Builds the gather-and-broadcast sub-protocol: the `Some` values are
-/// gathered to node 0 (queued, smallest-first, over the butterfly's
-/// binomial tree) and the collected sorted list is broadcast back to every
-/// node (identical at every node, asserted). Rounds: `O(k + log n)` for
-/// `k` values.
-pub fn gather_broadcast_sub(n: usize, values: Vec<Option<u64>>) -> GatherBcastSub {
-    assert_eq!(values.len(), n);
-    if n == 1 {
-        let v: Vec<u64> = values.into_iter().flatten().collect();
-        return GatherBcastSub {
-            n,
-            bf: None,
-            stage: 0,
-            gather: None,
-            bcast: None,
-            out: Some(v),
-        };
-    }
-    let bf = Butterfly::for_n(n);
-    let gstates = values
+/// Builds the gather of the `Some` values toward node 0.
+pub fn gather_sub(n: usize, values: Vec<Option<u64>>) -> GatherSub {
+    assert!(n >= 2 && values.len() == n);
+    let states = values
         .into_iter()
         .map(|v| GatherState {
             queue: v.into_iter().collect(),
             collected: Vec::new(),
         })
         .collect();
-    GatherBcastSub {
-        n,
-        bf: Some(bf),
-        stage: 0,
-        gather: Some(gstates),
-        bcast: None,
-        out: None,
-    }
-}
-
-impl GatherBcastSub {
-    /// The collected sorted list (identical at every node). Panics before
-    /// the composition finished.
-    pub fn into_results(self) -> Vec<u64> {
-        self.out
-            .expect("gather-and-broadcast sub-protocol not finished")
-    }
-}
-
-impl<'a> ncc_butterfly::LaneSub<'a> for GatherBcastSub {
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let bf = self.bf?;
-        if let Some(gstates) = self.gather.take() {
-            return Some(b.lane(GatherProgram { bf }, gstates));
-        }
-        let bstates = self.bcast.take()?;
-        Some(b.lane(BcastProgram { bf, n: self.n }, bstates))
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        if self.stage == 0 {
-            // end of the gather stage: node 0 sorts and seeds the broadcast
-            self.stage = 1;
-            let mut gstates: Vec<GatherState> = ncc_model::take_lane_states(states, lane);
-            let mut collected = std::mem::take(&mut gstates[0].collected);
-            collected.extend(gstates[0].queue.iter().copied());
+    Lane::new(
+        GatherProgram {
+            bf: Butterfly::for_n(n),
+        },
+        states,
+        |mut st| {
+            let root = std::mem::take(&mut st[0]);
+            let mut collected = root.collected;
+            collected.extend(root.queue);
             collected.sort_unstable();
             collected.dedup();
-            let mut bstates: Vec<BcastState> = (0..self.n).map(|_| BcastState::default()).collect();
-            bstates[0].to_send = collected;
-            self.bcast = Some(bstates);
-        } else {
-            let bstates: Vec<BcastState> = ncc_model::take_lane_states(states, lane);
-            let reference = {
-                let mut r = bstates[0].received.clone();
-                r.sort_unstable();
-                r
-            };
-            for (v, st) in bstates.iter().enumerate() {
-                let mut got = st.received.clone();
-                got.sort_unstable();
-                debug_assert_eq!(got, reference, "node {v} missed broadcast values");
-            }
-            self.out = Some(reference);
-        }
-    }
+            collected
+        },
+    )
+}
 
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
+/// The pipelined broadcast of node 0's `list` back to every node, as a
+/// composable lane. Read the list (identical at every node, asserted)
+/// with [`Lane::into_results`].
+pub type BcastSub = Lane<BcastProgram, Vec<u64>>;
+
+/// Builds the broadcast of `list` from node 0.
+pub fn broadcast_sub(n: usize, list: Vec<u64>) -> BcastSub {
+    let mut states: Vec<BcastState> = (0..n).map(|_| BcastState::default()).collect();
+    states[0].to_send = list;
+    let prog = BcastProgram {
+        bf: Butterfly::for_n(n),
+        n,
+    };
+    Lane::new(prog, states, |st| {
+        let sorted = |s: &BcastState| {
+            let mut got = s.received.clone();
+            got.sort_unstable();
+            got
+        };
+        let reference = sorted(&st[0]);
+        for (v, s) in st.iter().enumerate() {
+            debug_assert_eq!(sorted(s), reference, "node {v} missed broadcast values");
+        }
+        reference
+    })
 }
 
 /// Canonical undirected edge id: `min ∘ max` packed with `id_bits` per node.
@@ -528,9 +433,15 @@ mod tests {
     use ncc_butterfly::{run_alone, LaneSub};
     use ncc_model::{Engine, ExecStats, NetConfig};
 
+    /// The gather and then the broadcast: every node's list and the
+    /// rounds of both.
     fn gather(eng: &mut Engine, values: Vec<Option<u64>>) -> (Vec<u64>, ExecStats) {
-        let sub = gather_broadcast_sub(eng.n(), values);
-        run_alone(eng, sub, |s| s.into_results()).unwrap()
+        let (list, mut stats) =
+            run_alone(eng, gather_sub(eng.n(), values), Lane::into_results).unwrap();
+        let (got, bstats) =
+            run_alone(eng, broadcast_sub(eng.n(), list), Lane::into_results).unwrap();
+        stats.merge(&bstats);
+        (got, stats)
     }
 
     #[test]

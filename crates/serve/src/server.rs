@@ -20,9 +20,10 @@
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -381,11 +382,23 @@ impl WorkerPool {
 /// Exits when the queue disconnects or when shutdown is set and the queue
 /// is empty — in-flight and queued requests always get their response.
 fn worker_loop(coordinator: &Coordinator, rx: &Arc<Mutex<Receiver<Job>>>) {
-    let cfg = *coordinator.config();
-    let mut slots = EngineSlots::new(cfg.cache_capacity.clamp(1, 16));
+    serve_jobs(coordinator, rx, Coordinator::handle_line);
+}
+
+/// [`worker_loop`] with the per-line handler given. A job whose handler
+/// panics costs one `Error` answer (the request's id when the line
+/// parses), not the worker: the panic is caught, the worker's resident
+/// engines are dropped, since one may have unwound mid-run, and a lock a
+/// panicking holder poisoned is taken over as it stands.
+fn serve_jobs<H>(coordinator: &Coordinator, rx: &Mutex<Receiver<Job>>, handle: H)
+where
+    H: Fn(&Coordinator, &str, &mut EngineSlots) -> Option<Response>,
+{
+    let slot_count = coordinator.config().cache_capacity.clamp(1, 16);
+    let mut slots = EngineSlots::new(slot_count);
     loop {
         let job = {
-            let rx = rx.lock().expect("worker queue lock");
+            let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
             match rx.try_recv() {
                 Ok(job) => Some(job),
                 Err(TryRecvError::Disconnected) => return,
@@ -402,13 +415,26 @@ fn worker_loop(coordinator: &Coordinator, rx: &Arc<Mutex<Receiver<Job>>>) {
             }
         };
         let Some(job) = job else { continue };
-        if let Some(resp) = coordinator.handle_line(&job.line, &mut slots) {
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            handle(coordinator, &job.line, &mut slots)
+        }));
+        let resp = run.unwrap_or_else(|payload| {
+            slots = EngineSlots::new(slot_count);
+            coordinator.errors.fetch_add(1, Ordering::SeqCst);
+            let what = payload.downcast_ref::<&str>().copied();
+            let what = what.or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            Some(Response::Error {
+                id: parse_request(&job.line).ok().map(|req| req.id()),
+                error: format!("job panicked: {}", what.unwrap_or("non-string payload")),
+            })
+        });
+        if let Some(resp) = resp {
             // Line and terminator leave in one write: on a raw `TcpStream`
             // a separate write of the `\n` is a second segment, which the
             // kernel holds back until the client acknowledges the first.
             let mut line = resp.to_line();
             line.push('\n');
-            let mut out = job.out.lock().expect("response sink lock");
+            let mut out = job.out.lock().unwrap_or_else(PoisonError::into_inner);
             let _ = out.write_all(line.as_bytes());
             let _ = out.flush();
         }
@@ -685,5 +711,64 @@ mod tests {
         assert_eq!(stats.served, 1);
         assert_eq!(stats.cache.capacity, 5);
         assert_eq!(stats.cache.misses, 1);
+    }
+
+    /// A sink whose bytes the test reads back.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One worker, two jobs: the first one's handler panics, and costs
+    /// exactly one `Error` carrying its request id; the worker lives on
+    /// and answers the second, a real run, with its record. The response
+    /// sink's lock, poisoned by a holder that panicked, is recovered too.
+    #[test]
+    fn a_panicking_job_costs_one_error_not_the_worker() {
+        let coord = Coordinator::new(ServeConfig::with_thread_budget(1));
+        let sink = Shared::default();
+        let out: ResponseSink = Arc::new(Mutex::new(Box::new(sink.clone())));
+        let poison = Arc::clone(&out);
+        let _ = std::thread::spawn(move || {
+            let _held = poison.lock().unwrap();
+            panic!("poisons the response sink");
+        })
+        .join();
+        assert!(out.is_poisoned());
+        let (tx, rx) = mpsc::sync_channel::<Job>(4);
+        for line in [
+            run_line(7, "boom", &spec(1)),
+            run_line(8, "gossip", &spec(1)),
+        ] {
+            let out = Arc::clone(&out);
+            tx.send(Job { line, out }).unwrap();
+        }
+        drop(tx); // the worker drains both jobs, then sees the disconnect
+        serve_jobs(&coord, &Mutex::new(rx), |coord, line, slots| {
+            assert!(!line.contains("boom"), "a deliberately panicking handler");
+            coord.handle_line(line, slots)
+        });
+        let text = String::from_utf8(sink.0.lock().unwrap().clone()).unwrap();
+        let resps: Vec<Response> = text
+            .lines()
+            .map(|l| Response::from_line(l).unwrap())
+            .collect();
+        assert_eq!(resps.len(), 2, "{text}");
+        match &resps[0] {
+            Response::Error { id, error } => {
+                assert_eq!(*id, Some(7));
+                assert!(error.contains("deliberately panicking"), "{error}");
+            }
+            other => panic!("expected one Error, got {other:?}"),
+        }
+        assert!(matches!(resps[1], Response::Record { id: 8, .. }), "{text}");
+        assert_eq!((coord.stats().errors, coord.stats().served), (1, 1));
     }
 }

@@ -488,10 +488,15 @@ fn explain(algo: &'static dyn ncc::runner::Algorithm, scn: &Scenario, gen_ms: f6
 }
 
 /// A spec the algorithm is not defined on is the user's error (usage, like
-/// any other bad scenario); an engine rejection mid-run is ours.
+/// any other bad scenario, exit 2). A typed failure mid-run — an engine
+/// rejection, or a w.h.p. event that the flags provoked — is one
+/// `error:` line and exit 1, never a panic.
 fn fail(algo_name: &str, e: RunnerError) -> ! {
     match e {
-        RunnerError::Model(e) => panic!("{algo_name} failed: {e}"),
+        RunnerError::Model(e) => {
+            eprintln!("error: {algo_name} failed: {e}");
+            std::process::exit(1)
+        }
         e => usage_and_exit(Some(&e.to_string())),
     }
 }

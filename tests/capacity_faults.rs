@@ -130,16 +130,17 @@ fn orientation_under_drops_returns_instead_of_panicking() {
     let _ = ncc::core::orient(&mut eng, &SharedRandomness::new(15 ^ 0xABCD), &g);
 }
 
-/// MST's FindMin packs `default_lane_budget(n) − 1` bucket lanes beside
-/// the coin multicast. On every MST row of the standard grid, which
-/// covers all four network models, the run stays `Verified` with no message
-/// dropped, truncated or over the send cap, and peaks at half the node
-/// capacity at most: bucket lanes that shared a group id, hence a
-/// butterfly column, once peaked at 42 of 48 at n = 64. Every step-0
-/// FindMin stage packs exactly the lane budget, with no split.
+/// MST's FindMin runs each step as one fused lane: the range multicast,
+/// the members' firing and the combine of all `default_lane_budget(n) − 1`
+/// buckets. On every MST row of the standard grid, which covers all four
+/// network models, the run stays `Verified` with no message dropped,
+/// truncated or over the send cap, and peaks at half the node capacity at
+/// most: buckets that shared a group id, hence a butterfly column, once
+/// peaked at 42 of 48 at n = 64. Every step-0 FindMin stage packs exactly
+/// two lanes (the buckets and the coin multicast), every later one a
+/// single lane, with no split.
 #[test]
-fn mst_findmin_fills_the_lane_budget_within_capacity() {
-    use ncc::butterfly::default_lane_budget;
+fn mst_findmin_fuses_each_step_into_one_lane_within_capacity() {
     use ncc::model::ModelSpec;
     use ncc::runner::{find_algorithm, standard_grid, Verdict};
     let mst = find_algorithm("mst").expect("mst is registered");
@@ -173,17 +174,46 @@ fn mst_findmin_fills_the_lane_budget_within_capacity() {
             );
         }
         let plan = out.plan.expect("mst is DAG-declared");
-        let budget = default_lane_budget(spec.n);
         // step 0's scatter-and-combine stage carries the coin multicast
-        let step0: Vec<_> = plan
+        let (step0, later): (Vec<_>, Vec<_>) = plan
             .stages
             .iter()
-            .filter(|st| st.lanes.iter().any(|l| l.label.ends_with(":find0:coin")))
-            .collect();
+            .filter(|st| st.lanes.iter().any(|l| l.label.contains(":find")))
+            .partition(|st| st.lanes.iter().any(|l| l.label.ends_with(":find0:coin")));
         assert_eq!(step0.len() as u32, out.phases.expect("phases"), "{label}");
         for st in step0 {
-            assert_eq!((st.lanes.len(), st.deferred.len()), (budget, 0), "{label}");
+            assert_eq!((st.lanes.len(), st.deferred.len()), (2, 0), "{label}");
         }
+        assert!(later.iter().all(|st| st.lanes.len() == 1), "{label}");
         assert_eq!(plan.splits(), 0, "{label}");
+    }
+}
+
+/// HybridLocal's per-edge cap of 8: with FindMin's buckets packed as 11
+/// lanes of a step-0 stage, MST dropped 1–2 messages on these gnp n = 64
+/// graphs and 3–6 on the n = 128 ones, silently (peak edge load 9–10),
+/// and still read `Verified`. One fused lane per step drops none.
+#[test]
+fn mst_under_hybrid_local_drops_nothing() {
+    use ncc::model::ModelSpec;
+    use ncc::runner::{find_algorithm, FamilySpec, ScenarioSpec, Verdict};
+    let mst = find_algorithm("mst").expect("mst is registered");
+    let grid = [(64, 0.375, 5..=8), (128, 0.2, 1..=3)];
+    for (n, p, seeds) in grid {
+        for seed in seeds {
+            let spec = ScenarioSpec::new(FamilySpec::Gnp { p }, n, seed)
+                .with_model(ModelSpec::HybridLocal { local_edge_cap: 8 });
+            let scn = spec.build().expect("spec builds");
+            let mut eng = scn.engine();
+            let prep = ncc::core::prepare(&mut eng, spec.seed, None).expect("seed agreement");
+            let out = mst.run_main(&mut eng, &scn, &prep).expect("mst runs");
+            let label = spec.label();
+            assert_eq!(out.verdict, Verdict::Verified, "{label}");
+            assert_eq!(
+                (prep.report.total.dropped, out.stats.dropped),
+                (0, 0),
+                "{label}"
+            );
+        }
     }
 }
