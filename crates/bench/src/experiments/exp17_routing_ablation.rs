@@ -6,7 +6,7 @@
 //! a growing gap in combining-phase rounds as group contention rises.
 
 use crate::{engine, f2, Table, SEED};
-use ncc_butterfly::{aggregation_sub, lane_seed, run_alone, AggregationSpec, GroupId, SumU64};
+use ncc_butterfly::{aggregation_sub, lane_seed, AggregationSpec, Dag, GroupId, SumU64};
 use ncc_hashing::SharedRandomness;
 
 fn rounds(n: usize, l1: usize, random_ranks: bool) -> u64 {
@@ -29,11 +29,18 @@ fn rounds(n: usize, l1: usize, random_ranks: bool) -> u64 {
         ell2_hat: n * l1 / 16 + 16,
     };
     let seed = lane_seed(&eng, 17, 0);
-    let mut sub = aggregation_sub(n, &shared, spec, &SumU64, seed);
-    if !random_ranks {
-        sub = sub.static_priority();
-    }
-    let (deliveries, stats) = run_alone(&mut eng, sub, |s| s.into_results()).expect("aggregation");
+    let mut dag = Dag::new();
+    let agg = dag.combine("e17", &[], |_| {
+        let (lane, window, seed) = aggregation_sub(n, &shared, spec, &SumU64, seed);
+        let lane = if random_ranks {
+            lane
+        } else {
+            lane.static_priority()
+        };
+        (lane, window, seed)
+    });
+    let mut run = dag.run(&mut eng).expect("aggregation");
+    let (deliveries, stats) = (run.outputs.take(agg), run.stats);
     let delivered: u64 = deliveries.iter().flatten().map(|(_, v)| v).sum();
     assert_eq!(delivered, (n * l1) as u64, "no packet may be lost");
     assert!(stats.clean());

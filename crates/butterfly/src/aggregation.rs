@@ -5,8 +5,8 @@
 //! global load (total memberships), `ℓ₁` the maximum memberships per node
 //! and `ℓ̂₂` a known bound on targets per node.
 //!
-//! One pipeline — the [`AggregationSub`] lane, two stages, each followed
-//! by one synchronisation:
+//! One pipeline, run as two chained lanes ([`Dag::combine`]), each stage
+//! followed by one synchronisation:
 //!
 //! 1. **Scatter + combine** — every node sends its packets
 //!    `(group, value)` in batches of `⌈log n⌉` per round to uniformly
@@ -19,7 +19,8 @@
 //!    groups contending for one butterfly edge wait in the column's
 //!    [`RouteQueue`], which holds the contention rule.
 //!    No node can tell locally that the combine is done, so the stage
-//!    ends on a [`sync_barrier`] (App. B.1 synchronisation).
+//!    ends on a [`sync_barrier`] (App. B.1 synchronisation). Its lane
+//!    hands each node's finished aggregates to the next ([`Handover`]).
 //! 2. **Postprocessing** — each level-`d` node delivers every finished
 //!    group aggregate to its target in a round chosen uniformly from
 //!    `{1..⌈ℓ̂₂/log n⌉}`, smoothing the receive load
@@ -29,16 +30,15 @@
 //!    ([`StageEnd::Within`]): a pad of idle rounds to that bound, or the
 //!    barrier when it is sooner.
 //!
-//! [`aggregate`] builds that lane and runs it alone, a one-node
-//! [`Dag`](crate::compose::Dag) ([`run_alone`]); algorithms put the same
-//! lane next to others in a larger one.
+//! [`aggregate`] declares that chain alone in a [`Dag`]; algorithms
+//! declare the same chain next to other lanes in a larger one.
 //!
 //! Multi-Aggregation (Theorem 2.6, [`multi_aggregate`]) runs the same
 //! combining network, and so does the member-fired combine
-//! ([`multicast_aggregate_sub`]). All three are one [`CombineSub`] lane
-//! whose stage 1 is one program, generic over its [`Front`]: what feeds
-//! the scatter besides a node's own memberships. Aggregation's front is
-//! `()`, nothing; Multi-Aggregation's is the tree spreading of
+//! ([`multicast_aggregate_sub`]). All three build one [`CombineLane`]:
+//! one program, generic over its [`Front`], what feeds the scatter
+//! besides a node's own memberships. Aggregation's front is `()`,
+//! nothing; Multi-Aggregation's is the tree spreading of
 //! [`multicast`](mod@crate::multicast) ([`SpreadFront`]), whose leaf
 //! arrivals are re-keyed to their members and scattered in the same
 //! rounds; the member-fired combine's is the whole multicast
@@ -46,7 +46,7 @@
 //! front, only the delivery window (`⌈ℓ̂₂/log n⌉` rounds; one for
 //! Multi-Aggregation) and the output shape ([`Front::Out`]) differ. There
 //! is no second implementation. Front, scatter and combine share the
-//! lane's send budget ([`LaneSub::pace`]), so packed lanes never overdraw
+//! lane's send budget ([`Lane::paced`]), so packed lanes never overdraw
 //! the node capacity.
 //!
 //! Group targets are encoded in the group identifier ([`GroupId`]), mirroring
@@ -61,17 +61,17 @@ use std::collections::BTreeMap;
 
 use ncc_hashing::shared::labels;
 use ncc_hashing::{PolyHash, SharedRandomness};
+use ncc_model::rng::derive_seed;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
 use rand::Rng;
 
 use crate::combine::Aggregate;
-use crate::compose::{lane_seed, Lane, LaneSub, Stage, StageEnd};
+use crate::compose::{lane_seed, Built, Dag, Dep, Deps, Lane, ProtoNode, StageEnd};
 use crate::mctree::MulticastTrees;
 use crate::multicast::{
     spread_deliver_states, spread_states, SpreadDeliverState, SpreadState, TreeSpread,
 };
 use crate::queue::{LevelOrder, Route, RouteQueue};
-use crate::schedule::run_alone;
 use crate::topology::{Butterfly, GroupId};
 
 /// Per-node delivery lists: for each node, the `(group, value)` pairs it
@@ -108,11 +108,6 @@ impl RouteHashes {
             columns: bf.columns() as u64,
             random_ranks: true,
         }
-    }
-
-    pub(crate) fn with_fifo(mut self) -> Self {
-        self.random_ranks = false;
-        self
     }
 
     /// Evaluates group `g`'s [`Route`]: two degree-`Θ(log n)` polynomials.
@@ -160,6 +155,20 @@ pub struct LevelMsg<V> {
     pub(crate) value: V,
 }
 
+impl<V> LevelMsg<V> {
+    /// A packet of `group` carrying `value`. Its [`Payload::bit_size`] is
+    /// what each of its hops costs, so admission sizes messages with it.
+    pub fn of(group: GroupId, value: V) -> Self {
+        let route = Route { target: 0, rank: 0 };
+        LevelMsg {
+            level: 0,
+            group: group.raw(),
+            route,
+            value,
+        }
+    }
+}
+
 impl<V: Payload> Payload for LevelMsg<V> {
     fn bit_size(&self) -> u32 {
         6 + ncc_model::payload::min_bits(self.group) + self.value.bit_size()
@@ -167,7 +176,7 @@ impl<V: Payload> Payload for LevelMsg<V> {
 }
 
 // ---------------------------------------------------------------------------
-// Stage 1: scatter + combine (random-rank routing with in-network combining)
+// The combine lane: scatter + combine (random-rank routing with in-network combining)
 // ---------------------------------------------------------------------------
 
 pub(crate) struct CombineState<V> {
@@ -272,12 +281,12 @@ pub trait Front<W>: Sync {
     type Out: Send + 'static;
     /// What a node keeps of its front's final state for its output.
     type Kept: Send + 'static;
-    /// Takes what a node keeps of its front's final state, as stage 1's
-    /// states are collected (the rest is freed then).
+    /// Takes what a node keeps of its front's final state for the
+    /// [`Handover`], as the combine lane is collected (the rest is freed
+    /// then).
     fn keep(st: Self::State) -> Self::Kept;
     /// Shapes a node's output from what its front kept and what it
-    /// received in the delivery stage, as that stage's states are
-    /// collected.
+    /// received in the delivery, as the delivery lane is collected.
     fn out(kept: Self::Kept, received: Vec<(GroupId, W)>) -> Self::Out;
     /// Wraps a combining packet for the wire.
     fn agg(m: LevelMsg<W>) -> Self::Msg;
@@ -337,14 +346,14 @@ impl<W: Payload> Front<W> for () {
     }
 }
 
-/// Stage 1 of both aggregations: injection and combining in the same
+/// The combine lane's program: injection and combining in the same
 /// rounds. Each node scatters its packets — its own memberships, and what
 /// its front hands it — in batches of `⌈log n⌉` as level-0 arrivals at
 /// uniformly random columns, while the random-rank routing already moves
 /// earlier packets toward `h(group)`: the streamed form of Thm 2.3's
 /// first two phases (the routing analysis \[1, 57\] covers continuous
 /// injection).
-pub(crate) struct CombinePipeline<'a, W, A, Fr> {
+pub struct CombinePipeline<'a, W, A, Fr> {
     bf: Butterfly,
     hashes: RouteHashes,
     agg: &'a A,
@@ -352,12 +361,14 @@ pub(crate) struct CombinePipeline<'a, W, A, Fr> {
     batch: usize,
     /// Per-node, per-round send ceiling across the whole pipeline (front,
     /// scatter and combine): the lane's share of the node capacity
-    /// ([`LaneSub::pace`]). `usize::MAX` = unpaced.
+    /// ([`LaneSub::pace`](crate::compose::LaneSub::pace)). `usize::MAX` =
+    /// unpaced.
     send_budget: usize,
     _pd: std::marker::PhantomData<W>,
 }
 
-pub(crate) struct PipeState<S, W> {
+/// Per-node state of a [`CombinePipeline`].
+pub struct PipeState<S, W> {
     front: S,
     to_send: Vec<(GroupId, W)>,
     comb: CombineState<W>,
@@ -436,7 +447,7 @@ impl<W: Payload, A: Aggregate<W>, Fr: Front<W>> NodeProgram for CombinePipeline<
 }
 
 // ---------------------------------------------------------------------------
-// Stage 2: postprocessing (randomized delivery rounds)
+// The delivery lane: postprocessing (randomized delivery rounds)
 // ---------------------------------------------------------------------------
 
 /// Per-node state of a [`ScheduleProgram`].
@@ -504,37 +515,34 @@ impl<P: Payload> NodeProgram for ScheduleProgram<P> {
 }
 
 // ---------------------------------------------------------------------------
-// The sub-protocol and its blocking entry points
+// The combine as two chained lanes, and its blocking entry point
 // ---------------------------------------------------------------------------
 
-/// The combining network as a composable lane: stage 1 is the
-/// scatter+combine pipeline behind front `Fr`, stage 2 the randomized
-/// delivery. Used as [`AggregationSub`] and [`MultiAggSub`]; run with
-/// [`run_alone`] or as a DAG node.
-pub struct CombineSub<'a, W, A, Fr: Front<W>> {
-    stage: usize,
-    lane_seed: u64,
-    /// Delivery rounds are drawn from `1..=window`.
-    window: u64,
-    pipe: Stage<CombinePipeline<'a, W, A, Fr>, PipeState<Fr::State, W>>,
-    /// What the fronts kept, from stage 1's collect to stage 2's.
-    fronts: Vec<Fr::Kept>,
-    del: Stage<ScheduleProgram<PacketMsg<W>>, ScheduleState<PacketMsg<W>>>,
-    out: Option<Vec<Fr::Out>>,
+/// What a combine hands its delivery: per node, what its front kept
+/// ([`Front::keep`]) and the deliveries it owes as a level-`d` node, with
+/// [`Front::out`] to shape the output once they landed.
+pub struct Handover<W, K, O> {
+    kept: Vec<K>,
+    deliveries: Vec<ScheduleState<PacketMsg<W>>>,
+    out: fn(K, Vec<(GroupId, W)>) -> O,
 }
 
-/// The Aggregation Algorithm as a composable lane: the combining network
-/// with nothing in front. Build with [`aggregation_sub`], read with
-/// [`AggregationSub::into_results`].
-pub type AggregationSub<'a, V, A> = CombineSub<'a, V, A, ()>;
+/// A combine's scatter+combine lane behind front `Fr`; its output is the
+/// [`Handover`] to the delivery.
+pub type CombineLane<'a, W, A, Fr> =
+    Lane<CombinePipeline<'a, W, A, Fr>, Handover<W, <Fr as Front<W>>::Kept, <Fr as Front<W>>::Out>>;
 
-/// Multi-Aggregation as a composable lane: the combining network behind
-/// the tree spread. Build with [`multi_aggregate_sub`], read with
-/// [`MultiAggSub::into_results`].
-pub type MultiAggSub<'a, V, W, A, F> = CombineSub<'a, W, A, SpreadFront<'a, V, F>>;
+/// A combine as its builders return it: the scatter+combine lane, the
+/// delivery window (delivery rounds are drawn from `1..=window`) and the
+/// lane seed the delivery's seed derives from. Declare it with
+/// [`Dag::combine`].
+pub type Combine<'a, W, A, Fr> = (CombineLane<'a, W, A, Fr>, u64, u64);
 
-/// The lane around one combining pipeline, per-node states given.
-fn combine_sub<'a, W, A, Fr: Front<W>>(
+/// The delivery lane of a combine, whose output is the delivery states.
+pub type DeliveryLane<W> = Lane<ScheduleProgram<PacketMsg<W>>, Vec<ScheduleState<PacketMsg<W>>>>;
+
+/// The combine lane around one combining pipeline, per-node states given.
+fn combine_sub<'a, W: Payload, A: Aggregate<W>, Fr: Front<W>>(
     n: usize,
     shared: &SharedRandomness,
     front: Fr,
@@ -542,7 +550,8 @@ fn combine_sub<'a, W, A, Fr: Front<W>>(
     states: Vec<PipeState<Fr::State, W>>,
     window: u64,
     lane_seed: u64,
-) -> CombineSub<'a, W, A, Fr> {
+) -> Combine<'a, W, A, Fr> {
+    assert!(n >= 2, "a combine needs n ≥ 2");
     let bf = Butterfly::for_n(n);
     let pipe = CombinePipeline {
         bf,
@@ -553,14 +562,90 @@ fn combine_sub<'a, W, A, Fr: Front<W>>(
         send_budget: usize::MAX,
         _pd: std::marker::PhantomData,
     };
-    CombineSub {
-        stage: 0,
-        lane_seed,
-        window,
-        pipe: Some((pipe, states)),
-        fronts: Vec::new(),
-        del: None,
-        out: None,
+    let lane = Lane::new(pipe, states, hand_over::<W, Fr>)
+        .seeded(derive_seed(&[lane_seed, 0]))
+        .paced(|pipe, budget| pipe.send_budget = budget);
+    (lane, window, lane_seed)
+}
+
+/// Each finished aggregate owes its target one delivery.
+fn hand_over<W: Payload, Fr: Front<W>>(
+    pipe: Vec<PipeState<Fr::State, W>>,
+) -> Handover<W, Fr::Kept, Fr::Out> {
+    let at = |(group, value)| (0, GroupId(group).target(), PacketMsg { group, value });
+    let (kept, deliveries) = pipe
+        .into_iter()
+        .map(|s| {
+            let to_send = s.comb.arrived.into_iter().map(at).collect();
+            let received = Vec::new();
+            (Fr::keep(s.front), ScheduleState { to_send, received })
+        })
+        .unzip();
+    Handover {
+        kept,
+        deliveries,
+        out: Fr::out,
+    }
+}
+
+impl<W: Payload, K, O> Handover<W, K, O> {
+    /// The delivery lane, on the seed `derive_seed(lane_seed, 1)`. It
+    /// takes the delivery states; what the fronts kept stays for
+    /// [`Handover::finish`].
+    pub fn deliver(&mut self, window: u64, lane_seed: u64) -> DeliveryLane<W> {
+        let prog = ScheduleProgram {
+            draw: Some(window),
+            key: |p: &PacketMsg<W>| p.group,
+        };
+        // deliveries leave in local rounds `0..window` and the last lands
+        // in round `window`: the stage is over within `window + 1` rounds
+        Lane::new(prog, std::mem::take(&mut self.deliveries), |states| states)
+            .seeded(derive_seed(&[lane_seed, 1]))
+            .ending(StageEnd::Within(window + 1))
+    }
+
+    /// Per node, its [`Front::Out`] from what its front kept and the
+    /// final state of its delivery.
+    pub fn finish(self, delivered: Vec<ScheduleState<PacketMsg<W>>>) -> Vec<O> {
+        let got = |s: ScheduleState<PacketMsg<W>>| {
+            let received = s.received.into_iter();
+            received.map(|(_, p)| (GroupId(p.group), p.value)).collect()
+        };
+        let kept = self.kept.into_iter().zip(delivered);
+        kept.map(|(k, s)| (self.out)(k, got(s))).collect()
+    }
+}
+
+impl<'a> Dag<'a> {
+    /// Declares a combine as two chained nodes, both labelled `label`:
+    /// the scatter+combine lane `build` makes from `deps` (it ends on a
+    /// barrier), and right after it the delivery lane, built from the
+    /// combine's [`Handover`] (it ends on the clock). The handle is the
+    /// delivery's: per node, its [`Front::Out`].
+    pub fn combine<W, A, Fr, B>(
+        &mut self,
+        label: impl Into<String>,
+        deps: &[Dep],
+        build: B,
+    ) -> ProtoNode<Vec<Fr::Out>>
+    where
+        W: Payload,
+        A: Aggregate<W> + 'a,
+        Fr: Front<W> + 'a,
+        B: FnOnce(&mut Deps<'_>) -> Combine<'a, W, A, Fr> + 'a,
+    {
+        let label = label.into();
+        let comb = self.built(label.clone(), deps, move |d| {
+            let (lane, window, seed) = build(d);
+            let finish = move |lane: CombineLane<'a, W, A, Fr>| (lane.into_results(), window, seed);
+            Built { lane, finish }
+        });
+        self.built(label, &[comb.into()], move |d| {
+            let (mut handover, window, seed) = d.take(comb);
+            let lane = handover.deliver(window, seed);
+            let finish = move |lane: DeliveryLane<W>| handover.finish(lane.into_results());
+            Built { lane, finish }
+        })
     }
 }
 
@@ -571,34 +656,17 @@ pub(crate) fn delivery_window(n: usize, ell: usize) -> u64 {
         .max(1) as u64
 }
 
-/// Builds the aggregation sub-protocol. Arguments mirror [`aggregate`];
-/// `lane_seed` keys the lane's private randomness (scatter columns,
-/// delivery rounds).
+/// Builds the aggregation combine: the combining network with nothing in
+/// front. Arguments mirror [`aggregate`]; `lane_seed` keys the lanes'
+/// private randomness (scatter columns, delivery rounds). Needs n ≥ 2.
 pub fn aggregation_sub<'a, V: Payload, A: Aggregate<V>>(
     n: usize,
     shared: &SharedRandomness,
     spec: AggregationSpec<V>,
     agg: &'a A,
     lane_seed: u64,
-) -> AggregationSub<'a, V, A> {
+) -> Combine<'a, V, A, ()> {
     assert_eq!(spec.memberships.len(), n);
-    if n == 1 {
-        // trivial network: the one node combines locally, no stage to run
-        let mut by_group = BTreeMap::new();
-        for (g, v) in spec.memberships.into_iter().flatten() {
-            merge_into(&mut by_group, g.raw(), v, agg);
-        }
-        let out = vec![by_group.into_iter().map(|(g, v)| (GroupId(g), v)).collect()];
-        return CombineSub {
-            stage: 0,
-            lane_seed,
-            window: 1,
-            pipe: None,
-            fronts: Vec::new(),
-            del: None,
-            out: Some(out),
-        };
-    }
     let states = spec
         .memberships
         .into_iter()
@@ -612,113 +680,14 @@ pub fn aggregation_sub<'a, V: Payload, A: Aggregate<V>>(
     combine_sub(n, shared, (), agg, states, window, lane_seed)
 }
 
-impl<V: Payload, A: Aggregate<V>> AggregationSub<'_, V, A> {
+impl<V: Payload, A: Aggregate<V>> CombineLane<'_, V, A, ()> {
     /// Replaces the random-rank contention rule with a static priority
     /// (rank ≡ 0, ties by group id) — ablation E17: the outputs are
     /// rank-independent, but Theorem B.2's delay bound only holds for
     /// random ranks. Call before the lane is installed.
     pub fn static_priority(mut self) -> Self {
-        self.pipe = self.pipe.map(|(mut prog, states)| {
-            prog.hashes = prog.hashes.with_fifo();
-            (prog, states)
-        });
+        self.program().hashes.random_ranks = false;
         self
-    }
-}
-
-impl<W, A, Fr: Front<W>> CombineSub<'_, W, A, Fr> {
-    /// Per node, its output ([`Front::Out`]): Aggregation's
-    /// `(group, aggregate)` deliveries; Multi-Aggregation's aggregate over
-    /// the packets multicast to the node, `None` if no group reached it;
-    /// the member-fired combine's fired copies beside its deliveries.
-    /// Panics before the composition ran to completion.
-    pub fn into_results(self) -> Vec<Fr::Out> {
-        self.out.expect("combining sub-protocol not finished")
-    }
-}
-
-impl<'a, W, A, Fr> LaneSub<'a> for CombineSub<'a, W, A, Fr>
-where
-    W: Payload,
-    A: Aggregate<W>,
-    Fr: Front<W> + 'a,
-{
-    fn pace(&mut self, send_budget: usize) {
-        if let Some((prog, _)) = self.pipe.as_mut() {
-            prog.send_budget = send_budget;
-        }
-    }
-
-    fn install(&mut self, b: &mut ncc_model::MuxBuilder<'a>) -> Option<ncc_model::LaneId> {
-        let seed = ncc_model::rng::derive_seed(&[self.lane_seed, self.stage as u64]);
-        match self.stage {
-            0 => {
-                let (prog, states) = self.pipe.take()?;
-                Some(b.lane_seeded(prog, states, seed))
-            }
-            1 => {
-                let (prog, states) = self.del.take()?;
-                Some(b.lane_seeded(prog, states, seed))
-            }
-            _ => None,
-        }
-    }
-
-    fn collect(&mut self, lane: ncc_model::LaneId, states: &mut [ncc_model::MuxState]) {
-        match self.stage {
-            0 => {
-                let pipe: Vec<PipeState<Fr::State, W>> = ncc_model::take_lane_states(states, lane);
-                // each finished aggregate owes its target one delivery
-                let deliveries = |s: PipeState<Fr::State, W>| {
-                    let at =
-                        |(group, value)| (0, GroupId(group).target(), PacketMsg { group, value });
-                    let to_send = s.comb.arrived.into_iter().map(at).collect();
-                    (
-                        Fr::keep(s.front),
-                        ScheduleState {
-                            to_send,
-                            received: Vec::new(),
-                        },
-                    )
-                };
-                let del;
-                (self.fronts, del) = pipe.into_iter().map(deliveries).unzip();
-                let draw = Some(self.window);
-                self.del = Some((
-                    ScheduleProgram {
-                        draw,
-                        key: |p| p.group,
-                    },
-                    del,
-                ));
-            }
-            _ => {
-                let del: Vec<ScheduleState<PacketMsg<W>>> =
-                    ncc_model::take_lane_states(states, lane);
-                let fronts = std::mem::take(&mut self.fronts).into_iter();
-                let got = |s: ScheduleState<PacketMsg<W>>| {
-                    s.received
-                        .into_iter()
-                        .map(|(_, p)| (GroupId(p.group), p.value))
-                        .collect()
-                };
-                self.out = Some(fronts.zip(del).map(|(f, s)| Fr::out(f, got(s))).collect());
-            }
-        }
-        self.stage += 1;
-    }
-
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-
-    fn stage_end(&self) -> StageEnd {
-        // deliveries leave in local rounds `0..window` and the last lands
-        // in round `window`: the stage is over within `window + 1` rounds
-        match &self.del {
-            Some(_) => StageEnd::Within(self.window + 1),
-            None => StageEnd::Barrier,
-        }
     }
 }
 
@@ -726,7 +695,8 @@ where
 /// with `agg` and delivered to the group's target; the per-node output lists
 /// the `(group, aggregate)` pairs that node received as a target.
 ///
-/// Blocking wrapper: one [`AggregationSub`] under [`run_alone`].
+/// Blocking wrapper: the [`aggregation_sub`] combine alone in a
+/// [`Dag::combine`] chain. On one node, it combines locally.
 /// Round complexity (Theorem 2.3): `O(L/n + (ℓ₁ + ℓ̂₂)/log n + log n)` w.h.p.
 pub fn aggregate<V: Payload, A: Aggregate<V>>(
     engine: &mut Engine,
@@ -734,9 +704,22 @@ pub fn aggregate<V: Payload, A: Aggregate<V>>(
     spec: AggregationSpec<V>,
     agg: &A,
 ) -> Result<(GroupedDeliveries<V>, ExecStats), ModelError> {
+    let n = engine.n();
+    if n == 1 {
+        // trivial network: the one node combines locally, no stage to run
+        let mut by_group = BTreeMap::new();
+        for (g, v) in spec.memberships.into_iter().flatten() {
+            merge_into(&mut by_group, g.raw(), v, agg);
+        }
+        let out = by_group.into_iter().map(|(g, v)| (GroupId(g), v));
+        return Ok((vec![out.collect()], ExecStats::default()));
+    }
     let seed = lane_seed(engine, 0x6167_6772 /* "aggr" */, 0);
-    let sub = aggregation_sub(engine.n(), shared, spec, agg, seed);
-    run_alone(engine, sub, AggregationSub::into_results)
+    let mut dag = Dag::new();
+    let node = dag.combine("alone", &[], move |_| {
+        aggregation_sub(n, shared, spec, agg, seed)
+    });
+    dag.run_one(engine, node)
 }
 
 // ---------------------------------------------------------------------------
@@ -837,9 +820,10 @@ where
     }
 }
 
-/// Builds the multi-aggregation sub-protocol. Arguments mirror
-/// [`multi_aggregate`]; `lane_seed` keys the lane's private randomness
-/// (leaf-map draws, scatter columns).
+/// Builds the multi-aggregation combine: the combining network behind
+/// the tree spread. Arguments mirror [`multi_aggregate`]; `lane_seed`
+/// keys the lanes' private randomness (leaf-map draws, scatter columns,
+/// delivery rounds). Needs n ≥ 2.
 pub fn multi_aggregate_sub<'a, V, W, A, F>(
     n: usize,
     shared: &SharedRandomness,
@@ -848,7 +832,7 @@ pub fn multi_aggregate_sub<'a, V, W, A, F>(
     leaf_map: F,
     agg: &'a A,
     lane_seed: u64,
-) -> MultiAggSub<'a, V, W, A, F>
+) -> Combine<'a, W, A, SpreadFront<'a, V, F>>
 where
     V: Payload,
     W: Payload,
@@ -889,7 +873,8 @@ where
 /// combines the mapped packets per destination. Returns per node `u` the
 /// aggregate `f({map(p_i) | u ∈ A_i})`, or `None` if no group reaches `u`.
 ///
-/// Blocking wrapper: one [`MultiAggSub`] under [`run_alone`].
+/// Blocking wrapper: the [`multi_aggregate_sub`] combine alone in a
+/// [`Dag::combine`] chain.
 pub fn multi_aggregate<V, W, A, F>(
     engine: &mut Engine,
     shared: &SharedRandomness,
@@ -904,9 +889,12 @@ where
     A: Aggregate<W>,
     F: Fn(&mut rand::rngs::SmallRng, GroupId, ncc_model::NodeId, &V) -> W + Sync,
 {
-    let seed = lane_seed(engine, 0x6d61_6767 /* "magg" */, 0);
-    let sub = multi_aggregate_sub(engine.n(), shared, trees, messages, leaf_map, agg, seed);
-    run_alone(engine, sub, MultiAggSub::into_results)
+    let (n, seed) = (engine.n(), lane_seed(engine, 0x6d61_6767 /* "magg" */, 0));
+    let mut dag = Dag::new();
+    let node = dag.combine("alone", &[], move |_| {
+        multi_aggregate_sub(n, shared, trees, messages, leaf_map, agg, seed)
+    });
+    dag.run_one(engine, node)
 }
 
 // ---------------------------------------------------------------------------
@@ -1055,11 +1043,6 @@ where
     }
 }
 
-/// The member-fired combine as a composable lane: the combining network
-/// behind a multicast whose members fire. Build with
-/// [`multicast_aggregate_sub`], read with [`CombineSub::into_results`].
-pub type McAggSub<'a, V, W, A, F> = CombineSub<'a, W, A, MulticastFront<'a, V, F>>;
-
 /// Builds the member-fired combine, one stage and one barrier before the
 /// delivery: every source `s_i` multicasts `p_i` down its tree in
 /// `trees`, every member `u` of `A_i` runs `member_map(u, i, p_i, out)`
@@ -1080,7 +1063,7 @@ pub fn multicast_aggregate_sub<'a, V, W, A, F>(
     spec: AggregationSpec<W>,
     agg: &'a A,
     lane_seed: u64,
-) -> McAggSub<'a, V, W, A, F>
+) -> Combine<'a, W, A, MulticastFront<'a, V, F>>
 where
     V: Payload,
     W: Payload,
@@ -1088,7 +1071,7 @@ where
     F: Fn(NodeId, GroupId, &V, &mut Vec<(GroupId, W)>) + Sync,
 {
     let n = messages.len();
-    assert!(n >= 2 && spec.memberships.len() == n);
+    assert_eq!(spec.memberships.len(), n);
     let front = MulticastFront {
         spread: TreeSpread {
             bf: Butterfly::for_n(n),
@@ -1490,12 +1473,7 @@ mod ab_tests {
                 let mut muxed = Engine::new(cfg);
                 let mut dag = Dag::new();
                 let lane_inputs = inputs.clone();
-                let node = dag.proto(
-                    "ab",
-                    &[],
-                    move |_| ab_sub(n, lane_inputs, &SumU64),
-                    |s| s.into_results(),
-                );
+                let node = dag.proto("ab", &[], move |_| ab_sub(n, lane_inputs, &SumU64));
                 let mut run = dag.run(&mut muxed).unwrap();
                 assert_eq!(want_stats.dropped > 0, drops, "n={n}");
                 assert_eq!(run.stats, want_stats, "n={n}");
@@ -1745,8 +1723,8 @@ pub(crate) mod tests {
             let bf = Butterfly::for_n(n);
             let group = GroupId::new(node % n as u32, sub).raw();
             let fresh = fresh_route(&shared, &bf, n, fifo, group);
-            let hashes = RouteHashes::new(&shared, &bf, n);
-            let hashes = if fifo { hashes.with_fifo() } else { hashes };
+            let mut hashes = RouteHashes::new(&shared, &bf, n);
+            hashes.random_ranks = !fifo;
             let mut states: Vec<CombineState<u64>> =
                 (0..bf.columns()).map(|_| CombineState::default()).collect();
             let mut col = start % bf.columns() as u32;

@@ -5,32 +5,29 @@
 //! parallel"), sharing the per-node `O(log n)` budget. This module declares
 //! that style of composition over [`ncc_model::Mux`]:
 //!
-//! * a primitive decomposed for composition is a [`LaneSub`]: a sequence of
-//!   *stages*, each an ordinary `NodeProgram` plus a node-local transition
-//!   that carries its per-node states into the next stage;
-//! * a [`Dag`] declares which sub-protocols run and what depends on what.
-//!   Its scheduler ([`crate::schedule`]) aligns the current stages of all
-//!   ready subs as lanes of one mux execution, so concurrent primitives
-//!   share rounds, capacity and drop sampling exactly as one program —
-//!   then settles **one sync per stage** for the whole stage (instead of
-//!   one per primitive, the cost model of App. B.1's phase
-//!   synchronisation): a [`sync_barrier`], nothing when every lane is its
-//!   own barrier, or a *pad* of idle rounds to a bound every node knows
-//!   (see [`StageEnd`]), unless an all-A&B stage carries it;
-//! * sub-protocols with fewer stages simply contribute nothing to the later
-//!   executions; outputs are collected from the final states.
+//! * a primitive decomposed for composition is a chain of [`Lane`]s, each
+//!   one stage: an ordinary `NodeProgram`, its per-node states, how the
+//!   stage ends ([`StageEnd`]) and a finisher that turns the collected
+//!   states into the lane's output;
+//! * a [`Dag`] declares which lanes run and what depends on what. Its
+//!   scheduler ([`crate::schedule`]) packs the ready lanes into one mux
+//!   execution, so concurrent primitives share rounds, capacity and drop
+//!   sampling exactly as one program — then settles **one sync per
+//!   stage** for the whole stage (instead of one per primitive, the cost
+//!   model of App. B.1's phase synchronisation): a [`sync_barrier`],
+//!   nothing when every lane is its own barrier, or a *pad* of idle
+//!   rounds to a bound every node knows (see [`StageEnd`]), unless an
+//!   all-A&B stage carries it.
 //!
-//! Each primitive has exactly one implementation, its [`LaneSub`], and one
-//! driver. A single-stage primitive's `LaneSub` is data, not a type of its
-//! own: a [`Lane`] holds its program, per-node states, [`StageEnd`] and a
-//! finisher (Aggregate-and-Broadcast, tree setup, multicast, and
-//! `ncc-core`'s scheduled exchange and rendezvous). Only the two-stage
-//! lanes are hand-written: the combining pipeline's
-//! [`CombineSub`](crate::aggregation::CombineSub) and `ncc-core`'s
-//! gather-and-broadcast. The blocking entry points (`aggregate`,
-//! `multicast_setup`, `multicast`, `multi_aggregate`) build that sub and
-//! hand it to [`run_alone`](crate::schedule::run_alone), a one-node
-//! [`Dag`].
+//! Each primitive has exactly one implementation and one driver. Most are
+//! one lane (Aggregate-and-Broadcast, tree setup, multicast, and
+//! `ncc-core`'s scheduled exchange and rendezvous). A primitive with two
+//! stages is two lanes chained in the DAG, the second built from the
+//! first one's output: the combining pipeline and its delivery
+//! ([`Dag::combine`]), and `ncc-core`'s gather-and-broadcast. The
+//! blocking entry points (`aggregate`, `multicast_setup`, `multicast`,
+//! `multi_aggregate`) declare that lane or that chain alone in a [`Dag`]
+//! ([`run_alone`](crate::schedule::run_alone) for one lane).
 //! Aggregate-and-Broadcast is the exception: it is one plain program and
 //! its own barrier, so
 //! [`aggregate_and_broadcast`](crate::aggregation::aggregate_and_broadcast)
@@ -40,8 +37,8 @@
 
 use ncc_model::{Engine, LaneId, MuxBuilder, MuxState, NodeProgram};
 
-/// How every node learns that a lane's current stage is over, and so what
-/// the stage owes before the next one may start.
+/// How every node learns that a lane's stage is over, and so what the
+/// stage owes before the next one may start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageEnd {
     /// No node can tell locally: the stage owes a
@@ -58,85 +55,66 @@ pub enum StageEnd {
     Within(u64),
 }
 
-/// A primitive decomposed into mux-lane stages.
-///
-/// The scheduler repeatedly calls [`LaneSub::install`] (returning `None` once
-/// the protocol is finished) and, after the shared execution quiesces,
-/// [`LaneSub::collect`] with the same lane id so the protocol can pull its
-/// states back out and perform its node-local stage transition.
+/// A driver's view of a [`Lane`], object-safe so that one stage can hold
+/// lanes of different programs: the driver installs the lane into a
+/// shared mux execution and, once that execution quiesced, collects it
+/// with the same lane id.
 pub trait LaneSub<'a> {
-    /// Installs the current stage's program and per-node states as a mux
-    /// lane, or `None` if all stages are done.
-    fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId>;
+    /// Installs the program and its per-node states as a mux lane. A
+    /// lane installs once.
+    fn install(&mut self, b: &mut MuxBuilder<'a>) -> LaneId;
 
-    /// Collects the states of the stage installed under `lane` and advances
-    /// to the next stage (node-local work only — no communication).
+    /// Collects the states installed under `lane` into the lane's output
+    /// (node-local work only — no communication).
     fn collect(&mut self, lane: LaneId, states: &mut [MuxState]);
 
-    /// `true` once every stage has been installed and collected.
-    ///
-    /// This is a side-effect-free probe (unlike [`LaneSub::install`], which
-    /// moves the pending stage into the builder): schedulers use it to
-    /// decide whether a protocol still needs lanes *before* committing
-    /// builder space. Invariant: `!is_done()` implies the next `install`
-    /// returns `Some`.
-    fn is_done(&self) -> bool;
-
-    /// How every node learns that the stage the next
-    /// [`LaneSub::install`] runs is over — query it before `install`.
-    /// Default [`StageEnd::Barrier`]. A stage whose lanes are all
-    /// [`StageEnd::SelfSync`] owes nothing, matching the cost of
-    /// `aggregate_and_broadcast`, and when it follows a stage that owes a
-    /// sync it runs in that sync's slot and carries it. A stage whose
-    /// lanes are all [`StageEnd::Within`] owes a pad to the largest bound.
-    fn stage_end(&self) -> StageEnd {
-        StageEnd::Barrier
-    }
+    /// How every node learns that the lane's stage is over. A stage whose
+    /// lanes are all [`StageEnd::SelfSync`] owes nothing, matching the
+    /// cost of `aggregate_and_broadcast`, and when it follows a stage
+    /// that owes a sync it runs in that sync's slot and carries it. A
+    /// stage whose lanes are all [`StageEnd::Within`] owes a pad to the
+    /// largest bound.
+    fn stage_end(&self) -> StageEnd;
 
     /// Asks the lane to keep its per-node sends within `send_budget`
     /// messages per round — its *share* of the node capacity when a
     /// scheduler packs it next to other lanes (§2's parallel-instances
     /// argument: `k` concurrent instances each slow down by the factor
     /// `k`, they do not overdraw the budget). The scheduler calls it
-    /// before every [`LaneSub::install`].
+    /// before [`LaneSub::install`].
     ///
-    /// Both combining lanes, Aggregation and Multi-Aggregation (one
-    /// [`CombineSub`](crate::aggregation::CombineSub)), honour it in
-    /// every round of their scatter+combine stage, round 0 included:
-    /// their load there is `Θ(log n)` per round. Default: no-op, meant
-    /// for lanes whose per-round load is `O(1)` by construction. Some
-    /// lanes keep the no-op with a `Θ(log n)` load: the combining lanes'
-    /// delivery stage, and the multicast and tree-setup [`Lane`]s (a
-    /// `Lane` never paces).
-    fn pace(&mut self, _send_budget: usize) {}
+    /// A lane honours it through its [`Lane::paced`] hook. The combining
+    /// pipeline has one and honours it in every round, round 0 included:
+    /// its load is `Θ(log n)` per round. The other lanes have none,
+    /// because their per-round load is `O(1)` by construction — except
+    /// the combine's delivery and the multicast and tree-setup lanes,
+    /// whose `Θ(log n)` load stays unpaced.
+    fn pace(&mut self, send_budget: usize);
 }
 
-/// A pending stage of a sub-protocol: its program plus per-node states,
-/// consumed by [`LaneSub::install`].
-pub(crate) type Stage<Prog, St> = Option<(Prog, Vec<St>)>;
-
-/// A single-stage primitive as data: one program, its per-node states,
+/// One stage of a primitive as data: one program, its per-node states,
 /// how the stage ends, and a capture-free `finish` that turns the
-/// collected states into the output. Every single-stage lane
-/// (Aggregate-and-Broadcast, tree setup, multicast, `ncc-core`'s scheduled
-/// exchange and rendezvous) is a `Lane`; read it with
+/// collected states into the output. Every lane is a `Lane`; read it with
 /// [`Lane::into_results`].
 pub struct Lane<P: NodeProgram, T> {
-    stage: Stage<P, P::State>,
+    stage: Option<(P, Vec<P::State>)>,
     seed: Option<u64>,
     end: StageEnd,
+    pace: Option<fn(&mut P, usize)>,
     finish: fn(Vec<P::State>) -> T,
     out: Option<T>,
 }
 
 impl<P: NodeProgram, T> Lane<P, T> {
     /// A lane on the nodes' own randomness streams
-    /// ([`MuxBuilder::lane`]) that ends on a [`StageEnd::Barrier`].
+    /// ([`MuxBuilder::lane`]) that ends on a [`StageEnd::Barrier`] and is
+    /// not paced.
     pub fn new(prog: P, states: Vec<P::State>, finish: fn(Vec<P::State>) -> T) -> Self {
         Lane {
             stage: Some((prog, states)),
             seed: None,
             end: StageEnd::Barrier,
+            pace: None,
             finish,
             out: None,
         }
@@ -155,7 +133,19 @@ impl<P: NodeProgram, T> Lane<P, T> {
         self
     }
 
-    /// The finished output. Panics before the composition finished.
+    /// Gives the lane its [`LaneSub::pace`]: `hook` holds the program to
+    /// a per-node send budget.
+    pub fn paced(mut self, hook: fn(&mut P, usize)) -> Self {
+        self.pace = Some(hook);
+        self
+    }
+
+    /// The program, before the lane is installed.
+    pub(crate) fn program(&mut self) -> &mut P {
+        &mut self.stage.as_mut().expect("lane already installed").0
+    }
+
+    /// The finished output. Panics before the lane was collected.
     pub fn into_results(self) -> T {
         self.out.expect("lane not finished")
     }
@@ -166,24 +156,26 @@ where
     P: NodeProgram + 'a,
     P::State: 'static,
 {
-    fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId> {
-        let (prog, states) = self.stage.take()?;
-        Some(match self.seed {
+    fn install(&mut self, b: &mut MuxBuilder<'a>) -> LaneId {
+        let (prog, states) = self.stage.take().expect("a lane installs once");
+        match self.seed {
             Some(seed) => b.lane_seeded(prog, states, seed),
             None => b.lane(prog, states),
-        })
+        }
     }
 
     fn collect(&mut self, lane: LaneId, states: &mut [MuxState]) {
         self.out = Some((self.finish)(ncc_model::take_lane_states(states, lane)));
     }
 
-    fn is_done(&self) -> bool {
-        self.out.is_some()
-    }
-
     fn stage_end(&self) -> StageEnd {
         self.end
+    }
+
+    fn pace(&mut self, send_budget: usize) {
+        if let Some(hook) = self.pace {
+            hook(self.program(), send_budget);
+        }
     }
 }
 
@@ -237,10 +229,10 @@ impl<T> From<ProtoNode<T>> for Dep {
     }
 }
 
-/// Read-only view of upstream outputs, handed to a node's build/run
-/// closure once all of its dependencies completed.
+/// View of upstream outputs, handed to a node's build/run closure once
+/// all of its dependencies completed.
 pub struct Deps<'v> {
-    pub(crate) outputs: &'v [Option<Box<dyn Any>>],
+    pub(crate) outputs: &'v mut [Option<Box<dyn Any>>],
 }
 
 impl Deps<'_> {
@@ -251,6 +243,16 @@ impl Deps<'_> {
             .as_ref()
             .expect("dependency not finished — was it declared in `deps`?")
             .downcast_ref::<T>()
+            .expect("dependency output type mismatch")
+    }
+
+    /// Moves an upstream output out, for the one node that consumes it.
+    /// Panics, as [`Deps::get`] does, and on a second take.
+    pub fn take<T: 'static>(&mut self, h: ProtoNode<T>) -> T {
+        *self.outputs[h.idx]
+            .take()
+            .expect("dependency not finished, or already taken")
+            .downcast::<T>()
             .expect("dependency output type mismatch")
     }
 }
@@ -271,70 +273,51 @@ impl DagOutputs {
     }
 }
 
-/// Object-safe driver view of one protocol node's lane: a [`LaneSub`] plus
-/// its typed finisher, erased so the scheduler can hold heterogeneous
-/// nodes in one table.
-pub(crate) trait DynLane<'a> {
-    fn pace(&mut self, send_budget: usize);
-    fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId>;
-    fn collect(&mut self, lane: LaneId, states: &mut [MuxState]);
-    fn is_done(&self) -> bool;
+/// A built protocol node: its lane and the finisher that turns the
+/// collected lane into the node's output.
+pub(crate) struct Built<L, F> {
+    pub(crate) lane: L,
+    pub(crate) finish: F,
+}
+
+/// A [`Built`] node with its types erased, so the scheduler holds every
+/// node in one table.
+pub(crate) trait Running<'a> {
     fn stage_end(&self) -> StageEnd;
-    /// Consumes the finished sub-protocol into its boxed output.
-    fn finish(&mut self) -> Box<dyn Any>;
+    /// Paces the lane to `share` and installs it.
+    fn install(&mut self, share: usize, b: &mut MuxBuilder<'a>) -> LaneId;
+    /// Collects the lane and finishes it into the node's boxed output.
+    fn finish(self: Box<Self>, id: LaneId, states: &mut [MuxState]) -> Box<dyn Any>;
 }
 
-/// A running sub-protocol and its finisher, taken together by `finish`.
-struct ProtoRun<'a, S: LaneSub<'a> + 'a, T, F: FnOnce(S) -> T> {
-    run: Option<(S, F)>,
-    _pd: PhantomData<&'a ()>,
-}
-
-impl<'a, S: LaneSub<'a> + 'a, T, F: FnOnce(S) -> T> ProtoRun<'a, S, T, F> {
-    fn sub(&mut self) -> &mut S {
-        &mut self.run.as_mut().expect("lane already finished").0
-    }
-}
-
-impl<'a, S: LaneSub<'a> + 'a, T: 'static, F: FnOnce(S) -> T> DynLane<'a> for ProtoRun<'a, S, T, F> {
-    fn pace(&mut self, send_budget: usize) {
-        self.sub().pace(send_budget);
-    }
-    fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId> {
-        self.sub().install(b)
-    }
-    fn collect(&mut self, lane: LaneId, states: &mut [MuxState]) {
-        self.sub().collect(lane, states);
-    }
-    fn is_done(&self) -> bool {
-        self.run.as_ref().is_none_or(|(s, _)| s.is_done())
-    }
+impl<'a, L: LaneSub<'a>, T: 'static, F: FnOnce(L) -> T> Running<'a> for Built<L, F> {
     fn stage_end(&self) -> StageEnd {
-        self.run
-            .as_ref()
-            .map_or(StageEnd::Barrier, |(s, _)| s.stage_end())
+        self.lane.stage_end()
     }
-    fn finish(&mut self) -> Box<dyn Any> {
-        let (sub, fin) = self.run.take().expect("lane finished twice");
-        Box::new(fin(sub))
+    fn install(&mut self, share: usize, b: &mut MuxBuilder<'a>) -> LaneId {
+        self.lane.pace(share);
+        self.lane.install(b)
+    }
+    fn finish(self: Box<Self>, id: LaneId, states: &mut [MuxState]) -> Box<dyn Any> {
+        let Built { mut lane, finish } = *self;
+        lane.collect(id, states);
+        Box::new(finish(lane))
     }
 }
 
-/// Deferred construction of a protocol node's lane from its dependencies.
-pub(crate) type BuildFn<'a> = Box<dyn FnOnce(&Deps<'_>) -> Box<dyn DynLane<'a> + 'a> + 'a>;
+/// Deferred construction of a protocol node from its dependencies.
+pub(crate) type BuildFn<'a> = Box<dyn FnOnce(&mut Deps<'_>) -> Box<dyn Running<'a> + 'a> + 'a>;
 /// Deferred node-local computation from its dependencies.
 pub(crate) type ComputeFn<'a> = Box<dyn FnOnce(&Deps<'_>) -> Box<dyn Any> + 'a>;
 
 pub(crate) enum NodeState<'a> {
-    /// Waiting on dependencies; `build` turns their outputs into a live
-    /// sub-protocol.
+    /// Waiting on dependencies; `build` turns their outputs into a lane.
     Pending(BuildFn<'a>),
     /// Node-local computation (no communication): runs as soon as its
     /// dependencies are done, producing its output immediately.
     PendingCompute(ComputeFn<'a>),
-    /// Built; its current stage is installed as a mux lane each scheduler
-    /// stage until [`DynLane::is_done`].
-    Running(Box<dyn DynLane<'a> + 'a>),
+    /// Built; its lane runs in the next stage that has room for it.
+    Running(Box<dyn Running<'a> + 'a>),
     /// Finished; output stored in the outputs table.
     Done,
 }
@@ -357,9 +340,9 @@ pub(crate) struct DagNode<'a> {
 /// the scheduling rules and the paper mapping.
 ///
 /// Two node kinds:
-/// * [`Dag::proto`] — a communicating sub-protocol ([`LaneSub`]), built
-///   from its dependencies' outputs by a closure, finished into a typed
-///   output by another;
+/// * [`Dag::proto`] — a communicating sub-protocol: a [`Lane`] built from
+///   its dependencies' outputs by a closure ([`Dag::combine`] declares
+///   two chained ones);
 /// * [`Dag::compute`] — free node-local computation (the model's "local
 ///   computation is free"), used to transform upstream outputs without
 ///   burning a stage.
@@ -399,36 +382,50 @@ impl<'a> Dag<'a> {
         }
     }
 
-    /// Declares a sub-protocol node. `build` receives the outputs of
-    /// `deps` and constructs the [`LaneSub`]; once every stage of the sub
-    /// has run, `finish` converts it into the node's typed output.
+    /// Declares a protocol node. `build` receives the outputs of `deps`
+    /// and constructs the node's [`Lane`]; once the lane ran, its output
+    /// ([`Lane::into_results`]) is the node's. A lane that borrows an
+    /// upstream output moves it into a cell that outlives the DAG
+    /// ([`Deps::take`]), since a build's view of its dependencies ends
+    /// with the build.
     ///
     /// Declaration order is the scheduler's tie-breaker: independent nodes
     /// that become ready together are packed into one stage in declaration
     /// order (first-declared gets a lane first if the budget binds).
-    pub fn proto<S, T, B, F>(
+    pub fn proto<P, T, B>(
         &mut self,
         label: impl Into<String>,
         deps: &[Dep],
         build: B,
-        finish: F,
     ) -> ProtoNode<T>
     where
-        S: LaneSub<'a> + 'a,
+        P: NodeProgram + 'a,
+        P::State: 'static,
         T: 'static,
-        B: FnOnce(&Deps<'_>) -> S + 'a,
-        F: FnOnce(S) -> T + 'a,
+        B: FnOnce(&mut Deps<'_>) -> Lane<P, T> + 'a,
     {
-        self.add(
-            label.into(),
-            deps,
-            NodeState::Pending(Box::new(move |deps| {
-                Box::new(ProtoRun {
-                    run: Some((build(deps), finish)),
-                    _pd: PhantomData,
-                })
-            })),
-        )
+        self.built(label.into(), deps, move |d| Built {
+            lane: build(d),
+            finish: Lane::into_results,
+        })
+    }
+
+    /// Declares a protocol node whose `build` also picks the finisher
+    /// that turns its collected lane into the node's output.
+    pub(crate) fn built<L, T, F, B>(
+        &mut self,
+        label: String,
+        deps: &[Dep],
+        build: B,
+    ) -> ProtoNode<T>
+    where
+        L: LaneSub<'a> + 'a,
+        T: 'static,
+        F: FnOnce(L) -> T + 'a,
+        B: FnOnce(&mut Deps<'_>) -> Built<L, F> + 'a,
+    {
+        let build: BuildFn<'a> = Box::new(move |d| Box::new(build(d)));
+        self.add(label, deps, NodeState::Pending(build))
     }
 
     /// Declares a node-local computation node: `run` maps upstream outputs
@@ -452,17 +449,12 @@ mod tests {
     use super::*;
     use ncc_model::{Ctx, Envelope, NetConfig, NodeProgram};
 
-    /// Minimal 2-stage sub-protocol for driver tests: stage 1 relays a token
-    /// around the ring `hops` times, stage 2 broadcasts a completion flag to
-    /// node 0.
-    struct TwoStage {
-        n: usize,
-        hops: u64,
-        stage: usize,
-        seen: u64,
-        done_count: Option<u64>,
+    fn keep(states: Vec<u64>) -> Vec<u64> {
+        states
     }
 
+    /// Stage 1 of a two-lane chain: relays a token around the ring
+    /// `hops` times; every node counts what it received.
     struct Relay {
         hops: u64,
     }
@@ -480,6 +472,7 @@ mod tests {
         }
     }
 
+    /// Stage 2: every node reports its state to node 0.
     struct Report;
     impl NodeProgram for Report {
         type State = u64;
@@ -494,47 +487,20 @@ mod tests {
         }
     }
 
-    impl<'a> LaneSub<'a> for TwoStage {
-        fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId> {
-            match self.stage {
-                0 => Some(b.lane_seeded(Relay { hops: self.hops }, vec![0u64; self.n], 1)),
-                1 => Some(b.lane_seeded(Report, vec![self.seen; self.n], 2)),
-                _ => None,
-            }
-        }
-        fn collect(&mut self, lane: LaneId, states: &mut [MuxState]) {
-            let st: Vec<u64> = ncc_model::take_lane_states(states, lane);
-            match self.stage {
-                0 => self.seen = st[0],
-                _ => self.done_count = Some(st[0]),
-            }
-            self.stage += 1;
-        }
-
-        fn is_done(&self) -> bool {
-            self.stage > 1
-        }
-    }
-
     #[test]
     fn composed_stages_share_barriers() {
         let n = 16;
         let mut eng = Engine::new(NetConfig::new(n, 3));
         let mut dag = Dag::new();
+        // two chains of two lanes: the report starts from node 0's count
         let [a, c] = [4, 9].map(|hops| {
-            let sub = TwoStage {
-                n,
-                hops,
-                stage: 0,
-                seen: 0,
-                done_count: None,
-            };
-            dag.proto(
-                format!("relay{hops}"),
-                &[],
-                move |_| sub,
-                |s| (s.seen, s.done_count),
-            )
+            let relay = dag.proto(format!("relay{hops}"), &[], move |_| {
+                Lane::new(Relay { hops }, vec![0u64; n], keep).seeded(1)
+            });
+            let report = dag.proto(format!("report{hops}"), &[relay.into()], move |d| {
+                Lane::new(Report, vec![d.get(relay)[0]; n], keep).seeded(2)
+            });
+            (relay, report)
         });
         let mut run = dag.run(&mut eng).unwrap();
         assert_eq!(run.report.stages.len(), 2, "stages align across lanes");
@@ -542,8 +508,10 @@ mod tests {
         assert_eq!(run.report.lane_stages(), 4);
         // node 0's counter starts at its own count and absorbs every
         // node's report (its own included)
-        assert_eq!(run.outputs.take(a), (4, Some(4 + 4 * n as u64)));
-        assert_eq!(run.outputs.take(c), (9, Some(9 + 9 * n as u64)));
+        for (hops, (relay, report)) in [(4, a), (9, c)] {
+            assert_eq!(run.outputs.take(relay)[0], hops);
+            assert_eq!(run.outputs.take(report)[0], hops + hops * n as u64);
+        }
         // stage 1 is bounded by the slowest lane, not the sum
         assert!(
             run.stats.rounds < (10 + 2) + 2 * 20,
@@ -563,26 +531,37 @@ mod tests {
         fn round(&self, _st: &mut u64, _inbox: &[Envelope<u64>], _ctx: &mut Ctx<'_, u64>) {}
     }
 
-    fn keep(states: Vec<u64>) -> Vec<u64> {
-        states
-    }
-
     #[test]
-    fn lane_installs_once_and_is_done_after_collect() {
+    fn lane_installs_once_and_finishes_on_collect() {
         let n = 8;
         let mut lane = Lane::new(Relay { hops: 3 }, vec![0u64; n], keep);
-        assert!(!lane.is_done());
         let mut b = MuxBuilder::new(n);
-        let id = lane.install(&mut b).expect("the one stage installs");
-        assert!(lane.install(&mut MuxBuilder::new(n)).is_none());
-        assert!(!lane.is_done(), "installed but not collected");
+        let id = lane.install(&mut b);
         let (mux, mut states) = b.build();
         Engine::new(NetConfig::new(n, 5))
             .execute(&mux, &mut states)
             .unwrap();
         lane.collect(id, &mut states);
-        assert!(lane.is_done());
         assert_eq!(lane.into_results(), vec![3u64; n]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a lane installs once")]
+    fn a_second_install_panics() {
+        let mut lane = Lane::new(Draw, vec![0u64; 4], keep);
+        lane.install(&mut MuxBuilder::new(4));
+        lane.install(&mut MuxBuilder::new(4));
+    }
+
+    #[test]
+    fn paced_lane_hands_its_share_to_the_hook() {
+        let relay = |hops| Lane::new(Relay { hops }, vec![0u64; 4], keep);
+        let mut paced = relay(9).paced(|prog, budget| prog.hops = budget as u64);
+        paced.pace(2);
+        assert_eq!(paced.program().hops, 2);
+        let mut unpaced = relay(9);
+        unpaced.pace(2);
+        assert_eq!(unpaced.program().hops, 9);
     }
 
     #[test]
@@ -599,7 +578,7 @@ mod tests {
         let (n, seed) = (16, 0x5eed);
         let lane = Lane::new(Draw, vec![0u64; n], keep).seeded(seed);
         let mut eng = Engine::new(NetConfig::new(n, 1));
-        let (alone, _) = crate::schedule::run_alone(&mut eng, lane, Lane::into_results).unwrap();
+        let (alone, _) = crate::schedule::run_alone(&mut eng, lane).unwrap();
         let mut bare = vec![0u64; n];
         Engine::new(NetConfig::new(n, seed))
             .execute(&Draw, &mut bare)

@@ -22,22 +22,24 @@
 //!
 //! Each primitive is implemented once, as a *composable sub-protocol*
 //! ([`ab_sub`], [`aggregation_sub`], [`multicast_setup_sub`],
-//! [`multicast_sub`], [`multi_aggregate_sub`]): a short sequence of
-//! streamed pipeline stages (scatter while combining, spread while
-//! delivering) that run as lanes of one [`ncc_model::Mux`]. Aggregation,
+//! [`multicast_sub`], [`multi_aggregate_sub`]): one [`Lane`] per streamed
+//! pipeline stage (scatter while combining, spread while delivering),
+//! run as lanes of one [`ncc_model::Mux`]. Aggregation,
 //! Multi-Aggregation and the member-fired combine
-//! ([`multicast_aggregate_sub`]) share one combining pipeline and one
-//! lane type ([`aggregation::CombineSub`]); they differ only in what feeds
-//! the scatter ([`aggregation::Front`]: nothing, the multicast tree spread
-//! re-keyed at the leaves, or a whole multicast whose members fire on
-//! their copies), in the delivery window and in the shape of their output.
+//! ([`multicast_aggregate_sub`]) share one combining pipeline, whose lane
+//! hands its aggregates to a delivery lane ([`Dag::combine`] chains the
+//! two); they differ only in what feeds the scatter
+//! ([`aggregation::Front`]: nothing, the multicast tree spread re-keyed
+//! at the leaves, or a whole multicast whose members fire on their
+//! copies), in the delivery window and in the shape of their output.
 //! Concurrent primitive instances **share rounds, capacity and at most
 //! one sync per stage** instead of queuing — the §2 "run many instances in parallel"
 //! argument, executable (see [`compose`] and the [`Dag`] scheduler in
 //! [`schedule`]). The blocking functions in the table above are wrappers:
-//! they build the sub and hand it to [`run_alone`], a one-node [`Dag`] —
-//! except [`aggregate_and_broadcast`], one plain program that the engine
-//! executes directly, since it is the stage barrier itself.
+//! they declare the lane alone in a [`Dag`] ([`run_alone`]), or the
+//! combine's two — except [`aggregate_and_broadcast`], one plain program
+//! that the engine executes directly, since it is the stage barrier
+//! itself.
 //!
 //! ## Stage synchronisation
 //!
@@ -80,7 +82,8 @@ pub mod topology;
 pub use aggregation::{
     ab_sub, aggregate, aggregate_and_broadcast, aggregation_sub, multi_aggregate,
     multi_aggregate_sub, multicast_aggregate_sub, send_due, sync_barrier, AbSub, AggregationSpec,
-    AggregationSub, GroupedDeliveries, McAggSub, MultiAggSub, ScheduleProgram, ScheduleState,
+    Combine, CombineLane, DeliveryLane, GroupedDeliveries, Handover, ScheduleProgram,
+    ScheduleState,
 };
 pub use combine::{Aggregate, MaxU64, MinByKey, MinU64, SumPair, SumU64, XorPair, XorSum, XorU64};
 pub use compose::{lane_seed, Dag, DagOutputs, Dep, Deps, Lane, LaneSub, ProtoNode, StageEnd};

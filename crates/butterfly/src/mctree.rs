@@ -314,7 +314,7 @@ pub fn multicast_setup(
 ) -> Result<(MulticastTrees, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6d63_7375 /* "mcsu" */, 0);
     let sub = multicast_setup_sub(engine.n(), shared, joins, seed);
-    run_alone(engine, sub, McSetupSub::into_results)
+    run_alone(engine, sub)
 }
 
 /// Convenience: turns per-node group lists into self-registrations

@@ -385,7 +385,7 @@ pub fn multicast<V: Payload>(
 ) -> Result<(GroupedDeliveries<V>, ExecStats), ModelError> {
     let seed = lane_seed(engine, 0x6d63_7374 /* "mcst" */, 0);
     let sub = multicast_sub(engine.n(), shared, trees, messages, ell_hat, seed);
-    run_alone(engine, sub, MulticastSub::into_results)
+    run_alone(engine, sub)
 }
 
 #[cfg(test)]

@@ -36,18 +36,19 @@
 //!   that stage is all self-synchronizing, in which case it runs in the
 //!   sync's slot and **carries** it (see below). A sync still owed when
 //!   the DAG finishes is paid at the end;
-//! * multi-stage primitives (Aggregation's combine→deliver, …) keep
-//!   contributing lanes stage after stage until done, so their internal
-//!   phases also share barriers with whatever else is in flight.
+//! * every lane is one stage, and finishes as it is collected. A
+//!   primitive with two stages (Aggregation's combine→deliver, …) is two
+//!   chained nodes, so its second lane is ready in the very next stage
+//!   and its phases share barriers with whatever else is in flight.
 //!
 //! The result: a hand-fused composition and the equivalent DAG declaration
 //! execute the *same* lane/stage/barrier sequence — bit-identical rounds,
 //! drops and outputs — while the DAG form deletes the bespoke lane
 //! plumbing (see `crates/butterfly/tests/schedule_props.rs` for the
 //! property-level equivalence proof against a test-only fused driver).
-//! The scheduler is the only driver: a sub-protocol run by itself is a
-//! one-node DAG ([`run_alone`]), so its stages are settled by the same
-//! code as every packed stage.
+//! The scheduler is the only driver: a lane run by itself is a one-node
+//! DAG ([`run_alone`]), and a combine run by itself its two-node chain,
+//! so their stages are settled by the same code as every packed stage.
 //!
 //! # The pad: a stage of known length ends on the clock
 //!
@@ -106,10 +107,10 @@
 //! echoes its headline numbers into `RunRecord.metrics`, and
 //! `ncc-cli explain <algo>` prints it as a table.
 
-use ncc_model::{lane_stats, Engine, ExecStats, LaneStats, ModelError, MuxBuilder};
+use ncc_model::{lane_stats, Engine, ExecStats, LaneStats, ModelError, MuxBuilder, NodeProgram};
 
 use crate::aggregation::{barrier_rounds, sync_barrier};
-use crate::compose::{Dag, DagOutputs, Deps, LaneSub, NodeState, StageEnd};
+use crate::compose::{Dag, DagOutputs, Deps, Lane, NodeState, ProtoNode, StageEnd};
 
 /// The default per-node parallel-instance budget: `2·⌈log₂ n⌉`, floored at
 /// 6 so degenerate tiny networks still pack a useful antichain. `O(log n)`,
@@ -253,49 +254,37 @@ impl<'a> Dag<'a> {
         let mut owed = Owed::Nothing;
 
         loop {
-            // Settle to a fixpoint: finish quiesced lanes, run ready
-            // compute nodes, build ready protocols. Each transition can
-            // unlock more (a compute feeding a proto feeding a compute…),
-            // all without touching the network — local computation is free.
-            loop {
-                let mut changed = false;
-                for i in 0..nodes.len() {
-                    let ready = nodes[i].deps.iter().all(|&d| outputs[d].is_some());
-                    match &nodes[i].state {
-                        NodeState::Pending(_) | NodeState::PendingCompute(_) if ready => {
-                            let state = std::mem::replace(&mut nodes[i].state, NodeState::Done);
-                            let deps = Deps { outputs: &outputs };
-                            match state {
-                                NodeState::Pending(build) => {
-                                    nodes[i].state = NodeState::Running(build(&deps));
-                                }
-                                NodeState::PendingCompute(run) => {
-                                    outputs[i] = Some(run(&deps));
-                                    // state stays Done
-                                }
-                                _ => unreachable!(),
-                            }
-                            changed = true;
-                        }
-                        NodeState::Running(lane) if lane.is_done() => {
-                            let NodeState::Running(mut lane) =
-                                std::mem::replace(&mut nodes[i].state, NodeState::Done)
-                            else {
-                                unreachable!()
-                            };
-                            outputs[i] = Some(lane.finish());
-                            changed = true;
-                        }
-                        _ => {}
-                    }
+            // Run ready compute nodes and build ready protocols, in
+            // declaration order: every node is declared after its
+            // dependencies, so one pass reaches all that the finished
+            // lanes unlock, without touching the network — local
+            // computation is free.
+            for i in 0..nodes.len() {
+                let ready = nodes[i].deps.iter().all(|&d| outputs[d].is_some());
+                let pending = matches!(
+                    nodes[i].state,
+                    NodeState::Pending(_) | NodeState::PendingCompute(_)
+                );
+                if !ready || !pending {
+                    continue;
                 }
-                if !changed {
-                    break;
+                let mut deps = Deps {
+                    outputs: &mut outputs,
+                };
+                match std::mem::replace(&mut nodes[i].state, NodeState::Done) {
+                    NodeState::Pending(build) => {
+                        nodes[i].state = NodeState::Running(build(&mut deps));
+                    }
+                    NodeState::PendingCompute(run) => {
+                        let out = run(&deps);
+                        outputs[i] = Some(out);
+                    }
+                    _ => unreachable!(),
                 }
             }
 
             // Pack the ready antichain: every Running node contributes its
-            // current stage as a lane, declaration order, budget-capped.
+            // lane, declaration order, budget-capped.
             // Each packed lane gets an even share of the per-node send
             // capacity (§2's parallel-instances argument: k instances run
             // together iff each throttles to cap/k messages per round).
@@ -321,11 +310,7 @@ impl<'a> Dag<'a> {
                     }
                     let lane_end = lane.stage_end();
                     end = Some(end.map_or(lane_end, |e| e.join(lane_end)));
-                    lane.pace(share);
-                    let id = lane
-                        .install(&mut b)
-                        .expect("LaneSub invariant: !is_done() but install returned None");
-                    installed.push((i, id));
+                    installed.push((i, lane.install(share, &mut b)));
                 }
             }
 
@@ -355,13 +340,16 @@ impl<'a> Dag<'a> {
             total.merge(&stats);
             let per_lane = lane_stats(&states);
             let mut lanes = Vec::with_capacity(installed.len());
-            for (k, (i, id)) in installed.iter().enumerate() {
-                let NodeState::Running(lane) = &mut nodes[*i].state else {
+            // ...whose lanes finish as they are collected.
+            for (k, (i, id)) in installed.into_iter().enumerate() {
+                let NodeState::Running(lane) =
+                    std::mem::replace(&mut nodes[i].state, NodeState::Done)
+                else {
                     unreachable!()
                 };
-                lane.collect(*id, &mut states);
+                outputs[i] = Some(lane.finish(id, &mut states));
                 lanes.push(LaneRecord {
-                    label: nodes[*i].label.clone(),
+                    label: nodes[i].label.clone(),
                     stats: per_lane[k],
                 });
             }
@@ -387,20 +375,17 @@ impl<'a> Dag<'a> {
     }
 }
 
-/// Runs one sub-protocol by itself and converts it into its output with
-/// `finish`: a one-node [`Dag`], so its stages are settled by the same
-/// code as every packed stage. The blocking entry points (`aggregate`,
-/// `multicast_setup`, `multicast`, `multi_aggregate`) are this call on
-/// their sub.
-pub fn run_alone<'a, S, T, F>(
+/// Runs one lane by itself: a one-node [`Dag`], so its stage is settled
+/// by the same code as every packed stage. The blocking entry points
+/// `multicast_setup` and `multicast` are this call on their lane.
+pub fn run_alone<'a, P, T>(
     engine: &mut Engine,
-    sub: S,
-    finish: F,
+    lane: Lane<P, T>,
 ) -> Result<(T, ExecStats), ModelError>
 where
-    S: LaneSub<'a> + 'a,
+    P: NodeProgram + 'a,
+    P::State: 'static,
     T: 'static,
-    F: FnOnce(S) -> T + 'a,
 {
     // Exactly its one node: the default growth to four would request the
     // size of one of the forest tables `tests/alloc_hop.rs` checks a
@@ -408,9 +393,21 @@ where
     let mut dag = Dag {
         nodes: Vec::with_capacity(1),
     };
-    let node = dag.proto("alone", &[], move |_| sub, finish);
-    let mut run = dag.run(engine)?;
-    Ok((run.outputs.take(node), run.stats))
+    let node = dag.proto("alone", &[], move |_| lane);
+    dag.run_one(engine, node)
+}
+
+impl Dag<'_> {
+    /// Runs the DAG and hands back the output of `node` with the total
+    /// cost: the path of every blocking entry point.
+    pub(crate) fn run_one<T: 'static>(
+        self,
+        engine: &mut Engine,
+        node: ProtoNode<T>,
+    ) -> Result<(T, ExecStats), ModelError> {
+        let mut run = self.run(engine)?;
+        Ok((run.outputs.take(node), run.stats))
+    }
 }
 
 impl StageEnd {
@@ -489,7 +486,7 @@ mod tests {
     use crate::mctree::multicast_setup_sub;
     use crate::topology::GroupId;
     use ncc_hashing::SharedRandomness;
-    use ncc_model::{LaneId, MuxState, NetConfig, NodeId};
+    use ncc_model::{NetConfig, NodeId};
 
     fn engine(n: usize) -> Engine {
         Engine::new(NetConfig::new(n, 77))
@@ -514,24 +511,6 @@ mod tests {
             .collect()
     }
 
-    /// Runs `S` but claims each of its stages is over within `.1` rounds.
-    struct Claims<S>(S, u64);
-
-    impl<'a, S: LaneSub<'a>> LaneSub<'a> for Claims<S> {
-        fn install(&mut self, b: &mut MuxBuilder<'a>) -> Option<LaneId> {
-            self.0.install(b)
-        }
-        fn collect(&mut self, lane: LaneId, states: &mut [MuxState]) {
-            self.0.collect(lane, states)
-        }
-        fn is_done(&self) -> bool {
-            self.0.is_done()
-        }
-        fn stage_end(&self) -> StageEnd {
-            StageEnd::Within(self.1)
-        }
-    }
-
     #[test]
     fn solo_ab_node_matches_blocking_adapter() {
         let n = 48;
@@ -544,12 +523,7 @@ mod tests {
         // DAG path: one A&B node, nothing else
         let mut eng = engine(n);
         let mut dag = Dag::new();
-        let node = dag.proto(
-            "max",
-            &[],
-            move |_| ab_sub(n, inputs, &MaxU64),
-            |s| s.into_results(),
-        );
+        let node = dag.proto("max", &[], move |_| ab_sub(n, inputs, &MaxU64));
         let mut run = dag.run(&mut eng).unwrap();
         assert_eq!(run.outputs.take(node), want);
         // self-synchronizing ⇒ no barrier charged: identical cost to the
@@ -568,22 +542,12 @@ mod tests {
         // sum of 0..n, then a dependent A&B that broadcasts sum+1, plus a
         // compute node in between — typed outputs flow through closures.
         let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
-        let sum = dag.proto(
-            "sum",
-            &[],
-            move |_| ab_sub(n, inputs, &SumU64),
-            |s| s.into_results(),
-        );
+        let sum = dag.proto("sum", &[], move |_| ab_sub(n, inputs, &SumU64));
         let bumped = dag.compute("bump", &[sum.into()], move |d| d.get(sum)[0].map(|v| v + 1));
-        let rebroadcast = dag.proto(
-            "rebroadcast",
-            &[bumped.into()],
-            move |d| {
-                let v = *d.get(bumped);
-                ab_sub(n, vec![v; n], &MinU64)
-            },
-            |s| s.into_results(),
-        );
+        let rebroadcast = dag.proto("rebroadcast", &[bumped.into()], move |d| {
+            let v = *d.get(bumped);
+            ab_sub(n, vec![v; n], &MinU64)
+        });
         let mut run = dag.run(&mut eng).unwrap();
         let expect = (n as u64 * (n as u64 - 1)) / 2 + 1;
         assert_eq!(run.outputs.take(bumped), Some(expect));
@@ -605,12 +569,7 @@ mod tests {
         let mut dag = Dag::new();
         for j in 0..4u64 {
             let inputs: Vec<Option<u64>> = (0..n as u64).map(|v| Some(v + 100 * j)).collect();
-            dag.proto(
-                format!("max{j}"),
-                &[],
-                move |_| ab_sub(n, inputs, &MaxU64),
-                |s| s.into_results(),
-            );
+            dag.proto(format!("max{j}"), &[], move |_| ab_sub(n, inputs, &MaxU64));
         }
         let run = dag.run(&mut eng).unwrap();
         assert_eq!(run.report.stages.len(), 1, "antichain packs together");
@@ -630,12 +589,7 @@ mod tests {
             let inputs: Vec<Option<u64>> = (0..n as u64).map(|v| Some(v * (j + 1))).collect();
             handles.push((
                 j,
-                dag.proto(
-                    format!("sum{j}"),
-                    &[],
-                    move |_| ab_sub(n, inputs, &SumU64),
-                    |s| s.into_results(),
-                ),
+                dag.proto(format!("sum{j}"), &[], move |_| ab_sub(n, inputs, &SumU64)),
             ));
         }
         let mut run = dag.run_budgeted(&mut eng, 2).unwrap();
@@ -672,23 +626,17 @@ mod tests {
         let mut alone = ExecStats::default();
         for tag in [1, 2] {
             let sub = multicast_setup_sub(n, &shared, ring_joins(n, tag), 9 + tag as u64);
-            alone.merge(&run_alone(&mut eng, sub, |s| s.into_results()).unwrap().1);
+            alone.merge(&run_alone(&mut eng, sub).unwrap().1);
         }
         let mut eng = engine(n);
         let mut dag = Dag::new();
         let shared = &shared;
-        let first = dag.proto(
-            "trees1",
-            &[],
-            move |_| multicast_setup_sub(n, shared, ring_joins(n, 1), 10),
-            |s| s.into_results(),
-        );
-        dag.proto(
-            "trees2",
-            &[first.into()],
-            move |_| multicast_setup_sub(n, shared, ring_joins(n, 2), 11),
-            |s| s.into_results(),
-        );
+        let first = dag.proto("trees1", &[], move |_| {
+            multicast_setup_sub(n, shared, ring_joins(n, 1), 10)
+        });
+        dag.proto("trees2", &[first.into()], move |_| {
+            multicast_setup_sub(n, shared, ring_joins(n, 2), 11)
+        });
         let run = dag.run(&mut eng).unwrap();
         // each setup charges a barrier; nothing carries the last one, so
         // the chain pays it exactly as each setup run alone does
@@ -718,12 +666,9 @@ mod tests {
         let mut eng = engine(n);
         let mut dag = Dag::new();
         let shared = &shared;
-        dag.proto(
-            "agg",
-            &[],
-            move |_| aggregation_sub(n, shared, one_message(n, 25), &SumU64, 9),
-            |s| s.into_results(),
-        );
+        dag.combine("agg", &[], move |_| {
+            aggregation_sub(n, shared, one_message(n, 25), &SumU64, 9)
+        });
         let run = dag.run(&mut eng).unwrap();
         // combine + barrier + delivery + pad to the bound ⌈25/5⌉ + 1 = 6
         let st = &run.report.stages;
@@ -743,12 +688,9 @@ mod tests {
         let mut eng = engine(n);
         let mut dag = Dag::new();
         let shared = &shared;
-        dag.proto(
-            "agg",
-            &[],
-            move |_| aggregation_sub(n, shared, one_message(n, 5000), &SumU64, 9),
-            |s| s.into_results(),
-        );
+        dag.combine("agg", &[], move |_| {
+            aggregation_sub(n, shared, one_message(n, 5000), &SumU64, 9)
+        });
         let run = dag.run(&mut eng).unwrap();
         let st = &run.report.stages;
         let barrier = sync_barrier(&mut engine(n)).unwrap().rounds;
@@ -764,12 +706,9 @@ mod tests {
     fn overrunning_its_bound_panics_with_the_stage_label() {
         let n = 16;
         let mut dag = Dag::new();
-        dag.proto(
-            "liar",
-            &[],
-            move |_| Claims(ab_sub(n, vec![Some(1); n], &MaxU64), 3),
-            |s| s.0.into_results(),
-        );
+        dag.proto("liar", &[], move |_| {
+            ab_sub(n, vec![Some(1); n], &MaxU64).ending(StageEnd::Within(3))
+        });
         let _ = dag.run(&mut engine(n));
     }
 
@@ -777,18 +716,10 @@ mod tests {
     fn self_sync_and_within_lanes_together_pay_a_barrier() {
         let n = 16;
         let mut dag = Dag::new();
-        dag.proto(
-            "ab",
-            &[],
-            move |_| ab_sub(n, vec![Some(1); n], &MaxU64),
-            |s| s.into_results(),
-        );
-        dag.proto(
-            "timed",
-            &[],
-            move |_| Claims(ab_sub(n, vec![Some(2); n], &MaxU64), 1000),
-            |s| s.0.into_results(),
-        );
+        dag.proto("ab", &[], move |_| ab_sub(n, vec![Some(1); n], &MaxU64));
+        dag.proto("timed", &[], move |_| {
+            ab_sub(n, vec![Some(2); n], &MaxU64).ending(StageEnd::Within(1000))
+        });
         let run = dag.run(&mut engine(n)).unwrap();
         let st = &run.report.stages;
         assert_eq!(st.len(), 1);
@@ -803,19 +734,13 @@ mod tests {
         let mut eng = engine(n);
         let mut dag = Dag::new();
         let shared = &shared;
-        let agg = dag.proto(
-            "agg",
-            &[],
-            move |_| aggregation_sub(n, shared, agg_spec(n), &SumU64, 9),
-            |s| s.into_results(),
-        );
+        let agg = dag.combine("agg", &[], move |_| {
+            aggregation_sub(n, shared, agg_spec(n), &SumU64, 9)
+        });
         for j in 0..3u64 {
-            dag.proto(
-                format!("check{j}"),
-                &[agg.into()],
-                move |_| ab_sub(n, vec![Some(j); n], &MaxU64),
-                |s| s.into_results(),
-            );
+            dag.proto(format!("check{j}"), &[agg.into()], move |_| {
+                ab_sub(n, vec![Some(j); n], &MaxU64)
+            });
         }
         let run = dag.run_budgeted(&mut eng, 2).unwrap();
         // combine (barrier), deliver (barrier carried), checks 0–1

@@ -39,7 +39,7 @@ type Model = Vec<[BTreeMap<(u32, u64), u64>; 2]>;
 type Packet = (u32, usize, u32, u64, u64);
 
 /// A handful of ranks over many groups, so rank ties are the rule; rank ≡ 0
-/// is the static-priority ablation (`with_fifo()`).
+/// is the static-priority ablation (`static_priority()`).
 fn route(group: u64, fifo: bool) -> Route {
     Route {
         target: group as u32,

@@ -79,21 +79,34 @@ fn run_hand_fused(
 ) -> (Deliveries, Vec<Option<u64>>, u64) {
     let shared = SharedRandomness::new(seed ^ 0xF00D);
     let mut eng = engine(n, seed, threads, unbounded);
-    let mut lanes: Vec<_> = (0..k as u32)
+    let mut combs: Vec<_> = (0..k as u32)
         .map(|sub| aggregation_sub(n, &shared, make_spec(n, sub), &SumU64, 40 + sub as u64))
         .collect();
     let mut ab = ab_sub(n, ab_inputs(n, seed), &MaxU64);
-    let stats = {
-        let mut refs: Vec<&mut dyn LaneSub> =
-            lanes.iter_mut().map(|l| l as &mut dyn LaneSub).collect();
-        refs.push(&mut ab);
-        common::run_fused(&mut eng, &mut refs).stats
-    };
-    let deliveries = lanes
-        .into_iter()
-        .map(|l| l.into_results().into_iter().map(sorted).collect())
+    let mut fused = common::Fused::default();
+    let mut refs: Vec<&mut dyn LaneSub> = combs
+        .iter_mut()
+        .map(|(l, _, _)| l as &mut dyn LaneSub)
         .collect();
-    (deliveries, ab.into_results(), stats.rounds)
+    refs.push(&mut ab);
+    common::run_fused(&mut eng, &mut fused, &mut refs);
+    // the deliveries, built from the combines' handovers
+    let mut handovers: Vec<_> = combs
+        .into_iter()
+        .map(|(l, window, seed)| (l.into_results(), window, seed))
+        .collect();
+    let mut dels: Vec<_> = handovers
+        .iter_mut()
+        .map(|(h, window, seed)| h.deliver(*window, *seed))
+        .collect();
+    let mut refs: Vec<&mut dyn LaneSub> = dels.iter_mut().map(|l| l as &mut dyn LaneSub).collect();
+    common::run_fused(&mut eng, &mut fused, &mut refs);
+    let deliveries = dels
+        .into_iter()
+        .zip(handovers)
+        .map(|(l, (h, ..))| h.finish(l.into_results()).into_iter().map(sorted).collect())
+        .collect();
+    (deliveries, ab.into_results(), fused.stats.rounds)
 }
 
 /// The same lanes declared as a dependency-free [`Dag`] antichain, packed
@@ -117,21 +130,13 @@ fn run_dag(
     let aggs: Vec<_> = (0..k as u32)
         .map(|sub| {
             let shared = &shared;
-            dag.proto(
-                format!("agg{sub}"),
-                &[],
-                move |_| aggregation_sub(n, shared, make_spec(n, sub), &SumU64, 40 + sub as u64),
-                |s| s.into_results(),
-            )
+            dag.combine(format!("agg{sub}"), &[], move |_| {
+                aggregation_sub(n, shared, make_spec(n, sub), &SumU64, 40 + sub as u64)
+            })
         })
         .collect();
     let inputs = ab_inputs(n, seed);
-    let ab = dag.proto(
-        "ab",
-        &[],
-        move |_| ab_sub(n, inputs, &MaxU64),
-        |s| s.into_results(),
-    );
+    let ab = dag.proto("ab", &[], move |_| ab_sub(n, inputs, &MaxU64));
     let mut run = match budget {
         Some(b) => dag.run_budgeted(&mut eng, b).unwrap(),
         None => dag.run(&mut eng).unwrap(),
@@ -161,9 +166,9 @@ fn delivered_sums(deliveries: &[Vec<(GroupId, u64)>]) -> Vec<Option<u64>> {
 }
 
 /// Aggregation → compute → dependent A&B, one primitive at a time:
-/// [`run_alone`] on the aggregation (a barrier after its combine, a pad
-/// after its delivery), then [`aggregate_and_broadcast`] on its per-node
-/// sums. Returns (sorted deliveries, A&B results, rounds).
+/// the aggregation alone in a [`Dag`] (a barrier after its combine, a
+/// pad after its delivery), then [`aggregate_and_broadcast`] on its
+/// per-node sums. Returns (sorted deliveries, A&B results, rounds).
 fn run_chain_sequential(
     n: usize,
     seed: u64,
@@ -171,8 +176,12 @@ fn run_chain_sequential(
 ) -> (LaneDeliveries, Vec<Option<u64>>, u64) {
     let shared = SharedRandomness::new(seed ^ 0xF00D);
     let mut eng = engine(n, seed, 1, unbounded);
-    let agg = aggregation_sub(n, &shared, make_spec(n, 0), &SumU64, 40);
-    let (deliveries, agg_stats) = run_alone(&mut eng, agg, |s| s.into_results()).unwrap();
+    let mut dag = Dag::new();
+    let agg = dag.combine("agg", &[], |_| {
+        aggregation_sub(n, &shared, make_spec(n, 0), &SumU64, 40)
+    });
+    let mut run = dag.run(&mut eng).unwrap();
+    let (deliveries, agg_stats) = (run.outputs.take(agg), run.stats);
     let deliveries: Vec<_> = deliveries.into_iter().map(sorted).collect();
     let (ab, ab_stats) =
         aggregate_and_broadcast(&mut eng, delivered_sums(&deliveries), &SumU64).unwrap();
@@ -196,21 +205,15 @@ fn run_chain_dag(
     let mut eng = engine(n, seed, threads, unbounded);
     let mut dag = Dag::new();
     let shared = &shared;
-    let agg = dag.proto(
-        "agg",
-        &[],
-        move |_| aggregation_sub(n, shared, make_spec(n, 0), &SumU64, 40),
-        |s| s.into_results(),
-    );
+    let agg = dag.combine("agg", &[], move |_| {
+        aggregation_sub(n, shared, make_spec(n, 0), &SumU64, 40)
+    });
     let sums = dag.compute("sums", &[agg.into()], move |d| {
         delivered_sums(d.get(agg).as_slice())
     });
-    let ab = dag.proto(
-        "total",
-        &[sums.into()],
-        move |d| ab_sub(n, d.get(sums).clone(), &SumU64),
-        |s| s.into_results(),
-    );
+    let ab = dag.proto("total", &[sums.into()], move |d| {
+        ab_sub(n, d.get(sums).clone(), &SumU64)
+    });
     let mut run = dag.run(&mut eng).unwrap();
     let deliveries = run.outputs.take(agg).into_iter().map(sorted).collect();
     (
@@ -237,7 +240,7 @@ fn run_setup_chain_sequential(
     let mut trees = None;
     for tag in [1, 2] {
         let setup = multicast_setup_sub(n, &shared, ring_joins(n, tag), 40 + tag as u64);
-        let (forest, stats) = run_alone(&mut eng, setup, |s| s.into_results()).unwrap();
+        let (forest, stats) = run_alone(&mut eng, setup).unwrap();
         rounds += stats.rounds;
         trees = Some(forest);
     }
@@ -259,27 +262,18 @@ fn run_setup_chain_dag(
     let mut eng = engine(n, seed, threads, unbounded);
     let mut dag = Dag::new();
     let shared = &shared;
-    let first = dag.proto(
-        "trees1",
-        &[],
-        move |_| multicast_setup_sub(n, shared, ring_joins(n, 1), 41),
-        |s| s.into_results(),
-    );
-    let second = dag.proto(
-        "trees2",
-        &[first.into()],
-        move |_| multicast_setup_sub(n, shared, ring_joins(n, 2), 42),
-        |s| s.into_results(),
-    );
+    let first = dag.proto("trees1", &[], move |_| {
+        multicast_setup_sub(n, shared, ring_joins(n, 1), 41)
+    });
+    let second = dag.proto("trees2", &[first.into()], move |_| {
+        multicast_setup_sub(n, shared, ring_joins(n, 2), 42)
+    });
     let counts = dag.compute("counts", &[second.into()], move |d| {
         leaf_counts(n, d.get(second))
     });
-    let ab = dag.proto(
-        "total",
-        &[counts.into()],
-        move |d| ab_sub(n, d.get(counts).clone(), &SumU64),
-        |s| s.into_results(),
-    );
+    let ab = dag.proto("total", &[counts.into()], move |d| {
+        ab_sub(n, d.get(counts).clone(), &SumU64)
+    });
     let mut run = dag.run(&mut eng).unwrap();
     let leaves = run.outputs.take(second).leaves;
     (leaves, run.outputs.take(ab), run.stats.rounds, run.report)
@@ -398,15 +392,17 @@ proptest! {
         let shared = SharedRandomness::new(seed ^ 0xF00D);
         let spec = || AggregationSpec { ell2_hat, ..make_spec(n, 0) };
         let mut eng = engine(n, seed, 1, true);
-        let mut sub = aggregation_sub(n, &shared, spec(), &SumU64, 40);
-        let fused = common::run_fused(&mut eng, &mut [&mut sub]).stats;
+        let (mut comb, window, lane_seed) = aggregation_sub(n, &shared, spec(), &SumU64, 40);
+        let mut fused = common::Fused::default();
+        common::run_fused(&mut eng, &mut fused, &mut [&mut comb]);
+        let mut del = comb.into_results().deliver(window, lane_seed);
+        common::run_fused(&mut eng, &mut fused, &mut [&mut del]);
+        let fused = fused.stats;
 
         let mut eng = engine(n, seed, 1, true);
         let mut dag = Dag::new();
         let shared = &shared;
-        dag.proto("agg", &[], move |_| aggregation_sub(n, shared, spec(), &SumU64, 40), |s| {
-            s.into_results()
-        });
+        dag.combine("agg", &[], move |_| aggregation_sub(n, shared, spec(), &SumU64, 40));
         let run = dag.run(&mut eng).unwrap();
         prop_assert_eq!(run.stats, fused);
 
@@ -489,12 +485,9 @@ fn packed_heavy_aggregations_keep_the_send_cap() {
                 ell2_hat: 64,
             };
             let shared = &shared;
-            dag.proto(
-                format!("agg{sub}"),
-                &[],
-                move |_| aggregation_sub(n, shared, spec, &SumU64, 40 + u64::from(sub)),
-                |s| s.into_results(),
-            );
+            dag.combine(format!("agg{sub}"), &[], move |_| {
+                aggregation_sub(n, shared, spec, &SumU64, 40 + u64::from(sub))
+            });
         }
         let run = dag
             .run(&mut eng)

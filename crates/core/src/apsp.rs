@@ -132,13 +132,12 @@ pub fn landmark_apsp(
                 messages[u as usize] = Some((neighborhood_group(u), u as u64));
             }
             let seed = seeds[l];
-            spreads.push(Some(dag.proto(
+            spreads.push(Some(dag.combine(
                 format!("p{phase}:spread{l}"),
                 &[],
                 move |_| {
                     multi_aggregate_sub(n, shared, trees, messages, |_, _, _, v| *v, &MinU64, seed)
                 },
-                |s| s.into_results(),
             )));
         }
         // combine: each landmark's newly reached nodes form its next
@@ -166,15 +165,10 @@ pub fn landmark_apsp(
         });
         // termination consensus (self-synchronizing: carries the spreads'
         // barrier)
-        let check = dag.proto(
-            format!("p{phase}:check"),
-            &[combine.into()],
-            move |d| {
-                let (_, _, newly) = d.get(combine);
-                ab_sub(n, newly.clone(), &MaxU64)
-            },
-            |s| s.into_results(),
-        );
+        let check = dag.proto(format!("p{phase}:check"), &[combine.into()], move |d| {
+            let (_, _, newly) = d.get(combine);
+            ab_sub(n, newly.clone(), &MaxU64)
+        });
 
         let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
         let (new_dist, next, _) = run.take(combine);

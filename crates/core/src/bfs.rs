@@ -68,14 +68,9 @@ pub fn bfs(
 
         let mut dag = Dag::new();
         let trees = &bt.trees;
-        let spread = dag.proto(
-            format!("p{phase}:spread"),
-            &[],
-            move |_| {
-                multi_aggregate_sub(n, shared, trees, messages, |_, _, _, v| *v, &MinU64, seed)
-            },
-            |s| s.into_results(),
-        );
+        let spread = dag.combine(format!("p{phase}:spread"), &[], move |_| {
+            multi_aggregate_sub(n, shared, trees, messages, |_, _, _, v| *v, &MinU64, seed)
+        });
         // a node joins the next frontier iff it was unknown and heard a
         // frontier identifier this phase
         let newly = dag.compute(format!("p{phase}:next"), &[spread.into()], move |d| {
@@ -91,12 +86,9 @@ pub fn bfs(
                 .collect::<Vec<Option<u64>>>()
         });
         // termination consensus (carries the spread's barrier)
-        let check = dag.proto(
-            format!("p{phase}:check"),
-            &[newly.into()],
-            move |d| ab_sub(n, d.get(newly).clone(), &MaxU64),
-            |s| s.into_results(),
-        );
+        let check = dag.proto(format!("p{phase}:check"), &[newly.into()], move |d| {
+            ab_sub(n, d.get(newly).clone(), &MaxU64)
+        });
 
         let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
         let mins = run.take(spread);

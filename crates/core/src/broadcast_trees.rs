@@ -79,7 +79,7 @@ pub fn build_broadcast_trees(
         })
         .collect();
     let setup = multicast_setup_sub(g.n(), shared, joins, lane_seed(engine, 0x6274_7265, 0));
-    let (trees, s) = run_alone(engine, setup, |s| s.into_results())?;
+    let (trees, s) = run_alone(engine, setup)?;
     report.push("tree-setup", s);
 
     // Δ (the ℓ̂ bound for neighborhood multicasts) was already agreed

@@ -93,24 +93,13 @@ pub fn coloring(
         .collect();
     let trees_seed = lane_seed(engine, 0x636c_7201, 0);
     let mut dag = Dag::new();
-    let trees = dag.proto(
-        "setup:in-trees",
-        &[],
-        move |_| multicast_setup_sub(n, shared, joins, trees_seed),
-        |s| s.into_results(),
-    );
-    let ahat = dag.proto(
-        "setup:ahat",
-        &[],
-        move |_| ab_sub(n, ahat_inputs, &MaxU64),
-        |s| s.into_results(),
-    );
-    let level = dag.proto(
-        "setup:levels",
-        &[],
-        move |_| ab_sub(n, level_inputs, &MaxU64),
-        |s| s.into_results(),
-    );
+    let trees = dag.proto("setup:in-trees", &[], move |_| {
+        multicast_setup_sub(n, shared, joins, trees_seed)
+    });
+    let ahat = dag.proto("setup:ahat", &[], move |_| ab_sub(n, ahat_inputs, &MaxU64));
+    let level = dag.proto("setup:levels", &[], move |_| {
+        ab_sub(n, level_inputs, &MaxU64)
+    });
     let mut run = report.run_dag("in-trees+agree", dag, engine, &mut plan)?;
     let in_trees = run.take(trees);
     let a_hat = run.take(ahat)[0].unwrap_or(0) as usize;
@@ -165,12 +154,9 @@ pub fn coloring(
             let outs = &orientation.out_neighbors;
 
             let mut dag = Dag::new();
-            let tent = dag.proto(
-                format!("l{li}:r{rep}:tentative"),
-                &[],
-                move |_| in_multicast_sub(n, shared, in_trees, messages, a_hat, tent_seed),
-                |s| s.into_results(),
-            );
+            let tent = dag.proto(format!("l{li}:r{rep}:tentative"), &[], move |_| {
+                in_multicast_sub(n, shared, in_trees, messages, a_hat, tent_seed)
+            });
             // u defers iff some same-level uncolored out-neighbor announced
             // u's own candidate (u receives announcements of all x with
             // u ∈ N_in(x), i.e. of its out-neighbors)
@@ -196,27 +182,22 @@ pub fn coloring(
             // depend only on `keeps`, so they are an antichain the scheduler
             // packs into one mux.
             let perm_in_cand = cand.clone();
-            let perm_in = dag.proto(
-                format!("l{li}:r{rep}:perm-mc"),
-                &[keeps.into()],
-                move |d| {
-                    let keeps = d.get(keeps);
-                    let messages: Vec<Option<(GroupId, u64)>> = (0..n)
-                        .map(|u| {
-                            keeps[u].then(|| {
-                                (
-                                    GroupId::new(u as u32, IN_SUB),
-                                    perm_in_cand[u].unwrap() as u64,
-                                )
-                            })
+            let perm_in = dag.proto(format!("l{li}:r{rep}:perm-mc"), &[keeps.into()], move |d| {
+                let keeps = d.get(keeps);
+                let messages: Vec<Option<(GroupId, u64)>> = (0..n)
+                    .map(|u| {
+                        keeps[u].then(|| {
+                            (
+                                GroupId::new(u as u32, IN_SUB),
+                                perm_in_cand[u].unwrap() as u64,
+                            )
                         })
-                        .collect();
-                    in_multicast_sub(n, shared, in_trees, messages, a_hat, perm_in_seed)
-                },
-                |s| s.into_results(),
-            );
+                    })
+                    .collect();
+                in_multicast_sub(n, shared, in_trees, messages, a_hat, perm_in_seed)
+            });
             let perm_out_cand = cand.clone();
-            let perm_out = dag.proto(
+            let perm_out = dag.combine(
                 format!("l{li}:r{rep}:perm-agg"),
                 &[keeps.into()],
                 move |d| {
@@ -245,7 +226,6 @@ pub fn coloring(
                         perm_out_seed,
                     )
                 },
-                |s| s.into_results(),
             );
             // --- is this level done? The check consumes the keep decision
             // but must run after the announcements (the deps serialise it,
@@ -264,7 +244,6 @@ pub fn coloring(
                         .collect();
                     ab_sub(n, inputs, &MaxU64)
                 },
-                |s| s.into_results(),
             );
 
             let mut run = report.run_dag(format!("l{li}:r{rep}"), dag, engine, &mut plan)?;

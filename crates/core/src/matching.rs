@@ -82,7 +82,7 @@ pub fn maximal_matching(
         let trees = &bt.trees;
 
         let mut dag = Dag::new();
-        let picks = dag.proto(
+        let picks = dag.combine(
             format!("p{phase}:pick"),
             &[],
             // the leaf l(i,u) annotates with r ∈ [0,1] (here: 24 random
@@ -98,7 +98,6 @@ pub fn maximal_matching(
                     pick_seed,
                 )
             },
-            |s| s.into_results(),
         );
         // pick(u): a uniformly random unmatched neighbor (None if no
         // unmatched neighbor remains). Matched nodes ignore deliveries.
@@ -120,42 +119,32 @@ pub fn maximal_matching(
         // depend only on `choose`, so they are an antichain the scheduler
         // packs into one mux. When the check comes back empty the accept
         // output is empty too (no picks, no memberships) and the phase ends.
-        let accept = dag.proto(
-            format!("p{phase}:accept"),
-            &[choose.into()],
-            move |d| {
-                let pick = d.get(choose);
-                let memberships: Vec<Vec<(GroupId, u64)>> = (0..n)
-                    .map(|u| match pick[u] {
-                        Some(v) => vec![(GroupId::new(v, 9), u as u64)],
-                        None => Vec::new(),
-                    })
-                    .collect();
-                aggregation_sub(
-                    n,
-                    shared,
-                    AggregationSpec {
-                        memberships,
-                        ell2_hat: 1,
-                    },
-                    &MinU64,
-                    accept_seed,
-                )
-            },
-            |s| s.into_results(),
-        );
-        let check = dag.proto(
-            format!("p{phase}:check"),
-            &[choose.into()],
-            move |d| {
-                let pick = d.get(choose);
-                let inputs: Vec<Option<u64>> = (0..n)
-                    .map(|u| if pick[u].is_some() { Some(1) } else { None })
-                    .collect();
-                ab_sub(n, inputs, &MaxU64)
-            },
-            |s| s.into_results(),
-        );
+        let accept = dag.combine(format!("p{phase}:accept"), &[choose.into()], move |d| {
+            let pick = d.get(choose);
+            let memberships: Vec<Vec<(GroupId, u64)>> = (0..n)
+                .map(|u| match pick[u] {
+                    Some(v) => vec![(GroupId::new(v, 9), u as u64)],
+                    None => Vec::new(),
+                })
+                .collect();
+            aggregation_sub(
+                n,
+                shared,
+                AggregationSpec {
+                    memberships,
+                    ell2_hat: 1,
+                },
+                &MinU64,
+                accept_seed,
+            )
+        });
+        let check = dag.proto(format!("p{phase}:check"), &[choose.into()], move |d| {
+            let pick = d.get(choose);
+            let inputs: Vec<Option<u64>> = (0..n)
+                .map(|u| if pick[u].is_some() { Some(1) } else { None })
+                .collect();
+            ab_sub(n, inputs, &MaxU64)
+        });
         let mut run = report.run_dag(format!("phase{phase}:select"), dag, engine, &mut plan)?;
         let pick = run.take(choose);
         let accepted_in = run.take(accept);
@@ -181,20 +170,15 @@ pub fn maximal_matching(
         let mut dag = Dag::new();
         // v → acc(v); receiver u learns its pick was accepted, i.e. the
         // chain edge (u → pick(u)) exists
-        let notify = dag.proto(
-            format!("p{phase}:notify"),
-            &[],
-            move |_| {
-                let schedules: Vec<Vec<(u64, NodeId, u64)>> = (0..n)
-                    .map(|v| match notify_acc[v] {
-                        Some(u) => vec![(1, u, 1)],
-                        None => Vec::new(),
-                    })
-                    .collect();
-                schedule_sub(n, schedules, Some(1))
-            },
-            |s| s.into_results(),
-        );
+        let notify = dag.proto(format!("p{phase}:notify"), &[], move |_| {
+            let schedules: Vec<Vec<(u64, NodeId, u64)>> = (0..n)
+                .map(|v| match notify_acc[v] {
+                    Some(u) => vec![(1, u, 1)],
+                    None => Vec::new(),
+                })
+                .collect();
+            schedule_sub(n, schedules, Some(1))
+        });
         // chain neighbors of x: `out` = pick(x) if accepted, `in` = acc(x)
         let chain_pick = pick.clone();
         let chain = dag.compute(format!("p{phase}:chain"), &[notify.into()], move |d| {
@@ -230,15 +214,10 @@ pub fn maximal_matching(
                 .collect();
             (schedules, proposed)
         });
-        let propose = dag.proto(
-            format!("p{phase}:propose"),
-            &[chain.into()],
-            move |d| {
-                let (schedules, _) = d.get(chain);
-                schedule_sub(n, schedules.clone(), Some(1))
-            },
-            |s| s.into_results(),
-        );
+        let propose = dag.proto(format!("p{phase}:propose"), &[chain.into()], move |d| {
+            let (schedules, _) = d.get(chain);
+            schedule_sub(n, schedules.clone(), Some(1))
+        });
         let mut run = report.run_dag(format!("phase{phase}:resolve"), dag, engine, &mut plan)?;
         let (_, proposed) = run.take(chain);
         let props = run.take(propose);

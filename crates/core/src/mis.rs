@@ -81,22 +81,17 @@ pub fn mis(
         let trees = &bt.trees;
 
         let mut dag = Dag::new();
-        let draw = dag.proto(
-            format!("p{phase}:draw"),
-            &[],
-            move |_| {
-                multi_aggregate_sub(
-                    n,
-                    shared,
-                    trees,
-                    messages,
-                    |_, _, _, v| *v,
-                    &MinU64,
-                    draw_seed,
-                )
-            },
-            |s| s.into_results(),
-        );
+        let draw = dag.combine(format!("p{phase}:draw"), &[], move |_| {
+            multi_aggregate_sub(
+                n,
+                shared,
+                trees,
+                messages,
+                |_, _, _, v| *v,
+                &MinU64,
+                draw_seed,
+            )
+        });
         // a node joins if strictly below the minimum over its *active*
         // neighbors (only active nodes sent, so the delivered MIN is it)
         let pick_active = active.clone();
@@ -114,26 +109,21 @@ pub fn mis(
                 .collect::<Vec<bool>>()
         });
         // --- step 2: joiners announce, neighborhoods deactivate -----------
-        let announce = dag.proto(
-            format!("p{phase}:announce"),
-            &[pick.into()],
-            move |d| {
-                let joined = d.get(pick);
-                let messages: Vec<Option<(GroupId, u64)>> = (0..n)
-                    .map(|u| joined[u].then(|| (neighborhood_group(u as NodeId), 1)))
-                    .collect();
-                multi_aggregate_sub(
-                    n,
-                    shared,
-                    trees,
-                    messages,
-                    |_, _, _, v| *v,
-                    &MaxU64,
-                    announce_seed,
-                )
-            },
-            |s| s.into_results(),
-        );
+        let announce = dag.combine(format!("p{phase}:announce"), &[pick.into()], move |d| {
+            let joined = d.get(pick);
+            let messages: Vec<Option<(GroupId, u64)>> = (0..n)
+                .map(|u| joined[u].then(|| (neighborhood_group(u as NodeId), 1)))
+                .collect();
+            multi_aggregate_sub(
+                n,
+                shared,
+                trees,
+                messages,
+                |_, _, _, v| *v,
+                &MaxU64,
+                announce_seed,
+            )
+        });
         // --- termination consensus ----------------------------------------
         let flag_active = active.clone();
         let flag = dag.compute(
@@ -147,12 +137,9 @@ pub fn mis(
                     .collect::<Vec<Option<u64>>>()
             },
         );
-        let check = dag.proto(
-            format!("p{phase}:check"),
-            &[flag.into()],
-            move |d| ab_sub(n, d.get(flag).clone(), &MaxU64),
-            |s| s.into_results(),
-        );
+        let check = dag.proto(format!("p{phase}:check"), &[flag.into()], move |d| {
+            ab_sub(n, d.get(flag).clone(), &MaxU64)
+        });
 
         let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
         let joined = run.take(pick);

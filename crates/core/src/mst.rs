@@ -47,6 +47,7 @@
 
 use std::cell::OnceCell;
 
+use ncc_butterfly::aggregation::{LevelMsg, McAggMsg};
 use ncc_butterfly::{
     ab_sub, aggregate_and_broadcast, default_lane_budget, lane_seed, multicast_aggregate_sub,
     multicast_setup_sub, multicast_sub, AggregationSpec, Dag, GroupId, MaxU64, SchedReport,
@@ -54,7 +55,7 @@ use ncc_butterfly::{
 };
 use ncc_graph::{NodeId, WeightedGraph};
 use ncc_hashing::{SharedRandomness, XorSketch};
-use ncc_model::{Engine, ModelError};
+use ncc_model::{DynPayload, Engine, ModelError, Payload};
 use rand::Rng;
 
 use crate::report::AlgoReport;
@@ -140,13 +141,28 @@ fn arc_masks(wg: &WeightedGraph, sketch: &XorSketch, idb: u32) -> Vec<Vec<(u64, 
         .collect()
 }
 
+/// The fewest payload bits FindMin's sketch packets need on `n` nodes,
+/// whatever the weights: a packet of the last leader's last bucket
+/// group carrying two full `SKETCH_TRIALS`-bit masks, in the combining
+/// network behind the `McAggMsg::Agg` tag, under the lane header of
+/// step 0, where the coin multicast rides beside FindMin. Sized by the
+/// wire types' own `bit_size`.
+pub fn min_payload_bits(n: usize) -> u32 {
+    let mask = (1u64 << SKETCH_TRIALS) - 1;
+    let group = bucket_group(n as NodeId - 1, find_buckets(n) as usize - 1);
+    let packet = McAggMsg::<(u64, u64), _>::Agg(LevelMsg::of(group, (mask, mask)));
+    DynPayload::new(0, ncc_model::ilog2_ceil(2) as u8, packet).bit_size()
+}
+
 /// The largest `weight_max` whose FindMin messages fit in `payload_bits`
-/// on an `n`-node network (§3 assumes `W = poly(n)`). The widest one is
-/// the range's butterfly hop down a component tree: a 1-bit message tag
-/// and a 6-bit level, the group id `leader ∘ 32-bit sub`, and the pair
-/// `(lo, hi)` of keys, `bits(W) + 2·idb` and `bits(W + 1) + 2·idb` bits
-/// wide at most (`hi` may be the end of the key range, `(W + 1) ∘ 0…0`).
-/// That end must also fit in a `u64`: `bits(W + 1) ≤ 64 − 2·idb`.
+/// on an `n`-node network (§3 assumes `W = poly(n)`). The range's
+/// butterfly hop down a component tree is the one whose width grows with
+/// `W`: a 1-bit message tag and a 6-bit level, the group id `leader ∘
+/// 32-bit sub`, and the pair `(lo, hi)` of keys, `bits(W) + 2·idb` and
+/// `bits(W + 1) + 2·idb` bits wide at most (`hi` may be the end of the
+/// key range, `(W + 1) ∘ 0…0`). That end must also fit in a `u64`:
+/// `bits(W + 1) ≤ 64 − 2·idb`. The sketch hop's width does not depend
+/// on `W` ([`min_payload_bits`]).
 pub fn max_weight(n: usize, payload_bits: u32) -> u64 {
     let idb = node_id_bits(n);
     // the budget for bits(W) + bits(W + 1)
@@ -268,12 +284,9 @@ pub fn mst(
             .collect();
         let trees_seed = lane_seed(engine, LS_TREES, pl);
         let mut dag = Dag::new();
-        let trees_node = dag.proto(
-            format!("p{phase}:trees"),
-            &[],
-            move |_| multicast_setup_sub(n, shared, joins, trees_seed),
-            |s| s.into_results(),
-        );
+        let trees_node = dag.proto(format!("p{phase}:trees"), &[], move |_| {
+            multicast_setup_sub(n, shared, joins, trees_seed)
+        });
         let mut run = report.run_dag(format!("p{phase}:trees"), dag, engine, &mut plan)?;
         let trees = run.take(trees_node);
 
@@ -320,22 +333,16 @@ pub fn mst(
                 ell2_hat: buckets as usize,
             };
             let mut dag = Dag::new();
-            let find = dag.proto(
-                format!("p{phase}:find{step}:buckets"),
-                &[],
-                move |_| multicast_aggregate_sub(shared, trees, msgs, fire, spec, &XorPair, seed),
-                |s| s.into_results(),
-            );
+            let find = dag.combine(format!("p{phase}:find{step}:buckets"), &[], move |_| {
+                multicast_aggregate_sub(shared, trees, msgs, fire, spec, &XorPair, seed)
+            });
             // the coin multicast rides the step-0 stage
             let coin_node = (step == 0).then(|| {
                 let coin_seed = lane_seed(engine, LS_COIN, pl);
                 let msgs = std::mem::take(&mut coin_msgs);
-                dag.proto(
-                    format!("p{phase}:find0:coin"),
-                    &[],
-                    move |_| multicast_sub(n, shared, trees, msgs, 1, coin_seed),
-                    |s| s.into_results(),
-                )
+                dag.proto(format!("p{phase}:find0:coin"), &[], move |_| {
+                    multicast_sub(n, shared, trees, msgs, 1, coin_seed)
+                })
             });
             let mut run = report.run_dag(format!("p{phase}:find{step}"), dag, engine, &mut plan)?;
             let out = run.take(find);
@@ -394,18 +401,12 @@ pub fn mst(
         let announce_seed = lane_seed(engine, LS_ANNOUNCE, pl);
         let trees_ref = &trees;
         let mut dag = Dag::new();
-        let announce = dag.proto(
-            format!("p{phase}:announce"),
-            &[],
-            move |_| multicast_sub(n, shared, trees_ref, msgs, 1, announce_seed),
-            |s| s.into_results(),
-        );
-        let done = dag.proto(
-            format!("p{phase}:done"),
-            &[],
-            move |_| ab_sub(n, done_inputs, &MaxU64),
-            |s| s.into_results(),
-        );
+        let announce = dag.proto(format!("p{phase}:announce"), &[], move |_| {
+            multicast_sub(n, shared, trees_ref, msgs, 1, announce_seed)
+        });
+        let done = dag.proto(format!("p{phase}:done"), &[], move |_| {
+            ab_sub(n, done_inputs, &MaxU64)
+        });
         let mut run = report.run_dag(format!("p{phase}:announce+done"), dag, engine, &mut plan)?;
         let keys_recv = run.take(announce);
         let still_merging = run.take(done)[0].is_some();
@@ -455,26 +456,19 @@ pub fn mst(
                 ))
             })
             .collect();
-        // The freshly recorded trees outlive the DAG in this cell, so the
-        // coin/leader multicast reads them in place (a node's output lives
-        // only as long as a build closure's `Deps` borrow).
+        // The freshly recorded trees move into this cell, which outlives
+        // the DAG, so the coin/leader multicast reads them in place (a
+        // node's output lives only as long as a build closure's `Deps`
+        // borrow).
         let recorded = OnceCell::new();
         let mut dag = Dag::new();
-        let link_trees = dag.proto(
-            format!("p{phase}:link-trees"),
-            &[],
-            move |_| multicast_setup_sub(n, shared, joins, link_trees_seed),
-            |s| recorded.set(s.into_results()).expect("recorded once"),
-        );
-        let link_mc = dag.proto(
-            format!("p{phase}:link-mc"),
-            &[link_trees.into()],
-            |_| {
-                let trees = recorded.get().expect("link-trees finished first");
-                multicast_sub(n, shared, trees, messages, 1, link_mc_seed)
-            },
-            |s| s.into_results(),
-        );
+        let link_trees = dag.proto(format!("p{phase}:link-trees"), &[], move |_| {
+            multicast_setup_sub(n, shared, joins, link_trees_seed)
+        });
+        let link_mc = dag.proto(format!("p{phase}:link-mc"), &[link_trees.into()], |d| {
+            let trees = recorded.get_or_init(|| d.take(link_trees));
+            multicast_sub(n, shared, trees, messages, 1, link_mc_seed)
+        });
         let mut run = report.run_dag(format!("p{phase}:link"), dag, engine, &mut plan)?;
         let link_info = run.take(link_mc);
 
@@ -503,12 +497,9 @@ pub fn mst(
         }
         let adopt_mc_seed = lane_seed(engine, LS_ADOPT_MC, pl);
         let mut dag = Dag::new();
-        let adopt = dag.proto(
-            format!("p{phase}:adopt"),
-            &[],
-            move |_| schedule_sub(n, new_leader_msg, Some(1)),
-            |s| s.into_results(),
-        );
+        let adopt = dag.proto(format!("p{phase}:adopt"), &[], move |_| {
+            schedule_sub(n, new_leader_msg, Some(1))
+        });
         // leaders fold their inbox with the locally decided adoption and
         // broadcast the outcome (0 = unchanged) down the component trees
         let leader_c = leader.clone();
@@ -529,15 +520,10 @@ pub fn mst(
             }
             (adopted, messages)
         });
-        let adopt_mc = dag.proto(
-            format!("p{phase}:adopt-mc"),
-            &[decide.into()],
-            move |d| {
-                let (_, messages) = d.get(decide);
-                multicast_sub(n, shared, trees_ref, messages.clone(), 1, adopt_mc_seed)
-            },
-            |s| s.into_results(),
-        );
+        let adopt_mc = dag.proto(format!("p{phase}:adopt-mc"), &[decide.into()], move |d| {
+            let (_, messages) = d.get(decide);
+            multicast_sub(n, shared, trees_ref, messages.clone(), 1, adopt_mc_seed)
+        });
         let mut run = report.run_dag(format!("p{phase}:adopt"), dag, engine, &mut plan)?;
         let (adopted, _) = run.take(decide);
         let adopt_recv = run.take(adopt_mc);

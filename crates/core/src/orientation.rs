@@ -184,32 +184,24 @@ pub fn orient(
         let inactive: Vec<bool> = nodes.iter().map(|st| st.inactive).collect();
 
         let mut dag = Dag::new();
-        let counts = dag.proto(
-            format!("p{phase}:counts"),
-            &[],
-            move |_| {
-                aggregation_sub(
-                    n,
-                    shared,
-                    AggregationSpec {
-                        memberships,
-                        ell2_hat: 1,
-                    },
-                    &SumU64,
-                    counts_seed,
-                )
-            },
-            |s| s.into_results(),
-        );
+        let counts = dag.combine(format!("p{phase}:counts"), &[], move |_| {
+            aggregation_sub(
+                n,
+                shared,
+                AggregationSpec {
+                    memberships,
+                    ell2_hat: 1,
+                },
+                &SumU64,
+                counts_seed,
+            )
+        });
         let delta_node = (phase == 1).then(|| {
             let delta_inputs: Vec<Option<u64>> =
                 (0..n).map(|u| Some(g.degree(u as NodeId) as u64)).collect();
-            dag.proto(
-                format!("p{phase}:delta"),
-                &[],
-                move |_| ab_sub(n, delta_inputs, &MaxU64),
-                |s| s.into_results(),
-            )
+            dag.proto(format!("p{phase}:delta"), &[], move |_| {
+                ab_sub(n, delta_inputs, &MaxU64)
+            })
         });
         let di_inactive = inactive.clone();
         let di_node = dag.compute(format!("p{phase}:residuals"), &[counts.into()], move |d| {
@@ -225,24 +217,19 @@ pub fn orient(
             di
         });
         // Average over nodes with positive residual degree.
-        let avg = dag.proto(
-            format!("p{phase}:avg"),
-            &[di_node.into()],
-            move |d| {
-                let di = d.get(di_node);
-                let inputs: Vec<Option<(u64, u64)>> = (0..n)
-                    .map(|u| {
-                        if !inactive[u] && di[u] > 0 {
-                            Some((di[u] as u64, 1))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                ab_sub(n, inputs, &SumPair)
-            },
-            |s| s.into_results(),
-        );
+        let avg = dag.proto(format!("p{phase}:avg"), &[di_node.into()], move |d| {
+            let di = d.get(di_node);
+            let inputs: Vec<Option<(u64, u64)>> = (0..n)
+                .map(|u| {
+                    if !inactive[u] && di[u] > 0 {
+                        Some((di[u] as u64, 1))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            ab_sub(n, inputs, &SumPair)
+        });
         let mut run = report.run_dag(format!("p{phase}:stage1"), dag, engine, &mut plan)?;
         let di = run.take(di_node);
         if let Some(dn) = delta_node {
@@ -336,29 +323,21 @@ pub fn orient(
         let ident_seed = lane_seed(engine, 0x6f72_6902, pl);
 
         let mut dag = Dag::new();
-        let ident = dag.proto(
-            format!("p{phase}:ident1"),
-            &[],
-            move |_| {
-                aggregation_sub(
-                    n,
-                    shared,
-                    AggregationSpec {
-                        memberships,
-                        ell2_hat: ell2_ident1,
-                    },
-                    &XorSum,
-                    ident_seed,
-                )
-            },
-            |s| s.into_results(),
-        );
-        let dstar = dag.proto(
-            format!("p{phase}:dstar"),
-            &[],
-            move |_| ab_sub(n, dstar_inputs, &MaxU64),
-            |s| s.into_results(),
-        );
+        let ident = dag.combine(format!("p{phase}:ident1"), &[], move |_| {
+            aggregation_sub(
+                n,
+                shared,
+                AggregationSpec {
+                    memberships,
+                    ell2_hat: ell2_ident1,
+                },
+                &XorSum,
+                ident_seed,
+            )
+        });
+        let dstar = dag.proto(format!("p{phase}:dstar"), &[], move |_| {
+            ab_sub(n, dstar_inputs, &MaxU64)
+        });
         let peel_active = is_active.clone();
         let peel_di = di.clone();
         let peel_fns = trial_fns;
@@ -390,25 +369,20 @@ pub fn orient(
         // Global flags: does anyone need the high/low-degree rescue paths?
         let flags_active = is_active.clone();
         let flags_di = di.clone();
-        let flags = dag.proto(
-            format!("p{phase}:flags"),
-            &[peeled.into()],
-            move |d| {
-                let (_, unsuccessful) = d.get(peeled);
-                let inputs: Vec<Option<(u64, u64)>> = (0..n)
-                    .map(|u| {
-                        if flags_active[u] && unsuccessful[u] {
-                            let high = g.degree(u as NodeId) - flags_di[u] > n / logn;
-                            Some((high as u64, (!high) as u64))
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                ab_sub(n, inputs, &SumPair)
-            },
-            |s| s.into_results(),
-        );
+        let flags = dag.proto(format!("p{phase}:flags"), &[peeled.into()], move |d| {
+            let (_, unsuccessful) = d.get(peeled);
+            let inputs: Vec<Option<(u64, u64)>> = (0..n)
+                .map(|u| {
+                    if flags_active[u] && unsuccessful[u] {
+                        let high = g.degree(u as NodeId) - flags_di[u] > n / logn;
+                        Some((high as u64, (!high) as u64))
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            ab_sub(n, inputs, &SumPair)
+        });
         let mut run = report.run_dag(format!("p{phase}:ident1+dstar"), dag, engine, &mut plan)?;
         // the active set is non-empty when Σdᵢ > 0, unless drops lost it
         let d_star_i = run.take(dstar)[0].ok_or(ModelError::WhpEventFailed {
@@ -436,17 +410,13 @@ pub fn orient(
             let sched_inactive: Vec<bool> = nodes.iter().map(|st| st.inactive).collect();
 
             let mut dag = Dag::new();
-            let gathered = dag.proto(
-                format!("p{phase}:uhigh-gather"),
-                &[],
-                move |_| gather_sub(n, values),
-                |s| s.into_results(),
-            );
+            let gathered = dag.proto(format!("p{phase}:uhigh-gather"), &[], move |_| {
+                gather_sub(n, values)
+            });
             let gb = dag.proto(
                 format!("p{phase}:uhigh-bcast"),
                 &[gathered.into()],
                 move |d| broadcast_sub(n, d.get(gathered).clone()),
-                |s| s.into_results(),
             );
             // every active-or-waiting node responds to its U_high neighbors
             // in rounds uniform over {1..max(|R_u|, d*ᵢ)}
@@ -478,12 +448,9 @@ pub fn orient(
                 }
                 schedules
             });
-            let resp = dag.proto(
-                format!("p{phase}:uhigh-resp"),
-                &[sched.into()],
-                move |d| schedule_sub(n, d.get(sched).clone(), None),
-                |s| s.into_results(),
-            );
+            let resp = dag.proto(format!("p{phase}:uhigh-resp"), &[sched.into()], move |d| {
+                schedule_sub(n, d.get(sched).clone(), None)
+            });
             let mut run = report.run_dag(format!("p{phase}:uhigh"), dag, engine, &mut plan)?;
             let responses = run.take(resp);
             for u in 0..n {
@@ -527,26 +494,19 @@ pub fn orient(
                 .collect();
             let ell_hat = d_star_global.max(1);
 
-            // The freshly built trees outlive the DAG in this cell, so the
-            // announcement reads them in place (a node's output lives only
-            // as long as a build closure's `Deps` borrow).
+            // The freshly built trees move into this cell, which outlives
+            // the DAG, so the announcement reads them in place (a node's
+            // output lives only as long as a build closure's `Deps`
+            // borrow).
             let recorded = OnceCell::new();
             let mut dag = Dag::new();
-            let trees = dag.proto(
-                format!("p{phase}:ulow-trees"),
-                &[],
-                move |_| multicast_setup_sub(n, shared, joins, trees_seed),
-                |s| recorded.set(s.into_results()).expect("recorded once"),
-            );
-            let flagged = dag.proto(
-                format!("p{phase}:ulow-mc"),
-                &[trees.into()],
-                |_| {
-                    let trees = recorded.get().expect("ulow-trees finished first");
-                    multicast_sub(n, shared, trees, messages, ell_hat, mc_seed)
-                },
-                |s| s.into_results(),
-            );
+            let trees = dag.proto(format!("p{phase}:ulow-trees"), &[], move |_| {
+                multicast_setup_sub(n, shared, joins, trees_seed)
+            });
+            let flagged = dag.proto(format!("p{phase}:ulow-mc"), &[trees.into()], |d| {
+                let trees = recorded.get_or_init(|| d.take(trees));
+                multicast_sub(n, shared, trees, messages, ell_hat, mc_seed)
+            });
             let mut run = report.run_dag(format!("p{phase}:ulow"), dag, engine, &mut plan)?;
             let flagged = run.take(flagged);
             let narrowed: Vec<Vec<NodeId>> = flagged
@@ -587,23 +547,18 @@ pub fn orient(
                 let re_seed = lane_seed(engine, 0x6f72_6905, (pl << 8) | iter as u64);
 
                 let mut dag = Dag::new();
-                let re = dag.proto(
-                    format!("p{phase}:ident2.{iter}"),
-                    &[],
-                    move |_| {
-                        aggregation_sub(
-                            n,
-                            shared,
-                            AggregationSpec {
-                                memberships,
-                                ell2_hat: ell2_ident2,
-                            },
-                            &XorSum,
-                            re_seed,
-                        )
-                    },
-                    |s| s.into_results(),
-                );
+                let re = dag.combine(format!("p{phase}:ident2.{iter}"), &[], move |_| {
+                    aggregation_sub(
+                        n,
+                        shared,
+                        AggregationSpec {
+                            memberships,
+                            ell2_hat: ell2_ident2,
+                        },
+                        &XorSum,
+                        re_seed,
+                    )
+                });
                 let peel_active = is_active.clone();
                 let peel_di = di.clone();
                 let peel_red = red.clone();
@@ -652,7 +607,6 @@ pub fn orient(
                             .collect();
                         ab_sub(n, inputs, &MaxU64)
                     },
-                    |s| s.into_results(),
                 );
                 let mut run =
                     report.run_dag(format!("p{phase}:ident2.{iter}"), dag, engine, &mut plan)?;
@@ -701,12 +655,9 @@ pub fn orient(
         // edges, and the continue consensus hangs off it barrier-free — the
         // whole stage is one declared chain: rendezvous → finish → continue.
         let mut dag = Dag::new();
-        let rdv = dag.proto(
-            format!("p{phase}:stage3"),
-            &[],
-            move |_| rendezvous_sub(n, probes, idb),
-            |s| s.into_results(),
-        );
+        let rdv = dag.proto(format!("p{phase}:stage3"), &[], move |_| {
+            rendezvous_sub(n, probes, idb)
+        });
         let finish_nodes = nodes.clone();
         let finish_active = is_active.clone();
         let finish_red = red;
@@ -742,18 +693,13 @@ pub fn orient(
             nodes
         });
         // ================== continue? (barrier + decision) ================
-        let cont = dag.proto(
-            format!("p{phase}:continue"),
-            &[finish.into()],
-            move |d| {
-                let nodes = d.get(finish);
-                let inputs: Vec<Option<u64>> = (0..n)
-                    .map(|u| if nodes[u].inactive { None } else { Some(1) })
-                    .collect();
-                ab_sub(n, inputs, &MaxU64)
-            },
-            |s| s.into_results(),
-        );
+        let cont = dag.proto(format!("p{phase}:continue"), &[finish.into()], move |d| {
+            let nodes = d.get(finish);
+            let inputs: Vec<Option<u64>> = (0..n)
+                .map(|u| if nodes[u].inactive { None } else { Some(1) })
+                .collect();
+            ab_sub(n, inputs, &MaxU64)
+        });
         let mut run = report.run_dag(format!("p{phase}:stage3"), dag, engine, &mut plan)?;
         nodes = run.take(finish);
         if run.take(cont)[0].is_none() {

@@ -1,7 +1,8 @@
 //! Small supporting protocols used inside the §4/§5 algorithms.
 //!
-//! Each is a [`LaneSub`](ncc_butterfly::LaneSub), declared as a node of
-//! the algorithm's protocol [`Dag`](ncc_butterfly::Dag):
+//! Each is a [`Lane`], or two chained ones,
+//! declared as nodes of the algorithm's protocol
+//! [`Dag`](ncc_butterfly::Dag):
 //!
 //! * [`gather_sub`] then [`broadcast_sub`] — the "high-degree
 //!   identifiers" pattern of §4 Stage 2: a sparse set of nodes sends their
@@ -436,10 +437,8 @@ mod tests {
     /// The gather and then the broadcast: every node's list and the
     /// rounds of both.
     fn gather(eng: &mut Engine, values: Vec<Option<u64>>) -> (Vec<u64>, ExecStats) {
-        let (list, mut stats) =
-            run_alone(eng, gather_sub(eng.n(), values), Lane::into_results).unwrap();
-        let (got, bstats) =
-            run_alone(eng, broadcast_sub(eng.n(), list), Lane::into_results).unwrap();
+        let (list, mut stats) = run_alone(eng, gather_sub(eng.n(), values)).unwrap();
+        let (got, bstats) = run_alone(eng, broadcast_sub(eng.n(), list)).unwrap();
         stats.merge(&bstats);
         (got, stats)
     }
@@ -498,7 +497,7 @@ mod tests {
         schedules[3] = vec![(1, 7, 33), (2, 8, 34)];
         schedules[5] = vec![(1, 7, 55)];
         let sub = schedule_sub(n, schedules, None);
-        let (recv, stats) = run_alone(&mut eng, sub, |s| s.into_results()).unwrap();
+        let (recv, stats) = run_alone(&mut eng, sub).unwrap();
         let mut at7 = recv[7].clone();
         at7.sort_unstable();
         assert_eq!(at7, vec![(3, 33), (5, 55)]);
@@ -519,7 +518,7 @@ mod tests {
         assert_eq!(sub.stage_end(), StageEnd::Within(3));
         // the last message lands in round 2: three rounds, the bound
         let eng = &mut Engine::new(NetConfig::new(n, 9));
-        let (_, stats) = run_alone(eng, sub, |s| s.into_results()).unwrap();
+        let (_, stats) = run_alone(eng, sub).unwrap();
         assert_eq!(stats.rounds, 3);
     }
 
@@ -603,7 +602,7 @@ mod tests {
         probes[5].push((1, 22, e56));
         probes[6].push((2, 22, e56));
         let sub = rendezvous_sub(n, probes, idb);
-        let (matched, _) = run_alone(&mut eng, sub, |s| s.into_results()).unwrap();
+        let (matched, _) = run_alone(&mut eng, sub).unwrap();
         assert_eq!(matched[2], vec![e29]);
         assert_eq!(matched[9], vec![e29]);
         assert!(matched[4].is_empty());

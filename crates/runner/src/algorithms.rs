@@ -170,7 +170,8 @@ pub fn run_checked(
 /// (`ncc-cli explain`): one line per packed stage — lanes vs budget,
 /// sync (`barrier` charged, `pad k` idle rounds to a known bound, or
 /// `carries` for an all-A&B stage run in the previous stage's sync
-/// slot), rounds, lane labels — plus a totals line. The text is `None`
+/// slot), rounds, the messages its execution dropped, its peak receive
+/// load and its peak per-edge load, lane labels — plus a totals line. The text is `None`
 /// when the algorithm is not DAG-declared; the record is the one
 /// [`run_checked`] returns.
 pub fn explain_text(
@@ -196,7 +197,7 @@ pub fn explain_text(
         let labels: Vec<&str> = st.lanes.iter().map(|l| l.label.as_str()).collect();
         let _ = writeln!(
             out,
-            "  stage {:>4}  {:>2}/{} lanes  {:<7}  {:>5} rounds  {}{}",
+            "  stage {:>4}  {:>2}/{} lanes  {:<7}  {:>5} rounds  dropped {:>3}  max_in {:>3}  max_edge_load {:>3}  {}{}",
             i + 1,
             st.lanes.len(),
             plan.budget,
@@ -207,6 +208,9 @@ pub fn explain_text(
                 _ => String::new(),
             },
             st.rounds(),
+            st.stats.dropped,
+            st.stats.max_in,
+            st.stats.max_edge_load,
             labels.join(" "),
             if st.deferred.is_empty() {
                 String::new()
@@ -246,10 +250,20 @@ impl Algorithm for Mst {
     fn description(&self) -> &'static str {
         "minimum spanning forest, Boruvka + sketch FindMin (§3, O(log⁴ n))"
     }
-    /// Two nodes, and weights FindMin's widest message can carry (§3
-    /// assumes `W = poly(n)`).
+    /// Two nodes, payloads FindMin's sketch packets fit in, and weights
+    /// its range messages can carry (§3 assumes `W = poly(n)`).
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
         needs_nodes(self.name(), 2, spec)?;
+        let (bits, need) = (
+            spec.capacity.payload_bits,
+            ncc_core::mst::min_payload_bits(spec.n),
+        );
+        if bits < need {
+            return Err(format!(
+                "`mst` needs payload_bits ≥ {need} at n = {}, the spec has payload_bits = {bits}",
+                spec.n
+            ));
+        }
         let fits = ncc_core::mst::max_weight(spec.n, spec.capacity.payload_bits);
         if spec.weight_max > fits {
             return Err(format!(

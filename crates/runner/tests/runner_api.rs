@@ -286,6 +286,86 @@ fn mst_admits_exactly_the_weights_its_messages_carry() {
     }
 }
 
+/// Per stage row of an `explain` plan: its `dropped`, `max_in` and
+/// `max_edge_load` columns.
+fn stage_loads(plan: &str) -> Vec<[u64; 3]> {
+    let rows = plan.lines().filter(|l| l.starts_with("  stage "));
+    rows.map(|row| {
+        let words: Vec<&str> = row.split_whitespace().collect();
+        ["dropped", "max_in", "max_edge_load"].map(|col| {
+            let at = words.iter().position(|w| *w == col);
+            let value = at.unwrap_or_else(|| panic!("no `{col}` in {row:?}")) + 1;
+            words[value].parse().unwrap()
+        })
+    })
+    .collect()
+}
+
+/// A fault-free run's plan shows every stage's loads, and no drop.
+#[test]
+fn explain_prints_each_stage_s_loads() {
+    let scn = ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, 32, 3)
+        .build()
+        .unwrap();
+    let bfs = find_algorithm("bfs").unwrap();
+    let (plan, rec) = explain_text(bfs, &mut scn.engine(), &scn).unwrap();
+    let loads = stage_loads(&plan.unwrap());
+    assert!(!loads.is_empty());
+    assert_eq!(rec.dropped, 0);
+    assert!(loads.iter().all(|[dropped, ..]| *dropped == 0), "{loads:?}");
+    assert!(loads.iter().any(|[_, max_in, _]| *max_in > 0), "{loads:?}");
+}
+
+/// The suite's hybrid apsp record drops 221 messages: the stage rows
+/// account for every one of them.
+#[test]
+fn explain_locates_every_drop_of_the_hybrid_apsp_record() {
+    let scn = ScenarioSpec::new(FamilySpec::Gnp { p: 0.375 }, 64, 20190622)
+        .with_model(ModelSpec::HybridLocal { local_edge_cap: 8 })
+        .build()
+        .unwrap();
+    let apsp = find_algorithm("apsp").unwrap();
+    let (plan, rec) = explain_text(apsp, &mut scn.engine(), &scn).unwrap();
+    let loads = stage_loads(&plan.unwrap());
+    assert_eq!(rec.dropped, 221);
+    assert_eq!(loads.iter().map(|[dropped, ..]| dropped).sum::<u64>(), 221);
+}
+
+/// At small weights FindMin's widest message is a sketch packet, and
+/// `min_payload_bits` sizes it exactly: at the minimum the run is
+/// verified; one bit below it the spec is refused before round 0, and
+/// run past admission it would have failed.
+#[test]
+fn mst_admits_exactly_the_payloads_its_sketches_fit() {
+    let mst = find_algorithm("mst").unwrap();
+    for n in [16, 32, 64] {
+        let need = ncc_core::mst::min_payload_bits(n);
+        let spec = |payload_bits| {
+            let capacity = Capacity {
+                payload_bits,
+                ..Capacity::default_for(n)
+            };
+            ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, n, 3)
+                .with_weight_max(16)
+                .with_capacity(capacity)
+        };
+        let rec = run_record(mst, &spec(need)).unwrap();
+        assert_eq!(rec.verdict, Verdict::Verified, "n = {n}: {}", rec.summary);
+
+        let scn = spec(need - 1).build().unwrap();
+        let mut eng = scn.engine();
+        match run_checked(mst, &mut eng, &scn) {
+            Err(RunnerError::Scenario(msg)) => {
+                assert!(msg.contains(&format!("payload_bits ≥ {need}")), "{msg}")
+            }
+            other => panic!("n = {n}: payload_bits {} admitted: {other:?}", need - 1),
+        }
+        assert_eq!(eng.global_round(), 0, "a rejected spec runs no round");
+        let past_admission = mst.run(&mut eng, &scn);
+        assert!(past_admission.is_err(), "n = {n}: ran in {} bits", need - 1);
+    }
+}
+
 /// Gossip and broadcast schedule `min(send, recv, n)` messages per node per
 /// round. A capacity that makes that 0 is refused before round 0: gossip
 /// would spin to the engine's round limit, broadcast would inform nobody.
