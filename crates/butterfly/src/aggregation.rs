@@ -65,7 +65,7 @@ use ncc_model::rng::derive_seed;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeId, NodeProgram, Payload};
 use rand::Rng;
 
-use crate::combine::Aggregate;
+use crate::combine::{Aggregate, MinU64};
 use crate::compose::{lane_seed, Built, Dag, Dep, Deps, Lane, ProtoNode, StageEnd};
 use crate::mctree::MulticastTrees;
 use crate::multicast::{
@@ -360,7 +360,7 @@ pub struct CombinePipeline<'a, W, A, Fr> {
     front: Fr,
     batch: usize,
     /// Per-node, per-round send ceiling across the whole pipeline (front,
-    /// scatter and combine): the lane's share of the node capacity
+    /// scatter and combine): the lane's send share of the node capacity
     /// ([`LaneSub::pace`](crate::compose::LaneSub::pace)). `usize::MAX` =
     /// unpaced.
     send_budget: usize,
@@ -564,7 +564,7 @@ fn combine_sub<'a, W: Payload, A: Aggregate<W>, Fr: Front<W>>(
     };
     let lane = Lane::new(pipe, states, hand_over::<W, Fr>)
         .seeded(derive_seed(&[lane_seed, 0]))
-        .paced(|pipe, budget| pipe.send_budget = budget);
+        .paced(|pipe, (send, _)| pipe.send_budget = send);
     (lane, window, lane_seed)
 }
 
@@ -1099,60 +1099,62 @@ where
 // ---------------------------------------------------------------------------
 //
 // Given a distributive aggregate `f` and a set `A ⊆ V` of nodes holding one
-// input each, every node learns `f(inputs of A)` in `O(log n)` rounds:
+// input each, every node learns `f(inputs of A)` in
+// `O(log n / log log n)` rounds, the spread bound of §1:
 //
 // 1. non-emulating nodes inject their inputs into their proxy level-0
 //    butterfly nodes;
-// 2. *aggregation sweep* (rounds `1..=d`): at round `r`, bit `r−1` of the
-//    column index is fixed to 0 — every live column with that bit set
-//    forwards its partial aggregate across the corresponding cross edge,
-//    so after round `d` the root column 0 holds the full aggregate at
-//    level `d`;
-// 3. *broadcast sweep* (rounds `d+1..=2d`): the reverse binomial tree
-//    pushes the result back to every column;
+// 2. *aggregation sweep* (rounds `1..=m`, `m = ⌈d/s⌉`): round `j` fixes
+//    the block of column bits `[(j−1)s, min(js, d))` to 0 — every live
+//    column whose bits below the block are 0 and whose block is not sends
+//    its partial aggregate to the column with the block cleared, so after
+//    round `m` the root column 0 holds the full aggregate;
+// 3. *broadcast sweep* (rounds `m+1..=2m`): the blocks from the top down,
+//    every column whose bits below the block's top are 0 pushes the
+//    result to its `2^w − 1` block children (`w` the block's width);
 // 4. a final round informs the attached non-emulating nodes.
 //
-// Every node sends and receives `O(1)` messages per round here. The same
-// execution doubles as the paper's synchronisation barrier
-// ([`sync_barrier`]) — the token-passing variant of App. B.1 condensed to
-// its round cost.
+// The radix `2^s` is the fan-in: a column combines up to `2^s − 1`
+// partials a round, and the receive share bounds that (Vyavahare et al.:
+// a node combines only as fast as its in-capacity allows). [`radix_bits`]
+// picks `s` from `n` and the share; at `s = 1` the sweeps are the
+// binomial tree, fixing one bit a round. The same execution doubles as
+// the paper's synchronisation barrier ([`sync_barrier`]) — the
+// token-passing variant of App. B.1 condensed to its round cost.
 //
 // `AbProgram` is one plain program. [`aggregate_and_broadcast`], and with
-// it every barrier, hands it straight to `Engine::execute`: no mux, no
-// lane header, the nodes' own RNG streams, and the engine's recycled
-// buffers, so a barrier on a warm engine allocates only its input, state
-// and result vectors. [`ab_sub`] wraps the same program as a lane, for the
-// DAG stages that run an A&B beside other protocols; a one-lane mux
-// charges zero header bits and borrows the node's stream, so both paths
-// cost the same rounds, messages, bits and drops.
+// it every barrier, hands it straight to `Engine::execute` at the
+// engine's whole capacity: no mux, no lane header, the nodes' own RNG
+// streams, and the engine's recycled buffers, so a barrier on a warm
+// engine allocates only its input, state and result vectors. [`ab_sub`]
+// is the same program as a lane, for the DAG stages that run an A&B
+// beside other protocols, paced to its share of the capacity; a
+// one-lane mux charges zero header bits and borrows the node's stream,
+// so both paths cost the same rounds, messages, bits and drops.
 
 /// Wire format of Aggregate-and-Broadcast. Discriminant + payload; levels
 /// are implied by the round.
 #[derive(Debug, Clone)]
 pub enum AbMsg<V> {
-    /// Non-emulating node → proxy column (round 0).
-    Inject(V),
-    /// Aggregation sweep, cross edge toward the root.
-    Down(V),
-    /// Broadcast sweep, cross edge away from the root.
-    Up(V),
-    /// Level-0 column → attached non-emulating node.
+    /// A partial aggregate toward the root: a non-emulating node's input
+    /// to its proxy column (round 0), or a column's across its block.
+    Partial(V),
+    /// The aggregate away from the root: to a block child, or from a
+    /// level-0 column to its attached non-emulating node.
     Result(V),
 }
 
 impl<V: Payload> Payload for AbMsg<V> {
     fn bit_size(&self) -> u32 {
-        let inner = match self {
-            AbMsg::Inject(v) | AbMsg::Down(v) | AbMsg::Up(v) | AbMsg::Result(v) => v.bit_size(),
-        };
-        2 + inner
+        let (AbMsg::Partial(v) | AbMsg::Result(v)) = self;
+        1 + v.bit_size()
     }
 }
 
 /// Per-node Aggregate-and-Broadcast state.
 #[derive(Debug, Clone)]
 pub struct AbState<V> {
-    input: Option<V>,
+    /// The node's input, then the partial aggregate its column holds.
     acc: Option<V>,
     /// The broadcast result once known; the driver reads this field.
     pub result: Option<V>,
@@ -1162,26 +1164,10 @@ pub struct AbState<V> {
 /// [`AbSub`].
 pub struct AbProgram<'a, V, A> {
     bf: Butterfly,
+    /// Column bits a sweep round fixes ([`radix_bits`]).
+    s: u32,
     agg: &'a A,
     _pd: std::marker::PhantomData<V>,
-}
-
-impl<V: Payload, A: Aggregate<V>> AbProgram<'_, V, A> {
-    fn absorb(&self, st: &mut AbState<V>, inbox: &[Envelope<AbMsg<V>>]) {
-        for env in inbox {
-            let v = match &env.payload {
-                AbMsg::Inject(v) | AbMsg::Down(v) => v,
-                AbMsg::Up(v) | AbMsg::Result(v) => {
-                    st.result = Some(v.clone());
-                    continue;
-                }
-            };
-            st.acc = Some(match st.acc.take() {
-                None => v.clone(),
-                Some(a) => self.agg.combine(&a, v),
-            });
-        }
-    }
 }
 
 impl<V: Payload, A: Aggregate<V>> NodeProgram for AbProgram<'_, V, A> {
@@ -1190,11 +1176,10 @@ impl<V: Payload, A: Aggregate<V>> NodeProgram for AbProgram<'_, V, A> {
 
     fn init(&self, st: &mut AbState<V>, ctx: &mut Ctx<'_, AbMsg<V>>) {
         if self.bf.emulates(ctx.id) {
-            st.acc = st.input.clone();
             ctx.stay_awake();
-        } else if let Some(v) = st.input.clone() {
+        } else if let Some(v) = st.acc.take() {
             let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
-            ctx.send(proxy, AbMsg::Inject(v));
+            ctx.send(proxy, AbMsg::Partial(v));
         }
     }
 
@@ -1204,54 +1189,73 @@ impl<V: Payload, A: Aggregate<V>> NodeProgram for AbProgram<'_, V, A> {
         inbox: &[Envelope<AbMsg<V>>],
         ctx: &mut Ctx<'_, AbMsg<V>>,
     ) {
-        let d = self.bf.d();
-        let r = ctx.round;
+        for env in inbox {
+            match &env.payload {
+                AbMsg::Partial(v) => {
+                    let acc = st.acc.take();
+                    st.acc = Some(acc.map_or_else(|| v.clone(), |a| self.agg.combine(&a, v)));
+                }
+                AbMsg::Result(v) => st.result = Some(v.clone()),
+            }
+        }
+        // non-emulating nodes only ever receive the final result
         if !self.bf.emulates(ctx.id) {
-            // non-emulating nodes only ever receive the final Result
-            self.absorb(st, inbox);
             return;
         }
-        let alpha = self.bf.column_of(ctx.id);
-        self.absorb(st, inbox);
-
-        if r <= d as u64 {
-            // aggregation sweep: fix bit r−1
-            let bit = 1u32 << (r - 1);
-            let low_mask = bit - 1;
-            if alpha & low_mask == 0 && alpha & bit != 0 {
-                if let Some(v) = st.acc.take() {
-                    ctx.send(self.bf.emulator(alpha & !bit), AbMsg::Down(v));
-                }
+        let (d, alpha) = (self.bf.d(), self.bf.column_of(ctx.id));
+        let m = d.div_ceil(self.s) as u64;
+        // the block of column bits fixed in sweep round `j`, as the masks
+        // of the bits below it and of the bits up to its top
+        let block = |j: u64| {
+            let lo = (j as u32 - 1) * self.s;
+            ((1u32 << lo) - 1, (1u32 << (lo + self.s).min(d)) - 1)
+        };
+        let r = ctx.round;
+        if r <= m {
+            // aggregation sweep: clear block r
+            let (below, upto) = block(r);
+            if let Some(v) = st.acc.take_if(|_| alpha & below == 0 && alpha & upto != 0) {
+                ctx.send(self.bf.emulator(alpha & !upto), AbMsg::Partial(v));
             }
             ctx.stay_awake();
-        } else if r <= 2 * d as u64 {
-            // broadcast sweep: step j = r − d sends across bit d − j
-            let j = (r - d as u64) as u32;
-            if j == 1 && alpha == 0 {
+        } else if r <= 2 * m {
+            // broadcast sweep: round m + j fills block m + 1 − j
+            if r == m + 1 && alpha == 0 {
                 st.result = st.acc.clone();
             }
-            let bit = 1u32 << (d - j);
-            let low_mask = (bit << 1) - 1;
-            if alpha & low_mask == 0 {
-                if let Some(v) = st.result.clone() {
-                    ctx.send(self.bf.emulator(alpha | bit), AbMsg::Up(v));
+            let (below, upto) = block(2 * m + 1 - r);
+            if let (true, Some(v)) = (alpha & upto == 0, &st.result) {
+                for child in (below + 1..=upto).step_by(below as usize + 1) {
+                    ctx.send(self.bf.emulator(alpha | child), AbMsg::Result(v.clone()));
                 }
             }
             ctx.stay_awake();
-        } else if r == 2 * d as u64 + 1 {
+        } else if r == 2 * m + 1 {
             // inform the attached non-emulating node, if any
-            if let Some(v) = st.result.clone() {
-                if let Some(node) = self.bf.attached_node(alpha) {
-                    ctx.send(node, AbMsg::Result(v));
-                }
+            if let (Some(v), Some(node)) = (&st.result, self.bf.attached_node(alpha)) {
+                ctx.send(node, AbMsg::Result(v.clone()));
             }
         }
     }
 }
 
+/// Column bits one Aggregate-and-Broadcast sweep round fixes on `n` nodes
+/// when a node may take `share` messages a round: the largest `s` with
+/// `2^s − 1 ≤ min(⌈log₂ n⌉, share)`, within `[1, ⌊log₂ n⌋]`. A column then
+/// takes at most `2^s − 1 ≤ ⌈log₂ n⌉` partials a round, and the sweeps
+/// run `⌈⌊log₂ n⌋ / s⌉` rounds each — `Θ(log n / log log n)` at the
+/// default capacity, the binomial `⌊log₂ n⌋` once the share is 2 or less.
+pub(crate) fn radix_bits(n: usize, share: usize) -> u32 {
+    let fan_in = share.min(ncc_model::ilog2_ceil(n) as usize);
+    ncc_model::ilog2_floor(fan_in + 1).clamp(1, ncc_model::ilog2_floor(n).max(1))
+}
+
 /// Runs Aggregate-and-Broadcast: each node optionally holds one input;
 /// afterwards every node knows the aggregate (or `None` if no node held an
-/// input). Takes `O(log n)` rounds (Theorem 2.2).
+/// input). Takes `2⌈d/s⌉ + 2` rounds on `2^d` nodes and one more
+/// otherwise, where the sweeps fix `s` column bits a round: the largest
+/// `s ≤ d` with `2^s − 1 ≤ min(⌈log₂ n⌉, send, recv)` at the engine's
+/// capacity, and at least 1 (Theorem 2.2).
 pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
     engine: &mut Engine,
     inputs: Vec<Option<V>>,
@@ -1263,35 +1267,7 @@ pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
         // degenerate network: the aggregate is the node's own input
         return Ok((inputs, ExecStats::default()));
     }
-    let (prog, mut states) = ab_program(inputs, agg);
-    let stats = engine.execute(&prog, &mut states)?;
-    Ok((ab_results(states), stats))
-}
-
-/// The Aggregate-and-Broadcast program over `inputs.len()` nodes and its
-/// initial per-node states.
-fn ab_program<V: Payload, A: Aggregate<V>>(
-    inputs: Vec<Option<V>>,
-    agg: &A,
-) -> (AbProgram<'_, V, A>, Vec<AbState<V>>) {
-    let prog = AbProgram {
-        bf: Butterfly::for_n(inputs.len()),
-        agg,
-        _pd: std::marker::PhantomData,
-    };
-    let states = inputs
-        .into_iter()
-        .map(|input| AbState {
-            input,
-            acc: None,
-            result: None,
-        })
-        .collect();
-    (prog, states)
-}
-
-fn ab_results<V>(states: Vec<AbState<V>>) -> Vec<Option<V>> {
-    states.into_iter().map(|s| s.result).collect()
+    ab_sub(n, inputs, agg).execute(engine)
 }
 
 /// Aggregate-and-Broadcast as a composable lane: a single stage that rides
@@ -1305,7 +1281,9 @@ fn ab_results<V>(states: Vec<AbState<V>>) -> Vec<Option<V>> {
 pub type AbSub<'a, V, A> = Lane<AbProgram<'a, V, A>, Vec<Option<V>>>;
 
 /// Builds the Aggregate-and-Broadcast sub-protocol. Arguments mirror
-/// [`aggregate_and_broadcast`] (the same program run alone).
+/// [`aggregate_and_broadcast`] (the same program run alone). Its radix
+/// follows the smaller of the send and receive shares its stage hands it
+/// ([`Lane::paced`]).
 pub fn ab_sub<'a, V: Payload, A: Aggregate<V>>(
     n: usize,
     inputs: Vec<Option<V>>,
@@ -1313,39 +1291,67 @@ pub fn ab_sub<'a, V: Payload, A: Aggregate<V>>(
 ) -> AbSub<'a, V, A> {
     assert_eq!(inputs.len(), n);
     assert!(n >= 2, "composable A&B needs n ≥ 2");
-    let (prog, states) = ab_program(inputs, agg);
-    Lane::new(prog, states, ab_results).ending(StageEnd::SelfSync)
+    let prog = AbProgram {
+        bf: Butterfly::for_n(n),
+        s: 1,
+        agg,
+        _pd: std::marker::PhantomData,
+    };
+    let states = inputs
+        .into_iter()
+        .map(|acc| AbState { acc, result: None })
+        .collect();
+    Lane::new(prog, states, |states| {
+        states.into_iter().map(|s| s.result).collect()
+    })
+    .ending(StageEnd::SelfSync)
+    .paced(|prog, (send, recv)| prog.s = radix_bits(prog.bf.n(), send.min(recv)))
 }
 
 /// Rounds one [`sync_barrier`] takes on `n` nodes when none of its
-/// messages is dropped: `2d + 2` on `2^d` nodes, one more to inform the
-/// attached nodes otherwise, and none on one node.
-pub(crate) fn barrier_rounds(n: usize) -> u64 {
+/// messages is dropped and a node may take `share` messages a round:
+/// `2⌈d/s⌉ + 2` on `2^d` nodes ([`radix_bits`] gives `s`), one more to
+/// inform the attached nodes otherwise, and none on one node.
+pub(crate) fn barrier_rounds(n: usize, share: usize) -> u64 {
     match n {
         0 | 1 => 0,
-        _ => 2 * ncc_model::ilog2_floor(n) as u64 + 2 + !n.is_power_of_two() as u64,
+        _ => {
+            let m = ncc_model::ilog2_floor(n).div_ceil(radix_bits(n, share));
+            2 * m as u64 + 2 + !n.is_power_of_two() as u64
+        }
     }
 }
 
 /// The synchronisation barrier used between phases of larger primitives:
-/// an Aggregate-and-Broadcast of a constant. Costs the `O(log n)` rounds
-/// the paper charges for its token-based synchronisation (App. B.1).
+/// an Aggregate-and-Broadcast of a constant at the engine's capacity.
+/// Costs the [`aggregate_and_broadcast`] rounds: the `O(log n)` the paper
+/// charges for its token-based synchronisation (App. B.1), and
+/// `O(log n / log log n)` at the default capacity. A node that never
+/// learns the constant — a receive cap dropped its copy — fails the
+/// barrier with [`ModelError::WhpEventFailed`].
 pub fn sync_barrier(engine: &mut Engine) -> Result<ExecStats, ModelError> {
     let n = engine.n();
-    let inputs: Vec<Option<u64>> = vec![Some(1); n];
-    let (results, stats) = aggregate_and_broadcast(engine, inputs, &crate::combine::MinU64)?;
-    debug_assert!(results.iter().all(|r| *r == Some(1)));
-    Ok(stats)
+    let (results, stats) = aggregate_and_broadcast(engine, vec![Some(1); n], &MinU64)?;
+    match results.iter().all(|r| *r == Some(1)) {
+        true => Ok(stats),
+        false => Err(ModelError::WhpEventFailed {
+            event: "every node learns the barrier",
+        }),
+    }
 }
 
 #[cfg(test)]
 mod ab_tests {
     use super::*;
-    use crate::combine::{MaxU64, MinU64, SumU64};
+    use crate::combine::{MaxU64, SumU64};
     use ncc_model::NetConfig;
 
     fn engine(n: usize) -> Engine {
         Engine::new(NetConfig::new(n, 42))
+    }
+
+    fn capped(n: usize, cap: ncc_model::Capacity) -> Engine {
+        Engine::new(NetConfig::new(n, 42).with_capacity(cap))
     }
 
     #[test]
@@ -1384,30 +1390,114 @@ mod ab_tests {
         assert!(res.iter().all(|r| r.is_none()));
     }
 
+    /// The share a lone run on `eng` hands the program.
+    fn rate(eng: &Engine) -> usize {
+        let cap = eng.config().capacity;
+        cap.send.min(cap.recv)
+    }
+
     #[test]
     fn rounds_logarithmic() {
-        // Theorem 2.2: O(log n) rounds. Measure the constant: 2d + O(1).
+        // Theorem 2.2, at the §1 spread bound: 2⌈d/s⌉ + 2 rounds on 2^d nodes.
         for k in [3u32, 5, 8, 10] {
             let n = 1usize << k;
             let mut eng = engine(n);
             let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
             let (_, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
-            assert!(
-                stats.rounds <= 2 * k as u64 + 3,
-                "n=2^{k}: {} rounds > 2d+3",
-                stats.rounds
-            );
+            assert_eq!(stats.rounds, barrier_rounds(n, rate(&eng)), "n=2^{k}");
         }
     }
 
+    /// A column takes `2^s − 1` partials a round and a down-sweep sender
+    /// sends as many: 7 at n = 256 (`s = 3`) under the default capacity,
+    /// and at most the binomial sweep's 2 at a share of 2.
     #[test]
     fn per_round_load_constant() {
+        use ncc_model::Capacity;
         let n = 256;
-        let mut eng = engine(n);
-        let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
-        let (_, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
-        assert!(stats.max_in <= 2, "max in-degree {}", stats.max_in);
-        assert!(stats.max_out <= 2, "max out-degree {}", stats.max_out);
+        let load = |cap| {
+            let mut eng = capped(n, cap);
+            let inputs: Vec<Option<u64>> = (0..n as u64).map(Some).collect();
+            let (_, stats) = aggregate_and_broadcast(&mut eng, inputs, &SumU64).unwrap();
+            assert!(stats.clean());
+            (stats.max_in, stats.max_out)
+        };
+        assert_eq!(load(Capacity::default_for(n)), (7, 7));
+        let (max_in, max_out) = load(Capacity::squeezed(2, 2));
+        assert!(max_in <= 2 && max_out <= 2, "({max_in}, {max_out})");
+    }
+
+    /// The radix rule on every size class and capacity: `s` grows with the
+    /// share up to `2^s − 1 ≤ ⌈log₂ n⌉` and stays 1 when the share is 2
+    /// or less. In every case each node learns the aggregate, a lone run
+    /// takes exactly `barrier_rounds(n, share)`, no node goes over its
+    /// share, and the one-lane mux run is the same execution.
+    #[test]
+    fn radix_rule_on_every_size_and_capacity() {
+        use crate::compose::Dag;
+        use ncc_model::Capacity;
+        for n in [2usize, 3, 5, 16, 17, 48, 64, 65, 100, 256, 1024, 1100] {
+            let inputs: Vec<Option<u64>> = (0..n as u64).map(|v| Some(v + 1)).collect();
+            let want = Some(n as u64 * (n as u64 + 1) / 2);
+            for cap in [
+                Capacity::default_for(n),
+                Capacity::squeezed(1, 1),
+                Capacity::squeezed(2, 2),
+                Capacity::squeezed(64, 3),
+                Capacity::log_scaled(n, 1, 24),
+                Capacity::unbounded(),
+            ] {
+                let mut direct = capped(n, cap);
+                let share = rate(&direct);
+                let s = radix_bits(n, share);
+                assert!((1 << s) - 1 <= share.max(1), "n={n} {cap:?}: s={s}");
+                assert!((1 << s) - 1 <= ncc_model::ilog2_ceil(n).max(1), "n={n}");
+                let (got, stats) =
+                    aggregate_and_broadcast(&mut direct, inputs.clone(), &SumU64).unwrap();
+                assert!(got.iter().all(|r| *r == want), "n={n} {cap:?}");
+                assert!(stats.clean(), "n={n} {cap:?}");
+                assert_eq!(stats.rounds, barrier_rounds(n, share), "n={n} {cap:?}");
+                assert!(stats.peak_load() <= share as u64, "n={n} {cap:?}");
+                let mut muxed = capped(n, cap);
+                let mut dag = Dag::new();
+                let lane_inputs = inputs.clone();
+                let node = dag.proto("ab", &[], move |_| ab_sub(n, lane_inputs, &SumU64));
+                let mut run = dag.run(&mut muxed).unwrap();
+                assert_eq!(run.stats, stats, "n={n} {cap:?}");
+                assert_eq!(run.outputs.take(node), got, "n={n} {cap:?}");
+            }
+        }
+    }
+
+    /// Packed A&B lanes split the capacity: each takes its share's radix,
+    /// so 1, 2 or a full budget of them stay within the cap and drop
+    /// nothing at the default capacity.
+    #[test]
+    fn packed_ab_lanes_stay_within_capacity() {
+        use crate::compose::Dag;
+        use crate::schedule::default_lane_budget;
+        for n in [64usize, 100, 1024] {
+            for lanes in [1, 2, default_lane_budget(n)] {
+                let mut eng = engine(n);
+                let cap = rate(&eng) as u64;
+                let mut dag = Dag::new();
+                let nodes: Vec<_> = (0..lanes as u64)
+                    .map(|j| {
+                        let inputs = (0..n as u64).map(|v| Some(v ^ j)).collect();
+                        dag.proto(format!("ab{j}"), &[], move |_| ab_sub(n, inputs, &MaxU64))
+                    })
+                    .collect();
+                let mut run = dag.run(&mut eng).unwrap();
+                assert_eq!(run.report.stages.len(), 1, "n={n}, {lanes} lanes");
+                let stats = run.stats;
+                assert!(stats.clean(), "n={n}, {lanes} lanes: {stats:?}");
+                assert!(stats.peak_load() <= cap, "n={n}, {lanes} lanes: {stats:?}");
+                for (j, node) in nodes.into_iter().enumerate() {
+                    let want = (0..n as u64).map(|v| v ^ j as u64).max();
+                    assert!(run.outputs.take(node).iter().all(|r| *r == want));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1434,10 +1524,35 @@ mod ab_tests {
 
     #[test]
     fn barrier_rounds_is_the_barrier_length() {
-        for n in [1usize, 2, 3, 4, 7, 48, 64, 100, 128] {
-            let stats = sync_barrier(&mut engine(n)).unwrap();
-            assert_eq!(barrier_rounds(n), stats.rounds, "n = {n}");
+        for n in [1usize, 2, 3, 4, 7, 48, 64, 100, 128, 256, 1024] {
+            let mut eng = engine(n);
+            let stats = sync_barrier(&mut eng).unwrap();
+            assert_eq!(barrier_rounds(n, rate(&eng)), stats.rounds, "n = {n}");
         }
+        // at the default capacity: 14 → 8 rounds at n = 64, 18 → 8 at 256
+        // and 22 → 10 at 1024
+        let lone = |n| barrier_rounds(n, rate(&engine(n)));
+        assert_eq!([64, 256, 1024].map(lone), [8, 8, 10]);
+    }
+
+    /// A barrier whose copies a receive cap drops is a typed failure in
+    /// every build, not an `Ok` over nodes that never learned it.
+    #[test]
+    fn a_barrier_that_loses_its_broadcast_fails_typed() {
+        use ncc_model::Capacity;
+        let n = 48;
+        let cap = Capacity {
+            recv: 0,
+            ..Capacity::default_for(n)
+        };
+        let mut eng = Engine::new(NetConfig::new(n, 42).with_capacity(cap).permissive());
+        match sync_barrier(&mut eng) {
+            Err(ModelError::WhpEventFailed { event }) => {
+                assert_eq!(event, "every node learns the barrier")
+            }
+            other => panic!("a barrier that reached nobody returned {other:?}"),
+        }
+        assert!(sync_barrier(&mut engine(n)).unwrap().clean());
     }
 
     /// `aggregate_and_broadcast` executes `AbProgram` directly; a one-node

@@ -35,7 +35,7 @@
 //!
 //! [`sync_barrier`]: crate::aggregation::sync_barrier
 
-use ncc_model::{Engine, LaneId, MuxBuilder, MuxState, NodeProgram};
+use ncc_model::{Engine, ExecStats, LaneId, ModelError, MuxBuilder, MuxState, NodeProgram};
 
 /// How every node learns that a lane's stage is over, and so what the
 /// stage owes before the next one may start.
@@ -76,21 +76,27 @@ pub trait LaneSub<'a> {
     /// largest bound.
     fn stage_end(&self) -> StageEnd;
 
-    /// Asks the lane to keep its per-node sends within `send_budget`
-    /// messages per round — its *share* of the node capacity when a
-    /// scheduler packs it next to other lanes (§2's parallel-instances
-    /// argument: `k` concurrent instances each slow down by the factor
-    /// `k`, they do not overdraw the budget). The scheduler calls it
-    /// before [`LaneSub::install`].
+    /// Asks the lane to keep its per-node traffic within `share` — its
+    /// [`Share`] of the node capacity when a scheduler packs it next to
+    /// other lanes (§2's parallel-instances argument: `k` concurrent
+    /// instances each slow down by the factor `k`, they do not overdraw
+    /// the budget). The scheduler calls it before [`LaneSub::install`].
     ///
     /// A lane honours it through its [`Lane::paced`] hook. The combining
-    /// pipeline has one and honours it in every round, round 0 included:
-    /// its load is `Θ(log n)` per round. The other lanes have none,
-    /// because their per-round load is `O(1)` by construction — except
-    /// the combine's delivery and the multicast and tree-setup lanes,
-    /// whose `Θ(log n)` load stays unpaced.
-    fn pace(&mut self, send_budget: usize);
+    /// pipeline has one and holds its sends to the send share in every
+    /// round, round 0 included: its load is `Θ(log n)` per round.
+    /// Aggregate-and-Broadcast has one and sizes its fan-in by the
+    /// smaller of the two shares, which bounds its receives as well as
+    /// its sends. The other lanes have none, because their per-round load
+    /// is `O(1)` by construction — except the combine's delivery and the
+    /// multicast and tree-setup lanes, whose `Θ(log n)` load stays
+    /// unpaced.
+    fn pace(&mut self, share: Share);
 }
+
+/// A lane's share of the per-node capacity: `(send, recv)` messages a
+/// round ([`LaneSub::pace`]).
+pub type Share = (usize, usize);
 
 /// One stage of a primitive as data: one program, its per-node states,
 /// how the stage ends, and a capture-free `finish` that turns the
@@ -100,7 +106,7 @@ pub struct Lane<P: NodeProgram, T> {
     stage: Option<(P, Vec<P::State>)>,
     seed: Option<u64>,
     end: StageEnd,
-    pace: Option<fn(&mut P, usize)>,
+    pace: Option<fn(&mut P, Share)>,
     finish: fn(Vec<P::State>) -> T,
     out: Option<T>,
 }
@@ -134,8 +140,8 @@ impl<P: NodeProgram, T> Lane<P, T> {
     }
 
     /// Gives the lane its [`LaneSub::pace`]: `hook` holds the program to
-    /// a per-node send budget.
-    pub fn paced(mut self, hook: fn(&mut P, usize)) -> Self {
+    /// a per-node [`Share`].
+    pub fn paced(mut self, hook: fn(&mut P, Share)) -> Self {
         self.pace = Some(hook);
         self
     }
@@ -143,6 +149,18 @@ impl<P: NodeProgram, T> Lane<P, T> {
     /// The program, before the lane is installed.
     pub(crate) fn program(&mut self) -> &mut P {
         &mut self.stage.as_mut().expect("lane already installed").0
+    }
+
+    /// Runs the lane by itself, without a mux, on the nodes' own streams
+    /// and paced to the engine's whole capacity, and finishes it.
+    pub(crate) fn execute(mut self, engine: &mut Engine) -> Result<(T, ExecStats), ModelError> {
+        let cap = engine.config().capacity;
+        if let Some(hook) = self.pace {
+            hook(self.program(), (cap.send, cap.recv));
+        }
+        let (prog, mut states) = self.stage.take().expect("a lane installs once");
+        let stats = engine.execute(&prog, &mut states)?;
+        Ok(((self.finish)(states), stats))
     }
 
     /// The finished output. Panics before the lane was collected.
@@ -172,9 +190,9 @@ where
         self.end
     }
 
-    fn pace(&mut self, send_budget: usize) {
+    fn pace(&mut self, share: Share) {
         if let Some(hook) = self.pace {
-            hook(self.program(), send_budget);
+            hook(self.program(), share);
         }
     }
 }
@@ -285,7 +303,7 @@ pub(crate) struct Built<L, F> {
 pub(crate) trait Running<'a> {
     fn stage_end(&self) -> StageEnd;
     /// Paces the lane to `share` and installs it.
-    fn install(&mut self, share: usize, b: &mut MuxBuilder<'a>) -> LaneId;
+    fn install(&mut self, share: Share, b: &mut MuxBuilder<'a>) -> LaneId;
     /// Collects the lane and finishes it into the node's boxed output.
     fn finish(self: Box<Self>, id: LaneId, states: &mut [MuxState]) -> Box<dyn Any>;
 }
@@ -294,7 +312,7 @@ impl<'a, L: LaneSub<'a>, T: 'static, F: FnOnce(L) -> T> Running<'a> for Built<L,
     fn stage_end(&self) -> StageEnd {
         self.lane.stage_end()
     }
-    fn install(&mut self, share: usize, b: &mut MuxBuilder<'a>) -> LaneId {
+    fn install(&mut self, share: Share, b: &mut MuxBuilder<'a>) -> LaneId {
         self.lane.pace(share);
         self.lane.install(b)
     }
@@ -556,11 +574,11 @@ mod tests {
     #[test]
     fn paced_lane_hands_its_share_to_the_hook() {
         let relay = |hops| Lane::new(Relay { hops }, vec![0u64; 4], keep);
-        let mut paced = relay(9).paced(|prog, budget| prog.hops = budget as u64);
-        paced.pace(2);
+        let mut paced = relay(9).paced(|prog, (send, _)| prog.hops = send as u64);
+        paced.pace((2, 3));
         assert_eq!(paced.program().hops, 2);
         let mut unpaced = relay(9);
-        unpaced.pace(2);
+        unpaced.pace((2, 3));
         assert_eq!(unpaced.program().hops, 9);
     }
 

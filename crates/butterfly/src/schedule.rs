@@ -72,7 +72,7 @@
 //!   paid instead, so every node learns the end at
 //!   `min(t₀ + R, quiescence + B)` — never later than before;
 //! * asymptotics are unchanged: the pad is at most the barrier's
-//!   `O(log n)`.
+//!   `O(log n)` rounds (`O(log n / log log n)` at the default capacity).
 //!
 //! # The carried sync
 //!
@@ -91,8 +91,9 @@
 //! * every node still learns "the stage finished" at round `t+B` — the
 //!   consensus is an A&B, so it ends synchronised exactly like the barrier
 //!   — and it learns the consensus value `B` rounds earlier than before;
-//! * asymptotics are unchanged: still one `O(log n)` synchronisation per
-//!   phase where one is needed.
+//! * asymptotics are unchanged: still one synchronisation per phase
+//!   where one is needed, `O(log n)` rounds and `O(log n / log log n)`
+//!   at the default capacity.
 //!
 //! An owed pad is carried the same way: the consensus starts right after
 //! quiescence and ends synchronised `B` rounds later, exactly as when it
@@ -241,7 +242,8 @@ impl<'a> Dag<'a> {
     /// to exercise antichain splitting).
     pub fn run_budgeted(self, engine: &mut Engine, budget: usize) -> Result<DagRun, ModelError> {
         assert!(budget >= 1, "scheduler needs room for at least one lane");
-        let n = engine.n();
+        let (n, cap) = (engine.n(), engine.config().capacity);
+        let barrier = barrier_rounds(n, cap.send.min(cap.recv));
         let mut nodes = self.nodes;
         let mut outputs: Vec<Option<Box<dyn std::any::Any>>> =
             (0..nodes.len()).map(|_| None).collect();
@@ -286,18 +288,17 @@ impl<'a> Dag<'a> {
             // Pack the ready antichain: every Running node contributes its
             // lane, declaration order, budget-capped.
             // Each packed lane gets an even share of the per-node send
-            // capacity (§2's parallel-instances argument: k instances run
-            // together iff each throttles to cap/k messages per round).
+            // and receive capacity (§2's parallel-instances argument: k
+            // instances run together iff each throttles to cap/k
+            // messages per round); an unbounded capacity leaves shares no
+            // lane can spend.
             let width = nodes
                 .iter()
                 .filter(|nd| matches!(nd.state, NodeState::Running(_)))
                 .count()
                 .min(budget)
                 .max(1);
-            let share = match engine.config().capacity.send {
-                usize::MAX => usize::MAX,
-                cap => (cap / width).max(1),
-            };
+            let share = ((cap.send / width).max(1), (cap.recv / width).max(1));
             let mut b = MuxBuilder::new(n).with_lane_budget(budget);
             let mut installed: Vec<(usize, ncc_model::LaneId)> = Vec::new();
             let mut deferred: Vec<String> = Vec::new();
@@ -355,7 +356,7 @@ impl<'a> Dag<'a> {
             }
             let labels = || format!("{:?}", lanes.iter().map(|l| &l.label).collect::<Vec<_>>());
             // ...which owes one shared sync, by how its lanes end.
-            owed = Owed::after(end, stats.rounds, n, labels);
+            owed = Owed::after(end, stats.rounds, barrier, labels);
             report.stages.push(PackedStage {
                 lanes,
                 deferred,
@@ -435,12 +436,12 @@ pub enum Owed {
 }
 
 impl Owed {
-    /// The debt of a stage on `n` nodes that ended as `end` after `rounds`
-    /// rounds. A pad longer than a barrier is paid as the barrier, so no
-    /// node learns the end later than it would have. Panics, naming the
-    /// stage's lanes by `labels()`, if a fixed-duration stage overran its
-    /// bound.
-    fn after(end: StageEnd, rounds: u64, n: usize, labels: impl Fn() -> String) -> Owed {
+    /// The debt of a stage that ended as `end` after `rounds` rounds, on
+    /// an engine whose [`sync_barrier`] takes `barrier` rounds. A pad
+    /// longer than that barrier is paid as the barrier, so no node learns
+    /// the end later than it would have. Panics, naming the stage's lanes
+    /// by `labels()`, if a fixed-duration stage overran its bound.
+    fn after(end: StageEnd, rounds: u64, barrier: u64, labels: impl Fn() -> String) -> Owed {
         match end {
             StageEnd::SelfSync => Owed::Nothing,
             StageEnd::Barrier => Owed::Barrier,
@@ -451,7 +452,7 @@ impl Owed {
                     labels()
                 );
                 match bound - rounds {
-                    pad if pad > barrier_rounds(n) => Owed::Barrier,
+                    pad if pad > barrier => Owed::Barrier,
                     pad => Owed::Pad(pad),
                 }
             }
@@ -490,6 +491,12 @@ mod tests {
 
     fn engine(n: usize) -> Engine {
         Engine::new(NetConfig::new(n, 77))
+    }
+
+    /// A lone barrier's rounds on [`engine`]`(n)`.
+    fn lone_barrier(n: usize) -> u64 {
+        let cap = engine(n).config().capacity;
+        barrier_rounds(n, cap.send.min(cap.recv))
     }
 
     /// Node `u` sends `u` to group `u mod 4`: a lane whose combine stage
@@ -677,8 +684,7 @@ mod tests {
         assert!(st[1].rounds() < 6, "the draw leaves part of the bound idle");
         assert_eq!(st[1].sync, Owed::Pad(6 - st[1].rounds()));
         assert_eq!((run.report.barriers(), run.report.padded()), (1, 1));
-        let barrier = barrier_rounds(n);
-        assert_eq!(run.stats.rounds, st[0].rounds() + barrier + 6);
+        assert_eq!(run.stats.rounds, st[0].rounds() + lone_barrier(n) + 6);
     }
 
     #[test]
@@ -724,7 +730,7 @@ mod tests {
         let st = &run.report.stages;
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].sync, Owed::Barrier);
-        assert_eq!(run.stats.rounds, st[0].rounds() + barrier_rounds(n));
+        assert_eq!(run.stats.rounds, st[0].rounds() + lone_barrier(n));
     }
 
     #[test]

@@ -119,6 +119,12 @@ impl NodeProgram for SeedProgram {
     }
 }
 
+/// The chunks [`broadcast_seed`] chops `total_bits` of seed material
+/// into: one machine word each, at least one.
+pub fn chunk_count(total_bits: usize) -> u32 {
+    total_bits.div_ceil(64).max(1) as u32
+}
+
 /// Broadcasts `total_bits` of shared randomness from node 0 and returns the
 /// agreed-upon [`SharedRandomness`]. Rounds: `O(total_bits/64 + log n)`.
 ///
@@ -135,7 +141,7 @@ pub fn broadcast_seed(
         return Ok((SharedRandomness::new(master), ExecStats::default()));
     }
     let bf = Butterfly::for_n(n);
-    let chunks = (total_bits.div_ceil(64)).max(1) as u32;
+    let chunks = chunk_count(total_bits);
     let prog = SeedProgram { bf, master, chunks };
     let mut states = vec![SeedState::default(); n];
     let stats = engine.execute(&prog, &mut states)?;

@@ -2,7 +2,8 @@
 //!
 //! It runs one stage per call on nothing but `MuxBuilder`,
 //! `Engine::execute`, `sync_barrier` and `Engine::idle_rounds`: every
-//! lane it is given becomes one lane of a shared mux execution, and the
+//! lane it is given, paced to an even share of the node capacity,
+//! becomes one lane of a shared mux execution, and the
 //! stage then pays one sync, decided here from the lanes' `StageEnd`s
 //! without the scheduler's rule. It never carries a sync into the next
 //! stage; that saving is the scheduler's alone. A chain of lanes is one
@@ -37,7 +38,17 @@ pub fn run_fused<'a>(
     let barrier = sync_barrier(&mut Engine::new(unbounded)).unwrap().rounds;
     let mut b = MuxBuilder::new(n);
     let ends: Vec<StageEnd> = lanes.iter().map(|lane| lane.stage_end()).collect();
-    let ids: Vec<_> = lanes.iter_mut().map(|lane| lane.install(&mut b)).collect();
+    // every lane gets an even share of the send and receive capacity,
+    // the budget §2's parallel instances split
+    let (cap, k) = (engine.config().capacity, lanes.len().max(1));
+    let share = ((cap.send / k).max(1), (cap.recv / k).max(1));
+    let ids: Vec<_> = lanes
+        .iter_mut()
+        .map(|lane| {
+            lane.pace(share);
+            lane.install(&mut b)
+        })
+        .collect();
     fused.stages += 1;
     fused.max_lanes = fused.max_lanes.max(lanes.len());
     let (mux, mut states) = b.build();

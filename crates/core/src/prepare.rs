@@ -8,9 +8,10 @@
 //! every round, and returns what it built together with its cost.
 
 use ncc_butterfly::broadcast_seed;
+use ncc_butterfly::seed::{chunk_count, SeedChunk};
 use ncc_graph::Graph;
 use ncc_hashing::SharedRandomness;
-use ncc_model::{ilog2_ceil, Engine, ModelError};
+use ncc_model::{ilog2_ceil, Engine, ModelError, Payload};
 
 use crate::broadcast_trees::{build_broadcast_trees, BroadcastTrees};
 use crate::report::AlgoReport;
@@ -60,10 +61,7 @@ pub fn prepare(
     seed: u64,
     trees_over: Option<&Graph>,
 ) -> Result<Prepared, ModelError> {
-    let n = engine.n();
-    let k = SharedRandomness::k_for(n);
-    let bits = SharedRandomness::bits_required(n, 2 * ilog2_ceil(n).max(1) as usize, k);
-    let (shared, stats) = broadcast_seed(engine, seed ^ 0x5eed, bits)?;
+    let (shared, stats) = broadcast_seed(engine, seed ^ 0x5eed, seed_bits(engine.n()))?;
     let mut report = AlgoReport::default();
     report.push("seed-agreement", stats);
     let trees = match trees_over {
@@ -79,6 +77,21 @@ pub fn prepare(
         trees,
         report,
     })
+}
+
+/// The bits of shared randomness [`prepare`] agrees on over `n` nodes:
+/// MST's `O(log n)` functions of `Θ(log n)` coefficients (§3).
+fn seed_bits(n: usize) -> usize {
+    let k = SharedRandomness::k_for(n);
+    SharedRandomness::bits_required(n, 2 * ilog2_ceil(n).max(1) as usize, k)
+}
+
+/// The fewest payload bits the seed agreement needs on `n` nodes: its
+/// widest message, the last [`SeedChunk`], sized by the wire type's own
+/// `bit_size`. Every algorithm that [`prepare`]s refuses a payload below.
+pub fn min_payload_bits(n: usize) -> u32 {
+    let index = chunk_count(seed_bits(n)) - 1;
+    SeedChunk { index, word: 0 }.bit_size()
 }
 
 #[cfg(test)]

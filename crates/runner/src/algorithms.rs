@@ -72,10 +72,12 @@ pub trait Algorithm: Sync {
     /// Whether the algorithm is defined on `spec`, and if not, why.
     /// [`run_checked`] asks before round 0, so a spec the algorithm cannot
     /// run is a typed error, never an assert or an engine abort. The
-    /// default asks for two nodes: the graph algorithms (§3–§5) orient,
-    /// peel and build trees over a butterfly, which takes two.
+    /// default asks what the seed agreement of the graph algorithms
+    /// (§3–§5) needs: two nodes for its butterfly, and payloads its seed
+    /// chunks fit in ([`ncc_core::prepare::min_payload_bits`]).
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        needs_nodes(self.name(), 2, spec)
+        let seed = ncc_core::prepare::min_payload_bits(spec.n);
+        needs(self.name(), spec, 2, seed)
     }
 
     /// The preamble the main stage needs.
@@ -146,11 +148,18 @@ fn run_planned<A: Algorithm + ?Sized>(
     Ok((rec, out.plan))
 }
 
-/// The node bound of [`Algorithm::admits`], naming it when `spec` is below.
-fn needs_nodes(name: &str, min: usize, spec: &ScenarioSpec) -> Result<(), String> {
-    match spec.n {
-        n if n < min => Err(format!("`{name}` needs n ≥ {min}, the spec has n = {n}")),
-        _ => Ok(()),
+/// The floors of [`Algorithm::admits`], `nodes` nodes and `payload_bits`
+/// bits a message, naming the one `spec` is below.
+fn needs(name: &str, spec: &ScenarioSpec, nodes: usize, payload_bits: u32) -> Result<(), String> {
+    let (n, bits) = (spec.n, spec.capacity.payload_bits);
+    if n < nodes {
+        Err(format!("`{name}` needs n ≥ {nodes}, the spec has n = {n}"))
+    } else if bits < payload_bits {
+        Err(format!(
+            "`{name}` needs payload_bits ≥ {payload_bits} at n = {n}, the spec has payload_bits = {bits}"
+        ))
+    } else {
+        Ok(())
     }
 }
 
@@ -250,20 +259,14 @@ impl Algorithm for Mst {
     fn description(&self) -> &'static str {
         "minimum spanning forest, Boruvka + sketch FindMin (§3, O(log⁴ n))"
     }
-    /// Two nodes, payloads FindMin's sketch packets fit in, and weights
-    /// its range messages can carry (§3 assumes `W = poly(n)`).
+    /// Two nodes, payloads the seed chunks and FindMin's sketch packets
+    /// fit in, and weights its range messages can carry (§3 assumes
+    /// `W = poly(n)`).
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        needs_nodes(self.name(), 2, spec)?;
-        let (bits, need) = (
-            spec.capacity.payload_bits,
-            ncc_core::mst::min_payload_bits(spec.n),
-        );
-        if bits < need {
-            return Err(format!(
-                "`mst` needs payload_bits ≥ {need} at n = {}, the spec has payload_bits = {bits}",
-                spec.n
-            ));
-        }
+        needs(self.name(), spec, 2, 0)?;
+        let seed = ncc_core::prepare::min_payload_bits(spec.n);
+        let need = ncc_core::mst::min_payload_bits(spec.n).max(seed);
+        needs(self.name(), spec, 2, need)?;
         let fits = ncc_core::mst::max_weight(spec.n, spec.capacity.payload_bits);
         if spec.weight_max > fits {
             return Err(format!(
@@ -533,7 +536,7 @@ fn baseline(stage: &'static str, stats: ExecStats) -> Outcome {
 /// least one message a round — at 0 gossip never finishes and broadcast
 /// informs nobody.
 fn needs_round_cap(name: &str, spec: &ScenarioSpec) -> Result<(), String> {
-    needs_nodes(name, 1, spec)?;
+    needs(name, spec, 1, 0)?;
     if spec.n >= 2 && round_cap(&spec.capacity, spec.n) == 0 {
         return Err(format!(
             "`{name}` needs a capacity of send ≥ 1 and recv ≥ 1 at n = {}, the spec has send = {}, recv = {}",
@@ -596,7 +599,7 @@ impl Algorithm for ButterflyAggregation {
         "butterfly-aggregation"
     }
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        needs_nodes(self.name(), 1, spec)
+        needs(self.name(), spec, 1, 0)
     }
     fn description(&self) -> &'static str {
         "global min via butterfly aggregate-and-broadcast (Thm 2.2, O(log n))"

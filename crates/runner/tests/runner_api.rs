@@ -366,6 +366,51 @@ fn mst_admits_exactly_the_payloads_its_sketches_fit() {
     }
 }
 
+/// Every algorithm that agrees on a seed refuses a payload its widest
+/// seed chunk does not fit in, before round 0: at n = 64 a 60-bit
+/// payload once ran into `node 0 sent a 65-bit payload in round 1`. At
+/// the floor the seed agreement itself runs.
+#[test]
+fn seeded_algorithms_admit_only_payloads_the_seed_chunks_fit() {
+    for n in [16, 64, 1024] {
+        let need = ncc_core::prepare::min_payload_bits(n);
+        let spec = |payload_bits| {
+            let capacity = Capacity {
+                payload_bits,
+                ..Capacity::default_for(n)
+            };
+            ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, n, 3).with_capacity(capacity)
+        };
+        let scn = spec(need - 1).build().unwrap();
+        // `mst`'s own floor lies above the seed's: see
+        // `mst_admits_exactly_the_payloads_its_sketches_fit`
+        for algo in algorithms() {
+            if algo.preparation() == Preparation::None || algo.name() == "mst" {
+                continue;
+            }
+            let mut eng = scn.engine();
+            match run_checked(*algo, &mut eng, &scn) {
+                Err(RunnerError::Scenario(msg)) => {
+                    let named = [format!("≥ {need}"), format!("= {}", need - 1)];
+                    assert!(named.iter().all(|s| msg.contains(s)), "{msg}");
+                    assert!(msg.contains("payload_bits"), "{msg}");
+                }
+                other => panic!(
+                    "{} at n = {n}: {} bits admitted: {other:?}",
+                    algo.name(),
+                    need - 1
+                ),
+            }
+            assert_eq!(eng.global_round(), 0, "a rejected spec runs no round");
+        }
+        let scn = spec(need).build().unwrap();
+        assert!(
+            ncc_core::prepare(&mut scn.engine(), 3, None).is_ok(),
+            "n = {n}"
+        );
+    }
+}
+
 /// Gossip and broadcast schedule `min(send, recv, n)` messages per node per
 /// round. A capacity that makes that 0 is refused before round 0: gossip
 /// would spin to the engine's round limit, broadcast would inform nobody.

@@ -19,7 +19,7 @@
 //! startup transient, not a correctness concern.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ncc_runner::{canonical_spec_json, spec_hash, RunnerError, Scenario, ScenarioSpec, SpecHash};
 use serde::{Deserialize, Serialize};
@@ -87,7 +87,7 @@ impl BuildCache {
         let canonical = canonical_spec_json(spec);
 
         {
-            let mut inner = self.inner.lock().expect("cache lock");
+            let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             let tick = {
                 inner.tick += 1;
                 inner.tick
@@ -112,7 +112,7 @@ impl BuildCache {
         // must not serialize concurrent workers.
         let scenario = Arc::new(spec.build()?);
 
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.tick += 1;
         let tick = inner.tick;
         // A racing worker may have inserted while we built; its artifact
@@ -154,7 +154,7 @@ impl BuildCache {
     pub fn contains(&self, spec: &ScenarioSpec) -> bool {
         let key = spec_hash(spec);
         let canonical = canonical_spec_json(spec);
-        let inner = self.inner.lock().expect("cache lock");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner
             .map
             .get(&key.0)
@@ -163,7 +163,7 @@ impl BuildCache {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         CacheStats {
             entries: inner.map.len() as u64,
             capacity: self.capacity as u64,
@@ -249,5 +249,28 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.entries, 0);
         assert_eq!(s.misses, 1);
+    }
+
+    /// A worker that panics while holding the lock poisons it; the
+    /// counters it guards are still consistent, so the cache serves on.
+    #[test]
+    fn a_poisoned_lock_still_serves() {
+        let cache = BuildCache::new(4);
+        cache.get_or_build(&spec(1)).unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = cache.inner.lock().unwrap();
+                panic!("worker panics holding the cache lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(cache.inner.is_poisoned());
+        let (_, hit) = cache.get_or_build(&spec(1)).unwrap();
+        assert!(hit);
+        assert!(!cache.get_or_build(&spec(2)).unwrap().1);
+        assert!(cache.contains(&spec(2)));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
     }
 }
