@@ -4,23 +4,12 @@
 //! `a`. Validity is checked inside the registry run; the MIS size is
 //! reported next to the sequential greedy baseline's.
 
-use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
-use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
+use crate::experiments::{arboricity_grid, sweep};
+use crate::{f2, lg, spec_graph};
+use ncc_runner::RunRecord;
 
 pub fn run() -> Vec<RunRecord> {
-    let mut grid: Vec<(usize, ScenarioSpec)> = Vec::new();
-    for &a in &[1usize, 2, 4, 8, 16] {
-        grid.push((
-            a,
-            ScenarioSpec::new(FamilySpec::Forests { k: a }, 256, SEED + a as u64 * 3),
-        ));
-    }
-    for &n in &[64usize, 128, 256, 512] {
-        grid.push((
-            3,
-            ScenarioSpec::new(FamilySpec::Forests { k: 3 }, n, SEED + 5),
-        ));
-    }
+    let grid = arboricity_grid(3, 5);
 
     println!("# E10 — Theorem 5.3 (MIS): rounds vs (a + log n)·log n");
     let headers = [

@@ -3,23 +3,12 @@
 //! Declarative scenario sweep through the runner registry; matching size
 //! reported next to the sequential greedy baseline's.
 
-use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
-use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
+use crate::experiments::{arboricity_grid, sweep};
+use crate::{f2, lg, spec_graph};
+use ncc_runner::RunRecord;
 
 pub fn run() -> Vec<RunRecord> {
-    let mut grid: Vec<(usize, ScenarioSpec)> = Vec::new();
-    for &a in &[1usize, 2, 4, 8, 16] {
-        grid.push((
-            a,
-            ScenarioSpec::new(FamilySpec::Forests { k: a }, 256, SEED + a as u64 * 5),
-        ));
-    }
-    for &n in &[64usize, 128, 256, 512] {
-        grid.push((
-            3,
-            ScenarioSpec::new(FamilySpec::Forests { k: 3 }, n, SEED + 6),
-        ));
-    }
+    let grid = arboricity_grid(5, 6);
 
     println!("# E11 — Theorem 5.4 (Maximal Matching): rounds vs (a + log n)·log n");
     let headers = [

@@ -4,26 +4,20 @@
 //!
 //! Declarative scenario sweep through the runner registry.
 
-use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
+use crate::experiments::{arboricity_grid, sweep};
+use crate::{f2, lg, spec_graph, SEED};
 use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
 pub fn run() -> Vec<RunRecord> {
-    let mut grid: Vec<((&str, usize), ScenarioSpec)> = Vec::new();
-    for &a in &[1usize, 2, 4, 8, 16] {
-        grid.push((
-            ("forests", a),
-            ScenarioSpec::new(FamilySpec::Forests { k: a }, 256, SEED + a as u64 * 7),
-        ));
-    }
-    // the palette-vs-Δ discriminator: a = 1 but Δ = n−1
-    grid.push((("star", 1), ScenarioSpec::new(FamilySpec::Star, 256, SEED)));
-    grid.push((("grid", 2), ScenarioSpec::grid(16, 16, SEED)));
-    for &n in &[64usize, 128, 256, 512] {
-        grid.push((
-            ("forests", 3),
-            ScenarioSpec::new(FamilySpec::Forests { k: 3 }, n, SEED + 11),
-        ));
-    }
+    let mut grid: Vec<((&str, usize), ScenarioSpec)> = arboricity_grid(7, 11)
+        .into_iter()
+        .map(|(a, spec)| (("forests", a), spec))
+        .collect();
+    // after the a sweep: the palette-vs-Δ discriminator (a = 1 but
+    // Δ = n−1), then a grid
+    let star = (("star", 1), ScenarioSpec::new(FamilySpec::Star, 256, SEED));
+    let mesh = (("grid", 2), ScenarioSpec::grid(16, 16, SEED));
+    grid.splice(5..5, [star, mesh]);
 
     println!("# E12 — Theorem 5.5 (O(a)-Coloring): palette O(a), rounds vs (a+log n)·log^1.5 n");
     let headers = [

@@ -4,8 +4,8 @@
 //! primitive-level experiments drive the blocking entry points directly,
 //! assert in-body and return none.
 
-use crate::Table;
-use ncc_runner::{run_named, RunRecord, ScenarioSpec};
+use crate::{Table, SEED};
+use ncc_runner::{run_named, FamilySpec, RunRecord, ScenarioSpec};
 
 pub mod exp02_aggbcast;
 pub mod exp03_aggregation;
@@ -70,6 +70,16 @@ pub fn sweep<K>(
     }
     t.print();
     records
+}
+
+/// The §5 arboricity sweep, keyed by `a`: forests of `a ∈ {1, 2, 4, 8,
+/// 16}` at n = 256 (seed `SEED + a·a_step`), then `a = 3` at n ∈ {64,
+/// 128, 256, 512} (seed `SEED + n_step`).
+pub fn arboricity_grid(a_step: u64, n_step: u64) -> Vec<(usize, ScenarioSpec)> {
+    let forests = |k, n, seed| (k, ScenarioSpec::new(FamilySpec::Forests { k }, n, seed));
+    let by_a = [1usize, 2, 4, 8, 16].map(|a| forests(a, 256, SEED + a as u64 * a_step));
+    let by_n = [64usize, 128, 256, 512].map(|n| forests(3, n, SEED + n_step));
+    by_a.into_iter().chain(by_n).collect()
 }
 
 #[cfg(test)]

@@ -726,8 +726,9 @@ pub fn aggregate<V: Payload, A: Aggregate<V>>(
 // Multi-Aggregation (Theorem 2.6, Appendix B.5)
 // ---------------------------------------------------------------------------
 
-/// Sub-identifier namespace for the re-keyed member groups.
-const MA_SUB: u32 = 0x4D41;
+/// Sub-identifier namespace for the re-keyed member groups: a leaf
+/// scatters its member `u`'s packet to group `(id(u), MA_SUB)`.
+pub const MA_SUB: u32 = 0x4D41;
 
 /// Wire format of the Multi-Aggregation pipeline: tree spreading
 /// (payload `V`) and re-keyed aggregation routing (payload `W`) share the
@@ -1117,10 +1118,11 @@ where
 // The radix `2^s` is the fan-in: a column combines up to `2^s − 1`
 // partials a round, and the receive share bounds that (Vyavahare et al.:
 // a node combines only as fast as its in-capacity allows). [`radix_bits`]
-// picks `s` from `n` and the share; at `s = 1` the sweeps are the
-// binomial tree, fixing one bit a round. The same execution doubles as
-// the paper's synchronisation barrier ([`sync_barrier`]) — the
-// token-passing variant of App. B.1 condensed to its round cost.
+// picks `s` from `n` and the share, spending up to half the share; at
+// `s = 1` the sweeps are the binomial tree, fixing one bit a round. The
+// same execution doubles as the paper's synchronisation barrier
+// ([`sync_barrier`]) — the token-passing variant of App. B.1 condensed
+// to its round cost.
 //
 // `AbProgram` is one plain program. [`aggregate_and_broadcast`], and with
 // it every barrier, hands it straight to `Engine::execute` at the
@@ -1241,20 +1243,20 @@ impl<V: Payload, A: Aggregate<V>> NodeProgram for AbProgram<'_, V, A> {
 
 /// Column bits one Aggregate-and-Broadcast sweep round fixes on `n` nodes
 /// when a node may take `share` messages a round: the largest `s` with
-/// `2^s − 1 ≤ min(⌈log₂ n⌉, share)`, within `[1, ⌊log₂ n⌋]`. A column then
-/// takes at most `2^s − 1 ≤ ⌈log₂ n⌉` partials a round, and the sweeps
-/// run `⌈⌊log₂ n⌋ / s⌉` rounds each — `Θ(log n / log log n)` at the
-/// default capacity, the binomial `⌊log₂ n⌋` once the share is 2 or less.
+/// `2^s − 1 ≤ max(1, ⌊share/2⌋)`, within `[1, ⌊log₂ n⌋]`. A column then
+/// takes at most half its share in partials a round, so packed lanes
+/// keep every node within half the cap, and the sweeps run
+/// `⌈⌊log₂ n⌋ / s⌉` rounds each — `O(log n / log log n)` at the default
+/// capacity, the binomial `⌊log₂ n⌋` once the share is 5 or less.
 pub(crate) fn radix_bits(n: usize, share: usize) -> u32 {
-    let fan_in = share.min(ncc_model::ilog2_ceil(n) as usize);
-    ncc_model::ilog2_floor(fan_in + 1).clamp(1, ncc_model::ilog2_floor(n).max(1))
+    ncc_model::ilog2_floor((share / 2).max(1) + 1).clamp(1, ncc_model::ilog2_floor(n).max(1))
 }
 
 /// Runs Aggregate-and-Broadcast: each node optionally holds one input;
 /// afterwards every node knows the aggregate (or `None` if no node held an
 /// input). Takes `2⌈d/s⌉ + 2` rounds on `2^d` nodes and one more
 /// otherwise, where the sweeps fix `s` column bits a round: the largest
-/// `s ≤ d` with `2^s − 1 ≤ min(⌈log₂ n⌉, send, recv)` at the engine's
+/// `s ≤ d` with `2^s − 1 ≤ ⌊min(send, recv)/2⌋` at the engine's
 /// capacity, and at least 1 (Theorem 2.2).
 pub fn aggregate_and_broadcast<V: Payload, A: Aggregate<V>>(
     engine: &mut Engine,
@@ -1409,8 +1411,8 @@ mod ab_tests {
     }
 
     /// A column takes `2^s − 1` partials a round and a down-sweep sender
-    /// sends as many: 7 at n = 256 (`s = 3`) under the default capacity,
-    /// and at most the binomial sweep's 2 at a share of 2.
+    /// sends as many: 31 at n = 256 (`s = 5`, half the default share of
+    /// 64 is 32), and at most the binomial sweep's 2 at a share of 2.
     #[test]
     fn per_round_load_constant() {
         use ncc_model::Capacity;
@@ -1422,16 +1424,17 @@ mod ab_tests {
             assert!(stats.clean());
             (stats.max_in, stats.max_out)
         };
-        assert_eq!(load(Capacity::default_for(n)), (7, 7));
+        assert_eq!(load(Capacity::default_for(n)), (31, 31));
         let (max_in, max_out) = load(Capacity::squeezed(2, 2));
         assert!(max_in <= 2 && max_out <= 2, "({max_in}, {max_out})");
     }
 
     /// The radix rule on every size class and capacity: `s` grows with the
-    /// share up to `2^s − 1 ≤ ⌈log₂ n⌉` and stays 1 when the share is 2
+    /// share up to `2^s − 1 ≤ ⌊share/2⌋` and stays 1 when the share is 5
     /// or less. In every case each node learns the aggregate, a lone run
-    /// takes exactly `barrier_rounds(n, share)`, no node goes over its
-    /// share, and the one-lane mux run is the same execution.
+    /// takes exactly `barrier_rounds(n, share)`, no node goes over half
+    /// its share (or the binomial sweep's 2), and the one-lane mux run is
+    /// the same execution.
     #[test]
     fn radix_rule_on_every_size_and_capacity() {
         use crate::compose::Dag;
@@ -1450,14 +1453,17 @@ mod ab_tests {
                 let mut direct = capped(n, cap);
                 let share = rate(&direct);
                 let s = radix_bits(n, share);
-                assert!((1 << s) - 1 <= share.max(1), "n={n} {cap:?}: s={s}");
-                assert!((1 << s) - 1 <= ncc_model::ilog2_ceil(n).max(1), "n={n}");
+                assert!((1 << s) - 1 <= (share / 2).max(1), "n={n} {cap:?}: s={s}");
                 let (got, stats) =
                     aggregate_and_broadcast(&mut direct, inputs.clone(), &SumU64).unwrap();
                 assert!(got.iter().all(|r| *r == want), "n={n} {cap:?}");
                 assert!(stats.clean(), "n={n} {cap:?}");
                 assert_eq!(stats.rounds, barrier_rounds(n, share), "n={n} {cap:?}");
                 assert!(stats.peak_load() <= share as u64, "n={n} {cap:?}");
+                assert!(
+                    stats.peak_load() <= (share as u64 / 2).max(2),
+                    "n={n} {cap:?}"
+                );
                 let mut muxed = capped(n, cap);
                 let mut dag = Dag::new();
                 let lane_inputs = inputs.clone();
@@ -1529,10 +1535,11 @@ mod ab_tests {
             let stats = sync_barrier(&mut eng).unwrap();
             assert_eq!(barrier_rounds(n, rate(&eng)), stats.rounds, "n = {n}");
         }
-        // at the default capacity: 14 → 8 rounds at n = 64, 18 → 8 at 256
-        // and 22 → 10 at 1024
+        // at the default capacity, half the share fixes 4, 5 and 5 column
+        // bits a round: 6 rounds at n = 64, 256 and 1024 (the binomial
+        // sweep took 14, 18 and 22), and 7 at n = 96
         let lone = |n| barrier_rounds(n, rate(&engine(n)));
-        assert_eq!([64, 256, 1024].map(lone), [8, 8, 10]);
+        assert_eq!([64, 96, 256, 1024].map(lone), [6, 7, 6, 6]);
     }
 
     /// A barrier whose copies a receive cap drops is a typed failure in

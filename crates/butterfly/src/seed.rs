@@ -6,46 +6,50 @@
 //! nodes using the butterfly."*
 //!
 //! [`broadcast_seed`] implements exactly that: node 0 chops the required bit
-//! volume into machine-word chunks and pushes them down the binomial
-//! broadcast tree of the butterfly, **pipelined** — a column relays each
-//! chunk to all of its tree children in the round after receiving it, so the
-//! total time is `O(#chunks + log n)` and per-round load stays `O(log n)`.
+//! volume into machine words, packs as many consecutive words into a packet
+//! as the payload budget holds (`w`, at least one), and pushes one packet a
+//! round down the binomial broadcast tree of the butterfly, **pipelined** —
+//! a column relays each packet to all of its tree children in the round
+//! after receiving it. On `2^d ≤ n` columns that takes `⌈words/w⌉ + d + 1`
+//! rounds — one per packet, `d` hops down the tree, and the round that
+//! hears the last of them — and a node sends at most `d + 1` messages a
+//! round, so no round moves more than `n` messages.
 //!
 //! Semantically the nodes only need to agree on a 64-bit master seed (the
 //! expansion to hash functions is deterministic, see
-//! `ncc_hashing::SharedRandomness`); the remaining chunks carry real —
+//! `ncc_hashing::SharedRandomness`); the remaining words carry real —
 //! deterministically derived — bits so the protocol pays the full
 //! communication cost the paper charges.
 
+use std::sync::Arc;
+
 use ncc_hashing::SharedRandomness;
+use ncc_model::payload::min_bits;
 use ncc_model::{Ctx, Engine, Envelope, ExecStats, ModelError, NodeProgram, Payload};
 
 use crate::topology::Butterfly;
 
-/// One chunk of seed material.
+/// One packet of seed material: consecutive words, the first of them word
+/// `index`. The words sit behind a thin pointer, so a relay copies no
+/// words and an envelope stays 24 bytes.
 #[derive(Debug, Clone)]
 pub struct SeedChunk {
     pub index: u32,
-    pub word: u64,
+    pub words: Arc<Vec<u64>>,
 }
 
 impl Payload for SeedChunk {
     fn bit_size(&self) -> u32 {
-        // chunk index (small) + one word of seed material
-        ncc_model::payload::min_bits(self.index as u64) + 64
+        // the first word's index + 64 bits per word of seed material
+        min_bits(self.index as u64) + 64 * self.words.len() as u32
     }
-}
-
-#[derive(Debug, Clone, Default)]
-pub struct SeedState {
-    /// Chunks received so far (only chunk 0 carries the master seed).
-    pub words: Vec<(u32, u64)>,
 }
 
 struct SeedProgram {
     bf: Butterfly,
-    master: u64,
-    chunks: u32,
+    /// The packets node 0 injects, one a round: every word in order, the
+    /// master seed first.
+    packets: Vec<SeedChunk>,
 }
 
 impl SeedProgram {
@@ -65,68 +69,62 @@ impl SeedProgram {
             ctx.send(attached, chunk.clone());
         }
     }
-
-    fn word_for(&self, index: u32) -> u64 {
-        if index == 0 {
-            self.master
-        } else {
-            // deterministic filler: real bits on the wire, derived content
-            ncc_model::rng::splitmix64(self.master ^ (0x5eed_c0de ^ index as u64))
-        }
-    }
 }
 
 impl NodeProgram for SeedProgram {
-    type State = SeedState;
+    /// The packets a node has received.
+    type State = Vec<SeedChunk>;
     type Payload = SeedChunk;
 
-    fn init(&self, st: &mut SeedState, ctx: &mut Ctx<'_, SeedChunk>) {
+    fn init(&self, _: &mut Vec<SeedChunk>, ctx: &mut Ctx<'_, SeedChunk>) {
         if ctx.id == 0 {
-            st.words = (0..self.chunks).map(|i| (i, self.word_for(i))).collect();
             ctx.stay_awake();
         }
     }
 
     fn round(
         &self,
-        st: &mut SeedState,
+        held: &mut Vec<SeedChunk>,
         inbox: &[Envelope<SeedChunk>],
         ctx: &mut Ctx<'_, SeedChunk>,
     ) {
+        held.extend(inbox.iter().map(|env| env.payload.clone()));
         if !self.bf.emulates(ctx.id) {
-            for env in inbox {
-                st.words.push((env.payload.index, env.payload.word));
-            }
             return;
         }
         let alpha = self.bf.column_of(ctx.id);
-        if ctx.id == 0 {
-            // the root injects one chunk per round, pipelined
-            let index = (ctx.round - 1) as u32;
-            if index < self.chunks {
-                let word = self.word_for(index);
-                self.relay(alpha, &SeedChunk { index, word }, ctx);
-                if index + 1 < self.chunks {
-                    ctx.stay_awake();
-                }
+        // the root injects one packet per round, pipelined
+        let next = (ctx.round - 1) as usize;
+        if let Some(packet) = self.packets.get(next).filter(|_| ctx.id == 0) {
+            self.relay(alpha, packet, ctx);
+            if next + 1 < self.packets.len() {
+                ctx.stay_awake();
             }
         }
-        // relay newly received chunks, in arrival order
+        // relay newly received packets, in arrival order
         for env in inbox {
-            st.words.push((env.payload.index, env.payload.word));
             self.relay(alpha, &env.payload, ctx);
         }
     }
 }
 
-/// The chunks [`broadcast_seed`] chops `total_bits` of seed material
-/// into: one machine word each, at least one.
-pub fn chunk_count(total_bits: usize) -> u32 {
+/// The machine words [`broadcast_seed`] chops `total_bits` of seed
+/// material into, at least one.
+pub fn word_count(total_bits: usize) -> u32 {
     total_bits.div_ceil(64).max(1) as u32
 }
 
+/// Words per packet when `words` words go out in `payload_bits`-bit
+/// payloads: as many as fit beside the widest index, at least one.
+fn words_per_packet(words: u32, payload_bits: u32) -> u32 {
+    (payload_bits.saturating_sub(min_bits(words as u64 - 1)) / 64).clamp(1, words)
+}
+
 /// Broadcasts `total_bits` of shared randomness from node 0 and returns the
-/// agreed-upon [`SharedRandomness`]. Rounds: `O(total_bits/64 + log n)`.
+/// agreed-upon [`SharedRandomness`]. Rounds: `⌈words/w⌉ + d + 1`,
+/// `O(total_bits / payload_bits + log n)`. A node that misses a word — a
+/// receive cap dropped its copy — fails the agreement with
+/// [`ModelError::WhpEventFailed`].
 ///
 /// Use [`SharedRandomness::bits_required`] to size `total_bits` for the hash
 /// functions a protocol needs (`Θ(log² n)` per function of `Θ(log n)`-wise
@@ -140,28 +138,62 @@ pub fn broadcast_seed(
     if n == 1 {
         return Ok((SharedRandomness::new(master), ExecStats::default()));
     }
-    let bf = Butterfly::for_n(n);
-    let chunks = chunk_count(total_bits);
-    let prog = SeedProgram { bf, master, chunks };
-    let mut states = vec![SeedState::default(); n];
+    // deterministic filler after the master: real bits on the wire,
+    // derived content
+    let words: Vec<u64> = (0..word_count(total_bits) as u64)
+        .map(|i| match i {
+            0 => master,
+            _ => ncc_model::rng::splitmix64(master ^ (0x5eed_c0de ^ i)),
+        })
+        .collect();
+    let w = words_per_packet(words.len() as u32, engine.config().capacity.payload_bits) as usize;
+    let packets = words
+        .chunks(w)
+        .enumerate()
+        .map(|(i, words)| SeedChunk {
+            index: (i * w) as u32,
+            words: Arc::new(words.to_vec()),
+        })
+        .collect();
+    let prog = SeedProgram {
+        bf: Butterfly::for_n(n),
+        packets,
+    };
+    let mut states = vec![Vec::new(); n];
     let stats = engine.execute(&prog, &mut states)?;
-    if cfg!(debug_assertions) {
-        // verify agreement: every node's chunk-0 word is the master seed
-        for (v, st) in states.iter().enumerate() {
-            let got = st.words.iter().find(|(i, _)| *i == 0).map(|(_, w)| *w);
-            assert_eq!(got, Some(master), "node {v} missed the seed");
-            let received: std::collections::BTreeSet<u32> =
-                st.words.iter().map(|(i, _)| *i).collect();
-            assert_eq!(received.len() as u32, chunks, "node {v} missed chunks");
-        }
+    // every node but the root, which sent them, holds every packet
+    let holds_all = |held: &Vec<SeedChunk>| {
+        let mut got: Vec<u32> = held.iter().map(|c| c.index).collect();
+        got.sort_unstable();
+        got.iter().eq(prog.packets.iter().map(|c| &c.index))
+    };
+    match states[1..].iter().all(holds_all) {
+        true => Ok((SharedRandomness::new(master), stats)),
+        false => Err(ModelError::WhpEventFailed {
+            event: "every node learns the seed",
+        }),
     }
-    Ok((SharedRandomness::new(master), stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncc_model::NetConfig;
+    use ncc_model::{Capacity, NetConfig};
+
+    /// The seed volume the §5 preamble agrees on: MST's `O(log n)`
+    /// functions of `Θ(log n)` coefficients.
+    fn volume(n: usize) -> usize {
+        let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
+        SharedRandomness::bits_required(n, 2 * logn, SharedRandomness::k_for(n))
+    }
+
+    /// The rounds the module doc states: one per packet, `d` hops down
+    /// the tree and one to hear the last of them.
+    fn seed_rounds(n: usize, total_bits: usize, payload_bits: u32) -> u64 {
+        let words = word_count(total_bits);
+        let packets = words.div_ceil(words_per_packet(words, payload_bits));
+        (packets + Butterfly::for_n(n).d() + 1) as u64
+    }
 
     #[test]
     fn all_nodes_learn_all_chunks() {
@@ -173,15 +205,97 @@ mod tests {
         }
     }
 
+    /// 40 words at n = 256 under the default 192-bit payload: two words a
+    /// packet, so 20 packets and the 8 hops of the tree.
     #[test]
     fn rounds_scale_with_chunks_plus_depth() {
         let n = 256; // d = 8
-        let bits = 64 * 40; // 40 chunks
+        let bits = 64 * 40; // 40 words
         let mut eng = Engine::new(NetConfig::new(n, 1));
         let (_, stats) = broadcast_seed(&mut eng, 7, bits).unwrap();
-        // pipelined: ≈ chunks + d, certainly below chunks·d
-        assert!(stats.rounds >= 40, "rounds {}", stats.rounds);
-        assert!(stats.rounds <= 40 + 8 + 4, "rounds {}", stats.rounds);
+        assert_eq!(words_per_packet(40, eng.config().capacity.payload_bits), 2);
+        assert_eq!(stats.rounds, 20 + 8 + 1);
+    }
+
+    /// Every size class against payloads from the one-word floor to
+    /// unbounded: every node holds every word (else `broadcast_seed`
+    /// fails), the strict engine saw no payload over its budget, the
+    /// rounds are the module doc's, and no node sends or receives more
+    /// than its `d` tree children and attached node.
+    #[test]
+    fn packets_fill_the_payload_on_every_size_and_width() {
+        for n in [2usize, 3, 16, 64, 100, 1024] {
+            let total = volume(n);
+            let words = word_count(total);
+            let floor = min_bits(words as u64 - 1) + 64;
+            let default = Capacity::default_for(n);
+            for payload_bits in [
+                floor,
+                floor + 63,
+                floor + 64,
+                default.payload_bits,
+                u32::MAX,
+            ] {
+                let cap = Capacity {
+                    payload_bits,
+                    ..default
+                };
+                let mut eng = Engine::new(NetConfig::new(n, 3).with_capacity(cap));
+                let (_, stats) = broadcast_seed(&mut eng, 11, total)
+                    .unwrap_or_else(|e| panic!("n={n} payload_bits={payload_bits}: {e}"));
+                assert!(stats.clean(), "n={n} payload_bits={payload_bits}");
+                let d = Butterfly::for_n(n).d() as u64;
+                assert_eq!(stats.rounds, seed_rounds(n, total, payload_bits), "n={n}");
+                assert!(
+                    stats.peak_load() <= d + 1,
+                    "n={n} payload_bits={payload_bits}"
+                );
+            }
+            // one word a packet at the floor and one bit above the next
+            assert_eq!(words_per_packet(words, floor), 1);
+            assert_eq!(words_per_packet(words, floor + 63), 1);
+            assert_eq!(words_per_packet(words, floor + 64), 2.min(words));
+            assert_eq!(words_per_packet(words, u32::MAX), words);
+        }
+    }
+
+    /// At n = 1024 the default 240-bit payload holds three of the 63
+    /// words: 21 packets and 32 rounds (one word a packet took 74). The
+    /// chunk is an index and a thin pointer, so its envelope stays 24
+    /// bytes, and one packet a round leaves the engine's payload buffers
+    /// no larger than one word a packet did.
+    #[test]
+    fn three_words_a_packet_at_1024_in_buffers_as_small() {
+        assert_eq!(std::mem::size_of::<Envelope<SeedChunk>>(), 24);
+        let n = 1024;
+        let mut eng = Engine::new(NetConfig::new(n, 3));
+        let (_, stats) = broadcast_seed(&mut eng, 5, volume(n)).unwrap();
+        assert_eq!(word_count(volume(n)), 63);
+        assert_eq!(stats.rounds, 32);
+        assert_eq!(stats.sent, 21 * (n as u64 - 1));
+        // one word a packet left 52 344 bytes of send buffer and arena
+        let bufs = eng.resident_bytes().payload_bufs;
+        assert!(bufs <= 52_344, "payload_bufs {bufs}");
+    }
+
+    /// A receive cap that drops every copy fails the agreement, typed, in
+    /// every build; the default capacity agrees.
+    #[test]
+    fn an_agreement_that_loses_a_packet_fails_typed() {
+        let n = 48;
+        let cap = Capacity {
+            recv: 0,
+            ..Capacity::default_for(n)
+        };
+        let mut eng = Engine::new(NetConfig::new(n, 42).with_capacity(cap).permissive());
+        match broadcast_seed(&mut eng, 9, volume(n)) {
+            Err(ModelError::WhpEventFailed { event }) => {
+                assert_eq!(event, "every node learns the seed")
+            }
+            other => panic!("an agreement that reached nobody returned {other:?}"),
+        }
+        let mut eng = Engine::new(NetConfig::new(n, 42));
+        assert!(broadcast_seed(&mut eng, 9, volume(n)).unwrap().1.clean());
     }
 
     #[test]

@@ -22,13 +22,14 @@
 //! did explicitly — then notify → propose over round-1 scheduled
 //! exchanges, whose stages end on the clock (a pad) instead of a barrier.
 
+use ncc_butterfly::aggregation::{LevelMsg, MaMsg, MA_SUB};
 use ncc_butterfly::{
     ab_sub, aggregation_sub, lane_seed, multi_aggregate_sub, AggregationSpec, Dag, GroupId, MaxU64,
     MinByKey, MinU64, SchedReport,
 };
 use ncc_graph::Graph;
 use ncc_hashing::SharedRandomness;
-use ncc_model::{Engine, ModelError, NodeId};
+use ncc_model::{Engine, ModelError, NodeId, Payload};
 use rand::Rng;
 
 use crate::broadcast_trees::{neighborhood_group, BroadcastTrees};
@@ -44,6 +45,21 @@ pub struct MatchingResult {
     pub report: AlgoReport,
     /// The scheduler's packing plan across all phases.
     pub plan: SchedReport,
+}
+
+/// Bits of the uniform rank a Multi-Aggregation leaf annotates a
+/// pick-me packet with.
+const RANK_BITS: u32 = 24;
+
+/// The fewest payload bits matching's main stage needs on `n` nodes: the
+/// last node's pick-me packet, ranked, on its re-keyed hop into the
+/// combining network (one lane), sized by the wire types' own `bit_size`.
+/// Its spread hop carries no rank, and the accept stage's two lanes (a
+/// one-bit header) carry a bare id.
+pub fn min_payload_bits(n: usize) -> u32 {
+    let top = n as NodeId - 1;
+    let ranked = ((1u64 << RANK_BITS) - 1, top as u64);
+    MaMsg::<u64, (u64, u64)>::Agg(LevelMsg::of(GroupId::new(top, MA_SUB), ranked)).bit_size()
 }
 
 /// Runs Israeli–Itai maximal matching over prebuilt broadcast trees.
@@ -85,15 +101,15 @@ pub fn maximal_matching(
         let picks = dag.combine(
             format!("p{phase}:pick"),
             &[],
-            // the leaf l(i,u) annotates with r ∈ [0,1] (here: 24 random
-            // bits), exactly as §5.3 prescribes
+            // the leaf l(i,u) annotates with r ∈ [0,1] (here: RANK_BITS
+            // random bits), exactly as §5.3 prescribes
             move |_| {
                 multi_aggregate_sub(
                     n,
                     shared,
                     trees,
                     messages,
-                    |rng, _g, _member, v| ((rng.gen::<u64>() >> 40), *v),
+                    |rng, _g, _member, v| (rng.gen::<u64>() >> (64 - RANK_BITS), *v),
                     &MinByKey,
                     pick_seed,
                 )

@@ -13,12 +13,13 @@
 //! (every node depends on its predecessor). The check is an A&B, so it
 //! runs in the barrier slot of the announce stage before it.
 
+use ncc_butterfly::aggregation::{LevelMsg, MaMsg, MA_SUB};
 use ncc_butterfly::{
     ab_sub, lane_seed, multi_aggregate_sub, Dag, GroupId, MaxU64, MinU64, SchedReport,
 };
 use ncc_graph::Graph;
 use ncc_hashing::SharedRandomness;
-use ncc_model::{Engine, ModelError, NodeId};
+use ncc_model::{Engine, ModelError, NodeId, Payload};
 use rand::Rng;
 
 use crate::broadcast_trees::{neighborhood_group, BroadcastTrees};
@@ -32,6 +33,23 @@ pub struct MisResult {
     pub report: AlgoReport,
     /// The scheduler's packing plan across all phases.
     pub plan: SchedReport,
+}
+
+/// Random bits a node draws each phase on `n` nodes: `2·⌈log₂ n⌉`, at
+/// most 40; its id follows them as the tie-break.
+fn draw_bits(n: usize) -> u32 {
+    (2 * ncc_model::ilog2_ceil(n).max(1)).min(40)
+}
+
+/// The fewest payload bits MIS's main stage needs on `n` nodes: the last
+/// node's largest draw on its re-keyed hop into the combining network (its
+/// spread hop carries the same draw under a group id as wide), each stage
+/// one lane, sized by the wire types' own `bit_size`. The announce and the
+/// check carry narrower values.
+pub fn min_payload_bits(n: usize) -> u32 {
+    let top = n as NodeId - 1;
+    let draw = ((1u64 << draw_bits(n)) - 1) << crate::support::node_id_bits(n) | top as u64;
+    MaMsg::<u64, u64>::Agg(LevelMsg::of(GroupId::new(top, MA_SUB), draw)).bit_size()
 }
 
 /// Runs the MIS algorithm over prebuilt broadcast trees.
@@ -71,7 +89,7 @@ pub fn mis(
                     engine.config().seed ^ 0x4d49_5300 ^ ((phase as u64) << 32),
                     u as u32,
                 );
-                let r: u64 = rng.gen_range(0..(1u64 << (2 * logn).min(40)));
+                let r: u64 = rng.gen_range(0..(1u64 << draw_bits(n)));
                 rvals[u] = (r << idb) | u as u64;
                 messages[u] = Some((neighborhood_group(u as NodeId), rvals[u]));
             }

@@ -8,7 +8,7 @@
 //! every round, and returns what it built together with its cost.
 
 use ncc_butterfly::broadcast_seed;
-use ncc_butterfly::seed::{chunk_count, SeedChunk};
+use ncc_butterfly::seed::{word_count, SeedChunk};
 use ncc_graph::Graph;
 use ncc_hashing::SharedRandomness;
 use ncc_model::{ilog2_ceil, Engine, ModelError, Payload};
@@ -87,11 +87,13 @@ fn seed_bits(n: usize) -> usize {
 }
 
 /// The fewest payload bits the seed agreement needs on `n` nodes: its
-/// widest message, the last [`SeedChunk`], sized by the wire type's own
-/// `bit_size`. Every algorithm that [`prepare`]s refuses a payload below.
+/// widest one-word packet, the last [`SeedChunk`], sized by the wire
+/// type's own `bit_size`. Every algorithm that [`prepare`]s refuses a
+/// payload below.
 pub fn min_payload_bits(n: usize) -> u32 {
-    let index = chunk_count(seed_bits(n)) - 1;
-    SeedChunk { index, word: 0 }.bit_size()
+    let index = word_count(seed_bits(n)) - 1;
+    let words = std::sync::Arc::new(vec![0]);
+    SeedChunk { index, words }.bit_size()
 }
 
 #[cfg(test)]

@@ -86,25 +86,17 @@ pub fn forest_union(n: usize, k: usize, seed: u64) -> Graph {
 
 /// `rows × cols` grid. Planar, arboricity ≤ 2, diameter rows+cols−2.
 pub fn grid(rows: usize, cols: usize) -> Graph {
-    let n = rows * cols;
-    let mut b = GraphBuilder::new(n);
-    let at = |r: usize, c: usize| (r * cols + c) as NodeId;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                b.add_edge(at(r, c), at(r, c + 1));
-            }
-            if r + 1 < rows {
-                b.add_edge(at(r, c), at(r + 1, c));
-            }
-        }
-    }
-    b.build()
+    mesh(rows, cols, false)
 }
 
 /// Grid plus one diagonal per cell: still planar (a triangulation-like
 /// mesh), arboricity ≤ 3 — the "planar graph" family from §1.3/§2.1.
 pub fn triangulated_grid(rows: usize, cols: usize) -> Graph {
+    mesh(rows, cols, true)
+}
+
+/// The `rows × cols` grid, with one diagonal per cell when `diagonals`.
+fn mesh(rows: usize, cols: usize, diagonals: bool) -> Graph {
     let n = rows * cols;
     let mut b = GraphBuilder::new(n);
     let at = |r: usize, c: usize| (r * cols + c) as NodeId;
@@ -116,7 +108,7 @@ pub fn triangulated_grid(rows: usize, cols: usize) -> Graph {
             if r + 1 < rows {
                 b.add_edge(at(r, c), at(r + 1, c));
             }
-            if r + 1 < rows && c + 1 < cols {
+            if diagonals && r + 1 < rows && c + 1 < cols {
                 b.add_edge(at(r, c), at(r + 1, c + 1));
             }
         }

@@ -76,8 +76,7 @@ pub trait Algorithm: Sync {
     /// (§3–§5) needs: two nodes for its butterfly, and payloads its seed
     /// chunks fit in ([`ncc_core::prepare::min_payload_bits`]).
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        let seed = ncc_core::prepare::min_payload_bits(spec.n);
-        needs(self.name(), spec, 2, seed)
+        needs_seed_and(self.name(), spec, |_| 0)
     }
 
     /// The preamble the main stage needs.
@@ -161,6 +160,14 @@ fn needs(name: &str, spec: &ScenarioSpec, nodes: usize, payload_bits: u32) -> Re
     } else {
         Ok(())
     }
+}
+
+/// [`needs`] of an algorithm that agrees on a seed and whose main stage's
+/// widest message takes `main(n)` bits: two nodes, then payloads both fit.
+fn needs_seed_and(name: &str, spec: &ScenarioSpec, main: fn(usize) -> u32) -> Result<(), String> {
+    needs(name, spec, 2, 0)?;
+    let seed = ncc_core::prepare::min_payload_bits(spec.n);
+    needs(name, spec, 2, main(spec.n).max(seed))
 }
 
 /// [`Algorithm::run`] behind [`Algorithm::admits`] — the one entry every
@@ -263,10 +270,7 @@ impl Algorithm for Mst {
     /// fit in, and weights its range messages can carry (§3 assumes
     /// `W = poly(n)`).
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        needs(self.name(), spec, 2, 0)?;
-        let seed = ncc_core::prepare::min_payload_bits(spec.n);
-        let need = ncc_core::mst::min_payload_bits(spec.n).max(seed);
-        needs(self.name(), spec, 2, need)?;
+        needs_seed_and(self.name(), spec, ncc_core::mst::min_payload_bits)?;
         let fits = ncc_core::mst::max_weight(spec.n, spec.capacity.payload_bits);
         if spec.weight_max > fits {
             return Err(format!(
@@ -402,6 +406,10 @@ impl Algorithm for Mis {
     fn description(&self) -> &'static str {
         "maximal independent set, Luby over broadcast trees (§5.2)"
     }
+    /// Two nodes, and payloads the seed chunks and the draws fit in.
+    fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
+        needs_seed_and(self.name(), spec, ncc_core::mis::min_payload_bits)
+    }
     fn preparation(&self) -> Preparation {
         Preparation::SeedAndTrees
     }
@@ -428,6 +436,10 @@ impl Algorithm for Matching {
     }
     fn description(&self) -> &'static str {
         "maximal matching by random proposals (§5.3)"
+    }
+    /// Two nodes, and payloads the seed chunks and the ranked picks fit in.
+    fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
+        needs_seed_and(self.name(), spec, ncc_core::matching::min_payload_bits)
     }
     fn preparation(&self) -> Preparation {
         Preparation::SeedAndTrees

@@ -382,10 +382,11 @@ fn seeded_algorithms_admit_only_payloads_the_seed_chunks_fit() {
             ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, n, 3).with_capacity(capacity)
         };
         let scn = spec(need - 1).build().unwrap();
-        // `mst`'s own floor lies above the seed's: see
-        // `mst_admits_exactly_the_payloads_its_sketches_fit`
+        // an algorithm whose own floor lies above the seed's (`mst`, and
+        // `mis` and `matching` at some n) names that floor instead: see
+        // `every_seeded_algorithm_runs_at_its_admitted_floor`
         for algo in algorithms() {
-            if algo.preparation() == Preparation::None || algo.name() == "mst" {
+            if algo.preparation() == Preparation::None || algo.admits(&spec(need)).is_err() {
                 continue;
             }
             let mut eng = scn.engine();
@@ -408,6 +409,53 @@ fn seeded_algorithms_admit_only_payloads_the_seed_chunks_fit() {
             ncc_core::prepare(&mut scn.engine(), 3, None).is_ok(),
             "n = {n}"
         );
+    }
+}
+
+/// Admission is exact for every algorithm that agrees on a seed: at the
+/// smallest payload it admits, the run ends in a verified record (`mis`
+/// and `matching` were once admitted at the seed's floor and then sent
+/// wider draws and ranked picks); one bit below, the spec is refused
+/// before round 0.
+#[test]
+fn every_seeded_algorithm_runs_at_its_admitted_floor() {
+    for n in [16, 64, 256] {
+        let spec = |payload_bits| {
+            let capacity = Capacity {
+                payload_bits,
+                ..Capacity::default_for(n)
+            };
+            ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, n, 3)
+                .with_weight_max(16)
+                .with_capacity(capacity)
+        };
+        for algo in algorithms() {
+            if algo.preparation() == Preparation::None {
+                continue;
+            }
+            let name = algo.name();
+            let floor = (1..=256)
+                .find(|&bits| algo.admits(&spec(bits)).is_ok())
+                .unwrap_or_else(|| panic!("{name} at n = {n} admits no payload up to 256 bits"));
+            let rec = run_record(*algo, &spec(floor))
+                .unwrap_or_else(|e| panic!("{name} at n = {n}, {floor} bits: {e}"));
+            assert_eq!(
+                rec.verdict,
+                Verdict::Verified,
+                "{name} at n = {n}: {}",
+                rec.summary
+            );
+
+            let scn = spec(floor - 1).build().unwrap();
+            let mut eng = scn.engine();
+            match run_checked(*algo, &mut eng, &scn) {
+                Err(RunnerError::Scenario(msg)) => {
+                    assert!(msg.contains(&format!("payload_bits ≥ {floor}")), "{msg}")
+                }
+                other => panic!("{name} at n = {n}: {} bits admitted: {other:?}", floor - 1),
+            }
+            assert_eq!(eng.global_round(), 0, "a rejected spec runs no round");
+        }
     }
 }
 
