@@ -5,7 +5,7 @@
 //! and a structure sweep. Every output is verified against Kruskal inside
 //! the registry run.
 
-use crate::{experiments::sweep, f2, lg, SEED};
+use crate::{experiments::sweep, SEED};
 use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
 pub fn run() -> Vec<RunRecord> {
@@ -41,20 +41,13 @@ pub fn run() -> Vec<RunRecord> {
     ));
 
     println!("# E7 — Theorem 3.2 (MST): rounds vs log⁴ n");
-    let headers = [
-        "graph", "n", "W", "phases", "rounds", "log^4 n", "ratio", "ok",
-    ];
-    let records = sweep("mst", &grid, &headers, |name, spec, rec| {
-        let bound = lg(spec.n).powi(4);
+    let headers = ["graph", "n", "W", "phases"];
+    let records = sweep("mst", &grid, &headers, |name, scn, rec, _| {
         vec![
             (*name).into(),
-            spec.n.to_string(),
-            spec.weight_max.to_string(),
+            scn.spec.n.to_string(),
+            scn.spec.weight_max.to_string(),
             rec.phases.unwrap_or(0).to_string(),
-            rec.rounds.to_string(),
-            f2(bound),
-            f2(rec.rounds as f64 / bound),
-            rec.verdict.ok().to_string(),
         ]
     });
     println!("\nexpected: ratio flat in n; weak growth in W (key width), none in structure.");

@@ -6,7 +6,7 @@
 //! arboricity via unions of `a` random forests at fixed `n`, then `n` at
 //! fixed `a`.
 
-use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
+use crate::{experiments::sweep, f2, lg, SEED};
 use ncc_graph::analysis;
 use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
@@ -20,18 +20,13 @@ fn sub_sweep(title: &str, grid: &[(usize, ScenarioSpec)]) -> Vec<RunRecord> {
         "ph/logn",
         "outdeg",
         "outdeg/a",
-        "rounds",
-        "bound",
-        "ratio",
         "peak_load",
-        "ok",
     ];
-    sweep("orientation", grid, &headers, |_, spec, rec| {
-        let n = spec.n;
-        let (alo, ahi) = analysis::arboricity_bounds(&spec_graph(spec));
+    sweep("orientation", grid, &headers, |_, scn, rec, _| {
+        let n = scn.spec.n;
+        let (alo, ahi) = analysis::arboricity_bounds(&scn.graph);
         let outdeg = rec.metric("max_outdegree").unwrap_or(0);
         let phases = rec.phases.unwrap_or(0);
-        let bound = (alo as f64 + lg(n)) * lg(n);
         vec![
             n.to_string(),
             format!("[{alo},{ahi}]"),
@@ -39,11 +34,7 @@ fn sub_sweep(title: &str, grid: &[(usize, ScenarioSpec)]) -> Vec<RunRecord> {
             f2(phases as f64 / lg(n)),
             outdeg.to_string(),
             f2(outdeg as f64 / alo.max(1) as f64),
-            rec.rounds.to_string(),
-            f2(bound),
-            f2(rec.rounds as f64 / bound),
             rec.max_load.to_string(),
-            rec.verdict.ok().to_string(),
         ]
     })
 }

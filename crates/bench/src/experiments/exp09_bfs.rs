@@ -5,8 +5,7 @@
 //! both; every output is validated against the centralised BFS inside the
 //! registry run.
 
-use crate::{experiments::sweep, f2, lg, spec_graph, SEED};
-use ncc_graph::analysis;
+use crate::{experiments::sweep, SEED};
 use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
 pub fn run() -> Vec<RunRecord> {
@@ -30,23 +29,13 @@ pub fn run() -> Vec<RunRecord> {
     ];
 
     println!("# E9 — Theorem 5.2 (BFS Tree): rounds vs (a + D + log n)·log n");
-    let headers = [
-        "graph", "n", "D", "phases", "rounds", "bound", "ratio", "ok",
-    ];
-    let records = sweep("bfs", &grid, &headers, |name, spec, rec| {
-        let g = spec_graph(spec);
-        let d = analysis::diameter(&g) as f64;
-        let (alo, _) = analysis::arboricity_bounds(&g);
-        let bound = (alo as f64 + d + lg(spec.n)) * lg(spec.n);
+    let headers = ["graph", "n", "D", "phases"];
+    let records = sweep("bfs", &grid, &headers, |name, scn, rec, bound| {
         vec![
             (*name).into(),
-            spec.n.to_string(),
-            (d as u64).to_string(),
+            scn.spec.n.to_string(),
+            bound.d.unwrap_or(0).to_string(),
             rec.phases.unwrap_or(0).to_string(),
-            rec.rounds.to_string(),
-            f2(bound),
-            f2(rec.rounds as f64 / bound),
-            rec.verdict.ok().to_string(),
         ]
     });
     println!("\nexpected: ratio flat across both regimes (D-dominated and log-dominated).");

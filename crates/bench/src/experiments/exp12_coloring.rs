@@ -5,40 +5,32 @@
 //! Declarative scenario sweep through the runner registry.
 
 use crate::experiments::{arboricity_grid, sweep};
-use crate::{f2, lg, spec_graph, SEED};
+use crate::SEED;
 use ncc_runner::{FamilySpec, RunRecord, ScenarioSpec};
 
 pub fn run() -> Vec<RunRecord> {
-    let mut grid: Vec<((&str, usize), ScenarioSpec)> = arboricity_grid(7, 11)
+    let mut grid: Vec<(&str, ScenarioSpec)> = arboricity_grid(7, 11)
         .into_iter()
-        .map(|(a, spec)| (("forests", a), spec))
+        .map(|(_, spec)| ("forests", spec))
         .collect();
     // after the a sweep: the palette-vs-Δ discriminator (a = 1 but
     // Δ = n−1), then a grid
-    let star = (("star", 1), ScenarioSpec::new(FamilySpec::Star, 256, SEED));
-    let mesh = (("grid", 2), ScenarioSpec::grid(16, 16, SEED));
+    let star = ("star", ScenarioSpec::new(FamilySpec::Star, 256, SEED));
+    let mesh = ("grid", ScenarioSpec::grid(16, 16, SEED));
     grid.splice(5..5, [star, mesh]);
 
     println!("# E12 — Theorem 5.5 (O(a)-Coloring): palette O(a), rounds vs (a+log n)·log^1.5 n");
-    let headers = [
-        "graph", "n", "a", "deg_max", "palette", "used", "greedy", "rounds", "bound", "ratio", "ok",
-    ];
-    let records = sweep("coloring", &grid, &headers, |(name, a), spec, rec| {
-        let g = spec_graph(spec);
-        let (_, greedy_used) = ncc_baselines::greedy_coloring(&g);
-        let bound = (*a as f64 + lg(spec.n)) * lg(spec.n).powf(1.5);
+    let headers = ["graph", "n", "a", "deg_max", "palette", "used", "greedy"];
+    let records = sweep("coloring", &grid, &headers, |name, scn, rec, bound| {
+        let (_, greedy_used) = ncc_baselines::greedy_coloring(&scn.graph);
         vec![
             (*name).into(),
-            spec.n.to_string(),
-            a.to_string(),
-            g.max_degree().to_string(),
+            scn.spec.n.to_string(),
+            bound.a.unwrap_or(0).to_string(),
+            scn.graph.max_degree().to_string(),
             rec.metric("palette").unwrap_or(0).to_string(),
             rec.metric("colors_used").unwrap_or(0).to_string(),
             greedy_used.to_string(),
-            rec.rounds.to_string(),
-            f2(bound),
-            f2(rec.rounds as f64 / bound),
-            rec.verdict.ok().to_string(),
         ]
     });
     println!("\nexpected: palette tracks a (star stays constant!); ratio flat.");

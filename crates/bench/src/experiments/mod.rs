@@ -4,8 +4,10 @@
 //! primitive-level experiments drive the blocking entry points directly,
 //! assert in-body and return none.
 
-use crate::{Table, SEED};
-use ncc_runner::{run_named, FamilySpec, RunRecord, ScenarioSpec};
+use crate::{f2, Table, SEED};
+use ncc_runner::{
+    find_algorithm, run_checked, Bound, FamilySpec, RunRecord, Scenario, ScenarioSpec,
+};
 
 pub mod exp02_aggbcast;
 pub mod exp03_aggregation;
@@ -53,19 +55,33 @@ pub static EXPERIMENTS: &[(&str, Run)] = &[
     ("exp20_model_comparison", exp20_model_comparison::run),
 ];
 
-/// The registry sweep: runs `algo` on every spec of `grid`, prints one
-/// table row per record under `headers` (`row` builds it from the grid
-/// key, the spec and the record), and returns the records in grid order.
+/// The registry sweep: builds each spec of `grid` once, runs `algo` on it
+/// behind admission ([`run_checked`]) and prints one table row per record:
+/// `row`'s cells under `headers` (built from the grid key, the scenario,
+/// the record and the algorithm's [`Bound`]), then `rounds | bound | ratio
+/// | ok`. Returns the records in grid order.
 pub fn sweep<K>(
     algo: &str,
     grid: &[(K, ScenarioSpec)],
     headers: &[&str],
-    row: impl Fn(&K, &ScenarioSpec, &RunRecord) -> Vec<String>,
+    row: impl Fn(&K, &Scenario, &RunRecord, &Bound) -> Vec<String>,
 ) -> Vec<RunRecord> {
-    let (mut t, mut records) = (Table::new(headers), Vec::new());
+    let alg = find_algorithm(algo).unwrap_or_else(|| panic!("`{algo}` is not registered"));
+    let headers = [headers, &["rounds", "bound", "ratio", "ok"]].concat();
+    let (mut t, mut records) = (Table::new(&headers), Vec::new());
     for (key, spec) in grid {
-        let rec = run_named(algo, spec).unwrap_or_else(|e| panic!("{algo}: {e}"));
-        t.row(row(key, spec, &rec));
+        let scn = spec.build().unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let rec =
+            run_checked(alg, &mut scn.engine(), &scn).unwrap_or_else(|e| panic!("{algo}: {e}"));
+        let bound = alg.bound(&scn).expect("a swept algorithm has a bound");
+        let mut cells = row(key, &scn, &rec, &bound);
+        cells.extend([
+            rec.rounds.to_string(),
+            f2(bound.value),
+            f2(rec.rounds as f64 / bound.value),
+            rec.verdict.ok().to_string(),
+        ]);
+        t.row(cells);
         records.push(rec);
     }
     t.print();
@@ -82,6 +98,13 @@ pub fn arboricity_grid(a_step: u64, n_step: u64) -> Vec<(usize, ScenarioSpec)> {
     by_a.into_iter().chain(by_n).collect()
 }
 
+/// exp01's Table-1 workloads, keyed by `a`: unions of 3 random forests at
+/// n ∈ {64, 128, 256}, seed [`SEED`].
+pub fn table1_grid() -> Vec<(usize, ScenarioSpec)> {
+    let forests = |n| (3, ScenarioSpec::new(FamilySpec::Forests { k: 3 }, n, SEED));
+    [64, 128, 256].map(forests).into()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,5 +116,27 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(names, sorted);
+    }
+
+    /// The bounds' `a` is the Nash-Williams lower end: never above the
+    /// forest count `k`, and equal to it up to k = 8. At k = 16 the
+    /// duplicate edges of 16 forests on 256 nodes leave 3 609–3 662
+    /// edges, so the lower end is ⌈m / 255⌉ = 15.
+    #[test]
+    fn bound_a_is_the_forest_count_up_to_eight() {
+        let specs = [
+            arboricity_grid(3, 5),
+            arboricity_grid(5, 6),
+            arboricity_grid(7, 11),
+            table1_grid(),
+        ];
+        let mis = find_algorithm("mis").unwrap();
+        for (k, spec) in specs.concat() {
+            let a = mis.bound(&spec.build().unwrap()).unwrap().a.unwrap();
+            match k {
+                16 => assert_eq!(a, 15, "{}", spec.label()),
+                _ => assert_eq!(a, k, "{}", spec.label()),
+            }
+        }
     }
 }

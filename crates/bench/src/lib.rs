@@ -23,10 +23,7 @@ pub mod experiments;
 /// `ncc_runner::SUITE_SEED` is the same value.
 pub const SEED: u64 = 20190622;
 
-/// log₂-style helper used in bound formulas.
-pub fn lg(n: usize) -> f64 {
-    (n.max(2) as f64).log2()
-}
+pub use ncc_runner::lg;
 
 /// Prints a fixed-width table.
 pub struct Table {
@@ -131,14 +128,6 @@ pub fn describe(g: &Graph) -> String {
     )
 }
 
-/// Rebuilds a spec's input graph for post-hoc analysis (diameter,
-/// arboricity, sequential baselines). Deterministic, so the analysed graph
-/// is exactly the one the run saw.
-pub fn spec_graph(spec: &ncc_runner::ScenarioSpec) -> Graph {
-    spec.build_graph()
-        .unwrap_or_else(|e| panic!("unbuildable spec {}: {e}", spec.label()))
-}
-
 /// Writes an experiment's records as JSON (the `BENCH_*.json`
 /// schema shared with `ncc-cli suite`), so every sweep leaves a
 /// machine-readable trail for the perf-trajectory history.
@@ -173,13 +162,5 @@ mod tests {
     fn lg_monotone() {
         assert!(lg(1024) > lg(256));
         assert!((lg(1024) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn spec_graph_matches_run_input() {
-        let spec = ncc_runner::ScenarioSpec::new(ncc_runner::FamilySpec::Gnp { p: 0.2 }, 32, 5);
-        let g = spec_graph(&spec);
-        assert_eq!(g.n(), 32);
-        assert_eq!(g.m(), spec.build().unwrap().graph.m());
     }
 }

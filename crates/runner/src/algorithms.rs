@@ -15,7 +15,7 @@
 use ncc_baselines::{broadcast_all, gossip_all, round_cap};
 use ncc_butterfly::{aggregate_and_broadcast, MinU64, Owed, SchedReport};
 use ncc_core::Prepared;
-use ncc_graph::{analysis, check};
+use ncc_graph::{analysis, check, Graph};
 use ncc_model::{Engine, ExecStats, ModelError};
 
 use crate::{RunRecord, RunnerError, Scenario, ScenarioSpec, Verdict};
@@ -36,6 +36,56 @@ pub enum Preparation {
     /// Lemma 5.1: every §5 algorithm. Their records split `rounds_prep`
     /// from `rounds_main`.
     SeedAndTrees,
+}
+
+impl Preparation {
+    /// Builds this preamble on `eng` from `seed` — the one
+    /// [`ncc_core::prepare()`] call of every run path; the orientation and
+    /// the trees are built on `graph`.
+    pub fn run(self, eng: &mut Engine, seed: u64, graph: &Graph) -> Result<Prepared> {
+        match self {
+            Preparation::None => Ok(Prepared::default()),
+            Preparation::Seed => ncc_core::prepare(eng, seed, None),
+            Preparation::SeedAndTrees => ncc_core::prepare(eng, seed, Some(graph)),
+        }
+    }
+}
+
+/// An algorithm's paper round bound (Table 1) on one scenario: its value,
+/// the arboricity `a` and diameter `D` it read, and the formula with the
+/// theorem it comes from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Bound {
+    pub value: f64,
+    pub a: Option<usize>,
+    pub d: Option<usize>,
+    pub formula: &'static str,
+}
+
+impl Bound {
+    /// A bound `value(a, log n)`. `a` is the Nash-Williams lower end of
+    /// [`analysis::arboricity_bounds`], a certified lower bound on the
+    /// scenario graph's arboricity.
+    fn in_a(scn: &Scenario, formula: &'static str, value: impl Fn(f64, f64) -> f64) -> Bound {
+        let (a, _) = analysis::arboricity_bounds(&scn.graph);
+        Bound {
+            value: value(a as f64, lg(scn.spec.n)),
+            a: Some(a),
+            d: None,
+            formula,
+        }
+    }
+}
+
+/// `log₂ n`, floored at `n = 2`: the `log n` of every bound formula.
+pub fn lg(n: usize) -> f64 {
+    (n.max(2) as f64).log2()
+}
+
+/// `(a + log n)·log n`: the bound of the orientation (Thm 4.12), MIS
+/// (Thm 5.3) and matching (Thm 5.4).
+fn peeling(a: f64, lg_n: f64) -> f64 {
+    (a + lg_n) * lg_n
 }
 
 /// What an algorithm's main stage produced: everything in its
@@ -86,6 +136,12 @@ pub trait Algorithm: Sync {
     /// through [`Algorithm::preparation`], and checks its output.
     fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome>;
 
+    /// The paper's round bound on `scn`, citing its theorem; `None` for an
+    /// algorithm Table 1 does not list.
+    fn bound(&self, _scn: &Scenario) -> Option<Bound> {
+        None
+    }
+
     /// Runs the preparation and the main stage and reports what happened.
     /// Callers holding a spec they did not write go through
     /// [`run_checked`].
@@ -111,12 +167,7 @@ fn run_planned<A: Algorithm + ?Sized>(
     eng: &mut Engine,
     scn: &Scenario,
 ) -> Result<(RunRecord, Option<SchedReport>)> {
-    let seed = scn.spec.seed;
-    let prep = match algo.preparation() {
-        Preparation::None => Prepared::default(),
-        Preparation::Seed => ncc_core::prepare(eng, seed, None)?,
-        Preparation::SeedAndTrees => ncc_core::prepare(eng, seed, Some(&scn.graph))?,
-    };
+    let prep = algo.preparation().run(eng, scn.spec.seed, &scn.graph)?;
     let out = algo.run_main(eng, scn, &prep)?;
     let mut metrics = out.metrics;
     if algo.preparation() == Preparation::SeedAndTrees {
@@ -283,6 +334,14 @@ impl Algorithm for Mst {
     fn preparation(&self) -> Preparation {
         Preparation::Seed
     }
+    fn bound(&self, scn: &Scenario) -> Option<Bound> {
+        Some(Bound {
+            value: lg(scn.spec.n).powi(4),
+            a: None,
+            d: None,
+            formula: "log⁴ n (Thm 3.2)",
+        })
+    }
     fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
         let r = ncc_core::mst(eng, prep.shared(), scn.weighted())?;
         // per-phase accounting: where the lane-composed rounds went
@@ -332,6 +391,9 @@ impl Algorithm for Orientation {
     fn preparation(&self) -> Preparation {
         Preparation::Seed
     }
+    fn bound(&self, scn: &Scenario) -> Option<Bound> {
+        Some(Bound::in_a(scn, "(a + log n)·log n (Thm 4.12)", peeling))
+    }
     fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
         let r = ncc_core::orient(eng, prep.shared(), &scn.graph)?;
         let (_, ahi) = analysis::arboricity_bounds(&scn.graph);
@@ -377,6 +439,13 @@ impl Algorithm for Bfs {
     fn preparation(&self) -> Preparation {
         Preparation::SeedAndTrees
     }
+    fn bound(&self, scn: &Scenario) -> Option<Bound> {
+        let d = analysis::diameter(&scn.graph) as usize;
+        let value = |a: f64, lg_n: f64| (a + d as f64 + lg_n) * lg_n;
+        let mut bound = Bound::in_a(scn, "(a + D + log n)·log n (Thm 5.2)", value);
+        bound.d = Some(d);
+        Some(bound)
+    }
     fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
         let src = scn.source();
         let r = ncc_core::bfs(eng, prep.shared(), prep.trees(), &scn.graph, src)?;
@@ -413,6 +482,9 @@ impl Algorithm for Mis {
     fn preparation(&self) -> Preparation {
         Preparation::SeedAndTrees
     }
+    fn bound(&self, scn: &Scenario) -> Option<Bound> {
+        Some(Bound::in_a(scn, "(a + log n)·log n (Thm 5.3)", peeling))
+    }
     fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
         let r = ncc_core::mis(eng, prep.shared(), prep.trees(), &scn.graph)?;
         let size = r.in_mis.iter().filter(|&&b| b).count();
@@ -444,6 +516,9 @@ impl Algorithm for Matching {
     fn preparation(&self) -> Preparation {
         Preparation::SeedAndTrees
     }
+    fn bound(&self, scn: &Scenario) -> Option<Bound> {
+        Some(Bound::in_a(scn, "(a + log n)·log n (Thm 5.4)", peeling))
+    }
     fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
         let r = ncc_core::maximal_matching(eng, prep.shared(), prep.trees(), &scn.graph)?;
         let pairs = r.mate.iter().filter(|m| m.is_some()).count() / 2;
@@ -470,6 +545,10 @@ impl Algorithm for Coloring {
     }
     fn preparation(&self) -> Preparation {
         Preparation::SeedAndTrees
+    }
+    fn bound(&self, scn: &Scenario) -> Option<Bound> {
+        let value = |a: f64, lg_n: f64| (a + lg_n) * lg_n.powf(1.5);
+        Some(Bound::in_a(scn, "(a + log n)·log^{3/2} n (Thm 5.5)", value))
     }
     fn run_main(&self, eng: &mut Engine, scn: &Scenario, prep: &Prepared) -> Result<Outcome> {
         let orientation = &prep.trees().orientation;
@@ -827,6 +906,43 @@ mod tests {
             let (text, rec) = explain_text(algo, &mut eng, &scn).unwrap();
             assert!(text.is_none(), "{name} is not DAG-declared");
             assert_eq!(rec.metric("dag_stages"), None, "{name} has no plan echo");
+        }
+    }
+
+    /// Geometric graphs are locally dense: their degeneracy lies far above
+    /// the Nash-Williams lower end (at n = 1 024 the lower end is 16 and
+    /// the midpoint 18), so an `a` read from the midpoint or the upper end
+    /// fails here.
+    #[test]
+    fn bounds_exist_exactly_for_the_table_1_algorithms() {
+        use crate::scenario::{FamilySpec, ScenarioSpec};
+        let bounded = ["mst", "orientation", "bfs", "mis", "matching", "coloring"];
+        for n in [2, 3, 64, 1024] {
+            for family in [
+                FamilySpec::Gnp {
+                    p: (8.0 / n as f64).min(1.0),
+                },
+                FamilySpec::Forests { k: 3 },
+                FamilySpec::Geometric { radius: 0.1 },
+            ] {
+                let scn = ScenarioSpec::new(family, n, 5).build().unwrap();
+                let (alo, _) = analysis::arboricity_bounds(&scn.graph);
+                for algo in algorithms() {
+                    let (name, label) = (algo.name(), scn.spec.label());
+                    let Some(b) = algo.bound(&scn) else {
+                        assert!(!bounded.contains(&name), "{name} on {label} has no bound");
+                        continue;
+                    };
+                    assert!(bounded.contains(&name), "{name} has a bound");
+                    assert!(
+                        b.value.is_finite() && b.value > 0.0,
+                        "{name} on {label}: {b:?}"
+                    );
+                    let a = if name == "mst" { None } else { Some(alo) };
+                    assert_eq!(b.a, a, "{name} on {label}");
+                    assert_eq!(b.d.is_some(), name == "bfs", "{name} on {label}");
+                }
+            }
         }
     }
 

@@ -54,8 +54,8 @@ pub mod scenario;
 pub mod suite;
 
 pub use algorithms::{
-    algorithm_names, algorithms, explain_text, find_algorithm, run_checked, suggest_algorithm,
-    Algorithm, Outcome, Preparation,
+    algorithm_names, algorithms, explain_text, find_algorithm, lg, run_checked, suggest_algorithm,
+    Algorithm, Bound, Outcome, Preparation,
 };
 pub use hash::{canonical_spec_json, spec_hash, SpecHash};
 pub use ncc_model::ModelSpec;
