@@ -18,7 +18,8 @@ pub fn run() -> Vec<RunRecord> {
         ));
     }
     // weight-range sweep at fixed n (Lemma 3.1's log W factor folds into
-    // the key width; with W = poly(n) the bound is unchanged)
+    // the key width, which caps FindMin's steps; with W = poly(n) the
+    // bound is unchanged)
     let n = 128usize;
     for w in [n as u64, (n * n) as u64, (n * n * n) as u64] {
         grid.push((
@@ -50,6 +51,6 @@ pub fn run() -> Vec<RunRecord> {
             rec.phases.unwrap_or(0).to_string(),
         ]
     });
-    println!("\nexpected: ratio flat in n; weak growth in W (key width), none in structure.");
+    println!("\nexpected: ratio flat in n and in W (FindMin stops early), none in structure.");
     records
 }

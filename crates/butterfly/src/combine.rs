@@ -59,8 +59,8 @@ impl Aggregate<u64> for XorU64 {
     }
 }
 
-/// Pairwise XOR over `(u64, u64)` — used for the FindMin `(h↑, h↓)` sketch
-/// pair (§3).
+/// Pairwise XOR over `(u64, u64)` — used for FindMin's `(mask, key)`
+/// sketch pair (§3).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct XorPair;
 impl Aggregate<(u64, u64)> for XorPair {

@@ -6,24 +6,29 @@
 //!
 //! 1. the leader flips Heads/Tails and multicasts the coin;
 //! 2. **FindMin** (King–Kutten–Thorup \[35\] adapted): the component finds its
-//!    minimum outgoing edge by search over the combined `(weight ∘ arc id)`
-//!    key space. Each step splits the live range into
+//!    minimum outgoing edge by search over the `(weight ∘ edge id)` key
+//!    space. Each step splits the live range into
 //!    `B = default_lane_budget(n) − 1` buckets (`2⌈log₂ n⌉ − 1`, so 11 at
-//!    n = 64) and asks, for all of them at once, "does the component have
-//!    an outgoing arc with key in bucket `j`?" — one aggregation group per
-//!    bucket and leader. A bucket's answer compares the XOR sketches
-//!    `h↑(C)` and `h↓(C)` (§3): internal edges contribute the same arc ids
-//!    to both sums and cancel; outgoing arcs survive. The leader descends
-//!    into the smallest non-empty bucket, so the search takes
-//!    `⌈log_B range⌉` steps instead of `⌈log₂ range⌉` — with
-//!    `range = poly(n)`, `O(log n / log log n)` steps per phase instead of
-//!    `O(log n)`. Every node is a member of at most `B` bucket groups per
+//!    n = 64) and asks, for all of them at once, "which outgoing edges
+//!    does the component have with key in bucket `j`?" — one aggregation
+//!    group per bucket and leader. Every member XORs, per bucket, the
+//!    `(mask, key)` pairs of its incident edges (§3's XOR sketch, over
+//!    `SKETCH_TRIALS` = 40 trials): an internal edge is fired by both of its
+//!    endpoints and cancels, an outgoing edge survives. The leader takes
+//!    the lowest non-empty bucket. When its key word `k` is one edge's
+//!    key — `mask(k)` equals the mask word, as KKT recover a lone edge —
+//!    the search is over at `k`; otherwise the leader descends into the
+//!    bucket. A step cuts the range by a factor of `B`, not 2, so
+//!    `find_steps = ⌈log_B range⌉` steps (`O(log n / log log n)` with
+//!    `range = poly(n)`) cap the search; it ends sooner, once an
+//!    Aggregate-and-Broadcast after a step hears no leader still
+//!    searching. Every node is a member of at most `B` bucket groups per
 //!    step and every leader the target of `B`, so by Theorem 2.3 with
 //!    `ℓ₁ = ℓ̂₂ = B = Θ(log n)` a step's combine stays `O(L/n + log n)`
 //!    rounds. Each step is **one fused stage**
 //!    ([`multicast_aggregate_sub`]): the leader's range `[lo, hi)` goes
 //!    down the component tree and each member, in the round its copy
-//!    lands, makes one pass over its own arcs and fires its `B` sketch
+//!    lands, makes one pass over its own edges and fires its `B` sketch
 //!    pairs into the combine. Step 0 needs no multicast: its range is
 //!    common knowledge, so every node fires from round 0, and the coin
 //!    multicast rides beside it;
@@ -35,15 +40,16 @@
 //!    the paper), adopt the Heads leader, and the trees are rebuilt.
 //!
 //! `O(log n)` phases merge everything w.h.p. \[23, 24\].
-
 //!
 //! Every execution group is declared as a protocol [`Dag`]: a FindMin
-//! step is one node (plus the coin multicast at step 0), and the
-//! link/adopt chains thread typed outputs (exchange inboxes) into
-//! downstream build closures. Each FindMin delivery and the round-1
-//! `adopt` exchange have a length every node knows, so their stages end
-//! on the clock (a pad), not a barrier; the link trees, which the
-//! multicast after them borrows, go through a cell that outlives the DAG.
+//! step is one node (plus the coin multicast at step 0), then the
+//! leaders' local decision and the stop check, and the link/adopt chains
+//! thread typed outputs (exchange inboxes) into downstream build
+//! closures. Each FindMin delivery and the round-1 `adopt` exchange have
+//! a length every node knows, so their stages end on the clock (a pad),
+//! not a barrier, and the stop check runs in the delivery's pad slot; the
+//! link trees, which the multicast after them borrows, go through a cell
+//! that outlives the DAG.
 
 use std::cell::OnceCell;
 
@@ -59,15 +65,15 @@ use ncc_model::{DynPayload, Engine, ModelError, Payload};
 use rand::Rng;
 
 use crate::report::AlgoReport;
-use crate::support::{arc_id, node_id_bits, schedule_sub};
+use crate::support::{edge_id, node_id_bits, schedule_sub};
 
 /// Sub-identifier namespaces for the MST's group families.
 const COMP_SUB: u32 = 11; // component trees (target = leader)
 const LINK_SUB: u32 = 13; // cross-component coin queries (target = outside endpoint)
 const FIND_SUB: u32 = 12; // FindMin sketch aggregation (target = leader), ∘ bucket
 
-/// Sketch trials per probe: failure 2⁻⁴⁰ per probe, packed in one word and
-/// still `O(log n)` bits.
+/// Sketch trials per bucket: an emptiness test or a one-edge decode fails
+/// with probability 2⁻⁴⁰, packed in one word and still `O(log n)` bits.
 const SKETCH_TRIALS: usize = 40;
 
 /// FindMin search arity on `n` nodes: the buckets one step probes,
@@ -117,52 +123,55 @@ pub struct MstResult {
     pub plan: SchedReport,
 }
 
-/// The FindMin search key of arc `a → b` of weight `w`: `w ∘ arc id`, so
-/// keys order by weight, ties broken by arc id.
+/// The FindMin search key of edge `{a, b}` of weight `w`: `w ∘ edge id`,
+/// so keys order by weight, ties broken by the canonical `(min, max)` id
+/// both endpoints agree on.
 fn key_of(w: u64, a: NodeId, b: NodeId, idb: u32) -> u64 {
-    (w << (2 * idb)) | arc_id(a, b, idb)
+    (w << (2 * idb)) | edge_id(a, b, idb)
 }
 
-/// Per node, its incident arcs in `weighted_neighbors` order as
-/// `(k_up, mask_up, k_dn, mask_dn)`: the keys of the arc leaving the node
-/// and of the arc entering it, each beside its sketch mask. Neither ever
-/// changes, so FindMin hashes every arc once per run, not once per bucket
-/// of every step.
-fn arc_masks(wg: &WeightedGraph, sketch: &XorSketch, idb: u32) -> Vec<Vec<(u64, u64, u64, u64)>> {
+/// Per node, its incident edges in `weighted_neighbors` order as
+/// `(key, mask)`: the edge's key beside its sketch mask. Neither ever
+/// changes, so FindMin hashes every edge once per endpoint and run, not
+/// once per bucket of every step.
+fn edge_masks(wg: &WeightedGraph, sketch: &XorSketch, idb: u32) -> Vec<Vec<(u64, u64)>> {
     (0..wg.n() as NodeId)
         .map(|u| {
             wg.weighted_neighbors(u)
                 .map(|(v, w)| {
-                    let (up, dn) = (key_of(w, u, v, idb), key_of(w, v, u, idb));
-                    (up, sketch.element_mask(up), dn, sketch.element_mask(dn))
+                    let k = key_of(w, u, v, idb);
+                    (k, sketch.element_mask(k))
                 })
                 .collect()
         })
         .collect()
 }
 
-/// The fewest payload bits FindMin's sketch packets need on `n` nodes,
-/// whatever the weights: a packet of the last leader's last bucket
-/// group carrying two full `SKETCH_TRIALS`-bit masks, in the combining
-/// network behind the `McAggMsg::Agg` tag, under the lane header of
-/// step 0, where the coin multicast rides beside FindMin. Sized by the
-/// wire types' own `bit_size`.
+/// The fewest payload bits FindMin's sketch packets need on `n` nodes:
+/// a packet of the last leader's last bucket group carrying a full
+/// `SKETCH_TRIALS`-bit mask and the widest key word at `W = 1`
+/// (`1 + 2·idb` bits), in the combining network behind the
+/// `McAggMsg::Agg` tag, under the lane header of step 0, where the coin
+/// multicast rides beside FindMin. Sized by the wire types' own
+/// `bit_size`; a larger `W` widens the key word ([`max_weight`]).
 pub fn min_payload_bits(n: usize) -> u32 {
     let mask = (1u64 << SKETCH_TRIALS) - 1;
+    let key = (1u64 << (1 + 2 * node_id_bits(n))) - 1;
     let group = bucket_group(n as NodeId - 1, find_buckets(n) as usize - 1);
-    let packet = McAggMsg::<(u64, u64), _>::Agg(LevelMsg::of(group, (mask, mask)));
+    let packet = McAggMsg::<(u64, u64), _>::Agg(LevelMsg::of(group, (mask, key)));
     DynPayload::new(0, ncc_model::ilog2_ceil(2) as u8, packet).bit_size()
 }
 
 /// The largest `weight_max` whose FindMin messages fit in `payload_bits`
-/// on an `n`-node network (§3 assumes `W = poly(n)`). The range's
-/// butterfly hop down a component tree is the one whose width grows with
-/// `W`: a 1-bit message tag and a 6-bit level, the group id `leader ∘
-/// 32-bit sub`, and the pair `(lo, hi)` of keys, `bits(W) + 2·idb` and
-/// `bits(W + 1) + 2·idb` bits wide at most (`hi` may be the end of the
-/// key range, `(W + 1) ∘ 0…0`). That end must also fit in a `u64`:
-/// `bits(W + 1) ≤ 64 − 2·idb`. The sketch hop's width does not depend
-/// on `W` ([`min_payload_bits`]).
+/// on an `n`-node network (§3 assumes `W = poly(n)`): the narrower of two
+/// hops whose width grows with `W`. The range's butterfly hop down a
+/// component tree carries a 1-bit message tag and a 6-bit level, the
+/// group id `leader ∘ 32-bit sub`, and the pair `(lo, hi)` of keys,
+/// `bits(W) + 2·idb` and `bits(W + 1) + 2·idb` bits wide at most (`hi`
+/// may be the end of the key range, `(W + 1) ∘ 0…0`). That end must also
+/// fit in a `u64`: `bits(W + 1) ≤ 64 − 2·idb`. The sketch hop's key word
+/// is `bits(W) + 2·idb` bits, `bits(W) − 1` more than at
+/// [`min_payload_bits`].
 pub fn max_weight(n: usize, payload_bits: u32) -> u64 {
     let idb = node_id_bits(n);
     // the budget for bits(W) + bits(W + 1)
@@ -170,7 +179,9 @@ pub fn max_weight(n: usize, payload_bits: u32) -> u64 {
         .saturating_sub(7 + 32 + 5 * idb)
         .min(2 * 64u32.saturating_sub(2 * idb));
     // the largest W spending at most b: 2ᵏ − 1 spends 2k + 1, 2ᵏ − 2 spends 2k
-    ((1u64 << (b / 2)) + (b % 2) as u64).saturating_sub(2)
+    let range_hop = ((1u64 << (b / 2)) + (b % 2) as u64).saturating_sub(2);
+    let key_bits = payload_bits.saturating_sub(min_payload_bits(n) - 1).min(64);
+    range_hop.min(u64::MAX.checked_shr(64 - key_bits).unwrap_or(0))
 }
 
 /// FindMin steps until every live range inside `[0, range_hi)` has width
@@ -204,6 +215,35 @@ fn bucket_of(lo: u64, hi: u64, b: u64, key: u64) -> Option<usize> {
     let (width, b) = (hi.saturating_sub(lo) as u128, b as u128);
     let x = key.checked_sub(lo).filter(|_| key < hi)? as u128;
     Some((((x + 1) * b.min(width) - 1) / width) as usize)
+}
+
+/// A leader's range after a FindMin step on `[lo, hi)`, from its bucket
+/// groups' `(mask, key)` sketches: the lowest non-empty bucket (an empty
+/// set XORs to `(0, 0)`), narrowed to its one key when the key word
+/// decodes as a lone edge, `(0, 0)` when no bucket holds an outgoing
+/// edge. A range of width ≤ 1 is settled and stays.
+fn narrow(
+    sketch: &XorSketch,
+    (lo, hi): (u64, u64),
+    b: u64,
+    sketches: &[(GroupId, (u64, u64))],
+) -> (u64, u64) {
+    if hi - lo <= 1 {
+        return (lo, hi);
+    }
+    let fired = sketches.iter().filter(|(_, pair)| *pair != (0, 0));
+    let lowest = fired.map(|&(g, pair)| ((g.sub() >> 16) as u64, pair)).min(); // bucket_group's j
+    let Some((j, (mask, key))) = lowest else {
+        return (0, 0);
+    };
+    let Some((blo, bhi)) = bucket(lo, hi, b, j) else {
+        return (0, 0);
+    };
+    if (blo..bhi).contains(&key) && sketch.element_mask(key) == mask {
+        (key, key + 1)
+    } else {
+        (blo, bhi)
+    }
 }
 
 /// Runs the MST algorithm. Works on disconnected graphs (yields a forest).
@@ -241,20 +281,21 @@ pub fn mst(
     );
 
     // One FindMin firing at node `u` of component `comp` on the live
-    // range `[lo, hi)`: one pass over `u`'s own tabled arcs XORs each
-    // arc's masks into the sketch pair of the bucket holding its keys,
-    // and every non-zero pair (zero is the XOR identity) becomes a packet
-    // of that bucket's group. A `Copy` closure, shared by the leaders'
-    // own firings and the members' map.
-    let masks = &arc_masks(wg, &sketch, idb);
+    // range `[lo, hi)`: one pass over `u`'s own tabled edges XORs each
+    // edge's `(mask, key)` into the sketch pair of the bucket holding its
+    // key, and every non-zero pair (zero is the XOR identity) becomes a
+    // packet of that bucket's group. A settled range (width ≤ 1) fires
+    // nothing. A `Copy` closure, shared by the leaders' own firings and
+    // the members' map.
+    let masks = &edge_masks(wg, &sketch, idb);
     let fire = move |u: NodeId, comp: GroupId, &(lo, hi): &(u64, u64), out: &mut Vec<_>| {
+        if hi - lo <= 1 {
+            return;
+        }
         let mut pairs = vec![(0u64, 0u64); buckets as usize];
-        for &(k_up, mask_up, k_dn, mask_dn) in &masks[u as usize] {
-            if let Some(j) = bucket_of(lo, hi, buckets, k_up) {
-                pairs[j].0 ^= mask_up;
-            }
-            if let Some(j) = bucket_of(lo, hi, buckets, k_dn) {
-                pairs[j].1 ^= mask_dn;
+        for &(k, mask) in &masks[u as usize] {
+            if let Some(j) = bucket_of(lo, hi, buckets, k) {
+                pairs[j] = (pairs[j].0 ^ mask, pairs[j].1 ^ k);
             }
         }
         let fired = pairs.into_iter().enumerate().filter(|&(_, p)| p != (0, 0));
@@ -304,15 +345,16 @@ pub fn mst(
             }
         }
 
-        // ---- FindMin: B-ary search over (weight ∘ arc id) keys --------------
+        // ---- FindMin: B-ary search over (weight ∘ edge id) keys -------------
         // One fused stage per step. Step 0's range is common knowledge, so
         // every node fires its own packets from round 0. After it, leaders
         // fire theirs and multicast their narrowed range [lo, hi) down the
-        // component tree, and each member fires on the round its copy
-        // lands; (0, 0) encodes "no outgoing edge". Only leaders track
-        // their range here: a member's lives in its copy.
-        let mut lo: Vec<u64> = vec![0; n];
-        let mut hi: Vec<u64> = vec![range_hi; n];
+        // component tree — settled ones too, so a lost copy still fails
+        // typed — and each member fires on the round its copy lands;
+        // (0, 0) encodes "no outgoing edge". Only leaders track their
+        // range here: a member's lives in its copy. After every step but
+        // the last, an A&B asks whether any leader is still searching.
+        let mut range: Vec<(u64, u64)> = vec![(0, range_hi); n];
         for step in 0..find_steps {
             findmin_steps += 1;
             let mut own = vec![Vec::new(); n];
@@ -320,20 +362,20 @@ pub fn mst(
             for u in 0..n {
                 let comp = GroupId::new(leader[u], COMP_SUB);
                 if step == 0 || leader[u] == u as NodeId {
-                    fire(u as NodeId, comp, &(lo[u], hi[u]), &mut own[u]);
+                    fire(u as NodeId, comp, &range[u], &mut own[u]);
                 }
                 if step > 0 && leader[u] == u as NodeId {
-                    msgs[u] = Some((comp, (lo[u], hi[u])));
+                    msgs[u] = Some((comp, range[u]));
                 }
             }
-            let trees = &trees;
+            let (trees, ranges, sketch) = (&trees, &range, &sketch);
             let seed = lane_seed(engine, LS_FIND, (pl << 16) | step as u64);
             let spec = AggregationSpec {
                 memberships: own,
                 ell2_hat: buckets as usize,
             };
-            let mut dag = Dag::new();
-            let find = dag.combine(format!("p{phase}:find{step}:buckets"), &[], move |_| {
+            let (label, mut dag) = (format!("p{phase}:find{step}"), Dag::new());
+            let find = dag.combine(format!("{label}:buckets"), &[], move |_| {
                 multicast_aggregate_sub(shared, trees, msgs, fire, spec, &XorPair, seed)
             });
             // the coin multicast rides the step-0 stage
@@ -344,7 +386,19 @@ pub fn mst(
                     multicast_sub(n, shared, trees, msgs, 1, coin_seed)
                 })
             });
-            let mut run = report.run_dag(format!("p{phase}:find{step}"), dag, engine, &mut plan)?;
+            // a member is the target of no bucket group: it settles at (0, 0)
+            let decide = dag.compute(format!("{label}:decide"), &[find.into()], move |d| {
+                let out = d.get(find).iter().zip(ranges);
+                out.map(|((_, got), &r)| narrow(sketch, r, buckets, got))
+                    .collect::<Vec<_>>()
+            });
+            let stop = (step + 1 < find_steps).then(|| {
+                dag.proto(format!("{label}:searching"), &[decide.into()], move |d| {
+                    let searching = d.get(decide).iter().map(|&(lo, hi)| hi - lo > 1);
+                    ab_sub(n, searching.map(|s| s.then_some(1)).collect(), &MaxU64)
+                })
+            });
+            let mut run = report.run_dag(label, dag, engine, &mut plan)?;
             let out = run.take(find);
             if let Some(coin_node) = coin_node {
                 let coins_recv = run.take(coin_node);
@@ -354,32 +408,22 @@ pub fn mst(
                     }
                 }
             }
-            // leaders descend into the smallest bucket whose sketches
-            // differ (up ≠ down), or to (0, 0) when the live range has no
-            // outgoing arc
-            for (u, (copies, sketches)) in out.iter().enumerate() {
-                if leader[u] != u as NodeId {
-                    if step > 0 && *copies == 0 {
-                        let event = "a member gets its range";
-                        return Err(ModelError::WhpEventFailed { event });
-                    }
-                    continue;
-                }
-                let differ = sketches.iter().filter(|(_, (up, down))| up != down);
-                let hit = differ.map(|(g, _)| (g.sub() >> 16) as u64).min(); // bucket_group's j
-                let narrowed = hit.and_then(|j| bucket(lo[u], hi[u], buckets, j));
-                (lo[u], hi[u]) = narrowed.unwrap_or((0, 0));
+            if (0..n).any(|u| step > 0 && leader[u] != u as NodeId && out[u].0 == 0) {
+                let event = "a member gets its range";
+                return Err(ModelError::WhpEventFailed { event });
+            }
+            range = run.take(decide);
+            if stop.is_some_and(|stop| run.take(stop)[0].is_none()) {
+                break;
             }
         }
 
         // leaders know the minimum outgoing key (width-1 range) or "none"
-        let mut found: Vec<Option<u64>> = vec![None; n];
-        for u in 0..n {
-            if leader[u] == u as NodeId && hi[u] > lo[u] {
-                debug_assert_eq!(hi[u] - lo[u], 1, "search must converge to one key");
-                found[u] = Some(lo[u]);
-            }
-        }
+        let found_key = |&(lo, hi): &(u64, u64)| {
+            debug_assert!(hi - lo <= 1, "search must converge to one key");
+            (hi > lo).then_some(lo)
+        };
+        let mut found: Vec<Option<u64>> = range.iter().map(found_key).collect();
 
         // ---- announce the found key ∥ global termination check --------------
         let mut msgs: Vec<Option<(GroupId, u64)>> = vec![None; n];
@@ -389,15 +433,8 @@ pub fn mst(
                 msgs[u] = Some((GroupId::new(u as NodeId, COMP_SUB), code));
             }
         }
-        let done_inputs: Vec<Option<u64>> = (0..n)
-            .map(|u| {
-                if leader[u] == u as NodeId && found[u].is_some() {
-                    Some(1)
-                } else {
-                    None
-                }
-            })
-            .collect();
+        // only leaders have found a key yet
+        let done_inputs: Vec<Option<u64>> = found.iter().map(|k| k.map(|_| 1)).collect();
         let announce_seed = lane_seed(engine, LS_ANNOUNCE, pl);
         let trees_ref = &trees;
         let mut dag = Dag::new();
@@ -448,13 +485,9 @@ pub fn mst(
             .collect();
         let link_trees_seed = lane_seed(engine, LS_LINK_TREES, pl);
         let link_mc_seed = lane_seed(engine, LS_LINK_MC, pl);
-        let messages: Vec<Option<(GroupId, (u64, u64))>> = (0..n)
-            .map(|y| {
-                Some((
-                    GroupId::new(y as NodeId, LINK_SUB),
-                    (coin[y] as u64, leader[y] as u64),
-                ))
-            })
+        let info = |y: usize| (coin[y] as u64, leader[y] as u64);
+        let messages: Vec<_> = (0..n)
+            .map(|y| Some((GroupId::new(y as NodeId, LINK_SUB), info(y))))
             .collect();
         // The freshly recorded trees move into this cell, which outlives
         // the DAG, so the coin/leader multicast reads them in place (a
@@ -625,9 +658,18 @@ mod tests {
 
     #[test]
     fn duplicate_weights_still_minimal() {
-        // many equal weights: tie-break by arc id must stay consistent
+        // many equal weights: tie-break by edge id must stay consistent
         let g = gen::gnp(24, 0.3, 7);
         let wg = gen::with_random_weights(&g, 3, 8);
+        let r = run(&wg, 9);
+        assert_valid(&wg, &r);
+    }
+
+    #[test]
+    fn unit_weights_split_ties_by_edge_id() {
+        // W = 1: only the id part of the key separates edges
+        let g = gen::gnp(24, 0.3, 7);
+        let wg = gen::with_random_weights(&g, 1, 8);
         let r = run(&wg, 9);
         assert_valid(&wg, &r);
     }
@@ -664,11 +706,52 @@ mod tests {
         assert!(r.lane_stages > r.findmin_steps);
     }
 
+    #[test]
+    fn findmin_stops_before_its_cap() {
+        // W = 2¹⁶ caps a phase at 9 steps; most components settle in 2–3
+        let g = gen::gnp(64, 0.1875, 3);
+        let wg = gen::with_random_weights(&g, 1 << 16, 4);
+        let r = run(&wg, 3);
+        assert_valid(&wg, &r);
+        let w_max = (0..64)
+            .flat_map(|u| wg.weighted_neighbors(u).map(|(_, w)| w))
+            .max();
+        let range_hi = (w_max.unwrap() + 1) << (2 * node_id_bits(64));
+        let cap = find_steps(range_hi, find_buckets(64));
+        assert!(
+            r.findmin_steps < r.phases * cap,
+            "{} steps, {} phases",
+            r.findmin_steps,
+            r.phases
+        );
+    }
+
+    #[test]
+    fn narrow_decodes_a_lone_edge_and_descends_otherwise() {
+        let sketch = XorSketch::derive(&SharedRandomness::new(5), 1, SKETCH_TRIALS, 12);
+        let (lo, hi, b) = (0u64, 1100u64, 11u64); // buckets of width 100
+        let pair = |keys: &[u64]| {
+            keys.iter()
+                .fold((0, 0), |(m, k), &x| (m ^ sketch.element_mask(x), k ^ x))
+        };
+        let at = |j: usize, keys: &[u64]| (bucket_group(3, j), pair(keys));
+        // bucket 2 holds one edge, bucket 4 three, whose key word 451
+        // lies in their bucket but is none of them: the lone edge wins
+        let sketches = [at(4, &[400, 401, 450]), at(2, &[250]), at(7, &[])];
+        assert_eq!(narrow(&sketch, (lo, hi), b, &sketches), (250, 251));
+        // the lowest non-empty bucket holds three edges: descend into it
+        assert_eq!(narrow(&sketch, (lo, hi), b, &sketches[..1]), (400, 500));
+        // nothing outgoing, and a settled range stays
+        assert_eq!(narrow(&sketch, (lo, hi), b, &sketches[2..]), (0, 0));
+        assert_eq!(narrow(&sketch, (250, 251), b, &[]), (250, 251));
+    }
+
     proptest::proptest! {
         /// The mask table holds, per node and in `weighted_neighbors`
-        /// order, both keys of every incident arc beside exactly the mask
-        /// the sketch gives that key — and a key is its own hashed
-        /// argument (`k & arc_mask | w ∘ 0…0 == k`).
+        /// order, the key of every incident edge — the same key at both
+        /// endpoints — beside exactly the mask the sketch gives that key,
+        /// and a key is its own hashed argument (`k & id_mask | w ∘ 0…0 ==
+        /// k`, the id part naming the edge's `(min, max)` endpoints).
         #[test]
         fn mask_table_matches_the_sketch(seed in proptest::prelude::any::<u64>(), n in 2usize..40) {
             let g = gen::gnp(n, 0.3, seed);
@@ -680,19 +763,20 @@ mod tests {
                 SharedRandomness::k_for(n),
             );
             let idb = node_id_bits(n);
-            let arc_mask = (1u64 << (2 * idb)) - 1;
-            let table = arc_masks(&wg, &sketch, idb);
+            let id_mask = (1u64 << (2 * idb)) - 1;
+            let table = edge_masks(&wg, &sketch, idb);
             proptest::prop_assert_eq!(table.len(), n);
-            for (u, arcs) in table.iter().enumerate() {
+            for (u, edges) in table.iter().enumerate() {
                 let u = u as NodeId;
-                proptest::prop_assert_eq!(arcs.len(), wg.degree(u));
-                for (&(k_up, m_up, k_dn, m_dn), (v, w)) in arcs.iter().zip(wg.weighted_neighbors(u)) {
-                    proptest::prop_assert_eq!((k_up, k_dn), (key_of(w, u, v, idb), key_of(w, v, u, idb)));
-                    proptest::prop_assert_eq!(m_up, sketch.element_mask(k_up));
-                    proptest::prop_assert_eq!(m_dn, sketch.element_mask(k_dn));
-                    for k in [k_up, k_dn] {
-                        proptest::prop_assert_eq!(k & arc_mask | (w << (2 * idb)), k);
-                    }
+                proptest::prop_assert_eq!(edges.len(), wg.degree(u));
+                for (&(k, m), (v, w)) in edges.iter().zip(wg.weighted_neighbors(u)) {
+                    proptest::prop_assert_eq!(k, key_of(w, u, v, idb));
+                    let at_v = wg.weighted_neighbors(v).position(|(x, _)| x == u).unwrap();
+                    proptest::prop_assert_eq!(table[v as usize][at_v], (k, m));
+                    proptest::prop_assert_eq!(m, sketch.element_mask(k));
+                    proptest::prop_assert_eq!(k & id_mask | (w << (2 * idb)), k);
+                    let ends = ((k & id_mask) >> idb, k & ((1 << idb) - 1));
+                    proptest::prop_assert_eq!(ends, (u.min(v) as u64, u.max(v) as u64));
                 }
             }
         }

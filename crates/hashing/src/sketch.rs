@@ -1,10 +1,19 @@
-//! XOR set-equality sketches (the FindMin tool of §3).
+//! XOR sketches (the FindMin tool of §3): emptiness tests and one-element
+//! recovery.
 //!
-//! The MST algorithm needs to decide, per component `C` and weight range,
-//! whether two multisets of edge identifiers are equal — they are equal iff
-//! `C` has no outgoing edge in the range. The paper hashes every identifier
-//! to one bit and compares mod-2 sums, repeated over `O(log n)` independent
-//! functions so that unequal sets collide with probability `2^{−Θ(log n)}`.
+//! The MST algorithm needs to decide, per component `C` and key range,
+//! whether the set of `C`'s outgoing edges in the range is empty. Every
+//! member XORs in the edges it is incident to, so an internal edge
+//! appears twice and cancels. The paper hashes every identifier to one
+//! bit and tests the mod-2 sum, repeated over `O(log n)` independent
+//! functions so that a non-empty set hashes to zero with probability
+//! `2^{−Θ(log n)}`.
+//!
+//! The same mask also recovers a one-element set, as King–Kutten–Thorup
+//! do: beside the mask sum, XOR the elements themselves. For `S = {x}`
+//! the element sum is `x` and `element_mask(x)` equals the mask sum; for
+//! `|S| ≥ 2` the element sum is a point the mask sum is independent of,
+//! so the two agree only with probability `2^{−t}`.
 //!
 //! [`XorSketch`] evaluates `t ≤ 64` independent trials at once and packs
 //! them into a single `u64` **mask**; the sketch of a set is the XOR of its
@@ -108,6 +117,32 @@ mod tests {
             (120..=280).contains(&distinguished),
             "got {distinguished}/{total}"
         );
+    }
+
+    /// One-element recovery at FindMin's `t = 40`: over 10⁴ seeded random
+    /// sets, every singleton `{x}` decodes (`element_mask(⊕x) == ⊕mask`)
+    /// and no set of 2–8 distinct elements does.
+    #[test]
+    fn singletons_decode_and_larger_sets_do_not() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let s = XorSketch::derive(&SharedRandomness::new(42), 7, 40, 12);
+        let mut rng = SmallRng::seed_from_u64(2019);
+        let decodes = |xs: &[u64]| {
+            let key = xs.iter().fold(0, |acc, x| acc ^ x);
+            s.element_mask(key) == set_mask(&s, xs.iter().copied())
+        };
+        for i in 0..10_000usize {
+            let size = 1 + i % 8;
+            // below 2⁶¹ − 1, where distinct inputs are distinct field points
+            let mut xs: Vec<u64> = (0..size).map(|_| rng.gen::<u64>() >> 4).collect();
+            xs.sort_unstable();
+            xs.dedup();
+            if xs.len() < size {
+                continue;
+            }
+            assert_eq!(decodes(&xs), size == 1, "set {xs:?}");
+        }
     }
 
     #[test]

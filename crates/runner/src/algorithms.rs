@@ -215,7 +215,11 @@ fn needs(name: &str, spec: &ScenarioSpec, nodes: usize, payload_bits: u32) -> Re
 
 /// [`needs`] of an algorithm that agrees on a seed and whose main stage's
 /// widest message takes `main(n)` bits: two nodes, then payloads both fit.
-fn needs_seed_and(name: &str, spec: &ScenarioSpec, main: fn(usize) -> u32) -> Result<(), String> {
+fn needs_seed_and(
+    name: &str,
+    spec: &ScenarioSpec,
+    main: impl Fn(usize) -> u32,
+) -> Result<(), String> {
     needs(name, spec, 2, 0)?;
     let seed = ncc_core::prepare::min_payload_bits(spec.n);
     needs(name, spec, 2, main(spec.n).max(seed))
@@ -318,10 +322,14 @@ impl Algorithm for Mst {
         "minimum spanning forest, Boruvka + sketch FindMin (§3, O(log⁴ n))"
     }
     /// Two nodes, payloads the seed chunks and FindMin's sketch packets
-    /// fit in, and weights its range messages can carry (§3 assumes
+    /// fit in — whose key word is `bits(W) − 1` bits wider than at
+    /// `W = 1` — and weights its range messages can carry (§3 assumes
     /// `W = poly(n)`).
     fn admits(&self, spec: &ScenarioSpec) -> Result<(), String> {
-        needs_seed_and(self.name(), spec, ncc_core::mst::min_payload_bits)?;
+        let key_growth = 63 - spec.weight_max.max(1).leading_zeros();
+        needs_seed_and(self.name(), spec, |n| {
+            ncc_core::mst::min_payload_bits(n) + key_growth
+        })?;
         let fits = ncc_core::mst::max_weight(spec.n, spec.capacity.payload_bits);
         if spec.weight_max > fits {
             return Err(format!(

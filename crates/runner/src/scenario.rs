@@ -201,11 +201,26 @@ impl ScenarioSpec {
         l
     }
 
-    /// Deterministically regenerates the input graph from the spec.
+    /// Deterministically regenerates the input graph from the spec, or
+    /// refuses a family parameter its generator is not defined on.
     pub fn build_graph(&self) -> Result<Graph, RunnerError> {
         let n = self.n;
         let seed = self.seed;
+        let positive = |x: f64| x > 0.0; // NaN is not
+        let refuse = |need: String| {
+            let family = self.family.name();
+            Err(RunnerError::Scenario(format!("`{family}` needs {need}")))
+        };
         let g = match &self.family {
+            FamilySpec::Gnp { p } if !(0.0..=1.0).contains(p) => {
+                return refuse(format!("0 ≤ p ≤ 1, the spec has p = {p}"))
+            }
+            FamilySpec::Hyperbolic { alpha, .. } if !positive(*alpha) => {
+                return refuse(format!("alpha > 0, the spec has alpha = {alpha}"))
+            }
+            FamilySpec::Hyperbolic { c, .. } if !positive(2.0 * (n as f64).ln() + c) => {
+                return refuse(format!("2 ln n + c > 0, the spec has n = {n}, c = {c}"))
+            }
             FamilySpec::Path => gen::path(n),
             FamilySpec::Cycle => gen::cycle(n),
             FamilySpec::Star => gen::star(n),

@@ -244,6 +244,42 @@ fn huge_machine_counts_run_or_are_refused() {
     }
 }
 
+/// The typed refusal of a family parameter outside its generator's
+/// domain, naming the parameter: a scenario error, never the generator's
+/// assert.
+fn assert_family_refused(family: FamilySpec, named: &str) {
+    let spec = ScenarioSpec::new(family, 16, 3);
+    match run_record_threads(find_algorithm("mst").unwrap(), &spec, 1) {
+        Err(RunnerError::Scenario(msg)) => assert!(msg.contains(named), "{msg}"),
+        other => panic!("expected a scenario error naming {named}, got {other:?}"),
+    }
+}
+
+/// A gnp `p` outside [0, 1], NaN included, is refused by name.
+#[test]
+fn gnp_refuses_a_probability_outside_the_unit_interval() {
+    for p in [4.0, -0.5, f64::NAN] {
+        assert_family_refused(FamilySpec::Gnp { p }, "p = ");
+    }
+}
+
+/// A hyperbolic `alpha ≤ 0` (or NaN) is refused by name.
+#[test]
+fn hyperbolic_refuses_a_non_positive_alpha() {
+    for alpha in [-3.0, 0.0, f64::NAN] {
+        assert_family_refused(FamilySpec::Hyperbolic { alpha, c: 0.0 }, "alpha = ");
+    }
+}
+
+/// A hyperbolic disk of radius `2 ln n + c ≤ 0` is refused by name: at
+/// n = 16, `2 ln 16 ≈ 5.55`.
+#[test]
+fn hyperbolic_refuses_a_non_positive_disk_radius() {
+    for c in [-5.6, -100.0, f64::NAN] {
+        assert_family_refused(FamilySpec::Hyperbolic { alpha: 0.75, c }, "c = ");
+    }
+}
+
 /// MST refuses, before round 0, weights its FindMin messages cannot carry.
 /// At n = 64 the default payload is 144 bits and the widest message, a
 /// range multicast hop, is 7 + (32 + 6) bits plus two keys of
@@ -346,7 +382,7 @@ fn mst_admits_exactly_the_payloads_its_sketches_fit() {
                 ..Capacity::default_for(n)
             };
             ScenarioSpec::new(FamilySpec::Gnp { p: 0.2 }, n, 3)
-                .with_weight_max(16)
+                .with_weight_max(1)
                 .with_capacity(capacity)
         };
         let rec = run_record(mst, &spec(need)).unwrap();

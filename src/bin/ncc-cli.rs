@@ -124,76 +124,36 @@ fn or_usage<T>(r: Result<T, String>) -> T {
 
 /// Maps the CLI family vocabulary onto a [`FamilySpec`].
 fn family_spec(family: &str, n: usize, flags: &Flags) -> Result<(FamilySpec, usize), String> {
-    let p = flag(flags, "param")?.unwrap_or(f64::NAN);
-    let param_usize = if p.is_nan() { 0 } else { p as usize };
-    Ok(match family {
-        "path" => (FamilySpec::Path, n),
-        "cycle" => (FamilySpec::Cycle, n),
-        "star" => (FamilySpec::Star, n),
-        "complete" => (FamilySpec::Complete, n),
-        "grid" | "tgrid" => {
-            let side = (n as f64).sqrt().round().max(1.0) as usize;
-            let fam = if family == "grid" {
-                FamilySpec::Grid {
-                    rows: side,
-                    cols: side,
-                }
-            } else {
-                FamilySpec::TGrid {
-                    rows: side,
-                    cols: side,
-                }
-            };
-            (fam, side * side)
-        }
-        "tree" => (FamilySpec::Tree, n),
-        "forests" => (
-            FamilySpec::Forests {
-                k: param_usize.max(1),
-            },
-            n,
-        ),
-        "gnp" => (
-            FamilySpec::Gnp {
-                p: if p.is_nan() { 0.05 } else { p },
-            },
-            n,
-        ),
-        "gnm" => (
-            FamilySpec::Gnm {
-                m: param_usize.max(n),
-            },
-            n,
-        ),
-        "ba" => (
-            FamilySpec::Ba {
-                m: param_usize.max(1),
-            },
-            n,
-        ),
-        "geometric" => (
-            FamilySpec::Geometric {
-                radius: if p.is_nan() { 0.15 } else { p },
-            },
-            n,
-        ),
+    // an absent `--param` (or NaN) takes the family's default
+    let p = flag::<f64>(flags, "param")?.filter(|p| !p.is_nan());
+    let (real, count) = (|d| p.unwrap_or(d), |d| p.map_or(d, |p| p as usize));
+    let side = (n as f64).sqrt().round().max(1.0) as usize;
+    let (rows, cols) = (side, side);
+    let fam = match family {
+        "path" => FamilySpec::Path,
+        "cycle" => FamilySpec::Cycle,
+        "star" => FamilySpec::Star,
+        "complete" => FamilySpec::Complete,
+        "grid" => return Ok((FamilySpec::Grid { rows, cols }, side * side)),
+        "tgrid" => return Ok((FamilySpec::TGrid { rows, cols }, side * side)),
+        "tree" => FamilySpec::Tree,
+        "forests" => FamilySpec::Forests { k: count(1).max(1) },
+        "gnp" => FamilySpec::Gnp { p: real(0.05) },
+        "gnm" => FamilySpec::Gnm { m: count(n).max(n) },
+        "ba" => FamilySpec::Ba { m: count(1).max(1) },
+        "geometric" => FamilySpec::Geometric { radius: real(0.15) },
         // --param is the edge factor (sampled edges per node); default 8
-        "rmat" => (
-            FamilySpec::Rmat {
-                edge_factor: if p.is_nan() { 8 } else { param_usize.max(1) },
-            },
-            n,
-        ),
+        "rmat" => FamilySpec::Rmat {
+            edge_factor: count(8).max(1),
+        },
         // --param is alpha (power-law exponent 2α+1); disk offset c fixed 0
-        "hyperbolic" => (
-            FamilySpec::Hyperbolic {
-                alpha: if p.is_nan() { 0.75 } else { p },
-                c: 0.0,
-            },
-            n,
-        ),
+        "hyperbolic" => FamilySpec::Hyperbolic {
+            alpha: real(0.75),
+            c: 0.0,
+        },
         other => return Err(format!("unknown family '{other}'")),
-    })
+    };
+    Ok((fam, n))
 }
 
 /// Maps the `--model` vocabulary (plus its parameter flags) onto a
