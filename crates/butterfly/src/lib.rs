@@ -93,5 +93,5 @@ pub use multicast::{multicast, multicast_sub, MulticastSub};
 pub use schedule::{
     default_lane_budget, run_alone, DagRun, LaneRecord, Owed, PackedStage, SchedReport,
 };
-pub use seed::broadcast_seed;
+pub use seed::{broadcast_seed, TreeBroadcast};
 pub use topology::{Butterfly, GroupId};

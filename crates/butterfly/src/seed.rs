@@ -5,15 +5,18 @@
 //! broadcast Θ(log n) messages, each consisting of log n bits, to all other
 //! nodes using the butterfly."*
 //!
-//! [`broadcast_seed`] implements exactly that: node 0 chops the required bit
-//! volume into machine words, packs as many consecutive words into a packet
-//! as the payload budget holds (`w`, at least one), and pushes one packet a
+//! [`TreeBroadcast`] is that protocol: node 0 pushes a list of items one a
 //! round down the binomial broadcast tree of the butterfly, **pipelined** —
-//! a column relays each packet to all of its tree children in the round
-//! after receiving it. On `2^d ≤ n` columns that takes `⌈words/w⌉ + d + 1`
-//! rounds — one per packet, `d` hops down the tree, and the round that
-//! hears the last of them — and a node sends at most `d + 1` messages a
-//! round, so no round moves more than `n` messages.
+//! a column relays each item to all of its tree children in the round
+//! after receiving it. On `2^d ≤ n` columns `k` items take `k + d + 1`
+//! rounds — one per item, `d` hops down the tree, and the round that hears
+//! the last of them — and a node sends at most `d + 1` messages a round,
+//! so no round moves more than `n` messages. [`broadcast_seed`] runs it
+//! bare on the seed material: node 0 chops the required bit volume into
+//! machine words and packs as many consecutive words into a packet as the
+//! payload budget holds (`w`, at least one), `⌈words/w⌉ + d + 1` rounds.
+//! `ncc-core` runs it as a lane for §4 Stage 2's broadcast of the `U_high`
+//! identifiers.
 //!
 //! Semantically the nodes only need to agree on a 64-bit master seed (the
 //! expansion to hash functions is deterministic, see
@@ -45,63 +48,70 @@ impl Payload for SeedChunk {
     }
 }
 
-struct SeedProgram {
+/// Node 0's pipelined broadcast of `items` down the butterfly's binomial
+/// tree: node 0 injects item `r − 1` in round `r`, and every column relays
+/// each item it gets to its tree children and its attached node in the
+/// next round. A node's state is the items it holds — those it received
+/// and, at the root, those it sent.
+pub struct TreeBroadcast<P: Payload> {
     bf: Butterfly,
-    /// The packets node 0 injects, one a round: every word in order, the
-    /// master seed first.
-    packets: Vec<SeedChunk>,
+    items: Vec<P>,
 }
 
-impl SeedProgram {
-    /// Sends `chunk` to the children of column α in the binomial broadcast
+impl<P: Payload> TreeBroadcast<P> {
+    /// Node 0's broadcast of `items` to all `n` nodes.
+    pub fn new(n: usize, items: Vec<P>) -> Self {
+        TreeBroadcast {
+            bf: Butterfly::for_n(n),
+            items,
+        }
+    }
+
+    /// Sends `item` to the children of column α in the binomial broadcast
     /// tree — α | 2^b for every bit position b below α's lowest set bit
     /// (all of 0..d for the root) — and to the attached non-emulating node.
-    fn relay(&self, alpha: u32, chunk: &SeedChunk, ctx: &mut Ctx<'_, SeedChunk>) {
+    fn relay(&self, alpha: u32, item: &P, ctx: &mut Ctx<'_, P>) {
         let limit = if alpha == 0 {
             self.bf.d()
         } else {
             alpha.trailing_zeros()
         };
         for b in 0..limit {
-            ctx.send(self.bf.emulator(alpha | (1 << b)), chunk.clone());
+            ctx.send(self.bf.emulator(alpha | (1 << b)), item.clone());
         }
         if let Some(attached) = self.bf.attached_node(alpha) {
-            ctx.send(attached, chunk.clone());
+            ctx.send(attached, item.clone());
         }
     }
 }
 
-impl NodeProgram for SeedProgram {
-    /// The packets a node has received.
-    type State = Vec<SeedChunk>;
-    type Payload = SeedChunk;
+impl<P: Payload> NodeProgram for TreeBroadcast<P> {
+    /// The items a node holds.
+    type State = Vec<P>;
+    type Payload = P;
 
-    fn init(&self, _: &mut Vec<SeedChunk>, ctx: &mut Ctx<'_, SeedChunk>) {
-        if ctx.id == 0 {
+    fn init(&self, _: &mut Vec<P>, ctx: &mut Ctx<'_, P>) {
+        if ctx.id == 0 && !self.items.is_empty() {
             ctx.stay_awake();
         }
     }
 
-    fn round(
-        &self,
-        held: &mut Vec<SeedChunk>,
-        inbox: &[Envelope<SeedChunk>],
-        ctx: &mut Ctx<'_, SeedChunk>,
-    ) {
+    fn round(&self, held: &mut Vec<P>, inbox: &[Envelope<P>], ctx: &mut Ctx<'_, P>) {
         held.extend(inbox.iter().map(|env| env.payload.clone()));
         if !self.bf.emulates(ctx.id) {
             return;
         }
         let alpha = self.bf.column_of(ctx.id);
-        // the root injects one packet per round, pipelined
+        // the root injects one item per round, pipelined
         let next = (ctx.round - 1) as usize;
-        if let Some(packet) = self.packets.get(next).filter(|_| ctx.id == 0) {
-            self.relay(alpha, packet, ctx);
-            if next + 1 < self.packets.len() {
+        if let Some(item) = self.items.get(next).filter(|_| ctx.id == 0) {
+            self.relay(alpha, item, ctx);
+            held.push(item.clone());
+            if next + 1 < self.items.len() {
                 ctx.stay_awake();
             }
         }
-        // relay newly received packets, in arrival order
+        // relay newly received items, in arrival order
         for env in inbox {
             self.relay(alpha, &env.payload, ctx);
         }
@@ -155,19 +165,16 @@ pub fn broadcast_seed(
             words: Arc::new(words.to_vec()),
         })
         .collect();
-    let prog = SeedProgram {
-        bf: Butterfly::for_n(n),
-        packets,
-    };
+    let prog = TreeBroadcast::new(n, packets);
     let mut states = vec![Vec::new(); n];
     let stats = engine.execute(&prog, &mut states)?;
-    // every node but the root, which sent them, holds every packet
+    // every node holds every packet (the root those it sent)
     let holds_all = |held: &Vec<SeedChunk>| {
         let mut got: Vec<u32> = held.iter().map(|c| c.index).collect();
         got.sort_unstable();
-        got.iter().eq(prog.packets.iter().map(|c| &c.index))
+        got.iter().eq(prog.items.iter().map(|c| &c.index))
     };
-    match states[1..].iter().all(holds_all) {
+    match states.iter().all(holds_all) {
         true => Ok((SharedRandomness::new(master), stats)),
         false => Err(ModelError::WhpEventFailed {
             event: "every node learns the seed",

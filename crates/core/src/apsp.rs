@@ -6,31 +6,24 @@
 //! observes that `O(log n)` instances of such a primitive can share the
 //! network's per-node budget. This algorithm exercises exactly that claim:
 //! `L = Θ(log n)` landmarks — agreed from shared randomness, zero
-//! communication — run their layer-synchronous BFS *simultaneously*, one
-//! frontier-spread Multi-Aggregation per landmark per phase. The per-phase
-//! spreads are mutually independent, so they are declared as `L` root
-//! nodes of a protocol [`Dag`] and the scheduler packs them into one mux
-//! automatically, within the `O(log n)` lane budget; the termination
-//! consensus hangs off the combine step as a solo A&B stage that runs in
-//! the spreads' barrier slot.
+//! communication — run the frontier search of [`bfs`](mod@crate::bfs)
+//! from all of them at once, one frontier-spread Multi-Aggregation per
+//! landmark per phase, which the scheduler packs into one mux within the
+//! `O(log n)` lane budget.
 //!
 //! Every node ends with its exact distance to every landmark, i.e. an
 //! `L`-entry distance sketch. Two sketches give the classic landmark
 //! estimate `d̂(u, v) = min_ℓ d(u, ℓ) + d(ℓ, v)` — an upper bound on the
 //! true distance that is exact whenever some landmark lies on a shortest
 //! `u`–`v` path, and a `2`-approximation of eccentric pairs in practice.
-//!
-//! The whole algorithm is *declared*: no lane ids, no install/collect
-//! plumbing, no manual packing — the scheduler reproduces the paper's
-//! parallel-instances argument from the DAG shape alone.
 
-use ncc_butterfly::{ab_sub, lane_seed, multi_aggregate_sub, Dag, MaxU64, MinU64, SchedReport};
+use ncc_butterfly::SchedReport;
 use ncc_graph::Graph;
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Engine, ModelError, NodeId};
 
-use crate::bfs::UNREACHABLE;
-use crate::broadcast_trees::{neighborhood_group, BroadcastTrees};
+use crate::bfs::{search, UNREACHABLE};
+use crate::broadcast_trees::BroadcastTrees;
 use crate::report::AlgoReport;
 
 /// Shared-randomness label for the landmark choice.
@@ -95,98 +88,23 @@ pub fn landmark_apsp(
     num_landmarks: Option<usize>,
 ) -> Result<ApspResult, ModelError> {
     let n = engine.n();
-    assert_eq!(n, g.n());
     let logn = ncc_model::ilog2_ceil(n).max(1) as usize;
-    let count = num_landmarks.unwrap_or(logn).clamp(1, n);
-    let landmarks = choose_landmarks(shared, n, count);
-    let mut report = AlgoReport::default();
-    let mut plan = SchedReport::default();
-
-    let mut dist: Vec<Vec<u32>> = vec![vec![UNREACHABLE; n]; count];
-    let mut frontiers: Vec<Vec<NodeId>> = Vec::with_capacity(count);
-    for (l, &lm) in landmarks.iter().enumerate() {
-        dist[l][lm as usize] = 0;
-        frontiers.push(vec![lm]);
-    }
-
-    let mut phase: u32 = 0;
-    while frontiers.iter().any(|f| !f.is_empty()) {
-        phase += 1;
-        // hoist the per-landmark lane seeds (engine-independent of the DAG)
-        let seeds: Vec<u64> = (0..count)
-            .map(|l| lane_seed(engine, 0x6170_7301, ((phase as u64) << 16) | l as u64))
-            .collect();
-
-        let mut dag = Dag::new();
-        let trees = &bt.trees;
-        // one frontier spread per landmark still expanding — mutually
-        // independent, so the scheduler packs them into one mux
-        let mut spreads = Vec::with_capacity(count);
-        for l in 0..count {
-            if frontiers[l].is_empty() {
-                spreads.push(None);
-                continue;
-            }
-            let mut messages: Vec<Option<(ncc_butterfly::GroupId, u64)>> = vec![None; n];
-            for &u in &frontiers[l] {
-                messages[u as usize] = Some((neighborhood_group(u), u as u64));
-            }
-            let seed = seeds[l];
-            spreads.push(Some(dag.combine(
-                format!("p{phase}:spread{l}"),
-                &[],
-                move |_| {
-                    multi_aggregate_sub(n, shared, trees, messages, |_, _, _, v| *v, &MinU64, seed)
-                },
-            )));
-        }
-        // combine: each landmark's newly reached nodes form its next
-        // frontier; any progress at all keeps the loop alive
-        let deps: Vec<ncc_butterfly::Dep> = spreads.iter().flatten().map(|&s| s.into()).collect();
-        let known = dist.clone();
-        let combine_spreads = spreads.clone();
-        let combine = dag.compute(format!("p{phase}:combine"), &deps, move |d| {
-            let mut dist = known;
-            let mut next: Vec<Vec<NodeId>> = vec![Vec::new(); dist.len()];
-            for (l, spread) in combine_spreads.iter().enumerate() {
-                let Some(spread) = spread else { continue };
-                let mins = d.get(*spread);
-                for v in 0..n {
-                    if dist[l][v] == UNREACHABLE && mins[v].is_some() {
-                        dist[l][v] = phase;
-                        next[l].push(v as NodeId);
-                    }
-                }
-            }
-            let newly: Vec<Option<u64>> = (0..n)
-                .map(|v| next.iter().any(|f| f.contains(&(v as NodeId))).then_some(1))
-                .collect();
-            (dist, next, newly)
-        });
-        // termination consensus (self-synchronizing: carries the spreads'
-        // barrier)
-        let check = dag.proto(format!("p{phase}:check"), &[combine.into()], move |d| {
-            let (_, _, newly) = d.get(combine);
-            ab_sub(n, newly.clone(), &MaxU64)
-        });
-
-        let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
-        let (new_dist, next, _) = run.take(combine);
-        let any_new = run.take(check);
-
-        dist = new_dist;
-        frontiers = next;
-        if any_new[0].is_none() {
-            break;
-        }
-    }
-
+    let landmarks = choose_landmarks(shared, n, num_landmarks.unwrap_or(logn).clamp(1, n));
+    let s = search(
+        engine,
+        shared,
+        bt,
+        g,
+        &landmarks,
+        0x6170_7301,
+        |phase, l| phase << 16 | l,
+    )?;
     Ok(ApspResult {
         landmarks,
-        dist,
-        phases: phase,
-        report,
-        plan,
+        dist: s.dist,
+        phases: s.phases,
+        report: s.report,
+        plan: s.plan,
     })
 }
 

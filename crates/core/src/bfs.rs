@@ -1,4 +1,6 @@
-//! BFS trees (§5.1, Theorem 5.2): `O((a + D + log n) log n)` rounds.
+//! BFS trees (§5.1, Theorem 5.2): `O((a + D + log n) log n)` rounds, and
+//! the one frontier search that `bfs` and the landmark sketches of
+//! [`crate::apsp`] both run.
 //!
 //! Layer-synchronous BFS over the broadcast trees: in phase `i` the nodes
 //! at distance `i − 1` multicast their identifiers to their neighborhoods
@@ -7,13 +9,18 @@
 //! received — the paper's tie-breaking rule. An Aggregate-and-Broadcast per
 //! phase decides termination, after at most `D + 1` phases.
 //!
-//! Each phase is *declared* as a protocol [`Dag`]: frontier spread →
-//! node-local frontier update → termination check, and the scheduler packs
-//! and synchronises the stages. The check is an A&B, so it
-//! self-synchronises and runs in the sync slot of the spread's delivery:
-//! the phase pays one barrier (after the spread's combine) and the check.
+//! `search` runs that BFS from a slice of sources at once (§2's parallel
+//! instances). Each phase is *declared* as one protocol [`Dag`]: one
+//! frontier spread per source still expanding (mutually independent, so
+//! the scheduler packs them into one mux), one node-local compute that
+//! marks a node new if it heard the frontier of a source that had not
+//! reached it, and the termination check. The check is an A&B, so it
+//! self-synchronises and runs in the sync slot of the spreads' delivery:
+//! the phase pays one barrier (after the spreads' combine) and the check.
 
-use ncc_butterfly::{ab_sub, lane_seed, multi_aggregate_sub, Dag, MaxU64, MinU64, SchedReport};
+use ncc_butterfly::{
+    ab_sub, lane_seed, multi_aggregate_sub, Dag, Dep, MaxU64, MinU64, SchedReport,
+};
 use ncc_graph::Graph;
 use ncc_hashing::SharedRandomness;
 use ncc_model::{Engine, ModelError, NodeId};
@@ -44,74 +51,112 @@ pub fn bfs(
     g: &Graph,
     src: NodeId,
 ) -> Result<BfsResult, ModelError> {
+    let mut s = search(engine, shared, bt, g, &[src], 0x6266_7301, |phase, _| phase)?;
+    Ok(BfsResult {
+        dist: s.dist.remove(0),
+        parent: s.parent.remove(0),
+        phases: s.phases,
+        report: s.report,
+        plan: s.plan,
+    })
+}
+
+/// Output of a [`search`]: per source, in the order given.
+pub(crate) struct Search {
+    /// `dist[i][v]`: hops from source `i` to `v` ([`UNREACHABLE`] across
+    /// components).
+    pub dist: Vec<Vec<u32>>,
+    /// `parent[i][v]`: the smallest neighbor of `v` one hop closer to
+    /// source `i`.
+    pub parent: Vec<Vec<Option<NodeId>>>,
+    /// Frontier phases executed (`≤` the largest eccentricity `+ 1`).
+    pub phases: u32,
+    pub report: AlgoReport,
+    pub plan: SchedReport,
+}
+
+/// The layer-synchronous search from every source in `sources` at once.
+/// Source `i`'s spread in `phase` draws on the lane stream
+/// `lane_seed(engine, label, stream(phase, i))`: the caller names it.
+pub(crate) fn search(
+    engine: &mut Engine,
+    shared: &SharedRandomness,
+    bt: &BroadcastTrees,
+    g: &Graph,
+    sources: &[NodeId],
+    label: u64,
+    stream: fn(u64, u64) -> u64,
+) -> Result<Search, ModelError> {
     let n = engine.n();
     assert_eq!(n, g.n());
     let mut report = AlgoReport::default();
     let mut plan = SchedReport::default();
-
-    let mut dist = vec![UNREACHABLE; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    dist[src as usize] = 0;
-    let mut frontier: Vec<NodeId> = vec![src];
+    let mut dist = vec![vec![UNREACHABLE; n]; sources.len()];
+    let mut parent = vec![vec![None; n]; sources.len()];
+    let mut frontiers: Vec<Vec<NodeId>> = sources.iter().map(|&s| vec![s]).collect();
+    for (d, &s) in dist.iter_mut().zip(sources) {
+        d[s as usize] = 0;
+    }
 
     let mut phase: u32 = 0;
-    while !frontier.is_empty() {
+    while frontiers.iter().any(|f| !f.is_empty()) {
         phase += 1;
-        // frontier nodes multicast their identifiers; MIN keeps the
-        // smallest sender per receiving node (§5.1's π tie-break)
-        let mut messages: Vec<Option<(ncc_butterfly::GroupId, u64)>> = vec![None; n];
-        for &u in &frontier {
-            messages[u as usize] = Some((neighborhood_group(u), u as u64));
-        }
-        let seed = lane_seed(engine, 0x6266_7301, phase as u64);
-        let known = dist.clone();
-
         let mut dag = Dag::new();
         let trees = &bt.trees;
-        let spread = dag.combine(format!("p{phase}:spread"), &[], move |_| {
-            multi_aggregate_sub(n, shared, trees, messages, |_, _, _, v| *v, &MinU64, seed)
-        });
-        // a node joins the next frontier iff it was unknown and heard a
-        // frontier identifier this phase
-        let newly = dag.compute(format!("p{phase}:next"), &[spread.into()], move |d| {
-            let mins = d.get(spread);
-            (0..n)
-                .map(|v| {
-                    if known[v] == UNREACHABLE && mins[v].is_some() {
-                        Some(1u64)
-                    } else {
-                        None
+        // per source still expanding, its frontier multicasts identifiers;
+        // MIN keeps the smallest sender per receiving node (§5.1's π
+        // tie-break)
+        let spreads: Vec<_> = (0..sources.len())
+            .filter(|&i| !frontiers[i].is_empty())
+            .map(|i| {
+                let mut messages = vec![None; n];
+                for &u in &frontiers[i] {
+                    messages[u as usize] = Some((neighborhood_group(u), u as u64));
+                }
+                let seed = lane_seed(engine, label, stream(phase as u64, i as u64));
+                let spread = dag.combine(format!("p{phase}:spread{i}"), &[], move |_| {
+                    multi_aggregate_sub(n, shared, trees, messages, |_, _, _, v| *v, &MinU64, seed)
+                });
+                (i, spread)
+            })
+            .collect();
+        // a node is new iff it heard the frontier of a source that had not
+        // reached it
+        let deps: Vec<Dep> = spreads.iter().map(|&(_, s)| s.into()).collect();
+        let (heard, known) = (spreads.clone(), &dist);
+        let newly = dag.compute(format!("p{phase}:next"), &deps, move |d| {
+            let mut newly = vec![None; n];
+            for &(i, s) in &heard {
+                for (v, min) in d.get(s).iter().enumerate() {
+                    if min.is_some() && known[i][v] == UNREACHABLE {
+                        newly[v] = Some(1u64);
                     }
-                })
-                .collect::<Vec<Option<u64>>>()
+                }
+            }
+            newly
         });
-        // termination consensus (carries the spread's barrier)
+        // termination consensus (carries the spreads' barrier)
         let check = dag.proto(format!("p{phase}:check"), &[newly.into()], move |d| {
             ab_sub(n, d.get(newly).clone(), &MaxU64)
         });
 
         let mut run = report.run_dag(format!("phase{phase}"), dag, engine, &mut plan)?;
-        let mins = run.take(spread);
-        let any_new = run.take(check);
-
-        let mut next = Vec::new();
-        for v in 0..n {
-            if dist[v] == UNREACHABLE {
-                if let Some(m) = mins[v] {
-                    dist[v] = phase;
-                    parent[v] = Some(m as NodeId);
-                    next.push(v as NodeId);
+        for (i, s) in spreads {
+            frontiers[i].clear();
+            for (v, min) in run.take(s).into_iter().enumerate() {
+                if let (Some(m), UNREACHABLE) = (min, dist[i][v]) {
+                    dist[i][v] = phase;
+                    parent[i][v] = Some(m as NodeId);
+                    frontiers[i].push(v as NodeId);
                 }
             }
         }
-        frontier = next;
-
-        if any_new[0].is_none() {
+        if run.take(check)[0].is_none() {
             break;
         }
     }
 
-    Ok(BfsResult {
+    Ok(Search {
         dist,
         parent,
         phases: phase,

@@ -115,9 +115,6 @@ pub struct MstResult {
     pub findmin_steps: u32,
     /// FindMin's arity `B = default_lane_budget(n) − 1`.
     pub findmin_buckets: u32,
-    /// Total lane-stages executed by composed (multiplexed) runs — the
-    /// per-lane accounting echoed into `RunRecord.metrics`.
-    pub lane_stages: u32,
     pub report: AlgoReport,
     /// The scheduler's packing plan across all phases.
     pub plan: SchedReport,
@@ -581,7 +578,6 @@ pub fn mst(
         phases: phase,
         findmin_steps,
         findmin_buckets: buckets as u32,
-        lane_stages: plan.lane_stages() as u32,
         report,
         plan,
     })
@@ -703,7 +699,7 @@ mod tests {
         assert!(r.phases <= 4 * 6 + 4, "phases {}", r.phases);
         // lane accounting: every phase ran multi-lane FindMin steps
         assert!(r.findmin_steps >= r.phases);
-        assert!(r.lane_stages > r.findmin_steps);
+        assert!(r.plan.lane_stages() as u32 > r.findmin_steps);
     }
 
     #[test]

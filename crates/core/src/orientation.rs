@@ -90,8 +90,6 @@ pub struct OrientationResult {
     /// sketch groups per learner that keys the identification delivery
     /// windows; consumers like the broadcast-tree setup reuse it as `ℓ̂`).
     pub max_degree: usize,
-    /// Total lane-stages executed by composed (multiplexed) runs.
-    pub lane_stages: u32,
     pub report: AlgoReport,
     /// The scheduler's packing plan across all phases.
     pub plan: SchedReport,
@@ -251,7 +249,6 @@ pub fn orient(
         }
         let Some((sum_di, cnt)) = avg else {
             // no node with positive residual degree remains — done
-            report.push(format!("p{phase}:done"), Default::default());
             break;
         };
 
@@ -421,7 +418,8 @@ pub fn orient(
             // every active-or-waiting node responds to its U_high neighbors
             // in rounds uniform over {1..max(|R_u|, d*ᵢ)}
             let sched = dag.compute(format!("p{phase}:uhigh-sched"), &[gb.into()], move |d| {
-                let high_ids = d.get(gb);
+                // a broadcast that lost a value fails the run below
+                let high_ids = d.get(gb).as_deref().unwrap_or(&[]);
                 let high_set: FxHashSet<NodeId> = high_ids.iter().map(|&v| v as NodeId).collect();
                 let mut schedules: Vec<Vec<(u64, NodeId, u64)>> = vec![Vec::new(); n];
                 for u in 0..n {
@@ -452,12 +450,17 @@ pub fn orient(
                 schedule_sub(n, d.get(sched).clone(), None)
             });
             let mut run = report.run_dag(format!("p{phase}:uhigh"), dag, engine, &mut plan)?;
+            run.take(gb)?;
             let responses = run.take(resp);
             for u in 0..n {
                 if high_nodes[u] {
                     red[u] = responses[u].iter().map(|&(src, _)| src).collect();
                     unsuccessful[u] = false;
-                    debug_assert_eq!(red[u].len(), di[u], "U_high node {u} red-set mismatch");
+                    if red[u].len() != di[u] {
+                        return Err(ModelError::WhpEventFailed {
+                            event: "a U_high node hears from every red neighbor",
+                        });
+                    }
                 }
             }
         }
@@ -717,7 +720,6 @@ pub fn orient(
         phases: phase,
         d_star: d_star_global.max(1),
         max_degree: delta,
-        lane_stages: plan.lane_stages() as u32,
         report,
         plan,
     })

@@ -7,8 +7,9 @@
 //! * [`gather_sub`] then [`broadcast_sub`] — the "high-degree
 //!   identifiers" pattern of §4 Stage 2: a sparse set of nodes sends their
 //!   identifiers to node 0 over the butterfly's binomial tree (queued,
-//!   smallest-first) and node 0 broadcasts them back pipelined.
-//!   `O(k + log n)` rounds for `k` values.
+//!   smallest-first) and node 0 broadcasts them back pipelined, with the
+//!   seed agreement's [`TreeBroadcast`]. `O(k + log n)` rounds for `k`
+//!   values.
 //! * [`schedule_sub`] — point-to-point sends at node-chosen rounds
 //!   (the "pick a uniform round in {1..T}" load-smoothing idiom used by §4
 //!   Stage 2's `R_u` responses and several §5 steps).
@@ -18,37 +19,22 @@
 
 use std::collections::BTreeSet;
 
-use ncc_butterfly::{send_due, Butterfly, Lane, ScheduleProgram, ScheduleState, StageEnd};
+use ncc_butterfly::{
+    send_due, Butterfly, Lane, ScheduleProgram, ScheduleState, StageEnd, TreeBroadcast,
+};
 use ncc_hashing::FxHashMap;
-use ncc_model::{Ctx, Envelope, NodeId, NodeProgram};
+use ncc_model::{Ctx, Envelope, ModelError, NodeId, NodeProgram};
 
 // ---------------------------------------------------------------------------
 // Gather-and-broadcast of a sparse identifier set
 // ---------------------------------------------------------------------------
-
-/// Wire format of the gather and of the broadcast back.
-#[derive(Debug, Clone)]
-pub enum GatherMsg {
-    /// Value moving toward node 0 (or injected from a proxy node).
-    Gather(u64),
-    /// Value broadcast back down the binomial tree.
-    Bcast(u64),
-}
-
-impl ncc_model::Payload for GatherMsg {
-    fn bit_size(&self) -> u32 {
-        match self {
-            GatherMsg::Gather(v) | GatherMsg::Bcast(v) => 1 + ncc_model::payload::min_bits(*v),
-        }
-    }
-}
 
 /// Per-node gather state.
 #[derive(Debug, Default, Clone)]
 pub struct GatherState {
     /// Pending values to forward toward the root (sorted, min first).
     queue: BTreeSet<u64>,
-    /// At node 0: everything collected. Everywhere: everything broadcast.
+    /// At node 0: everything collected.
     collected: Vec<u64>,
 }
 
@@ -65,10 +51,10 @@ impl GatherProgram {
 
     /// A node that emulates no column injects its values into its proxy
     /// column, one per round.
-    fn inject(&self, st: &mut GatherState, ctx: &mut Ctx<'_, GatherMsg>) {
+    fn inject(&self, st: &mut GatherState, ctx: &mut Ctx<'_, u64>) {
         if let Some(v) = st.queue.pop_first() {
             let proxy = self.bf.emulator(self.bf.proxy_column(ctx.id));
-            ctx.send(proxy, GatherMsg::Gather(v));
+            ctx.send(proxy, v);
         }
         if !st.queue.is_empty() {
             ctx.stay_awake();
@@ -78,9 +64,9 @@ impl GatherProgram {
 
 impl NodeProgram for GatherProgram {
     type State = GatherState;
-    type Payload = GatherMsg;
+    type Payload = u64;
 
-    fn init(&self, st: &mut GatherState, ctx: &mut Ctx<'_, GatherMsg>) {
+    fn init(&self, st: &mut GatherState, ctx: &mut Ctx<'_, u64>) {
         if !self.bf.emulates(ctx.id) {
             self.inject(st, ctx);
         } else if !st.queue.is_empty() {
@@ -88,108 +74,25 @@ impl NodeProgram for GatherProgram {
         }
     }
 
-    fn round(
-        &self,
-        st: &mut GatherState,
-        inbox: &[Envelope<GatherMsg>],
-        ctx: &mut Ctx<'_, GatherMsg>,
-    ) {
+    fn round(&self, st: &mut GatherState, inbox: &[Envelope<u64>], ctx: &mut Ctx<'_, u64>) {
         if !self.bf.emulates(ctx.id) {
             return self.inject(st, ctx);
         }
         let alpha = self.bf.column_of(ctx.id);
-        // the gather stage carries only `Gather`; `BcastProgram` relays
         for env in inbox {
-            if let GatherMsg::Gather(v) = env.payload {
-                if alpha == 0 {
-                    st.collected.push(v);
-                } else {
-                    st.queue.insert(v);
-                }
+            if alpha == 0 {
+                st.collected.push(env.payload);
+            } else {
+                st.queue.insert(env.payload);
             }
         }
         if alpha != 0 {
             if let Some(&v) = st.queue.iter().next() {
                 st.queue.remove(&v);
-                ctx.send(self.bf.emulator(self.parent(alpha)), GatherMsg::Gather(v));
+                ctx.send(self.bf.emulator(self.parent(alpha)), v);
             }
             if !st.queue.is_empty() {
                 ctx.stay_awake();
-            }
-        }
-    }
-}
-
-/// The broadcast back: node 0 seeds one `Bcast` per round, every column
-/// relays down the binomial tree and to its attached node.
-pub struct BcastProgram {
-    bf: Butterfly,
-    n: usize,
-}
-
-/// Per-node broadcast state.
-#[derive(Debug, Default, Clone)]
-pub struct BcastState {
-    to_send: Vec<u64>,
-    received: Vec<u64>,
-}
-
-impl NodeProgram for BcastProgram {
-    type State = BcastState;
-    type Payload = GatherMsg;
-
-    fn init(&self, st: &mut BcastState, ctx: &mut Ctx<'_, GatherMsg>) {
-        if ctx.id == 0 && !st.to_send.is_empty() {
-            ctx.stay_awake();
-        }
-    }
-
-    fn round(
-        &self,
-        st: &mut BcastState,
-        inbox: &[Envelope<GatherMsg>],
-        ctx: &mut Ctx<'_, GatherMsg>,
-    ) {
-        if !self.bf.emulates(ctx.id) {
-            for env in inbox {
-                if let GatherMsg::Bcast(v) = env.payload {
-                    st.received.push(v);
-                }
-            }
-            return;
-        }
-        let alpha = self.bf.column_of(ctx.id);
-        let mut relay: Vec<u64> = Vec::new();
-        if ctx.id == 0 {
-            let idx = (ctx.round - 1) as usize;
-            if idx < st.to_send.len() {
-                let v = st.to_send[idx];
-                st.received.push(v);
-                relay.push(v);
-                if idx + 1 < st.to_send.len() {
-                    ctx.stay_awake();
-                }
-            }
-        }
-        for env in inbox {
-            if let GatherMsg::Bcast(v) = env.payload {
-                st.received.push(v);
-                relay.push(v);
-            }
-        }
-        for v in relay {
-            let limit = if alpha == 0 {
-                self.bf.d()
-            } else {
-                alpha.trailing_zeros()
-            };
-            for b in 0..limit {
-                ctx.send(self.bf.emulator(alpha | (1 << b)), GatherMsg::Bcast(v));
-            }
-            if let Some(att) = self.bf.attached_node(alpha) {
-                if (att as usize) < self.n {
-                    ctx.send(att, GatherMsg::Bcast(v));
-                }
             }
         }
     }
@@ -383,30 +286,29 @@ pub fn gather_sub(n: usize, values: Vec<Option<u64>>) -> GatherSub {
 }
 
 /// The pipelined broadcast of node 0's `list` back to every node, as a
-/// composable lane. Read the list (identical at every node, asserted)
-/// with [`Lane::into_results`].
-pub type BcastSub = Lane<BcastProgram, Vec<u64>>;
+/// composable lane over the seed agreement's [`TreeBroadcast`]. Read the
+/// list with [`Lane::into_results`]: a node that missed a value — a
+/// receive cap dropped its copy — fails it with
+/// [`ModelError::WhpEventFailed`].
+pub type BcastSub = Lane<TreeBroadcast<u64>, Result<Vec<u64>, ModelError>>;
 
 /// Builds the broadcast of `list` from node 0.
 pub fn broadcast_sub(n: usize, list: Vec<u64>) -> BcastSub {
-    let mut states: Vec<BcastState> = (0..n).map(|_| BcastState::default()).collect();
-    states[0].to_send = list;
-    let prog = BcastProgram {
-        bf: Butterfly::for_n(n),
-        n,
-    };
-    Lane::new(prog, states, |st| {
-        let sorted = |s: &BcastState| {
-            let mut got = s.received.clone();
-            got.sort_unstable();
-            got
-        };
-        let reference = sorted(&st[0]);
-        for (v, s) in st.iter().enumerate() {
-            debug_assert_eq!(sorted(s), reference, "node {v} missed broadcast values");
-        }
-        reference
-    })
+    Lane::new(
+        TreeBroadcast::new(n, list),
+        vec![Vec::new(); n],
+        |mut st| {
+            for held in &mut st {
+                held.sort_unstable();
+            }
+            match st.iter().all(|held| *held == st[0]) {
+                true => Ok(st.swap_remove(0)),
+                false => Err(ModelError::WhpEventFailed {
+                    event: "every node hears the U_high broadcast",
+                }),
+            }
+        },
+    )
 }
 
 /// Canonical undirected edge id: `min ∘ max` packed with `id_bits` per node.
@@ -432,7 +334,7 @@ pub fn node_id_bits(n: usize) -> u32 {
 mod tests {
     use super::*;
     use ncc_butterfly::{run_alone, LaneSub};
-    use ncc_model::{Engine, ExecStats, NetConfig};
+    use ncc_model::{Capacity, Engine, ExecStats, NetConfig};
 
     /// The gather and then the broadcast: every node's list and the
     /// rounds of both.
@@ -440,7 +342,7 @@ mod tests {
         let (list, mut stats) = run_alone(eng, gather_sub(eng.n(), values)).unwrap();
         let (got, bstats) = run_alone(eng, broadcast_sub(eng.n(), list)).unwrap();
         stats.merge(&bstats);
-        (got, stats)
+        (got.unwrap(), stats)
     }
 
     #[test]
@@ -473,6 +375,31 @@ mod tests {
         let mut eng = Engine::new(NetConfig::new(n, 3));
         let (list, _) = gather(&mut eng, vec![None; n]);
         assert!(list.is_empty());
+    }
+
+    /// A send cap below the root's `d + 1` tree children and attached node
+    /// truncates copies of every value, while the gather and the barriers
+    /// still get through: the broadcast fails, typed, in every build,
+    /// instead of handing on a partial list.
+    #[test]
+    fn a_broadcast_that_loses_a_value_fails_typed() {
+        let n = 48;
+        let cap = Capacity {
+            send: 2,
+            ..Capacity::default_for(n)
+        };
+        let mut eng = Engine::new(NetConfig::new(n, 42).with_capacity(cap).permissive());
+        let mut values = vec![None; n];
+        values[0] = Some(42);
+        values[n - 1] = Some(7);
+        let (list, _) = run_alone(&mut eng, gather_sub(n, values)).unwrap();
+        assert_eq!(list, vec![7, 42]);
+        match run_alone(&mut eng, broadcast_sub(n, list)).unwrap().0 {
+            Err(ModelError::WhpEventFailed { event }) => {
+                assert_eq!(event, "every node hears the U_high broadcast")
+            }
+            other => panic!("a broadcast that lost copies returned {other:?}"),
+        }
     }
 
     #[test]

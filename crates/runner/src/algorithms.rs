@@ -377,7 +377,7 @@ impl Algorithm for Mst {
                 ("findmin_steps", r.findmin_steps as u64),
                 ("findmin_buckets", r.findmin_buckets as u64),
                 ("rounds_findmin", rounds_findmin),
-                ("lane_stages", r.lane_stages as u64),
+                ("lane_stages", r.plan.lane_stages() as u64),
             ],
             plan: Some(r.plan),
         })
@@ -425,7 +425,7 @@ impl Algorithm for Orientation {
                 ("max_outdegree", r.max_outdegree() as u64),
                 ("d_star", r.d_star as u64),
                 ("delta", r.max_degree as u64),
-                ("lane_stages", r.lane_stages as u64),
+                ("lane_stages", r.plan.lane_stages() as u64),
             ],
             plan: Some(r.plan),
         })

@@ -211,7 +211,21 @@ impl ScenarioSpec {
             let family = self.family.name();
             Err(RunnerError::Scenario(format!("`{family}` needs {need}")))
         };
+        let least = match self.family {
+            FamilySpec::Cycle => 3,
+            FamilySpec::Rmat { .. } | FamilySpec::Hyperbolic { .. } => 2,
+            _ => 0,
+        };
+        if n < least {
+            return refuse(format!("n ≥ {least}, the spec has n = {n}"));
+        }
         let g = match &self.family {
+            FamilySpec::Gnm { m } if *m > n.saturating_mul(n.saturating_sub(1)) / 2 => {
+                return refuse(format!("m ≤ n(n − 1)/2, the spec has n = {n}, m = {m}"))
+            }
+            FamilySpec::Ba { m } if (*m).max(1) >= n => {
+                return refuse(format!("m < n, the spec has n = {n}, m = {m}"))
+            }
             FamilySpec::Gnp { p } if !(0.0..=1.0).contains(p) => {
                 return refuse(format!("0 ≤ p ≤ 1, the spec has p = {p}"))
             }

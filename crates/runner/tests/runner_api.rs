@@ -247,8 +247,8 @@ fn huge_machine_counts_run_or_are_refused() {
 /// The typed refusal of a family parameter outside its generator's
 /// domain, naming the parameter: a scenario error, never the generator's
 /// assert.
-fn assert_family_refused(family: FamilySpec, named: &str) {
-    let spec = ScenarioSpec::new(family, 16, 3);
+fn assert_family_refused(family: FamilySpec, n: usize, named: &str) {
+    let spec = ScenarioSpec::new(family, n, 3);
     match run_record_threads(find_algorithm("mst").unwrap(), &spec, 1) {
         Err(RunnerError::Scenario(msg)) => assert!(msg.contains(named), "{msg}"),
         other => panic!("expected a scenario error naming {named}, got {other:?}"),
@@ -259,7 +259,32 @@ fn assert_family_refused(family: FamilySpec, named: &str) {
 #[test]
 fn gnp_refuses_a_probability_outside_the_unit_interval() {
     for p in [4.0, -0.5, f64::NAN] {
-        assert_family_refused(FamilySpec::Gnp { p }, "p = ");
+        assert_family_refused(FamilySpec::Gnp { p }, 16, "p = ");
+    }
+}
+
+/// A node count or edge count outside a generator's domain is refused by
+/// name: a cycle below three nodes, R-MAT and hyperbolic below two, more
+/// gnm edges than pairs, and BA arrivals with `m` edges but fewer than
+/// `m + 1` nodes.
+#[test]
+fn generators_refuse_a_size_outside_their_domain() {
+    let cases = [
+        (FamilySpec::Cycle, 2, "n = 2"),
+        (FamilySpec::Rmat { edge_factor: 8 }, 1, "n = 1"),
+        (
+            FamilySpec::Hyperbolic {
+                alpha: 0.75,
+                c: 1.0,
+            },
+            1,
+            "n = 1",
+        ),
+        (FamilySpec::Gnm { m: 2 }, 2, "m = 2"),
+        (FamilySpec::Ba { m: 5 }, 3, "m = 5"),
+    ];
+    for (family, n, named) in cases {
+        assert_family_refused(family, n, named);
     }
 }
 
@@ -267,7 +292,7 @@ fn gnp_refuses_a_probability_outside_the_unit_interval() {
 #[test]
 fn hyperbolic_refuses_a_non_positive_alpha() {
     for alpha in [-3.0, 0.0, f64::NAN] {
-        assert_family_refused(FamilySpec::Hyperbolic { alpha, c: 0.0 }, "alpha = ");
+        assert_family_refused(FamilySpec::Hyperbolic { alpha, c: 0.0 }, 16, "alpha = ");
     }
 }
 
@@ -276,7 +301,7 @@ fn hyperbolic_refuses_a_non_positive_alpha() {
 #[test]
 fn hyperbolic_refuses_a_non_positive_disk_radius() {
     for c in [-5.6, -100.0, f64::NAN] {
-        assert_family_refused(FamilySpec::Hyperbolic { alpha: 0.75, c }, "c = ");
+        assert_family_refused(FamilySpec::Hyperbolic { alpha: 0.75, c }, 16, "c = ");
     }
 }
 
